@@ -1,7 +1,7 @@
 //! The Bloom filter proper, including the wire encoding used to embed
 //! filters in PDS query messages.
 
-use crate::hash::double_hash_indices;
+use crate::hash::{probes, Probes};
 use crate::params::BloomParams;
 use std::fmt;
 
@@ -79,12 +79,11 @@ impl BloomFilter {
     /// reported present (i.e. at least one probed bit was newly set).
     pub fn insert(&mut self, element: &[u8]) -> bool {
         let mut newly_set = false;
-        for idx in double_hash_indices(element, self.seed, self.params.hashes(), self.params.bits())
-        {
+        for idx in self.probes(element) {
             let (byte, mask) = Self::locate(idx);
-            if self.bits[byte] & mask == 0 {
-                self.bits[byte] |= mask;
-                newly_set = true;
+            if let Some(b) = self.bits.get_mut(byte) {
+                newly_set |= *b & mask == 0;
+                *b |= mask;
             }
         }
         self.items += 1;
@@ -92,14 +91,17 @@ impl BloomFilter {
     }
 
     /// Tests membership. Never returns `false` for an inserted element.
+    /// Stops at the first clear bit.
     #[must_use]
     pub fn contains(&self, element: &[u8]) -> bool {
-        double_hash_indices(element, self.seed, self.params.hashes(), self.params.bits())
-            .into_iter()
-            .all(|idx| {
-                let (byte, mask) = Self::locate(idx);
-                self.bits[byte] & mask != 0
-            })
+        self.probes(element).all(|idx| {
+            let (byte, mask) = Self::locate(idx);
+            self.bits.get(byte).is_some_and(|b| b & mask != 0)
+        })
+    }
+
+    fn probes(&self, element: &[u8]) -> Probes {
+        probes(element, self.seed, self.params.hashes(), self.params.bits())
     }
 
     /// Fraction of bits set — a saturation diagnostic. A healthy filter sits
@@ -163,9 +165,11 @@ impl BloomFilter {
         28 + self.bits.len()
     }
 
+    /// Byte offset and bit mask of bit `idx`. An index past the address
+    /// space maps past the bit array, where `get` finds nothing.
     fn locate(idx: u64) -> (usize, u8) {
         (
-            usize::try_from(idx / 8).expect("index fits"),
+            usize::try_from(idx / 8).unwrap_or(usize::MAX),
             1u8 << (idx % 8),
         )
     }
@@ -259,6 +263,30 @@ mod tests {
         assert!(f.insert(b"x"));
         assert!(!f.insert(b"x"), "re-inserting must not set new bits");
         assert_eq!(f.items(), 2);
+    }
+
+    #[test]
+    fn membership_agrees_with_the_collected_indices() {
+        // `contains` short-circuits and `insert` walks the lazy iterator;
+        // both must touch exactly the bits `double_hash_indices` names.
+        let params = BloomParams::new(1_021, 5);
+        let mut f = BloomFilter::with_round(params, 2);
+        let mut expected = vec![0u8; params.byte_len()];
+        for i in 0..60u32 {
+            let element = i.to_le_bytes();
+            f.insert(&element);
+            for idx in crate::double_hash_indices(&element, f.seed(), 5, 1_021) {
+                expected[(idx / 8) as usize] |= 1 << (idx % 8);
+            }
+        }
+        assert_eq!(f.bits, expected);
+        for i in 0..2_000u32 {
+            let element = i.to_le_bytes();
+            let all_set = crate::double_hash_indices(&element, f.seed(), 5, 1_021)
+                .into_iter()
+                .all(|idx| expected[(idx / 8) as usize] & (1 << (idx % 8)) != 0);
+            assert_eq!(f.contains(&element), all_set, "element {i}");
+        }
     }
 
     #[test]

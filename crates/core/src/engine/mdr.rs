@@ -177,9 +177,10 @@ impl PdsEngine {
         _from: NodeId,
         me_intended: bool,
         q: QueryMessage,
-        item: &ItemName,
-        _total_chunks: u32,
     ) -> Vec<Outgoing> {
+        let QueryKind::MdrChunks { item, .. } = &q.kind else {
+            return Vec::new();
+        };
         self.lqt.insert(q.clone(), q.sender);
         let mut out = Vec::new();
         let held = self.store.chunk_ids(item);

@@ -16,10 +16,13 @@ use crate::cdi::CdiTable;
 use crate::config::PdsConfig;
 use crate::ids::{ChunkId, ItemName, QueryId, ResponseId};
 use crate::lqt::LingeringQueryTable;
-use crate::message::{PdsMessage, QueryKind, QueryMessage, ResponseKind, ResponseMessage};
+use crate::message::{
+    MessageHeader, PdsMessage, QueryKind, QueryMessage, ResponseKind, ResponseMessage,
+};
 use crate::sessions::{DiscoverySession, RetrievalSession};
 use crate::store::DataStore;
 use crate::{NodeId, SimRng, SimTime};
+use pds_bloom::BloomFilter;
 use pds_det::DetMap;
 use pds_obs::Phase;
 
@@ -173,7 +176,7 @@ pub struct PdsEngine {
     pub(crate) store: DataStore,
     pub(crate) lqt: LingeringQueryTable,
     pub(crate) cdi: CdiTable,
-    recent_responses: DetMap<ResponseId, SimTime>,
+    pub(crate) recent_responses: DetMap<ResponseId, SimTime>,
     /// Chunks this node has an outstanding sub-query for (value = that
     /// query's expiry). Prevents every new upstream from spawning another
     /// sub-query tree for the same chunk — without it the recursive
@@ -256,6 +259,32 @@ impl PdsEngine {
         self.retrieval.as_ref()
     }
 
+    /// Whether the message behind `header` is a copy Algorithms 1 and 2
+    /// discard on sight — a query already in the LQT or past its expiry, a
+    /// response id seen recently — so [`PdsEngine::handle_message`] would
+    /// return nothing for it and it need not be decoded.
+    #[must_use]
+    pub(crate) fn is_redundant(&self, now: SimTime, header: &MessageHeader) -> bool {
+        match *header {
+            MessageHeader::Query { id, expires_at, .. } => {
+                self.query_is_redundant(now, id, expires_at)
+            }
+            MessageHeader::Response { id, .. } => self.response_is_redundant(id),
+        }
+    }
+
+    /// LQT lookup (Algorithm 1): a copy of a lingering query, or a query
+    /// past its expiry, is discarded.
+    fn query_is_redundant(&self, now: SimTime, id: QueryId, expires_at: SimTime) -> bool {
+        self.lqt.seen(id) || expires_at <= now
+    }
+
+    /// RR lookup (Algorithm 2): a copy of a recently received response is
+    /// discarded.
+    fn response_is_redundant(&self, id: ResponseId) -> bool {
+        self.recent_responses.contains_key(&id)
+    }
+
     /// Processes one received message. `from` is the transmitting neighbor;
     /// `me_intended` is whether this node was in the transport's intended
     /// receiver list (or the list was empty). Returns messages to transmit.
@@ -301,26 +330,16 @@ impl PdsEngine {
         me_intended: bool,
         q: QueryMessage,
     ) -> Vec<Outgoing> {
-        // LQT lookup (Algorithm 1): redundant copies are discarded.
-        if self.lqt.seen(q.id) {
+        if self.query_is_redundant(now, q.id, q.expires_at) {
             return Vec::new();
         }
-        if q.expires_at <= now {
-            return Vec::new();
-        }
-        match q.kind.clone() {
+        match &q.kind {
             QueryKind::Metadata | QueryKind::SmallData => {
                 self.handle_discovery_query(now, from, me_intended, q)
             }
-            QueryKind::Cdi { descriptor } => {
-                self.handle_cdi_query(now, from, me_intended, q, &descriptor)
-            }
-            QueryKind::Chunks { item, chunks } => {
-                self.handle_chunk_query(now, from, me_intended, q, &item, &chunks)
-            }
-            QueryKind::MdrChunks { item, total_chunks } => {
-                self.handle_mdr_query(now, from, me_intended, q, &item, total_chunks)
-            }
+            QueryKind::Cdi { .. } => self.handle_cdi_query(now, from, me_intended, q),
+            QueryKind::Chunks { .. } => self.handle_chunk_query(now, from, me_intended, q),
+            QueryKind::MdrChunks { .. } => self.handle_mdr_query(now, from, me_intended, q),
         }
     }
 
@@ -331,26 +350,25 @@ impl PdsEngine {
         me_intended: bool,
         r: ResponseMessage,
     ) -> Vec<Outgoing> {
-        // RR lookup (Algorithm 2): redundant copies are discarded.
-        if self.recent_responses.contains_key(&r.id) {
+        if self.response_is_redundant(r.id) {
             return Vec::new();
         }
         self.recent_responses.insert(r.id, now);
-        match r.kind.clone() {
+        match r.kind {
             ResponseKind::Metadata { entries } => {
-                self.handle_metadata_response(now, from, me_intended, &r, entries)
+                self.handle_metadata_response(now, from, me_intended, r.id, entries)
             }
             ResponseKind::SmallData { items } => {
-                self.handle_small_data_response(now, from, me_intended, &r, items)
+                self.handle_small_data_response(now, from, me_intended, r.id, items)
             }
             ResponseKind::Cdi { item, pairs } => {
-                self.handle_cdi_response(now, from, me_intended, &r, &item, &pairs)
+                self.handle_cdi_response(now, from, me_intended, &item, &pairs)
             }
             ResponseKind::Chunk {
                 descriptor,
                 chunk,
                 data,
-            } => self.handle_chunk_response(now, from, me_intended, &r, &descriptor, chunk, data),
+            } => self.handle_chunk_response(now, from, me_intended, r.id, descriptor, chunk, data),
         }
     }
 
@@ -395,18 +413,23 @@ impl PdsEngine {
         {
             return None;
         }
-        let mut fq = q.clone();
-        fq.sender = self.id;
-        if fq.ttl_hops > 0 {
-            fq.ttl_hops -= 1;
-        }
-        if self.config.rewrite {
-            if let Some(l) = self.lqt.get(q.id) {
-                if let Some(b) = &l.bloom {
-                    fq.bloom = Some(b.encode());
-                }
-            }
-        }
+        let rewritten = if self.config.rewrite {
+            self.lqt.get(q.id).and_then(|l| l.bloom.as_ref())
+        } else {
+            None
+        };
+        let fq = QueryMessage {
+            id: q.id,
+            kind: q.kind.clone(),
+            sender: self.id,
+            expires_at: q.expires_at,
+            filter: q.filter.clone(),
+            bloom: rewritten
+                .map(BloomFilter::encode)
+                .or_else(|| q.bloom.clone()),
+            round: q.round,
+            ttl_hops: q.ttl_hops.saturating_sub(1),
+        };
         Some(Outgoing::query(fq, Vec::new()))
     }
 }

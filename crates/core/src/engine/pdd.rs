@@ -4,6 +4,7 @@
 
 use super::{Outgoing, PdsEngine};
 use crate::descriptor::DataDescriptor;
+use crate::ids::ResponseId;
 use crate::lqt::Lingering;
 use crate::message::{QueryKind, QueryMessage, ResponseKind, ResponseMessage};
 use crate::predicate::QueryFilter;
@@ -12,7 +13,7 @@ use crate::sessions::DiscoverySession;
 use crate::{NodeId, SimTime};
 use bytes::Bytes;
 use pds_bloom::{BloomFilter, BloomParams};
-use pds_det::DetMap;
+use pds_det::DetSet;
 use std::collections::BTreeSet;
 
 impl PdsEngine {
@@ -44,11 +45,11 @@ impl PdsEngine {
     ) -> Vec<Outgoing> {
         let id = self.new_query_id();
         // The consumer's own matching entries are known from the start.
-        let collected: DetMap<_, _> = self
+        let collected: DetSet<_> = self
             .store
             .match_metadata(&filter, now)
             .into_iter()
-            .map(|d| (d.entry_key(), d.clone()))
+            .map(DataDescriptor::entry_key)
             .collect();
         let session = DiscoverySession {
             filter: filter.clone(),
@@ -108,7 +109,7 @@ impl PdsEngine {
                     self.config.bloom_fpp,
                 );
                 let mut bloom = BloomFilter::with_round(params, round);
-                for key in session.collected.keys() {
+                for key in &session.collected {
                     bloom.insert(key.as_bytes());
                 }
                 let filter = session.filter.clone();
@@ -157,34 +158,28 @@ impl PdsEngine {
         // query's Bloom filter; rewrite the query (and our lingering copy)
         // with what we send so downstream nodes do not repeat it.
         let rewrite = self.config.rewrite;
-        let matching: Vec<DataDescriptor> = self
-            .store
-            .match_metadata(&q.filter, now)
-            .into_iter()
-            .cloned()
-            .collect();
         let mut sent_entries = Vec::new();
         let mut sent_items: Vec<(DataDescriptor, Bytes)> = Vec::new();
         if let Some(lingering) = self.lqt.get_mut(q.id) {
-            for entry in matching {
-                let key = entry.entry_key();
-                if rewrite && lingering.bloom_contains(key.as_bytes()) {
+            for entry in self.store.match_metadata(&q.filter, now) {
+                let key = entry.encode();
+                if rewrite && lingering.bloom_contains(key) {
                     continue;
                 }
                 if small_data {
                     // Only items whose payload we hold can be served.
-                    let Some(payload) = self.store.small_payload(&entry) else {
+                    let Some(payload) = self.store.small_payload(entry) else {
                         continue;
                     };
                     if rewrite {
-                        lingering.bloom_insert(key.as_bytes());
+                        lingering.bloom_insert(key);
                     }
-                    sent_items.push((entry, payload));
+                    sent_items.push((entry.clone(), payload));
                 } else {
                     if rewrite {
-                        lingering.bloom_insert(key.as_bytes());
+                        lingering.bloom_insert(key);
                     }
-                    sent_entries.push(entry);
+                    sent_entries.push(entry.clone());
                 }
             }
         }
@@ -223,7 +218,7 @@ impl PdsEngine {
         now: SimTime,
         _from: NodeId,
         me_intended: bool,
-        r: &ResponseMessage,
+        id: ResponseId,
         entries: Vec<DataDescriptor>,
     ) -> Vec<Outgoing> {
         // DS lookup: opportunistically cache every entry (§III-A-2).
@@ -232,13 +227,13 @@ impl PdsEngine {
             self.store.cache_metadata(e.clone(), now + ttl);
         }
         // Consumer absorption: collect entries matching our own discovery.
-        self.absorb_discovery(now, me_intended, &entries, false);
+        self.absorb_discovery(now, me_intended, entries.iter(), false);
 
         // Receiver check: only intended receivers relay.
         if !me_intended {
             return Vec::new();
         }
-        self.relay_metadata(now, r, entries)
+        self.relay_metadata(now, id, entries)
     }
 
     pub(crate) fn handle_small_data_response(
@@ -246,7 +241,7 @@ impl PdsEngine {
         now: SimTime,
         _from: NodeId,
         me_intended: bool,
-        r: &ResponseMessage,
+        id: ResponseId,
         items: Vec<(DataDescriptor, Bytes)>,
     ) -> Vec<Outgoing> {
         let ttl = self.config.metadata_ttl;
@@ -254,8 +249,7 @@ impl PdsEngine {
             self.store.cache_metadata(d.clone(), now + ttl);
             self.store.cache_small_payload(d, payload.clone());
         }
-        let descriptors: Vec<DataDescriptor> = items.iter().map(|(d, _)| d.clone()).collect();
-        self.absorb_discovery(now, me_intended, &descriptors, true);
+        self.absorb_discovery(now, me_intended, items.iter().map(|(d, _)| d), true);
         if !me_intended {
             return Vec::new();
         }
@@ -277,32 +271,33 @@ impl PdsEngine {
         let mut out = Vec::new();
         if mixedcast {
             let mut receivers: BTreeSet<NodeId> = BTreeSet::new();
+            let total = items.len();
             let mut kept = Vec::new();
             let mut used = Vec::new();
-            for (d, payload) in &items {
-                let key = d.entry_key();
+            for (d, payload) in items {
+                let key = d.encode();
                 let mut needed = false;
                 for l in matching.iter_mut() {
-                    if !l.query.filter.matches(d) {
+                    if !l.query.filter.matches(&d) {
                         continue;
                     }
-                    if rewrite && l.bloom_contains(key.as_bytes()) {
+                    if rewrite && l.bloom_contains(key) {
                         continue;
                     }
                     needed = true;
                     receivers.insert(l.upstream);
                     used.push(l.query.id);
                     if rewrite {
-                        l.bloom_insert(key.as_bytes());
+                        l.bloom_insert(key);
                     }
                 }
                 if needed {
-                    kept.push((d.clone(), payload.clone()));
+                    kept.push((d, payload));
                 }
             }
             if !kept.is_empty() {
-                let id = if kept.len() == items.len() {
-                    r.id
+                let id = if kept.len() == total {
+                    id
                 } else {
                     self.new_response_id()
                 };
@@ -327,7 +322,7 @@ impl PdsEngine {
                 let kept: Vec<(DataDescriptor, Bytes)> = items
                     .iter()
                     .filter(|(d, _)| l.query.filter.matches(d))
-                    .filter(|(d, _)| !(rewrite && l.bloom_contains(d.entry_key().as_bytes())))
+                    .filter(|(d, _)| !(rewrite && l.bloom_contains(d.encode())))
                     .cloned()
                     .collect();
                 if kept.is_empty() {
@@ -335,7 +330,7 @@ impl PdsEngine {
                 }
                 if rewrite {
                     for (d, _) in &kept {
-                        l.bloom_insert(d.entry_key().as_bytes());
+                        l.bloom_insert(d.encode());
                     }
                 }
                 responses.push((l.upstream, l.query.id, kept));
@@ -369,7 +364,7 @@ impl PdsEngine {
     fn relay_metadata(
         &mut self,
         now: SimTime,
-        r: &ResponseMessage,
+        id: ResponseId,
         entries: Vec<DataDescriptor>,
     ) -> Vec<Outgoing> {
         let me = self.id;
@@ -388,35 +383,36 @@ impl PdsEngine {
         let mut out = Vec::new();
         if mixedcast {
             let mut receivers: BTreeSet<NodeId> = BTreeSet::new();
+            let total = entries.len();
             let mut kept = Vec::new();
             let mut used = Vec::new();
-            for entry in &entries {
-                let key = entry.entry_key();
+            for entry in entries {
+                let key = entry.encode();
                 let mut needed = false;
                 for l in matching.iter_mut() {
-                    if !l.query.filter.matches(entry) {
+                    if !l.query.filter.matches(&entry) {
                         continue;
                     }
-                    if rewrite && l.bloom_contains(key.as_bytes()) {
+                    if rewrite && l.bloom_contains(key) {
                         continue;
                     }
                     needed = true;
                     receivers.insert(l.upstream);
                     used.push(l.query.id);
                     if rewrite {
-                        l.bloom_insert(key.as_bytes());
+                        l.bloom_insert(key);
                     }
                 }
                 if needed {
-                    kept.push(entry.clone());
+                    kept.push(entry);
                 }
             }
             if !kept.is_empty() {
                 // Same response id when the payload is unchanged (so
                 // duplicate copies of the same relay dedup downstream);
                 // fresh id when pruning rewrote the content.
-                let id = if kept.len() == entries.len() {
-                    r.id
+                let id = if kept.len() == total {
+                    id
                 } else {
                     self.new_response_id()
                 };
@@ -442,7 +438,7 @@ impl PdsEngine {
                 let kept: Vec<DataDescriptor> = entries
                     .iter()
                     .filter(|e| l.query.filter.matches(e))
-                    .filter(|e| !(rewrite && l.bloom_contains(e.entry_key().as_bytes())))
+                    .filter(|e| !(rewrite && l.bloom_contains(e.encode())))
                     .cloned()
                     .collect();
                 if kept.is_empty() {
@@ -450,7 +446,7 @@ impl PdsEngine {
                 }
                 if rewrite {
                     for e in &kept {
-                        l.bloom_insert(e.entry_key().as_bytes());
+                        l.bloom_insert(e.encode());
                     }
                 }
                 responses.push((l.upstream, l.query.id, kept));
@@ -479,11 +475,11 @@ impl PdsEngine {
 
     /// Feeds received entries into our own discovery session, if one is
     /// running and the kind matches.
-    fn absorb_discovery(
+    fn absorb_discovery<'a>(
         &mut self,
         now: SimTime,
         me_intended: bool,
-        entries: &[DataDescriptor],
+        entries: impl Iterator<Item = &'a DataDescriptor>,
         small_data: bool,
     ) {
         let Some(session) = &mut self.discovery else {
@@ -497,8 +493,7 @@ impl PdsEngine {
             if !session.filter.matches(e) {
                 continue;
             }
-            if let pds_det::MapEntry::Vacant(slot) = session.collected.entry(e.entry_key()) {
-                slot.insert(e.clone());
+            if session.collected.insert(e.entry_key()) {
                 new_count += 1;
             }
         }

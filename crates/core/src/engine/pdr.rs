@@ -10,7 +10,7 @@
 use super::{Outgoing, PdsEngine, MAX_CHUNK_QUERY_DEPTH};
 use crate::assign::min_max_assign;
 use crate::descriptor::DataDescriptor;
-use crate::ids::{ChunkId, ItemName};
+use crate::ids::{ChunkId, ItemName, ResponseId};
 use crate::message::{QueryKind, QueryMessage, ResponseKind, ResponseMessage};
 use crate::predicate::QueryFilter;
 use crate::sessions::{RetrievalPhase, RetrievalSession};
@@ -311,8 +311,10 @@ impl PdsEngine {
         _from: NodeId,
         me_intended: bool,
         q: QueryMessage,
-        descriptor: &DataDescriptor,
     ) -> Vec<Outgoing> {
+        let QueryKind::Cdi { descriptor } = &q.kind else {
+            return Vec::new();
+        };
         self.lqt.insert(q.clone(), q.sender);
         let Some(item) = descriptor.item_name() else {
             return Vec::new();
@@ -373,7 +375,6 @@ impl PdsEngine {
         now: SimTime,
         from: NodeId,
         me_intended: bool,
-        _r: &ResponseMessage,
         item: &ItemName,
         pairs: &[(ChunkId, u32)],
     ) -> Vec<Outgoing> {
@@ -442,12 +443,13 @@ impl PdsEngine {
         _from: NodeId,
         me_intended: bool,
         q: QueryMessage,
-        item: &ItemName,
-        chunks: &[ChunkId],
     ) -> Vec<Outgoing> {
         if !me_intended {
             return Vec::new();
         }
+        let QueryKind::Chunks { item, chunks } = &q.kind else {
+            return Vec::new();
+        };
         self.lqt.insert(q.clone(), q.sender);
         let mut out = Vec::new();
         let mut remaining = Vec::new();
@@ -502,8 +504,8 @@ impl PdsEngine {
         now: SimTime,
         from: NodeId,
         me_intended: bool,
-        r: &ResponseMessage,
-        descriptor: &DataDescriptor,
+        id: ResponseId,
+        descriptor: DataDescriptor,
         chunk: ChunkId,
         data: Bytes,
     ) -> Vec<Outgoing> {
@@ -556,10 +558,10 @@ impl PdsEngine {
         }
         vec![Outgoing::response(
             ResponseMessage {
-                id: r.id,
+                id,
                 sender: me,
                 kind: ResponseKind::Chunk {
-                    descriptor: descriptor.clone(),
+                    descriptor,
                     chunk,
                     data,
                 },

@@ -6,7 +6,7 @@ use super::*;
 use crate::config::PdsConfig;
 use crate::descriptor::DataDescriptor;
 use crate::ids::{ChunkId, ItemName};
-use crate::message::{PdsMessage, QueryKind, ResponseKind};
+use crate::message::{MessageHeader, PdsMessage, QueryKind, ResponseKind};
 use crate::predicate::{Predicate, QueryFilter, Relation};
 use crate::sessions::RetrievalPhase;
 use crate::{NodeId, SimDuration, SimTime};
@@ -45,6 +45,18 @@ fn pump(
     initial: Vec<(usize, Outgoing)>,
     now: SimTime,
 ) {
+    pump_tapped(engines, adjacency, initial, now, |_, _, _| {});
+}
+
+/// [`pump`], showing `tap` every delivery first: receiver index,
+/// transmitter, and the message as sent.
+fn pump_tapped(
+    engines: &mut [PdsEngine],
+    adjacency: &[Vec<usize>],
+    initial: Vec<(usize, Outgoing)>,
+    now: SimTime,
+    mut tap: impl FnMut(usize, NodeId, &Outgoing),
+) {
     let mut queue: Vec<(usize, Outgoing)> = initial;
     let mut steps = 0;
     while let Some((sender, out)) = queue.pop() {
@@ -54,6 +66,7 @@ fn pump(
         for &nbr in &adjacency[sender] {
             let me = NodeId(nbr as u32);
             let me_intended = out.intended.is_empty() || out.intended.contains(&me);
+            tap(nbr, from, &out);
             let produced = engines[nbr].handle_message(now, from, me_intended, out.message.clone());
             for p in produced {
                 queue.push((nbr, p));
@@ -1001,4 +1014,271 @@ fn gc_reclaims_protocol_state() {
     es[1].gc(late);
     assert_eq!(es[1].lqt().len(), 0, "lingering query expired");
     assert_eq!(es[1].store().metadata_len(), 0, "cached entry expired");
+}
+
+// ---- the zero-copy metadata path ------------------------------------------
+
+/// One message of every query and response kind.
+fn one_of_each_kind() -> Vec<PdsMessage> {
+    let query = |kind| {
+        PdsMessage::Query(QueryMessage {
+            id: QueryId(0x0123_4567_89ab_cdef),
+            kind,
+            sender: NodeId(7),
+            expires_at: t(12.5),
+            filter: QueryFilter::new(vec![Predicate::new("type", Relation::Eq, "no2")]),
+            bloom: Some(vec![1, 2, 3, 4]),
+            round: 2,
+            ttl_hops: 5,
+        })
+    };
+    let response = |kind| {
+        PdsMessage::Response(ResponseMessage {
+            id: ResponseId(0xfedc_ba98_7654_3210),
+            sender: NodeId(3),
+            kind,
+        })
+    };
+    vec![
+        query(QueryKind::Metadata),
+        query(QueryKind::SmallData),
+        query(QueryKind::Cdi {
+            descriptor: video("vid", 8),
+        }),
+        query(QueryKind::Chunks {
+            item: ItemName::new("vid"),
+            chunks: vec![ChunkId(0), ChunkId(5)],
+        }),
+        query(QueryKind::MdrChunks {
+            item: ItemName::new("vid"),
+            total_chunks: 8,
+        }),
+        response(ResponseKind::Metadata {
+            entries: vec![entry(1), entry(2)],
+        }),
+        response(ResponseKind::SmallData {
+            items: vec![(entry(1), Bytes::from_static(b"12ppb"))],
+        }),
+        response(ResponseKind::Cdi {
+            item: ItemName::new("vid"),
+            pairs: vec![(ChunkId(0), 0), (ChunkId(1), 3)],
+        }),
+        response(ResponseKind::Chunk {
+            descriptor: video("vid", 8),
+            chunk: ChunkId(4),
+            data: Bytes::from(vec![9u8; 64]),
+        }),
+    ]
+}
+
+#[test]
+fn header_peek_agrees_with_decode_on_every_kind_and_truncation() {
+    for message in one_of_each_kind() {
+        let wire = message.encode();
+        assert_eq!(wire.len(), message.encoded_len(), "{message:?}");
+        let header = MessageHeader::peek(&wire).expect("a whole message has a header");
+        assert_eq!(header.phase(), phase_of(&message), "{message:?}");
+        let head_len = match (&message, header) {
+            (PdsMessage::Query(q), MessageHeader::Query { id, expires_at, .. }) => {
+                assert_eq!((id, expires_at), (q.id, q.expires_at));
+                27
+            }
+            (PdsMessage::Response(r), MessageHeader::Response { id, .. }) => {
+                assert_eq!(id, r.id);
+                14
+            }
+            _ => panic!("{header:?} is not the header of {message:?}"),
+        };
+        // Every truncation: no header until the fixed head is whole, the
+        // same header from then on — and a node that has not seen the
+        // message calls no prefix redundant, so the decoder gets to
+        // reject it.
+        let fresh = PdsEngine::new(NodeId(1), PdsConfig::default(), 1);
+        for cut in 0..wire.len() {
+            let peeked = MessageHeader::peek(&wire[..cut]);
+            assert_eq!(peeked, (cut >= head_len).then_some(header), "cut {cut}");
+            assert!(PdsMessage::decode(&wire[..cut]).is_err(), "cut {cut}");
+            assert!(!peeked.is_some_and(|h| fresh.is_redundant(t(0.0), &h)));
+        }
+        // Once handled, the header alone marks every further copy.
+        let mut engine = fresh;
+        assert!(!engine.is_redundant(t(0.0), &header));
+        engine.handle_message(t(0.0), NodeId(7), true, message.clone());
+        assert!(engine.is_redundant(t(0.0), &header), "{message:?}");
+        // So does expiry, for a query nobody has seen.
+        if matches!(message, PdsMessage::Query(_)) {
+            let unseen = PdsEngine::new(NodeId(2), PdsConfig::default(), 2);
+            assert!(!unseen.is_redundant(t(12.4), &header));
+            assert!(unseen.is_redundant(t(12.5), &header));
+        }
+    }
+    // Unknown message and kind tags have no header.
+    let mut wire = one_of_each_kind().swap_remove(0).encode().to_vec();
+    wire[26] = 9;
+    assert_eq!(MessageHeader::peek(&wire), None);
+    wire[0] = 2;
+    assert_eq!(MessageHeader::peek(&wire), None);
+}
+
+#[test]
+fn node_dropping_on_the_header_matches_engine_fed_decoded_messages() {
+    use crate::app::{Application, Command, Context, MessageMeta};
+    use crate::{PdsNode, SimRng};
+
+    // Record everything node 1 hears — fresh and redundant copies, intended
+    // and overheard — while node 0 discovers and then retrieves over a
+    // line.
+    let config = PdsConfig {
+        response_jitter: SimDuration::ZERO, // the node sends at once
+        ..PdsConfig::default()
+    };
+    let desc = video("vid", 4);
+    let mut es = engines(4, &config);
+    for (i, e) in es.iter_mut().enumerate() {
+        for k in 0..6u32 {
+            e.store_mut().insert_own(entry(i as u32 * 10 + k), None);
+        }
+    }
+    seed_chunks(&mut es[3], &desc, &[0, 1, 2, 3]);
+    let adj = line(4);
+    let mut heard: Vec<(SimTime, NodeId, Vec<NodeId>, PdsMessage)> = Vec::new();
+    let mut now = t(0.0);
+    let mut started = es[0].start_discovery(now, QueryFilter::match_all());
+    for step in 0..30 {
+        let record = |to: usize, from: NodeId, out: &Outgoing| {
+            if to == 1 {
+                heard.push((now, from, out.intended.clone(), out.message.clone()));
+            }
+        };
+        let initial = started.drain(..).map(|o| (0, o)).collect();
+        pump_tapped(&mut es, &adj, initial, now, record);
+        now += SimDuration::from_millis(400);
+        started = es[0].poll(now);
+        if step == 10 {
+            started.extend(es[0].start_retrieval(now, desc.clone()));
+        }
+    }
+    assert_eq!(es[0].retrieval().expect("session").received.len(), 4);
+    // A copy of the first query arriving after its expiry.
+    let (_, from, intended, first) = heard[0].clone();
+    heard.push((t(1_000.0), from, intended, first));
+    let redundant = {
+        let mut probe = PdsEngine::new(NodeId(1), config.clone(), 77);
+        heard
+            .iter()
+            .filter(|(at, from, _, m)| probe.handle_message(*at, *from, true, m.clone()).is_empty())
+            .count()
+    };
+    assert!(redundant > heard.len() / 4, "the stream exercises the drop");
+
+    // Replay it into a node (encoded, as off the air) and into a bare
+    // engine (decoded), both starting from node 1's initial state.
+    let mut node = PdsNode::new(config.clone(), 77);
+    let mut engine = PdsEngine::new(NodeId(1), config, 77);
+    for k in 0..6u32 {
+        node = node.with_metadata(entry(10 + k), None);
+        engine.store_mut().insert_own(entry(10 + k), None);
+    }
+    let mut rng = SimRng::new(5);
+    for (at, from, intended, message) in heard {
+        let me_intended = intended.is_empty() || intended.contains(&NodeId(1));
+        let expected: Vec<(Bytes, Vec<NodeId>)> = engine
+            .handle_message(at, from, me_intended, message.clone())
+            .into_iter()
+            .map(|o| (o.message.encode(), o.intended))
+            .collect();
+        let mut ctx = Context::new(at, NodeId(1), 0, 0, &mut rng, Vec::new(), false);
+        let meta = MessageMeta {
+            from,
+            overheard: !me_intended,
+            intended,
+            wire_bytes: 0,
+        };
+        node.on_message(&mut ctx, meta, message.encode());
+        let sent: Vec<(Bytes, Vec<NodeId>)> = ctx
+            .finish()
+            .0
+            .into_iter()
+            .filter_map(|c| match c {
+                Command::Broadcast {
+                    payload, intended, ..
+                } => Some((payload, intended)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(sent, expected, "{message:?}");
+    }
+    assert_eq!(node.decode_errors(), 0);
+    let via_node = node.engine().expect("started");
+    assert_eq!(
+        via_node.store().metadata_len(),
+        engine.store().metadata_len()
+    );
+    let lqt_ids = |e: &PdsEngine| {
+        let mut ids: Vec<QueryId> = e.lqt().iter().map(|l| l.query.id).collect();
+        ids.sort_unstable();
+        ids
+    };
+    assert_eq!(lqt_ids(via_node), lqt_ids(&engine));
+    assert!(!lqt_ids(&engine).is_empty());
+    let recent = |e: &PdsEngine| {
+        let mut ids: Vec<(ResponseId, SimTime)> = e
+            .recent_responses
+            .iter()
+            .map(|(&id, &at)| (id, at))
+            .collect();
+        ids.sort_unstable();
+        ids
+    };
+    assert_eq!(recent(via_node), recent(&engine));
+    assert!(!recent(&engine).is_empty());
+}
+
+#[test]
+fn an_entry_is_one_allocation_in_store_session_and_relay() {
+    // Node 1 is discovering on its own account and relaying for node 0.
+    let config = PdsConfig::default();
+    let mut es = engines(2, &config);
+    let q0 = es[0].start_discovery(t(0.0), QueryFilter::match_all());
+    let _ = es[1].start_discovery(t(0.0), QueryFilter::match_all());
+    for o in q0 {
+        let _ = es[1].handle_message(t(0.0), NodeId(0), true, o.message);
+    }
+    // A response off the air: its entries exist only as decoded.
+    let wire = PdsMessage::Response(ResponseMessage {
+        id: ResponseId(9),
+        sender: NodeId(2),
+        kind: ResponseKind::Metadata {
+            entries: vec![entry(1), entry(2)],
+        },
+    })
+    .encode();
+    let decoded = PdsMessage::decode(&wire).expect("decodes");
+    let relayed = es[1].handle_message(t(0.1), NodeId(2), true, decoded);
+    let [Outgoing {
+        message: PdsMessage::Response(relayed),
+        ..
+    }] = &relayed[..]
+    else {
+        panic!("one relayed response, got {relayed:?}");
+    };
+    let ResponseKind::Metadata { entries } = &relayed.kind else {
+        panic!("metadata relay");
+    };
+    assert_eq!(entries.len(), 2);
+    let session = es[1].discovery().expect("session");
+    let stored = es[1]
+        .store()
+        .match_metadata(&QueryFilter::match_all(), t(0.1));
+    for e in entries {
+        // The cached encoding lives in the shared allocation: the same
+        // slice means the same descriptor, not an equal copy.
+        let same = |d: &DataDescriptor| std::ptr::eq(d.encode(), e.encode());
+        let collected = session.collected.get(e.encode()).expect("collected");
+        assert!(same(collected.descriptor()));
+        assert!(std::ptr::eq(collected.as_bytes(), e.encode()));
+        assert!(stored.iter().any(|d| same(d)));
+        assert!(!same(&entry(1)) && !same(&entry(2)));
+        assert!(same(&e.clone()));
+    }
 }

@@ -1,5 +1,6 @@
 //! Protocol identifiers.
 
+use std::borrow::Borrow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -41,6 +42,14 @@ impl ItemName {
     /// The name as a string slice.
     #[must_use]
     pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+/// Lets maps keyed by `ItemName` be probed with a `&str` (derived `Hash`
+/// and `Eq` go through the string), without allocating a name to ask.
+impl Borrow<str> for ItemName {
+    fn borrow(&self) -> &str {
         &self.0
     }
 }

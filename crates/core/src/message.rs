@@ -11,6 +11,7 @@ use crate::ids::{ChunkId, ItemName, QueryId, ResponseId};
 use crate::predicate::QueryFilter;
 use crate::{NodeId, SimTime};
 use bytes::{Buf, BufMut, Bytes};
+use pds_obs::Phase;
 use std::fmt;
 
 /// What a query asks for.
@@ -158,18 +159,20 @@ fn put_item(out: &mut Vec<u8>, item: &ItemName) {
     out.put_slice(b);
 }
 
-fn get_item(buf: &mut impl Buf) -> Result<ItemName, DecodeError> {
+/// Splits `len` bytes off the front of `buf`.
+fn take<'a>(buf: &mut &'a [u8], len: usize) -> Result<&'a [u8], DecodeError> {
+    let (head, rest) = buf.split_at_checked(len).ok_or(DecodeError::Truncated)?;
+    *buf = rest;
+    Ok(head)
+}
+
+fn get_item(buf: &mut &[u8]) -> Result<ItemName, DecodeError> {
     if buf.remaining() < 2 {
         return Err(DecodeError::Truncated);
     }
     let len = buf.get_u16_le() as usize;
-    if buf.remaining() < len {
-        return Err(DecodeError::Truncated);
-    }
-    let mut b = vec![0u8; len];
-    buf.copy_to_slice(&mut b);
-    String::from_utf8(b)
-        .map(ItemName::from)
+    std::str::from_utf8(take(buf, len)?)
+        .map(ItemName::new)
         .map_err(|_| DecodeError::BadString)
 }
 
@@ -178,22 +181,94 @@ fn put_bytes(out: &mut Vec<u8>, data: &[u8]) {
     out.put_slice(data);
 }
 
-fn get_bytes(buf: &mut impl Buf) -> Result<Bytes, DecodeError> {
+fn get_bytes<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8], DecodeError> {
     if buf.remaining() < 4 {
         return Err(DecodeError::Truncated);
     }
     let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return Err(DecodeError::Truncated);
+    take(buf, len)
+}
+
+/// Wire size of a length-prefixed item name.
+fn item_len(item: &ItemName) -> usize {
+    2 + item.as_str().len()
+}
+
+/// Bytes before a query's kind body: tag, id, sender, expiry, round, hop
+/// budget, kind tag.
+const QUERY_HEAD: usize = 1 + 8 + 4 + 8 + 4 + 1 + 1;
+/// Bytes before a response's kind body: tag, id, sender, kind tag.
+const RESPONSE_HEAD: usize = 1 + 8 + 4 + 1;
+
+/// What the fixed-offset head of an encoded message says, read without
+/// decoding the body: enough to tell a redundant copy (Algorithms 1 and 2
+/// discard those at the LQT / recent-response lookup) and to attribute the
+/// message to a protocol phase.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum MessageHeader {
+    /// A query.
+    Query {
+        /// [`QueryMessage::id`].
+        id: QueryId,
+        /// [`QueryMessage::expires_at`].
+        expires_at: SimTime,
+        /// The protocol phase of the query's kind.
+        phase: Phase,
+    },
+    /// A response.
+    Response {
+        /// [`ResponseMessage::id`].
+        id: ResponseId,
+        /// The protocol phase of the response's kind.
+        phase: Phase,
+    },
+}
+
+impl MessageHeader {
+    /// Reads the header of an encoded [`PdsMessage`]. `None` when `wire` is
+    /// shorter than the fixed head or carries an unknown message or kind
+    /// tag — all of which [`PdsMessage::decode`] rejects too. A header does
+    /// not vouch for the body behind it.
+    #[must_use]
+    pub(crate) fn peek(wire: &[u8]) -> Option<Self> {
+        let u64_at = |at: usize| Some(u64::from_le_bytes(wire.get(at..at + 8)?.try_into().ok()?));
+        match *wire.first()? {
+            0 => Some(Self::Query {
+                id: QueryId(u64_at(1)?),
+                expires_at: SimTime::from_micros(u64_at(13)?),
+                phase: match *wire.get(QUERY_HEAD - 1)? {
+                    0 | 1 => Phase::Pdd,
+                    2 | 3 => Phase::Pdr,
+                    4 => Phase::Mdr,
+                    _ => return None,
+                },
+            }),
+            1 => Some(Self::Response {
+                id: ResponseId(u64_at(1)?),
+                phase: match *wire.get(RESPONSE_HEAD - 1)? {
+                    0 | 1 => Phase::Pdd,
+                    2 | 3 => Phase::Pdr,
+                    _ => return None,
+                },
+            }),
+            _ => None,
+        }
     }
-    Ok(buf.copy_to_bytes(len))
+
+    /// The protocol phase the message's overhead is attributed to.
+    #[must_use]
+    pub(crate) fn phase(&self) -> Phase {
+        match *self {
+            Self::Query { phase, .. } | Self::Response { phase, .. } => phase,
+        }
+    }
 }
 
 impl PdsMessage {
     /// Serializes the message for transmission.
     #[must_use]
     pub fn encode(&self) -> Bytes {
-        let mut out = Vec::with_capacity(64);
+        let mut out = Vec::with_capacity(self.encoded_len());
         match self {
             PdsMessage::Query(q) => {
                 out.put_u8(0);
@@ -207,7 +282,7 @@ impl PdsMessage {
                     QueryKind::SmallData => out.put_u8(1),
                     QueryKind::Cdi { descriptor } => {
                         out.put_u8(2);
-                        out.extend_from_slice(&descriptor.encode());
+                        out.extend_from_slice(descriptor.encode());
                     }
                     QueryKind::Chunks { item, chunks } => {
                         out.put_u8(3);
@@ -241,14 +316,14 @@ impl PdsMessage {
                         out.put_u8(0);
                         out.put_u32_le(entries.len() as u32);
                         for e in entries {
-                            out.extend_from_slice(&e.encode());
+                            out.extend_from_slice(e.encode());
                         }
                     }
                     ResponseKind::SmallData { items } => {
                         out.put_u8(1);
                         out.put_u32_le(items.len() as u32);
                         for (d, payload) in items {
-                            out.extend_from_slice(&d.encode());
+                            out.extend_from_slice(d.encode());
                             put_bytes(&mut out, payload);
                         }
                     }
@@ -267,7 +342,7 @@ impl PdsMessage {
                         data,
                     } => {
                         out.put_u8(3);
-                        out.extend_from_slice(&descriptor.encode());
+                        out.extend_from_slice(descriptor.encode());
                         out.put_u32_le(chunk.0);
                         put_bytes(&mut out, data);
                     }
@@ -275,6 +350,44 @@ impl PdsMessage {
             }
         }
         Bytes::from(out)
+    }
+
+    /// Wire size of the encoded form.
+    #[must_use]
+    pub fn encoded_len(&self) -> usize {
+        match self {
+            PdsMessage::Query(q) => {
+                let kind = match &q.kind {
+                    QueryKind::Metadata | QueryKind::SmallData => 0,
+                    QueryKind::Cdi { descriptor } => descriptor.encoded_len(),
+                    QueryKind::Chunks { item, chunks } => item_len(item) + 4 + 4 * chunks.len(),
+                    QueryKind::MdrChunks { item, .. } => item_len(item) + 4,
+                };
+                let bloom = q.bloom.as_ref().map_or(0, |b| 4 + b.len());
+                QUERY_HEAD + kind + q.filter.encoded_len() + 1 + bloom
+            }
+            PdsMessage::Response(r) => {
+                let kind = match &r.kind {
+                    ResponseKind::Metadata { entries } => {
+                        4 + entries
+                            .iter()
+                            .map(DataDescriptor::encoded_len)
+                            .sum::<usize>()
+                    }
+                    ResponseKind::SmallData { items } => {
+                        4 + items
+                            .iter()
+                            .map(|(d, payload)| d.encoded_len() + 4 + payload.len())
+                            .sum::<usize>()
+                    }
+                    ResponseKind::Cdi { item, pairs } => item_len(item) + 4 + 8 * pairs.len(),
+                    ResponseKind::Chunk {
+                        descriptor, data, ..
+                    } => descriptor.encoded_len() + 4 + 4 + data.len(),
+                };
+                RESPONSE_HEAD + kind
+            }
+        }
     }
 
     /// Deserializes a message.
@@ -289,7 +402,7 @@ impl PdsMessage {
         }
         match buf.get_u8() {
             0 => {
-                if buf.remaining() < 8 + 4 + 8 + 4 + 1 + 1 {
+                if buf.remaining() < QUERY_HEAD - 1 {
                     return Err(DecodeError::Truncated);
                 }
                 let id = QueryId(buf.get_u64_le());
@@ -348,7 +461,7 @@ impl PdsMessage {
                 }))
             }
             1 => {
-                if buf.remaining() < 8 + 4 + 1 {
+                if buf.remaining() < RESPONSE_HEAD - 1 {
                     return Err(DecodeError::Truncated);
                 }
                 let id = ResponseId(buf.get_u64_le());
@@ -373,7 +486,7 @@ impl PdsMessage {
                         let mut items = Vec::with_capacity(n.min(65_536));
                         for _ in 0..n {
                             let d = DataDescriptor::decode(buf).ok_or(DecodeError::BadBody)?;
-                            let payload = get_bytes(buf)?;
+                            let payload = Bytes::from(get_bytes(buf)?);
                             items.push((d, payload));
                         }
                         ResponseKind::SmallData { items }
@@ -398,7 +511,7 @@ impl PdsMessage {
                             return Err(DecodeError::Truncated);
                         }
                         let chunk = ChunkId(buf.get_u32_le());
-                        let data = get_bytes(buf)?;
+                        let data = Bytes::from(get_bytes(buf)?);
                         ResponseKind::Chunk {
                             descriptor,
                             chunk,

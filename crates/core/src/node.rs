@@ -5,9 +5,9 @@
 
 use crate::config::PdsConfig;
 use crate::descriptor::DataDescriptor;
-use crate::engine::{phase_of, Outgoing, PdsEngine};
+use crate::engine::{Outgoing, PdsEngine};
 use crate::ids::ChunkId;
-use crate::message::PdsMessage;
+use crate::message::{MessageHeader, PdsMessage};
 use crate::predicate::QueryFilter;
 use crate::sessions::{DiscoveryReport, RetrievalReport};
 use crate::{Application, Context, MessageMeta, SimDuration, SimTime};
@@ -145,6 +145,11 @@ impl PdsNode {
     }
 
     /// Messages that failed to decode (diagnostics; should stay 0).
+    ///
+    /// Redundant copies — a query already lingering or expired, a response
+    /// id seen recently — are dropped on their fixed header and never
+    /// decoded, so a malformed body behind a redundant header is not
+    /// counted here.
     #[must_use]
     pub fn decode_errors(&self) -> u64 {
         self.decode_errors
@@ -305,16 +310,9 @@ impl PdsNode {
 
     fn flush_due(&mut self, ctx: &mut Context) {
         let now = ctx.now();
-        let mut due = Vec::new();
-        self.pending.retain(|(at, out)| {
-            if *at <= now {
-                due.push(out.clone());
-                false
-            } else {
-                true
-            }
-        });
-        for out in due {
+        let due: Vec<(SimTime, Outgoing)> =
+            self.pending.extract_if(.., |(at, _)| *at <= now).collect();
+        for (_, out) in due {
             self.transmit(ctx, out);
         }
     }
@@ -374,34 +372,44 @@ impl Application for PdsNode {
     }
 
     fn on_message(&mut self, ctx: &mut Context, meta: MessageMeta, payload: Bytes) {
-        let message = match PdsMessage::decode(&payload) {
-            Ok(m) => m,
-            Err(_) => {
-                self.decode_errors += 1;
-                return;
+        let now = ctx.now();
+        // Most copies a node hears are redundant (every neighbor relays a
+        // flood, every overhearer sees a relay): the fixed header says so,
+        // and such a copy is dropped without decoding its body.
+        let Some(header) = MessageHeader::peek(&payload) else {
+            self.decode_errors += 1;
+            return;
+        };
+        let message = if self.ensure_engine(ctx).is_redundant(now, &header) {
+            None
+        } else {
+            match PdsMessage::decode(&payload) {
+                Ok(m) => Some(m),
+                Err(_) => {
+                    self.decode_errors += 1;
+                    return;
+                }
             }
         };
-        let me = ctx.node_id();
-        let me_intended = meta.intended.is_empty() || meta.intended.contains(&me);
-        let now = ctx.now();
         if ctx.trace_enabled() {
             let from = u64::from(meta.from.0);
-            let kind = match &message {
-                PdsMessage::Query(q) => TraceKind::QueryReceived {
-                    query: q.id.0,
-                    from,
-                },
-                PdsMessage::Response(r) => TraceKind::ResponseReceived {
-                    response: r.id.0,
+            let kind = match header {
+                MessageHeader::Query { id, .. } => TraceKind::QueryReceived { query: id.0, from },
+                MessageHeader::Response { id, .. } => TraceKind::ResponseReceived {
+                    response: id.0,
                     from,
                 },
             };
-            ctx.trace(phase_of(&message), kind);
+            ctx.trace(header.phase(), kind);
         }
-        let out = self
-            .ensure_engine(ctx)
-            .handle_message(now, meta.from, me_intended, message);
-        self.dispatch(ctx, out);
+        if let Some(message) = message {
+            let me = ctx.node_id();
+            let me_intended = meta.intended.is_empty() || meta.intended.contains(&me);
+            let out = self
+                .ensure_engine(ctx)
+                .handle_message(now, meta.from, me_intended, message);
+            self.dispatch(ctx, out);
+        }
         self.note_finishes(ctx);
     }
 

@@ -6,7 +6,7 @@ use crate::ids::{ChunkId, ItemName, QueryId};
 use crate::predicate::QueryFilter;
 use crate::rounds::RoundController;
 use crate::{SimDuration, SimTime};
-use pds_det::DetMap;
+use pds_det::DetSet;
 use std::collections::BTreeSet;
 
 /// A running (or finished) metadata / small-data discovery at a consumer.
@@ -14,7 +14,10 @@ use std::collections::BTreeSet;
 pub struct DiscoverySession {
     pub(crate) filter: QueryFilter,
     pub(crate) small_data: bool,
-    pub(crate) collected: DetMap<EntryKey, DataDescriptor>,
+    /// Distinct entries collected so far; each key is a handle on the
+    /// descriptor itself (shared with the store and the response it came
+    /// in), so nothing is held beside it.
+    pub(crate) collected: DetSet<EntryKey>,
     pub(crate) controller: RoundController,
     pub(crate) started_at: SimTime,
     pub(crate) last_new_at: SimTime,
@@ -54,7 +57,7 @@ impl DiscoverySession {
     /// The collected descriptors, in unspecified order.
     #[must_use]
     pub fn entries(&self) -> Vec<&DataDescriptor> {
-        self.collected.values().collect()
+        self.collected.iter().map(EntryKey::descriptor).collect()
     }
 }
 
@@ -191,7 +194,7 @@ mod tests {
         let mut s = DiscoverySession {
             filter: QueryFilter::match_all(),
             small_data: false,
-            collected: DetMap::default(),
+            collected: DetSet::default(),
             controller: RoundController::new(RoundParams::default(), t(1.0)),
             started_at: t(1.0),
             last_new_at: t(4.5),

@@ -94,13 +94,12 @@ impl DataStore {
     /// Inserts a locally produced data item: metadata (never expiring) plus
     /// an optional small payload.
     pub fn insert_own(&mut self, descriptor: DataDescriptor, payload: Option<Bytes>) {
-        let key = descriptor.entry_key();
         if let Some(p) = payload {
-            self.small_payloads.insert(key.clone(), p);
+            self.small_payloads.insert(descriptor.entry_key(), p);
         }
-        self.index_item(&descriptor, &key);
+        self.index_item(&descriptor);
         self.metadata.insert(
-            key,
+            descriptor.entry_key(),
             MetaEntry {
                 descriptor,
                 expires_at: None,
@@ -108,10 +107,19 @@ impl DataStore {
         );
     }
 
-    fn index_item(&mut self, descriptor: &DataDescriptor, key: &EntryKey) {
-        if descriptor.chunk_id().is_none() {
-            if let Some(name) = descriptor.item_name() {
-                self.items_by_name.insert(name, key.clone());
+    /// Points the item's name at `descriptor`, if it describes a whole item.
+    fn index_item(&mut self, descriptor: &DataDescriptor) {
+        if descriptor.chunk_id().is_some() {
+            return;
+        }
+        let Some(name) = descriptor.name() else {
+            return;
+        };
+        match self.items_by_name.get_mut(name) {
+            Some(key) => *key = descriptor.entry_key(),
+            None => {
+                self.items_by_name
+                    .insert(ItemName::new(name), descriptor.entry_key());
             }
         }
     }
@@ -128,9 +136,9 @@ impl DataStore {
     /// already present, a later expiration extends it; entries backed by a
     /// payload stay non-expiring. Returns `true` if the entry was new.
     pub fn cache_metadata(&mut self, descriptor: DataDescriptor, expires_at: SimTime) -> bool {
-        let key = descriptor.entry_key();
-        let has_payload = self.small_payloads.contains_key(&key) || self.has_any_chunk(&descriptor);
-        match self.metadata.entry(key) {
+        let has_payload = self.small_payloads.contains_key(descriptor.encode())
+            || self.has_any_chunk(&descriptor);
+        match self.metadata.entry(descriptor.entry_key()) {
             pds_det::MapEntry::Occupied(mut e) => {
                 let entry = e.get_mut();
                 if entry.expires_at.is_some() {
@@ -143,15 +151,11 @@ impl DataStore {
                 false
             }
             pds_det::MapEntry::Vacant(v) => {
-                let descriptor = v
-                    .insert(MetaEntry {
-                        descriptor,
-                        expires_at: if has_payload { None } else { Some(expires_at) },
-                    })
-                    .descriptor
-                    .clone();
-                let key = descriptor.entry_key();
-                self.index_item(&descriptor, &key);
+                v.insert(MetaEntry {
+                    descriptor: descriptor.clone(),
+                    expires_at: if has_payload { None } else { Some(expires_at) },
+                });
+                self.index_item(&descriptor);
                 true
             }
         }
@@ -159,13 +163,18 @@ impl DataStore {
 
     /// Caches a small item's payload (entry becomes non-expiring).
     pub fn cache_small_payload(&mut self, descriptor: &DataDescriptor, payload: Bytes) {
-        let key = descriptor.entry_key();
-        self.small_payloads.insert(key.clone(), payload);
-        if let Some(e) = self.metadata.get_mut(&key) {
+        self.small_payloads.insert(descriptor.entry_key(), payload);
+        self.pin_metadata(descriptor);
+    }
+
+    /// Makes the entry for `descriptor` non-expiring, adding it if absent:
+    /// its payload (or a chunk of the item) is now held.
+    fn pin_metadata(&mut self, descriptor: &DataDescriptor) {
+        if let Some(e) = self.metadata.get_mut(descriptor.encode()) {
             e.expires_at = None;
         } else {
             self.metadata.insert(
-                key,
+                descriptor.entry_key(),
                 MetaEntry {
                     descriptor: descriptor.clone(),
                     expires_at: None,
@@ -230,19 +239,8 @@ impl DataStore {
                 self.chunks.entry(name).or_default().insert(chunk, data);
             }
         }
-        let key = item_descriptor.entry_key();
-        self.index_item(item_descriptor, &key);
-        if let Some(e) = self.metadata.get_mut(&key) {
-            e.expires_at = None;
-        } else {
-            self.metadata.insert(
-                key,
-                MetaEntry {
-                    descriptor: item_descriptor.clone(),
-                    expires_at: None,
-                },
-            );
-        }
+        self.index_item(item_descriptor);
+        self.pin_metadata(item_descriptor);
     }
 
     /// Evicts cached (unpinned) chunks until within budget, per the policy.
@@ -322,14 +320,14 @@ impl DataStore {
 
     fn has_any_chunk(&self, descriptor: &DataDescriptor) -> bool {
         descriptor
-            .item_name()
-            .is_some_and(|name| self.chunks.get(&name).is_some_and(|m| !m.is_empty()))
+            .name()
+            .is_some_and(|name| self.chunks.get(name).is_some_and(|m| !m.is_empty()))
     }
 
     /// Whether a small payload for this descriptor is held.
     #[must_use]
     pub fn small_payload(&self, descriptor: &DataDescriptor) -> Option<Bytes> {
-        self.small_payloads.get(&descriptor.entry_key()).cloned()
+        self.small_payloads.get(descriptor.encode()).cloned()
     }
 
     /// All unexpired metadata entries matching `filter`, in unspecified
@@ -357,7 +355,7 @@ impl DataStore {
             .filter(|e| filter.matches(&e.descriptor))
             .filter_map(|e| {
                 self.small_payloads
-                    .get(&e.descriptor.entry_key())
+                    .get(e.descriptor.encode())
                     .map(|p| (&e.descriptor, p.clone()))
             })
             .collect()
@@ -367,7 +365,7 @@ impl DataStore {
     /// not).
     #[must_use]
     pub fn contains_metadata(&self, descriptor: &DataDescriptor) -> bool {
-        self.metadata.contains_key(&descriptor.entry_key())
+        self.metadata.contains_key(descriptor.encode())
     }
 
     /// Number of metadata entries currently stored.

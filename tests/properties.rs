@@ -85,8 +85,40 @@ proptest! {
     fn descriptor_codec_roundtrips(d in descriptor()) {
         let bytes = d.encode();
         prop_assert_eq!(bytes.len(), d.encoded_len());
-        let mut slice = &bytes[..];
+        let mut slice = bytes;
         let back = DataDescriptor::decode(&mut slice).expect("decodes");
+        prop_assert!(slice.is_empty(), "decode consumes exactly the encoding");
+        prop_assert_eq!(back.entry_key(), d.entry_key());
+        prop_assert_eq!(back.encode(), bytes);
+        prop_assert_eq!(back, d);
+    }
+
+    #[test]
+    fn hostile_wire_order_still_yields_the_canonical_key(
+        d in descriptor(),
+        decoys in proptest::collection::vec(attr_value(), 6),
+        rotate in 0usize..6,
+    ) {
+        // The same attribute set written the way no honest sender writes
+        // it: every name first with a decoy value (a repeated name — the
+        // last value wins), then the real attributes in rotated, reversed
+        // order. The decoder must not take those bytes as the identity.
+        let mut real: Vec<(&str, &AttrValue)> = d.iter().collect();
+        real.reverse();
+        real.rotate_left(rotate % d.len());
+        let mut wire = vec![(2 * d.len()) as u8];
+        let decoyed = d.iter().zip(&decoys).map(|((name, _), decoy)| (name, decoy));
+        for (name, value) in decoyed.chain(real) {
+            wire.push(name.len() as u8);
+            wire.extend_from_slice(name.as_bytes());
+            value.encode(&mut wire);
+        }
+        wire.extend_from_slice(b"tail");
+        let mut slice = &wire[..];
+        let back = DataDescriptor::decode(&mut slice).expect("decodes");
+        prop_assert_eq!(slice, &b"tail"[..]);
+        prop_assert_eq!(back.entry_key(), d.entry_key());
+        prop_assert_eq!(back.entry_key().as_bytes(), d.encode());
         prop_assert_eq!(back, d);
     }
 
