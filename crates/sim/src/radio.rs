@@ -6,6 +6,9 @@
 //! transmission overlaps in time), half-duplex conflict, or baseline random
 //! loss; see [`World`](crate::World) for the delivery rules.
 
+use crate::config::{SimConfig, SpatialIndex};
+use crate::slab::{DenseTable, SeqSlab};
+use crate::spatial::{NodeGrid, TxEntry, TxGrid};
 use crate::transport::MessageId;
 use bytes::Bytes;
 use pds_core::NodeId;
@@ -247,6 +250,162 @@ impl Transmission {
     /// Whether two transmission windows overlap in time.
     pub fn overlaps(&self, start: SimTime, end: SimTime) -> bool {
         self.start < end && start < self.end
+    }
+}
+
+/// Physical receive verdict for one in-range receiver of a transmission.
+/// Everything that consumes randomness (baseline loss, fault rolls)
+/// happens later, on the sequential commit path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PhysOutcome {
+    /// The receiver was transmitting an overlapping frame of its own.
+    HalfDuplex,
+    /// Interference beat the capture threshold at this receiver.
+    Collided,
+    /// Survived the physical layer; loss and fault rolls decide the rest.
+    Survivor,
+}
+
+/// Borrowed, `Sync` view of exactly the world state [`phys_verdicts`]
+/// reads. Constructible both from `&World` (inline recompute) and from a
+/// disjoint-field destructure (shard rounds, where the remaining `World`
+/// fields hold non-`Sync` application boxes).
+#[derive(Clone, Copy)]
+pub(crate) struct PhysArgs<'a> {
+    pub config: &'a SimConfig,
+    /// Motions of all alive nodes, keyed identically to the node table.
+    pub motions: &'a DenseTable<Motion>,
+    pub transmissions: &'a SeqSlab<Transmission>,
+    /// Live transmission ids per sender, indexed by raw node id (empty
+    /// lists for nodes that are not transmitting).
+    pub tx_by_sender: &'a [Vec<u64>],
+    pub node_grid: &'a NodeGrid,
+    pub tx_grid: &'a TxGrid,
+}
+
+/// Reusable candidate buffers for [`phys_verdicts`] — hot-path
+/// allocations otherwise. Each worker owns one; the world keeps one for
+/// inline recomputes.
+#[derive(Debug, Default)]
+pub(crate) struct PhysScratch {
+    /// Receiver candidates from the node grid.
+    pub cands_nodes: Vec<(NodeId, Motion)>,
+    /// Interferer candidates from the transmission grid.
+    pub cands_tx: Vec<TxEntry>,
+    /// Deduplicated receivers with evaluated positions.
+    pub receivers: Vec<(NodeId, Position)>,
+    /// Deduplicated interferers with start positions.
+    pub interferers: Vec<(NodeId, Position)>,
+}
+
+/// Computes the physical receive verdicts of `tx`, evaluated at its end
+/// time, into `out` in ascending receiver-id order.
+///
+/// This is a pure transcription of the sequential `tx_end` decision
+/// logic: same candidate enumeration per [`SpatialIndex`] mode, same
+/// sort/dedup, same exact-range filters, and the same f64 interference
+/// summation order — so two calls over equal state produce bit-identical
+/// verdicts no matter which thread runs them.
+pub(crate) fn phys_verdicts(
+    a: &PhysArgs<'_>,
+    tx: &Transmission,
+    out: &mut Vec<(NodeId, PhysOutcome)>,
+    scratch: &mut PhysScratch,
+) {
+    // `tx_end` dispatches exactly at the transmission's end time, so every
+    // position below is evaluated at `tx.end`.
+    let at = tx.end;
+    let radio = &a.config.radio;
+    let range = radio.range_m;
+    let tx_pos = tx.start_pos;
+    // Candidates must come out ascending by id in both index modes: the
+    // per-receiver rng rolls at commit consume the shared stream, so
+    // receiver *order* is part of the replay contract.
+    let receivers = &mut scratch.receivers;
+    receivers.clear();
+    match a.config.spatial.index {
+        SpatialIndex::BruteForce => receivers.extend(
+            a.motions
+                .iter()
+                .filter(|&(r, _)| r != tx.sender)
+                .map(|(r, m)| (r, m.position(at))),
+        ),
+        SpatialIndex::Grid => {
+            let cands = &mut scratch.cands_nodes;
+            cands.clear();
+            a.node_grid.query_into(tx_pos, range, at, cands);
+            cands.sort_unstable_by_key(|&(r, _)| r);
+            cands.dedup_by_key(|&mut (r, _)| r);
+            receivers.extend(
+                cands
+                    .iter()
+                    .filter(|&&(r, _)| r != tx.sender)
+                    .map(|&(r, m)| (r, m.position(at))),
+            );
+        }
+    }
+    let path_loss = radio.path_loss_exp;
+    let capture = radio.capture_sinr;
+    let trunc = range * radio.interference_range_factor;
+    // Received power at distance d, with a 1 m reference floor.
+    let power = |d: f64| d.max(1.0).powf(-path_loss);
+    // Everything that could interfere with this frame at *some* receiver,
+    // in ascending id order (f64 addition is not associative; the exact
+    // per-receiver sum order is part of the replay contract).
+    let keep =
+        |t: &Transmission| t.id != tx.id && t.sender != tx.sender && t.overlaps(tx.start, tx.end);
+    let interferers = &mut scratch.interferers;
+    interferers.clear();
+    if a.config.spatial.index == SpatialIndex::Grid && trunc.is_finite() {
+        let cands = &mut scratch.cands_tx;
+        cands.clear();
+        a.tx_grid.query_into(tx_pos, trunc + range, cands);
+        cands.sort_unstable_by_key(|t| t.id);
+        cands.dedup_by_key(|t| t.id);
+        interferers.extend(
+            cands
+                .iter()
+                .filter(|t| {
+                    t.id != tx.id && t.sender != tx.sender && t.start < tx.end && tx.start < t.end
+                })
+                .map(|t| (t.sender, t.pos)),
+        );
+    } else {
+        interferers.extend(
+            a.transmissions
+                .values()
+                .filter(|t| keep(t))
+                .map(|t| (t.sender, t.start_pos)),
+        );
+    }
+    for &(r, rpos) in scratch.receivers.iter() {
+        if tx_pos.distance(&rpos) > range {
+            continue;
+        }
+        let half_duplex = a.tx_by_sender.get(r.0 as usize).is_some_and(|ids| {
+            ids.iter().any(|tid| {
+                a.transmissions
+                    .get(tid)
+                    .is_some_and(|t| t.overlaps(tx.start, tx.end))
+            })
+        });
+        if half_duplex {
+            out.push((r, PhysOutcome::HalfDuplex));
+            continue;
+        }
+        let interference: f64 = scratch
+            .interferers
+            .iter()
+            .filter(|&&(s, _)| s != r)
+            .map(|&(_, p)| p.distance(&rpos))
+            .filter(|&d| d <= trunc)
+            .map(power)
+            .sum();
+        if interference > 0.0 && power(tx_pos.distance(&rpos)) < capture * interference {
+            out.push((r, PhysOutcome::Collided));
+            continue;
+        }
+        out.push((r, PhysOutcome::Survivor));
     }
 }
 

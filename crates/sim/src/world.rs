@@ -4,8 +4,11 @@
 use crate::config::{SenderMode, SimConfig, SpatialIndex};
 use crate::events::{EventKind, EventQueue};
 use crate::fault::{FaultPlan, FaultState};
-use crate::radio::{Frame, FrameKind, Motion, Position, Transmission};
-use crate::shard::{self, CachedVerdict, PhysArgs, PhysOutcome, PhysScratch};
+use crate::radio::{
+    phys_verdicts, Frame, FrameKind, Motion, PhysArgs, PhysOutcome, PhysScratch, Position,
+    Transmission,
+};
+use crate::shard::{self, CachedVerdict};
 use crate::slab::{
     DenseTable, NodeTable, SeqSlab, FLAG_BUCKET_SCHEDULED, FLAG_MAC_SCHEDULED, FLAG_TRANSMITTING,
 };
@@ -1332,7 +1335,7 @@ impl World {
         // Physical verdicts: consume the precomputed shard verdict when
         // its state fingerprint still holds, otherwise compute inline.
         // Both paths run the same pure function over the same state
-        // (`shard::phys_verdicts`), so the verdict list — and with it
+        // (`radio::phys_verdicts`), so the verdict list — and with it
         // every downstream rng draw, stat and emission — is identical at
         // any shard count.
         let mut verdicts = std::mem::take(&mut self.vd_scratch);
@@ -1360,7 +1363,7 @@ impl World {
                     node_grid: &self.node_grid,
                     tx_grid: &self.tx_grid,
                 };
-                shard::phys_verdicts(&args, &tx, &mut verdicts, &mut scratch);
+                phys_verdicts(&args, &tx, &mut verdicts, &mut scratch);
                 self.phys_scratch = scratch;
             }
         }
