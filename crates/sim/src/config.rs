@@ -37,13 +37,15 @@ pub struct RadioConfig {
     /// medium.
     pub backoff_max: SimDuration,
     /// Path-loss exponent for received power (`P ∝ d^-α`); ~2 free space,
-    /// 3–4 indoor.
+    /// 3–4 indoor. Must be finite and ≥ 0 — power may not grow with
+    /// distance — or [`World::new`](crate::World::new) panics.
     pub path_loss_exp: f64,
     /// Physical capture: an overlapped frame is still decoded when its
     /// received power exceeds `capture_sinr` × (sum of interfering powers).
     /// NS-3's Wi-Fi PHY models this; without it, cross traffic at a relay
     /// funnel destroys every frame of both streams and multi-hop transfers
-    /// deadlock at hidden-terminal junctions.
+    /// deadlock at hidden-terminal junctions. Must be finite and ≥ 0, or
+    /// [`World::new`](crate::World::new) panics.
     pub capture_sinr: f64,
     /// Carrier-sense range as a multiple of the decode range. Energy
     /// detection triggers well below the decode threshold, so real CSMA
@@ -54,12 +56,16 @@ pub struct RadioConfig {
     /// Interference horizon as a multiple of the decode range: transmitters
     /// farther than `range_m × interference_range_factor` from a receiver
     /// are excluded from its interference sum. The default (infinity) sums
-    /// every concurrent transmission, exactly as NS-3-style full-SINR does.
-    /// Large-area scenarios can set ~4.0: at the default α = 3 a
-    /// transmitter 4 ranges away delivers 1/64 of the weakest decodable
-    /// signal, so truncating there changes capture decisions only when
-    /// dozens of such far transmitters overlap — while making the per-frame
-    /// interference sum a local computation.
+    /// every concurrent transmission, exactly as NS-3-style full-SINR does,
+    /// and stays affordable at city scale: far transmitters are bounded
+    /// once per frame and summed per receiver only when a capture decision
+    /// is too close to call (DESIGN.md §18), with verdicts bit-identical to
+    /// the exhaustive sum. A finite horizon is a *modelling* choice, not a
+    /// cost lever: at the default α = 3 a transmitter 4 ranges away
+    /// delivers 1/64 of the weakest decodable signal, so truncating at
+    /// ~4.0 changes capture decisions only when dozens of such far
+    /// transmitters overlap. It also lets the sharded executor keep its
+    /// precomputed verdicts (§15).
     pub interference_range_factor: f64,
     /// How long a transmission must have been on the air before carrier
     /// sense detects it (rx/tx turnaround + detection). Two stations whose

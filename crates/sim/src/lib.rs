@@ -80,7 +80,7 @@ pub use config::{
     AckConfig, RadioConfig, Scheduler, SenderMode, SimConfig, SpatialConfig, SpatialIndex,
 };
 pub use fault::{ChurnStorm, FaultPlan, PartitionWindow, SilenceWindow};
-pub use radio::Position;
+pub use radio::{Position, VerdictPaths};
 pub use stats::{EnergyModel, NodeStats, PhaseBytes, Stats};
 pub use wheel::TimerWheel;
 pub use world::World;

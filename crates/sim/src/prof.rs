@@ -11,8 +11,9 @@
 //!   goes, keyed by the kernel event being handled;
 //! - **per subsystem** ([`ScopeTimer`]): wall time inside the spatial
 //!   grid re-bucket sweep, the timer-wheel pop path, application engine
-//!   callbacks, and the fault-injection delivery path — the axes the
-//!   resource-profiling report slices by.
+//!   callbacks, the fault-injection delivery path, and the physical
+//!   verdict of each `TxEnd` — the axes the resource-profiling report
+//!   slices by.
 //!
 //! [`dump`] takes the run's elapsed *virtual* time so each line can
 //! report virtual-vs-wall throughput (simulated µs per wall ms): a
@@ -30,7 +31,8 @@ thread_local! {
     pub static PROF: RefCell<[(u64, u64); 8]> = const { RefCell::new([(0, 0); 8]) };
     /// Per-thread (count, total nanoseconds) accumulators, one slot per
     /// subsystem scope (`SCOPE_*` order).
-    pub static SCOPES: RefCell<[(u64, u64); 4]> = const { RefCell::new([(0, 0); 4]) };
+    pub static SCOPES: RefCell<[(u64, u64); SCOPE_NAMES.len()]> =
+        const { RefCell::new([(0, 0); SCOPE_NAMES.len()]) };
 }
 
 /// Subsystem slots for [`ScopeTimer`].
@@ -38,6 +40,8 @@ pub(crate) const SCOPE_GRID: usize = 0;
 pub(crate) const SCOPE_WHEEL: usize = 1;
 pub(crate) const SCOPE_ENGINE: usize = 2;
 pub(crate) const SCOPE_FAULT: usize = 3;
+pub(crate) const SCOPE_PHYS: usize = 4;
+const SCOPE_NAMES: [&str; 5] = ["grid", "wheel", "engine", "fault", "phys"];
 
 /// The accumulator slot charged for dispatching `kind`.
 pub(crate) fn slot_of(kind: &EventKind) -> usize {
@@ -132,7 +136,6 @@ pub fn dump(virtual_us: u64) {
         }
         *p.borrow_mut() = [(0, 0); 8];
     });
-    const SCOPE_NAMES: [&str; 4] = ["grid", "wheel", "engine", "fault"];
     SCOPES.with(|s| {
         for (i, (n, ns)) in s.borrow().iter().enumerate() {
             if *n > 0 {
@@ -148,6 +151,6 @@ pub fn dump(virtual_us: u64) {
                 );
             }
         }
-        *s.borrow_mut() = [(0, 0); 4];
+        *s.borrow_mut() = [(0, 0); SCOPE_NAMES.len()];
     });
 }

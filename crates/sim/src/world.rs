@@ -6,7 +6,7 @@ use crate::events::{EventKind, EventQueue};
 use crate::fault::{FaultPlan, FaultState};
 use crate::radio::{
     phys_verdicts, Frame, FrameKind, Motion, PhysArgs, PhysOutcome, PhysScratch, Position,
-    Transmission,
+    Transmission, VerdictPaths,
 };
 use crate::shard::{self, CachedVerdict};
 use crate::slab::{
@@ -226,9 +226,23 @@ impl World {
     /// # Panics
     ///
     /// Panics if `radio.range_m × spatial.cell_factor` is not a positive
-    /// finite cell size.
+    /// finite cell size, or if `radio.path_loss_exp` or
+    /// `radio.capture_sinr` is negative or not finite: received power
+    /// must not grow with distance (the far-field interference bound of
+    /// DESIGN.md §18 is unsound otherwise, and so is the physics).
     #[must_use]
     pub fn new(mut config: SimConfig, seed: u64) -> Self {
+        let radio = &config.radio;
+        assert!(
+            radio.path_loss_exp.is_finite() && radio.path_loss_exp >= 0.0,
+            "path_loss_exp must be finite and >= 0 (got {})",
+            radio.path_loss_exp
+        );
+        assert!(
+            radio.capture_sinr.is_finite() && radio.capture_sinr >= 0.0,
+            "capture_sinr must be finite and >= 0 (got {})",
+            radio.capture_sinr
+        );
         // shards == 0 makes no sense; treat it as the sequential path.
         config.shards = config.shards.max(1);
         let max_airtime = config.radio.frame_airtime(config.radio.max_frame_bytes);
@@ -407,6 +421,15 @@ impl World {
     #[must_use]
     pub fn shard_counters(&self) -> (u64, u64, u64) {
         (self.shard_rounds, self.shard_hits, self.shard_stale)
+    }
+
+    /// How the physical verdicts computed on this thread were settled:
+    /// by the far-field bound, exactly, or by the exhaustive fallback.
+    /// Verdicts precomputed by shard workers are not counted. Purely
+    /// observational; see DESIGN.md §18.
+    #[must_use]
+    pub fn verdict_paths(&self) -> VerdictPaths {
+        self.phys_scratch.paths
     }
 
     /// Traffic counters for one node, if alive.
@@ -1354,6 +1377,8 @@ impl World {
                 if cached.is_some() {
                     self.shard_stale += 1;
                 }
+                #[cfg(feature = "prof")]
+                let _t = crate::prof::ScopeTimer::start(crate::prof::SCOPE_PHYS);
                 let mut scratch = std::mem::take(&mut self.phys_scratch);
                 let args = PhysArgs {
                     config: &self.config,
@@ -2073,6 +2098,19 @@ mod tests {
         assert!(brute.frames_delivered > 0);
     }
 
+    /// Twelve sender/sink pairs strung 400 m apart along x, chattering in
+    /// step so several transmissions are always in flight at once.
+    fn add_chatter_clusters(w: &mut World) {
+        for i in 0..12u32 {
+            let x = f64::from(i) * 400.0;
+            w.add_node(
+                Position::new(x, 0.0),
+                Box::new(Blaster::new(60, 700, vec![])),
+            );
+            w.add_node(Position::new(x + 25.0, 0.0), Box::new(Sink::new()));
+        }
+    }
+
     #[test]
     fn sharded_stepping_is_invisible_and_actually_parallel() {
         // The shard gate without the replay-digest feature: outcomes must
@@ -2085,16 +2123,7 @@ mod tests {
             c.radio.interference_range_factor = 4.0;
             c.shards = shards;
             let mut w = World::new(c, 11);
-            // Cluster pairs strung along x, chattering in step so several
-            // transmissions are always in flight at once.
-            for i in 0..12u32 {
-                let x = f64::from(i) * 400.0;
-                w.add_node(
-                    Position::new(x, 0.0),
-                    Box::new(Blaster::new(60, 700, vec![])),
-                );
-                w.add_node(Position::new(x + 25.0, 0.0), Box::new(Sink::new()));
-            }
+            add_chatter_clusters(&mut w);
             w.run_until(secs(4.0));
             let (rounds, hits, _stale) = w.shard_counters();
             (w.stats().clone(), rounds, hits)
@@ -2111,6 +2140,37 @@ mod tests {
                  (rounds={rounds}, hits={hits})"
             );
         }
+    }
+
+    #[test]
+    fn far_field_bound_settles_verdicts_in_a_spread_out_world() {
+        // Clusters far apart on the default infinite interference horizon:
+        // every verdict has concurrent far interferers, and nearly all
+        // must be settled by the bound rather than the exhaustive sum.
+        let mut w = World::new(SimConfig::default(), 11);
+        add_chatter_clusters(&mut w);
+        w.run_until(secs(4.0));
+        let p = w.verdict_paths();
+        assert!(p.cleared + p.bounded > 100, "{p:?}");
+        assert!(p.fallback * 20 < p.cleared + p.bounded, "{p:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "path_loss_exp must be finite and >= 0")]
+    fn negative_path_loss_exponent_is_rejected() {
+        // Power growing with distance is not physics, and it would make
+        // the far-field bound unsound.
+        let mut c = SimConfig::default();
+        c.radio.path_loss_exp = -1.0;
+        let _ = World::new(c, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "capture_sinr must be finite and >= 0")]
+    fn non_finite_capture_threshold_is_rejected() {
+        let mut c = SimConfig::default();
+        c.radio.capture_sinr = f64::NAN;
+        let _ = World::new(c, 1);
     }
 
     #[test]
