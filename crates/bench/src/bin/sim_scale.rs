@@ -25,13 +25,10 @@
 //! sequentially and once through the parallel [`SweepRunner`], the two
 //! result vectors are asserted identical, and both wall times land in the
 //! JSON record (`"sweep"`, including the host's core count so readers can
-//! tell an honest speedup from an oversubscribed one). A `"scheduler"`
-//! block compares the hierarchical timer-wheel event queue against the
-//! legacy binary heap at every node count (identical statistics asserted,
-//! wall times and speedup recorded). All other sections — the grid/brute
-//! comparison and `--trace-check` — are single runs on the main thread,
-//! i.e. always `--jobs 1` semantics, so their wall-time gates compare
-//! like-for-like regardless of the flag.
+//! tell an honest speedup from an oversubscribed one). All other sections
+//! — the grid/brute comparison and `--trace-check` — are single runs on
+//! the main thread, i.e. always `--jobs 1` semantics, so their wall-time
+//! gates compare like-for-like regardless of the flag.
 //!
 //! `--flight-check` applies the `--trace-check` methodology to the
 //! always-on flight recorder: the largest scenario bare vs with a bounded
@@ -41,14 +38,8 @@
 //! throughput, and (under the `count-alloc` feature) peak heap bytes per
 //! node count.
 //!
-//! `--shards N` (default 4; env fallback `PDS_SIM_SHARDS`) sets the shard
-//! count for the `"shards"` block: the grid scenario stepped sequentially
-//! (`shards = 1`) and through the shard verdict executor (DESIGN.md §15)
-//! at each shard node count — up to n = 2000, where the ISSUE 9 speedup
-//! criterion applies — with identical statistics asserted and the
-//! speedup recorded. Every check block carries the host `cores` so
-//! readers and the baseline check can tell a real speedup from a
-//! single-core run.
+//! Every check block carries the host `cores` so readers and the baseline
+//! check can tell a real speedup from a single-core run.
 //!
 //! `--city-n N` (env fallback `PDS_CITY_N`, default 10000) sets the node
 //! count for the `"city"` block: the city-scale scenario family
@@ -63,16 +54,16 @@
 //!
 //! `--check-baseline [path]` finally compares the fresh
 //! record against the committed one — deterministic counters exactly,
-//! speedups with 25% tolerance (shard and sweep speedups skipped entirely
-//! when either record ran on one core), event throughput and per-node
+//! speedups with 25% tolerance (the sweep speedup skipped entirely when
+//! either record ran on one core), event throughput and per-node
 //! heap with their own tolerances when the hosts are comparable, wall
 //! times never — and exits nonzero on regression (see
 //! `pds_bench::baseline`).
 
 use pds_bench::{CityScenario, SweepRunner, WallClock, CITY_BYTES_PER_NODE_BUDGET};
 use pds_sim::{
-    Application, Context, FaultPlan, MessageMeta, Position, Scheduler, SimConfig, SimDuration,
-    SimTime, SpatialIndex, World,
+    Application, Context, FaultPlan, MessageMeta, Position, SimConfig, SimDuration, SimTime,
+    SpatialIndex, World,
 };
 use std::fmt::Write as _;
 
@@ -178,21 +169,9 @@ impl Application for Chatter {
 /// Builds the scenario: `n` nodes in small gathering-spot clusters laid
 /// out on a square grid at constant cluster density (so area grows with
 /// `n`), with a fraction of the nodes walking.
-fn build_world(n: usize, index: SpatialIndex, scheduler: Scheduler, seed: u64) -> World {
-    build_world_sharded(n, index, scheduler, seed, 1)
-}
-
-fn build_world_sharded(
-    n: usize,
-    index: SpatialIndex,
-    scheduler: Scheduler,
-    seed: u64,
-    shards: u32,
-) -> World {
+fn build_world(n: usize, index: SpatialIndex, seed: u64) -> World {
     let mut config = SimConfig::default();
     config.spatial.index = index;
-    config.scheduler = scheduler;
-    config.shards = shards;
     // Large-area scenario knobs (identical in both modes, so the runs stay
     // comparable): a 4-range interference horizon — at the default
     // path-loss exponent a transmitter that far away contributes under 2%
@@ -234,17 +213,7 @@ fn run_mode(n: usize, index: SpatialIndex, horizon: SimTime) -> ModeRun {
 }
 
 fn run_mode_traced(n: usize, index: SpatialIndex, horizon: SimTime, traced: bool) -> ModeRun {
-    run_mode_full(n, index, Scheduler::default(), horizon, traced)
-}
-
-fn run_mode_full(
-    n: usize,
-    index: SpatialIndex,
-    scheduler: Scheduler,
-    horizon: SimTime,
-    traced: bool,
-) -> ModeRun {
-    let mut world = build_world(n, index, scheduler, 42);
+    let mut world = build_world(n, index, 42);
     if traced {
         world.set_trace_sink(Box::new(pds_sim::obs::NullSink));
     }
@@ -312,7 +281,7 @@ fn fault_check(horizon: SimTime) -> (f64, f64, f64) {
     // Best-of-2 per mode to damp scheduler noise on CI runners.
     let best = |noop_plan: bool| -> ModeRun {
         let run = || -> ModeRun {
-            let mut world = build_world(n, SpatialIndex::Grid, Scheduler::default(), 42);
+            let mut world = build_world(n, SpatialIndex::Grid, 42);
             if noop_plan {
                 world.install_faults(FaultPlan::none(42));
             }
@@ -374,7 +343,7 @@ fn flight_check(horizon: SimTime) -> (f64, f64, f64, f64) {
         Recorded,
     }
     let run = |mode: Mode| -> ModeRun {
-        let mut world = build_world(n, SpatialIndex::Grid, Scheduler::default(), 42);
+        let mut world = build_world(n, SpatialIndex::Grid, 42);
         match mode {
             Mode::Bare => {}
             Mode::Null => world.set_trace_sink(Box::new(pds_sim::obs::NullSink)),
@@ -451,7 +420,7 @@ fn resources_bench(horizon: SimTime) -> Vec<ResourceRow> {
         .iter()
         .map(|&n| {
             heap_track::reset_peak();
-            let mut world = build_world(n, SpatialIndex::Grid, Scheduler::default(), 42);
+            let mut world = build_world(n, SpatialIndex::Grid, 42);
             let start = WallClock::start();
             world.run_until(horizon);
             let wall_s = start.elapsed_s();
@@ -496,7 +465,7 @@ fn sweep_bench(horizon: SimTime, jobs: usize) -> SweepBench {
         let start = WallClock::start();
         let stats = runner.run(points.len(), |i| {
             let (n, seed) = points[i];
-            let mut world = build_world(n, SpatialIndex::Grid, Scheduler::default(), seed);
+            let mut world = build_world(n, SpatialIndex::Grid, seed);
             world.run_until(horizon);
             world.stats().clone()
         });
@@ -523,106 +492,6 @@ fn sweep_bench(horizon: SimTime, jobs: usize) -> SweepBench {
         speedup,
         results_equal,
     }
-}
-
-/// One row of the event-scheduler comparison: the grid scenario run once
-/// on the hierarchical timer wheel and once on the legacy binary heap.
-struct SchedulerRow {
-    n: usize,
-    wheel_wall_s: f64,
-    heap_wall_s: f64,
-    speedup: f64,
-    stats_equal: bool,
-}
-
-/// Wheel-vs-heap wall times at every node count. Like the grid/brute
-/// section, the two runs must produce identical statistics — the
-/// scheduler is an implementation detail, not an approximation — so any
-/// divergence aborts the benchmark.
-fn scheduler_bench(horizon: SimTime) -> Vec<SchedulerRow> {
-    let mut rows = Vec::new();
-    for &n in &NODE_COUNTS {
-        let wheel = run_mode_full(n, SpatialIndex::Grid, Scheduler::Wheel, horizon, false);
-        let heap = run_mode_full(n, SpatialIndex::Grid, Scheduler::BinaryHeap, horizon, false);
-        let stats_equal = wheel.stats == heap.stats;
-        let speedup = heap.wall_s / wheel.wall_s.max(1e-9);
-        println!(
-            "scheduler n={n:>5}  wheel {:>8.3}s  heap {:>8.3}s  speedup {speedup:>6.2}x  \
-             stats_equal={stats_equal}",
-            wheel.wall_s, heap.wall_s
-        );
-        assert!(
-            stats_equal,
-            "wheel and heap schedulers diverged at n={n}: {:?} vs {:?}",
-            wheel.stats, heap.stats
-        );
-        rows.push(SchedulerRow {
-            n,
-            wheel_wall_s: wheel.wall_s,
-            heap_wall_s: heap.wall_s,
-            speedup,
-            stats_equal,
-        });
-    }
-    rows
-}
-
-/// One row of the shard-scaling comparison: the grid scenario stepped
-/// sequentially (`shards = 1`) and through the shard verdict executor.
-struct ShardRow {
-    n: usize,
-    seq_wall_s: f64,
-    sharded_wall_s: f64,
-    speedup: f64,
-    stats_equal: bool,
-}
-
-/// Node counts for the shard-scaling section. These extend past the main
-/// grid at 2000 because the ISSUE 9 speedup criterion is stated at
-/// n ≥ 2000, where per-round verdict work dominates merge overhead.
-const SHARD_NODE_COUNTS: [usize; 3] = [500, 1000, 2000];
-
-/// Sequential vs sharded stepping at every shard node count. Like every
-/// other section, the executor is an index, not an approximation: the two
-/// runs must produce identical statistics or the benchmark aborts. The
-/// speedup is only meaningful on multi-core hosts — the baseline check
-/// skips it when either record ran with `cores == 1`.
-fn shards_bench(horizon: SimTime, shards: u32) -> Vec<ShardRow> {
-    let mut rows = Vec::new();
-    for &n in &SHARD_NODE_COUNTS {
-        let run = |shards: u32| -> ModeRun {
-            let mut world =
-                build_world_sharded(n, SpatialIndex::Grid, Scheduler::default(), 42, shards);
-            let start = WallClock::start();
-            world.run_until(horizon);
-            ModeRun {
-                wall_s: start.elapsed_s(),
-                stats: world.stats().clone(),
-            }
-        };
-        let seq = run(1);
-        let sharded = run(shards);
-        let stats_equal = seq.stats == sharded.stats;
-        let speedup = seq.wall_s / sharded.wall_s.max(1e-9);
-        println!(
-            "shards n={n:>5}  seq {:>8.3}s  sharded({shards}) {:>8.3}s  speedup {speedup:>6.2}x  \
-             stats_equal={stats_equal}",
-            seq.wall_s, sharded.wall_s
-        );
-        assert!(
-            stats_equal,
-            "sharded stepping diverged from sequential at n={n}, shards={shards}: {:?} vs {:?}",
-            seq.stats, sharded.stats
-        );
-        rows.push(ShardRow {
-            n,
-            seq_wall_s: seq.wall_s,
-            sharded_wall_s: sharded.wall_s,
-            speedup,
-            stats_equal,
-        });
-    }
-    rows
 }
 
 /// Simulated horizon for the city family, independent of `--quick`: the
@@ -722,20 +591,6 @@ fn main() -> std::process::ExitCode {
         pds_bench::sweep::set_jobs(n);
     }
     let jobs = pds_bench::sweep::jobs();
-    // `--shards N` (env fallback `PDS_SIM_SHARDS`, default 4): shard count
-    // for the shard-scaling section below.
-    let shards = args
-        .iter()
-        .position(|a| a == "--shards")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse::<u32>().ok())
-        .or_else(|| {
-            std::env::var("PDS_SIM_SHARDS")
-                .ok()
-                .and_then(|s| s.parse().ok())
-        })
-        .unwrap_or(4)
-        .max(1);
     // `--city-n N` (env fallback `PDS_CITY_N`, default 10000): node count
     // for the city-scale scenario family. The quick CI run keeps the
     // default; nightly CI sets 50000; 100000 is for manual capacity runs.
@@ -782,10 +637,6 @@ fn main() -> std::process::ExitCode {
     }
 
     let sweep = sweep_bench(horizon, jobs);
-
-    let sched_rows = scheduler_bench(horizon);
-
-    let shard_rows = shards_bench(horizon, shards);
 
     // Both trace-check arms are single runs on the main thread (jobs = 1
     // semantics), so the 110% budget always compares like-for-like even
@@ -874,18 +725,6 @@ fn main() -> std::process::ExitCode {
         );
     }
     let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"scheduler\": [");
-    let sched_last = sched_rows.len() - 1;
-    for (i, row) in sched_rows.iter().enumerate() {
-        let comma = if i == sched_last { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"n\": {}, \"wheel_wall_s\": {:.6}, \"heap_wall_s\": {:.6}, \
-             \"speedup\": {:.3}, \"stats_equal\": {}}}{comma}",
-            row.n, row.wheel_wall_s, row.heap_wall_s, row.speedup, row.stats_equal
-        );
-    }
-    let _ = writeln!(json, "  ],");
     let _ = writeln!(
         json,
         "  \"city\": {{\"n\": {city_n}, \"sim_seconds\": {CITY_SIM_SECONDS}, \
@@ -911,21 +750,6 @@ fn main() -> std::process::ExitCode {
             row.peak_alloc_bytes,
             row.peak_alloc_bytes as f64 / city_n as f64,
             row.stats_equal
-        );
-    }
-    let _ = writeln!(json, "  ]}},");
-    let _ = writeln!(
-        json,
-        "  \"shards\": {{\"count\": {shards}{cores_skip}, \"rows\": ["
-    );
-    let shard_last = shard_rows.len() - 1;
-    for (i, row) in shard_rows.iter().enumerate() {
-        let comma = if i == shard_last { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"n\": {}, \"seq_wall_s\": {:.6}, \"sharded_wall_s\": {:.6}, \
-             \"speedup\": {:.3}, \"stats_equal\": {}}}{comma}",
-            row.n, row.seq_wall_s, row.sharded_wall_s, row.speedup, row.stats_equal
         );
     }
     let _ = writeln!(json, "  ]}},");

@@ -64,8 +64,7 @@ pub struct RadioConfig {
     /// cost lever: at the default α = 3 a transmitter 4 ranges away
     /// delivers 1/64 of the weakest decodable signal, so truncating at
     /// ~4.0 changes capture decisions only when dozens of such far
-    /// transmitters overlap. It also lets the sharded executor keep its
-    /// precomputed verdicts (§15).
+    /// transmitters overlap.
     pub interference_range_factor: f64,
     /// How long a transmission must have been on the air before carrier
     /// sense detects it (rx/tx turnaround + detection). Two stations whose
@@ -234,36 +233,8 @@ impl Default for SpatialConfig {
     }
 }
 
-/// Which data structure backs the kernel's event queue (DESIGN.md §11).
-///
-/// Both implementations pop in identical `(time, insertion seq)` order, so
-/// — exactly like [`SpatialIndex`] — this can differ between otherwise
-/// identical runs for differential testing without perturbing replay
-/// digests or statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scheduler {
-    /// Hierarchical timer wheel: O(1) amortized push/pop. The default
-    /// (unless the `heap-queue` cargo feature is enabled).
-    Wheel,
-    /// Binary heap: O(log n) push/pop — the reference implementation the
-    /// wheel is differentially tested against. The `heap-queue` cargo
-    /// feature makes this the default so CI can gate digest equality
-    /// across separately built binaries.
-    BinaryHeap,
-}
-
-impl Default for Scheduler {
-    fn default() -> Self {
-        if cfg!(feature = "heap-queue") {
-            Self::BinaryHeap
-        } else {
-            Self::Wheel
-        }
-    }
-}
-
 /// Complete simulator configuration.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SimConfig {
     /// Physical/MAC parameters.
     pub radio: RadioConfig,
@@ -273,31 +244,6 @@ pub struct SimConfig {
     pub ack: AckConfig,
     /// Spatial range-query index selection and tuning.
     pub spatial: SpatialConfig,
-    /// Event-queue implementation selection.
-    pub scheduler: Scheduler,
-    /// Number of spatial shards for intra-run parallel stepping.
-    ///
-    /// `1` (the default) is the exact sequential path with zero overhead.
-    /// Values > 1 precompute physical receive verdicts for transmissions
-    /// ending inside a conservative lookahead window on a scoped thread
-    /// pool; every RNG draw still happens on the sequential commit path,
-    /// so the replay digest and `Stats` are bit-identical for any shard
-    /// count (gated in CI the same way grid/brute and wheel/heap are).
-    /// `0` is normalized to `1` at `World::new`.
-    pub shards: u32,
-}
-
-impl Default for SimConfig {
-    fn default() -> Self {
-        Self {
-            radio: RadioConfig::default(),
-            sender: SenderMode::default(),
-            ack: AckConfig::default(),
-            spatial: SpatialConfig::default(),
-            scheduler: Scheduler::default(),
-            shards: 1,
-        }
-    }
 }
 
 impl SimConfig {
@@ -385,9 +331,20 @@ mod tests {
     }
 
     #[test]
-    fn default_shards_is_the_sequential_path() {
-        assert_eq!(SimConfig::default().shards, 1);
-        assert_eq!(SimConfig::paper_multi_hop().shards, 1);
+    fn sim_config_has_exactly_four_fields() {
+        // Exhaustive on purpose (no `..`): each field is an option every
+        // test and benchmark configuration multiplies by, so adding a
+        // fifth must be a deliberate, reviewed act that edits this line.
+        let SimConfig {
+            radio,
+            sender,
+            ack,
+            spatial,
+        } = SimConfig::default();
+        assert_eq!(radio, RadioConfig::default());
+        assert_eq!(sender, SenderMode::default());
+        assert_eq!(ack, AckConfig::default());
+        assert_eq!(spatial, SpatialConfig::default());
     }
 
     #[test]

@@ -1,27 +1,17 @@
 //! The deterministic event queue at the heart of the kernel.
 //!
-//! Two interchangeable implementations sit behind one contract — pops are
-//! ordered by `(time, insertion seq)` — selected at runtime by
-//! [`Scheduler`] (mirroring the spatial-index pattern of DESIGN.md §7):
-//!
-//! * [`TimerWheel`] — the hierarchical timer wheel of DESIGN.md §11; O(1)
-//!   amortized, the default.
-//! * [`HeapQueue`] — the original `BinaryHeap`; O(log n), kept as the
-//!   reference the wheel is differentially tested against. The
-//!   `heap-queue` cargo feature makes it the default so CI can also gate
-//!   digest equality across separately built binaries.
+//! [`EventQueue`] is the hierarchical [`TimerWheel`] of DESIGN.md §11:
+//! pops are ordered by `(time, insertion seq)`, O(1) amortized. The
+//! `BinaryHeap` it replaced lives on in this module's tests as the
+//! reference the wheel is differentially checked against.
 //!
 //! The consuming API is `pop_until(horizon)` rather than peek + pop: a
 //! timer wheel cannot compute its exact minimum without cascading, and
 //! cascading must never advance the wheel clock past the kernel's run
 //! horizon (see `wheel.rs`).
 
-use crate::config::Scheduler;
 use crate::wheel::TimerWheel;
-use pds_core::SimTime;
 use pds_core::{NodeId, TimerId};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// What happens when an event fires.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,129 +47,72 @@ pub(crate) enum EventKind {
     FaultDeliver(u64),
 }
 
-#[derive(Debug)]
-struct QueuedEvent {
-    at: SimTime,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for QueuedEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for QueuedEvent {}
-
-impl PartialOrd for QueuedEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for QueuedEvent {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest first; ties
-        // break by insertion sequence for determinism.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// The reference binary-heap scheduler: earliest-time-first with
-/// insertion-`seq` tie-breaking.
-#[derive(Debug, Default)]
-pub(crate) struct HeapQueue {
-    heap: BinaryHeap<QueuedEvent>,
-    next_seq: u64,
-}
-
-impl HeapQueue {
-    fn push(&mut self, at: SimTime, kind: EventKind) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(QueuedEvent { at, seq, kind });
-    }
-
-    fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, EventKind)> {
-        if self.heap.peek()?.at > horizon {
-            return None;
-        }
-        self.heap.pop().map(|e| (e.at, e.kind))
-    }
-}
-
-/// A time-ordered, insertion-stable event queue.
-#[derive(Debug)]
-pub(crate) enum EventQueue {
-    /// Hierarchical timer wheel (DESIGN.md §11).
-    Wheel(TimerWheel<EventKind>),
-    /// Reference binary heap.
-    Heap(HeapQueue),
-}
-
-impl EventQueue {
-    pub fn new(scheduler: Scheduler) -> Self {
-        match scheduler {
-            Scheduler::Wheel => Self::Wheel(TimerWheel::new()),
-            Scheduler::BinaryHeap => Self::Heap(HeapQueue::default()),
-        }
-    }
-
-    /// Schedules `kind` at time `at`.
-    pub fn push(&mut self, at: SimTime, kind: EventKind) {
-        match self {
-            Self::Wheel(w) => w.push(at, kind),
-            Self::Heap(h) => h.push(at, kind),
-        }
-    }
-
-    /// Removes and returns the earliest event due at or before `horizon`,
-    /// if any.
-    pub fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, EventKind)> {
-        match self {
-            Self::Wheel(w) => w.pop_until(horizon),
-            Self::Heap(h) => h.pop_until(horizon),
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        match self {
-            Self::Wheel(w) => w.len(),
-            Self::Heap(h) => h.heap.len(),
-        }
-    }
-
-    /// Whether no events are pending.
-    #[cfg(test)]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Default for EventQueue {
-    fn default() -> Self {
-        Self::new(Scheduler::default())
-    }
-}
+/// The kernel's time-ordered, insertion-stable event queue.
+pub(crate) type EventQueue = TimerWheel<EventKind>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pds_core::SimRng;
+    use pds_core::{SimRng, SimTime};
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
+
+    #[derive(Debug)]
+    struct QueuedEvent {
+        at: SimTime,
+        seq: u64,
+        kind: EventKind,
+    }
+
+    impl PartialEq for QueuedEvent {
+        fn eq(&self, other: &Self) -> bool {
+            self.at == other.at && self.seq == other.seq
+        }
+    }
+    impl Eq for QueuedEvent {}
+
+    impl PartialOrd for QueuedEvent {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for QueuedEvent {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // Reversed: BinaryHeap is a max-heap, we want earliest first; ties
+            // break by insertion sequence for determinism.
+            other
+                .at
+                .cmp(&self.at)
+                .then_with(|| other.seq.cmp(&self.seq))
+        }
+    }
+
+    /// The reference binary-heap scheduler the kernel ran on before the
+    /// wheel: earliest-time-first with insertion-`seq` tie-breaking.
+    #[derive(Debug, Default)]
+    struct HeapQueue {
+        heap: BinaryHeap<QueuedEvent>,
+        next_seq: u64,
+    }
+
+    impl HeapQueue {
+        fn push(&mut self, at: SimTime, kind: EventKind) {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.heap.push(QueuedEvent { at, seq, kind });
+        }
+
+        fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, EventKind)> {
+            if self.heap.peek()?.at > horizon {
+                return None;
+            }
+            self.heap.pop().map(|e| (e.at, e.kind))
+        }
+    }
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
-    }
-
-    fn both() -> [EventQueue; 2] {
-        [
-            EventQueue::new(Scheduler::Wheel),
-            EventQueue::new(Scheduler::BinaryHeap),
-        ]
     }
 
     fn drain(q: &mut EventQueue) -> Vec<(SimTime, EventKind)> {
@@ -188,54 +121,52 @@ mod tests {
 
     #[test]
     fn pops_in_time_order() {
-        for mut q in both() {
-            q.push(t(30), EventKind::Sweep);
-            q.push(t(10), EventKind::Control(1));
-            q.push(t(20), EventKind::Control(2));
-            let times: Vec<_> = drain(&mut q).into_iter().map(|e| e.0).collect();
-            assert_eq!(times, vec![t(10), t(20), t(30)]);
-            assert!(q.is_empty());
-        }
+        let mut q = EventQueue::new();
+        q.push(t(30), EventKind::Sweep);
+        q.push(t(10), EventKind::Control(1));
+        q.push(t(20), EventKind::Control(2));
+        let times: Vec<_> = drain(&mut q).into_iter().map(|e| e.0).collect();
+        assert_eq!(times, vec![t(10), t(20), t(30)]);
+        assert!(q.is_empty());
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
-        for mut q in both() {
-            q.push(t(5), EventKind::Control(1));
-            q.push(t(5), EventKind::Control(2));
-            q.push(t(5), EventKind::Control(3));
-            let order: Vec<_> = drain(&mut q)
-                .into_iter()
-                .map(|(_, k)| match k {
-                    EventKind::Control(n) => n,
-                    other => panic!("unexpected {other:?}"),
-                })
-                .collect();
-            assert_eq!(order, vec![1, 2, 3]);
-        }
+        let mut q = EventQueue::new();
+        q.push(t(5), EventKind::Control(1));
+        q.push(t(5), EventKind::Control(2));
+        q.push(t(5), EventKind::Control(3));
+        let order: Vec<_> = drain(&mut q)
+            .into_iter()
+            .map(|(_, k)| match k {
+                EventKind::Control(n) => n,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(order, vec![1, 2, 3]);
     }
 
     #[test]
     fn pop_until_respects_horizon() {
-        for mut q in both() {
-            assert_eq!(q.pop_until(SimTime::MAX), None);
-            q.push(t(50), EventKind::Sweep);
-            q.push(t(40), EventKind::Sweep);
-            assert_eq!(q.pop_until(t(39)), None);
-            assert_eq!(q.len(), 2);
-            assert_eq!(q.pop_until(t(40)).map(|e| e.0), Some(t(40)));
-            assert_eq!(q.len(), 1);
-        }
+        let mut q = EventQueue::new();
+        assert_eq!(q.pop_until(SimTime::MAX), None);
+        q.push(t(50), EventKind::Sweep);
+        q.push(t(40), EventKind::Sweep);
+        assert_eq!(q.pop_until(t(39)), None);
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop_until(t(40)).map(|e| e.0), Some(t(40)));
+        assert_eq!(q.len(), 1);
     }
 
     /// The in-process differential gate: a kernel-shaped random workload
     /// (interleaved pushes with heavy same-tick ties, horizon-bounded pop
-    /// phases, far-future sweeps) must pop identically from both
-    /// implementations.
+    /// phases, far-future sweeps) must pop from the wheel exactly as from
+    /// the reference heap.
     #[test]
     fn wheel_and_heap_pop_identical_streams() {
         let mut rng = SimRng::new(0xE5E2);
-        let [mut wheel, mut heap] = both();
+        let mut wheel = EventQueue::new();
+        let mut heap = HeapQueue::default();
         let mut frontier = 0u64;
         for round in 0..5000u64 {
             if rng.range_u64(0, 4) > 0 {
@@ -265,7 +196,8 @@ mod tests {
                 frontier = horizon.as_micros();
             }
         }
-        assert_eq!(wheel.len(), heap.len());
-        assert_eq!(drain(&mut wheel), drain(&mut heap));
+        assert_eq!(wheel.len(), heap.heap.len());
+        let rest: Vec<_> = std::iter::from_fn(|| heap.pop_until(SimTime::MAX)).collect();
+        assert_eq!(drain(&mut wheel), rest);
     }
 }

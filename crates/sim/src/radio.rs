@@ -255,7 +255,7 @@ impl Transmission {
 
 /// Physical receive verdict for one in-range receiver of a transmission.
 /// Everything that consumes randomness (baseline loss, fault rolls)
-/// happens later, on the sequential commit path.
+/// happens later, in `tx_end`'s commit loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum PhysOutcome {
     /// The receiver was transmitting an overlapping frame of its own.
@@ -266,10 +266,9 @@ pub(crate) enum PhysOutcome {
     Survivor,
 }
 
-/// Borrowed, `Sync` view of exactly the world state [`phys_verdicts`]
-/// reads. Constructible both from `&World` (inline recompute) and from a
-/// disjoint-field destructure (shard rounds, where the remaining `World`
-/// fields hold non-`Sync` application boxes).
+/// Borrowed view of exactly the world state [`phys_verdicts`] reads, so
+/// the function stays pure over the radio state and testable without a
+/// `World`.
 #[derive(Clone, Copy)]
 pub(crate) struct PhysArgs<'a> {
     pub config: &'a SimConfig,
@@ -301,8 +300,7 @@ pub struct VerdictPaths {
 }
 
 /// Reusable candidate buffers for [`phys_verdicts`] — hot-path
-/// allocations otherwise. Each worker owns one; the world keeps one for
-/// inline recomputes.
+/// allocations otherwise; the world owns one.
 #[derive(Debug, Default)]
 pub(crate) struct PhysScratch {
     /// Receiver candidates from the node grid.

@@ -305,7 +305,7 @@ impl<T> SeqSlab<T> {
     }
 
     /// Values in ascending key order — the iteration order every f64
-    /// interference sum and shard work partition depends on.
+    /// interference sum depends on.
     pub fn values(&self) -> impl Iterator<Item = &T> {
         self.slots.iter().filter_map(Option::as_ref)
     }

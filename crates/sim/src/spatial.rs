@@ -88,13 +88,6 @@ impl NodeGrid {
         self.stamp
     }
 
-    /// Fastest walking speed among motions still in progress at the last
-    /// re-bucket (an upper bound on every currently in-flight walker).
-    /// The shard executor uses it to pad cache-invalidation distances.
-    pub fn max_speed(&self) -> f64 {
-        self.max_speed
-    }
-
     fn unlink(&mut self, id: NodeId, cell: Cell) {
         if let Some(ids) = self.cells.get_mut(&cell) {
             if let Some(i) = ids.iter().position(|&(x, _)| x == id) {

@@ -42,6 +42,11 @@ const LEVELS: usize = 6;
 /// Deadlines farther than this from the wheel clock go to the overflow
 /// tier.
 const WHEEL_SPAN: u64 = 1 << (SLOT_BITS * LEVELS as u32);
+/// Capacity (entries) a slot keeps across a cascade. Enough that
+/// steady-state kernel churn cascades without allocating; small enough
+/// that the 384 slots together retain well under a megabyte however
+/// large the bursts they once parked.
+const SLOT_KEEP: usize = 32;
 
 #[derive(Debug)]
 struct Entry<T> {
@@ -190,7 +195,9 @@ impl<T> TimerWheel<T> {
                     self.place(entry.at, entry.seq, entry.value);
                 }
                 // Hand the drained buffer back so steady-state cascades
-                // reuse its capacity instead of reallocating.
+                // reuse it, but shrunk: unshrunk, every slot keeps the
+                // capacity of the largest burst it ever parked.
+                queue.shrink_to(SLOT_KEEP);
                 *self.level_mut(tier).slot_mut(slot) = queue;
             } else {
                 // Promote the overflow window that just opened. BTreeMap
@@ -359,6 +366,25 @@ mod tests {
             drain(&mut w),
             vec![(5, 9), (u64::MAX - 1, 0), (u64::MAX, 1)]
         );
+    }
+
+    #[test]
+    fn drained_wheel_does_not_retain_burst_capacity() {
+        // 50 000 distinct deadlines inside one level-3 slot: the burst
+        // parks in a single queue and cascades down through levels 2–0.
+        let mut w = TimerWheel::new();
+        let window = 1u64 << (SLOT_BITS * 3);
+        for i in 0..50_000u32 {
+            w.push(t(window + u64::from(i) * 5), i);
+        }
+        assert_eq!(drain(&mut w).len(), 50_000);
+        let retained: usize = w
+            .levels
+            .iter()
+            .flat_map(|level| level.slots.iter())
+            .map(VecDeque::capacity)
+            .sum();
+        assert!(retained <= 4096, "empty wheel retains {retained} entries");
     }
 
     #[test]

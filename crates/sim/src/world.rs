@@ -8,7 +8,6 @@ use crate::radio::{
     phys_verdicts, Frame, FrameKind, Motion, PhysArgs, PhysOutcome, PhysScratch, Position,
     Transmission, VerdictPaths,
 };
-use crate::shard::{self, CachedVerdict};
 use crate::slab::{
     DenseTable, NodeTable, SeqSlab, FLAG_BUCKET_SCHEDULED, FLAG_MAC_SCHEDULED, FLAG_TRANSMITTING,
 };
@@ -114,10 +113,10 @@ pub struct World {
     /// ascending by id, exactly like the `BTreeMap` it replaced.
     nodes: NodeTable<NodeState>,
     /// Motions of all alive nodes, keyed identically to `nodes`. Kept
-    /// outside [`NodeState`] so shard workers can borrow positions as a
-    /// `Sync` snapshot while the (non-`Sync`) application boxes stay
-    /// behind. Dense and ascending, so brute-force receiver enumeration
-    /// iterates in the same ascending-id order as the node table.
+    /// outside [`NodeState`] so position lookups (grid re-bucketing,
+    /// physical verdicts) borrow a compact table, not the node slab.
+    /// Dense and ascending, so brute-force receiver enumeration iterates
+    /// in the same ascending-id order as the node table.
     motions: DenseTable<Motion>,
     /// Active (and recently finished) transmissions, keyed by monotone tx
     /// id in a base-offset slab sized to the live window. Iterates in
@@ -182,40 +181,10 @@ pub struct World {
     /// not part of [`Stats`] — it counts kernel work, not protocol
     /// outcomes.
     events_dispatched: u64,
-    /// Bumped on every node add/remove/move/teleport. Shard-round verdict
-    /// caches are valid only while the epoch they were computed under
-    /// still holds (DESIGN.md §15).
-    motion_epoch: u64,
-    /// Start time and position of every transmission begun since the last
-    /// verdict-cache drain (maintained only when `shards > 1`). Cached
-    /// verdicts record the log length at compute time; newer entries are
-    /// checked for possible overlap at commit.
-    tx_log: Vec<(SimTime, Position)>,
-    /// Absolute count of entries ever drained from `tx_log`, so cache
-    /// entries can hold absolute marks across log resets.
-    tx_log_base: u64,
-    /// Precomputed physical verdicts by transmission id (`shards > 1`
-    /// only). Entries are consumed (or discarded, if stale) by their own
-    /// `TxEnd` dispatch.
-    shard_cache: DetMap<u64, CachedVerdict>,
-    /// Dispatches since the last shard-round trigger check.
-    events_since_round: u32,
-    /// Shard rounds executed / verdicts committed from cache / cached
-    /// verdicts discarded as stale. Diagnostics like `events_dispatched`:
-    /// they count kernel work, not protocol outcomes, and the bench uses
-    /// them to prove the parallel path is actually exercised.
-    shard_rounds: u64,
-    shard_hits: u64,
-    shard_stale: u64,
     /// Running digest of the dispatched event stream (DESIGN.md §8).
     #[cfg(feature = "replay-digest")]
     digest: crate::digest::ReplayDigest,
 }
-
-/// How many dispatches between shard-round trigger checks. Purely a
-/// pacing knob: triggering (or not) never changes results, only whether
-/// `tx_end` finds its verdict precomputed.
-const ROUND_STRIDE: u32 = 64;
 
 impl World {
     /// Creates an empty world with the given configuration and random seed.
@@ -231,7 +200,7 @@ impl World {
     /// must not grow with distance (the far-field interference bound of
     /// DESIGN.md §18 is unsound otherwise, and so is the physics).
     #[must_use]
-    pub fn new(mut config: SimConfig, seed: u64) -> Self {
+    pub fn new(config: SimConfig, seed: u64) -> Self {
         let radio = &config.radio;
         assert!(
             radio.path_loss_exp.is_finite() && radio.path_loss_exp >= 0.0,
@@ -243,8 +212,6 @@ impl World {
             "capture_sinr must be finite and >= 0 (got {})",
             radio.capture_sinr
         );
-        // shards == 0 makes no sense; treat it as the sequential path.
-        config.shards = config.shards.max(1);
         let max_airtime = config.radio.frame_airtime(config.radio.max_frame_bytes);
         let cell_m = config.radio.range_m * config.spatial.cell_factor;
         // Carrier sense and (with a finite interference horizon) the
@@ -260,7 +227,7 @@ impl World {
             config.radio.cs_range_factor
         };
         let tx_cell_m = cell_m * tx_reach.max(1.0);
-        let mut queue = EventQueue::new(config.scheduler);
+        let mut queue = EventQueue::new();
         queue.push(SimTime::ZERO + SWEEP_INTERVAL, EventKind::Sweep);
         Self {
             config,
@@ -293,14 +260,6 @@ impl World {
             sink: None,
             faults: None,
             events_dispatched: 0,
-            motion_epoch: 0,
-            tx_log: Vec::new(),
-            tx_log_base: 0,
-            shard_cache: DetMap::default(),
-            events_since_round: 0,
-            shard_rounds: 0,
-            shard_hits: 0,
-            shard_stale: 0,
             #[cfg(feature = "replay-digest")]
             digest: crate::digest::ReplayDigest::default(),
         }
@@ -414,18 +373,8 @@ impl World {
         self.events_dispatched
     }
 
-    /// Shard executor diagnostics: `(rounds, hits, stale)` — precompute
-    /// rounds run, verdicts committed straight from the cache, and cached
-    /// verdicts discarded because the world changed under them. All zero
-    /// when `shards == 1`. Purely observational; see DESIGN.md §15.
-    #[must_use]
-    pub fn shard_counters(&self) -> (u64, u64, u64) {
-        (self.shard_rounds, self.shard_hits, self.shard_stale)
-    }
-
-    /// How the physical verdicts computed on this thread were settled:
-    /// by the far-field bound, exactly, or by the exhaustive fallback.
-    /// Verdicts precomputed by shard workers are not counted. Purely
+    /// How the physical verdicts of this world were settled: by the
+    /// far-field bound, exactly, or by the exhaustive fallback. Purely
     /// observational; see DESIGN.md §18.
     #[must_use]
     pub fn verdict_paths(&self) -> VerdictPaths {
@@ -482,7 +431,6 @@ impl World {
         let motion = Motion::stationary(pos, self.now);
         self.node_grid.upsert(id, &motion, self.now);
         self.motions.insert(id, motion);
-        self.motion_epoch += 1;
         self.nodes.insert(id, state);
         self.queue.push(self.now, EventKind::Start(id));
         id
@@ -494,7 +442,6 @@ impl World {
     pub fn remove_node(&mut self, id: NodeId) {
         self.nodes.remove(&id);
         self.motions.remove(&id);
-        self.motion_epoch += 1;
         self.node_grid.remove(id);
     }
 
@@ -534,7 +481,6 @@ impl World {
             speed_mps,
         };
         *cur = motion;
-        self.motion_epoch += 1;
         self.node_grid.upsert(id, &motion, now);
     }
 
@@ -546,7 +492,6 @@ impl World {
         };
         let motion = Motion::stationary(pos, now);
         *cur = motion;
-        self.motion_epoch += 1;
         self.node_grid.upsert(id, &motion, now);
     }
 
@@ -663,9 +608,6 @@ impl World {
         while let Some((at, kind)) = self.pop_event(horizon) {
             self.now = at.max(self.now);
             self.refresh_node_grid();
-            if self.config.shards > 1 {
-                self.maybe_shard_round();
-            }
             self.dispatch(kind);
         }
         self.now = self.now.max(horizon);
@@ -703,135 +645,6 @@ impl World {
         #[cfg(feature = "prof")]
         let _t = crate::prof::ScopeTimer::start(crate::prof::SCOPE_GRID);
         node_grid.rebucket(now, |id| motions.get(&id).copied());
-    }
-
-    // ---- shard rounds: precompute physical verdicts (DESIGN.md §15) ------
-
-    /// Every [`ROUND_STRIDE`] dispatches, looks for transmissions ending
-    /// inside the lookahead window without a cached verdict; if there is
-    /// at least one per shard, runs a concurrent precompute round. Purely
-    /// a scheduling decision — results are identical whether or not a
-    /// round runs, because `tx_end` validates every cached verdict against
-    /// the current state fingerprint before using it.
-    fn maybe_shard_round(&mut self) {
-        self.events_since_round += 1;
-        if self.events_since_round < ROUND_STRIDE {
-            return;
-        }
-        self.events_since_round = 0;
-        if self.shard_cache.is_empty() {
-            // Every cached verdict is consumed or discarded by its own
-            // `TxEnd`, all of which lie inside the previous window — so an
-            // empty cache means no entry can reference the start log, and
-            // it can drain.
-            self.tx_log_base += self.tx_log.len() as u64;
-            self.tx_log.clear();
-        }
-        let now = self.now;
-        let window_end = now + shard::lookahead(&self.config.radio);
-        let pending = self
-            .transmissions
-            .values()
-            .filter(|t| t.end > now && t.end <= window_end && !self.shard_cache.contains_key(&t.id))
-            .count();
-        if pending < self.config.shards as usize {
-            return;
-        }
-        self.shard_rounds += 1;
-        self.run_shard_round(window_end);
-    }
-
-    /// Partitions the pending window transmissions into column stripes
-    /// and computes their physical verdicts on scoped worker threads.
-    /// Workers only read a frozen `Sync` snapshot; all results enter the
-    /// cache on this thread, tagged with the state fingerprint they were
-    /// computed under.
-    fn run_shard_round(&mut self, window_end: SimTime) {
-        let shards = self.config.shards;
-        let cell_m = self.config.radio.range_m * self.config.spatial.cell_factor;
-        let epoch = self.motion_epoch;
-        let log_mark = self.tx_log_base + self.tx_log.len() as u64;
-        let pad_m = self.node_grid.max_speed() * shard::lookahead(&self.config.radio).as_secs_f64();
-        let now = self.now;
-        let mut work: Vec<Vec<u64>> = vec![Vec::new(); shards as usize];
-        for t in self.transmissions.values() {
-            if t.end > now && t.end <= window_end && !self.shard_cache.contains_key(&t.id) {
-                let s = shard::shard_of(t.start_pos, cell_m, shards) as usize;
-                if let Some(bucket) = work.get_mut(s) {
-                    bucket.push(t.id);
-                }
-            }
-        }
-        let Self {
-            config,
-            motions,
-            transmissions,
-            tx_by_sender,
-            node_grid,
-            tx_grid,
-            shard_cache,
-            ..
-        } = self;
-        let args = PhysArgs {
-            config,
-            motions,
-            transmissions,
-            tx_by_sender: tx_by_sender.as_slice(),
-            node_grid,
-            tx_grid,
-        };
-        for batch in shard::compute_sharded(&args, &work) {
-            for (id, verdicts) in batch {
-                shard_cache.insert(
-                    id,
-                    CachedVerdict {
-                        epoch,
-                        log_mark,
-                        pad_m,
-                        verdicts,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Whether a precomputed verdict still describes current world state:
-    /// the motion epoch is unchanged (no node add/remove/move/teleport
-    /// since the round) and no transmission started since the round that
-    /// could overlap `tx` at any of its receivers — i.e. started before
-    /// `tx.end` and within the interference-plus-range horizon of the
-    /// sender, padded by the walker drift bound for the half-duplex case.
-    fn verdict_still_valid(&self, entry: &CachedVerdict, tx: &Transmission) -> bool {
-        if entry.epoch != self.motion_epoch {
-            return false;
-        }
-        let Some(from) = entry.log_mark.checked_sub(self.tx_log_base) else {
-            return false; // log drained past the mark; be conservative
-        };
-        let Ok(from) = usize::try_from(from) else {
-            return false;
-        };
-        let Some(newer) = self.tx_log.get(from..) else {
-            return false;
-        };
-        if newer.is_empty() {
-            return true;
-        }
-        let range = self.config.radio.range_m;
-        let trunc = range * self.config.radio.interference_range_factor;
-        if !trunc.is_finite() {
-            // Unbounded interference horizon: any new overlapping
-            // transmission anywhere can change the verdict.
-            return !newer.iter().any(|&(start, _)| start < tx.end);
-        }
-        // `trunc + range` covers interference at any in-range receiver
-        // (triangle inequality); `range + pad` covers a receiver whose own
-        // new transmission creates a half-duplex conflict, allowing for
-        // its drift between the new start and `tx.end`.
-        let bound = (trunc + range).max(range + entry.pad_m);
-        !newer
-            .iter()
-            .any(|&(start, pos)| start < tx.end && pos.distance(&tx.start_pos) <= bound)
     }
 
     /// Runs for `span` beyond the current time.
@@ -1307,11 +1120,6 @@ impl World {
         }
         self.tx_prune.push(now + duration, tx_id);
         self.queue.push(now + duration, EventKind::TxEnd(tx_id));
-        if self.config.shards > 1 {
-            // Shard-cache invalidation input: verdicts computed before
-            // this start must re-check overlap against it at commit.
-            self.tx_log.push((now, pos));
-        }
         if self.sink.is_some() {
             self.emit(
                 id.0,
@@ -1355,42 +1163,25 @@ impl World {
             );
         }
 
-        // Physical verdicts: consume the precomputed shard verdict when
-        // its state fingerprint still holds, otherwise compute inline.
-        // Both paths run the same pure function over the same state
-        // (`radio::phys_verdicts`), so the verdict list — and with it
-        // every downstream rng draw, stat and emission — is identical at
-        // any shard count.
+        // Physical verdicts: a pure function of the frozen radio state
+        // (`radio::phys_verdicts`); every rng draw, stat and emission
+        // happens in the commit loop below.
         let mut verdicts = std::mem::take(&mut self.vd_scratch);
         verdicts.clear();
-        let cached = if self.config.shards > 1 {
-            self.shard_cache.remove(&tx_id)
-        } else {
-            None
-        };
-        match cached {
-            Some(entry) if self.verdict_still_valid(&entry, &tx) => {
-                self.shard_hits += 1;
-                verdicts.extend_from_slice(&entry.verdicts);
-            }
-            cached => {
-                if cached.is_some() {
-                    self.shard_stale += 1;
-                }
-                #[cfg(feature = "prof")]
-                let _t = crate::prof::ScopeTimer::start(crate::prof::SCOPE_PHYS);
-                let mut scratch = std::mem::take(&mut self.phys_scratch);
-                let args = PhysArgs {
-                    config: &self.config,
-                    motions: &self.motions,
-                    transmissions: &self.transmissions,
-                    tx_by_sender: &self.tx_by_sender,
-                    node_grid: &self.node_grid,
-                    tx_grid: &self.tx_grid,
-                };
-                phys_verdicts(&args, &tx, &mut verdicts, &mut scratch);
-                self.phys_scratch = scratch;
-            }
+        {
+            #[cfg(feature = "prof")]
+            let _t = crate::prof::ScopeTimer::start(crate::prof::SCOPE_PHYS);
+            let mut scratch = std::mem::take(&mut self.phys_scratch);
+            let args = PhysArgs {
+                config: &self.config,
+                motions: &self.motions,
+                transmissions: &self.transmissions,
+                tx_by_sender: &self.tx_by_sender,
+                node_grid: &self.node_grid,
+                tx_grid: &self.tx_grid,
+            };
+            phys_verdicts(&args, &tx, &mut verdicts, &mut scratch);
+            self.phys_scratch = scratch;
         }
         // Commit: in-range receivers in ascending id order. The
         // per-receiver baseline-loss rolls below consume the shared rng
@@ -2108,37 +1899,6 @@ mod tests {
                 Box::new(Blaster::new(60, 700, vec![])),
             );
             w.add_node(Position::new(x + 25.0, 0.0), Box::new(Sink::new()));
-        }
-    }
-
-    #[test]
-    fn sharded_stepping_is_invisible_and_actually_parallel() {
-        // The shard gate without the replay-digest feature: outcomes must
-        // be bit-identical at any shard count, and — to keep the gate
-        // non-vacuous — the sharded runs must actually commit verdicts
-        // from the concurrent cache, not fall back to inline recompute.
-        let run = |shards: u32| {
-            let mut c = SimConfig::default();
-            c.radio.baseline_loss = 0.05;
-            c.radio.interference_range_factor = 4.0;
-            c.shards = shards;
-            let mut w = World::new(c, 11);
-            add_chatter_clusters(&mut w);
-            w.run_until(secs(4.0));
-            let (rounds, hits, _stale) = w.shard_counters();
-            (w.stats().clone(), rounds, hits)
-        };
-        let (seq, rounds0, hits0) = run(1);
-        assert!(seq.frames_delivered > 0);
-        assert_eq!((rounds0, hits0), (0, 0), "sequential path must not shard");
-        for shards in [2u32, 4, 8] {
-            let (stats, rounds, hits) = run(shards);
-            assert_eq!(stats, seq, "shards={shards} changed outcomes");
-            assert!(
-                rounds > 0 && hits > 0,
-                "shards={shards} never exercised the verdict cache \
-                 (rounds={rounds}, hits={hits})"
-            );
         }
     }
 

@@ -5,8 +5,8 @@
 
 use bytes::Bytes;
 use pds_sim::{
-    Application, Context, FaultPlan, MessageMeta, NodeId, PartitionWindow, Position, Scheduler,
-    SilenceWindow, SimConfig, SimDuration, SimTime, SpatialIndex, Stats, World,
+    Application, Context, FaultPlan, MessageMeta, NodeId, PartitionWindow, Position, SilenceWindow,
+    SimConfig, SimDuration, SimTime, SpatialIndex, Stats, World,
 };
 
 /// The digest of the standard scenario below, captured before the DST fault
@@ -54,11 +54,12 @@ impl Application for Blaster {
 /// timers, MAC attempts and defers, transmissions, bucket drains, control
 /// closures and sweeps.
 fn run(index: SpatialIndex, rebucket_ms: u64, seed: u64) -> (u64, u64) {
-    run_full(index, Scheduler::default(), rebucket_ms, seed, false)
+    run_traced(index, rebucket_ms, seed, false)
 }
 
 fn run_traced(index: SpatialIndex, rebucket_ms: u64, seed: u64, traced: bool) -> (u64, u64) {
-    run_full(index, Scheduler::default(), rebucket_ms, seed, traced)
+    let (digest, stats) = run_plan(index, rebucket_ms, seed, traced, None);
+    (digest, stats.frames_delivered)
 }
 
 /// With `PDS_TRACE_DIR` set, a JSONL sink writing one uniquely named trace
@@ -84,20 +85,8 @@ fn jsonl_sink_from_env(
     }
 }
 
-fn run_full(
-    index: SpatialIndex,
-    scheduler: Scheduler,
-    rebucket_ms: u64,
-    seed: u64,
-    traced: bool,
-) -> (u64, u64) {
-    let (digest, stats) = run_plan(index, scheduler, rebucket_ms, seed, traced, None);
-    (digest, stats.frames_delivered)
-}
-
 fn run_plan(
     index: SpatialIndex,
-    scheduler: Scheduler,
     rebucket_ms: u64,
     seed: u64,
     traced: bool,
@@ -111,46 +100,21 @@ fn run_plan(
         // mismatch offline.
         jsonl_sink_from_env(index, rebucket_ms, seed)
     };
-    let (digest, stats, _) = run_sinked(
-        index,
-        scheduler,
-        rebucket_ms,
-        seed,
-        sink,
-        plan,
-        shards_from_env(),
-    );
+    let (digest, stats, _) = run_sinked(index, rebucket_ms, seed, sink, plan);
     (digest, stats)
 }
 
-/// Default shard count for the standard-scenario helpers: `PDS_SIM_SHARDS`
-/// if set, else 1 (the sequential path). The CI shard legs export 4, so
-/// every digest assertion in this file — the pins included — doubles as a
-/// shards=4 vs shards=1 gate, exactly like the grid/brute and wheel/heap
-/// matrix legs.
-fn shards_from_env() -> u32 {
-    std::env::var("PDS_SIM_SHARDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
-}
-
-#[allow(clippy::too_many_arguments)]
 fn run_sinked(
     index: SpatialIndex,
-    scheduler: Scheduler,
     rebucket_ms: u64,
     seed: u64,
     sink: Option<Box<dyn pds_sim::TraceSink>>,
     plan: Option<FaultPlan>,
-    shards: u32,
 ) -> (u64, Stats, Option<Box<dyn pds_sim::TraceSink>>) {
     let mut c = SimConfig::default();
     c.radio.baseline_loss = 0.1;
     c.spatial.index = index;
-    c.scheduler = scheduler;
     c.spatial.rebucket_interval = SimDuration::from_millis(rebucket_ms);
-    c.shards = shards;
     let mut w = World::new(c, seed);
     if let Some(plan) = plan {
         w.install_faults(plan);
@@ -238,23 +202,13 @@ fn replay_digest_unchanged_by_flight_recorder() {
     // `FlightRecorder` (small rings, steady-state overwrites in play)
     // must leave the dispatched stream bit-identical — same digest pin,
     // same stats — as no sink at all.
-    let (off, off_stats, _) = run_sinked(
-        SpatialIndex::Grid,
-        Scheduler::default(),
-        0,
-        42,
-        None,
-        None,
-        shards_from_env(),
-    );
+    let (off, off_stats, _) = run_sinked(SpatialIndex::Grid, 0, 42, None, None);
     let (on, on_stats, sink) = run_sinked(
         SpatialIndex::Grid,
-        Scheduler::default(),
         0,
         42,
         Some(Box::new(pds_sim::obs::FlightRecorder::new(256))),
         None,
-        shards_from_env(),
     );
     assert_eq!(on, off, "flight recorder must not perturb the event stream");
     assert_eq!(on_stats, off_stats);
@@ -271,30 +225,6 @@ fn replay_digest_unchanged_by_flight_recorder() {
         let path = std::path::Path::new(&dir).join("flight-grid-seed42.trace.jsonl");
         recorder.dump_to_file(&path).expect("write flight dump");
     }
-}
-
-#[test]
-fn replay_digest_is_identical_across_schedulers() {
-    // The timer-wheel/heap differential gate (DESIGN.md §11), mirroring
-    // the grid/brute-force one above: the scheduler implementation is a
-    // performance choice, so the dispatched event stream — and with it
-    // the digest and the delivery count — must be bit-identical, for both
-    // spatial indices and with lazy re-bucketing in play.
-    let (wheel, delivered) = run_full(SpatialIndex::Grid, Scheduler::Wheel, 0, 42, false);
-    assert!(delivered > 0, "scenario must actually exchange traffic");
-    let (heap, heap_delivered) = run_full(SpatialIndex::Grid, Scheduler::BinaryHeap, 0, 42, false);
-    assert_eq!(wheel, heap, "wheel and heap replay streams diverged");
-    assert_eq!(delivered, heap_delivered);
-    assert_eq!(
-        run_full(SpatialIndex::BruteForce, Scheduler::Wheel, 500, 42, false),
-        run_full(
-            SpatialIndex::BruteForce,
-            Scheduler::BinaryHeap,
-            500,
-            42,
-            false
-        ),
-    );
 }
 
 #[test]
@@ -322,33 +252,19 @@ fn noop_fault_plan_is_invisible() {
     // Installing a plan that injects nothing must be indistinguishable —
     // digest and every counter — from installing no plan, because the
     // fault rng is plan-owned and zero-probability rolls consume nothing.
-    let (bare, bare_stats) = run_plan(SpatialIndex::Grid, Scheduler::Wheel, 0, 42, false, None);
-    let (noop, noop_stats) = run_plan(
-        SpatialIndex::Grid,
-        Scheduler::Wheel,
-        0,
-        42,
-        false,
-        Some(FaultPlan::none(999)),
-    );
+    let (bare, bare_stats) = run_plan(SpatialIndex::Grid, 0, 42, false, None);
+    let (noop, noop_stats) = run_plan(SpatialIndex::Grid, 0, 42, false, Some(FaultPlan::none(999)));
     assert_eq!(noop, bare, "no-op plan perturbed the event stream");
     assert_eq!(noop_stats, bare_stats);
     assert_eq!(bare, PINNED_FAULTLESS_DIGEST);
 }
 
 #[test]
-fn faulted_digest_is_stable_across_runs_schedulers_and_indices() {
+fn faulted_digest_is_stable_across_runs_and_indices() {
     // A (seed, plan) pair is a complete replay token: the adversarial
-    // stream must be bit-identical across reruns, scheduler backends and
-    // spatial indexes, exactly like the faultless one.
-    let (first, stats) = run_plan(
-        SpatialIndex::Grid,
-        Scheduler::Wheel,
-        0,
-        42,
-        false,
-        Some(adversarial_plan(7)),
-    );
+    // stream must be bit-identical across reruns and spatial indexes,
+    // exactly like the faultless one.
+    let (first, stats) = run_plan(SpatialIndex::Grid, 0, 42, false, Some(adversarial_plan(7)));
     assert!(
         stats.frames_fault_cut > 0
             && stats.frames_fault_dropped > 0
@@ -360,150 +276,20 @@ fn faulted_digest_is_stable_across_runs_schedulers_and_indices() {
         first, PINNED_FAULTLESS_DIGEST,
         "faults must perturb the stream"
     );
-    for (index, scheduler, rebucket) in [
-        (SpatialIndex::Grid, Scheduler::Wheel, 0),
-        (SpatialIndex::Grid, Scheduler::BinaryHeap, 0),
-        (SpatialIndex::BruteForce, Scheduler::Wheel, 0),
-        (SpatialIndex::BruteForce, Scheduler::BinaryHeap, 500),
+    for (index, rebucket) in [
+        (SpatialIndex::Grid, 0),
+        (SpatialIndex::BruteForce, 0),
+        (SpatialIndex::BruteForce, 500),
     ] {
-        let (digest, rerun_stats) = run_plan(
-            index,
-            scheduler,
-            rebucket,
-            42,
-            false,
-            Some(adversarial_plan(7)),
-        );
-        assert_eq!(digest, first, "{index:?}/{scheduler:?} diverged");
+        let (digest, rerun_stats) = run_plan(index, rebucket, 42, false, Some(adversarial_plan(7)));
+        assert_eq!(digest, first, "{index:?}/rebucket {rebucket} ms diverged");
         assert_eq!(rerun_stats, stats);
-    }
-}
-
-/// The standard scenario at an explicit shard count, no sink.
-fn run_sharded(
-    index: SpatialIndex,
-    scheduler: Scheduler,
-    shards: u32,
-    plan: Option<FaultPlan>,
-) -> (u64, Stats) {
-    let (digest, stats, _) = run_sinked(index, scheduler, 0, 42, None, plan, shards);
-    (digest, stats)
-}
-
-#[test]
-fn sharded_replay_digest_matches_sequential() {
-    // The shard gate (DESIGN.md §15), mirroring grid/brute and wheel/heap:
-    // the shard count is a performance choice, so the dispatched event
-    // stream — digest and every counter — must be bit-identical for any
-    // count, under both spatial indexes and both schedulers.
-    let (seq, seq_stats) = run_sharded(SpatialIndex::Grid, Scheduler::Wheel, 1, None);
-    assert!(
-        seq_stats.frames_delivered > 0,
-        "scenario must exchange traffic"
-    );
-    for shards in [2u32, 4, 8] {
-        let (digest, stats) = run_sharded(SpatialIndex::Grid, Scheduler::Wheel, shards, None);
-        assert_eq!(digest, seq, "shards={shards} diverged from sequential");
-        assert_eq!(stats, seq_stats);
-    }
-    let (heap_seq, heap_stats) = run_sharded(SpatialIndex::Grid, Scheduler::BinaryHeap, 1, None);
-    let (heap_4, heap_4_stats) = run_sharded(SpatialIndex::Grid, Scheduler::BinaryHeap, 4, None);
-    assert_eq!(
-        heap_4, heap_seq,
-        "shards=4 diverged under the heap scheduler"
-    );
-    assert_eq!(heap_4_stats, heap_stats);
-    let (brute_seq, brute_stats) = run_sharded(SpatialIndex::BruteForce, Scheduler::Wheel, 1, None);
-    let (brute_4, brute_4_stats) = run_sharded(SpatialIndex::BruteForce, Scheduler::Wheel, 4, None);
-    assert_eq!(brute_4, brute_seq, "shards=4 diverged in brute-force mode");
-    assert_eq!(brute_4_stats, brute_stats);
-}
-
-#[test]
-fn sharded_adversarial_digest_matches_sequential() {
-    // Fault schedules consume only the plan-owned rng on the sequential
-    // commit path, so an adversarial run must also be shard-invariant.
-    let (seq, seq_stats) = run_sharded(
-        SpatialIndex::Grid,
-        Scheduler::Wheel,
-        1,
-        Some(adversarial_plan(7)),
-    );
-    assert!(seq_stats.frames_fault_dropped > 0, "plan must bite");
-    for shards in [2u32, 4] {
-        let (digest, stats) = run_sharded(
-            SpatialIndex::Grid,
-            Scheduler::Wheel,
-            shards,
-            Some(adversarial_plan(7)),
-        );
-        assert_eq!(digest, seq, "faulted shards={shards} diverged");
-        assert_eq!(stats, seq_stats);
-    }
-}
-
-#[test]
-fn sharded_faultless_digest_matches_pin() {
-    // The zero-entropy-reorder bar for sharding: a shards=4 world must
-    // consume the kernel rng stream in exactly the same order as shards=1,
-    // reproducing the pre-fault-hook digest pin bit for bit.
-    let (digest, _) = run_sharded(SpatialIndex::Grid, Scheduler::Wheel, 4, None);
-    assert_eq!(
-        digest, PINNED_FAULTLESS_DIGEST,
-        "sharded stream drifted from the sequential pin"
-    );
-}
-
-#[test]
-fn isolated_shards_consume_rng_in_sequential_order() {
-    // Two clusters so far apart that no frame, carrier-sense probe or
-    // interference term ever crosses between them: zero cross-shard
-    // traffic. Even then the per-receiver loss rolls must interleave in
-    // global ascending order, not per-shard order — pinned by digest and
-    // stats equality against the sequential run.
-    fn run(shards: u32) -> (u64, Stats) {
-        let mut c = SimConfig::default();
-        c.radio.baseline_loss = 0.1;
-        c.shards = shards;
-        let mut w = World::new(c, 9);
-        for x in [0.0, 10_000.0] {
-            w.add_node(
-                Position::new(x, 0.0),
-                Box::new(Blaster {
-                    count: 30,
-                    size: 1000,
-                    intended: vec![],
-                }),
-            );
-            w.add_node(Position::new(x + 30.0, 0.0), Box::new(Sink { received: 0 }));
-        }
-        w.run_until(SimTime::from_secs_f64(4.0));
-        (w.replay_digest(), w.stats().clone())
-    }
-    let (seq, seq_stats) = run(1);
-    assert!(seq_stats.frames_delivered > 0);
-    for shards in [2u32, 4] {
-        assert_eq!(run(shards), (seq, seq_stats.clone()), "shards={shards}");
     }
 }
 
 #[test]
 fn fault_plans_with_different_seeds_diverge() {
-    let (a, _) = run_plan(
-        SpatialIndex::Grid,
-        Scheduler::Wheel,
-        0,
-        42,
-        false,
-        Some(adversarial_plan(7)),
-    );
-    let (b, _) = run_plan(
-        SpatialIndex::Grid,
-        Scheduler::Wheel,
-        0,
-        42,
-        false,
-        Some(adversarial_plan(8)),
-    );
+    let (a, _) = run_plan(SpatialIndex::Grid, 0, 42, false, Some(adversarial_plan(7)));
+    let (b, _) = run_plan(SpatialIndex::Grid, 0, 42, false, Some(adversarial_plan(8)));
     assert_ne!(a, b, "plan seed must feed the fault rolls");
 }

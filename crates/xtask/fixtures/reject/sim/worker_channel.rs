@@ -1,7 +1,7 @@
-//! Fixture: a shard-executor-shaped worker pool WITHOUT the audit pragma
-//! must still be rejected — the exemption is per-site, not a blanket
-//! license for threads in the kernel. Channels are caught too: mpsc
-//! receive order depends on host scheduling.
+//! Fixture: a scoped worker pool inside the simulation kernel must be
+//! rejected — `pds-sim` steps a world on one thread, with no audited
+//! exception. Channels are caught too: mpsc receive order depends on
+//! host scheduling.
 
 fn round(work: &[Vec<u64>]) -> Vec<u64> {
     let (tx, rx) = std::sync::mpsc::channel();

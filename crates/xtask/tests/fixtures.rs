@@ -211,21 +211,10 @@ fn audited_panic_pragma_becomes_a_ratcheted_exemption() {
 }
 
 #[test]
-fn audited_shard_executor_pragma_becomes_a_ratcheted_exemption() {
-    // The accept fixture mirrors crates/sim/src/shard.rs: scoped threads
-    // under a `thread-pool` pragma whose audit reason the ratchet pins.
-    let (findings, exemptions) = lint_fixture(Path::new("accept/sim/shard_scope.rs"));
-    assert!(errors(&findings).is_empty(), "{findings:#?}");
-    assert_eq!(exemptions.len(), 1, "{exemptions:#?}");
-    assert_eq!(exemptions[0].rule, "thread-pool");
-    assert!(
-        exemptions[0].reason.contains("frozen snapshot"),
-        "{}",
-        exemptions[0].reason
-    );
-    // The same executor shape without the pragma is still rejected — the
-    // exemption is per-site, not a blanket license for sim threads.
-    let (findings, _) = lint_fixture(Path::new("reject/sim/shard_channel.rs"));
+fn worker_pool_and_channels_in_the_kernel_are_rejected() {
+    // Threads and `mpsc` stay banned in `pds-sim`, with no audited
+    // exception: a world is stepped on one thread.
+    let (findings, _) = lint_fixture(Path::new("reject/sim/worker_channel.rs"));
     let errs = errors(&findings);
     assert!(errs.iter().any(|d| d.rule == "thread-pool"), "{errs:#?}");
     assert!(
