@@ -137,25 +137,18 @@ fn kernel_benches(c: &mut Criterion) {
             black_box(w.stats().frames_sent)
         });
     });
-    // The spatial index under load: the same dense chatter scenario at
-    // 200 nodes, grid vs brute-force query paths (identical results).
-    let chatter_200 = |index: pds_sim::SpatialIndex| {
-        let mut config = SimConfig::default();
-        config.spatial.index = index;
-        let mut w = World::new(config, 1);
-        for i in 0..200 {
-            let x = f64::from(i % 15) * 50.0;
-            let y = f64::from(i / 15) * 50.0;
-            w.add_node(Position::new(x, y), Box::new(Chatter));
-        }
-        w.run_until(SimTime::from_secs_f64(0.5));
-        w.stats().frames_sent
-    };
+    // The spatial grid under load: the same dense chatter at 200 nodes.
     c.bench_function("kernel/200_nodes_grid", |b| {
-        b.iter(|| black_box(chatter_200(pds_sim::SpatialIndex::Grid)));
-    });
-    c.bench_function("kernel/200_nodes_brute_force", |b| {
-        b.iter(|| black_box(chatter_200(pds_sim::SpatialIndex::BruteForce)));
+        b.iter(|| {
+            let mut w = World::new(SimConfig::default(), 1);
+            for i in 0..200 {
+                let x = f64::from(i % 15) * 50.0;
+                let y = f64::from(i / 15) * 50.0;
+                w.add_node(Position::new(x, y), Box::new(Chatter));
+            }
+            w.run_until(SimTime::from_secs_f64(0.5));
+            black_box(w.stats().frames_sent)
+        });
     });
 }
 

@@ -1,55 +1,32 @@
 //! Perf-baseline regression checking for the `sim_scale` record.
 //!
 //! `sim_scale --check-baseline [path]` re-runs the benchmark and compares
-//! the fresh record against the committed `BENCH_sim_scale.json`. The
-//! comparison is deliberately asymmetric about what it trusts:
+//! the fresh record against the committed `BENCH_sim_scale.json`. Only
+//! quantities that do not depend on how fast the host ran are read:
 //!
 //! - **deterministic counters** (`frames_sent`, `frames_delivered`,
 //!   `events`) must match *exactly* — they are functions of the seed and
 //!   the horizon, so any drift is a silent behavior change, not noise;
 //! - **equality flags** (`stats_equal`, `results_equal`) must be `true`
 //!   in the fresh record;
-//! - **speedups** tolerate 25% degradation — they divide two wall times,
-//!   so runner noise partially cancels but does not vanish;
-//! - **event throughput** (`events_per_sec`, in the `resources` and
-//!   `city` blocks) tolerates 50% degradation and is compared only when
-//!   both records ran on hosts of the same core count — an absolute rate
-//!   on different hardware is a different experiment;
 //! - **peak heap per node** (`bytes_per_node`) may grow at most 25%, and
 //!   only counts when both records measured a nonzero peak (both built
 //!   with `count-alloc`) — the memory diet must not quietly un-diet;
-//! - **absolute wall times** are never compared — CI runners differ too
-//!   much for an absolute gate to stay honest.
+//! - **wall times and everything derived from them** (`*_wall_s`,
+//!   `speedup`, `events_per_sec`) are never read: a gate whose tolerance
+//!   sits inside runner noise is not a measurement. They stay in the
+//!   record as trend lines; the measured costs live in the protocol
+//!   benchmark (`BENCHMARK.json`).
 //!
 //! The `city` block is additionally gated on both records having run the
 //! same city node count and horizon (nightly runs 50k against a committed
 //! 10k record: `stats_equal` is still enforced, counters are not).
-//!
-//! The sweep speedup is additionally skipped when either record ran with
-//! more jobs than the host had cores (`sweep.cores < sweep.jobs`): an
-//! oversubscribed "parallel" run measures scheduling pressure, not the
-//! executor. It is skipped outright when either record ran on a single
-//! core — parallel wall time on one core measures context-switch
-//! overhead, not the executor — while `results_equal` is enforced
-//! unconditionally (determinism does not need parallel hardware to be
-//! checkable).
 //!
 //! The JSON reader below is a minimal recursive-descent parser for the
 //! subset `sim_scale` emits (objects, arrays, strings, numbers, bools) —
 //! the workspace is offline and vendors no serde.
 
 use std::fmt;
-
-/// Fraction of the baseline speedup the fresh run may lose before the
-/// check fails (one-sided: running faster is never a regression).
-pub const SPEEDUP_TOLERANCE: f64 = 0.25;
-
-/// Fraction of the baseline event throughput (`events_per_sec`) the fresh
-/// run may lose before the check fails. Wider than the speedup tolerance
-/// because throughput is an absolute host-dependent rate, not a ratio of
-/// two same-host wall times — it is only compared at all when both
-/// records ran on hosts of the same width.
-pub const THROUGHPUT_TOLERANCE: f64 = 0.5;
 
 /// Fractional growth in per-node peak heap (`bytes_per_node`) the fresh
 /// run may show before the check fails (one-sided: using less memory is
@@ -275,7 +252,7 @@ pub enum Verdict {
 /// One baseline regression: which metric moved and how.
 #[derive(Debug)]
 pub struct Regression {
-    /// Dotted path of the regressed metric, e.g. `results[n=500].speedup`.
+    /// Dotted path of the regressed metric, e.g. `resources[n=500].events`.
     pub what: String,
     /// The committed value.
     pub baseline: f64,
@@ -290,6 +267,52 @@ impl fmt::Display for Regression {
             "{}: baseline {} vs current {}",
             self.what, self.baseline, self.current
         )
+    }
+}
+
+fn num(v: &Value, key: &str) -> Option<f64> {
+    v.get(key).and_then(Value::as_f64)
+}
+
+fn rows<'a>(block: Option<&'a Value>, key: &str) -> &'a [Value] {
+    block
+        .and_then(|b| b.get(key))
+        .and_then(Value::as_arr)
+        .unwrap_or_default()
+}
+
+fn flag_false(out: &mut Vec<Regression>, row: Option<&Value>, flag: &str, what: &str) {
+    if row.and_then(|r| r.get(flag)).and_then(Value::as_bool) == Some(false) {
+        out.push(Regression {
+            what: format!("{what}.{flag} is false"),
+            baseline: 1.0,
+            current: 0.0,
+        });
+    }
+}
+
+/// One matched row pair: counters exactly, peak heap per node within
+/// [`BYTES_PER_NODE_TOLERANCE`] when both records measured one.
+fn compare_row(out: &mut Vec<Regression>, what: &str, brow: &Value, crow: &Value) {
+    for counter in ["frames_sent", "frames_delivered", "events"] {
+        if let (Some(b), Some(c)) = (num(brow, counter), num(crow, counter)) {
+            if b != c {
+                out.push(Regression {
+                    what: format!("{what}.{counter}"),
+                    baseline: b,
+                    current: c,
+                });
+            }
+        }
+    }
+    if let (Some(b), Some(c)) = (num(brow, "bytes_per_node"), num(crow, "bytes_per_node")) {
+        if b > 0.0 && c > b * (1.0 + BYTES_PER_NODE_TOLERANCE) {
+            out.push(Regression {
+                what: format!("{what}.bytes_per_node"),
+                baseline: b,
+                current: c,
+            });
+        }
     }
 }
 
@@ -312,241 +335,53 @@ pub fn check(baseline_json: &str, current_json: &str) -> Result<Verdict, String>
     }
 
     let mut regressions = Vec::new();
-    fn exact(out: &mut Vec<Regression>, what: String, b: Option<f64>, c: Option<f64>) {
-        if let (Some(b), Some(c)) = (b, c) {
-            if b != c {
-                out.push(Regression {
-                    what,
-                    baseline: b,
-                    current: c,
-                });
-            }
-        }
-    }
+    let missing = |what: String| Regression {
+        what: format!("{what} missing from current record"),
+        baseline: 1.0,
+        current: f64::NAN,
+    };
 
     // Per-n rows, matched by their "n" member so reordering or added node
     // counts never misalign the comparison.
-    let rows = |root: &Value, section: &str| -> Vec<Value> {
-        root.get(section)
-            .and_then(Value::as_arr)
-            .map(<[Value]>::to_vec)
-            .unwrap_or_default()
-    };
-    let find_n = |rows: &[Value], n: f64| -> Option<Value> {
-        rows.iter()
-            .find(|r| r.get("n").and_then(Value::as_f64) == Some(n))
-            .cloned()
-    };
+    let cur_rows = rows(Some(&cur), "resources");
+    for brow in rows(Some(&base), "resources") {
+        let Some(n) = num(brow, "n") else {
+            continue;
+        };
+        let what = format!("resources[n={n}]");
+        match cur_rows.iter().find(|r| num(r, "n") == Some(n)) {
+            Some(crow) => compare_row(&mut regressions, &what, brow, crow),
+            None => regressions.push(missing(what)),
+        }
+    }
 
-    let mut speedups: Vec<(String, f64, f64)> = Vec::new();
-    for section in ["results", "resources"] {
-        let base_rows = rows(&base, section);
-        let cur_rows = rows(&cur, section);
-        for brow in &base_rows {
-            let Some(n) = brow.get("n").and_then(Value::as_f64) else {
-                continue;
-            };
-            let Some(crow) = find_n(&cur_rows, n) else {
-                regressions.push(Regression {
-                    what: format!("{section}[n={n}] missing from current record"),
-                    baseline: n,
-                    current: f64::NAN,
-                });
-                continue;
-            };
-            for counter in ["frames_sent", "frames_delivered", "events"] {
-                exact(
-                    &mut regressions,
-                    format!("{section}[n={n}].{counter}"),
-                    brow.get(counter).and_then(Value::as_f64),
-                    crow.get(counter).and_then(Value::as_f64),
-                );
+    flag_false(&mut regressions, cur.get("sweep"), "results_equal", "sweep");
+
+    // City block: rows are matched by scenario key. Counters and heap are
+    // comparable only when both records ran the same node count on the
+    // same horizon — nightly 50k vs committed 10k is a different
+    // experiment — but a false `stats_equal` in the fresh record is a
+    // determinism break at any n.
+    fn scenario(row: &Value) -> &str {
+        row.get("scenario").and_then(Value::as_str).unwrap_or("?")
+    }
+    let (base_city, cur_city) = (base.get("city"), cur.get("city"));
+    let cur_rows = rows(cur_city, "rows");
+    for crow in cur_rows {
+        let what = format!("city.rows[{}]", scenario(crow));
+        flag_false(&mut regressions, Some(crow), "stats_equal", &what);
+    }
+    let setting = |city: Option<&Value>, key: &str| city.and_then(|c| num(c, key));
+    let comparable = setting(base_city, "n").is_some()
+        && setting(base_city, "n") == setting(cur_city, "n")
+        && setting(base_city, "sim_seconds") == setting(cur_city, "sim_seconds");
+    if comparable {
+        for brow in rows(base_city, "rows") {
+            let what = format!("city.rows[{}]", scenario(brow));
+            match cur_rows.iter().find(|r| scenario(r) == scenario(brow)) {
+                Some(crow) => compare_row(&mut regressions, &what, brow, crow),
+                None => regressions.push(missing(what)),
             }
-            if crow.get("stats_equal").and_then(Value::as_bool) == Some(false) {
-                regressions.push(Regression {
-                    what: format!("{section}[n={n}].stats_equal is false"),
-                    baseline: 1.0,
-                    current: 0.0,
-                });
-            }
-            if let (Some(b), Some(c)) = (
-                brow.get("speedup").and_then(Value::as_f64),
-                crow.get("speedup").and_then(Value::as_f64),
-            ) {
-                speedups.push((format!("{section}[n={n}].speedup"), b, c));
-            }
-        }
-    }
-
-    // Host width of a record: the top-level "cores" (new records) with the
-    // sweep block's copy as fallback (older records).
-    let host_cores = |root: &Value| -> Option<f64> {
-        root.get("cores").and_then(Value::as_f64).or_else(|| {
-            root.get("sweep")
-                .and_then(|s| s.get("cores"))
-                .and_then(Value::as_f64)
-        })
-    };
-
-    // Sweep block: the flag is exact; the speedup joins the tolerance pool
-    // only when neither record oversubscribed the host and both hosts had
-    // real parallelism available.
-    let sweep_ok = |root: &Value| -> bool {
-        let sweep = root.get("sweep");
-        let jobs = sweep.and_then(|s| s.get("jobs")).and_then(Value::as_f64);
-        let cores = sweep.and_then(|s| s.get("cores")).and_then(Value::as_f64);
-        matches!((jobs, cores), (Some(j), Some(c)) if j <= c && c > 1.0)
-    };
-    if cur
-        .get("sweep")
-        .and_then(|s| s.get("results_equal"))
-        .and_then(Value::as_bool)
-        == Some(false)
-    {
-        regressions.push(Regression {
-            what: "sweep.results_equal is false".to_owned(),
-            baseline: 1.0,
-            current: 0.0,
-        });
-    }
-    if sweep_ok(&base) && sweep_ok(&cur) {
-        if let (Some(b), Some(c)) = (
-            base.get("sweep")
-                .and_then(|s| s.get("speedup"))
-                .and_then(Value::as_f64),
-            cur.get("sweep")
-                .and_then(|s| s.get("speedup"))
-                .and_then(Value::as_f64),
-        ) {
-            speedups.push(("sweep.speedup".to_owned(), b, c));
-        }
-    }
-
-    // Resource metrics are compared under their own gates: event
-    // throughput only across hosts of the same width (an absolute rate on
-    // a narrower host is a different experiment, not a regression), peak
-    // heap per node only when both records measured one (`count-alloc`).
-    let cores_match = host_cores(&base).is_some() && host_cores(&base) == host_cores(&cur);
-    let mut throughputs: Vec<(String, f64, f64)> = Vec::new();
-    let mut byte_loads: Vec<(String, f64, f64)> = Vec::new();
-    let mut resource_pair = |what: &str, brow: &Value, crow: &Value| {
-        if cores_match {
-            if let (Some(b), Some(c)) = (
-                brow.get("events_per_sec").and_then(Value::as_f64),
-                crow.get("events_per_sec").and_then(Value::as_f64),
-            ) {
-                throughputs.push((format!("{what}.events_per_sec"), b, c));
-            }
-        }
-        if let (Some(b), Some(c)) = (
-            brow.get("bytes_per_node").and_then(Value::as_f64),
-            crow.get("bytes_per_node").and_then(Value::as_f64),
-        ) {
-            if b > 0.0 && c > 0.0 {
-                byte_loads.push((format!("{what}.bytes_per_node"), b, c));
-            }
-        }
-    };
-    {
-        let base_rows = rows(&base, "resources");
-        let cur_rows = rows(&cur, "resources");
-        for brow in &base_rows {
-            let Some(n) = brow.get("n").and_then(Value::as_f64) else {
-                continue;
-            };
-            if let Some(crow) = find_n(&cur_rows, n) {
-                resource_pair(&format!("resources[n={n}]"), brow, &crow);
-            }
-        }
-    }
-
-    // City block: rows are matched by scenario key. Deterministic event
-    // counts (and the resource metrics above) are comparable only when
-    // both records ran the same node count on the same horizon — nightly
-    // 50k vs committed 10k is a different experiment — but a false
-    // `stats_equal` in the fresh record is a determinism break at any n.
-    let city_rows = |root: &Value| -> Vec<Value> {
-        root.get("city")
-            .and_then(|c| c.get("rows"))
-            .and_then(Value::as_arr)
-            .map(<[Value]>::to_vec)
-            .unwrap_or_default()
-    };
-    let cur_city_rows = city_rows(&cur);
-    for crow in &cur_city_rows {
-        let scenario = crow
-            .get("scenario")
-            .and_then(Value::as_str)
-            .unwrap_or("?")
-            .to_owned();
-        if crow.get("stats_equal").and_then(Value::as_bool) == Some(false) {
-            regressions.push(Regression {
-                what: format!("city.rows[{scenario}].stats_equal is false"),
-                baseline: 1.0,
-                current: 0.0,
-            });
-        }
-    }
-    let city_setting = |root: &Value, key: &str| -> Option<f64> {
-        root.get("city").and_then(|c| c.get(key)).and_then(Value::as_f64)
-    };
-    let city_comparable = city_setting(&base, "n").is_some()
-        && city_setting(&base, "n") == city_setting(&cur, "n")
-        && city_setting(&base, "sim_seconds") == city_setting(&cur, "sim_seconds");
-    if city_comparable {
-        for brow in city_rows(&base) {
-            let Some(scenario) = brow.get("scenario").and_then(Value::as_str) else {
-                continue;
-            };
-            let Some(crow) = cur_city_rows
-                .iter()
-                .find(|r| r.get("scenario").and_then(Value::as_str) == Some(scenario))
-            else {
-                regressions.push(Regression {
-                    what: format!("city.rows[{scenario}] missing from current record"),
-                    baseline: 1.0,
-                    current: f64::NAN,
-                });
-                continue;
-            };
-            exact(
-                &mut regressions,
-                format!("city.rows[{scenario}].events"),
-                brow.get("events").and_then(Value::as_f64),
-                crow.get("events").and_then(Value::as_f64),
-            );
-            resource_pair(&format!("city.rows[{scenario}]"), &brow, crow);
-        }
-    }
-
-    for (what, b, c) in throughputs {
-        if b > 0.0 && c < b * (1.0 - THROUGHPUT_TOLERANCE) {
-            regressions.push(Regression {
-                what,
-                baseline: b,
-                current: c,
-            });
-        }
-    }
-    for (what, b, c) in byte_loads {
-        if c > b * (1.0 + BYTES_PER_NODE_TOLERANCE) {
-            regressions.push(Regression {
-                what,
-                baseline: b,
-                current: c,
-            });
-        }
-    }
-
-    for (what, b, c) in speedups {
-        // Skip degenerate baselines — a ≤0 speedup means the baseline run
-        // itself was broken, which is not this run's regression.
-        if b > 0.0 && c < b * (1.0 - SPEEDUP_TOLERANCE) {
-            regressions.push(Regression {
-                what,
-                baseline: b,
-                current: c,
-            });
         }
     }
 
@@ -557,123 +392,104 @@ pub fn check(baseline_json: &str, current_json: &str) -> Result<Verdict, String>
 mod tests {
     use super::*;
 
-    fn record(frames: u64, events: u64, speedup: f64, jobs: u64, cores: u64) -> String {
-        format!(
-            "{{\"bench\": \"sim_scale\", \"quick\": true, \"sim_seconds\": 2, \
-             \"cores\": {cores},\n\
-             \"sweep\": {{\"jobs\": {jobs}, \"cores\": {cores}, \"speedup\": {speedup}, \
-             \"results_equal\": true}},\n\
-             \"results\": [{{\"n\": 100, \"frames_sent\": {frames}, \"speedup\": 5.0, \
-             \"stats_equal\": true}}],\n\
-             \"resources\": [{{\"n\": 100, \"events\": {events}}}]}}"
-        )
+    /// A record in the shape `sim_scale` writes, with every wall-derived
+    /// member scaled by `wall`.
+    #[derive(Clone, Copy)]
+    struct Rec {
+        frames: u64,
+        events: u64,
+        city_n: u64,
+        city_events: u64,
+        bytes_per_node: u64,
+        city_equal: bool,
+        wall: f64,
     }
 
-    fn regressions(verdict: Verdict) -> Vec<Regression> {
-        match verdict {
+    const BASE: Rec = Rec {
+        frames: 1000,
+        events: 5000,
+        city_n: 10_000,
+        city_events: 350_000,
+        bytes_per_node: 10_000,
+        city_equal: true,
+        wall: 1.0,
+    };
+
+    impl Rec {
+        fn json(self) -> String {
+            let Rec {
+                frames,
+                events,
+                city_n,
+                city_events,
+                bytes_per_node,
+                city_equal,
+                wall,
+            } = self;
+            format!(
+                "{{\"bench\": \"sim_scale\", \"quick\": true, \"sim_seconds\": 2, \"cores\": 2,\n\
+                 \"sweep\": {{\"jobs\": 2, \"cores\": 2, \"sequential_wall_s\": {}, \
+                 \"parallel_wall_s\": {}, \"speedup\": {}, \"results_equal\": true}},\n\
+                 \"resources\": [{{\"n\": 100, \"events\": {events}, \"frames_sent\": {frames}, \
+                 \"frames_delivered\": 900, \"wall_s\": {}, \"events_per_sec\": {}, \
+                 \"peak_alloc_bytes\": 1, \"bytes_per_node\": {bytes_per_node}}}],\n\
+                 \"city\": {{\"n\": {city_n}, \"sim_seconds\": 2, \"budget_bytes_per_node\": 32768, \
+                 \"rows\": [{{\"scenario\": \"stadium_exit\", \"n\": {city_n}, \
+                 \"events\": {city_events}, \"wall_s\": {}, \"events_per_sec\": {}, \
+                 \"peak_alloc_bytes\": 1, \"bytes_per_node\": {bytes_per_node}, \
+                 \"stats_equal\": {city_equal}}}]}}}}",
+                2.8 * wall,
+                2.1 * wall,
+                1.3 * wall,
+                0.03 * wall,
+                2.6e6 * wall,
+                1.1 * wall,
+                3.3e5 * wall,
+            )
+        }
+    }
+
+    fn found(base: Rec, cur: Rec) -> Vec<Regression> {
+        match check(&base.json(), &cur.json()).unwrap() {
             Verdict::Compared(r) => r,
             Verdict::Incomparable(why) => panic!("unexpectedly incomparable: {why}"),
         }
     }
 
+    /// Regressions of `BASE` after `edit`, against `BASE`.
+    fn drift(edit: impl FnOnce(&mut Rec)) -> Vec<Regression> {
+        let mut cur = BASE;
+        edit(&mut cur);
+        found(BASE, cur)
+    }
+
     #[test]
     fn identical_records_pass() {
-        let r = record(1000, 5000, 2.0, 4, 8);
-        assert!(regressions(check(&r, &r).unwrap()).is_empty());
+        assert!(found(BASE, BASE).is_empty());
     }
 
     #[test]
     fn counter_drift_is_exact_regression() {
-        let found = regressions(
-            check(
-                &record(1000, 5000, 2.0, 4, 8),
-                &record(1001, 5000, 2.0, 4, 8),
-            )
-            .unwrap(),
-        );
+        let found = drift(|r| r.frames = 1001);
         assert_eq!(found.len(), 1);
         assert!(found[0].what.contains("frames_sent"), "{}", found[0]);
     }
 
     #[test]
     fn event_count_drift_is_exact_regression() {
-        let found = regressions(
-            check(
-                &record(1000, 5000, 2.0, 4, 8),
-                &record(1000, 5001, 2.0, 4, 8),
-            )
-            .unwrap(),
-        );
+        let found = drift(|r| r.events = 5001);
         assert_eq!(found.len(), 1);
-        assert!(found[0].what.contains("events"), "{}", found[0]);
-    }
-
-    #[test]
-    fn speedup_within_tolerance_passes() {
-        let found = regressions(
-            check(
-                &record(1000, 5000, 2.0, 4, 8),
-                &record(1000, 5000, 1.6, 4, 8),
-            )
-            .unwrap(),
+        assert!(
+            found[0].what.contains("resources[n=100].events"),
+            "{}",
+            found[0]
         );
-        assert!(found.is_empty(), "{found:?}");
-    }
-
-    #[test]
-    fn speedup_collapse_is_a_regression() {
-        let found = regressions(
-            check(
-                &record(1000, 5000, 2.0, 4, 8),
-                &record(1000, 5000, 1.2, 4, 8),
-            )
-            .unwrap(),
-        );
-        assert_eq!(found.len(), 1);
-        assert!(found[0].what.contains("sweep.speedup"), "{}", found[0]);
-    }
-
-    #[test]
-    fn oversubscribed_sweep_speedup_is_skipped() {
-        // 4 jobs on a 2-core host: the parallel run cannot win, so the
-        // collapsed speedup must not fail the check.
-        let found = regressions(
-            check(
-                &record(1000, 5000, 2.0, 4, 2),
-                &record(1000, 5000, 0.6, 4, 2),
-            )
-            .unwrap(),
-        );
-        assert!(found.is_empty(), "{found:?}");
-    }
-
-    #[test]
-    fn single_core_skips_sweep_speedup_only() {
-        // cores == 1 in the fresh record: the collapsed sweep speedup is
-        // skipped; the exact counters are still enforced.
-        let found = regressions(
-            check(
-                &record(1000, 5000, 2.0, 1, 8),
-                &record(1000, 5000, 0.4, 1, 1),
-            )
-            .unwrap(),
-        );
-        assert!(found.is_empty(), "{found:?}");
-        let found = regressions(
-            check(
-                &record(1000, 5000, 2.0, 1, 8),
-                &record(1001, 5000, 0.4, 1, 1),
-            )
-            .unwrap(),
-        );
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert!(found[0].what.contains("frames_sent"), "{}", found[0]);
     }
 
     #[test]
     fn quick_mismatch_is_incomparable_not_failing() {
-        let full = record(1000, 5000, 2.0, 4, 8).replace("\"quick\": true", "\"quick\": false");
-        match check(&record(1000, 5000, 2.0, 4, 8), &full).unwrap() {
+        let full = BASE.json().replace("\"quick\": true", "\"quick\": false");
+        match check(&BASE.json(), &full).unwrap() {
             Verdict::Incomparable(why) => assert!(why.contains("quick")),
             Verdict::Compared(r) => panic!("expected incomparable, got {r:?}"),
         }
@@ -681,149 +497,89 @@ mod tests {
 
     #[test]
     fn wall_times_are_ignored() {
-        let a = record(1000, 5000, 2.0, 4, 8)
-            .replace("\"speedup\": 5.0", "\"grid_wall_s\": 1.0, \"speedup\": 5.0");
-        let b = record(1000, 5000, 2.0, 4, 8)
-            .replace("\"speedup\": 5.0", "\"grid_wall_s\": 9.0, \"speedup\": 5.0");
-        assert!(regressions(check(&a, &b).unwrap()).is_empty());
-    }
-
-    fn city_record(n: u64, events: u64, eps: u64, bpn: u64, cores: u64, equal: bool) -> String {
-        format!(
-            "{{\"bench\": \"sim_scale\", \"quick\": true, \"sim_seconds\": 2, \
-             \"cores\": {cores},\n\
-             \"sweep\": {{\"jobs\": 1, \"cores\": {cores}, \"speedup\": 1.0, \
-             \"results_equal\": true}},\n\
-             \"city\": {{\"n\": {n}, \"sim_seconds\": 2, \"budget_bytes_per_node\": 32768, \
-             \"rows\": [{{\"scenario\": \"stadium_exit\", \"n\": {n}, \"events\": {events}, \
-             \"events_per_sec\": {eps}, \"peak_alloc_bytes\": 1, \"bytes_per_node\": {bpn}, \
-             \"stats_equal\": {equal}}}]}},\n\
-             \"results\": []}}"
-        )
+        // No wall-derived member is read: every `*wall_s`, `speedup` and
+        // `events_per_sec` ten times worse (and ten times better) passes.
+        for wall in [10.0, 0.1] {
+            assert!(drift(|r| r.wall = wall).is_empty());
+        }
+        let slow = Rec { wall: 10.0, ..BASE };
+        assert_ne!(slow.json(), BASE.json());
     }
 
     #[test]
     fn city_event_drift_is_exact_regression() {
-        let found = regressions(
-            check(
-                &city_record(10_000, 350_000, 300_000, 10_000, 4, true),
-                &city_record(10_000, 350_001, 300_000, 10_000, 4, true),
-            )
-            .unwrap(),
-        );
+        let found = drift(|r| r.city_events = 350_001);
         assert_eq!(found.len(), 1, "{found:?}");
-        assert!(found[0].what.contains("city.rows[stadium_exit].events"), "{}", found[0]);
+        assert!(
+            found[0].what.contains("city.rows[stadium_exit].events"),
+            "{}",
+            found[0]
+        );
     }
 
     #[test]
     fn city_blocks_at_different_n_compare_nothing_but_stats_equal() {
         // Nightly (50k) against the committed 10k record: counters and
-        // rates are different experiments, but a determinism break in the
+        // heap are different experiments, but a determinism break in the
         // fresh record still fails.
-        let found = regressions(
-            check(
-                &city_record(10_000, 350_000, 300_000, 10_000, 4, true),
-                &city_record(50_000, 999_999, 50_000, 30_000, 4, true),
-            )
-            .unwrap(),
-        );
-        assert!(found.is_empty(), "{found:?}");
-        let found = regressions(
-            check(
-                &city_record(10_000, 350_000, 300_000, 10_000, 4, true),
-                &city_record(50_000, 999_999, 50_000, 30_000, 4, false),
-            )
-            .unwrap(),
-        );
+        let nightly = |r: &mut Rec| (r.city_n, r.city_events) = (50_000, 999_999);
+        assert!(drift(nightly).is_empty());
+        let found = drift(|r| {
+            nightly(r);
+            r.city_equal = false;
+        });
         assert_eq!(found.len(), 1, "{found:?}");
         assert!(found[0].what.contains("stats_equal"), "{}", found[0]);
     }
 
     #[test]
-    fn throughput_collapse_is_a_regression_on_matching_hosts() {
-        let found = regressions(
-            check(
-                &city_record(10_000, 350_000, 300_000, 10_000, 4, true),
-                &city_record(10_000, 350_000, 100_000, 10_000, 4, true),
-            )
-            .unwrap(),
-        );
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert!(found[0].what.contains("events_per_sec"), "{}", found[0]);
-        // Same collapse across hosts of different widths: skipped.
-        let found = regressions(
-            check(
-                &city_record(10_000, 350_000, 300_000, 10_000, 8, true),
-                &city_record(10_000, 350_000, 100_000, 10_000, 4, true),
-            )
-            .unwrap(),
-        );
-        assert!(found.is_empty(), "{found:?}");
-    }
-
-    #[test]
     fn per_node_heap_growth_is_a_regression() {
-        let found = regressions(
-            check(
-                &city_record(10_000, 350_000, 300_000, 10_000, 4, true),
-                &city_record(10_000, 350_000, 300_000, 20_000, 4, true),
-            )
-            .unwrap(),
-        );
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert!(found[0].what.contains("bytes_per_node"), "{}", found[0]);
+        // Both the resources row and the city row carry the doubled load.
+        let grown = drift(|r| r.bytes_per_node = 20_000);
+        assert_eq!(grown.len(), 2, "{grown:?}");
+        assert!(grown.iter().all(|r| r.what.contains("bytes_per_node")));
         // Within tolerance: 10000 → 12000 is +20% < 25%.
-        let found = regressions(
-            check(
-                &city_record(10_000, 350_000, 300_000, 10_000, 4, true),
-                &city_record(10_000, 350_000, 300_000, 12_000, 4, true),
-            )
-            .unwrap(),
-        );
-        assert!(found.is_empty(), "{found:?}");
+        let within = drift(|r| r.bytes_per_node = 12_000);
+        assert!(within.is_empty(), "{within:?}");
     }
 
     #[test]
     fn unmeasured_heap_is_skipped_not_failed() {
         // bytes_per_node == 0 means the record was built without
         // `count-alloc`; comparing against it would punish measuring.
-        let found = regressions(
-            check(
-                &city_record(10_000, 350_000, 300_000, 0, 4, true),
-                &city_record(10_000, 350_000, 300_000, 20_000, 4, true),
-            )
-            .unwrap(),
-        );
-        assert!(found.is_empty(), "{found:?}");
+        let mut unmeasured = BASE;
+        unmeasured.bytes_per_node = 0;
+        assert!(found(unmeasured, BASE).is_empty());
+        assert!(found(BASE, unmeasured).is_empty());
     }
 
     #[test]
     fn baseline_without_city_block_still_compares() {
-        let old = format!(
-            "{{\"bench\": \"sim_scale\", \"quick\": true, \"sim_seconds\": 2, \
-             \"cores\": 8,\n\
-             \"sweep\": {{\"jobs\": 1, \"cores\": 8, \"speedup\": 1.0, \
-             \"results_equal\": true}},\n\
-             \"results\": []}}"
-        );
-        let new = city_record(10_000, 350_000, 300_000, 10_000, 8, true);
+        let new = BASE.json();
+        let (head, _) = new.split_once(",\n\"city\"").expect("city block");
+        let old = format!("{head}}}");
         // Neither direction may error or regress on the missing block.
-        assert!(regressions(check(&old, &new).unwrap()).is_empty());
-        assert!(regressions(check(&new, &old).unwrap()).is_empty());
+        for (a, b) in [(&old, &new), (&new, &old)] {
+            match check(a, b).unwrap() {
+                Verdict::Compared(r) => assert!(r.is_empty(), "{r:?}"),
+                Verdict::Incomparable(why) => panic!("{why}"),
+            }
+        }
     }
 
     #[test]
     fn parser_round_trips_the_committed_shape() {
-        let doc = record(1000, 5000, 0.67, 4, 4);
-        let v = parse(&doc).unwrap();
+        let v = parse(&BASE.json()).unwrap();
         assert_eq!(
             v.get("sweep")
                 .and_then(|s| s.get("speedup"))
                 .and_then(Value::as_f64),
-            Some(0.67)
+            Some(1.3)
         );
         assert_eq!(
-            v.get("results").and_then(Value::as_arr).map(<[Value]>::len),
+            v.get("resources")
+                .and_then(Value::as_arr)
+                .map(<[Value]>::len),
             Some(1)
         );
     }

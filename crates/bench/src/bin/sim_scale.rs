@@ -1,10 +1,10 @@
-//! Scenario-scale benchmark of the simulator's spatial hot paths.
+//! Scenario-scale record of the simulator kernel.
 //!
-//! Runs the same dense-chatter scenario at several node counts, once with
-//! the spatial grid index and once with the brute-force scans, checks the
-//! two runs produced *identical* statistics (the grid is an index, not an
-//! approximation), and records wall-clock times plus the grid/brute
-//! speedup as a machine-readable perf record.
+//! Runs a dense-chatter scenario at several node counts and the city-scale
+//! scenario family, and writes one machine-readable record: exact counters
+//! (events, frames sent and delivered), peak heap per node, equality
+//! flags, and — for trend reading only, never gated — wall times and event
+//! throughput.
 //!
 //! ```text
 //! cargo run --release -p pds-bench --bin sim_scale -- --quick --out BENCH_sim_scale.json
@@ -12,34 +12,18 @@
 //!
 //! `--quick` shortens the simulated horizon for CI smoke runs; the node
 //! counts (100 / 500 / 1000) stay the same so the scaling trend is always
-//! visible. Without `--quick` the horizon is 4× longer. `--trace-check`
-//! additionally re-runs the largest scenario with a null trace sink
-//! installed and asserts the instrumented hot path stays within 10% of the
-//! uninstrumented wall time (DESIGN.md §9). `--fault-check` does the same
-//! for the fault-injection seam: a no-op [`FaultPlan`] installed must not
-//! change statistics and must stay within the same overhead budget
-//! (DESIGN.md §12).
+//! visible. Without `--quick` the horizon is 4× longer.
+//!
+//! The `"resources"` block records, per node count, kernel events
+//! dispatched, frames sent and delivered, event throughput, and (under the
+//! `count-alloc` feature) peak heap bytes.
 //!
 //! `--jobs N` (default: available cores) sets the worker count for the
-//! sweep-executor benchmark: the node-count × seed grid is run once
-//! sequentially and once through the parallel [`SweepRunner`], the two
-//! result vectors are asserted identical, and both wall times land in the
-//! JSON record (`"sweep"`, including the host's core count so readers can
-//! tell an honest speedup from an oversubscribed one). All other sections
-//! — the grid/brute comparison and `--trace-check` — are single runs on
-//! the main thread, i.e. always `--jobs 1` semantics, so their wall-time
-//! gates compare like-for-like regardless of the flag.
-//!
-//! `--flight-check` applies the `--trace-check` methodology to the
-//! always-on flight recorder: the largest scenario bare vs with a bounded
-//! [`pds_sim::obs::FlightRecorder`] installed, identical stats asserted,
-//! wall overhead within the same 110% budget (DESIGN.md §14). A
-//! `"resources"` block always records kernel events dispatched, event
-//! throughput, and (under the `count-alloc` feature) peak heap bytes per
-//! node count.
-//!
-//! Every check block carries the host `cores` so readers and the baseline
-//! check can tell a real speedup from a single-core run.
+//! `"sweep"` block: the node-count × seed grid is run once sequentially
+//! and once through the parallel [`SweepRunner`], the two result vectors
+//! are asserted identical, and both wall times land in the record beside
+//! the host's core count, so readers can tell an honest speedup from an
+//! oversubscribed one.
 //!
 //! `--city-n N` (env fallback `PDS_CITY_N`, default 10000) sets the node
 //! count for the `"city"` block: the city-scale scenario family
@@ -48,22 +32,18 @@
 //! same seed (identical statistics asserted), recording events/sec and
 //! peak heap bytes per node. Under `count-alloc` at n ≥ 10000 the
 //! ≤ 32 KB/node budget of the slab/SoA memory diet is asserted outright.
-//! Blocks whose baseline assertions are gated on host parallelism or
-//! measurement features carry a `skipped_reason` member saying why the
-//! recorded numbers were not asserted.
 //!
-//! `--check-baseline [path]` finally compares the fresh
-//! record against the committed one — deterministic counters exactly,
-//! speedups with 25% tolerance (the sweep speedup skipped entirely when
-//! either record ran on one core), event throughput and per-node
-//! heap with their own tolerances when the hosts are comparable, wall
-//! times never — and exits nonzero on regression (see
-//! `pds_bench::baseline`).
+//! `--check-baseline [path]` finally compares the fresh record against
+//! the committed one — deterministic counters exactly, equality flags,
+//! per-node heap within its bound, and no wall-derived value at all — and
+//! exits nonzero on regression (see `pds_bench::baseline`). The costs of
+//! tracing, the flight recorder and the fault seam are measured on real
+//! workloads by the protocol benchmark (`trace.overhead_ratio`,
+//! `obs.flight_record_ns`, `sim.bare_*_ns_per_event` in `BENCHMARK.json`).
 
 use pds_bench::{CityScenario, SweepRunner, WallClock, CITY_BYTES_PER_NODE_BUDGET};
 use pds_sim::{
-    Application, Context, FaultPlan, MessageMeta, Position, SimConfig, SimDuration, SimTime,
-    SpatialIndex, World,
+    Application, Context, MessageMeta, Position, SimConfig, SimDuration, SimTime, World,
 };
 use std::fmt::Write as _;
 
@@ -130,7 +110,7 @@ mod heap_track {
     }
 }
 
-/// Node counts exercised in both modes.
+/// Node counts exercised.
 const NODE_COUNTS: [usize; 3] = [100, 500, 1000];
 /// Nodes per gathering spot. Peers inside a cluster are in radio range of
 /// each other; clusters are far outside each other's range.
@@ -169,14 +149,12 @@ impl Application for Chatter {
 /// Builds the scenario: `n` nodes in small gathering-spot clusters laid
 /// out on a square grid at constant cluster density (so area grows with
 /// `n`), with a fraction of the nodes walking.
-fn build_world(n: usize, index: SpatialIndex, seed: u64) -> World {
+fn build_world(n: usize, seed: u64) -> World {
     let mut config = SimConfig::default();
-    config.spatial.index = index;
-    // Large-area scenario knobs (identical in both modes, so the runs stay
-    // comparable): a 4-range interference horizon — at the default
-    // path-loss exponent a transmitter that far away contributes under 2%
-    // of the weakest decodable signal — and a coarse re-bucket cadence
-    // that bounds the walker drift pad to a fraction of a meter.
+    // Large-area scenario knobs: a 4-range interference horizon — at the
+    // default path-loss exponent a transmitter that far away contributes
+    // under 2% of the weakest decodable signal — and a coarse re-bucket
+    // cadence that bounds the walker drift pad to a fraction of a meter.
     config.radio.interference_range_factor = 4.0;
     config.spatial.rebucket_interval = SimDuration::from_millis(250);
     let mut world = World::new(config, seed);
@@ -203,213 +181,16 @@ fn build_world(n: usize, index: SpatialIndex, seed: u64) -> World {
     world
 }
 
-struct ModeRun {
-    wall_s: f64,
-    stats: pds_sim::Stats,
-}
-
-fn run_mode(n: usize, index: SpatialIndex, horizon: SimTime) -> ModeRun {
-    run_mode_traced(n, index, horizon, false)
-}
-
-fn run_mode_traced(n: usize, index: SpatialIndex, horizon: SimTime, traced: bool) -> ModeRun {
-    let mut world = build_world(n, index, 42);
-    if traced {
-        world.set_trace_sink(Box::new(pds_sim::obs::NullSink));
-    }
-    let start = WallClock::start();
-    world.run_until(horizon);
-    let wall_s = start.elapsed_s();
-    #[cfg(feature = "prof")]
-    {
-        println!("-- {index:?}");
-        pds_sim::prof::dump(horizon.as_micros());
-    }
-    ModeRun {
-        wall_s,
-        stats: world.stats().clone(),
-    }
-}
-
-/// `--trace-check`: runs the largest scenario untraced and with a
-/// [`pds_sim::obs::NullSink`] installed (every emission site live, events
-/// discarded), asserting identical stats and a wall-clock overhead within
-/// the ISSUE 3 budget. Returns (untraced_s, traced_s, ratio).
-fn trace_check(horizon: SimTime) -> (f64, f64, f64) {
-    let n = NODE_COUNTS[NODE_COUNTS.len() - 1];
-    // Best-of-2 per mode to damp scheduler noise on CI runners.
-    let best = |traced: bool| -> ModeRun {
-        let a = run_mode_traced(n, SpatialIndex::Grid, horizon, traced);
-        let b = run_mode_traced(n, SpatialIndex::Grid, horizon, traced);
-        assert_eq!(a.stats, b.stats, "same-seed runs must agree");
-        if a.wall_s <= b.wall_s {
-            a
-        } else {
-            b
-        }
-    };
-    let off = best(false);
-    let on = best(true);
-    assert_eq!(
-        on.stats, off.stats,
-        "trace sink must not perturb simulation results"
-    );
-    let ratio = on.wall_s / off.wall_s.max(1e-9);
-    println!(
-        "trace-check n={n}  untraced {:.3}s  traced {:.3}s  ratio {ratio:.3}",
-        off.wall_s, on.wall_s
-    );
-    // 10% relative budget plus a small absolute pad so sub-second quick
-    // runs don't fail on timer granularity.
-    assert!(
-        on.wall_s <= off.wall_s * 1.10 + 0.05,
-        "tracing overhead above budget: {:.3}s traced vs {:.3}s untraced",
-        on.wall_s,
-        off.wall_s
-    );
-    (off.wall_s, on.wall_s, ratio)
-}
-
-/// `--fault-check`: runs the largest scenario with no fault hook at all
-/// and with a no-op [`FaultPlan`] installed (the hook live on every
-/// transmission, every knob zero), asserting identical stats and
-/// wall-clock overhead within the same budget as `--trace-check`: the
-/// fault seam must be free when nobody uses it. Returns
-/// (unfaulted_s, faulted_s, ratio).
-fn fault_check(horizon: SimTime) -> (f64, f64, f64) {
-    let n = NODE_COUNTS[NODE_COUNTS.len() - 1];
-    // Best-of-2 per mode to damp scheduler noise on CI runners.
-    let best = |noop_plan: bool| -> ModeRun {
-        let run = || -> ModeRun {
-            let mut world = build_world(n, SpatialIndex::Grid, 42);
-            if noop_plan {
-                world.install_faults(FaultPlan::none(42));
-            }
-            let start = WallClock::start();
-            world.run_until(horizon);
-            ModeRun {
-                wall_s: start.elapsed_s(),
-                stats: world.stats().clone(),
-            }
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a.stats, b.stats, "same-seed runs must agree");
-        if a.wall_s <= b.wall_s {
-            a
-        } else {
-            b
-        }
-    };
-    let off = best(false);
-    let on = best(true);
-    assert_eq!(
-        on.stats, off.stats,
-        "a no-op fault plan must not perturb simulation results"
-    );
-    let ratio = on.wall_s / off.wall_s.max(1e-9);
-    println!(
-        "fault-check n={n}  no-hook {:.3}s  noop-plan {:.3}s  ratio {ratio:.3}",
-        off.wall_s, on.wall_s
-    );
-    // Same 10% relative + small absolute budget as trace-check.
-    assert!(
-        on.wall_s <= off.wall_s * 1.10 + 0.05,
-        "no-op fault plan overhead above budget: {:.3}s faulted vs {:.3}s plain",
-        on.wall_s,
-        off.wall_s
-    );
-    (off.wall_s, on.wall_s, ratio)
-}
-
-/// `--flight-check`: runs the largest scenario in three modes — bare (no
-/// sink), [`pds_sim::obs::NullSink`] (every emission site live, events
-/// discarded), and a bounded [`pds_sim::obs::FlightRecorder`] (events
-/// landing in fixed per-node rings) — asserting identical stats across
-/// all three. The gated budget is the recorder's *marginal* cost over the
-/// `NullSink` baseline: keeping the black box must cost no more than the
-/// same 110% + pad that `--trace-check` grants tracing itself, on top of
-/// the sites-live cost `--trace-check` already gates against bare. Modes
-/// are sampled interleaved, best-of-3 each, so a one-shot scheduler stall
-/// cannot land entirely on one side of the ratio.
-/// Returns (bare_s, traced_s, recorded_s, recorded/traced ratio).
-fn flight_check(horizon: SimTime) -> (f64, f64, f64, f64) {
-    use pds_sim::obs::FlightRecorder;
-    let n = NODE_COUNTS[NODE_COUNTS.len() - 1];
-    #[derive(Clone, Copy)]
-    enum Mode {
-        Bare,
-        Null,
-        Recorded,
-    }
-    let run = |mode: Mode| -> ModeRun {
-        let mut world = build_world(n, SpatialIndex::Grid, 42);
-        match mode {
-            Mode::Bare => {}
-            Mode::Null => world.set_trace_sink(Box::new(pds_sim::obs::NullSink)),
-            Mode::Recorded => world.set_trace_sink(Box::new(FlightRecorder::new(
-                pds_sim::obs::flight::DEFAULT_NODE_CAPACITY,
-            ))),
-        }
-        let start = WallClock::start();
-        world.run_until(horizon);
-        ModeRun {
-            wall_s: start.elapsed_s(),
-            stats: world.stats().clone(),
-        }
-    };
-    let mut best = [None::<ModeRun>, None, None];
-    for _ in 0..3 {
-        for (i, mode) in [Mode::Bare, Mode::Null, Mode::Recorded]
-            .into_iter()
-            .enumerate()
-        {
-            let sample = run(mode);
-            match &mut best[i] {
-                Some(prev) => {
-                    assert_eq!(prev.stats, sample.stats, "same-seed runs must agree");
-                    if sample.wall_s < prev.wall_s {
-                        best[i] = Some(sample);
-                    }
-                }
-                slot => *slot = Some(sample),
-            }
-        }
-    }
-    let [bare, traced, recorded] = best.map(|m| m.expect("sampled"));
-    assert_eq!(
-        recorded.stats, bare.stats,
-        "flight recorder must not perturb simulation results"
-    );
-    assert_eq!(
-        traced.stats, bare.stats,
-        "null sink must not perturb results"
-    );
-    let ratio = recorded.wall_s / traced.wall_s.max(1e-9);
-    println!(
-        "flight-check n={n}  bare {:.3}s  null-traced {:.3}s  recorded {:.3}s  \
-         recorded/traced {ratio:.3}",
-        bare.wall_s, traced.wall_s, recorded.wall_s
-    );
-    // Same 10% relative + small absolute budget as trace-check, applied to
-    // the recorder's marginal cost over discarding tracing.
-    assert!(
-        recorded.wall_s <= traced.wall_s * 1.10 + 0.05,
-        "flight recorder overhead above budget: {:.3}s recorded vs {:.3}s null-traced",
-        recorded.wall_s,
-        traced.wall_s
-    );
-    (bare.wall_s, traced.wall_s, recorded.wall_s, ratio)
-}
-
 /// One row of the resource-accounting report: kernel events dispatched,
-/// event throughput, and peak heap for the grid scenario at one node
-/// count. The event count is a pure function of (n, seed, horizon) — the
-/// baseline check compares it exactly — while throughput and heap depend
-/// on the host and are reported for trend reading only.
+/// frames sent and delivered, event throughput, and peak heap at one node
+/// count. The counters are pure functions of (n, seed, horizon) — the
+/// baseline check compares them exactly — while throughput depends on the
+/// host and is reported for trend reading only.
 struct ResourceRow {
     n: usize,
     events: u64,
+    frames_sent: u64,
+    frames_delivered: u64,
     wall_s: f64,
     events_per_sec: f64,
     peak_alloc_bytes: usize,
@@ -420,21 +201,27 @@ fn resources_bench(horizon: SimTime) -> Vec<ResourceRow> {
         .iter()
         .map(|&n| {
             heap_track::reset_peak();
-            let mut world = build_world(n, SpatialIndex::Grid, 42);
+            let mut world = build_world(n, 42);
             let start = WallClock::start();
             world.run_until(horizon);
             let wall_s = start.elapsed_s();
+            #[cfg(feature = "prof")]
+            pds_sim::prof::dump(horizon.as_micros());
             let events = world.events_dispatched();
             let peak_alloc_bytes = heap_track::peak();
             let events_per_sec = events as f64 / wall_s.max(1e-9);
+            let stats = world.stats();
             println!(
-                "resources n={n:>5}  events={events:>9}  {events_per_sec:>12.0} ev/s  \
-                 peak_heap={peak_alloc_bytes} B  ({:.0} B/node)",
+                "resources n={n:>5}  events={events:>9}  frames_delivered={:>7}  \
+                 {events_per_sec:>12.0} ev/s  peak_heap={peak_alloc_bytes} B  ({:.0} B/node)",
+                stats.frames_delivered,
                 peak_alloc_bytes as f64 / n as f64
             );
             ResourceRow {
                 n,
                 events,
+                frames_sent: stats.frames_sent,
+                frames_delivered: stats.frames_delivered,
                 wall_s,
                 events_per_sec,
                 peak_alloc_bytes,
@@ -465,7 +252,7 @@ fn sweep_bench(horizon: SimTime, jobs: usize) -> SweepBench {
         let start = WallClock::start();
         let stats = runner.run(points.len(), |i| {
             let (n, seed) = points[i];
-            let mut world = build_world(n, SpatialIndex::Grid, seed);
+            let mut world = build_world(n, seed);
             world.run_until(horizon);
             world.stats().clone()
         });
@@ -569,94 +356,50 @@ fn city_bench(n: usize) -> Vec<CityRow> {
 }
 
 fn main() -> std::process::ExitCode {
+    const FLAGS: [&str; 5] = ["--quick", "--jobs", "--city-n", "--out", "--check-baseline"];
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(unknown) = args
+        .iter()
+        .find(|a| a.starts_with("--") && !FLAGS.contains(&a.as_str()))
+    {
+        eprintln!(
+            "sim_scale: unknown flag {unknown} (accepted: {})",
+            FLAGS.join(" ")
+        );
+        return std::process::ExitCode::from(2);
+    }
     let quick = args.iter().any(|a| a == "--quick");
-    let check_trace = args.iter().any(|a| a == "--trace-check");
-    let check_fault = args.iter().any(|a| a == "--fault-check");
-    let check_flight = args.iter().any(|a| a == "--flight-check");
+    let value_of = |flag: &str| {
+        let i = args.iter().position(|a| a == flag)?;
+        args.get(i + 1).filter(|v| !v.starts_with("--"))
+    };
     // `--check-baseline [path]`: compare the fresh record against the
     // committed one; the path defaults to the committed record itself.
-    let check_baseline = args.iter().position(|a| a == "--check-baseline").map(|i| {
-        args.get(i + 1)
-            .filter(|s| !s.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "BENCH_sim_scale.json".to_owned())
+    let check_baseline = args.iter().any(|a| a == "--check-baseline").then(|| {
+        value_of("--check-baseline").map_or("BENCH_sim_scale.json".to_owned(), String::clone)
     });
-    if let Some(n) = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse::<usize>().ok())
-    {
+    if let Some(n) = value_of("--jobs").and_then(|s| s.parse().ok()) {
         pds_bench::sweep::set_jobs(n);
     }
     let jobs = pds_bench::sweep::jobs();
     // `--city-n N` (env fallback `PDS_CITY_N`, default 10000): node count
-    // for the city-scale scenario family. The quick CI run keeps the
+    // for the city-scale scenario family. The per-push CI run keeps the
     // default; nightly CI sets 50000; 100000 is for manual capacity runs.
-    let city_n = args
-        .iter()
-        .position(|a| a == "--city-n")
-        .and_then(|i| args.get(i + 1))
+    let city_n = value_of("--city-n")
         .and_then(|s| s.parse::<usize>().ok())
-        .or_else(|| {
-            std::env::var("PDS_CITY_N")
-                .ok()
-                .and_then(|s| s.parse().ok())
-        })
+        .or_else(|| std::env::var("PDS_CITY_N").ok()?.parse().ok())
         .unwrap_or(10_000)
         .max(1);
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_sim_scale.json".to_owned());
+    let out_path = value_of("--out").map_or("BENCH_sim_scale.json".to_owned(), String::clone);
     let sim_seconds = if quick { 2.0 } else { 8.0 };
     let horizon = SimTime::from_secs_f64(sim_seconds);
 
-    let mut rows = Vec::new();
-    let mut all_equal = true;
-    for &n in &NODE_COUNTS {
-        let grid = run_mode(n, SpatialIndex::Grid, horizon);
-        let brute = run_mode(n, SpatialIndex::BruteForce, horizon);
-        let equal = grid.stats == brute.stats;
-        all_equal &= equal;
-        let speedup = brute.wall_s / grid.wall_s.max(1e-9);
-        println!(
-            "n={n:>5}  grid {:>8.3}s  brute {:>8.3}s  speedup {speedup:>6.2}x  \
-             frames_delivered={}  stats_equal={equal}",
-            grid.wall_s, brute.wall_s, grid.stats.frames_delivered
-        );
-        assert!(
-            equal,
-            "grid and brute-force runs diverged at n={n}: {:?} vs {:?}",
-            grid.stats, brute.stats
-        );
-        rows.push((n, grid, brute, speedup, equal));
-    }
-
     let sweep = sweep_bench(horizon, jobs);
-
-    // Both trace-check arms are single runs on the main thread (jobs = 1
-    // semantics), so the 110% budget always compares like-for-like even
-    // when the sweep above ran wide.
-    let traced = check_trace.then(|| trace_check(horizon));
-
-    // Like trace-check: single runs on the main thread, so the budget is
-    // insulated from the sweep's parallelism.
-    let faulted = check_fault.then(|| fault_check(horizon));
-
-    // Same single-run-on-main-thread methodology for the flight recorder.
-    let flight = check_flight.then(|| flight_check(horizon));
-
     let resources = resources_bench(horizon);
-
     let city_rows = city_bench(city_n);
 
-    // Honest-speedup context for the sweep block: a parallel run with
-    // more jobs than cores measures scheduling pressure, not the
-    // executor, so readers (and the baseline check) need the host width.
+    // Context for the sweep block: a parallel run with more jobs than
+    // cores measures scheduling pressure, not the executor.
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
     let mut json = String::new();
@@ -665,59 +408,29 @@ fn main() -> std::process::ExitCode {
     let _ = writeln!(json, "  \"quick\": {quick},");
     let _ = writeln!(json, "  \"sim_seconds\": {sim_seconds},");
     let _ = writeln!(json, "  \"cores\": {cores},");
-    let _ = writeln!(json, "  \"stats_equal\": {all_equal},");
-    // Blocks whose baseline assertions are cores-gated say so in the
-    // record itself, so a reader of a single-core JSON knows the speedup
-    // numbers were recorded but never asserted.
-    let cores_skip = (cores == 1)
-        .then_some(", \"skipped_reason\": \"single-core host: speedup not asserted\"")
-        .unwrap_or("");
     let _ = writeln!(
         json,
         "  \"sweep\": {{\"jobs\": {}, \"cores\": {cores}, \"sequential_wall_s\": {:.6}, \
-         \"parallel_wall_s\": {:.6}, \"speedup\": {:.3}, \"results_equal\": {}{cores_skip}}},",
+         \"parallel_wall_s\": {:.6}, \"speedup\": {:.3}, \"results_equal\": {}}},",
         sweep.jobs,
         sweep.sequential_wall_s,
         sweep.parallel_wall_s,
         sweep.speedup,
         sweep.results_equal
     );
-    if let Some((off_s, on_s, ratio)) = traced {
-        let _ = writeln!(
-            json,
-            "  \"trace_check\": {{\"jobs\": 1, \"cores\": {cores}, \
-             \"untraced_wall_s\": {off_s:.6}, \
-             \"traced_wall_s\": {on_s:.6}, \"overhead_ratio\": {ratio:.4}}},"
-        );
-    }
-    if let Some((off_s, on_s, ratio)) = faulted {
-        let _ = writeln!(
-            json,
-            "  \"fault_check\": {{\"jobs\": 1, \"cores\": {cores}, \
-             \"plain_wall_s\": {off_s:.6}, \
-             \"noop_plan_wall_s\": {on_s:.6}, \"overhead_ratio\": {ratio:.4}}},"
-        );
-    }
-    if let Some((bare_s, traced_s, on_s, ratio)) = flight {
-        let _ = writeln!(
-            json,
-            "  \"flight_check\": {{\"jobs\": 1, \"cores\": {cores}, \
-             \"bare_wall_s\": {bare_s:.6}, \
-             \"traced_wall_s\": {traced_s:.6}, \"recorded_wall_s\": {on_s:.6}, \
-             \"overhead_ratio\": {ratio:.4}}},"
-        );
-    }
     let _ = writeln!(json, "  \"resources\": [");
     let res_last = resources.len() - 1;
     for (i, row) in resources.iter().enumerate() {
         let comma = if i == res_last { "" } else { "," };
         let _ = writeln!(
             json,
-            "    {{\"n\": {}, \"events\": {}, \"wall_s\": {:.6}, \
-             \"events_per_sec\": {:.0}, \"peak_alloc_bytes\": {}, \
+            "    {{\"n\": {}, \"events\": {}, \"frames_sent\": {}, \"frames_delivered\": {}, \
+             \"wall_s\": {:.6}, \"events_per_sec\": {:.0}, \"peak_alloc_bytes\": {}, \
              \"bytes_per_node\": {:.0}}}{comma}",
             row.n,
             row.events,
+            row.frames_sent,
+            row.frames_delivered,
             row.wall_s,
             row.events_per_sec,
             row.peak_alloc_bytes,
@@ -728,12 +441,7 @@ fn main() -> std::process::ExitCode {
     let _ = writeln!(
         json,
         "  \"city\": {{\"n\": {city_n}, \"sim_seconds\": {CITY_SIM_SECONDS}, \
-         \"budget_bytes_per_node\": {CITY_BYTES_PER_NODE_BUDGET}{}, \"rows\": [",
-        if cfg!(feature = "count-alloc") {
-            ""
-        } else {
-            ", \"skipped_reason\": \"count-alloc feature off: byte budget not measured\""
-        }
+         \"budget_bytes_per_node\": {CITY_BYTES_PER_NODE_BUDGET}, \"rows\": ["
     );
     let city_last = city_rows.len() - 1;
     for (i, row) in city_rows.iter().enumerate() {
@@ -752,20 +460,7 @@ fn main() -> std::process::ExitCode {
             row.stats_equal
         );
     }
-    let _ = writeln!(json, "  ]}},");
-    let _ = writeln!(json, "  \"results\": [");
-    let last = rows.len() - 1;
-    for (i, (n, grid, brute, speedup, equal)) in rows.iter().enumerate() {
-        let comma = if i == last { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"n\": {n}, \"grid_wall_s\": {:.6}, \"brute_wall_s\": {:.6}, \
-             \"speedup\": {speedup:.3}, \"frames_sent\": {}, \"frames_delivered\": {}, \
-             \"stats_equal\": {equal}}}{comma}",
-            grid.wall_s, brute.wall_s, grid.stats.frames_sent, grid.stats.frames_delivered
-        );
-    }
-    let _ = writeln!(json, "  ]");
+    let _ = writeln!(json, "  ]}}");
     let _ = writeln!(json, "}}");
     // Read the committed baseline BEFORE writing the fresh record — with
     // default paths both point at the same file.

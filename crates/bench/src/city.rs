@@ -22,7 +22,7 @@
 
 use pds_sim::{
     Application, Context, FaultPlan, MessageMeta, PartitionWindow, Position, SimConfig,
-    SimDuration, SimTime, SpatialIndex, World,
+    SimDuration, SimTime, World,
 };
 
 /// The node counts the city family is specified at. The quick bench runs
@@ -100,7 +100,6 @@ impl CityScenario {
     #[must_use]
     pub fn build(self, n: usize, seed: u64) -> World {
         let mut config = SimConfig::default();
-        config.spatial.index = SpatialIndex::Grid;
         // Same large-area knobs as the kernel-stress scenario: a 4-range
         // interference horizon and a coarse re-bucket cadence, so grid
         // maintenance does not dominate at 100k movers.
@@ -189,8 +188,13 @@ fn build_corridor(world: &mut World, n: usize) {
             }
             // Stagger lanes by half a headway so vehicles don't form
             // perfect broadside rows.
-            let x = 10.0 + slot as f64 * CORRIDOR_HEADWAY_M
-                + if lane % 2 == 1 { CORRIDOR_HEADWAY_M / 2.0 } else { 0.0 };
+            let x = 10.0
+                + slot as f64 * CORRIDOR_HEADWAY_M
+                + if lane % 2 == 1 {
+                    CORRIDOR_HEADWAY_M / 2.0
+                } else {
+                    0.0
+                };
             let id = spawn(world, Position::new(x, y), &mut rng);
             let speed = rng.range_f64(25.0, 35.0);
             // Drive toward the end of the corridor plus a margin so nobody
@@ -286,7 +290,6 @@ mod tests {
         let mut world = World::new(
             {
                 let mut c = SimConfig::default();
-                c.spatial.index = SpatialIndex::Grid;
                 c.radio.interference_range_factor = 4.0;
                 c.spatial.rebucket_interval = SimDuration::from_millis(250);
                 c

@@ -76,7 +76,9 @@ impl ChunkSet {
     #[must_use]
     pub fn contains(&self, c: &ChunkId) -> bool {
         let (w, b) = (c.0 as usize / 64, c.0 % 64);
-        self.words.get(w).is_some_and(|word| word & (1u64 << b) != 0)
+        self.words
+            .get(w)
+            .is_some_and(|word| word & (1u64 << b) != 0)
     }
 
     /// Number of chunks present.
@@ -648,7 +650,7 @@ mod tests {
         );
         assert!(!lqt.seen(QueryId(0)), "oldest evicted first");
         assert!(lqt.seen(QueryId(63)), "newest always kept");
-        assert!(lqt.len() >= 1 && lqt.len() < 64);
+        assert!(!lqt.is_empty() && lqt.len() < 64);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Deterministic collections for the PDS workspace.
 //!
 //! The simulator's headline guarantee is that identical (config, seed,
-//! scenario) triples replay **bit-identically** — across processes, across
-//! machines, and across the grid/brute-force spatial index choice. Std's
-//! `HashMap`/`HashSet` break that discipline in two ways:
+//! scenario) triples replay **bit-identically** — across processes and
+//! across machines. Std's `HashMap`/`HashSet` break that discipline in two
+//! ways:
 //!
 //! 1. **Randomized hashing.** `RandomState` seeds SipHash from OS entropy
 //!    per process, so iteration order differs between two runs of the same

@@ -354,9 +354,17 @@ mod tests {
             pb.sort_unstable();
             assert_eq!(pa, pb, "present people diverged at t={checkpoint}");
             for &p in &pa {
-                assert_eq!(a.node_of(p), b.node_of(p), "node of {p:?} at t={checkpoint}");
+                assert_eq!(
+                    a.node_of(p),
+                    b.node_of(p),
+                    "node of {p:?} at t={checkpoint}"
+                );
                 let na = a.node_of(p).expect("present");
-                assert_eq!(wa.position(na), wb.position(na), "position at t={checkpoint}");
+                assert_eq!(
+                    wa.position(na),
+                    wb.position(na),
+                    "position at t={checkpoint}"
+                );
             }
         }
     }

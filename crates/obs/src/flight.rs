@@ -31,8 +31,8 @@ use std::path::Path;
 /// ~2.6× the record cost of 256 on a 1000-node run. The default was 256
 /// until the slab/SoA kernel diet (DESIGN.md §16) made the bare event
 /// loop ~2.4× faster, which turned those misses into the dominant cost of
-/// an instrumented run; at 64 the rings are mostly cache-resident and the
-/// recorder fits the `--flight-check` 10% overhead budget again.
+/// an instrumented run; at 64 the rings are mostly cache-resident (the
+/// protocol benchmark's `obs.flight_record_ns` probe tracks the cost).
 pub const DEFAULT_NODE_CAPACITY: usize = 64;
 
 /// One node's bounded ring: events tagged with the global record sequence

@@ -186,51 +186,18 @@ impl AckConfig {
     }
 }
 
-/// Which index backs the kernel's spatial range queries (neighbor
-/// discovery, carrier sense, frame delivery).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SpatialIndex {
-    /// Uniform hash grid over node and transmission positions; range
-    /// queries probe only the cells overlapping the query disk. The
-    /// default, and the only sane choice beyond a few hundred nodes.
-    #[default]
-    Grid,
-    /// Exhaustive scans over all nodes/transmissions — the reference
-    /// implementation the grid is differentially tested against. Results
-    /// (deliveries, stats, replay streams) are bit-identical to `Grid`.
-    BruteForce,
-}
-
-/// Spatial-index tuning knobs. With the defaults the grid is exact and
-/// maintenance-free from the caller's perspective; both knobs trade a
-/// little query precision (wider, padded probes) for less bookkeeping.
-#[derive(Debug, Clone, PartialEq)]
+/// Spatial-grid tuning. Range queries (neighbor discovery, carrier
+/// sense, frame delivery) probe a uniform hash grid whose cells are one
+/// radio range wide and filter the candidates exactly; with the default
+/// the grid is maintenance-free from the caller's perspective.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SpatialConfig {
-    /// Which query path the kernel uses. Both are always maintained, so
-    /// this can differ between otherwise identical runs for differential
-    /// testing without perturbing replay.
-    pub index: SpatialIndex,
-    /// Grid cell edge as a multiple of `range_m`. 1.0 (cell ≈ radio
-    /// range) makes a decode-range query probe at most 3×3 cells; smaller
-    /// cells probe more, emptier cells, larger cells scan more candidates
-    /// per cell.
-    pub cell_factor: f64,
     /// How stale moving-node buckets may get before they are re-bucketed.
     /// [`SimDuration::ZERO`] (the default) re-buckets whenever the event
     /// clock advances; larger intervals skip that work and instead widen
     /// every query by `max walker speed × staleness`, which stays exact
     /// but returns more candidates to filter.
     pub rebucket_interval: SimDuration,
-}
-
-impl Default for SpatialConfig {
-    fn default() -> Self {
-        Self {
-            index: SpatialIndex::Grid,
-            cell_factor: 1.0,
-            rebucket_interval: SimDuration::ZERO,
-        }
-    }
 }
 
 /// Complete simulator configuration.
@@ -242,7 +209,7 @@ pub struct SimConfig {
     pub sender: SenderMode,
     /// Per-hop reliability parameters.
     pub ack: AckConfig,
-    /// Spatial range-query index selection and tuning.
+    /// Spatial grid tuning.
     pub spatial: SpatialConfig,
 }
 
@@ -323,14 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn spatial_defaults_are_grid_with_range_sized_cells() {
-        let s = SpatialConfig::default();
-        assert_eq!(s.index, SpatialIndex::Grid);
-        assert!((s.cell_factor - 1.0).abs() < 1e-12);
-        assert_eq!(s.rebucket_interval, SimDuration::ZERO);
-    }
-
-    #[test]
     fn sim_config_has_exactly_four_fields() {
         // Exhaustive on purpose (no `..`): each field is an option every
         // test and benchmark configuration multiplies by, so adding a
@@ -345,6 +304,14 @@ mod tests {
         assert_eq!(sender, SenderMode::default());
         assert_eq!(ack, AckConfig::default());
         assert_eq!(spatial, SpatialConfig::default());
+    }
+
+    #[test]
+    fn spatial_config_has_exactly_one_field() {
+        // Exhaustive for the same reason: the grid's cell size and query
+        // path are not options.
+        let SpatialConfig { rebucket_interval } = SpatialConfig::default();
+        assert_eq!(rebucket_interval, SimDuration::ZERO);
     }
 
     #[test]

@@ -16,10 +16,9 @@
 //! * Partition and silence checks are pure time/id predicates (no rng).
 //! * Delayed and duplicated deliveries travel through the ordinary event
 //!   queue as `FaultDeliver` events, so they are folded into the replay
-//!   digest and replay identically across runs and spatial indexes.
+//!   digest and replay identically across runs.
 //! * With no plan installed the delivery path pays a single
-//!   `Option::is_some` branch (mirroring the trace-sink pattern), gated by
-//!   the no-fault overhead check in `sim_scale --fault-check`.
+//!   `Option::is_some` branch (mirroring the trace-sink pattern).
 
 use crate::radio::Frame;
 use pds_core::NodeId;

@@ -75,7 +75,7 @@ mod world;
 #[cfg(feature = "prof")]
 pub mod prof;
 
-pub use config::{AckConfig, RadioConfig, SenderMode, SimConfig, SpatialConfig, SpatialIndex};
+pub use config::{AckConfig, RadioConfig, SenderMode, SimConfig, SpatialConfig};
 pub use fault::{ChurnStorm, FaultPlan, PartitionWindow, SilenceWindow};
 pub use radio::{Position, VerdictPaths};
 pub use stats::{EnergyModel, NodeStats, PhaseBytes, Stats};

@@ -6,8 +6,8 @@
 //! transmission overlaps in time), half-duplex conflict, or baseline random
 //! loss; see [`World`](crate::World) for the delivery rules.
 
-use crate::config::{SimConfig, SpatialIndex};
-use crate::slab::{DenseTable, SeqSlab};
+use crate::config::SimConfig;
+use crate::slab::SeqSlab;
 use crate::spatial::{NodeGrid, TxEntry, TxGrid};
 use crate::transport::MessageId;
 use bytes::Bytes;
@@ -272,8 +272,6 @@ pub(crate) enum PhysOutcome {
 #[derive(Clone, Copy)]
 pub(crate) struct PhysArgs<'a> {
     pub config: &'a SimConfig,
-    /// Motions of all alive nodes, keyed identically to the node table.
-    pub motions: &'a DenseTable<Motion>,
     pub transmissions: &'a SeqSlab<Transmission>,
     /// Live transmission ids per sender, indexed by raw node id (empty
     /// lists for nodes that are not transmitting).
@@ -334,10 +332,8 @@ const BOUND_MIN_POWER: f64 = 1e-100;
 /// Computes the physical receive verdicts of `tx`, evaluated at its end
 /// time, into `out` in ascending receiver-id order.
 ///
-/// Pure over its arguments — same candidate enumeration per
-/// [`SpatialIndex`] mode, same sort/dedup, same exact-range filters — so
-/// two calls over equal state produce bit-identical verdicts no matter
-/// which thread runs them.
+/// Pure over its arguments: two calls over equal state produce
+/// bit-identical verdicts.
 ///
 /// The capture decision at a receiver is *defined* by the exhaustive f64
 /// interference sum over every interferer in ascending id order. Most
@@ -359,32 +355,22 @@ pub(crate) fn phys_verdicts(
     let radio = &a.config.radio;
     let range = radio.range_m;
     let tx_pos = tx.start_pos;
-    // Candidates must come out ascending by id in both index modes: the
-    // per-receiver rng rolls at commit consume the shared stream, so
-    // receiver *order* is part of the replay contract.
+    // Candidates must come out ascending by id: the per-receiver rng rolls
+    // at commit consume the shared stream, so receiver *order* is part of
+    // the replay contract.
     let receivers = &mut scratch.receivers;
     receivers.clear();
-    match a.config.spatial.index {
-        SpatialIndex::BruteForce => receivers.extend(
-            a.motions
-                .iter()
-                .filter(|&(r, _)| r != tx.sender)
-                .map(|(r, m)| (r, m.position(at))),
-        ),
-        SpatialIndex::Grid => {
-            let cands = &mut scratch.cands_nodes;
-            cands.clear();
-            a.node_grid.query_into(tx_pos, range, at, cands);
-            cands.sort_unstable_by_key(|&(r, _)| r);
-            cands.dedup_by_key(|&mut (r, _)| r);
-            receivers.extend(
-                cands
-                    .iter()
-                    .filter(|&&(r, _)| r != tx.sender)
-                    .map(|&(r, m)| (r, m.position(at))),
-            );
-        }
-    }
+    let cands = &mut scratch.cands_nodes;
+    cands.clear();
+    a.node_grid.query_into(tx_pos, range, at, cands);
+    cands.sort_unstable_by_key(|&(r, _)| r);
+    cands.dedup_by_key(|&mut (r, _)| r);
+    receivers.extend(
+        cands
+            .iter()
+            .filter(|&&(r, _)| r != tx.sender)
+            .map(|&(r, m)| (r, m.position(at))),
+    );
     let path_loss = radio.path_loss_exp;
     let capture = radio.capture_sinr;
     let trunc = range * radio.interference_range_factor;
@@ -397,7 +383,7 @@ pub(crate) fn phys_verdicts(
         |t: &Transmission| t.id != tx.id && t.sender != tx.sender && t.overlaps(tx.start, tx.end);
     let interferers = &mut scratch.interferers;
     interferers.clear();
-    if a.config.spatial.index == SpatialIndex::Grid && trunc.is_finite() {
+    if trunc.is_finite() {
         let cands = &mut scratch.cands_tx;
         cands.clear();
         a.tx_grid.query_into(tx_pos, trunc + range, cands);
@@ -507,6 +493,7 @@ pub(crate) fn phys_verdicts(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slab::DenseTable;
 
     #[test]
     fn distance_is_euclidean() {
@@ -600,117 +587,51 @@ mod tests {
 
     // ---- physical verdicts: far-field bound vs the exhaustive loop --------
 
-    /// The parent commit's `phys_verdicts`, verbatim: every receiver's
-    /// verdict from the exhaustive ascending-id sum. The oracle the
-    /// bounded function must match bit for bit.
-    fn parent_phys_verdicts(
-        a: &PhysArgs<'_>,
-        tx: &Transmission,
-        out: &mut Vec<(NodeId, PhysOutcome)>,
-        scratch: &mut PhysScratch,
-    ) {
-        // `tx_end` dispatches exactly at the transmission's end time, so every
-        // position below is evaluated at `tx.end`.
-        let at = tx.end;
-        let radio = &a.config.radio;
+    /// The slow-and-obvious reference: every alive node is a receiver
+    /// candidate, every transmission an interferer candidate, and a
+    /// verdict is the full ascending-id interference sum against the
+    /// capture threshold. It reads the authoritative tables only, so it
+    /// checks grid enumeration, the `tx_by_sender` lists and the
+    /// far-field bound of [`phys_verdicts`] at once, bit for bit.
+    fn oracle_verdicts(scene: &Scene, tx: &Transmission) -> Vec<(NodeId, PhysOutcome)> {
+        let radio = &scene.config.radio;
         let range = radio.range_m;
-        let tx_pos = tx.start_pos;
-        // Candidates must come out ascending by id in both index modes: the
-        // per-receiver rng rolls at commit consume the shared stream, so
-        // receiver *order* is part of the replay contract.
-        let receivers = &mut scratch.receivers;
-        receivers.clear();
-        match a.config.spatial.index {
-            SpatialIndex::BruteForce => receivers.extend(
-                a.motions
-                    .iter()
-                    .filter(|&(r, _)| r != tx.sender)
-                    .map(|(r, m)| (r, m.position(at))),
-            ),
-            SpatialIndex::Grid => {
-                let cands = &mut scratch.cands_nodes;
-                cands.clear();
-                a.node_grid.query_into(tx_pos, range, at, cands);
-                cands.sort_unstable_by_key(|&(r, _)| r);
-                cands.dedup_by_key(|&mut (r, _)| r);
-                receivers.extend(
-                    cands
-                        .iter()
-                        .filter(|&&(r, _)| r != tx.sender)
-                        .map(|&(r, m)| (r, m.position(at))),
-                );
-            }
-        }
-        let path_loss = radio.path_loss_exp;
-        let capture = radio.capture_sinr;
         let trunc = range * radio.interference_range_factor;
-        // Received power at distance d, with a 1 m reference floor.
-        let power = |d: f64| d.max(1.0).powf(-path_loss);
-        // Everything that could interfere with this frame at *some* receiver,
-        // in ascending id order (f64 addition is not associative; the exact
-        // per-receiver sum order is part of the replay contract).
-        let keep = |t: &Transmission| {
-            t.id != tx.id && t.sender != tx.sender && t.overlaps(tx.start, tx.end)
+        let power = |d: f64| d.max(1.0).powf(-radio.path_loss_exp);
+        let concurrent = || {
+            scene
+                .transmissions
+                .values()
+                .filter(|t| t.id != tx.id && t.overlaps(tx.start, tx.end))
         };
-        let interferers = &mut scratch.interferers;
-        interferers.clear();
-        if a.config.spatial.index == SpatialIndex::Grid && trunc.is_finite() {
-            let cands = &mut scratch.cands_tx;
-            cands.clear();
-            a.tx_grid.query_into(tx_pos, trunc + range, cands);
-            cands.sort_unstable_by_key(|t| t.id);
-            cands.dedup_by_key(|t| t.id);
-            interferers.extend(
-                cands
-                    .iter()
-                    .filter(|t| {
-                        t.id != tx.id
-                            && t.sender != tx.sender
-                            && t.start < tx.end
-                            && tx.start < t.end
-                    })
-                    .map(|t| (t.sender, t.pos)),
-            );
-        } else {
-            interferers.extend(
-                a.transmissions
-                    .values()
-                    .filter(|t| keep(t))
-                    .map(|t| (t.sender, t.start_pos)),
-            );
-        }
-        for &(r, rpos) in scratch.receivers.iter() {
-            if tx_pos.distance(&rpos) > range {
+        let mut out = Vec::new();
+        for (r, m) in scene.motions.iter() {
+            let rpos = m.position(tx.end);
+            if r == tx.sender || tx.start_pos.distance(&rpos) > range {
                 continue;
             }
-            let half_duplex = a.tx_by_sender.get(r.0 as usize).is_some_and(|ids| {
-                ids.iter().any(|tid| {
-                    a.transmissions
-                        .get(tid)
-                        .is_some_and(|t| t.overlaps(tx.start, tx.end))
-                })
-            });
-            if half_duplex {
+            if concurrent().any(|t| t.sender == r) {
                 out.push((r, PhysOutcome::HalfDuplex));
                 continue;
             }
-            let interference: f64 = scratch
-                .interferers
-                .iter()
-                .filter(|&&(s, _)| s != r)
-                .map(|&(_, p)| p.distance(&rpos))
+            let interference: f64 = concurrent()
+                .filter(|t| t.sender != tx.sender)
+                .map(|t| t.start_pos.distance(&rpos))
                 .filter(|&d| d <= trunc)
                 .map(power)
                 .sum();
-            if interference > 0.0 && power(tx_pos.distance(&rpos)) < capture * interference {
+            let signal = power(tx.start_pos.distance(&rpos));
+            if interference > 0.0 && signal < radio.capture_sinr * interference {
                 out.push((r, PhysOutcome::Collided));
-                continue;
+            } else {
+                out.push((r, PhysOutcome::Survivor));
             }
-            out.push((r, PhysOutcome::Survivor));
         }
+        out
     }
 
-    /// Exactly the state [`PhysArgs`] borrows, built by hand.
+    /// Exactly the state [`PhysArgs`] borrows, built by hand, plus the
+    /// authoritative motion table the world keeps beside it.
     struct Scene {
         config: SimConfig,
         motions: DenseTable<Motion>,
@@ -722,7 +643,7 @@ mod tests {
 
     impl Scene {
         fn new(config: SimConfig) -> Self {
-            let cell_m = config.radio.range_m * config.spatial.cell_factor;
+            let cell_m = config.radio.range_m;
             Self {
                 config,
                 motions: DenseTable::default(),
@@ -787,7 +708,6 @@ mod tests {
         fn args(&self) -> PhysArgs<'_> {
             PhysArgs {
                 config: &self.config,
-                motions: &self.motions,
                 transmissions: &self.transmissions,
                 tx_by_sender: &self.tx_by_sender,
                 node_grid: &self.node_grid,
@@ -800,24 +720,22 @@ mod tests {
         fn verdicts(&self, tx: u64) -> (Vec<(NodeId, PhysOutcome)>, VerdictPaths) {
             let tx = self.transmissions.get(&tx).expect("transmission");
             let mut scratch = PhysScratch::default();
-            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let mut got = Vec::new();
             phys_verdicts(&self.args(), tx, &mut got, &mut scratch);
-            let paths = scratch.paths;
-            parent_phys_verdicts(&self.args(), tx, &mut want, &mut scratch);
             assert_eq!(
-                got, want,
-                "bounded verdicts differ from the exhaustive loop"
+                got,
+                oracle_verdicts(self, tx),
+                "verdicts differ from the exhaustive reference"
             );
-            (got, paths)
+            (got, scratch.paths)
         }
     }
 
-    fn radio_config(alpha: f64, capture: f64, horizon: f64, index: SpatialIndex) -> SimConfig {
+    fn radio_config(alpha: f64, capture: f64, horizon: f64) -> SimConfig {
         let mut c = SimConfig::default();
         c.radio.path_loss_exp = alpha;
         c.radio.capture_sinr = capture;
         c.radio.interference_range_factor = horizon;
-        c.spatial.index = index;
         c
     }
 
@@ -831,12 +749,7 @@ mod tests {
         let capture = pick(&[0.5, 1.0, 2.0, 10.0]);
         let horizon = pick(&[1.5, 4.0, f64::INFINITY]);
         let side = pick(&[150.0, 400.0, 1200.0, 5000.0]);
-        let index = if rng.chance(0.5) {
-            SpatialIndex::Grid
-        } else {
-            SpatialIndex::BruteForce
-        };
-        let mut scene = Scene::new(radio_config(alpha, capture, horizon, index));
+        let mut scene = Scene::new(radio_config(alpha, capture, horizon));
         let n = rng.range_u64(2, 201);
         for _ in 0..n {
             let from = Position::new(rng.range_f64(0.0, side), rng.range_f64(0.0, side));
@@ -900,7 +813,7 @@ mod tests {
     /// interferer east of the receiver, placed so that
     /// `signal / (capture × interference)` is `1 + delta`.
     fn near_tie_scene(delta: f64) -> (Scene, u64, f64) {
-        let config = radio_config(3.0, 2.0, f64::INFINITY, SpatialIndex::Grid);
+        let config = radio_config(3.0, 2.0, f64::INFINITY);
         let power = |d: f64| d.max(1.0).powf(-3.0);
         let wanted = power(50.0) / (2.0 * (1.0 + delta)) - power(350.0);
         let x = wanted.powf(-1.0 / 3.0);
@@ -949,7 +862,7 @@ mod tests {
         // Receiver equidistant from the sender and a lone interferer at
         // capture 1: signal == interference, and `<` does not hold. Every
         // interferer is near, so the near sum is the full sum.
-        let mut scene = Scene::new(radio_config(3.0, 1.0, f64::INFINITY, SpatialIndex::Grid));
+        let mut scene = Scene::new(radio_config(3.0, 1.0, f64::INFINITY));
         let sender = scene.node_at(0.0, 0.0);
         scene.node_at(60.0, 0.0);
         let other = scene.node_at(120.0, 0.0);
@@ -962,7 +875,7 @@ mod tests {
         // The same tie through the fallback: at α = 0 every power is 1, so
         // one near and one far interferer at capture 0.5 tie exactly, and
         // the bound (which cannot tell 2 × 0.5 from the signal) defers.
-        let mut scene = Scene::new(radio_config(0.0, 0.5, f64::INFINITY, SpatialIndex::Grid));
+        let mut scene = Scene::new(radio_config(0.0, 0.5, f64::INFINITY));
         let sender = scene.node_at(0.0, 0.0);
         scene.node_at(60.0, 0.0);
         let near = scene.node_at(150.0, 0.0);
@@ -977,7 +890,7 @@ mod tests {
 
     #[test]
     fn far_only_interference_clears_the_whole_transmission() {
-        let mut scene = Scene::new(radio_config(3.0, 2.0, f64::INFINITY, SpatialIndex::Grid));
+        let mut scene = Scene::new(radio_config(3.0, 2.0, f64::INFINITY));
         let sender = scene.node_at(0.0, 0.0);
         for i in 0..6 {
             scene.node_at(10.0 + 10.0 * f64::from(i), 5.0);
@@ -1004,7 +917,7 @@ mod tests {
 
     #[test]
     fn a_strong_near_interferer_collides_without_the_full_sum() {
-        let mut scene = Scene::new(radio_config(3.0, 2.0, f64::INFINITY, SpatialIndex::Grid));
+        let mut scene = Scene::new(radio_config(3.0, 2.0, f64::INFINITY));
         let sender = scene.node_at(0.0, 0.0);
         scene.node_at(70.0, 0.0);
         // Hidden terminal 30 m past the receiver, and one far sender that
@@ -1039,12 +952,7 @@ mod tests {
         // 75^-200 underflows: relative-error reasoning is void there, so
         // every interferer must be treated as near (the exact path).
         for (alpha, capture) in [(200.0, 2.0), (3.0, 1e200)] {
-            let mut scene = Scene::new(radio_config(
-                alpha,
-                capture,
-                f64::INFINITY,
-                SpatialIndex::Grid,
-            ));
+            let mut scene = Scene::new(radio_config(alpha, capture, f64::INFINITY));
             let sender = scene.node_at(0.0, 0.0);
             scene.node_at(0.5, 0.0);
             scene.node_at(40.0, 0.0);

@@ -13,17 +13,19 @@
 //!   event clock advances, or on a configurable interval
 //!   ([`SpatialConfig::rebucket_interval`](crate::SpatialConfig)) — and
 //!   compensates for any staleness by **padding** query radii with
-//!   `max_speed × time_since_rebucket`. Queries therefore always return a
-//!   superset of the true in-range set; callers keep their exact distance
-//!   check, which makes grid results *identical* to a brute-force scan.
+//!   `max_speed × time_since_rebucket`.
 //! * **Transmissions don't move.** A frame's delivery geometry is fixed at
 //!   its start position, so [`TxGrid`] is a plain static-point index used by
 //!   the CSMA carrier-sense scan.
 //!
-//! Both grids are cheap enough to maintain unconditionally; the
-//! [`SpatialIndex`](crate::SpatialIndex) config knob only selects which
-//! query path the kernel uses, which is what the differential property
-//! tests exploit.
+//! **Contract.** A query returns a *superset* of the entries truly within
+//! the radius — never an entry that was removed, never a stale copy of a
+//! motion or transmission — and every caller keeps its exact distance
+//! filter, so results equal an exhaustive scan of the world's tables.
+//! There is no other query path. The contract is pinned by the op-sequence
+//! proptests below (motion, churn, re-bucket staleness), the filtered
+//! results by `world::tests::grids_mirror_the_authoritative_tables` and by
+//! the exhaustive verdict oracle in `radio::tests`.
 
 use crate::radio::{Motion, Position};
 use pds_core::NodeId;
@@ -193,6 +195,14 @@ impl NodeGrid {
     fn len(&self) -> usize {
         self.entries.len()
     }
+
+    /// Every indexed node with its motion copy, ascending by id.
+    #[cfg(test)]
+    pub fn snapshot(&self) -> Vec<(NodeId, Motion)> {
+        let mut all: Vec<_> = self.cells.values().flatten().copied().collect();
+        all.sort_unstable_by_key(|&(id, _)| id);
+        all
+    }
 }
 
 /// A transmission's delivery-relevant fields, denormalized into the grid
@@ -282,12 +292,21 @@ impl TxGrid {
             }
         }
     }
+
+    /// Every indexed transmission, ascending by id.
+    #[cfg(test)]
+    pub fn snapshot(&self) -> Vec<TxEntry> {
+        let mut all: Vec<_> = self.cells.values().flatten().copied().collect();
+        all.sort_unstable_by_key(|t| t.id);
+        all
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pds_core::SimDuration;
+    use pds_core::{SimDuration, SimRng};
+    use std::collections::BTreeMap;
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs_f64(s)
@@ -446,5 +465,138 @@ mod tests {
         let mut out = Vec::new();
         g.query_into(Position::new(-5.0, -5.0), 75.0, SimTime::ZERO, &mut out);
         assert_eq!(ids(&out), vec![NodeId(0)]);
+    }
+
+    // ---- the contract: query ⊇ exact in-range set, no ghosts --------------
+
+    /// Drives a [`NodeGrid`] the way the world does — joins, new walks,
+    /// teleports, churn, a clock that only moves forward, re-buckets at
+    /// arbitrary staleness — beside the authoritative id → motion map, and
+    /// checks after every step that a query returns every node truly in
+    /// range and nothing the map does not hold.
+    fn node_grid_contract(seed: u64) {
+        let mut rng = SimRng::new(seed);
+        let side = [150.0, 600.0, 3000.0][rng.range_u64(0, 3) as usize];
+        let point = move |rng: &mut SimRng| {
+            Position::new(rng.range_f64(-side, side), rng.range_f64(-side, side))
+        };
+        let mut now = SimTime::ZERO;
+        let mut grid = NodeGrid::new(75.0, now);
+        let mut model: BTreeMap<NodeId, Motion> = BTreeMap::new();
+        let mut next_id = 0u32;
+        let mut out = Vec::new();
+        let pick = |rng: &mut SimRng, model: &BTreeMap<NodeId, Motion>| {
+            let k = rng.range_u64(0, model.len().max(1) as u64) as usize;
+            model.keys().nth(k).copied()
+        };
+        for _ in 0..120 {
+            match rng.range_u64(0, 8) {
+                0 | 1 => {
+                    let id = NodeId(next_id);
+                    next_id += 1;
+                    let motion = Motion::stationary(point(&mut rng), now);
+                    grid.upsert(id, &motion, now);
+                    model.insert(id, motion);
+                }
+                2 | 3 => {
+                    if let Some(id) = pick(&mut rng, &model) {
+                        let from = model[&id].position(now);
+                        let motion = if rng.chance(0.2) {
+                            Motion::stationary(point(&mut rng), now)
+                        } else {
+                            Motion {
+                                from,
+                                to: point(&mut rng),
+                                depart: now,
+                                speed_mps: rng.range_f64(0.5, 30.0),
+                            }
+                        };
+                        grid.upsert(id, &motion, now);
+                        model.insert(id, motion);
+                    }
+                }
+                4 => {
+                    if let Some(id) = pick(&mut rng, &model) {
+                        grid.remove(id);
+                        model.remove(&id);
+                    }
+                }
+                5 | 6 => now += SimDuration::from_micros(rng.range_u64(1, 5_000_000)),
+                _ => grid.rebucket(now, |id| model.get(&id).copied()),
+            }
+            // Half the probes sit on a node's true position, where a
+            // missing drift pad shows.
+            let center = match pick(&mut rng, &model) {
+                Some(id) if rng.chance(0.5) => model[&id].position(now),
+                _ => point(&mut rng),
+            };
+            let radius = rng.range_f64(1.0, 200.0);
+            out.clear();
+            grid.query_into(center, radius, now, &mut out);
+            for &(id, motion) in &out {
+                assert_eq!(model.get(&id), Some(&motion), "ghost or stale copy of {id}");
+            }
+            for (&id, m) in &model {
+                if m.position(now).distance(&center) <= radius {
+                    assert!(
+                        out.iter().any(|&(x, _)| x == id),
+                        "query missed {id} in range (seed {seed})"
+                    );
+                }
+            }
+            assert_eq!(
+                grid.snapshot(),
+                model.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>()
+            );
+        }
+    }
+
+    /// The same for [`TxGrid`]: inserts and removes beside the live set.
+    fn tx_grid_contract(seed: u64) {
+        let mut rng = SimRng::new(seed);
+        let side = [150.0, 600.0, 3000.0][rng.range_u64(0, 3) as usize];
+        let mut grid = TxGrid::new([75.0, 150.0, 375.0][rng.range_u64(0, 3) as usize]);
+        let mut live: BTreeMap<u64, Position> = BTreeMap::new();
+        let mut out = Vec::new();
+        for next_id in 0..120u64 {
+            if rng.chance(0.6) {
+                let entry = tx(
+                    next_id,
+                    rng.range_f64(-side, side),
+                    rng.range_f64(-side, side),
+                );
+                grid.insert(entry);
+                live.insert(next_id, entry.pos);
+            } else if let Some(&id) = live.keys().nth(rng.range_u64(0, next_id + 1) as usize) {
+                grid.remove(id);
+                live.remove(&id);
+            }
+            let center = Position::new(rng.range_f64(-side, side), rng.range_f64(-side, side));
+            let radius = rng.range_f64(1.0, 400.0);
+            out.clear();
+            grid.query_into(center, radius, &mut out);
+            for t in &out {
+                assert_eq!(live.get(&t.id), Some(&t.pos), "ghost transmission {}", t.id);
+            }
+            for (&id, pos) in &live {
+                if pos.distance(&center) <= radius {
+                    assert!(
+                        out.iter().any(|t| t.id == id),
+                        "query missed tx {id} in range (seed {seed})"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        #[test]
+        fn queries_return_a_superset_of_the_in_range_set_and_no_ghosts(
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            node_grid_contract(seed);
+            tx_grid_contract(seed);
+        }
     }
 }

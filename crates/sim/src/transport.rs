@@ -515,9 +515,7 @@ impl Transport {
     ) {
         self.incoming.retain(|_, inc| match inc {
             Incoming::Assembling(asm) => now.since(asm.last_activity) < stale_horizon,
-            Incoming::Done { last_activity, .. } => {
-                now.since(*last_activity) < delivered_horizon
-            }
+            Incoming::Done { last_activity, .. } => now.since(*last_activity) < delivered_horizon,
         });
     }
 }

@@ -1,7 +1,7 @@
 //! The simulation kernel: event loop, MAC/medium arbitration, pacing,
 //! delivery and node lifecycle.
 
-use crate::config::{SenderMode, SimConfig, SpatialIndex};
+use crate::config::{SenderMode, SimConfig};
 use crate::events::{EventKind, EventQueue};
 use crate::fault::{FaultPlan, FaultState};
 use crate::radio::{
@@ -115,14 +115,11 @@ pub struct World {
     /// Motions of all alive nodes, keyed identically to `nodes`. Kept
     /// outside [`NodeState`] so position lookups (grid re-bucketing,
     /// physical verdicts) borrow a compact table, not the node slab.
-    /// Dense and ascending, so brute-force receiver enumeration iterates
-    /// in the same ascending-id order as the node table.
     motions: DenseTable<Motion>,
     /// Active (and recently finished) transmissions, keyed by monotone tx
     /// id in a base-offset slab sized to the live window. Iterates in
-    /// ascending id order so interference sums fold identically in grid
-    /// and brute-force modes — f64 addition order must not depend on the
-    /// index choice.
+    /// ascending id order, the order every interference sum folds in (f64
+    /// addition is not associative).
     transmissions: SeqSlab<Transmission>,
     /// Spatial index over node positions (receiver/neighbor queries).
     node_grid: NodeGrid,
@@ -149,7 +146,7 @@ pub struct World {
     rel_scratch: Vec<Frame>,
     /// Reusable neighbor-query result buffer ([`World::neighbors`]).
     nbr_scratch: Vec<NodeId>,
-    /// Reusable neighbor-query candidate buffer (grid mode).
+    /// Reusable neighbor-query candidate buffer.
     nbr_cands: Vec<(NodeId, Motion)>,
     /// Reusable fragmentation buffer, recycled through
     /// [`Transport::send_message`] so large sends stop allocating a fresh
@@ -188,17 +185,15 @@ pub struct World {
 
 impl World {
     /// Creates an empty world with the given configuration and random seed.
-    /// Identical (config, seed, scenario) triples replay identically —
-    /// including across [`SpatialIndex`] choices, which only select the
-    /// query data structure, never the results.
+    /// Identical (config, seed, scenario) triples replay identically.
     ///
     /// # Panics
     ///
-    /// Panics if `radio.range_m × spatial.cell_factor` is not a positive
-    /// finite cell size, or if `radio.path_loss_exp` or
-    /// `radio.capture_sinr` is negative or not finite: received power
-    /// must not grow with distance (the far-field interference bound of
-    /// DESIGN.md §18 is unsound otherwise, and so is the physics).
+    /// Panics if `radio.range_m` is not a positive finite cell size, or if
+    /// `radio.path_loss_exp` or `radio.capture_sinr` is negative or not
+    /// finite: received power must not grow with distance (the far-field
+    /// interference bound of DESIGN.md §18 is unsound otherwise, and so is
+    /// the physics).
     #[must_use]
     pub fn new(config: SimConfig, seed: u64) -> Self {
         let radio = &config.radio;
@@ -213,7 +208,9 @@ impl World {
             radio.capture_sinr
         );
         let max_airtime = config.radio.frame_airtime(config.radio.max_frame_bytes);
-        let cell_m = config.radio.range_m * config.spatial.cell_factor;
+        // One cell per radio range: a decode-range query probes at most
+        // 3×3 cells.
+        let cell_m = config.radio.range_m;
         // Carrier sense and (with a finite interference horizon) the
         // interference pre-scan query this grid with wider radii; sizing
         // its cells to the largest such radius keeps every probe at 3×3
@@ -515,25 +512,14 @@ impl World {
             return &self.nbr_scratch;
         };
         let range = self.config.radio.range_m;
-        match self.config.spatial.index {
-            SpatialIndex::BruteForce => {
-                for (other, m) in self.motions.iter() {
-                    if other != id && m.position(self.now).distance(&pos) <= range {
-                        self.nbr_scratch.push(other);
-                    }
-                }
-            }
-            SpatialIndex::Grid => {
-                self.nbr_cands.clear();
-                self.node_grid
-                    .query_into(pos, range, self.now, &mut self.nbr_cands);
-                self.nbr_cands.sort_unstable_by_key(|&(r, _)| r);
-                self.nbr_cands.dedup_by_key(|&mut (r, _)| r);
-                for &(r, m) in &self.nbr_cands {
-                    if r != id && m.position(self.now).distance(&pos) <= range {
-                        self.nbr_scratch.push(r);
-                    }
-                }
+        self.nbr_cands.clear();
+        self.node_grid
+            .query_into(pos, range, self.now, &mut self.nbr_cands);
+        self.nbr_cands.sort_unstable_by_key(|&(r, _)| r);
+        self.nbr_cands.dedup_by_key(|&mut (r, _)| r);
+        for &(r, m) in &self.nbr_cands {
+            if r != id && m.position(self.now).distance(&pos) <= range {
+                self.nbr_scratch.push(r);
             }
         }
         &self.nbr_scratch
@@ -629,11 +615,6 @@ impl World {
     /// re-bucket interval. Until then, queries stay exact by padding their
     /// radius with the maximum possible drift.
     fn refresh_node_grid(&mut self) {
-        if self.config.spatial.index != SpatialIndex::Grid {
-            // Brute-force mode never queries the grid; skipping the sweep
-            // keeps the differential benchmark an honest comparison.
-            return;
-        }
         let now = self.now;
         let stamp = self.node_grid.stamp();
         if now <= stamp || now.since(stamp) < self.config.spatial.rebucket_interval {
@@ -985,44 +966,24 @@ impl World {
             return;
         };
         // Carrier sense: any ongoing transmission within the (extended)
-        // sense range that has been on the air long enough to detect.
-        // `max` is order-independent, so the grid path (candidates from
-        // the cells overlapping the sense disk, then the same exact
-        // filters) returns exactly what the exhaustive scan does.
-        let sensed = |t: &Transmission| {
-            t.end > now
-                && t.sender != id
-                && t.start + sense_delay <= now
-                && t.start_pos.distance(&pos) <= cs_range
-        };
-        let busy_until = match self.config.spatial.index {
-            SpatialIndex::BruteForce => self
-                .transmissions
-                .values()
-                .filter(|t| sensed(t))
-                .map(|t| t.end)
-                .max(),
-            SpatialIndex::Grid => {
-                // The grid carries the sense-relevant fields inline, so the
-                // scan never touches the transmission map. `max` is
-                // order-independent, so the unspecified query order is fine.
-                let mut cands = std::mem::take(&mut self.cs_scratch);
-                cands.clear();
-                self.tx_grid.query_into(pos, cs_range, &mut cands);
-                let busy = cands
-                    .iter()
-                    .filter(|t| {
-                        t.end > now
-                            && t.sender != id
-                            && t.start + sense_delay <= now
-                            && t.pos.distance(&pos) <= cs_range
-                    })
-                    .map(|t| t.end)
-                    .max();
-                self.cs_scratch = cands;
-                busy
-            }
-        };
+        // sense range that has been on the air long enough to detect. The
+        // grid carries the sense-relevant fields inline, so the scan never
+        // touches the transmission map; `max` is order-independent, so the
+        // unspecified query order is fine.
+        let mut cands = std::mem::take(&mut self.cs_scratch);
+        cands.clear();
+        self.tx_grid.query_into(pos, cs_range, &mut cands);
+        let busy_until = cands
+            .iter()
+            .filter(|t| {
+                t.end > now
+                    && t.sender != id
+                    && t.start + sense_delay <= now
+                    && t.pos.distance(&pos) <= cs_range
+            })
+            .map(|t| t.end)
+            .max();
+        self.cs_scratch = cands;
         if let Some(until) = busy_until {
             let backoff = if backoff_max > 0 {
                 self.rng.range_u64(0, backoff_max)
@@ -1174,7 +1135,6 @@ impl World {
             let mut scratch = std::mem::take(&mut self.phys_scratch);
             let args = PhysArgs {
                 config: &self.config,
-                motions: &self.motions,
                 transmissions: &self.transmissions,
                 tx_by_sender: &self.tx_by_sender,
                 node_grid: &self.node_grid,
@@ -1850,43 +1810,83 @@ mod tests {
         assert_eq!(w.neighbors(a), [b]);
         w.set_position(c, Position::new(60.0, 0.0));
         // Already ascending by id — the scratch slice is sorted by
-        // construction in both spatial-index modes.
+        // construction.
         assert_eq!(w.neighbors(a), [b, c]);
     }
 
+    /// The grids are indexes over `motions` and `transmissions`, never a
+    /// second source of truth: same members, same denormalized fields, and
+    /// a filtered query equals a scan of the table.
+    fn assert_grids_mirror_tables(w: &mut World) {
+        let now = w.now;
+        let nodes: Vec<(NodeId, Motion)> = w.motions.iter().map(|(id, m)| (id, *m)).collect();
+        assert_eq!(w.node_grid.snapshot(), nodes, "node grid at {now}");
+        let live: Vec<_> = w
+            .transmissions
+            .values()
+            .map(|t| (t.id, t.sender, t.start_pos, t.start, t.end))
+            .collect();
+        let indexed: Vec<_> = w
+            .tx_grid
+            .snapshot()
+            .iter()
+            .map(|t| (t.id, t.sender, t.pos, t.start, t.end))
+            .collect();
+        assert_eq!(indexed, live, "transmission grid at {now}");
+        let range = w.config.radio.range_m;
+        for &(id, m) in &nodes {
+            let pos = m.position(now);
+            let scan: Vec<NodeId> = nodes
+                .iter()
+                .filter(|&&(o, om)| o != id && om.position(now).distance(&pos) <= range)
+                .map(|&(o, _)| o)
+                .collect();
+            assert_eq!(w.neighbors(id), scan, "neighbors of {id} at {now}");
+        }
+    }
+
     #[test]
-    fn grid_and_brute_force_replay_identically() {
-        let run = |index: SpatialIndex, rebucket_ms: u64| {
+    fn grids_mirror_the_authoritative_tables() {
+        let run = |rebucket_ms: u64| {
             let mut c = SimConfig::default();
             c.radio.baseline_loss = 0.1;
-            c.spatial.index = index;
             c.spatial.rebucket_interval = SimDuration::from_millis(rebucket_ms);
             let mut w = World::new(c, 42);
-            w.add_node(
-                Position::new(0.0, 0.0),
-                Box::new(Blaster::new(40, 1200, vec![NodeId(1)])),
-            );
-            let b = w.add_node(Position::new(30.0, 0.0), Box::new(Sink::new()));
-            w.add_node(
-                Position::new(60.0, 30.0),
-                Box::new(Blaster::new(40, 900, vec![])),
-            );
-            let far = w.add_node(Position::new(400.0, 0.0), Box::new(Sink::new()));
-            // A walker crossing the chatter, plus churn mid-run.
-            w.move_node(far, Position::new(0.0, 0.0), 40.0);
-            w.schedule(secs(2.0), move |w| w.remove_node(b));
-            w.schedule(secs(3.0), |w| {
-                w.add_node(Position::new(20.0, 20.0), Box::new(Sink::new()));
-            });
-            w.run_until(secs(8.0));
+            let mut ids = Vec::new();
+            for i in 0..24u32 {
+                let (x, y) = (f64::from(i % 6) * 55.0, f64::from(i / 6) * 70.0);
+                let count = 20 + 3 * i as usize;
+                ids.push(w.add_node(
+                    Position::new(x, y),
+                    Box::new(Blaster::new(count, 900, vec![])),
+                ));
+            }
+            // Every third node walks across the field, fast enough to
+            // change cells between re-buckets.
+            for (k, &id) in ids.iter().enumerate().filter(|(k, _)| k % 3 == 0) {
+                w.move_node(id, Position::new(300.0 - 12.0 * k as f64, 250.0), 35.0);
+            }
+            let mut in_flight = 0;
+            for step in 1..=600u64 {
+                w.run_until(SimTime::from_micros(step * 2_500));
+                // Churn between observations: leave, join, teleport.
+                match step {
+                    150 => w.remove_node(ids[4]),
+                    300 => ids.push(w.add_node(Position::new(20.0, 20.0), Box::new(Sink::new()))),
+                    450 => w.set_position(ids[7], Position::new(280.0, 10.0)),
+                    _ => {}
+                }
+                in_flight += w.transmissions.len();
+                assert_grids_mirror_tables(&mut w);
+            }
+            assert!(in_flight > 0, "no transmission was ever observed");
             w.stats().clone()
         };
-        let brute = run(SpatialIndex::BruteForce, 0);
-        assert_eq!(run(SpatialIndex::Grid, 0), brute);
+        let eager = run(0);
         // Lazy re-bucketing pads queries instead of moving buckets; the
         // results must not change either way.
-        assert_eq!(run(SpatialIndex::Grid, 500), brute);
-        assert!(brute.frames_delivered > 0);
+        assert_eq!(run(500), eager);
+        assert!(eager.frames_delivered > 0 && eager.frames_collided > 0);
     }
 
     /// Twelve sender/sink pairs strung 400 m apart along x, chattering in

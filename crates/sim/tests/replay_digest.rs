@@ -1,12 +1,13 @@
-//! The replay-digest gate (DESIGN.md §8): one scenario, run twice under
-//! each spatial index implementation, must produce four identical event
-//! stream digests. Run with `cargo test -p pds-sim --features replay-digest`.
+//! The replay-digest gate (DESIGN.md §8): one scenario, run repeatedly —
+//! with eager and with lazy grid re-bucketing, traced and untraced, with
+//! and without a fault plan — must produce identical event stream digests.
+//! Run with `cargo test -p pds-sim --features replay-digest`.
 #![cfg(feature = "replay-digest")]
 
 use bytes::Bytes;
 use pds_sim::{
     Application, Context, FaultPlan, MessageMeta, NodeId, PartitionWindow, Position, SilenceWindow,
-    SimConfig, SimDuration, SimTime, SpatialIndex, Stats, World,
+    SimConfig, SimDuration, SimTime, Stats, World,
 };
 
 /// The digest of the standard scenario below, captured before the DST fault
@@ -53,28 +54,24 @@ impl Application for Blaster {
 /// A lossy, mobile, churning scenario exercising every event kind: app
 /// timers, MAC attempts and defers, transmissions, bucket drains, control
 /// closures and sweeps.
-fn run(index: SpatialIndex, rebucket_ms: u64, seed: u64) -> (u64, u64) {
-    run_traced(index, rebucket_ms, seed, false)
+fn run(rebucket_ms: u64, seed: u64) -> (u64, u64) {
+    run_traced(rebucket_ms, seed, false)
 }
 
-fn run_traced(index: SpatialIndex, rebucket_ms: u64, seed: u64, traced: bool) -> (u64, u64) {
-    let (digest, stats) = run_plan(index, rebucket_ms, seed, traced, None);
+fn run_traced(rebucket_ms: u64, seed: u64, traced: bool) -> (u64, u64) {
+    let (digest, stats) = run_plan(rebucket_ms, seed, traced, None);
     (digest, stats.frames_delivered)
 }
 
 /// With `PDS_TRACE_DIR` set, a JSONL sink writing one uniquely named trace
 /// file per run into that directory; `None` otherwise.
-fn jsonl_sink_from_env(
-    index: SpatialIndex,
-    rebucket_ms: u64,
-    seed: u64,
-) -> Option<Box<dyn pds_sim::TraceSink>> {
+fn jsonl_sink_from_env(rebucket_ms: u64, seed: u64) -> Option<Box<dyn pds_sim::TraceSink>> {
     use std::sync::atomic::{AtomicU64, Ordering};
     static RUN: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::var_os("PDS_TRACE_DIR")?;
     let run = RUN.fetch_add(1, Ordering::Relaxed);
     let path = std::path::Path::new(&dir).join(format!(
-        "replay-{index:?}-rebucket{rebucket_ms}-seed{seed}-run{run}.jsonl"
+        "replay-rebucket{rebucket_ms}-seed{seed}-run{run}.jsonl"
     ));
     match pds_sim::obs::JsonlSink::create(&path) {
         Ok(sink) => Some(Box::new(sink)),
@@ -85,27 +82,20 @@ fn jsonl_sink_from_env(
     }
 }
 
-fn run_plan(
-    index: SpatialIndex,
-    rebucket_ms: u64,
-    seed: u64,
-    traced: bool,
-    plan: Option<FaultPlan>,
-) -> (u64, Stats) {
+fn run_plan(rebucket_ms: u64, seed: u64, traced: bool, plan: Option<FaultPlan>) -> (u64, Stats) {
     let sink: Option<Box<dyn pds_sim::TraceSink>> = if traced {
         Some(Box::new(pds_sim::obs::RingSink::new(0)))
     } else {
         // CI failure forensics: PDS_TRACE_DIR=<dir> dumps every run's full
         // event stream as JSONL so `pds-obs diff` can explain a digest
         // mismatch offline.
-        jsonl_sink_from_env(index, rebucket_ms, seed)
+        jsonl_sink_from_env(rebucket_ms, seed)
     };
-    let (digest, stats, _) = run_sinked(index, rebucket_ms, seed, sink, plan);
+    let (digest, stats, _) = run_sinked(rebucket_ms, seed, sink, plan);
     (digest, stats)
 }
 
 fn run_sinked(
-    index: SpatialIndex,
     rebucket_ms: u64,
     seed: u64,
     sink: Option<Box<dyn pds_sim::TraceSink>>,
@@ -113,7 +103,6 @@ fn run_sinked(
 ) -> (u64, Stats, Option<Box<dyn pds_sim::TraceSink>>) {
     let mut c = SimConfig::default();
     c.radio.baseline_loss = 0.1;
-    c.spatial.index = index;
     c.spatial.rebucket_interval = SimDuration::from_millis(rebucket_ms);
     let mut w = World::new(c, seed);
     if let Some(plan) = plan {
@@ -174,14 +163,13 @@ fn adversarial_plan(seed: u64) -> FaultPlan {
 }
 
 #[test]
-fn replay_digest_is_stable_across_runs_and_spatial_indices() {
-    let (brute, delivered) = run(SpatialIndex::BruteForce, 0, 42);
+fn replay_digest_is_stable_across_runs_and_rebucket_intervals() {
+    let (eager, delivered) = run(0, 42);
     assert!(delivered > 0, "scenario must actually exchange traffic");
-    // All four digests — two runs per index, including one with lazy
-    // re-bucketing — must agree bit-for-bit.
-    assert_eq!(run(SpatialIndex::BruteForce, 0, 42).0, brute);
-    assert_eq!(run(SpatialIndex::Grid, 0, 42).0, brute);
-    assert_eq!(run(SpatialIndex::Grid, 500, 42).0, brute);
+    // A rerun, and a run with lazy re-bucketing (stale buckets, padded
+    // queries), must agree bit-for-bit.
+    assert_eq!(run(0, 42).0, eager);
+    assert_eq!(run(500, 42).0, eager);
 }
 
 #[test]
@@ -189,8 +177,8 @@ fn replay_digest_unchanged_by_tracing() {
     // Installing a trace sink is observation, not simulation: the dispatched
     // event stream (and therefore the digest) must be bit-identical with
     // tracing on and off.
-    let (off, delivered) = run_traced(SpatialIndex::Grid, 0, 42, false);
-    let (on, delivered_on) = run_traced(SpatialIndex::Grid, 0, 42, true);
+    let (off, delivered) = run_traced(0, 42, false);
+    let (on, delivered_on) = run_traced(0, 42, true);
     assert!(delivered > 0, "scenario must actually exchange traffic");
     assert_eq!(on, off, "trace sink must not perturb the event stream");
     assert_eq!(delivered_on, delivered);
@@ -202,9 +190,8 @@ fn replay_digest_unchanged_by_flight_recorder() {
     // `FlightRecorder` (small rings, steady-state overwrites in play)
     // must leave the dispatched stream bit-identical — same digest pin,
     // same stats — as no sink at all.
-    let (off, off_stats, _) = run_sinked(SpatialIndex::Grid, 0, 42, None, None);
+    let (off, off_stats, _) = run_sinked(0, 42, None, None);
     let (on, on_stats, sink) = run_sinked(
-        SpatialIndex::Grid,
         0,
         42,
         Some(Box::new(pds_sim::obs::FlightRecorder::new(256))),
@@ -230,8 +217,8 @@ fn replay_digest_unchanged_by_flight_recorder() {
 #[test]
 fn replay_digest_distinguishes_seeds() {
     assert_ne!(
-        run(SpatialIndex::Grid, 0, 42).0,
-        run(SpatialIndex::Grid, 0, 43).0,
+        run(0, 42).0,
+        run(0, 43).0,
         "different seeds must yield different event streams"
     );
 }
@@ -241,7 +228,7 @@ fn faultless_digest_matches_pre_fault_hook_pin() {
     // The acceptance bar for the DST layer: merely *carrying* the fault
     // hook must not move a single bit of the faultless event stream.
     assert_eq!(
-        run(SpatialIndex::Grid, 0, 42).0,
+        run(0, 42).0,
         PINNED_FAULTLESS_DIGEST,
         "faultless stream drifted from the pre-fault-hook capture"
     );
@@ -252,19 +239,19 @@ fn noop_fault_plan_is_invisible() {
     // Installing a plan that injects nothing must be indistinguishable —
     // digest and every counter — from installing no plan, because the
     // fault rng is plan-owned and zero-probability rolls consume nothing.
-    let (bare, bare_stats) = run_plan(SpatialIndex::Grid, 0, 42, false, None);
-    let (noop, noop_stats) = run_plan(SpatialIndex::Grid, 0, 42, false, Some(FaultPlan::none(999)));
+    let (bare, bare_stats) = run_plan(0, 42, false, None);
+    let (noop, noop_stats) = run_plan(0, 42, false, Some(FaultPlan::none(999)));
     assert_eq!(noop, bare, "no-op plan perturbed the event stream");
     assert_eq!(noop_stats, bare_stats);
     assert_eq!(bare, PINNED_FAULTLESS_DIGEST);
 }
 
 #[test]
-fn faulted_digest_is_stable_across_runs_and_indices() {
+fn faulted_digest_is_stable_across_runs_and_rebucket_intervals() {
     // A (seed, plan) pair is a complete replay token: the adversarial
-    // stream must be bit-identical across reruns and spatial indexes,
+    // stream must be bit-identical across reruns and re-bucket intervals,
     // exactly like the faultless one.
-    let (first, stats) = run_plan(SpatialIndex::Grid, 0, 42, false, Some(adversarial_plan(7)));
+    let (first, stats) = run_plan(0, 42, false, Some(adversarial_plan(7)));
     assert!(
         stats.frames_fault_cut > 0
             && stats.frames_fault_dropped > 0
@@ -276,20 +263,16 @@ fn faulted_digest_is_stable_across_runs_and_indices() {
         first, PINNED_FAULTLESS_DIGEST,
         "faults must perturb the stream"
     );
-    for (index, rebucket) in [
-        (SpatialIndex::Grid, 0),
-        (SpatialIndex::BruteForce, 0),
-        (SpatialIndex::BruteForce, 500),
-    ] {
-        let (digest, rerun_stats) = run_plan(index, rebucket, 42, false, Some(adversarial_plan(7)));
-        assert_eq!(digest, first, "{index:?}/rebucket {rebucket} ms diverged");
+    for rebucket in [0, 500] {
+        let (digest, rerun_stats) = run_plan(rebucket, 42, false, Some(adversarial_plan(7)));
+        assert_eq!(digest, first, "rebucket {rebucket} ms diverged");
         assert_eq!(rerun_stats, stats);
     }
 }
 
 #[test]
 fn fault_plans_with_different_seeds_diverge() {
-    let (a, _) = run_plan(SpatialIndex::Grid, 0, 42, false, Some(adversarial_plan(7)));
-    let (b, _) = run_plan(SpatialIndex::Grid, 0, 42, false, Some(adversarial_plan(8)));
+    let (a, _) = run_plan(0, 42, false, Some(adversarial_plan(7)));
+    let (b, _) = run_plan(0, 42, false, Some(adversarial_plan(8)));
     assert_ne!(a, b, "plan seed must feed the fault rolls");
 }

@@ -337,17 +337,14 @@ proptest! {
     }
 }
 
-// ---- spatial index equivalence -------------------------------------------
+// ---- sweep executor equivalence -------------------------------------------
 //
-// The simulator's uniform hash grid is an *index*, not an approximation:
-// for every scenario it must produce bit-identical behavior to the
-// exhaustive scans it replaces. These properties drive random node
-// counts, placements, motions and churn through both modes and demand
-// exact agreement.
+// Random node counts, placements, motions and chatter periods, swept at
+// different worker counts. (The spatial grid's own contract is pinned
+// inside `pds-sim`: `spatial::tests`, `world::tests`, `radio::tests`.)
 
 use pds_sim::{
-    Application, Context, MessageMeta, Position, SimConfig, SimDuration, SimTime, SpatialIndex,
-    World,
+    Application, Context, MessageMeta, Position, SimConfig, SimDuration, SimTime, World,
 };
 
 struct SimChatter {
@@ -365,9 +362,9 @@ impl Application for SimChatter {
     }
 }
 
-/// Per-node plan: start position, walk destination, walk speed, flag bits
-/// (bit 0 = walks, bit 1 = churns out mid-run), chatter period.
-type NodePlan = ((f64, f64), (f64, f64), f64, u8, u64);
+/// Per-node plan: start position, walk destination, walk speed, whether
+/// it walks, chatter period.
+type NodePlan = ((f64, f64), (f64, f64), f64, bool, u64);
 
 fn node_plans(max: usize) -> impl proptest::strategy::Strategy<Value = Vec<NodePlan>> {
     proptest::collection::vec(
@@ -375,92 +372,31 @@ fn node_plans(max: usize) -> impl proptest::strategy::Strategy<Value = Vec<NodeP
             (0.0f64..600.0, 0.0f64..600.0),
             (0.0f64..600.0, 0.0f64..600.0),
             0.3f64..3.0,
-            any::<u8>(),
+            any::<bool>(),
             20u64..90,
         ),
         2..max,
     )
 }
 
-fn spatial_world(
-    plans: &[NodePlan],
-    index: SpatialIndex,
-    seed: u64,
-    rebucket_ms: u64,
-    finite_interference: bool,
-) -> (World, Vec<pds_sim::NodeId>) {
+fn chatter_world(plans: &[NodePlan], seed: u64) -> World {
     let mut config = SimConfig::default();
-    config.spatial.index = index;
-    config.spatial.rebucket_interval = SimDuration::from_millis(rebucket_ms);
-    if finite_interference {
-        config.radio.interference_range_factor = 4.0;
-    }
     config.radio.baseline_loss = 0.05;
     let mut w = World::new(config, seed);
-    let ids: Vec<_> = plans
-        .iter()
-        .map(|&((x, y), _, _, _, period)| {
-            w.add_node(
-                Position::new(x, y),
-                Box::new(SimChatter { period_ms: period }),
-            )
-        })
-        .collect();
-    for (&(_, (dx, dy), speed, flags, _), &id) in plans.iter().zip(&ids) {
-        if flags & 1 != 0 {
+    for &((x, y), (dx, dy), speed, walks, period) in plans {
+        let id = w.add_node(
+            Position::new(x, y),
+            Box::new(SimChatter { period_ms: period }),
+        );
+        if walks {
             w.move_node(id, Position::new(dx, dy), speed);
         }
     }
-    (w, ids)
+    w
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// `neighbors()` (a range query over the node index) must agree
-    /// between the grid and the brute-force scan at every observation
-    /// point of a run with walkers, lazy re-bucketing and mid-run churn —
-    /// and the full runs must produce identical statistics, which pins
-    /// the carrier-sense and interference query paths too.
-    #[test]
-    fn spatial_grid_matches_brute_force_under_motion_and_churn(
-        seed in any::<u64>(),
-        plans in node_plans(20),
-        rebucket_ms in 0u64..400,
-        finite_interference in any::<bool>(),
-    ) {
-        let (mut wg, ids) =
-            spatial_world(&plans, SpatialIndex::Grid, seed, rebucket_ms, finite_interference);
-        let (mut wb, ids_b) =
-            spatial_world(&plans, SpatialIndex::BruteForce, seed, rebucket_ms, finite_interference);
-        prop_assert_eq!(&ids, &ids_b);
-        for (phase, horizon_s) in [0.4f64, 0.9, 1.6].into_iter().enumerate() {
-            wg.run_until(SimTime::from_secs_f64(horizon_s));
-            wb.run_until(SimTime::from_secs_f64(horizon_s));
-            for &id in &ids {
-                prop_assert_eq!(
-                    wg.neighbors(id),
-                    wb.neighbors(id),
-                    "neighbor sets diverged for {} at phase {}",
-                    id,
-                    phase
-                );
-            }
-            if phase == 0 {
-                // Churn the flagged nodes out of both worlds identically.
-                for (&(_, _, _, flags, _), &id) in plans.iter().zip(&ids) {
-                    if flags & 2 != 0 {
-                        wg.remove_node(id);
-                        wb.remove_node(id);
-                    }
-                }
-            }
-        }
-        prop_assert_eq!(wg.stats(), wb.stats());
-        for &id in &ids {
-            prop_assert_eq!(wg.node_stats(id), wb.node_stats(id));
-        }
-    }
 
     /// The parallel sweep executor must be invisible in the results: the
     /// same randomly-generated scenario swept at 1 worker and at 4 workers
@@ -476,7 +412,7 @@ proptest! {
         let seeds: Vec<u64> = (0..4).map(|k| u64::from(base_seed) + k * 7919).collect();
         let sweep = |jobs: usize| {
             pds_bench::SweepRunner::new(jobs).run(seeds.len(), |i| {
-                let (mut w, _) = spatial_world(&plans, SpatialIndex::Grid, seeds[i], 0, false);
+                let mut w = chatter_world(&plans, seeds[i]);
                 w.run_until(SimTime::from_secs_f64(1.0));
                 w.stats().clone()
             })
@@ -484,28 +420,6 @@ proptest! {
         prop_assert_eq!(sweep(1), sweep(4));
     }
 
-    /// A dense clique (everyone in carrier-sense range of everyone) is the
-    /// adversarial case for the transmission index: collisions, deferrals
-    /// and capture decisions all hinge on the carrier-sense and
-    /// interference candidate sets. Replay must still be bit-identical.
-    #[test]
-    fn spatial_grid_replays_dense_contention_identically(
-        seed in any::<u64>(),
-        coords in proptest::collection::vec((0.0f64..120.0, 0.0f64..120.0), 3..14),
-        period_ms in 5u64..25,
-    ) {
-        let run = |index: SpatialIndex| {
-            let mut config = SimConfig::default();
-            config.spatial.index = index;
-            let mut w = World::new(config, seed);
-            for &(x, y) in &coords {
-                w.add_node(Position::new(x, y), Box::new(SimChatter { period_ms }));
-            }
-            w.run_until(SimTime::from_secs_f64(1.5));
-            w.stats().clone()
-        };
-        prop_assert_eq!(run(SpatialIndex::Grid), run(SpatialIndex::BruteForce));
-    }
 }
 
 // ---- event-scheduler equivalence ------------------------------------------
