@@ -9,9 +9,10 @@
 //!   the horizon, so any drift is a silent behavior change, not noise;
 //! - **equality flags** (`stats_equal`, `results_equal`) must be `true`
 //!   in the fresh record;
-//! - **peak heap per node** (`bytes_per_node`) may grow at most 25%, and
-//!   only counts when both records measured a nonzero peak (both built
-//!   with `count-alloc`) — the memory diet must not quietly un-diet;
+//! - **peak heap per node** (`bytes_per_node`) may grow at most 25% —
+//!   the memory diet must not quietly un-diet (a baseline of 0, from a
+//!   record written before the allocator counted unconditionally, is
+//!   skipped);
 //! - **wall times and everything derived from them** (`*_wall_s`,
 //!   `speedup`, `events_per_sec`) are never read: a gate whose tolerance
 //!   sits inside runner noise is not a measurement. They stay in the
@@ -22,219 +23,29 @@
 //! same city node count and horizon (nightly runs 50k against a committed
 //! 10k record: `stats_equal` is still enforced, counters are not).
 //!
-//! The JSON reader below is a minimal recursive-descent parser for the
-//! subset `sim_scale` emits (objects, arrays, strings, numbers, bools) —
-//! the workspace is offline and vendors no serde.
+//! Records are read with the workspace's one JSON reader,
+//! `pds_obs::json` (reached through `pds_sim::obs`, so this crate's
+//! dependency list — and `benchmark/Cargo.lock` — stay as they are);
+//! [`parse`] and [`Value`] are re-exported here for the protocol
+//! benchmark, which reads `BENCHMARK.json` and its own records with them.
 
 use std::fmt;
 
 /// Fractional growth in per-node peak heap (`bytes_per_node`) the fresh
 /// run may show before the check fails (one-sided: using less memory is
-/// never a regression). Compared only when both records measured a
-/// nonzero peak, i.e. both were built with `count-alloc`.
+/// never a regression). Skipped when the baseline recorded no peak (0).
 pub const BYTES_PER_NODE_TOLERANCE: f64 = 0.25;
 
-/// A parsed JSON value (subset: no `null`, no string escapes beyond `\"`
-/// and `\\` — `sim_scale` emits neither).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number; the record never needs integer/float distinction at
-    /// comparison time (counters are compared exactly via `f64`, which is
-    /// lossless for the magnitudes involved).
-    Num(f64),
-    /// A string literal.
-    Str(String),
-    /// An ordered array.
-    Arr(Vec<Value>),
-    /// An object as an ordered key-value list (duplicate keys keep the
-    /// first occurrence on lookup).
-    Obj(Vec<(String, Value)>),
-}
+pub use pds_sim::obs::json::Value;
 
-impl Value {
-    /// Member lookup on objects; `None` for other variants.
-    #[must_use]
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The numeric value, if any.
-    #[must_use]
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The boolean value, if any.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The array elements, if any.
-    #[must_use]
-    pub fn as_arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The string value, if any.
-    #[must_use]
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-/// Parses a JSON document (the `sim_scale` subset).
+/// Parses a JSON document with the workspace's one reader
+/// ([`pds_sim::obs::json::parse`]), flattening its error to a string.
 ///
 /// # Errors
 ///
 /// Returns a one-line description with a byte offset on malformed input.
 pub fn parse(input: &str) -> Result<Value, String> {
-    let bytes = input.as_bytes();
-    let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected '{}' at byte {pos}", b as char))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
-        Some(b't') if bytes[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Value::Bool(true))
-        }
-        Some(b'f') if bytes[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Value::Bool(false))
-        }
-        Some(c) if *c == b'-' || c.is_ascii_digit() => parse_number(bytes, pos),
-        _ => Err(format!("unexpected input at byte {pos}")),
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-    expect(bytes, pos, b'{')?;
-    let mut members = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Value::Obj(members));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
-        members.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Value::Obj(members));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Value::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Value::Arr(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-        }
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    while let Some(&b) = bytes.get(*pos) {
-        *pos += 1;
-        match b {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let esc = bytes.get(*pos).copied();
-                *pos += 1;
-                match esc {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    _ => return Err(format!("unsupported escape at byte {pos}")),
-                }
-            }
-            _ => out.push(b as char),
-        }
-    }
-    Err("unterminated string".to_owned())
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-    let start = *pos;
-    while let Some(&b) = bytes.get(*pos) {
-        if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-            *pos += 1;
-        } else {
-            break;
-        }
-    }
-    std::str::from_utf8(&bytes[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(Value::Num)
-        .ok_or_else(|| format!("bad number at byte {start}"))
+    pds_sim::obs::json::parse(input).map_err(|e| e.to_string())
 }
 
 /// Outcome of a baseline comparison.
@@ -292,7 +103,7 @@ fn flag_false(out: &mut Vec<Regression>, row: Option<&Value>, flag: &str, what: 
 }
 
 /// One matched row pair: counters exactly, peak heap per node within
-/// [`BYTES_PER_NODE_TOLERANCE`] when both records measured one.
+/// [`BYTES_PER_NODE_TOLERANCE`] when the baseline recorded one.
 fn compare_row(out: &mut Vec<Regression>, what: &str, brow: &Value, crow: &Value) {
     for counter in ["frames_sent", "frames_delivered", "events"] {
         if let (Some(b), Some(c)) = (num(brow, counter), num(crow, counter)) {
@@ -545,8 +356,8 @@ mod tests {
 
     #[test]
     fn unmeasured_heap_is_skipped_not_failed() {
-        // bytes_per_node == 0 means the record was built without
-        // `count-alloc`; comparing against it would punish measuring.
+        // bytes_per_node == 0 is a record written by a binary without the
+        // counting allocator; comparing against it would punish measuring.
         let mut unmeasured = BASE;
         unmeasured.bytes_per_node = 0;
         assert!(found(unmeasured, BASE).is_empty());
@@ -568,6 +379,25 @@ mod tests {
     }
 
     #[test]
+    fn integer_and_float_spellings_compare_equal() {
+        // The reader keeps `2` exact (`Int`) and reads `2.0` as a float;
+        // everything `check` compares must treat them as the same number.
+        let mut floaty = BASE.json();
+        for (int, float) in [
+            ("\"sim_seconds\": 2,", "\"sim_seconds\": 2.0,"),
+            ("\"events\": 5000,", "\"events\": 5000.0,"),
+            ("\"n\": 10000,", "\"n\": 1e4,"),
+        ] {
+            assert!(floaty.contains(int));
+            floaty = floaty.replace(int, float);
+        }
+        match check(&BASE.json(), &floaty).unwrap() {
+            Verdict::Compared(r) => assert!(r.is_empty(), "{r:?}"),
+            Verdict::Incomparable(why) => panic!("{why}"),
+        }
+    }
+
+    #[test]
     fn parser_round_trips_the_committed_shape() {
         let v = parse(&BASE.json()).unwrap();
         assert_eq!(
@@ -582,5 +412,10 @@ mod tests {
                 .map(<[Value]>::len),
             Some(1)
         );
+        // Non-ASCII text is read as UTF-8 (widening each byte `as char`
+        // would give `Âµs`), and errors flatten to a `String`.
+        let unit = parse("{\"unit\": \"µs ≈ 1\"}").unwrap();
+        assert_eq!(unit.get("unit").and_then(Value::as_str), Some("µs ≈ 1"));
+        assert!(parse("{\"unit\": ").unwrap_err().contains("byte"));
     }
 }

@@ -9,10 +9,10 @@
 //! `saturation`, `leaky-sweep`, `ack-sweep`). Results are printed and
 //! written to `<out>/<experiment>[-i].csv` (default `results/`).
 //!
-//! `--jobs N` (or `PDS_BENCH_JOBS=N`) sets the sweep-executor worker
-//! count; the default is the number of available cores and `--jobs 1`
-//! restores fully sequential runs. Output is bit-identical across job
-//! counts (see `pds_bench::sweep`).
+//! `--jobs N` sets the sweep-executor worker count; the default is the
+//! number of available cores and `--jobs 1` restores fully sequential
+//! runs. Output is bit-identical across job counts (see
+//! `pds_bench::sweep`).
 
 use pds_bench::experiments::{self, RunConfig};
 use pds_bench::WallClock;

@@ -15,8 +15,8 @@
 //! visible. Without `--quick` the horizon is 4× longer.
 //!
 //! The `"resources"` block records, per node count, kernel events
-//! dispatched, frames sent and delivered, event throughput, and (under the
-//! `count-alloc` feature) peak heap bytes.
+//! dispatched, frames sent and delivered, event throughput, and peak heap
+//! bytes (this binary installs a counting global allocator).
 //!
 //! `--jobs N` (default: available cores) sets the worker count for the
 //! `"sweep"` block: the node-count × seed grid is run once sequentially
@@ -25,13 +25,13 @@
 //! the host's core count, so readers can tell an honest speedup from an
 //! oversubscribed one.
 //!
-//! `--city-n N` (env fallback `PDS_CITY_N`, default 10000) sets the node
-//! count for the `"city"` block: the city-scale scenario family
-//! (`pds_bench::city` — stadium exit, vehicular corridor, disaster
-//! relief) run on a fixed 2-second horizon, each scenario twice with the
-//! same seed (identical statistics asserted), recording events/sec and
-//! peak heap bytes per node. Under `count-alloc` at n ≥ 10000 the
-//! ≤ 32 KB/node budget of the slab/SoA memory diet is asserted outright.
+//! `--city-n N` (default 10000) sets the node count for the `"city"`
+//! block: the city-scale scenario family (`pds_bench::city` — stadium
+//! exit, vehicular corridor, disaster relief) run on a fixed 2-second
+//! horizon, each scenario twice with the same seed (identical statistics
+//! asserted), recording events/sec and peak heap bytes per node. At
+//! n ≥ 10000 the ≤ 32 KB/node budget of the slab/SoA memory diet is
+//! asserted outright.
 //!
 //! `--check-baseline [path]` finally compares the fresh record against
 //! the committed one — deterministic counters exactly, equality flags,
@@ -47,12 +47,11 @@ use pds_sim::{
 };
 use std::fmt::Write as _;
 
-/// Counting wrapper around the system allocator (under `count-alloc`):
-/// tracks live heap bytes and the high-water mark so the `resources`
-/// block can report peak heap per scenario. Lives in this binary — not
-/// the library — because the workspace libraries are
-/// `forbid(unsafe_code)` and a `GlobalAlloc` impl is necessarily unsafe.
-#[cfg(feature = "count-alloc")]
+/// Counting wrapper around the system allocator: tracks live heap bytes
+/// and the high-water mark so the `resources` block can report peak heap
+/// per scenario. Lives in this binary — not the library — because the
+/// workspace libraries are `forbid(unsafe_code)` and a `GlobalAlloc` impl
+/// is necessarily unsafe.
 mod heap_track {
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -98,15 +97,6 @@ mod heap_track {
     /// Peak live heap bytes since the last [`reset_peak`].
     pub fn peak() -> usize {
         PEAK.load(Ordering::Relaxed)
-    }
-}
-
-/// Without `count-alloc` the probes are no-ops and the JSON records 0.
-#[cfg(not(feature = "count-alloc"))]
-mod heap_track {
-    pub fn reset_peak() {}
-    pub fn peak() -> usize {
-        0
     }
 }
 
@@ -302,9 +292,9 @@ struct CityRow {
 }
 
 /// Runs the whole city family at one node count. Asserts same-seed
-/// reproducibility per scenario and — when the `count-alloc` feature is
-/// measuring and `n` is at least the 10k floor the budget is stated at —
-/// the ≤ 32 KB/node peak-heap budget of the slab/SoA diet (DESIGN.md §16).
+/// reproducibility per scenario and — when `n` is at least the 10k floor
+/// the budget is stated at — the ≤ 32 KB/node peak-heap budget of the
+/// slab/SoA diet (DESIGN.md §16).
 fn city_bench(n: usize) -> Vec<CityRow> {
     let horizon = SimTime::from_secs_f64(CITY_SIM_SECONDS);
     CityScenario::ALL
@@ -335,7 +325,7 @@ fn city_bench(n: usize) -> Vec<CityRow> {
                  stats_equal={stats_equal}",
                 scenario.key()
             );
-            if peak_alloc_bytes > 0 && n >= 10_000 {
+            if n >= 10_000 {
                 assert!(
                     bytes_per_node <= CITY_BYTES_PER_NODE_BUDGET as f64,
                     "city {} blew the per-node heap budget at n={n}: \
@@ -382,12 +372,11 @@ fn main() -> std::process::ExitCode {
         pds_bench::sweep::set_jobs(n);
     }
     let jobs = pds_bench::sweep::jobs();
-    // `--city-n N` (env fallback `PDS_CITY_N`, default 10000): node count
-    // for the city-scale scenario family. The per-push CI run keeps the
-    // default; nightly CI sets 50000; 100000 is for manual capacity runs.
+    // `--city-n N` (default 10000): node count for the city-scale
+    // scenario family. The per-push CI run keeps the default; nightly CI
+    // passes 50000; 100000 is for manual capacity runs.
     let city_n = value_of("--city-n")
         .and_then(|s| s.parse::<usize>().ok())
-        .or_else(|| std::env::var("PDS_CITY_N").ok()?.parse().ok())
         .unwrap_or(10_000)
         .max(1);
     let out_path = value_of("--out").map_or("BENCH_sim_scale.json".to_owned(), String::clone);

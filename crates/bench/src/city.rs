@@ -26,15 +26,14 @@ use pds_sim::{
 };
 
 /// The node counts the city family is specified at. The quick bench runs
-/// the smallest; nightly CI runs 50k via `PDS_CITY_N`; 100k is for manual
+/// the smallest; nightly CI runs 50k via `--city-n`; 100k is for manual
 /// capacity runs.
 pub const CITY_NODE_COUNTS: [usize; 3] = [10_000, 50_000, 100_000];
 
 /// Per-node peak-heap budget for the city family, bytes. The pre-diet
 /// kernel sat near 84 KB/node on the dense-chatter scenario; the slab/SoA
 /// diet commits to ≤ 32 KB/node at n = 10k (≥ 2.5× reduction), asserted
-/// by the `sim_scale` binary whenever the `count-alloc` feature measures
-/// a nonzero peak.
+/// by the `sim_scale` binary at every n ≥ 10k.
 pub const CITY_BYTES_PER_NODE_BUDGET: usize = 32 * 1024;
 
 /// Chatter period for city nodes. Slower than the kernel-stress scenario

@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
 /// Process-wide job-count override, set once by binary flag parsing.
-/// 0 means "unset": fall back to `PDS_BENCH_JOBS`, then available cores.
+/// 0 means "unset": fall back to the available cores.
 static JOBS: AtomicUsize = AtomicUsize::new(0);
 
 /// Sets the process-wide worker count used by [`SweepRunner::from_env`]
@@ -34,25 +34,14 @@ pub fn set_jobs(n: usize) {
 }
 
 /// The effective worker count: the [`set_jobs`] override if set, else the
-/// `PDS_BENCH_JOBS` environment variable, else the number of available
-/// cores (falling back to 1 if that cannot be determined).
+/// number of available cores (falling back to 1 if that cannot be
+/// determined).
 #[must_use]
 pub fn jobs() -> usize {
     match JOBS.load(Ordering::Relaxed) {
-        0 => default_jobs(),
+        0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         n => n,
     }
-}
-
-fn default_jobs() -> usize {
-    if let Some(n) = std::env::var("PDS_BENCH_JOBS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-    {
-        return n;
-    }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// Runs independent jobs on a bounded worker pool, returning results in

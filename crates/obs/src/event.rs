@@ -6,6 +6,7 @@
 //! timestamps are *virtual* microseconds; no wall-clock value ever enters a
 //! trace (DESIGN.md §8).
 
+use crate::json::{self, Fields, ParseError};
 use std::fmt;
 
 /// Layer or protocol phase an event is attributed to.
@@ -106,48 +107,110 @@ impl fmt::Display for Phase {
     }
 }
 
-/// What happened. Payload fields are raw integer ids so the crate stays a
-/// leaf dependency (no simulator types).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceKind {
+/// Declares the trace vocabulary once: each row is a variant, its stable
+/// snake_case wire name and its ordered payload fields (`u64` or `bool`;
+/// the field's identifier is its JSON key). The enum with its docs,
+/// [`TraceKind::name`] and the JSONL field writer and reader
+/// ([`crate::json`]) are all generated from this one table, so adding an
+/// event kind is a one-site edit.
+macro_rules! trace_kinds {
+    ($(
+        $(#[$vdoc:meta])*
+        $variant:ident = $wire:literal $({
+            $( $(#[$fdoc:meta])* $field:ident: $ty:ty ),+ $(,)?
+        })?
+    ),+ $(,)?) => {
+        /// What happened. Payload fields are raw integer ids so the crate
+        /// stays a leaf dependency (no simulator types).
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub enum TraceKind {
+            $(
+                $(#[$vdoc])*
+                $variant $({ $( $(#[$fdoc])* $field: $ty ),+ })?,
+            )+
+        }
+
+        impl TraceKind {
+            /// Stable snake_case name used in the JSONL schema.
+            #[must_use]
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $( TraceKind::$variant $({ $($field: _),+ })? => $wire, )+
+                }
+            }
+
+            /// Appends the payload as `,"field":value` pairs in
+            /// declaration order.
+            pub(crate) fn push_fields(&self, out: &mut String) {
+                match self {
+                    $( TraceKind::$variant $({ $($field),+ })? => {
+                        $($( json::push_field(out, stringify!($field), $field); )+)?
+                    } )+
+                }
+            }
+
+            /// Rebuilds the kind named `kind` from a parsed trace line.
+            pub(crate) fn from_fields(kind: &str, fields: &Fields<'_>) -> Result<Self, ParseError> {
+                Ok(match kind {
+                    $( $wire => TraceKind::$variant $({
+                        $( $field: fields.get(stringify!($field))? ),+
+                    })?, )+
+                    other => return Err(json::err(format!("unknown event kind '{other}'"))),
+                })
+            }
+
+            /// One instance of every kind, in declaration order, each
+            /// payload field filled from its own `draw()` (round-trip
+            /// and coverage tests).
+            #[cfg(test)]
+            pub(crate) fn each(mut draw: impl FnMut() -> u64) -> Vec<TraceKind> {
+                vec![$(
+                    TraceKind::$variant $({ $($field: json::Field::sample(draw())),+ })?
+                ),+]
+            }
+        }
+    };
+}
+
+trace_kinds! {
     // ---- kernel: mirrors the dispatched event stream ---------------------
     /// A node's `on_start` fired.
-    NodeStart,
+    NodeStart = "node_start",
     /// A MAC transmission attempt (`deferred` = second phase of
     /// sense–defer–transmit).
-    MacTry {
+    MacTry = "mac_try" {
         /// Whether the initial random defer has already been served.
         deferred: bool,
     },
     /// A transmission's end event was dispatched.
-    TxEnd {
+    TxEnd = "tx_end" {
         /// Transmission id.
         tx: u64,
     },
     /// A leaky-bucket drain event fired.
-    BucketDrain,
+    BucketDrain = "bucket_drain",
     /// A timer (application or transport) fired.
-    TimerFired {
+    TimerFired = "timer_fired" {
         /// Timer id within the node's table.
         timer: u64,
     },
     /// A scheduled control closure ran.
-    Control {
+    Control = "control" {
         /// Control-closure id.
         ctrl: u64,
     },
     /// Periodic transport garbage collection ran.
-    Sweep,
+    Sweep = "sweep",
     /// A fault-delayed or fault-duplicated reception event was dispatched
     /// (DST layer; only present when a fault plan is installed).
-    FaultDeliver {
+    FaultDeliver = "fault_deliver" {
         /// Pending-delivery id within the fault state.
         fault: u64,
     },
 
     // ---- radio -----------------------------------------------------------
     /// A frame went on the air. `node` is the sender.
-    TxStart {
+    TxStart = "tx_start" {
         /// Transmission id.
         tx: u64,
         /// Originating node of the carried message (fragments are relayed
@@ -162,64 +225,64 @@ pub enum TraceKind {
         class: u64,
     },
     /// A frame reception succeeded at `node`.
-    FrameDelivered {
+    FrameDelivered = "frame_delivered" {
         /// Transmission id.
         tx: u64,
         /// On-air bytes received.
         bytes: u64,
     },
     /// A frame reception at `node` was lost to a collision.
-    FrameCollided {
+    FrameCollided = "frame_collided" {
         /// Transmission id.
         tx: u64,
     },
     /// A frame reception at `node` was lost to baseline (fading) loss.
-    FrameLostRandom {
+    FrameLostRandom = "frame_lost_random" {
         /// Transmission id.
         tx: u64,
     },
     /// A frame reception at `node` was missed because it was transmitting.
-    FrameHalfDuplex {
+    FrameHalfDuplex = "frame_half_duplex" {
         /// Transmission id.
         tx: u64,
     },
     /// The OS UDP send buffer at `node` overflowed and dropped a frame.
-    FrameDroppedOs {
+    FrameDroppedOs = "frame_dropped_os" {
         /// Dropped frame's on-air bytes.
         bytes: u64,
     },
     /// OS send-buffer occupancy at `node` after an enqueue.
-    QueueDepth {
+    QueueDepth = "queue_depth" {
         /// Bytes currently queued in the OS buffer.
         bytes: u64,
     },
     /// A reception at `node` was cut by an injected partition or
     /// byzantine-silence window (DST).
-    FaultCut {
+    FaultCut = "fault_cut" {
         /// Transmission id.
         tx: u64,
     },
     /// A reception at `node` was dropped by the injected extra-loss fault
     /// (DST).
-    FaultDropped {
+    FaultDropped = "fault_dropped" {
         /// Transmission id.
         tx: u64,
     },
     /// A reception at `node` was diverted to a delayed delivery (DST).
-    FaultDelayed {
+    FaultDelayed = "fault_delayed" {
         /// Transmission id.
         tx: u64,
     },
     /// A reception at `node` was duplicated; a second copy will arrive
     /// later (DST).
-    FaultDuplicated {
+    FaultDuplicated = "fault_duplicated" {
         /// Transmission id.
         tx: u64,
     },
 
     // ---- transport -------------------------------------------------------
     /// `node` submitted an application message for transmission.
-    MessageSent {
+    MessageSent = "message_sent" {
         /// Per-origin sequence number (message id = `node#seq`).
         seq: u64,
         /// Total wire bytes of the initial transmission (all fragments).
@@ -228,7 +291,7 @@ pub enum TraceKind {
         class: u64,
     },
     /// A complete message was delivered to `node`'s application.
-    MessageDelivered {
+    MessageDelivered = "message_delivered" {
         /// Originating node.
         origin: u64,
         /// Per-origin sequence number.
@@ -239,25 +302,25 @@ pub enum TraceKind {
         overheard: bool,
     },
     /// A reliable message from `node` was fully acknowledged.
-    MessageAcked {
+    MessageAcked = "message_acked" {
         /// Per-origin sequence number.
         seq: u64,
     },
     /// A reliable message from `node` was abandoned after exhausting its
     /// retry budget.
-    MessageFailed {
+    MessageFailed = "message_failed" {
         /// Per-origin sequence number.
         seq: u64,
     },
     /// `node` retransmitted the missing fragments of a message.
-    Retransmit {
+    Retransmit = "retransmit" {
         /// Per-origin sequence number.
         seq: u64,
         /// Fragments retransmitted in this attempt.
         frames: u64,
     },
     /// `node` transmitted a selective ack.
-    AckSent {
+    AckSent = "ack_sent" {
         /// Origin of the acknowledged message.
         origin: u64,
         /// Per-origin sequence number of the acknowledged message.
@@ -268,7 +331,7 @@ pub enum TraceKind {
 
     // ---- protocol (phase = Pdd / Pdr / Mdr) ------------------------------
     /// `node` transmitted a PDS query.
-    QuerySent {
+    QuerySent = "query_sent" {
         /// Query id.
         query: u64,
         /// Consumer session this query drives (`(node, session)` keys the
@@ -280,14 +343,14 @@ pub enum TraceKind {
         seq: u64,
     },
     /// `node` received (and accepted for processing) a PDS query.
-    QueryReceived {
+    QueryReceived = "query_received" {
         /// Query id.
         query: u64,
         /// Transmitting one-hop neighbor.
         from: u64,
     },
     /// `node` transmitted a PDS response.
-    ResponseSent {
+    ResponseSent = "response_sent" {
         /// Response id.
         response: u64,
         /// Id of the query this response answers (0 = unknown, e.g. a
@@ -297,7 +360,7 @@ pub enum TraceKind {
         seq: u64,
     },
     /// `node` received a PDS response.
-    ResponseReceived {
+    ResponseReceived = "response_received" {
         /// Response id.
         response: u64,
         /// Transmitting one-hop neighbor.
@@ -305,13 +368,13 @@ pub enum TraceKind {
     },
     /// `node` started a consumer session (discovery or retrieval; the
     /// event's phase says which protocol).
-    SessionStarted {
+    SessionStarted = "session_started" {
         /// Per-node session sequence number (correlates every
         /// session-scoped event; `(node, session)` is globally unique).
         session: u64,
     },
     /// `node`'s consumer session finished.
-    SessionFinished {
+    SessionFinished = "session_finished" {
         /// Per-node session sequence number (see [`TraceKind::SessionStarted`]).
         session: u64,
         /// The paper's latency metric for the session, in virtual µs.
@@ -321,46 +384,6 @@ pub enum TraceKind {
         /// Entries discovered or chunks received.
         items: u64,
     },
-}
-
-impl TraceKind {
-    /// Stable snake_case name used in the JSONL schema.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            TraceKind::NodeStart => "node_start",
-            TraceKind::MacTry { .. } => "mac_try",
-            TraceKind::TxEnd { .. } => "tx_end",
-            TraceKind::BucketDrain => "bucket_drain",
-            TraceKind::TimerFired { .. } => "timer_fired",
-            TraceKind::Control { .. } => "control",
-            TraceKind::Sweep => "sweep",
-            TraceKind::FaultDeliver { .. } => "fault_deliver",
-            TraceKind::TxStart { .. } => "tx_start",
-            TraceKind::FrameDelivered { .. } => "frame_delivered",
-            TraceKind::FrameCollided { .. } => "frame_collided",
-            TraceKind::FrameLostRandom { .. } => "frame_lost_random",
-            TraceKind::FrameHalfDuplex { .. } => "frame_half_duplex",
-            TraceKind::FrameDroppedOs { .. } => "frame_dropped_os",
-            TraceKind::QueueDepth { .. } => "queue_depth",
-            TraceKind::FaultCut { .. } => "fault_cut",
-            TraceKind::FaultDropped { .. } => "fault_dropped",
-            TraceKind::FaultDelayed { .. } => "fault_delayed",
-            TraceKind::FaultDuplicated { .. } => "fault_duplicated",
-            TraceKind::MessageSent { .. } => "message_sent",
-            TraceKind::MessageDelivered { .. } => "message_delivered",
-            TraceKind::MessageAcked { .. } => "message_acked",
-            TraceKind::MessageFailed { .. } => "message_failed",
-            TraceKind::Retransmit { .. } => "retransmit",
-            TraceKind::AckSent { .. } => "ack_sent",
-            TraceKind::QuerySent { .. } => "query_sent",
-            TraceKind::QueryReceived { .. } => "query_received",
-            TraceKind::ResponseSent { .. } => "response_sent",
-            TraceKind::ResponseReceived { .. } => "response_received",
-            TraceKind::SessionStarted { .. } => "session_started",
-            TraceKind::SessionFinished { .. } => "session_finished",
-        }
-    }
 }
 
 /// One structured trace event.

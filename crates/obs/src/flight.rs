@@ -6,7 +6,7 @@
 //! and the steady state allocates nothing — rings fill once, then
 //! overwrite in place ([`TraceEvent`] payloads are plain integers, so an
 //! overwrite is a memcpy, not an allocation). A global record counter is
-//! stored next to every event so [`FlightRecorder::dump`] can merge the
+//! stored next to every event so [`FlightRecorder::dump`] can sort the
 //! rings back into exact emission order even when timestamps tie.
 //!
 //! Per-node (rather than one global) rings are what make the dump useful
@@ -56,7 +56,7 @@ pub struct FlightRecorder {
     /// sweeps).
     global: Option<NodeRing>,
     capacity: usize,
-    /// Global record counter; also the merge key for [`FlightRecorder::dump`].
+    /// Global record counter; also the sort key of [`FlightRecorder::dump`].
     seq: u64,
     /// Events overwritten because their node's ring was full.
     dropped: u64,
@@ -137,39 +137,15 @@ impl FlightRecorder {
     ///
     /// Dumps are ordinary traces: every analysis (`sessions`,
     /// `critical-path`, `explain`, `diff`) and the JSONL codec apply
-    /// unchanged. Within each ring events are already in emission order,
-    /// so this is a k-way merge by global sequence, not a sort.
+    /// unchanged. Every retained entry carries its unique global record
+    /// sequence, so the merge is one sort by that key — `O(n log n)` in
+    /// the retained events however many rings hold them.
     #[must_use]
     pub fn dump(&self) -> Vec<TraceEvent> {
-        let mut runs: Vec<&[(u64, TraceEvent)]> = Vec::new();
-        for ring in self.rings() {
-            // Ring layout is [head..] ++ [..head] in emission order.
-            let (older, newer) = ring.buf.split_at(ring.head);
-            if !newer.is_empty() {
-                runs.push(newer);
-            }
-            if !older.is_empty() {
-                runs.push(older);
-            }
-        }
-        let total = runs.iter().map(|r| r.len()).sum();
-        let mut out = Vec::with_capacity(total);
-        let mut cursors = vec![0usize; runs.len()];
-        for _ in 0..total {
-            let mut best: Option<usize> = None;
-            for (i, run) in runs.iter().enumerate() {
-                if cursors[i] < run.len() {
-                    let candidate = run[cursors[i]].0;
-                    if best.is_none_or(|b: usize| candidate < runs[b][cursors[b]].0) {
-                        best = Some(i);
-                    }
-                }
-            }
-            let Some(b) = best else { break };
-            out.push(runs[b][cursors[b]].1.clone());
-            cursors[b] += 1;
-        }
-        out
+        let mut entries: Vec<&(u64, TraceEvent)> =
+            self.rings().flat_map(|ring| &ring.buf).collect();
+        entries.sort_unstable_by_key(|(seq, _)| *seq);
+        entries.into_iter().map(|(_, ev)| ev.clone()).collect()
     }
 
     /// Writes the merged dump as JSONL.
@@ -178,8 +154,10 @@ impl FlightRecorder {
     ///
     /// Returns the first I/O error.
     pub fn write_jsonl<W: Write>(&self, mut w: W) -> io::Result<()> {
+        let mut line = String::new();
         for ev in self.dump() {
-            let mut line = json::to_json(&ev);
+            line.clear();
+            json::push_json(&ev, &mut line);
             line.push('\n');
             w.write_all(line.as_bytes())?;
         }
@@ -244,16 +222,34 @@ mod tests {
 
     #[test]
     fn dump_preserves_emission_order_across_nodes() {
-        let mut fr = FlightRecorder::new(8);
-        // Interleave three nodes plus a node-less event.
-        let script = [(1u64, 0u32), (1, 1), (2, u32::MAX), (3, 1), (3, 0), (4, 2)];
-        for (at, node) in script {
+        // Capacity 3, round-robin over three nodes and the node-less ring,
+        // every event of a round stamped with the same virtual time: only
+        // the global sequence can order them. 5 rounds wrap every ring
+        // (head ends mid-buffer), and node 1 then wraps once more alone.
+        let mut fr = FlightRecorder::new(3);
+        let nodes = [0u32, 1, 2, u32::MAX];
+        let mut script = Vec::new();
+        for round in 0..5u64 {
+            for node in nodes {
+                script.push((round, node));
+            }
+        }
+        script.extend([(5u64, 1u32), (5, 1)]);
+        for &(at, node) in &script {
             fr.record(&ev(at, node));
         }
+        // An event survives iff fewer than 3 later events share its ring.
+        let kept: Vec<(u64, u32)> = script
+            .iter()
+            .enumerate()
+            .filter(|&(i, e)| script[i + 1..].iter().filter(|l| l.1 == e.1).count() < 3)
+            .map(|(_, e)| *e)
+            .collect();
         let got: Vec<(u64, u32)> = fr.dump().iter().map(|e| (e.at_us, e.node)).collect();
-        assert_eq!(got, script.to_vec());
-        assert_eq!(fr.recorded(), 6);
-        assert_eq!(fr.dropped(), 0);
+        assert_eq!(got, kept);
+        assert_eq!(got.len(), 12);
+        assert_eq!(fr.recorded(), script.len() as u64);
+        assert_eq!(fr.dropped(), script.len() as u64 - 12);
     }
 
     #[test]

@@ -1,12 +1,27 @@
-//! Hand-rolled JSONL codec for trace events.
+//! The workspace's one JSON reader, and the JSONL codec for trace events.
 //!
-//! The workspace is offline (no serde); the schema is deliberately flat —
-//! one JSON object per line, values restricted to unsigned integers,
-//! booleans and bare identifier strings — so a ~150-line parser covers it
-//! exactly. Field order in serialized output is fixed (`t`, `node`,
-//! `phase`, `kind`, then payload fields in declaration order), which makes
-//! traces byte-comparable with `diff(1)` as well as with
-//! [`crate::analysis::first_divergence`].
+//! The workspace is offline (no serde), so this module carries the only
+//! JSON tokenizer under `crates/` outside the dependency-free linter:
+//! [`parse`] reads a document into a [`Value`] tree — objects, arrays,
+//! strings (UTF-8 sliced from the input; `\"` and `\\` are the only
+//! escapes), numbers and bools, no `null` — and is what both the trace
+//! reader below and `pds_bench::baseline` (bench records, `BENCHMARK.json`)
+//! use. Integers are kept exact: a bare digit string that fits `u64`
+//! parses to [`Value::Int`], because the trace carries ids up to
+//! `u64::MAX` that an `f64` would round.
+//!
+//! The trace schema is deliberately flat — one JSON object per line, values
+//! restricted to unsigned integers, booleans and bare identifier strings —
+//! and is declared once, in [`crate::event`]'s `trace_kinds!` table; the
+//! writer and reader here walk that table. Field order in serialized
+//! output is fixed (`t`, `node`, `phase`, `kind`, then payload fields in
+//! declaration order), which makes traces byte-comparable with `diff(1)`
+//! as well as with [`crate::analysis::first_divergence`].
+//!
+//! [`parse_line`] rejects everything the writer cannot have produced: a
+//! line that is not one object, trailing garbage, a nested, fractional,
+//! negative or out-of-`u64`-range value or an escaped string anywhere in
+//! the line, a missing or mistyped field, an unknown phase or kind.
 
 use crate::event::{Phase, TraceEvent, TraceKind};
 use std::io::BufRead;
@@ -33,294 +48,383 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-fn err(message: impl Into<String>) -> ParseError {
+pub(crate) fn err(message: impl Into<String>) -> ParseError {
     ParseError {
         line: 0,
         message: message.into(),
     }
 }
 
+/// A parsed JSON value.
+#[derive(Debug, Clone)]
+pub enum Value {
+    /// `true` / `false`.
+    Bool(bool),
+    /// A bare non-negative integer that fits `u64`, kept exact.
+    Int(u64),
+    /// Any other number (negative, fractional, exponent, or too large
+    /// for `u64`).
+    Num(f64),
+    /// A string literal.
+    Str(String),
+    /// An ordered array.
+    Arr(Vec<Value>),
+    /// An object as an ordered key-value list (duplicate keys keep the
+    /// first occurrence on lookup).
+    Obj(Vec<(String, Value)>),
+}
+
+/// Numbers compare by value, so `Int(2)` equals `Num(2.0)`: a record
+/// that prints a whole `f64` as `2` still matches one that prints `2.0`.
+impl PartialEq for Value {
+    fn eq(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Bool(a), Value::Bool(b)) => a == b,
+            (Value::Int(a), Value::Int(b)) => a == b,
+            (Value::Str(a), Value::Str(b)) => a == b,
+            (Value::Arr(a), Value::Arr(b)) => a == b,
+            (Value::Obj(a), Value::Obj(b)) => a == b,
+            _ => matches!((self.as_f64(), other.as_f64()), (Some(a), Some(b)) if a == b),
+        }
+    }
+}
+
+impl Value {
+    /// Member lookup on objects; `None` for other variants.
+    #[must_use]
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        match self {
+            Value::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The numeric value, if any (integers above 2⁵³ round).
+    #[must_use]
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::Int(n) => Some(*n as f64),
+            Value::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The boolean value, if any.
+    #[must_use]
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// The array elements, if any.
+    #[must_use]
+    pub fn as_arr(&self) -> Option<&[Value]> {
+        match self {
+            Value::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// The string value, if any.
+    #[must_use]
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+}
+
+/// Parses one JSON document.
+///
+/// # Errors
+///
+/// Returns a [`ParseError`] (line 0, byte offset in the message) on
+/// malformed input, trailing data, or nesting deeper than 64 levels.
+pub fn parse(input: &str) -> Result<Value, ParseError> {
+    let mut p = Parser {
+        src: input,
+        pos: 0,
+        depth: 0,
+    };
+    let value = p.parse_value()?;
+    p.skip_ws();
+    if p.pos != input.len() {
+        return Err(err(format!("trailing data at byte {}", p.pos)));
+    }
+    Ok(value)
+}
+
+/// Nesting bound: the parser recurses per level, and its input comes from
+/// files, so a line of 100 000 `[` must be an error, not a stack overflow.
+const MAX_DEPTH: usize = 64;
+
+/// Recursive-descent state: a cursor over the input.
+struct Parser<'a> {
+    src: &'a str,
+    pos: usize,
+    depth: usize,
+}
+
+impl Parser<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.src.as_bytes().get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while self.peek().is_some_and(|b| b.is_ascii_whitespace()) {
+            self.pos += 1;
+        }
+    }
+
+    fn eat(&mut self, b: u8) -> Result<(), ParseError> {
+        self.skip_ws();
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(err(format!(
+                "expected '{}' at byte {}",
+                b as char, self.pos
+            )))
+        }
+    }
+
+    fn parse_value(&mut self) -> Result<Value, ParseError> {
+        self.skip_ws();
+        let rest = &self.src.as_bytes()[self.pos..];
+        match rest.first() {
+            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.parse_array(),
+            Some(b'"') => Ok(Value::Str(self.parse_string()?)),
+            Some(b't') if rest.starts_with(b"true") => {
+                self.pos += 4;
+                Ok(Value::Bool(true))
+            }
+            Some(b'f') if rest.starts_with(b"false") => {
+                self.pos += 5;
+                Ok(Value::Bool(false))
+            }
+            Some(b'-' | b'0'..=b'9') => self.parse_number(),
+            _ => Err(err(format!("unexpected input at byte {}", self.pos))),
+        }
+    }
+
+    /// The shape objects and arrays share — `open close`, or
+    /// `open item (',' item)* close` — one nesting level down. The caller
+    /// has seen the opening bracket.
+    fn parse_seq(
+        &mut self,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), ParseError>,
+    ) -> Result<(), ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(err(format!("nesting too deep at byte {}", self.pos)));
+        }
+        self.depth += 1;
+        self.pos += 1;
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+        } else {
+            loop {
+                item(self)?;
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b) if b == close => {
+                        self.pos += 1;
+                        break;
+                    }
+                    _ => {
+                        let close = close as char;
+                        return Err(err(format!(
+                            "expected ',' or '{close}' at byte {}",
+                            self.pos
+                        )));
+                    }
+                }
+            }
+        }
+        self.depth -= 1;
+        Ok(())
+    }
+
+    fn parse_object(&mut self) -> Result<Value, ParseError> {
+        let mut members = Vec::new();
+        self.parse_seq(b'}', |p| {
+            p.skip_ws();
+            let key = p.parse_string()?;
+            p.eat(b':')?;
+            members.push((key, p.parse_value()?));
+            Ok(())
+        })?;
+        Ok(Value::Obj(members))
+    }
+
+    fn parse_array(&mut self) -> Result<Value, ParseError> {
+        let mut items = Vec::new();
+        self.parse_seq(b']', |p| {
+            items.push(p.parse_value()?);
+            Ok(())
+        })?;
+        Ok(Value::Arr(items))
+    }
+
+    /// Copies the string out in UTF-8 slices: `"` and `\` are ASCII, so
+    /// every cut lands on a character boundary.
+    fn parse_string(&mut self) -> Result<String, ParseError> {
+        self.eat(b'"')?;
+        let mut out = String::new();
+        let mut start = self.pos;
+        while let Some(b) = self.peek() {
+            match b {
+                b'"' => {
+                    out.push_str(&self.src[start..self.pos]);
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                b'\\' => {
+                    out.push_str(&self.src[start..self.pos]);
+                    match self.src.as_bytes().get(self.pos + 1) {
+                        Some(b'"' | b'\\') => {}
+                        _ => return Err(err(format!("unsupported escape at byte {}", self.pos))),
+                    }
+                    // The escaped character opens the next slice.
+                    start = self.pos + 1;
+                    self.pos += 2;
+                }
+                _ => self.pos += 1,
+            }
+        }
+        Err(err("unterminated string"))
+    }
+
+    fn parse_number(&mut self) -> Result<Value, ParseError> {
+        let start = self.pos;
+        while self
+            .peek()
+            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
+        {
+            self.pos += 1;
+        }
+        let text = &self.src[start..self.pos];
+        if text.bytes().all(|b| b.is_ascii_digit()) {
+            if let Ok(n) = text.parse::<u64>() {
+                return Ok(Value::Int(n));
+            }
+        }
+        text.parse::<f64>()
+            .map(Value::Num)
+            .map_err(|_| err(format!("bad number at byte {start}")))
+    }
+}
+
+/// A payload field type of the trace schema (`u64` or `bool`): how it is
+/// written and which [`Value`] it reads back from.
+pub(crate) trait Field: Sized {
+    /// For "field 'x' is not …" errors.
+    const EXPECTED: &'static str;
+    fn push(&self, out: &mut String);
+    fn read(v: &Value) -> Option<Self>;
+    #[cfg(test)]
+    fn sample(draw: u64) -> Self;
+}
+
+impl Field for u64 {
+    const EXPECTED: &'static str = "an integer";
+    fn push(&self, out: &mut String) {
+        // itoa without allocation churn: u64::MAX is 20 digits.
+        let mut buf = [0u8; 20];
+        let mut i = buf.len();
+        let mut v = *self;
+        loop {
+            i -= 1;
+            buf[i] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        out.push_str(std::str::from_utf8(&buf[i..]).expect("digits"));
+    }
+    fn read(v: &Value) -> Option<u64> {
+        match v {
+            Value::Int(n) => Some(*n),
+            _ => None,
+        }
+    }
+    #[cfg(test)]
+    fn sample(draw: u64) -> u64 {
+        draw
+    }
+}
+
+impl Field for bool {
+    const EXPECTED: &'static str = "a bool";
+    fn push(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+    fn read(v: &Value) -> Option<bool> {
+        v.as_bool()
+    }
+    #[cfg(test)]
+    fn sample(draw: u64) -> bool {
+        draw & 1 == 1
+    }
+}
+
+/// Appends `,"name":value`.
+pub(crate) fn push_field(out: &mut String, name: &str, value: &impl Field) {
+    out.push_str(",\"");
+    out.push_str(name);
+    out.push_str("\":");
+    value.push(out);
+}
+
+/// Appends one event as a single-line JSON object (no trailing newline).
+pub(crate) fn push_json(ev: &TraceEvent, out: &mut String) {
+    out.push_str("{\"t\":");
+    ev.at_us.push(out);
+    push_field(out, "node", &u64::from(ev.node));
+    out.push_str(",\"phase\":\"");
+    out.push_str(ev.phase.name());
+    out.push_str("\",\"kind\":\"");
+    out.push_str(ev.kind.name());
+    out.push('"');
+    ev.kind.push_fields(out);
+    out.push('}');
+}
+
 /// Serializes one event as a single-line JSON object (no trailing newline).
 #[must_use]
 pub fn to_json(ev: &TraceEvent) -> String {
     let mut s = String::with_capacity(96);
-    s.push_str("{\"t\":");
-    push_u64(&mut s, ev.at_us);
-    s.push_str(",\"node\":");
-    push_u64(&mut s, u64::from(ev.node));
-    s.push_str(",\"phase\":\"");
-    s.push_str(ev.phase.name());
-    s.push_str("\",\"kind\":\"");
-    s.push_str(ev.kind.name());
-    s.push('"');
-    let mut field = |name: &str, v: u64| {
-        s.push_str(",\"");
-        s.push_str(name);
-        s.push_str("\":");
-        push_u64(&mut s, v);
-    };
-    match &ev.kind {
-        TraceKind::NodeStart | TraceKind::BucketDrain | TraceKind::Sweep => {}
-        TraceKind::MacTry { deferred } => {
-            s.push_str(",\"deferred\":");
-            s.push_str(if *deferred { "true" } else { "false" });
-        }
-        TraceKind::TxEnd { tx }
-        | TraceKind::FrameCollided { tx }
-        | TraceKind::FrameLostRandom { tx }
-        | TraceKind::FrameHalfDuplex { tx }
-        | TraceKind::FaultCut { tx }
-        | TraceKind::FaultDropped { tx }
-        | TraceKind::FaultDelayed { tx }
-        | TraceKind::FaultDuplicated { tx } => field("tx", *tx),
-        TraceKind::FaultDeliver { fault } => field("fault", *fault),
-        TraceKind::TimerFired { timer } => field("timer", *timer),
-        TraceKind::Control { ctrl } => field("ctrl", *ctrl),
-        TraceKind::TxStart {
-            tx,
-            origin,
-            seq,
-            bytes,
-            class,
-        } => {
-            field("tx", *tx);
-            field("origin", *origin);
-            field("seq", *seq);
-            field("bytes", *bytes);
-            field("class", *class);
-        }
-        TraceKind::FrameDelivered { tx, bytes } => {
-            field("tx", *tx);
-            field("bytes", *bytes);
-        }
-        TraceKind::FrameDroppedOs { bytes } | TraceKind::QueueDepth { bytes } => {
-            field("bytes", *bytes);
-        }
-        TraceKind::MessageSent { seq, bytes, class } => {
-            field("seq", *seq);
-            field("bytes", *bytes);
-            field("class", *class);
-        }
-        TraceKind::MessageDelivered {
-            origin,
-            seq,
-            bytes,
-            overheard,
-        } => {
-            field("origin", *origin);
-            field("seq", *seq);
-            field("bytes", *bytes);
-            s.push_str(",\"overheard\":");
-            s.push_str(if *overheard { "true" } else { "false" });
-        }
-        TraceKind::MessageAcked { seq } | TraceKind::MessageFailed { seq } => field("seq", *seq),
-        TraceKind::Retransmit { seq, frames } => {
-            field("seq", *seq);
-            field("frames", *frames);
-        }
-        TraceKind::AckSent { origin, seq, bytes } => {
-            field("origin", *origin);
-            field("seq", *seq);
-            field("bytes", *bytes);
-        }
-        TraceKind::QuerySent {
-            query,
-            session,
-            seq,
-        } => {
-            field("query", *query);
-            field("session", *session);
-            field("seq", *seq);
-        }
-        TraceKind::QueryReceived { query, from } => {
-            field("query", *query);
-            field("from", *from);
-        }
-        TraceKind::ResponseSent {
-            response,
-            query,
-            seq,
-        } => {
-            field("response", *response);
-            field("query", *query);
-            field("seq", *seq);
-        }
-        TraceKind::ResponseReceived { response, from } => {
-            field("response", *response);
-            field("from", *from);
-        }
-        TraceKind::SessionStarted { session } => field("session", *session),
-        TraceKind::SessionFinished {
-            session,
-            delay_us,
-            rounds,
-            items,
-        } => {
-            field("session", *session);
-            field("delay_us", *delay_us);
-            field("rounds", *rounds);
-            field("items", *items);
-        }
-    }
-    s.push('}');
+    push_json(ev, &mut s);
     s
 }
 
-fn push_u64(s: &mut String, v: u64) {
-    // itoa without allocation churn: u64::MAX is 20 digits.
-    let mut buf = [0u8; 20];
-    let mut i = buf.len();
-    let mut v = v;
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    s.push_str(std::str::from_utf8(&buf[i..]).expect("digits"));
-}
+/// The members of one parsed trace line, looked up by key.
+pub(crate) struct Fields<'a>(&'a Value);
 
-/// A parsed scalar value from a flat trace object.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Value {
-    Num(u64),
-    Bool(bool),
-    Str(String),
-}
-
-/// Parses one flat JSON object into key/value pairs. Order-preserving is
-/// unnecessary; keys are looked up by name afterwards.
-fn parse_object(s: &str) -> Result<Vec<(String, Value)>, ParseError> {
-    let bytes = s.trim().as_bytes();
-    let mut pos = 0usize;
-    let mut fields = Vec::new();
-    let eat = |pos: &mut usize, b: u8| -> Result<(), ParseError> {
-        if bytes.get(*pos) == Some(&b) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(err(format!("expected '{}' at byte {}", b as char, *pos)))
-        }
-    };
-    let skip_ws = |pos: &mut usize| {
-        while matches!(bytes.get(*pos), Some(b' ' | b'\t')) {
-            *pos += 1;
-        }
-    };
-    let parse_string = |pos: &mut usize| -> Result<String, ParseError> {
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(err(format!("expected string at byte {}", *pos)));
-        }
-        *pos += 1;
-        let start = *pos;
-        while let Some(&b) = bytes.get(*pos) {
-            match b {
-                b'"' => {
-                    let out = std::str::from_utf8(&bytes[start..*pos])
-                        .map_err(|_| err("invalid utf-8 in string"))?
-                        .to_string();
-                    *pos += 1;
-                    return Ok(out);
-                }
-                // The schema only emits bare identifiers; escapes mean a
-                // foreign or corrupted file.
-                b'\\' => return Err(err("escape sequences are not part of the trace schema")),
-                _ => *pos += 1,
-            }
-        }
-        Err(err("unterminated string"))
-    };
-    eat(&mut pos, b'{')?;
-    skip_ws(&mut pos);
-    if bytes.get(pos) == Some(&b'}') {
-        return Ok(fields);
-    }
-    loop {
-        skip_ws(&mut pos);
-        let key = parse_string(&mut pos)?;
-        skip_ws(&mut pos);
-        eat(&mut pos, b':')?;
-        skip_ws(&mut pos);
-        let value = match bytes.get(pos) {
-            Some(b'"') => Value::Str(parse_string(&mut pos)?),
-            Some(b't') => {
-                if bytes[pos..].starts_with(b"true") {
-                    pos += 4;
-                    Value::Bool(true)
-                } else {
-                    return Err(err(format!("bad literal at byte {pos}")));
-                }
-            }
-            Some(b'f') => {
-                if bytes[pos..].starts_with(b"false") {
-                    pos += 5;
-                    Value::Bool(false)
-                } else {
-                    return Err(err(format!("bad literal at byte {pos}")));
-                }
-            }
-            Some(b'0'..=b'9') => {
-                let start = pos;
-                while matches!(bytes.get(pos), Some(b'0'..=b'9')) {
-                    pos += 1;
-                }
-                let digits = std::str::from_utf8(&bytes[start..pos]).expect("digits");
-                Value::Num(
-                    digits
-                        .parse::<u64>()
-                        .map_err(|_| err(format!("integer out of range: {digits}")))?,
-                )
-            }
-            _ => {
-                return Err(err(format!(
-                    "unsupported value at byte {pos} (schema allows unsigned ints, bools, strings)"
-                )))
-            }
-        };
-        fields.push((key, value));
-        skip_ws(&mut pos);
-        match bytes.get(pos) {
-            Some(b',') => pos += 1,
-            Some(b'}') => {
-                pos += 1;
-                skip_ws(&mut pos);
-                if pos != bytes.len() {
-                    return Err(err("trailing garbage after object"));
-                }
-                return Ok(fields);
-            }
-            _ => return Err(err(format!("expected ',' or '}}' at byte {pos}"))),
-        }
-    }
-}
-
-struct Fields(Vec<(String, Value)>);
-
-impl Fields {
-    fn num(&self, key: &str) -> Result<u64, ParseError> {
-        match self.0.iter().find(|(k, _)| k == key) {
-            Some((_, Value::Num(n))) => Ok(*n),
-            Some(_) => Err(err(format!("field '{key}' is not an integer"))),
-            None => Err(err(format!("missing field '{key}'"))),
-        }
+impl Fields<'_> {
+    fn value(&self, key: &str) -> Result<&Value, ParseError> {
+        self.0
+            .get(key)
+            .ok_or_else(|| err(format!("missing field '{key}'")))
     }
 
-    fn boolean(&self, key: &str) -> Result<bool, ParseError> {
-        match self.0.iter().find(|(k, _)| k == key) {
-            Some((_, Value::Bool(b))) => Ok(*b),
-            Some(_) => Err(err(format!("field '{key}' is not a bool"))),
-            None => Err(err(format!("missing field '{key}'"))),
-        }
+    pub(crate) fn get<T: Field>(&self, key: &str) -> Result<T, ParseError> {
+        T::read(self.value(key)?)
+            .ok_or_else(|| err(format!("field '{key}' is not {}", T::EXPECTED)))
     }
 
     fn str(&self, key: &str) -> Result<&str, ParseError> {
-        match self.0.iter().find(|(k, _)| k == key) {
-            Some((_, Value::Str(s))) => Ok(s),
-            Some(_) => Err(err(format!("field '{key}' is not a string"))),
-            None => Err(err(format!("missing field '{key}'"))),
-        }
+        self.value(key)?
+            .as_str()
+            .ok_or_else(|| err(format!("field '{key}' is not a string")))
     }
 }
 
@@ -329,111 +433,35 @@ impl Fields {
 /// # Errors
 ///
 /// Returns a [`ParseError`] when the line is not a flat object of the trace
-/// schema or required fields are missing/mistyped.
+/// schema or required fields are missing/mistyped (see the module docs for
+/// the full list of rejections).
 pub fn parse_line(line: &str) -> Result<TraceEvent, ParseError> {
-    let f = Fields(parse_object(line)?);
-    let at_us = f.num("t")?;
-    let node_raw = f.num("node")?;
-    let node = u32::try_from(node_raw).map_err(|_| err("node id exceeds u32"))?;
-    let phase = Phase::parse(f.str("phase")?)
-        .ok_or_else(|| err(format!("unknown phase '{}'", f.str("phase").unwrap_or(""))))?;
-    let kind = match f.str("kind")? {
-        "node_start" => TraceKind::NodeStart,
-        "mac_try" => TraceKind::MacTry {
-            deferred: f.boolean("deferred")?,
-        },
-        "tx_end" => TraceKind::TxEnd { tx: f.num("tx")? },
-        "bucket_drain" => TraceKind::BucketDrain,
-        "timer_fired" => TraceKind::TimerFired {
-            timer: f.num("timer")?,
-        },
-        "control" => TraceKind::Control {
-            ctrl: f.num("ctrl")?,
-        },
-        "sweep" => TraceKind::Sweep,
-        "fault_deliver" => TraceKind::FaultDeliver {
-            fault: f.num("fault")?,
-        },
-        "fault_cut" => TraceKind::FaultCut { tx: f.num("tx")? },
-        "fault_dropped" => TraceKind::FaultDropped { tx: f.num("tx")? },
-        "fault_delayed" => TraceKind::FaultDelayed { tx: f.num("tx")? },
-        "fault_duplicated" => TraceKind::FaultDuplicated { tx: f.num("tx")? },
-        "tx_start" => TraceKind::TxStart {
-            tx: f.num("tx")?,
-            origin: f.num("origin")?,
-            seq: f.num("seq")?,
-            bytes: f.num("bytes")?,
-            class: f.num("class")?,
-        },
-        "frame_delivered" => TraceKind::FrameDelivered {
-            tx: f.num("tx")?,
-            bytes: f.num("bytes")?,
-        },
-        "frame_collided" => TraceKind::FrameCollided { tx: f.num("tx")? },
-        "frame_lost_random" => TraceKind::FrameLostRandom { tx: f.num("tx")? },
-        "frame_half_duplex" => TraceKind::FrameHalfDuplex { tx: f.num("tx")? },
-        "frame_dropped_os" => TraceKind::FrameDroppedOs {
-            bytes: f.num("bytes")?,
-        },
-        "queue_depth" => TraceKind::QueueDepth {
-            bytes: f.num("bytes")?,
-        },
-        "message_sent" => TraceKind::MessageSent {
-            seq: f.num("seq")?,
-            bytes: f.num("bytes")?,
-            class: f.num("class")?,
-        },
-        "message_delivered" => TraceKind::MessageDelivered {
-            origin: f.num("origin")?,
-            seq: f.num("seq")?,
-            bytes: f.num("bytes")?,
-            overheard: f.boolean("overheard")?,
-        },
-        "message_acked" => TraceKind::MessageAcked { seq: f.num("seq")? },
-        "message_failed" => TraceKind::MessageFailed { seq: f.num("seq")? },
-        "retransmit" => TraceKind::Retransmit {
-            seq: f.num("seq")?,
-            frames: f.num("frames")?,
-        },
-        "ack_sent" => TraceKind::AckSent {
-            origin: f.num("origin")?,
-            seq: f.num("seq")?,
-            bytes: f.num("bytes")?,
-        },
-        "query_sent" => TraceKind::QuerySent {
-            query: f.num("query")?,
-            session: f.num("session")?,
-            seq: f.num("seq")?,
-        },
-        "query_received" => TraceKind::QueryReceived {
-            query: f.num("query")?,
-            from: f.num("from")?,
-        },
-        "response_sent" => TraceKind::ResponseSent {
-            response: f.num("response")?,
-            query: f.num("query")?,
-            seq: f.num("seq")?,
-        },
-        "response_received" => TraceKind::ResponseReceived {
-            response: f.num("response")?,
-            from: f.num("from")?,
-        },
-        "session_started" => TraceKind::SessionStarted {
-            session: f.num("session")?,
-        },
-        "session_finished" => TraceKind::SessionFinished {
-            session: f.num("session")?,
-            delay_us: f.num("delay_us")?,
-            rounds: f.num("rounds")?,
-            items: f.num("items")?,
-        },
-        other => return Err(err(format!("unknown event kind '{other}'"))),
+    // The schema only emits bare identifiers, and JSON allows a backslash
+    // only inside a string: any escape means a foreign or corrupted file.
+    if line.contains('\\') {
+        return Err(err("escape sequences are not part of the trace schema"));
+    }
+    let object = parse(line)?;
+    let Value::Obj(members) = &object else {
+        return Err(err("trace line is not an object"));
     };
+    if let Some((key, _)) = members
+        .iter()
+        .find(|(_, v)| !matches!(v, Value::Int(_) | Value::Bool(_) | Value::Str(_)))
+    {
+        return Err(err(format!(
+            "field '{key}': the schema allows unsigned ints, bools and strings"
+        )));
+    }
+    let f = Fields(&object);
+    let node = u32::try_from(f.get::<u64>("node")?).map_err(|_| err("node id exceeds u32"))?;
+    let phase = f.str("phase")?;
+    let phase = Phase::parse(phase).ok_or_else(|| err(format!("unknown phase '{phase}'")))?;
     Ok(TraceEvent {
-        at_us,
+        at_us: f.get("t")?,
         node,
         phase,
-        kind,
+        kind: TraceKind::from_fields(f.str("kind")?, &f)?,
     })
 }
 
@@ -567,13 +595,33 @@ mod tests {
             .collect()
     }
 
+    /// The wire format, pinned byte for byte: the fixture holds the lines
+    /// of `one_of_each()`, generated by a hand-written per-variant writer
+    /// independent of the schema table. Any change to those lines is a
+    /// deliberate schema migration: regenerate the fixture AND update
+    /// DESIGN.md §9 / §14 in the same PR.
     #[test]
     fn every_kind_round_trips() {
-        for ev in one_of_each() {
-            let line = to_json(&ev);
-            let back = parse_line(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
-            assert_eq!(back, ev, "round trip of {line}");
+        let golden = include_str!("../tests/fixtures/one_of_each.jsonl");
+        let events = one_of_each();
+        assert_eq!(golden.lines().count(), events.len());
+        for (ev, line) in events.iter().zip(golden.lines()) {
+            assert_eq!(to_json(ev), line);
+            let back = parse_line(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!(&back, ev, "round trip of {line}");
         }
+    }
+
+    /// A kind added to the schema table cannot skip the golden fixture
+    /// (the property test below builds its kinds from the table itself).
+    #[test]
+    fn one_of_each_covers_every_declared_kind() {
+        use std::collections::BTreeSet;
+        let table = TraceKind::each(|| 0);
+        let declared: BTreeSet<_> = table.iter().map(TraceKind::name).collect();
+        assert_eq!(declared.len(), table.len(), "duplicate wire name");
+        let covered: BTreeSet<_> = one_of_each().iter().map(|ev| ev.kind.name()).collect();
+        assert_eq!(covered, declared);
     }
 
     #[test]
@@ -605,6 +653,42 @@ mod tests {
             parse_line("{\"t\":1,\"node\":0,\"phase\":\"kernel\",\"kind\":\"sweep\"}x").is_err(),
             "trailing garbage"
         );
+        // `tail` follows `"tx":` in an otherwise valid line.
+        let with_tx = |tail: &str| {
+            parse_line(&format!(
+                "{{\"t\":1,\"node\":0,\"phase\":\"kernel\",\"kind\":\"tx_end\",\"tx\":{tail}}}"
+            ))
+        };
+        assert!(with_tx("7").is_ok());
+        assert!(
+            with_tx("7,\"tx\":true").is_ok(),
+            "duplicate keys keep the first"
+        );
+        for (tail, why) in [
+            ("7.0", "float in a field position"),
+            ("7e0", "exponent in a field position"),
+            ("{\"id\":7}", "nested object in a field position"),
+            ("[7]", "array in a field position"),
+            ("\"7\"", "string in an integer position"),
+            ("\"\\\\7\"", "escaped string in a field position"),
+            ("18446744073709551616", "u64::MAX + 1"),
+            ("7,\"extra\":[]", "nested value under an unknown key"),
+            (
+                "7,\"extra\":\"\\\"\"",
+                "escaped string under an unknown key",
+            ),
+        ] {
+            assert!(with_tx(tail).is_err(), "{why}: {tail}");
+        }
+        assert!(
+            parse_line("{\"t\":1,\"node\":4294967296,\"phase\":\"kernel\",\"kind\":\"sweep\"}")
+                .is_err(),
+            "node id beyond u32"
+        );
+        assert!(
+            parse_line(&"[".repeat(100_000)).is_err(),
+            "deep nesting is an error, not a stack overflow"
+        );
     }
 
     #[test]
@@ -614,80 +698,43 @@ mod tests {
         assert_eq!(e.line, 2);
     }
 
-    /// Pinned wire format for the session/flight-recorder event kinds.
-    /// Any change to these lines is a deliberate schema migration: update
-    /// the fixture AND bump DESIGN.md §14's schema note in the same PR.
+    /// The general reader behind `pds_bench::baseline::parse`.
     #[test]
-    fn session_kind_wire_format_is_pinned() {
-        let cases: [(TraceEvent, &str); 5] = [
-            (
-                TraceEvent {
-                    at_us: 500_000,
-                    node: 2,
-                    phase: Phase::Pdr,
-                    kind: TraceKind::SessionStarted { session: 9 },
-                },
-                "{\"t\":500000,\"node\":2,\"phase\":\"pdr\",\"kind\":\"session_started\",\"session\":9}",
-            ),
-            (
-                TraceEvent {
-                    at_us: 740_250,
-                    node: 2,
-                    phase: Phase::Pdr,
-                    kind: TraceKind::SessionFinished {
-                        session: 9,
-                        delay_us: 240_250,
-                        rounds: 2,
-                        items: 3,
-                    },
-                },
-                "{\"t\":740250,\"node\":2,\"phase\":\"pdr\",\"kind\":\"session_finished\",\"session\":9,\"delay_us\":240250,\"rounds\":2,\"items\":3}",
-            ),
-            (
-                TraceEvent {
-                    at_us: 501_000,
-                    node: 2,
-                    phase: Phase::Pdr,
-                    kind: TraceKind::QuerySent {
-                        query: 18_446_744_073_709_551_615,
-                        session: 9,
-                        seq: 12,
-                    },
-                },
-                "{\"t\":501000,\"node\":2,\"phase\":\"pdr\",\"kind\":\"query_sent\",\"query\":18446744073709551615,\"session\":9,\"seq\":12}",
-            ),
-            (
-                TraceEvent {
-                    at_us: 502_000,
-                    node: 5,
-                    phase: Phase::Pdr,
-                    kind: TraceKind::ResponseSent {
-                        response: 77,
-                        query: 88,
-                        seq: 13,
-                    },
-                },
-                "{\"t\":502000,\"node\":5,\"phase\":\"pdr\",\"kind\":\"response_sent\",\"response\":77,\"query\":88,\"seq\":13}",
-            ),
-            (
-                TraceEvent {
-                    at_us: 502_100,
-                    node: 5,
-                    phase: Phase::Radio,
-                    kind: TraceKind::TxStart {
-                        tx: 41,
-                        origin: 5,
-                        seq: 13,
-                        bytes: 1466,
-                        class: 2,
-                    },
-                },
-                "{\"t\":502100,\"node\":5,\"phase\":\"radio\",\"kind\":\"tx_start\",\"tx\":41,\"origin\":5,\"seq\":13,\"bytes\":1466,\"class\":2}",
-            ),
-        ];
-        for (ev, want) in &cases {
-            assert_eq!(&to_json(ev), want);
-            assert_eq!(&parse_line(want).expect("fixture parses"), ev);
+    fn parse_reads_documents() {
+        let v =
+            parse(" {\"a\": [1, -2, 2.5, 1e3, true], \"s\": \"µs ≈ 1\", \"q\": \"a\\\"b\\\\c\"} ")
+                .expect("parses");
+        let a = v.get("a").and_then(Value::as_arr).expect("array");
+        assert!(matches!(a[0], Value::Int(1)));
+        assert!(matches!(a[1], Value::Num(n) if n == -2.0));
+        assert_eq!(a[2].as_f64(), Some(2.5));
+        assert_eq!(a[3].as_f64(), Some(1000.0));
+        assert_eq!(a[4].as_bool(), Some(true));
+        // Non-ASCII text is sliced as UTF-8, not widened byte by byte.
+        assert_eq!(v.get("s").and_then(Value::as_str), Some("µs ≈ 1"));
+        assert_eq!(v.get("q").and_then(Value::as_str), Some("a\"b\\c"));
+        // Integers stay exact up to u64::MAX; one past it is a float.
+        assert!(matches!(
+            parse("18446744073709551615"),
+            Ok(Value::Int(u64::MAX))
+        ));
+        assert!(matches!(parse("18446744073709551616"), Ok(Value::Num(_))));
+        // Numbers compare by value across the two cases.
+        assert_eq!(parse("2").unwrap(), parse("2.0").unwrap());
+        assert_ne!(parse("2").unwrap(), parse("2.5").unwrap());
+        assert_ne!(parse("1").unwrap(), parse("true").unwrap());
+        for bad in [
+            "",
+            "{",
+            "[1,]",
+            "{\"a\" 1}",
+            "\"open",
+            "\"\\n\"",
+            "1 2",
+            "--1",
+            "nul",
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?}");
         }
     }
 
@@ -699,97 +746,25 @@ mod tests {
             any::<u64>().prop_map(|i| Phase::ALL[(i % Phase::ALL.len() as u64) as usize])
         }
 
-        /// Every kind, with payload fields drawn over the full u64/bool
-        /// range, so the codec's integer and bool paths are exhaustively
-        /// fuzzed — not just the hand-picked values in `one_of_each`.
-        fn arb_kind() -> impl Strategy<Value = TraceKind> {
-            let n = any::<u64>;
-            prop_oneof![
-                Just(TraceKind::NodeStart),
-                any::<bool>().prop_map(|deferred| TraceKind::MacTry { deferred }),
-                n().prop_map(|tx| TraceKind::TxEnd { tx }),
-                Just(TraceKind::BucketDrain),
-                n().prop_map(|timer| TraceKind::TimerFired { timer }),
-                n().prop_map(|ctrl| TraceKind::Control { ctrl }),
-                Just(TraceKind::Sweep),
-                n().prop_map(|fault| TraceKind::FaultDeliver { fault }),
-                n().prop_map(|tx| TraceKind::FaultCut { tx }),
-                n().prop_map(|tx| TraceKind::FaultDropped { tx }),
-                n().prop_map(|tx| TraceKind::FaultDelayed { tx }),
-                n().prop_map(|tx| TraceKind::FaultDuplicated { tx }),
-                (n(), n(), n(), n(), n()).prop_map(|(tx, origin, seq, bytes, class)| {
-                    TraceKind::TxStart {
-                        tx,
-                        origin,
-                        seq,
-                        bytes,
-                        class,
-                    }
-                }),
-                (n(), n()).prop_map(|(tx, bytes)| TraceKind::FrameDelivered { tx, bytes }),
-                n().prop_map(|tx| TraceKind::FrameCollided { tx }),
-                n().prop_map(|tx| TraceKind::FrameLostRandom { tx }),
-                n().prop_map(|tx| TraceKind::FrameHalfDuplex { tx }),
-                n().prop_map(|bytes| TraceKind::FrameDroppedOs { bytes }),
-                n().prop_map(|bytes| TraceKind::QueueDepth { bytes }),
-                (n(), n(), n()).prop_map(|(seq, bytes, class)| TraceKind::MessageSent {
-                    seq,
-                    bytes,
-                    class
-                }),
-                (n(), n(), n(), any::<bool>()).prop_map(|(origin, seq, bytes, overheard)| {
-                    TraceKind::MessageDelivered {
-                        origin,
-                        seq,
-                        bytes,
-                        overheard,
-                    }
-                }),
-                n().prop_map(|seq| TraceKind::MessageAcked { seq }),
-                n().prop_map(|seq| TraceKind::MessageFailed { seq }),
-                (n(), n()).prop_map(|(seq, frames)| TraceKind::Retransmit { seq, frames }),
-                (n(), n(), n()).prop_map(|(origin, seq, bytes)| TraceKind::AckSent {
-                    origin,
-                    seq,
-                    bytes
-                }),
-                (n(), n(), n()).prop_map(|(query, session, seq)| TraceKind::QuerySent {
-                    query,
-                    session,
-                    seq
-                }),
-                (n(), n()).prop_map(|(query, from)| TraceKind::QueryReceived { query, from }),
-                (n(), n(), n()).prop_map(|(response, query, seq)| TraceKind::ResponseSent {
-                    response,
-                    query,
-                    seq
-                }),
-                (n(), n())
-                    .prop_map(|(response, from)| TraceKind::ResponseReceived { response, from }),
-                n().prop_map(|session| TraceKind::SessionStarted { session }),
-                (n(), n(), n(), n()).prop_map(|(session, delay_us, rounds, items)| {
-                    TraceKind::SessionFinished {
-                        session,
-                        delay_us,
-                        rounds,
-                        items,
-                    }
-                }),
-            ]
-        }
-
         proptest! {
+            /// Every kind of the schema table, with payload fields drawn
+            /// over the full u64/bool range, so the codec's integer and
+            /// bool paths are fuzzed — not just the hand-picked values in
+            /// `one_of_each`.
             #[test]
             fn any_event_round_trips(
                 at_us in any::<u64>(),
                 node in any::<u32>(),
                 phase in arb_phase(),
-                kind in arb_kind(),
+                payload in proptest::collection::vec(any::<u64>(), 8),
             ) {
-                let ev = TraceEvent { at_us, node, phase, kind };
-                let line = to_json(&ev);
-                let back = parse_line(&line).expect("round trip parses");
-                prop_assert_eq!(back, ev);
+                let mut draws = payload.into_iter().cycle();
+                for kind in TraceKind::each(|| draws.next().expect("cycle of 8")) {
+                    let ev = TraceEvent { at_us, node, phase, kind };
+                    let line = to_json(&ev);
+                    let back = parse_line(&line).expect("round trip parses");
+                    prop_assert_eq!(back, ev);
+                }
             }
         }
     }

@@ -1,6 +1,8 @@
 //! Deterministic observability for the PDS reproduction: structured trace
-//! events, pluggable sinks, a per-node/per-phase metrics registry, and the
-//! analyses behind the `pds-obs` CLI.
+//! events (vocabulary declared once, in [`event`]'s schema table),
+//! pluggable sinks, a per-phase metrics registry, the analyses behind the
+//! `pds-obs` CLI, and — in [`json`] — the JSONL trace codec together with
+//! the workspace's one JSON reader.
 //!
 //! # Design constraints
 //!
@@ -53,8 +55,8 @@ pub use analysis::{
 pub use event::{class, Phase, TraceEvent, TraceKind};
 pub use flight::FlightRecorder;
 pub use json::{parse_line, read_trace, read_trace_file, to_json, ParseError};
-pub use metrics::{Histogram, MetricKey, MetricsRegistry};
-pub use sink::{JsonlSink, NullSink, RingSink, TraceSink};
+pub use metrics::{Histogram, MetricsRegistry};
+pub use sink::{JsonlSink, RingSink, TraceSink};
 pub use span::{
     critical_path, explain, render_critical_path, render_sessions, sessions, DelayBreakdown,
     DelayComponent, SessionSpan,

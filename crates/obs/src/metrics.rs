@@ -1,27 +1,15 @@
-//! Per-node, per-phase metrics registry.
+//! Per-phase metrics registry.
 //!
-//! Generalizes the simulator's global `Stats` struct: every counter and
-//! histogram is keyed by `(node, phase, name)`, iterates in sorted key
-//! order (BTreeMap — deterministic by construction), and measures *virtual*
-//! time only. A registry can be populated directly (`inc`/`observe`) or
-//! derived from a recorded trace ([`MetricsRegistry::from_trace`]), which
-//! is how the bench report snapshots one without threading a registry
-//! through the hot path.
+//! Splits the simulator's global `Stats` struct by protocol phase: every
+//! counter and histogram is keyed by `(name, phase)`, iterates in sorted
+//! key order (BTreeMap — deterministic by construction), and measures
+//! *virtual* time only. A registry is derived from a recorded trace
+//! ([`MetricsRegistry::from_trace`]), which is how the bench report
+//! snapshots one without threading a registry through the hot path.
 
 use crate::event::{Phase, TraceEvent, TraceKind};
 use pds_det::DetMap;
 use std::collections::BTreeMap;
-
-/// Key of one metric series.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct MetricKey {
-    /// Owning node (`u32::MAX` = global / unattributed).
-    pub node: u32,
-    /// Protocol phase or layer.
-    pub phase: Phase,
-    /// Metric name (fixed vocabulary; see the `name_*` constants).
-    pub name: &'static str,
-}
 
 /// Histogram over virtual-time (or count) samples, with power-of-two
 /// buckets. Integer-only: bucket math is exact and replay-stable.
@@ -121,17 +109,6 @@ impl Histogram {
         }
         self.max
     }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += *b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// Metric-name vocabulary (counters).
@@ -177,93 +154,31 @@ pub mod hist {
     pub const BUFFER_OCCUPANCY: &str = "buffer_occupancy_bytes";
 }
 
-/// The registry: sorted maps of counters and histograms.
+/// The registry: sorted maps of counters and histograms, keyed by
+/// `(name, phase)` — all nodes aggregated.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<MetricKey, u64>,
-    histograms: BTreeMap<MetricKey, Histogram>,
+    counters: BTreeMap<(&'static str, Phase), u64>,
+    histograms: BTreeMap<(&'static str, Phase), Histogram>,
 }
 
 impl MetricsRegistry {
-    /// An empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+    fn inc(&mut self, phase: Phase, name: &'static str, by: u64) {
+        *self.counters.entry((name, phase)).or_insert(0) += by;
     }
 
-    /// Adds `by` to a counter.
-    pub fn inc(&mut self, node: u32, phase: Phase, name: &'static str, by: u64) {
-        *self
-            .counters
-            .entry(MetricKey { node, phase, name })
-            .or_insert(0) += by;
+    fn observe(&mut self, phase: Phase, name: &'static str, v: u64) {
+        self.histograms.entry((name, phase)).or_default().observe(v);
     }
 
-    /// Records a histogram sample.
-    pub fn observe(&mut self, node: u32, phase: Phase, name: &'static str, v: u64) {
-        self.histograms
-            .entry(MetricKey { node, phase, name })
-            .or_default()
-            .observe(v);
-    }
-
-    /// Reads one counter (0 when absent).
-    #[must_use]
-    pub fn counter(&self, node: u32, phase: Phase, name: &str) -> u64 {
-        self.counters
-            .get(&MetricKey {
-                node,
-                phase,
-                // Lookup by value; the key stores 'static names but compares
-                // by content, so any equal &str finds it.
-                name: lookup_name(name),
-            })
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Reads one histogram.
-    #[must_use]
-    pub fn histogram(&self, node: u32, phase: Phase, name: &str) -> Option<&Histogram> {
-        self.histograms.get(&MetricKey {
-            node,
-            phase,
-            name: lookup_name(name),
-        })
-    }
-
-    /// Iterates all counters in sorted key order.
-    pub fn counters(&self) -> impl Iterator<Item = (&MetricKey, u64)> {
-        self.counters.iter().map(|(k, &v)| (k, v))
-    }
-
-    /// Iterates all histograms in sorted key order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&MetricKey, &Histogram)> {
-        self.histograms.iter()
-    }
-
-    /// Sum of a counter over all nodes, per phase (sorted by phase).
-    #[must_use]
-    pub fn phase_totals(&self, name: &str) -> BTreeMap<Phase, u64> {
-        let mut out = BTreeMap::new();
-        for (k, v) in &self.counters {
-            if k.name == name {
-                *out.entry(k.phase).or_insert(0) += v;
-            }
-        }
-        out
-    }
-
-    /// Merge of a histogram over all nodes, per phase.
+    /// The histograms named `name`, per phase.
     #[must_use]
     pub fn phase_histograms(&self, name: &str) -> BTreeMap<Phase, Histogram> {
-        let mut out: BTreeMap<Phase, Histogram> = BTreeMap::new();
-        for (k, h) in &self.histograms {
-            if k.name == name {
-                out.entry(k.phase).or_default().merge(h);
-            }
-        }
-        out
+        self.histograms
+            .iter()
+            .filter(|((n, _), _)| *n == name)
+            .map(|(&(_, phase), h)| (phase, h.clone()))
+            .collect()
     }
 
     /// Builds the standard registry from a recorded trace: per-phase
@@ -271,7 +186,7 @@ impl MetricsRegistry {
     /// retransmission counts, round gaps and buffer occupancy.
     #[must_use]
     pub fn from_trace(events: &[TraceEvent]) -> Self {
-        let mut reg = Self::new();
+        let mut reg = Self::default();
         // Open transport sends awaiting their first delivery, keyed by
         // (origin, seq): value = (submit time, traffic class).
         let mut open_sends: DetMap<(u32, u64), (u64, u8)> = DetMap::default();
@@ -284,34 +199,33 @@ impl MetricsRegistry {
             match &ev.kind {
                 TraceKind::TxStart { bytes, class, .. } => {
                     let phase = Phase::from_class(*class as u8);
-                    reg.inc(n, phase, name::FRAMES_SENT, 1);
-                    reg.inc(n, phase, name::BYTES_SENT, *bytes);
+                    reg.inc(phase, name::FRAMES_SENT, 1);
+                    reg.inc(phase, name::BYTES_SENT, *bytes);
                 }
                 TraceKind::FrameDelivered { .. } => {
-                    reg.inc(n, Phase::Radio, name::FRAMES_DELIVERED, 1);
+                    reg.inc(Phase::Radio, name::FRAMES_DELIVERED, 1);
                 }
                 TraceKind::FrameCollided { .. }
                 | TraceKind::FrameLostRandom { .. }
                 | TraceKind::FrameHalfDuplex { .. } => {
-                    reg.inc(n, Phase::Radio, name::FRAMES_LOST, 1);
+                    reg.inc(Phase::Radio, name::FRAMES_LOST, 1);
                 }
                 TraceKind::FrameDroppedOs { .. } => {
-                    reg.inc(n, Phase::Radio, name::FRAMES_DROPPED_OS, 1);
+                    reg.inc(Phase::Radio, name::FRAMES_DROPPED_OS, 1);
                 }
                 TraceKind::QueueDepth { bytes } => {
-                    reg.observe(n, Phase::Radio, hist::BUFFER_OCCUPANCY, *bytes);
+                    reg.observe(Phase::Radio, hist::BUFFER_OCCUPANCY, *bytes);
                 }
                 TraceKind::MessageSent { seq, class, .. } => {
                     let phase = Phase::from_class(*class as u8);
-                    reg.inc(n, phase, name::MESSAGES_SENT, 1);
+                    reg.inc(phase, name::MESSAGES_SENT, 1);
                     open_sends.insert((n, *seq), (ev.at_us, *class as u8));
                 }
                 TraceKind::MessageDelivered { origin, seq, .. } => {
-                    reg.inc(n, Phase::Transport, name::MESSAGES_DELIVERED, 1);
+                    reg.inc(Phase::Transport, name::MESSAGES_DELIVERED, 1);
                     let key = (*origin as u32, *seq);
                     if let Some(&(sent_at, class)) = open_sends.get(&key) {
                         reg.observe(
-                            *origin as u32,
                             Phase::from_class(class),
                             hist::MESSAGE_DELAY_US,
                             ev.at_us.saturating_sub(sent_at),
@@ -322,36 +236,31 @@ impl MetricsRegistry {
                     }
                 }
                 TraceKind::MessageFailed { seq } => {
-                    reg.inc(n, Phase::Transport, name::MESSAGES_FAILED, 1);
+                    reg.inc(Phase::Transport, name::MESSAGES_FAILED, 1);
                     let c = retrans.remove(&(n, *seq)).unwrap_or(0);
-                    reg.observe(n, Phase::Transport, hist::RETRANS_PER_MSG, c);
+                    reg.observe(Phase::Transport, hist::RETRANS_PER_MSG, c);
                 }
                 TraceKind::MessageAcked { seq } => {
                     let c = retrans.remove(&(n, *seq)).unwrap_or(0);
-                    reg.observe(n, Phase::Transport, hist::RETRANS_PER_MSG, c);
+                    reg.observe(Phase::Transport, hist::RETRANS_PER_MSG, c);
                 }
                 TraceKind::Retransmit { seq, frames } => {
-                    reg.inc(n, Phase::Transport, name::RETRANSMISSIONS, *frames);
+                    reg.inc(Phase::Transport, name::RETRANSMISSIONS, *frames);
                     *retrans.entry((n, *seq)).or_insert(0) += 1;
                 }
                 TraceKind::QuerySent { .. } => {
-                    reg.inc(n, ev.phase, name::QUERIES_SENT, 1);
+                    reg.inc(ev.phase, name::QUERIES_SENT, 1);
                     if let Some(&prev) = last_query.get(&(n, ev.phase)) {
-                        reg.observe(
-                            n,
-                            ev.phase,
-                            hist::ROUND_GAP_US,
-                            ev.at_us.saturating_sub(prev),
-                        );
+                        reg.observe(ev.phase, hist::ROUND_GAP_US, ev.at_us.saturating_sub(prev));
                     }
                     last_query.insert((n, ev.phase), ev.at_us);
                 }
                 TraceKind::ResponseSent { .. } => {
-                    reg.inc(n, ev.phase, name::RESPONSES_SENT, 1);
+                    reg.inc(ev.phase, name::RESPONSES_SENT, 1);
                 }
                 TraceKind::SessionFinished { delay_us, .. } => {
-                    reg.inc(n, ev.phase, name::SESSIONS_FINISHED, 1);
-                    reg.observe(n, ev.phase, hist::SESSION_DELAY_US, *delay_us);
+                    reg.inc(ev.phase, name::SESSIONS_FINISHED, 1);
+                    reg.observe(ev.phase, hist::SESSION_DELAY_US, *delay_us);
                 }
                 _ => {}
             }
@@ -359,24 +268,16 @@ impl MetricsRegistry {
         reg
     }
 
-    /// Renders an aggregated (all-nodes) summary table.
+    /// Renders the summary table.
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str("counters (all nodes):\n");
-        let mut totals: BTreeMap<(&'static str, Phase), u64> = BTreeMap::new();
-        for (k, v) in &self.counters {
-            *totals.entry((k.name, k.phase)).or_insert(0) += v;
-        }
-        for ((cname, phase), v) in &totals {
+        for ((cname, phase), v) in &self.counters {
             out.push_str(&format!("  {cname:<22} {:<10} {v}\n", phase.name()));
         }
         out.push_str("histograms (all nodes):\n");
-        let mut merged: BTreeMap<(&'static str, Phase), Histogram> = BTreeMap::new();
-        for (k, h) in &self.histograms {
-            merged.entry((k.name, k.phase)).or_default().merge(h);
-        }
-        for ((hname, phase), h) in &merged {
+        for ((hname, phase), h) in &self.histograms {
             out.push_str(&format!(
                 "  {hname:<22} {:<10} n={} min={} p50~{} p95~{} max={} mean={}\n",
                 phase.name(),
@@ -390,32 +291,6 @@ impl MetricsRegistry {
         }
         out
     }
-}
-
-/// Interns a dynamic lookup name onto the fixed vocabulary so `MetricKey`
-/// can keep `&'static str`. Unknown names get a sentinel that matches
-/// nothing.
-fn lookup_name(s: &str) -> &'static str {
-    const ALL: [&str; 17] = [
-        name::FRAMES_SENT,
-        name::BYTES_SENT,
-        name::FRAMES_DELIVERED,
-        name::FRAMES_LOST,
-        name::FRAMES_DROPPED_OS,
-        name::MESSAGES_SENT,
-        name::MESSAGES_DELIVERED,
-        name::MESSAGES_FAILED,
-        name::RETRANSMISSIONS,
-        name::QUERIES_SENT,
-        name::RESPONSES_SENT,
-        name::SESSIONS_FINISHED,
-        hist::MESSAGE_DELAY_US,
-        hist::SESSION_DELAY_US,
-        hist::ROUND_GAP_US,
-        hist::RETRANS_PER_MSG,
-        hist::BUFFER_OCCUPANCY,
-    ];
-    ALL.iter().find(|&&n| n == s).copied().unwrap_or("\u{0}")
 }
 
 #[cfg(test)]
@@ -463,15 +338,18 @@ mod tests {
 
     #[test]
     fn registry_counts_and_totals() {
-        let mut r = MetricsRegistry::new();
-        r.inc(0, Phase::Pdd, name::FRAMES_SENT, 2);
-        r.inc(1, Phase::Pdd, name::FRAMES_SENT, 3);
-        r.inc(1, Phase::Pdr, name::FRAMES_SENT, 5);
-        assert_eq!(r.counter(1, Phase::Pdd, name::FRAMES_SENT), 3);
-        assert_eq!(r.counter(9, Phase::Pdd, name::FRAMES_SENT), 0);
-        let totals = r.phase_totals(name::FRAMES_SENT);
-        assert_eq!(totals.get(&Phase::Pdd), Some(&5));
-        assert_eq!(totals.get(&Phase::Pdr), Some(&5));
+        let mut r = MetricsRegistry::default();
+        r.inc(Phase::Pdd, name::FRAMES_SENT, 2);
+        r.inc(Phase::Pdd, name::FRAMES_SENT, 3);
+        r.inc(Phase::Pdr, name::FRAMES_SENT, 5);
+        r.observe(Phase::Pdd, hist::SESSION_DELAY_US, 4);
+        r.observe(Phase::Pdd, hist::SESSION_DELAY_US, 6);
+        r.observe(Phase::Mdr, hist::ROUND_GAP_US, 1);
+        assert_eq!(r.counters[&(name::FRAMES_SENT, Phase::Pdd)], 5);
+        assert_eq!(r.counters[&(name::FRAMES_SENT, Phase::Pdr)], 5);
+        let delays = r.phase_histograms(hist::SESSION_DELAY_US);
+        assert_eq!(delays.len(), 1, "other names are filtered out");
+        assert_eq!(delays[&Phase::Pdd].sum(), 10);
     }
 
     #[test]
@@ -500,14 +378,13 @@ mod tests {
             },
         ];
         let reg = MetricsRegistry::from_trace(&events);
-        let h = reg
-            .histogram(0, Phase::Pdd, hist::MESSAGE_DELAY_US)
-            .expect("delay sampled");
+        let delays = reg.phase_histograms(hist::MESSAGE_DELAY_US);
+        let h = delays.get(&Phase::Pdd).expect("delay sampled");
         assert_eq!(h.count(), 1);
         assert_eq!(h.sum(), 2500);
-        assert_eq!(reg.counter(0, Phase::Pdd, name::MESSAGES_SENT), 1);
+        assert_eq!(reg.counters[&(name::MESSAGES_SENT, Phase::Pdd)], 1);
         assert_eq!(
-            reg.counter(4, Phase::Transport, name::MESSAGES_DELIVERED),
+            reg.counters[&(name::MESSAGES_DELIVERED, Phase::Transport)],
             1
         );
         assert!(reg.render().contains("message_delay_us"));
@@ -515,13 +392,15 @@ mod tests {
 
     #[test]
     fn registry_iteration_is_sorted() {
-        let mut r = MetricsRegistry::new();
-        r.inc(5, Phase::Mdr, name::BYTES_SENT, 1);
-        r.inc(1, Phase::Pdd, name::BYTES_SENT, 1);
-        r.inc(1, Phase::Kernel, name::FRAMES_SENT, 1);
-        let keys: Vec<MetricKey> = r.counters().map(|(k, _)| *k).collect();
-        let mut sorted = keys.clone();
-        sorted.sort();
-        assert_eq!(keys, sorted);
+        let mut r = MetricsRegistry::default();
+        r.inc(Phase::Mdr, name::BYTES_SENT, 1);
+        r.inc(Phase::Pdd, name::BYTES_SENT, 1);
+        r.inc(Phase::Kernel, name::FRAMES_SENT, 1);
+        let rendered = r.render();
+        let rows: Vec<&str> = rendered.lines().filter(|l| l.starts_with("  ")).collect();
+        assert_eq!(rows.len(), 3);
+        assert!(rows[0].contains("bytes_sent") && rows[0].contains("pdd"));
+        assert!(rows[1].contains("bytes_sent") && rows[1].contains("mdr"));
+        assert!(rows[2].contains("frames_sent") && rows[2].contains("kernel"));
     }
 }

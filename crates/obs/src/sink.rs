@@ -35,20 +35,6 @@ pub trait TraceSink: Any + Send {
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
-/// Discards every event. Useful to measure the cost of emission itself.
-#[derive(Debug, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _ev: &TraceEvent) {}
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
 /// Keeps the last `capacity` events in memory (0 = unbounded).
 ///
 /// The bounded mode is what the CI failure path uses: re-run a failing
@@ -120,6 +106,8 @@ impl TraceSink for RingSink {
 /// aborting a run over its *diagnostics* would be backwards.
 pub struct JsonlSink<W: Write + Send + 'static> {
     writer: W,
+    /// Reused line buffer: steady-state recording allocates nothing.
+    line: String,
     lines: u64,
     errors: u64,
 }
@@ -141,6 +129,7 @@ impl<W: Write + Send + 'static> JsonlSink<W> {
     pub fn new(writer: W) -> Self {
         Self {
             writer,
+            line: String::with_capacity(128),
             lines: 0,
             errors: 0,
         }
@@ -167,9 +156,10 @@ impl<W: Write + Send + 'static> JsonlSink<W> {
 
 impl<W: Write + Send + 'static> TraceSink for JsonlSink<W> {
     fn record(&mut self, ev: &TraceEvent) {
-        let mut line = json::to_json(ev);
-        line.push('\n');
-        if self.writer.write_all(line.as_bytes()).is_ok() {
+        self.line.clear();
+        json::push_json(ev, &mut self.line);
+        self.line.push('\n');
+        if self.writer.write_all(self.line.as_bytes()).is_ok() {
             self.lines += 1;
         } else {
             self.errors += 1;
