@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the hot data structures: Bloom filters, descriptor
 //! codecs, predicate matching, the GAP heuristic and the event kernel.
 
+use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pds_bloom::{BloomFilter, BloomParams};
 use pds_core::{
@@ -62,6 +63,24 @@ fn codec_benches(c: &mut Criterion) {
     });
     let bytes = response.encode();
     c.bench_function("codec/decode_1k_entries", |b| {
+        b.iter(|| black_box(PdsMessage::decode(&bytes).expect("decodes")));
+    });
+    // The PDR unit of transfer: one 256 KiB chunk, written once per
+    // transmission and viewed, not copied, on reception.
+    let chunk = PdsMessage::Response(ResponseMessage {
+        id: ResponseId(2),
+        sender: NodeId(0),
+        kind: ResponseKind::Chunk {
+            descriptor: descriptor(0),
+            chunk: ChunkId(0),
+            data: Bytes::from(vec![7u8; 256 * 1024]),
+        },
+    });
+    c.bench_function("codec/chunk_256k_encode", |b| {
+        b.iter(|| black_box(chunk.encode()));
+    });
+    let bytes = chunk.encode();
+    c.bench_function("codec/chunk_256k_decode", |b| {
         b.iter(|| black_box(PdsMessage::decode(&bytes).expect("decodes")));
     });
 }

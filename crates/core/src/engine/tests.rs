@@ -1097,7 +1097,7 @@ fn header_peek_agrees_with_decode_on_every_kind_and_truncation() {
         for cut in 0..wire.len() {
             let peeked = MessageHeader::peek(&wire[..cut]);
             assert_eq!(peeked, (cut >= head_len).then_some(header), "cut {cut}");
-            assert!(PdsMessage::decode(&wire[..cut]).is_err(), "cut {cut}");
+            assert!(PdsMessage::decode(&wire.slice(..cut)).is_err(), "cut {cut}");
             assert!(!peeked.is_some_and(|h| fresh.is_redundant(t(0.0), &h)));
         }
         // Once handled, the header alone marks every further copy.
@@ -1281,4 +1281,85 @@ fn an_entry_is_one_allocation_in_store_session_and_relay() {
         assert!(!same(&entry(1)) && !same(&entry(2)));
         assert!(same(&e.clone()));
     }
+}
+
+#[test]
+fn a_chunk_is_written_once_per_transmission_and_viewed_by_every_receiver() {
+    // consumer 0 — relay 1 — holder 2, and node 3 hears only the relay.
+    // Over the wire this time: each transmission is encoded once and every
+    // neighbor decodes that one buffer, as the simulator delivers it.
+    let config = PdsConfig::default();
+    let mut es = engines(4, &config);
+    let desc = video("vid", 3);
+    let item = ItemName::new("vid");
+    seed_chunks(&mut es[2], &desc, &[0, 1, 2]);
+    let adj = [vec![1], vec![0, 2, 3], vec![1], vec![1]];
+    // Every chunk response as transmitted: (sender, encoded buffer).
+    let mut sent: Vec<(usize, Bytes)> = Vec::new();
+    let mut now = t(0.0);
+    let mut queue: Vec<(usize, Outgoing)> = es[0]
+        .start_retrieval(now, desc)
+        .into_iter()
+        .map(|o| (0, o))
+        .collect();
+    for _ in 0..80 {
+        while let Some((sender, out)) = queue.pop() {
+            let wire = out.message.encode();
+            if let PdsMessage::Response(r) = &out.message {
+                if matches!(r.kind, ResponseKind::Chunk { .. }) {
+                    sent.push((sender, wire.clone()));
+                }
+            }
+            for &nbr in &adj[sender] {
+                let me = NodeId(nbr as u32);
+                let me_intended = out.intended.is_empty() || out.intended.contains(&me);
+                let message = PdsMessage::decode(&wire).expect("decodes");
+                let produced =
+                    es[nbr].handle_message(now, NodeId(sender as u32), me_intended, message);
+                queue.extend(produced.into_iter().map(|p| (nbr, p)));
+            }
+        }
+        if es[0].retrieval().expect("session").is_finished() {
+            break;
+        }
+        now += SimDuration::from_millis(400);
+        queue.extend(es[0].poll(now).into_iter().map(|o| (0, o)));
+    }
+    assert_eq!(
+        es[0].retrieval().expect("session").report().received_chunks,
+        3
+    );
+
+    // Which transmission, if any, the stored chunk is a view of.
+    let viewed = |holder: &PdsEngine, c: u32| {
+        let data = holder.store().chunk(&item, ChunkId(c)).expect("stored");
+        assert_eq!(data, vec![c as u8; 512], "chunk {c} intact");
+        sent.iter()
+            .find(|(_, wire)| {
+                let (outer, inner) = (wire.as_ptr_range(), data.as_ptr_range());
+                outer.start <= inner.start && inner.end <= outer.end
+            })
+            .map(|(sender, _)| *sender)
+    };
+    for c in 0..3 {
+        assert_eq!(
+            viewed(&es[0], c),
+            Some(1),
+            "consumer views the relay's buffer"
+        );
+        assert_eq!(
+            viewed(&es[3], c),
+            Some(1),
+            "overhearer views the relay's buffer"
+        );
+        assert_eq!(
+            viewed(&es[1], c),
+            Some(2),
+            "relay views the holder's buffer"
+        );
+        assert_eq!(viewed(&es[2], c), None, "the holder's copy is its own");
+    }
+    // One write per transmission, none per reception.
+    assert_eq!(sent.iter().filter(|(s, _)| *s == 2).count(), 3);
+    assert_eq!(sent.iter().filter(|(s, _)| *s == 1).count(), 3);
 }

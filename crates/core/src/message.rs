@@ -189,6 +189,14 @@ fn get_bytes<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8], DecodeError> {
     take(buf, len)
 }
 
+/// Like [`get_bytes`], but the field comes back as a view of `whole`, the
+/// message `buf` is the unread tail of, instead of a copy.
+fn get_shared(whole: &Bytes, buf: &mut &[u8]) -> Result<Bytes, DecodeError> {
+    let len = get_bytes(buf)?.len();
+    let end = whole.len() - buf.len();
+    Ok(whole.slice(end - len..end))
+}
+
 /// Wire size of a length-prefixed item name.
 fn item_len(item: &ItemName) -> usize {
     2 + item.as_str().len()
@@ -390,13 +398,19 @@ impl PdsMessage {
         }
     }
 
-    /// Deserializes a message.
+    /// Deserializes a received message.
+    ///
+    /// A [`ResponseKind::Chunk`]'s `data` is a [`Bytes::slice`] of `whole`,
+    /// not a copy: it shares `whole`'s allocation and keeps all of it alive
+    /// (the chunk plus the ≈ 100 bytes of header in front of it) for as long
+    /// as the chunk is stored or relayed. Every other field is owned by the
+    /// returned message and `whole` can be dropped without cost.
     ///
     /// # Errors
     ///
     /// Returns a [`DecodeError`] when the buffer is truncated or malformed.
-    pub fn decode(mut buf: &[u8]) -> Result<Self, DecodeError> {
-        let buf = &mut buf;
+    pub fn decode(whole: &Bytes) -> Result<Self, DecodeError> {
+        let buf = &mut &whole[..];
         if buf.remaining() < 1 {
             return Err(DecodeError::Truncated);
         }
@@ -486,6 +500,9 @@ impl PdsMessage {
                         let mut items = Vec::with_capacity(n.min(65_536));
                         for _ in 0..n {
                             let d = DataDescriptor::decode(buf).ok_or(DecodeError::BadBody)?;
+                            // Copied, not sliced: a response batches many
+                            // small items, and one payload kept as a view
+                            // would pin the whole batch in memory.
                             let payload = Bytes::from(get_bytes(buf)?);
                             items.push((d, payload));
                         }
@@ -511,7 +528,9 @@ impl PdsMessage {
                             return Err(DecodeError::Truncated);
                         }
                         let chunk = ChunkId(buf.get_u32_le());
-                        let data = Bytes::from(get_bytes(buf)?);
+                        // Sliced, not copied: the chunk is > 99.9 % of its
+                        // message, so the view pins next to nothing extra.
+                        let data = get_shared(whole, buf)?;
                         ResponseKind::Chunk {
                             descriptor,
                             chunk,
@@ -632,7 +651,7 @@ mod tests {
         let bytes = m.encode();
         for cut in 0..bytes.len() {
             assert!(
-                PdsMessage::decode(&bytes[..cut]).is_err(),
+                PdsMessage::decode(&bytes.slice(..cut)).is_err(),
                 "cut {cut} decoded"
             );
         }
@@ -640,8 +659,14 @@ mod tests {
 
     #[test]
     fn decode_rejects_bad_tags() {
-        assert_eq!(PdsMessage::decode(&[7]), Err(DecodeError::BadTag(7)));
-        assert_eq!(PdsMessage::decode(&[]), Err(DecodeError::Truncated));
+        assert_eq!(
+            PdsMessage::decode(&Bytes::from_static(&[7])),
+            Err(DecodeError::BadTag(7))
+        );
+        assert_eq!(
+            PdsMessage::decode(&Bytes::new()),
+            Err(DecodeError::Truncated)
+        );
     }
 
     #[test]
@@ -656,13 +681,46 @@ mod tests {
                 data: data.clone(),
             },
         });
-        let bytes = m.encode();
-        let PdsMessage::Response(r) = PdsMessage::decode(&bytes).expect("decodes") else {
+        let wire = m.encode();
+        let PdsMessage::Response(r) = PdsMessage::decode(&wire).expect("decodes") else {
             panic!()
         };
         let ResponseKind::Chunk { data: got, .. } = r.kind else {
             panic!()
         };
         assert_eq!(got, data);
+        let (inside, outer) = (got.as_ptr_range(), wire.as_ptr_range());
+        assert!(
+            outer.start < inside.start && inside.end == outer.end,
+            "chunk data {inside:?} must be the tail of the wire buffer {outer:?}"
+        );
+        // What a stored chunk pins besides itself.
+        assert!(wire.len() - got.len() < 128);
+        // The view outlives the handle the message was decoded from.
+        drop(wire);
+        assert_eq!(got, data);
+    }
+
+    #[test]
+    fn small_data_payloads_are_copied_out_of_the_received_message() {
+        let m = PdsMessage::Response(ResponseMessage {
+            id: ResponseId(1),
+            sender: NodeId(0),
+            kind: ResponseKind::SmallData {
+                items: vec![(
+                    DataDescriptor::builder().attr("type", "no2").build(),
+                    Bytes::from_static(b"12ppb"),
+                )],
+            },
+        });
+        let wire = m.encode();
+        let PdsMessage::Response(r) = PdsMessage::decode(&wire).expect("decodes") else {
+            panic!()
+        };
+        let ResponseKind::SmallData { items } = r.kind else {
+            panic!()
+        };
+        assert_eq!(&items[0].1[..], b"12ppb");
+        assert!(!wire.as_ptr_range().contains(&items[0].1.as_ptr()));
     }
 }

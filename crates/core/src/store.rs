@@ -221,7 +221,11 @@ impl DataStore {
                 // Re-storing an existing chunk: refresh recency; pinning is
                 // sticky (own data stays pinned even if later overheard).
                 meta.last_access = self.access_clock;
-                meta.pinned |= pinned;
+                if pinned && !meta.pinned {
+                    // No longer evictable, so no longer on the cache budget.
+                    meta.pinned = true;
+                    self.cached_bytes -= meta.bytes;
+                }
             }
             None => {
                 if !pinned {
@@ -599,6 +603,40 @@ mod tests {
         );
         assert!(!s.has_chunk(&ItemName::new("vid"), ChunkId(1)));
         assert_eq!(s.cached_chunk_bytes(), 0);
+    }
+
+    #[test]
+    fn pinning_a_cached_chunk_takes_it_off_the_budget() {
+        let mut s = DataStore::new();
+        s.set_chunk_cache(ChunkCacheConfig {
+            capacity_bytes: Some(1_500),
+            policy: EvictionPolicy::Lru,
+        });
+        let item = item_desc("vid", 3);
+        let vid = ItemName::new("vid");
+        let unpinned_bytes = |s: &DataStore| -> usize {
+            s.chunk_meta
+                .values()
+                .filter(|m| !m.pinned)
+                .map(|m| m.bytes)
+                .sum()
+        };
+        // First overheard, then produced locally: the same chunk, now pinned.
+        s.cache_chunk(&item, ChunkId(0), Bytes::from(vec![0u8; 1_000]));
+        assert_eq!(s.cached_chunk_bytes(), 1_000);
+        s.insert_chunk(&item, ChunkId(0), Bytes::from(vec![0u8; 1_000]));
+        assert_eq!(s.cached_chunk_bytes(), unpinned_bytes(&s));
+        assert_eq!(s.cached_chunk_bytes(), 0);
+        // 1 000 evictable bytes fit a 1 500-byte budget.
+        s.cache_chunk(&item, ChunkId(1), Bytes::from(vec![0u8; 1_000]));
+        assert!(s.has_chunk(&vid, ChunkId(0)), "own data pinned");
+        assert!(s.has_chunk(&vid, ChunkId(1)), "fits the budget");
+        assert_eq!(s.cached_chunk_bytes(), unpinned_bytes(&s));
+        assert_eq!(s.cached_chunk_bytes(), 1_000);
+        // Overhearing the pinned chunk again changes nothing.
+        s.cache_chunk(&item, ChunkId(0), Bytes::from(vec![0u8; 1_000]));
+        assert_eq!(s.cached_chunk_bytes(), 1_000);
+        assert!(s.has_chunk(&vid, ChunkId(1)));
     }
 
     #[test]

@@ -142,10 +142,14 @@ impl FlightRecorder {
     /// the retained events however many rings hold them.
     #[must_use]
     pub fn dump(&self) -> Vec<TraceEvent> {
+        self.in_emission_order().cloned().collect()
+    }
+
+    fn in_emission_order(&self) -> impl Iterator<Item = &TraceEvent> {
         let mut entries: Vec<&(u64, TraceEvent)> =
             self.rings().flat_map(|ring| &ring.buf).collect();
         entries.sort_unstable_by_key(|(seq, _)| *seq);
-        entries.into_iter().map(|(_, ev)| ev.clone()).collect()
+        entries.into_iter().map(|(_, ev)| ev)
     }
 
     /// Writes the merged dump as JSONL.
@@ -155,9 +159,9 @@ impl FlightRecorder {
     /// Returns the first I/O error.
     pub fn write_jsonl<W: Write>(&self, mut w: W) -> io::Result<()> {
         let mut line = String::new();
-        for ev in self.dump() {
+        for ev in self.in_emission_order() {
             line.clear();
-            json::push_json(&ev, &mut line);
+            json::push_json(ev, &mut line);
             line.push('\n');
             w.write_all(line.as_bytes())?;
         }

@@ -66,19 +66,19 @@ impl Outgoing {
     }
 
     /// Fragments still missing at any intended receiver, each with the
-    /// receivers that miss it.
+    /// receivers that miss it. A fragment every receiver misses — any
+    /// missing fragment of a single-receiver message — shares the
+    /// message's own receiver list instead of allocating an equal one.
     fn missing(&self) -> Vec<(u32, Arc<[NodeId]>)> {
         let mut out = Vec::new();
         for frag in 0..self.frag_count {
-            let missing_at: Arc<[NodeId]> = self
-                .intended
-                .iter()
-                .copied()
-                .filter(|r| !self.acked.get(r).is_some_and(|s| s.contains(frag)))
-                .collect();
-            if !missing_at.is_empty() {
-                out.push((frag, missing_at));
-            }
+            let misses = |r: &&NodeId| !self.acked.get(*r).is_some_and(|s| s.contains(frag));
+            let missing_at = match self.intended.iter().filter(misses).count() {
+                0 => continue,
+                n if n == self.intended.len() => Arc::clone(&self.intended),
+                _ => self.intended.iter().filter(misses).copied().collect(),
+            };
+            out.push((frag, missing_at));
         }
         out
     }
@@ -709,6 +709,55 @@ mod tests {
                 assert_eq!(frag as usize, plan.frames.len() - 1);
             }
             other => panic!("expected retransmit, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn retransmissions_name_who_misses_each_fragment() {
+        let mut tx = Transport::new();
+        let mut rx = Transport::new();
+        let both = vec![NodeId(1), NodeId(2)];
+        let plan = send(&mut tx, NodeId(0), 0, 5000, both.clone());
+        let last = plan.frames.len() - 1;
+        // Node 1 acks all but the last fragment, node 2 nothing.
+        let partial = SendPlan {
+            msg: plan.msg,
+            frames: plan.frames[..last].to_vec(),
+            tracked: true,
+        };
+        assert!(receive_all(&mut rx, NodeId(1), &partial).is_none());
+        let ack = rx.make_ack(NodeId(1), plan.msg).expect("partial ack");
+        let FrameKind::Ack { received, .. } = &ack.kind else {
+            panic!()
+        };
+        assert!(tx.on_ack_frame(plan.msg, NodeId(1), received).is_none());
+        for _ in 0..plan.frames.len() {
+            tx.on_frame_done(plan.msg);
+        }
+        let RetrPlan::Retransmit(frames) = tx.on_retr_timer(NodeId(0), plan.msg, 4) else {
+            panic!("expected retransmit")
+        };
+        let FrameKind::Data {
+            intended: original, ..
+        } = &plan.frames[0].kind
+        else {
+            panic!()
+        };
+        assert_eq!(frames.len(), plan.frames.len(), "node 2 misses them all");
+        for (i, f) in frames.iter().enumerate() {
+            let FrameKind::Data { frag, intended, .. } = &f.kind else {
+                panic!()
+            };
+            assert_eq!(*frag as usize, i);
+            if i == last {
+                // Missed by everyone: the message's own list, not a copy.
+                assert_eq!(&intended[..], &both[..]);
+                assert!(Arc::ptr_eq(intended, original));
+                assert_eq!(f.wire_bytes, plan.frames[i].wire_bytes);
+            } else {
+                assert_eq!(&intended[..], &[NodeId(2)]);
+                assert_eq!(f.wire_bytes, plan.frames[i].wire_bytes - PER_RECEIVER_BYTES);
+            }
         }
     }
 

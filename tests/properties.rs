@@ -231,7 +231,7 @@ proptest! {
 
     #[test]
     fn decode_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = PdsMessage::decode(&bytes); // must not panic
+        let _ = PdsMessage::decode(&bytes::Bytes::from(bytes)); // must not panic
     }
 }
 
