@@ -118,7 +118,7 @@ where
     T: Send,
     F: Fn(u64) -> T + Sync,
 {
-    crate::sweep::SweepRunner::from_env().run(seeds.len(), |i| f(seeds[i]))
+    crate::sweep::SweepRunner::with_process_jobs().run(seeds.len(), |i| f(seeds[i]))
 }
 
 #[cfg(test)]

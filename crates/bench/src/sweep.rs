@@ -26,7 +26,7 @@ use std::sync::mpsc;
 /// 0 means "unset": fall back to the available cores.
 static JOBS: AtomicUsize = AtomicUsize::new(0);
 
-/// Sets the process-wide worker count used by [`SweepRunner::from_env`]
+/// Sets the process-wide worker count used by [`SweepRunner::with_process_jobs`]
 /// (the `--jobs N` flag of the `figures` and `sim_scale` binaries).
 /// Values are clamped to at least 1.
 pub fn set_jobs(n: usize) {
@@ -62,7 +62,7 @@ impl SweepRunner {
 
     /// A runner with the process-wide worker count (see [`jobs`]).
     #[must_use]
-    pub fn from_env() -> Self {
+    pub fn with_process_jobs() -> Self {
         Self::new(jobs())
     }
 
@@ -117,7 +117,7 @@ impl SweepRunner {
     }
 }
 
-/// Runs a `points × seeds` grid through [`SweepRunner::from_env`] as one
+/// Runs a `points × seeds` grid through [`SweepRunner::with_process_jobs`] as one
 /// flat job list (so late points keep all workers busy) and chunks the
 /// results back into one `Vec` per point, both dimensions in input order.
 ///
@@ -131,8 +131,8 @@ where
     F: Fn(&P, u64) -> T + Sync,
 {
     let per = seeds.len();
-    let flat =
-        SweepRunner::from_env().run(points.len() * per, |i| f(&points[i / per], seeds[i % per]));
+    let flat = SweepRunner::with_process_jobs()
+        .run(points.len() * per, |i| f(&points[i / per], seeds[i % per]));
     let mut flat = flat.into_iter();
     points
         .iter()

@@ -130,9 +130,11 @@ impl PdsEngine {
             // No routes at all: re-flood the CDI query (recovery) or give up.
             let give_up = match self.retrieval.as_mut() {
                 Some(s) => {
-                    s.recovery_attempts += 1;
                     s.phase_started_at = now;
-                    s.recovery_attempts > p.max_recovery
+                    // Only an attempt that re-queries is counted.
+                    let give_up = s.recovery_attempts >= p.max_recovery;
+                    s.recovery_attempts += u32::from(!give_up);
+                    give_up
                 }
                 None => return Vec::new(),
             };
@@ -170,10 +172,11 @@ impl PdsEngine {
         // also re-flood the CDI query.
         let give_up = match self.retrieval.as_mut() {
             Some(s) => {
-                s.recovery_attempts += 1;
                 s.last_progress_at = now;
                 s.rounds_sent += 1;
-                s.recovery_attempts > p.max_recovery
+                let give_up = s.recovery_attempts >= p.max_recovery;
+                s.recovery_attempts += u32::from(!give_up);
+                give_up
             }
             None => return Vec::new(),
         };

@@ -701,6 +701,7 @@ fn pdr_gives_up_after_recovery_budget() {
     let report = es[0].retrieval().expect("session").report();
     assert_eq!(report.phase, RetrievalPhase::Done);
     assert_eq!(report.received_chunks, 0, "item does not exist");
+    assert_eq!(report.recovery_attempts, 2, "one per re-query sent");
 }
 
 // ---- MDR -------------------------------------------------------------------

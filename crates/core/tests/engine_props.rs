@@ -2,13 +2,18 @@
 //! instantaneous links, discovery terminates with full recall and PDR
 //! retrieves every chunk. Random trees come from Prüfer sequences, so
 //! connectivity holds by construction.
+//!
+//! Exhaustive tests: *every* way of losing the first [`CHOICES`] response
+//! deliveries on three small topologies (see [`check_schedule`]).
 
 use bytes::Bytes;
 use pds_core::{
     AttrValue, ChunkId, DataDescriptor, Outgoing, PdsConfig, PdsEngine, PdsMessage, QueryFilter,
+    RetrievalPhase,
 };
 use pds_sim::{NodeId, SimDuration, SimTime};
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 fn t(s: f64) -> SimTime {
     SimTime::from_secs_f64(s)
@@ -40,19 +45,55 @@ fn prufer_tree(n: usize, seq: &[usize]) -> Vec<Vec<usize>> {
     adj
 }
 
-/// Instantaneous lossless pump over the adjacency.
+/// Response deliveries whose fate a [`Schedule`] decides; later ones arrive.
+const CHOICES: u32 = 12;
+
+/// The pump's delivery oracle: bit `i` of `lose` drops the `i`-th delivery
+/// of a response to one neighbour, `fifo` picks which end of the queue
+/// drains. Queries always arrive. The default loses nothing, newest first.
+#[derive(Default)]
+struct Schedule {
+    lose: u32,
+    fifo: bool,
+    decided: u32,
+    lost: u32,
+}
+
+impl Schedule {
+    fn delivers(&mut self, message: &PdsMessage) -> bool {
+        if matches!(message, PdsMessage::Query(_)) || self.decided >= CHOICES {
+            return true;
+        }
+        let lose = self.lose >> self.decided & 1 == 1;
+        self.decided += 1;
+        self.lost += u32::from(lose);
+        !lose
+    }
+}
+
+/// Instantaneous pump over the adjacency; `schedule` decides what is lost.
 fn pump(
     engines: &mut [PdsEngine],
-    adj: &[Vec<usize>],
+    adj: &[impl AsRef<[usize]>],
     initial: Vec<(usize, Outgoing)>,
     now: SimTime,
+    schedule: &mut Schedule,
 ) {
-    let mut queue = initial;
+    let mut queue = VecDeque::from(initial);
     let mut steps = 0usize;
-    while let Some((sender, out)) = queue.pop() {
+    loop {
+        let next = if schedule.fifo {
+            queue.pop_front()
+        } else {
+            queue.pop_back()
+        };
+        let Some((sender, out)) = next else { break };
         steps += 1;
         assert!(steps < 500_000, "pump did not quiesce");
-        for &nbr in &adj[sender] {
+        for &nbr in adj[sender].as_ref() {
+            if !schedule.delivers(&out.message) {
+                continue;
+            }
             let me = NodeId(nbr as u32);
             let me_intended = out.intended.is_empty() || out.intended.contains(&me);
             let produced = engines[nbr].handle_message(
@@ -61,9 +102,7 @@ fn pump(
                 me_intended,
                 out.message.clone(),
             );
-            for p in produced {
-                queue.push((nbr, p));
-            }
+            queue.extend(produced.into_iter().map(|p| (nbr, p)));
         }
     }
 }
@@ -114,11 +153,12 @@ proptest! {
             let bytes = o.message.encode();
             prop_assert_eq!(PdsMessage::decode(&bytes).expect("decodes"), o.message.clone());
         }
-        pump(&mut engines, &adj, start.into_iter().map(|o| (consumer, o)).collect(), now);
+        let lossless = &mut Schedule::default();
+        pump(&mut engines, &adj, start.into_iter().map(|o| (consumer, o)).collect(), now, lossless);
         for _ in 0..40 {
             now += SimDuration::from_millis(400);
             let out = engines[consumer].poll(now);
-            pump(&mut engines, &adj, out.into_iter().map(|o| (consumer, o)).collect(), now);
+            pump(&mut engines, &adj, out.into_iter().map(|o| (consumer, o)).collect(), now, lossless);
             if engines[consumer].discovery().expect("session").is_finished() {
                 break;
             }
@@ -155,11 +195,12 @@ proptest! {
         }
         let mut now = t(0.0);
         let start = engines[0].start_retrieval(now, desc);
-        pump(&mut engines, &adj, start.into_iter().map(|o| (0, o)).collect(), now);
+        let lossless = &mut Schedule::default();
+        pump(&mut engines, &adj, start.into_iter().map(|o| (0, o)).collect(), now, lossless);
         for _ in 0..80 {
             now += SimDuration::from_millis(400);
             let out = engines[0].poll(now);
-            pump(&mut engines, &adj, out.into_iter().map(|o| (0, o)).collect(), now);
+            pump(&mut engines, &adj, out.into_iter().map(|o| (0, o)).collect(), now, lossless);
             if engines[0].retrieval().expect("session").is_finished() {
                 break;
             }
@@ -173,4 +214,150 @@ proptest! {
             total
         );
     }
+}
+
+// Exhaustive response-loss schedules: every lose/deliver choice for the
+// first `CHOICES` response deliveries, by bitmask, each mask on freshly built
+// engines. A quiet run makes 3 to 8 such deliveries on the stars and 8 (MDR),
+// 11 (PDD), 15 to 17 (PDR) and 22 (PDD without rewriting) on the line; a
+// lossy one re-solicits and makes more. Twelve therefore decides whole
+// sessions, recovery included, on the stars and whole first rounds and CDI
+// phases on the line, and keeps this file under 15 s in the debug profile.
+// On a star any subset of a round's responses can go missing; on the line two
+// relays put lingering queries, en-route rewriting, chunk-query division and
+// overhearing on the path. Delivery is instantaneous: timing, jitter, MAC
+// contention and churn belong to the `pds-dst` sweep.
+
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Pdd { rewrite: bool },
+    Pdr,
+    Mdr,
+}
+
+type Topology = &'static [&'static [usize]];
+const STAR4: Topology = &[&[1, 2, 3], &[0], &[0], &[0]];
+const STAR5: Topology = &[&[1, 2, 3, 4], &[0], &[0], &[0], &[0]];
+const LINE4: Topology = &[&[1], &[0, 2], &[1, 3], &[2]];
+
+const CHUNKS: u32 = 3;
+const CHUNK_BYTES: usize = 256;
+
+/// Runs one schedule on fresh engines and asserts the session invariants.
+/// Node 0 consumes; the others each produce one entry (PDD) or hold two of
+/// the three chunks, every chunk on two nodes (PDR, MDR). A failure prints
+/// these arguments: `check_schedule(STAR4, Op::Pdr, false, 0x7c8)` re-runs it.
+fn check_schedule(adj: Topology, op: Op, fifo: bool, lose: u32) {
+    let case = (adj, op, fifo, lose);
+    let check = |got: &dyn std::fmt::Debug, broken: &[(&str, bool)]| {
+        for (what, bad) in broken {
+            assert!(!bad, "{what}: {got:?} in {case:x?}");
+        }
+    };
+    let n = adj.len();
+    let mut config = PdsConfig::default();
+    if let Op::Pdd { rewrite } = op {
+        config.rewrite = rewrite;
+    }
+    // Three rounds, so that PDD's 3 or 4 entries can reach the cap.
+    config.rounds.max_rounds = 3;
+    let mut engines: Vec<PdsEngine> = (0..n)
+        .map(|i| PdsEngine::new(NodeId(i as u32), config.clone(), 70_000 + i as u64))
+        .collect();
+    let desc = video(CHUNKS);
+    for (i, e) in engines.iter_mut().enumerate().skip(1) {
+        if matches!(op, Op::Pdd { .. }) {
+            e.store_mut().insert_own(entry(i, 0), None);
+            continue;
+        }
+        for c in [(i as u32 - 1) % CHUNKS, i as u32 % CHUNKS] {
+            let data = Bytes::from(vec![c as u8; CHUNK_BYTES]);
+            e.store_mut().insert_chunk(&desc, ChunkId(c), data);
+        }
+    }
+
+    let mut schedule = Schedule {
+        lose,
+        fifo,
+        ..Schedule::default()
+    };
+    let finished = |e: &PdsEngine| match op {
+        Op::Pdd { .. } => e.discovery().is_some_and(|s| s.is_finished()),
+        Op::Pdr | Op::Mdr => e.retrieval().is_some_and(|s| s.is_finished()),
+    };
+    let mut now = t(0.0);
+    let mut out = match op {
+        Op::Pdd { .. } => engines[0].start_discovery(now, QueryFilter::match_all()),
+        Op::Pdr => engines[0].start_retrieval(now, desc),
+        Op::Mdr => engines[0].start_mdr_retrieval(now, desc),
+    };
+    // Poll budget: 400 s; the slowest, MDR's 3 rounds of a 30 s window, needs 90.
+    for _ in 0..1000 {
+        let sent = out.into_iter().map(|o| (0, o)).collect();
+        pump(&mut engines, adj, sent, now, &mut schedule);
+        if finished(&engines[0]) {
+            break;
+        }
+        now += SimDuration::from_millis(400);
+        out = engines[0].poll(now);
+    }
+    check(&now, &[("still running", !finished(&engines[0]))]);
+    let quiet = schedule.lost == 0;
+    let (max_rounds, budget) = (config.rounds.max_rounds, config.pdr.max_recovery);
+    let mdr = matches!(op, Op::Mdr);
+
+    if matches!(op, Op::Pdd { .. }) {
+        let session = engines[0].discovery().expect("session");
+        let r = session.report();
+        let seeded = |d: &&DataDescriptor| (1..n).any(|i| **d == entry(i, 0));
+        let broken = [
+            ("round cap passed", r.rounds > max_rounds),
+            ("more entries than producers", r.entries >= n),
+            ("phantom entry", !session.entries().iter().all(seeded)),
+            ("quiet run misses an entry", quiet && r.entries != n - 1),
+        ];
+        return check(&(r, session.entries()), &broken);
+    }
+    let session = engines[0].retrieval().expect("session");
+    let r = session.report();
+    let distinct_bytes = CHUNK_BYTES as u64 * u64::from(r.received_chunks);
+    // Forward only through CdiCollection, ChunkRetrieval, Done.
+    let phases = session.transitions();
+    let forward = |w: &[(SimTime, RetrievalPhase)]| (w[0].1 as u8) < w[1].1 as u8;
+    let ends_done = matches!(phases.last(), Some((_, RetrievalPhase::Done)));
+    let broken = [
+        ("round cap passed", mdr && r.rounds > max_rounds),
+        ("recovery budget passed", r.recovery_attempts > budget),
+        ("byte tally is off", r.bytes_received != distinct_bytes),
+        ("quiet run misses a chunk", quiet && r.recall < 1.0),
+        ("phase went backwards", !phases.windows(2).all(forward)),
+        ("did not end in Done", !ends_done),
+    ];
+    check(&(r, phases), &broken);
+}
+
+fn check_all_schedules(topologies: &[Topology], op: Op) {
+    for adj in topologies {
+        for fifo in [false, true] {
+            for lose in 0..1 << CHOICES {
+                check_schedule(adj, op, fifo, lose);
+            }
+        }
+    }
+}
+
+#[test]
+fn pdd_holds_on_every_response_loss_schedule() {
+    check_all_schedules(&[STAR4, STAR5, LINE4], Op::Pdd { rewrite: true });
+    check_all_schedules(&[STAR4, STAR5, LINE4], Op::Pdd { rewrite: false });
+}
+
+#[test]
+fn pdr_holds_on_every_response_loss_schedule() {
+    check_all_schedules(&[STAR4, LINE4], Op::Pdr);
+}
+
+#[test]
+fn mdr_holds_on_every_response_loss_schedule() {
+    check_all_schedules(&[STAR4, LINE4], Op::Mdr);
 }

@@ -3,7 +3,6 @@
 //! ```text
 //! pds_dst sweep [--pairs N] [--seed S] [--jobs J] [--out FILE] [--flight-dump DIR]
 //! pds_dst repro "<spec>"
-//! pds_dst model-check
 //! pds_dst selfcheck [--flight-dump FILE]
 //! ```
 //!
@@ -23,7 +22,6 @@ use std::io::Write as _;
 use std::process::ExitCode;
 
 use pds_dst::minimize::{minimize, repro_command};
-use pds_dst::model::check_standard_models;
 use pds_dst::spec::{CaseSpec, Family};
 use pds_dst::{run_checked, sweep};
 
@@ -39,8 +37,6 @@ fn usage() -> ExitCode {
          \x20       minimized failure into DIR\n\
          \x20 repro <spec>\n\
          \x20       re-run one encoded case with the replay check forced on\n\
-         \x20 model-check\n\
-         \x20       exhaustively check the abstract PDD/PDR session models\n\
          \x20 selfcheck [--flight-dump FILE]\n\
          \x20       verify a seeded bug is caught and minimized (CI canary);\n\
          \x20       write the minimized case's flight recording to FILE\n\
@@ -105,7 +101,7 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
         }
     };
     let jobs = match parse_u64(args, "--jobs", 0) {
-        Ok(0) => pds_bench::sweep::SweepRunner::from_env().jobs(),
+        Ok(0) => pds_bench::sweep::SweepRunner::with_process_jobs().jobs(),
         Ok(v) => v as usize,
         Err(e) => {
             eprintln!("error: {e}");
@@ -231,21 +227,6 @@ fn cmd_repro(args: &[String]) -> ExitCode {
     }
 }
 
-fn cmd_model_check() -> ExitCode {
-    let (states, violation) = check_standard_models();
-    println!("dst model-check: {states} states explored");
-    match violation {
-        None => {
-            println!("dst model-check: PASS");
-            ExitCode::SUCCESS
-        }
-        Some(v) => {
-            eprintln!("dst model-check: FAIL: {v}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 /// The canary: radio loss and fault-layer drop pushed far beyond the
 /// validated envelope, ack retransmissions disabled, under churn and a
 /// silent node. The recall invariant must trip, and minimization must
@@ -321,7 +302,6 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("sweep") => cmd_sweep(&args[1..]),
         Some("repro") => cmd_repro(&args[1..]),
-        Some("model-check") => cmd_model_check(),
         Some("selfcheck") => cmd_selfcheck(&args[1..]),
         _ => usage(),
     }

@@ -15,19 +15,19 @@
 //! - [`minimize`] — greedy failing-case shrinking: when a sweep finds a
 //!   violation, it is reduced to a locally minimal spec that still fails
 //!   the *same* invariant, and emitted as a one-line repro command.
-//! - [`model`] — a small explicit-state model checker over abstract PDD
-//!   discovery and PDR retrieval session machines, exploring every
-//!   loss/duplication schedule a 3–5 node model admits.
+//!
+//! The sweep samples schedules; the exhaustive pass over small ones drives
+//! the engines themselves and lives with them
+//! (`crates/core/tests/engine_props.rs`).
 //!
 //! The `pds_dst` binary (`cargo run -p pds-dst -- help`) is the CI entry
 //! point: `sweep` for the adversarial gate, `repro` for one-off replays,
-//! `model-check` for the exhaustive session-machine pass, and `selfcheck`
-//! to prove end-to-end that a seeded bug is caught and minimized.
+//! and `selfcheck` to prove end-to-end that a seeded bug is caught and
+//! minimized.
 #![forbid(unsafe_code)]
 
 pub mod harness;
 pub mod minimize;
-pub mod model;
 pub mod scenario;
 pub mod spec;
 

@@ -41,6 +41,7 @@ struct HotTarget {
 const WORLD_HOT_FNS: &[&str] = &[
     "run_until",
     "run_for",
+    "pop_event",
     "dispatch",
     "dispatch_inner",
     "trace_kernel",

@@ -6,7 +6,7 @@
 //! logic the CLI ships.
 
 use crate::event::{Phase, TraceEvent, TraceKind};
-use crate::metrics::{hist, MetricsRegistry};
+use crate::metrics::MetricsRegistry;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -257,17 +257,6 @@ pub fn render_summary(events: &[TraceEvent]) -> String {
     }
     out.push_str(&MetricsRegistry::from_trace(events).render());
     out
-}
-
-/// Convenience used by the bench report: per-phase session-delay p50/p95
-/// from a registry built off a trace.
-#[must_use]
-pub fn session_delay_quantiles(events: &[TraceEvent]) -> BTreeMap<Phase, (u64, u64)> {
-    let reg = MetricsRegistry::from_trace(events);
-    reg.phase_histograms(hist::SESSION_DELAY_US)
-        .into_iter()
-        .map(|(p, h)| (p, (h.quantile(0.5), h.quantile(0.95))))
-        .collect()
 }
 
 #[cfg(test)]

@@ -49,8 +49,7 @@ pub mod span;
 
 pub use analysis::{
     cdf, first_divergence, message_delays_us, phase_overhead, render_cdf, render_divergence,
-    render_overhead, render_summary, session_delay_quantiles, session_delays_us, Divergence,
-    PhaseOverhead,
+    render_overhead, render_summary, session_delays_us, Divergence, PhaseOverhead,
 };
 pub use event::{class, Phase, TraceEvent, TraceKind};
 pub use flight::FlightRecorder;

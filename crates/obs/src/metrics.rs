@@ -172,8 +172,8 @@ impl MetricsRegistry {
     }
 
     /// The histograms named `name`, per phase.
-    #[must_use]
-    pub fn phase_histograms(&self, name: &str) -> BTreeMap<Phase, Histogram> {
+    #[cfg(test)]
+    fn phase_histograms(&self, name: &str) -> BTreeMap<Phase, Histogram> {
         self.histograms
             .iter()
             .filter(|((n, _), _)| *n == name)
