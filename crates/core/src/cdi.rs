@@ -171,10 +171,11 @@ impl CdiTable {
             .sum()
     }
 
-    /// Whether the table holds no routes.
+    /// Whether the table holds no routes. O(1): `observe` never leaves an
+    /// empty group behind and `gc` drops the ones it empties.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.routes.is_empty()
     }
 }
 

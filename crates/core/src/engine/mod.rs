@@ -166,8 +166,10 @@ impl Outgoing {
 ///
 /// See the [crate documentation](crate) for the protocol overview. Typical
 /// embedding: feed [`PdsEngine::handle_message`] every received message,
-/// call [`PdsEngine::poll`] periodically (round control, phase transitions,
-/// recovery), and [`PdsEngine::gc`] occasionally; transmit every returned
+/// call [`PdsEngine::poll`] periodically while
+/// [`PdsEngine::has_live_session`] (round control, phase transitions,
+/// recovery), and [`PdsEngine::gc`] occasionally while
+/// [`PdsEngine::holds_expiring_state`]; transmit every returned
 /// [`Outgoing`].
 #[derive(Debug)]
 pub struct PdsEngine {
@@ -302,15 +304,38 @@ impl PdsEngine {
     }
 
     /// Periodic driver: round control for discovery, phase transitions and
-    /// recovery for retrieval. Call at the configured poll cadence.
+    /// recovery for retrieval. Call at the configured poll cadence while a
+    /// session is live ([`PdsEngine::has_live_session`]); once every
+    /// session has finished it returns nothing and changes nothing.
     pub fn poll(&mut self, now: SimTime) -> Vec<Outgoing> {
         let mut out = self.poll_discovery(now);
         out.extend(self.poll_retrieval(now));
         out
     }
 
+    /// Whether a discovery or retrieval session of this node's is
+    /// unfinished, i.e. whether [`PdsEngine::poll`] has anything to drive.
+    #[must_use]
+    pub fn has_live_session(&self) -> bool {
+        self.discovery.as_ref().is_some_and(|d| !d.is_finished())
+            || self.retrieval.as_ref().is_some_and(|r| !r.is_finished())
+    }
+
+    /// Whether [`PdsEngine::gc`] could remove anything, now or once it
+    /// expires: lingering queries, CDI routes, recent response ids,
+    /// pending-chunk marks or expiring cached metadata. O(1).
+    #[must_use]
+    pub fn holds_expiring_state(&self) -> bool {
+        !self.lqt.is_empty()
+            || !self.cdi.is_empty()
+            || !self.recent_responses.is_empty()
+            || !self.pending_chunk.is_empty()
+            || self.store.expiring_len() > 0
+    }
+
     /// Garbage collection: expired metadata, lingering queries, CDI routes
-    /// and stale response-dedup state.
+    /// and stale response-dedup state. Call periodically while
+    /// [`PdsEngine::holds_expiring_state`]; otherwise it is a no-op.
     pub fn gc(&mut self, now: SimTime) {
         self.store.gc(now);
         self.lqt.gc(now);

@@ -212,6 +212,8 @@ pub struct LingeringQueryTable {
     /// ([`LingeringQueryTable::approx_bytes`]); inserting past it evicts
     /// the oldest entries. `usize::MAX` = unbounded.
     byte_budget: usize,
+    /// Entries dropped so far to fit the byte budget.
+    evictions: u64,
 }
 
 impl Default for LingeringQueryTable {
@@ -220,6 +222,7 @@ impl Default for LingeringQueryTable {
             entries: DetMap::default(),
             order: VecDeque::new(),
             byte_budget: usize::MAX,
+            evictions: 0,
         }
     }
 }
@@ -338,6 +341,7 @@ impl LingeringQueryTable {
             self.order.pop_front();
             if let Some(evicted) = self.entries.remove(&oldest) {
                 total = total.saturating_sub(evicted.approx_bytes());
+                self.evictions += 1;
             }
         }
     }
@@ -355,7 +359,13 @@ impl LingeringQueryTable {
 
     /// Removes one entry (one-shot ablation, or consumer-side cleanup).
     pub fn remove(&mut self, id: QueryId) -> Option<Lingering> {
-        self.entries.remove(&id)
+        let removed = self.entries.remove(&id);
+        if self.entries.is_empty() {
+            // Nothing left for the lazily skipped ids to shadow: an empty
+            // table is fully clean, so `gc` has nothing to do on it.
+            self.order.clear();
+        }
+        removed
     }
 
     /// Unexpired, non-exhausted metadata queries.
@@ -432,6 +442,14 @@ impl LingeringQueryTable {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// Entries evicted so far to keep the table within its byte budget
+    /// (oldest first). Expiry through [`LingeringQueryTable::gc`] and
+    /// explicit removal are not counted.
+    #[must_use]
+    pub fn evictions(&self) -> u64 {
+        self.evictions
     }
 }
 
@@ -651,6 +669,30 @@ mod tests {
         assert!(!lqt.seen(QueryId(0)), "oldest evicted first");
         assert!(lqt.seen(QueryId(63)), "newest always kept");
         assert!(!lqt.is_empty() && lqt.len() < 64);
+        assert_eq!(lqt.evictions(), 64 - lqt.len() as u64);
+    }
+
+    #[test]
+    fn evictions_count_only_budget_drops() {
+        // Smaller than any one entry: the table is saturated by a single
+        // query, and only the newest survives an insert.
+        let mut lqt = LingeringQueryTable::with_budget(1);
+        lqt.insert(query(0, QueryKind::Metadata, 10.0), NodeId(2));
+        assert_eq!(lqt.evictions(), 0, "a lone entry is never evicted");
+        for i in 1..=10 {
+            lqt.insert(query(i, QueryKind::Metadata, 10.0), NodeId(2));
+            assert_eq!(lqt.len(), 1, "saturated: each insert evicts the previous");
+            assert_eq!(lqt.evictions(), i);
+        }
+        // Neither a duplicate, nor removal, nor expiry is an eviction.
+        assert!(!lqt.insert(query(10, QueryKind::Metadata, 10.0), NodeId(2)));
+        lqt.insert(query(11, QueryKind::Metadata, 20.0), NodeId(2));
+        assert_eq!(lqt.evictions(), 11);
+        lqt.remove(QueryId(11));
+        lqt.insert(query(12, QueryKind::Metadata, 10.0), NodeId(2));
+        lqt.gc(t(10.0));
+        assert!(lqt.is_empty());
+        assert_eq!(lqt.evictions(), 11);
     }
 
     #[test]

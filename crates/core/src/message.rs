@@ -138,6 +138,10 @@ pub enum DecodeError {
     BadString,
     /// An embedded descriptor or filter failed to decode.
     BadBody,
+    /// Bytes were left over after a complete message. Rejected because a
+    /// chunk is kept as a view of its whole message: a tiny chunk with
+    /// padding behind it would pin all of the padding.
+    TrailingBytes,
 }
 
 impl fmt::Display for DecodeError {
@@ -147,6 +151,7 @@ impl fmt::Display for DecodeError {
             Self::BadTag(t) => write!(f, "unknown message tag {t}"),
             Self::BadString => write!(f, "invalid UTF-8 in message"),
             Self::BadBody => write!(f, "malformed descriptor or filter"),
+            Self::TrailingBytes => write!(f, "trailing bytes after message"),
         }
     }
 }
@@ -408,13 +413,14 @@ impl PdsMessage {
     ///
     /// # Errors
     ///
-    /// Returns a [`DecodeError`] when the buffer is truncated or malformed.
+    /// Returns a [`DecodeError`] when the buffer is truncated, malformed,
+    /// or longer than the message it holds.
     pub fn decode(whole: &Bytes) -> Result<Self, DecodeError> {
         let buf = &mut &whole[..];
         if buf.remaining() < 1 {
             return Err(DecodeError::Truncated);
         }
-        match buf.get_u8() {
+        let message = match buf.get_u8() {
             0 => {
                 if buf.remaining() < QUERY_HEAD - 1 {
                     return Err(DecodeError::Truncated);
@@ -463,7 +469,7 @@ impl PdsMessage {
                 } else {
                     None
                 };
-                Ok(PdsMessage::Query(QueryMessage {
+                PdsMessage::Query(QueryMessage {
                     id,
                     kind,
                     sender,
@@ -472,7 +478,7 @@ impl PdsMessage {
                     bloom,
                     round,
                     ttl_hops,
-                }))
+                })
             }
             1 => {
                 if buf.remaining() < RESPONSE_HEAD - 1 {
@@ -539,10 +545,14 @@ impl PdsMessage {
                     }
                     t => return Err(DecodeError::BadTag(t)),
                 };
-                Ok(PdsMessage::Response(ResponseMessage { id, sender, kind }))
+                PdsMessage::Response(ResponseMessage { id, sender, kind })
             }
-            t => Err(DecodeError::BadTag(t)),
+            t => return Err(DecodeError::BadTag(t)),
+        };
+        if buf.has_remaining() {
+            return Err(DecodeError::TrailingBytes);
         }
+        Ok(message)
     }
 }
 
@@ -667,6 +677,62 @@ mod tests {
             PdsMessage::decode(&Bytes::new()),
             Err(DecodeError::Truncated)
         );
+    }
+
+    #[test]
+    fn decode_rejects_trailing_bytes_after_every_kind() {
+        let d = DataDescriptor::builder().attr("type", "no2").build();
+        let queries = [
+            QueryKind::Metadata,
+            QueryKind::SmallData,
+            QueryKind::Cdi {
+                descriptor: DataDescriptor::builder().attr("name", "vid").build(),
+            },
+            QueryKind::Chunks {
+                item: ItemName::new("vid"),
+                chunks: vec![ChunkId(1)],
+            },
+            QueryKind::MdrChunks {
+                item: ItemName::new("vid"),
+                total_chunks: 4,
+            },
+        ]
+        .map(|kind| PdsMessage::Query(query(kind)));
+        let responses = [
+            ResponseKind::Metadata {
+                entries: vec![d.clone()],
+            },
+            ResponseKind::SmallData {
+                items: vec![(d.clone(), Bytes::from_static(b"v"))],
+            },
+            ResponseKind::Cdi {
+                item: ItemName::new("vid"),
+                pairs: vec![(ChunkId(0), 1)],
+            },
+            ResponseKind::Chunk {
+                descriptor: DataDescriptor::builder().attr("name", "vid").build(),
+                chunk: ChunkId(0),
+                data: Bytes::from_static(b"x"),
+            },
+        ]
+        .map(|kind| {
+            PdsMessage::Response(ResponseMessage {
+                id: ResponseId(9),
+                sender: NodeId(1),
+                kind,
+            })
+        });
+        for m in queries.iter().chain(&responses) {
+            // The honest encoding round-trips; one extra byte does not.
+            roundtrip(m);
+            let mut padded = m.encode().to_vec();
+            padded.push(0);
+            assert_eq!(
+                PdsMessage::decode(&Bytes::from(padded)),
+                Err(DecodeError::TrailingBytes),
+                "{m:?}"
+            );
+        }
     }
 
     #[test]

@@ -20,8 +20,23 @@ const TAG_SEND: u64 = 3;
 
 const GC_INTERVAL: SimDuration = SimDuration::from_secs(1);
 
+/// How long a reliable message waits for its transport verdict before GC
+/// forgets it.
+const IN_FLIGHT_HORIZON: SimDuration = SimDuration::from_secs(120);
+
 /// A PDS node: every device runs one, whether it currently acts as
 /// producer, consumer, relay, or all three.
+///
+/// Only a node with work schedules timers: the poll timer is armed while a
+/// discovery or retrieval session of its own is unfinished, the GC timer
+/// while it holds anything that expires (lingering queries, CDI routes,
+/// recent response ids, pending-chunk marks, cached metadata, in-flight
+/// records). Both tick on the node's own lattice, `started_at + k·period`,
+/// so a poll or GC that does work runs at the same instant as if the timer
+/// had never stopped; an idle relay or producer has no event in the queue.
+/// A re-armed timer is pushed later than a never-stopped one would have
+/// been, so among events at exactly the same microsecond it may now run
+/// later (DESIGN.md §19).
 ///
 /// Construct with locally produced data via [`PdsNode::with_metadata`] /
 /// [`PdsNode::with_chunk`]; start consumer operations from scenario code
@@ -75,6 +90,11 @@ pub struct PdsNode {
     next_session: u64,
     discovery_session: u64,
     retrieval_session: u64,
+    // Timer lattice origin (the instant the engine was created, which is
+    // the `on_start` instant) and whether each periodic timer is pending.
+    started_at: SimTime,
+    poll_armed: bool,
+    gc_armed: bool,
 }
 
 impl PdsNode {
@@ -98,6 +118,9 @@ impl PdsNode {
             next_session: 0,
             discovery_session: 0,
             retrieval_session: 0,
+            started_at: SimTime::ZERO,
+            poll_armed: false,
+            gc_armed: false,
         }
     }
 
@@ -125,11 +148,6 @@ impl PdsNode {
     #[must_use]
     pub fn engine(&self) -> Option<&PdsEngine> {
         self.engine.as_ref()
-    }
-
-    /// Mutable engine access (e.g. to add data after start).
-    pub fn engine_mut(&mut self) -> Option<&mut PdsEngine> {
-        self.engine.as_mut()
     }
 
     /// Report of the node's discovery session, if one was started.
@@ -162,35 +180,37 @@ impl PdsNode {
     }
 
     /// Creates the engine on first use (whichever comes first: `on_start`
-    /// or an external `with_app` call), applying the initial data.
+    /// or an external `with_app` call at the same instant), applying the
+    /// initial data. The creation instant is the node's timer lattice
+    /// origin.
     fn ensure_engine(&mut self, ctx: &Context) -> &mut PdsEngine {
-        if self.engine.is_none() {
-            let mut engine = PdsEngine::new(ctx.node_id(), self.config.clone(), self.seed);
-            for (d, payload) in self.initial_metadata.drain(..) {
+        let Self {
+            engine,
+            config,
+            seed,
+            initial_metadata,
+            initial_chunks,
+            started_at,
+            ..
+        } = self;
+        engine.get_or_insert_with(|| {
+            *started_at = ctx.now();
+            let mut engine = PdsEngine::new(ctx.node_id(), config.clone(), *seed);
+            for (d, payload) in initial_metadata.drain(..) {
                 engine.store_mut().insert_own(d, payload);
             }
-            for (d, chunk, data) in self.initial_chunks.drain(..) {
+            for (d, chunk, data) in initial_chunks.drain(..) {
                 engine.store_mut().insert_chunk(&d, chunk, data);
             }
-            self.engine = Some(engine);
-        }
-        self.engine.as_mut().expect("just created")
+            engine
+        })
     }
 
     /// Starts a PDD metadata discovery (consumer role).
     pub fn start_discovery(&mut self, ctx: &mut Context, filter: QueryFilter) {
         let now = ctx.now();
         let out = self.ensure_engine(ctx).start_discovery(now, filter);
-        self.discovery_finished = false;
-        self.next_session += 1;
-        self.discovery_session = self.next_session;
-        ctx.trace(
-            Phase::Pdd,
-            TraceKind::SessionStarted {
-                session: self.discovery_session,
-            },
-        );
-        self.dispatch(ctx, out);
+        self.open_session(ctx, Phase::Pdd, out);
     }
 
     /// Starts a small-data retrieval (consumer role).
@@ -199,16 +219,7 @@ impl PdsNode {
         let out = self
             .ensure_engine(ctx)
             .start_small_data_retrieval(now, filter);
-        self.discovery_finished = false;
-        self.next_session += 1;
-        self.discovery_session = self.next_session;
-        ctx.trace(
-            Phase::Pdd,
-            TraceKind::SessionStarted {
-                session: self.discovery_session,
-            },
-        );
-        self.dispatch(ctx, out);
+        self.open_session(ctx, Phase::Pdd, out);
     }
 
     /// Starts a two-phase PDR retrieval of a large item (consumer role).
@@ -219,16 +230,7 @@ impl PdsNode {
     pub fn start_retrieval(&mut self, ctx: &mut Context, descriptor: DataDescriptor) {
         let now = ctx.now();
         let out = self.ensure_engine(ctx).start_retrieval(now, descriptor);
-        self.retrieval_finished = false;
-        self.next_session += 1;
-        self.retrieval_session = self.next_session;
-        ctx.trace(
-            Phase::Pdr,
-            TraceKind::SessionStarted {
-                session: self.retrieval_session,
-            },
-        );
-        self.dispatch(ctx, out);
+        self.open_session(ctx, Phase::Pdr, out);
     }
 
     /// Starts an MDR baseline retrieval of a large item (consumer role).
@@ -239,16 +241,47 @@ impl PdsNode {
     pub fn start_mdr_retrieval(&mut self, ctx: &mut Context, descriptor: DataDescriptor) {
         let now = ctx.now();
         let out = self.ensure_engine(ctx).start_mdr_retrieval(now, descriptor);
-        self.retrieval_finished = false;
+        self.open_session(ctx, Phase::Mdr, out);
+    }
+
+    /// What every `start_*` shares once the engine has opened the session:
+    /// a fresh trace correlation id (discovery for PDD, retrieval
+    /// otherwise), the session's first messages, and its timers.
+    fn open_session(&mut self, ctx: &mut Context, phase: Phase, out: Vec<Outgoing>) {
         self.next_session += 1;
-        self.retrieval_session = self.next_session;
+        if phase == Phase::Pdd {
+            self.discovery_finished = false;
+            self.discovery_session = self.next_session;
+        } else {
+            self.retrieval_finished = false;
+            self.retrieval_session = self.next_session;
+        }
         ctx.trace(
-            Phase::Mdr,
+            phase,
             TraceKind::SessionStarted {
-                session: self.retrieval_session,
+                session: self.next_session,
             },
         );
         self.dispatch(ctx, out);
+        self.arm_timers(ctx);
+    }
+
+    /// Arms each periodic timer that has work and is not pending yet: the
+    /// poll timer while a session of this node's is unfinished, the GC
+    /// timer while anything could expire. O(1); called at the end of every
+    /// callback that can create such work.
+    fn arm_timers(&mut self, ctx: &mut Context) {
+        let Some(engine) = self.engine.as_ref() else {
+            return;
+        };
+        if !self.poll_armed && engine.has_live_session() {
+            self.poll_armed = true;
+            arm_on_lattice(ctx, self.started_at, self.config.rounds.poll, TAG_POLL);
+        }
+        if !self.gc_armed && (engine.holds_expiring_state() || !self.in_flight.is_empty()) {
+            self.gc_armed = true;
+            arm_on_lattice(ctx, self.started_at, GC_INTERVAL, TAG_GC);
+        }
     }
 
     /// Sends (or schedules, for jittered responses) the engine's outgoing
@@ -366,9 +399,10 @@ impl PdsNode {
 
 impl Application for PdsNode {
     fn on_start(&mut self, ctx: &mut Context) {
+        // No timer yet: a fresh node has no session to poll and nothing
+        // that expires. The first `start_*` call or received message that
+        // creates such work arms what it needs.
         self.ensure_engine(ctx);
-        ctx.set_timer(self.config.rounds.poll, TAG_POLL);
-        ctx.set_timer(GC_INTERVAL, TAG_GC);
     }
 
     fn on_message(&mut self, ctx: &mut Context, meta: MessageMeta, payload: Bytes) {
@@ -409,6 +443,7 @@ impl Application for PdsNode {
                 .ensure_engine(ctx)
                 .handle_message(now, meta.from, me_intended, message);
             self.dispatch(ctx, out);
+            self.arm_timers(ctx);
         }
         self.note_finishes(ctx);
     }
@@ -431,6 +466,7 @@ impl Application for PdsNode {
             out.retries_left -= 1;
             self.resends += 1;
             self.transmit(ctx, out);
+            self.arm_timers(ctx);
             return;
         }
         // Final failure of a chunk sub-query: nothing is in flight for its
@@ -445,30 +481,43 @@ impl Application for PdsNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Context, tag: u64) {
+        let now = ctx.now();
         match tag {
             TAG_POLL => {
+                self.poll_armed = false;
                 if let Some(engine) = self.engine.as_mut() {
-                    let out = engine.poll(ctx.now());
+                    let out = engine.poll(now);
                     self.dispatch(ctx, out);
                     self.note_finishes(ctx);
                 }
-                ctx.set_timer(self.config.rounds.poll, TAG_POLL);
             }
             TAG_GC => {
+                self.gc_armed = false;
                 if let Some(engine) = self.engine.as_mut() {
-                    engine.gc(ctx.now());
+                    engine.gc(now);
                 }
                 // Drop in-flight records that never got a verdict (e.g.
                 // unreliable config): bounded memory.
-                let now = ctx.now();
                 self.in_flight
-                    .retain(|(_, at, _)| now.since(*at) < SimDuration::from_secs(120));
-                ctx.set_timer(GC_INTERVAL, TAG_GC);
+                    .retain(|(_, at, _)| now.since(*at) < IN_FLIGHT_HORIZON);
             }
             TAG_SEND => self.flush_due(ctx),
             _ => {}
         }
+        self.arm_timers(ctx);
     }
+}
+
+/// Arms `tag` at the first tick of the lattice `origin + k·period`
+/// strictly after now. A tick at now has nothing to do for the work that
+/// arms it: state created now expires later, and a session started now
+/// has nothing to poll yet. (Between `run_until` calls, which are
+/// inclusive, such a tick has already been dispatched anyway.)
+fn arm_on_lattice(ctx: &mut Context, origin: SimTime, period: SimDuration, tag: u64) {
+    let period = period.as_micros().max(1);
+    let elapsed = ctx.now().since(origin).as_micros();
+    let next = (elapsed / period + 1) * period;
+    ctx.set_timer(SimDuration::from_micros(next - elapsed), tag);
 }
 
 impl std::fmt::Debug for PdsNode {

@@ -73,6 +73,9 @@ struct CachedChunkMeta {
 #[derive(Debug, Default)]
 pub struct DataStore {
     metadata: DetMap<EntryKey, MetaEntry>,
+    // How many `metadata` entries carry an `expires_at`: what `gc` could
+    // ever remove, kept so the owner can ask in O(1).
+    expiring: usize,
     small_payloads: DetMap<EntryKey, Bytes>,
     chunks: DetMap<ItemName, BTreeMap<ChunkId, Bytes>>,
     // Index: item name → entry key of the whole-item (chunk-less) descriptor.
@@ -98,13 +101,16 @@ impl DataStore {
             self.small_payloads.insert(descriptor.entry_key(), p);
         }
         self.index_item(&descriptor);
-        self.metadata.insert(
+        let replaced = self.metadata.insert(
             descriptor.entry_key(),
             MetaEntry {
                 descriptor,
                 expires_at: None,
             },
         );
+        if replaced.is_some_and(|e| e.expires_at.is_some()) {
+            self.expiring -= 1;
+        }
     }
 
     /// Points the item's name at `descriptor`, if it describes a whole item.
@@ -144,6 +150,7 @@ impl DataStore {
                 if entry.expires_at.is_some() {
                     if has_payload {
                         entry.expires_at = None;
+                        self.expiring -= 1;
                     } else if entry.expires_at.is_some_and(|t| t < expires_at) {
                         entry.expires_at = Some(expires_at);
                     }
@@ -155,6 +162,7 @@ impl DataStore {
                     descriptor: descriptor.clone(),
                     expires_at: if has_payload { None } else { Some(expires_at) },
                 });
+                self.expiring += usize::from(!has_payload);
                 self.index_item(&descriptor);
                 true
             }
@@ -171,7 +179,9 @@ impl DataStore {
     /// its payload (or a chunk of the item) is now held.
     fn pin_metadata(&mut self, descriptor: &DataDescriptor) {
         if let Some(e) = self.metadata.get_mut(descriptor.encode()) {
-            e.expires_at = None;
+            if e.expires_at.take().is_some() {
+                self.expiring -= 1;
+            }
         } else {
             self.metadata.insert(
                 descriptor.entry_key(),
@@ -378,10 +388,19 @@ impl DataStore {
         self.metadata.len()
     }
 
+    /// Number of stored metadata entries that carry an expiration (cached
+    /// without their payload): the entries [`DataStore::gc`] may remove.
+    #[must_use]
+    pub(crate) fn expiring_len(&self) -> usize {
+        self.expiring
+    }
+
     /// Removes expired payload-less metadata entries (§II-C).
     pub fn gc(&mut self, now: SimTime) {
+        let before = self.metadata.len();
         self.metadata
             .retain(|_, e| e.expires_at.is_none_or(|t| t > now));
+        self.expiring -= before - self.metadata.len();
     }
 }
 
@@ -648,6 +667,40 @@ mod tests {
         }
         assert_eq!(s.chunk_ids(&ItemName::new("vid")).len(), 8);
         assert_eq!(s.cached_chunk_bytes(), 80_000);
+    }
+
+    #[test]
+    fn expiring_len_counts_what_gc_can_remove() {
+        let mut s = DataStore::new();
+        let recount = |s: &DataStore| {
+            s.metadata
+                .values()
+                .filter(|e| e.expires_at.is_some())
+                .count()
+        };
+        let item = item_desc("vid", 4);
+        s.insert_own(desc("own"), None);
+        assert!(s.cache_metadata(desc("a"), t(10.0)));
+        assert!(s.cache_metadata(desc("b"), t(10.0)));
+        assert!(s.cache_metadata(desc("c"), t(30.0)));
+        assert!(s.cache_metadata(item.clone(), t(10.0)));
+        assert_eq!(s.expiring_len(), 4);
+        // Re-caching extends, it does not add.
+        assert!(!s.cache_metadata(desc("a"), t(20.0)));
+        // A payload, a chunk, or local production each pin one entry.
+        s.cache_small_payload(&desc("b"), Bytes::from_static(b"v"));
+        s.insert_chunk(&item, ChunkId(0), Bytes::from_static(b"c"));
+        s.insert_own(desc("c"), None);
+        assert_eq!(s.expiring_len(), 1);
+        assert_eq!(s.expiring_len(), recount(&s));
+        // Payload-backed re-caching stays pinned.
+        assert!(!s.cache_metadata(desc("b"), t(50.0)));
+        s.gc(t(15.0));
+        assert_eq!(s.expiring_len(), 1, "a was extended to t=20");
+        s.gc(t(20.0));
+        assert_eq!(s.expiring_len(), 0);
+        assert_eq!(s.expiring_len(), recount(&s));
+        assert_eq!(s.metadata_len(), 4, "own, b, c and the item stay");
     }
 
     #[test]

@@ -7,7 +7,11 @@
 //! `PdsNode: Application` is the same trait the `World` drives.
 
 use bytes::Bytes;
-use pds_core::{ChunkId, DataDescriptor, ItemName, PdsConfig, PdsNode, QueryFilter};
+use pds_core::{
+    Application, ChunkId, Context, DataDescriptor, DecodeError, ItemName, MessageMeta, PdsConfig,
+    PdsEngine, PdsMessage, PdsNode, QueryFilter, ResponseId, ResponseKind, ResponseMessage,
+};
+use pds_obs::{RingSink, TraceKind};
 use pds_sim::{NodeId, Position, SimConfig, SimTime, World};
 
 fn entry(n: u32) -> DataDescriptor {
@@ -155,4 +159,199 @@ fn sequential_consumer_benefits_from_caching() {
         second.latency,
         first.latency
     );
+}
+
+// ---- node timers: idle nodes schedule nothing ---------------------------
+
+/// Timestamps (µs) of every `TimerFired` kernel event at `node`, in order.
+fn timer_fires(world: &mut World, node: NodeId) -> Vec<u64> {
+    let sink = world.take_trace_sink().expect("sink installed");
+    let ring = sink
+        .as_any()
+        .downcast_ref::<RingSink>()
+        .expect("a RingSink");
+    ring.events()
+        .into_iter()
+        .filter(|e| e.node == node.0 && matches!(e.kind, TraceKind::TimerFired { .. }))
+        .map(|e| e.at_us)
+        .collect()
+}
+
+#[test]
+fn an_idle_world_dispatches_only_starts_and_sweeps() {
+    use pds_mobility::grid;
+    let mut world = World::new(SimConfig::default(), 5);
+    for (i, pos) in grid::positions(5, 10, grid::SPACING_M).iter().enumerate() {
+        let node =
+            PdsNode::new(PdsConfig::default(), i as u64).with_metadata(entry(i as u32), None);
+        world.add_node(*pos, Box::new(node));
+    }
+    world.run_until(secs(30.0));
+    // One `Start` per node and the kernel's transport sweep every 5 s: no
+    // node has a session to poll or anything to expire, so no timer runs.
+    assert_eq!(world.events_dispatched(), 50 + 6);
+}
+
+#[test]
+fn a_late_session_polls_on_the_node_start_lattice() {
+    // Without per-hop acks the transport arms no timers of its own, so
+    // every `TimerFired` at the consumer is one of `PdsNode`'s.
+    let mut config = SimConfig::default();
+    config.ack.enabled = false;
+    let mut world = World::new(config, 9);
+    world.set_trace_sink(Box::new(RingSink::new(0)));
+    let mut producer = PdsNode::new(PdsConfig::default(), 1);
+    for k in 0..3u32 {
+        producer = producer.with_metadata(entry(k), None);
+    }
+    world.add_node(Position::new(0.0, 0.0), Box::new(producer));
+    let consumer = world.add_node(
+        Position::new(60.0, 0.0),
+        Box::new(PdsNode::new(PdsConfig::default(), 2)),
+    );
+    // Both nodes start at t = 0; the session starts 130 ms later.
+    world.run_until(secs(0.13));
+    world.with_app::<PdsNode, _>(consumer, |node, ctx| {
+        node.start_discovery(ctx, QueryFilter::match_all());
+    });
+    world.run_until(secs(20.0));
+    let finished = world
+        .app::<PdsNode>(consumer)
+        .and_then(PdsNode::discovery_report)
+        .and_then(|r| r.finished_at)
+        .expect("discovery finished");
+    let fires = timer_fires(&mut world, consumer);
+    // The consumer sends nothing jittered, so its timers are polls (every
+    // 200 ms) and GC ticks (every second): all on the 200 ms lattice from
+    // t = 0, never on one from the session start (0.33 s, 0.53 s, ...).
+    assert_eq!(fires.first(), Some(&200_000), "{fires:?}");
+    assert!(fires.iter().all(|t| t % 200_000 == 0), "{fires:?}");
+    // Unbroken while the session ran: one poll per tick up to its end.
+    for tick in (200_000..=finished.as_micros()).step_by(200_000) {
+        assert!(fires.contains(&tick), "no poll at {tick} µs: {fires:?}");
+    }
+}
+
+#[test]
+fn a_finished_consumer_falls_silent_once_its_state_expires() {
+    let (mut world, _ids, consumer) = grid_world(3);
+    world.run_until(secs(0.5));
+    world.with_app::<PdsNode, _>(consumer, |node, ctx| {
+        node.start_discovery(ctx, QueryFilter::match_all());
+    });
+    world.run_until(secs(20.0));
+    let report = world
+        .app::<PdsNode>(consumer)
+        .and_then(PdsNode::discovery_report)
+        .expect("session");
+    assert!(report.finished_at.is_some());
+    // Lingering queries, cached metadata and recent response ids all lapse
+    // within 120 s; the GC tick that removes the last of them is the last
+    // timer any node runs.
+    world.run_until(secs(150.0));
+    for id in world.node_ids().collect::<Vec<_>>() {
+        let engine = world
+            .app::<PdsNode>(id)
+            .and_then(PdsNode::engine)
+            .expect("started");
+        assert!(!engine.has_live_session());
+        assert!(!engine.holds_expiring_state(), "{id} still holds state");
+    }
+    world.set_trace_sink(Box::new(RingSink::new(0)));
+    let before = world.events_dispatched();
+    world.run_until(secs(250.0));
+    assert_eq!(
+        world.events_dispatched() - before,
+        20,
+        "only the kernel's 5 s sweeps"
+    );
+    assert!(timer_fires(&mut world, consumer).is_empty());
+}
+
+#[test]
+fn a_relay_runs_gc_while_it_holds_a_lingering_query() {
+    let mut world = World::new(SimConfig::default(), 4);
+    world.set_trace_sink(Box::new(RingSink::new(0)));
+    // No producer: the one flooded query gets no answer, so the relay
+    // holds nothing but its lingering copy.
+    let consumer = world.add_node(
+        Position::new(0.0, 0.0),
+        Box::new(PdsNode::new(PdsConfig::default(), 1)),
+    );
+    let relay = world.add_node(
+        Position::new(60.0, 0.0),
+        Box::new(PdsNode::new(PdsConfig::default(), 2)),
+    );
+    world.run_until(secs(0.5));
+    world.with_app::<PdsNode, _>(consumer, |node, ctx| {
+        node.start_discovery(ctx, QueryFilter::match_all());
+    });
+    world.run_until(secs(1.0));
+    let lqt = world
+        .app::<PdsNode>(relay)
+        .and_then(PdsNode::engine)
+        .map(PdsEngine::lqt)
+        .expect("started");
+    assert_eq!(lqt.len(), 1, "the relay lingers the flooded query");
+    let expires_us = lqt.iter().map(|l| l.query.expires_at.as_micros()).max();
+    let expires_us = expires_us.expect("one entry");
+    world.run_until(secs(100.0));
+    let engine = world
+        .app::<PdsNode>(relay)
+        .and_then(PdsNode::engine)
+        .expect("started");
+    assert!(engine.lqt().is_empty());
+    assert!(!engine.holds_expiring_state());
+    // A GC tick every second from the first one after the query arrived,
+    // through the first tick at or past its expiry (the one that removes
+    // it), and none after.
+    let last_tick = expires_us.div_ceil(1_000_000);
+    let expected: Vec<u64> = (1..=last_tick).map(|s| s * 1_000_000).collect();
+    assert_eq!(timer_fires(&mut world, relay), expected);
+}
+
+/// Sends one prepared payload, reliably, to node 0 when it starts.
+struct Injector(Bytes);
+
+impl Application for Injector {
+    fn on_start(&mut self, ctx: &mut Context) {
+        ctx.broadcast(self.0.clone(), &[NodeId(0)]);
+    }
+
+    fn on_message(&mut self, _ctx: &mut Context, _meta: MessageMeta, _payload: Bytes) {}
+}
+
+#[test]
+fn a_padded_chunk_is_a_decode_error_not_a_stored_chunk() {
+    let honest = PdsMessage::Response(ResponseMessage {
+        id: ResponseId(77),
+        sender: NodeId(0),
+        kind: ResponseKind::Chunk {
+            descriptor: video(4),
+            chunk: ChunkId(0),
+            data: Bytes::from_static(b"x"),
+        },
+    })
+    .encode();
+    let mut padded = honest.to_vec();
+    padded.resize(honest.len() + 64 * 1024, 0);
+    assert_eq!(
+        PdsMessage::decode(&Bytes::from(padded.clone())),
+        Err(DecodeError::TrailingBytes)
+    );
+    let mut world = World::new(SimConfig::default(), 8);
+    let victim = world.add_node(
+        Position::new(60.0, 0.0),
+        Box::new(PdsNode::new(PdsConfig::default(), 2)),
+    );
+    assert_eq!(victim, NodeId(0));
+    world.add_node(
+        Position::new(0.0, 0.0),
+        Box::new(Injector(Bytes::from(padded))),
+    );
+    world.run_until(secs(5.0));
+    let node = world.app::<PdsNode>(victim).expect("alive");
+    assert_eq!(node.decode_errors(), 1);
+    let engine = node.engine().expect("started");
+    assert!(!engine.store().has_chunk(&ItemName::new("clip"), ChunkId(0)));
 }

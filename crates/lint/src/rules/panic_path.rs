@@ -15,7 +15,10 @@
 //!   (`World::dispatch` down through `fire_timer`); builders, accessors
 //!   and tests are out of scope;
 //! * `crates/core/src/engine/{mod,pdd,pdr,mdr}.rs` — the PDD/PDR/MDR
-//!   step functions (whole files; `engine/tests.rs` is excluded).
+//!   step functions (whole files; `engine/tests.rs` is excluded);
+//! * `crates/core/src/node.rs` — `PdsNode`'s callbacks, which run inside
+//!   `World::dispatch` (`call_app`), and the helpers they call; the
+//!   builder and report accessors are out of scope.
 //!
 //! An invariant-justified index can stay with an audited line pragma:
 //! `// lint: allow(panic) -- <why the invariant holds>`. Every such
@@ -66,6 +69,22 @@ const WORLD_HOT_FNS: &[&str] = &[
     "emit",
 ];
 
+/// `PdsNode` callbacks and the helpers they run, all inside `call_app`.
+const NODE_HOT_FNS: &[&str] = &[
+    "on_start",
+    "on_message",
+    "on_timer",
+    "on_send_result",
+    "dispatch",
+    "transmit",
+    "flush_due",
+    "note_finishes",
+    "ensure_engine",
+    "open_session",
+    "arm_timers",
+    "arm_on_lattice",
+];
+
 const TARGETS: &[HotTarget] = &[
     HotTarget {
         component: "sim",
@@ -101,6 +120,11 @@ const TARGETS: &[HotTarget] = &[
         component: "engine",
         file: "mdr.rs",
         fns: None,
+    },
+    HotTarget {
+        component: "core",
+        file: "node.rs",
+        fns: Some(NODE_HOT_FNS),
     },
 ];
 
@@ -323,5 +347,7 @@ mod tests {
         assert!(!PanicPath::new().applies(Path::new("crates/sim/src/radio.rs")));
         assert!(!PanicPath::new().applies(Path::new("crates/core/src/engine/tests.rs")));
         assert!(PanicPath::new().applies(Path::new("crates/core/src/engine/mdr.rs")));
+        assert!(PanicPath::new().applies(Path::new("crates/core/src/node.rs")));
+        assert!(!PanicPath::new().applies(Path::new("crates/sim/src/node.rs")));
     }
 }

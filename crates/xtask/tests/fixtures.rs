@@ -202,6 +202,26 @@ fn engine_step_fixture_is_in_panic_scope() {
 }
 
 #[test]
+fn node_callback_fixture_is_fn_scoped() {
+    let (findings, _) = lint_fixture(Path::new("reject/core/node.rs"));
+    let errs = errors(&findings);
+    assert!(errs.iter().all(|d| d.rule == "panic"), "{errs:#?}");
+    let msgs: Vec<&str> = errs.iter().map(|d| d.message.as_str()).collect();
+    // The callback and the helper it runs are in scope; `report` is not.
+    assert_eq!(msgs.len(), 2, "{msgs:?}");
+    assert!(
+        msgs.iter()
+            .any(|m| m.contains("`.expect()`") && m.contains("in `Node::ensure_engine`")),
+        "{msgs:?}"
+    );
+    assert!(
+        msgs.iter()
+            .any(|m| m.contains("slice/array indexing") && m.contains("in `Node::on_timer`")),
+        "{msgs:?}"
+    );
+}
+
+#[test]
 fn audited_panic_pragma_becomes_a_ratcheted_exemption() {
     let (findings, exemptions) = lint_fixture(Path::new("accept/sim/wheel.rs"));
     assert!(errors(&findings).is_empty(), "{findings:#?}");
