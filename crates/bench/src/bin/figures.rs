@@ -105,8 +105,9 @@ fn usage(msg: &str) -> ! {
     eprintln!(
         "usage: figures [--quick] [--seeds N] [--jobs N] [--out DIR] <experiment>... | all | list"
     );
-    // A usage error has nothing to unwind; this is the audited exception
-    // to the `process::exit` ban (clippy.toml).
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a usage error has nothing to unwind"
+    )]
     std::process::exit(2);
 }

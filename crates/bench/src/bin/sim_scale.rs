@@ -52,6 +52,10 @@ use std::fmt::Write as _;
 /// per scenario. Lives in this binary — not the library — because the
 /// workspace libraries are `forbid(unsafe_code)` and a `GlobalAlloc` impl
 /// is necessarily unsafe.
+#[expect(
+    unsafe_code,
+    reason = "a counting `GlobalAlloc` is necessarily unsafe; every call is delegated verbatim to `System`"
+)]
 mod heap_track {
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::sync::atomic::{AtomicUsize, Ordering};

@@ -2,29 +2,36 @@
 //! overhead — plus [`WallClock`], the one audited place benchmark
 //! binaries read host time.
 
-// det-lint: allow(wall-clock) -- benches measure host wall time by design; WallClock below is the single audited stopwatch all bench binaries route through.
+pub use wall::WallClock;
 
-/// Wall-clock stopwatch for benchmark binaries.
-///
-/// Benchmarks legitimately measure host time, but the determinism lint
-/// bans `Instant` everywhere else; routing every measurement through this
-/// helper keeps the exemption surface to exactly one file. Never use this
-/// for anything that feeds simulation state.
-#[derive(Debug, Clone, Copy)]
-pub struct WallClock(std::time::Instant);
+mod wall {
+    #![expect(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        reason = "WallClock is the single audited stopwatch all bench binaries route through"
+    )]
 
-impl WallClock {
-    /// Starts a stopwatch.
-    #[must_use]
-    #[allow(clippy::disallowed_methods)]
-    pub fn start() -> Self {
-        Self(std::time::Instant::now())
-    }
+    /// Wall-clock stopwatch for benchmark binaries.
+    ///
+    /// Benchmarks legitimately measure host time, but `clippy.toml` bans
+    /// `Instant` everywhere else; routing every measurement through this
+    /// helper keeps the exemption surface to this one module. Never use
+    /// this for anything that feeds simulation state.
+    #[derive(Debug, Clone, Copy)]
+    pub struct WallClock(std::time::Instant);
 
-    /// Seconds elapsed since [`WallClock::start`].
-    #[must_use]
-    pub fn elapsed_s(&self) -> f64 {
-        self.0.elapsed().as_secs_f64()
+    impl WallClock {
+        /// Starts a stopwatch.
+        #[must_use]
+        pub fn start() -> Self {
+            Self(std::time::Instant::now())
+        }
+
+        /// Seconds elapsed since [`WallClock::start`].
+        #[must_use]
+        pub fn elapsed_s(&self) -> f64 {
+            self.0.elapsed().as_secs_f64()
+        }
     }
 }
 

@@ -16,8 +16,8 @@
 //! no thread-pool crate): workers pull job indices from a shared atomic
 //! counter and send `(index, result)` pairs over a channel; the main
 //! thread slots them back into input order. Threading is allowed here and
-//! nowhere else — `cargo xtask lint` rejects thread use in the
-//! simulation crates, and exempts only `crates/bench`.
+//! nowhere else: `clippy.toml` bans threads and channels workspace-wide,
+//! and [`SweepRunner::run`] carries the one audited exemption.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -76,6 +76,10 @@ impl SweepRunner {
     /// `vec![f(0), …, f(count - 1)]` — always in job order. Each job must
     /// be self-contained (derive all randomness from its own inputs); the
     /// executor guarantees only ordering, not isolation.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the sweep executor runs whole independent worlds side by side and returns results in job order"
+    )]
     pub fn run<T, F>(&self, count: usize, f: F) -> Vec<T>
     where
         T: Send,

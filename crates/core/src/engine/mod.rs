@@ -6,6 +6,19 @@
 //! values; [`PdsNode`](crate::PdsNode) performs the actual radio I/O. This
 //! split makes Algorithms 1 and 2 of the paper directly unit-testable.
 
+// The step functions run inside `World::dispatch`: a panic there leaves
+// the event queue half-drained. The level is inherited by `pdd`, `pdr`
+// and `mdr` (DESIGN.md §13).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 mod mdr;
 mod pdd;
 mod pdr;

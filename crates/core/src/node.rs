@@ -3,6 +3,16 @@
 //! evaluation harness drives through
 //! [`World::with_app`](pds_sim::World::with_app).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::config::PdsConfig;
 use crate::descriptor::DataDescriptor;
 use crate::engine::{Outgoing, PdsEngine};

@@ -20,9 +20,8 @@
 //! history* (e.g. wire-visible lists), [`SortedIterExt::iter_sorted`]
 //! provides key-ascending iteration, or use `BTreeMap` directly.
 //!
-//! `cargo xtask lint` statically rejects std `HashMap`/
-//! `HashSet` in the simulation crates; this crate is the single audited
-//! place that touches them.
+//! `clippy.toml` rejects std `HashMap`/`HashSet` in every workspace
+//! crate; this crate is the single audited place that touches them.
 //!
 //! # Examples
 //!
@@ -38,10 +37,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// The whole point of this crate is to wrap the std hash collections behind
-// a deterministic hasher; it is the one audited exemption from the
-// workspace-wide `disallowed-types` clippy config.
-#![allow(clippy::disallowed_types)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "this crate wraps the std hash collections behind a deterministic hasher"
+)]
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

@@ -1,0 +1,115 @@
+//! The manifest half of the static gate (DESIGN.md §13): facts about the
+//! workspace that clippy, which sees one crate at a time, cannot check.
+
+use pds_gate::ratchet::{self, RatchetStatus};
+use pds_gate::rules::layering;
+use pds_gate::{manifest, workspace_root, HOT_MODULES, PANIC_LINTS};
+
+/// The vendored stand-ins under `vendor/`: the only external crates any
+/// workspace crate may name. Keeping `rand`, `getrandom` and friends out
+/// of the graph is what keeps entropy-seeded randomness out of the code.
+const EXTERNAL_DEPS: &[&str] = &["bytes", "proptest", "criterion"];
+
+/// The crates whose `clippy.toml` adds the sans-io bans to the root one.
+const SANS_IO_CONFIGS: &[&str] = &["crates/core/clippy.toml", "crates/bloom/clippy.toml"];
+
+fn manifests() -> Vec<manifest::Manifest> {
+    let all = manifest::load_workspace(&workspace_root()).unwrap();
+    assert!(all.len() >= 10, "found only {} crates", all.len());
+    all
+}
+
+fn read(rel: &str) -> String {
+    std::fs::read_to_string(workspace_root().join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"))
+}
+
+#[test]
+fn crate_layering_follows_the_pinned_dag() {
+    let found = layering::violations(&manifests());
+    assert!(found.is_empty(), "{found:#?}");
+}
+
+#[test]
+fn every_crate_opts_into_the_workspace_lints() {
+    let missing: Vec<String> = manifests()
+        .into_iter()
+        .filter(|m| !m.lints_workspace)
+        .map(|m| m.path.display().to_string())
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "add `[lints] workspace = true` to {missing:?}"
+    );
+}
+
+#[test]
+fn external_dependencies_stay_the_vendored_three() {
+    for m in manifests() {
+        for dep in m.dependencies.iter().chain(&m.dev_dependencies) {
+            assert!(
+                dep.name.starts_with("pds") || EXTERNAL_DEPS.contains(&dep.name.as_str()),
+                "{}:{}: `{}` is not a vendored dependency",
+                m.path.display(),
+                dep.line,
+                dep.name
+            );
+        }
+    }
+}
+
+#[test]
+fn hot_modules_deny_the_panic_lints() {
+    let attr = format!(
+        "#![deny(\n{}\n)]\n",
+        PANIC_LINTS
+            .iter()
+            .map(|l| format!("    {l}"))
+            .collect::<Vec<_>>()
+            .join(",\n")
+    );
+    for rel in HOT_MODULES {
+        assert!(read(rel).contains(&attr), "{rel} must start with\n{attr}");
+    }
+}
+
+#[test]
+fn sans_io_configs_keep_every_root_ban() {
+    let paths = |text: &str| -> Vec<String> {
+        text.lines()
+            .filter_map(|l| l.trim().strip_prefix("{ path = \""))
+            .filter_map(|l| l.split('"').next())
+            .map(str::to_string)
+            .collect()
+    };
+    let root = paths(&read("clippy.toml"));
+    assert!(root.iter().any(|p| p == "std::collections::HashMap"));
+    let first = read(SANS_IO_CONFIGS[0]);
+    for rel in SANS_IO_CONFIGS {
+        let text = read(rel);
+        assert_eq!(text, first, "{rel} differs from {}", SANS_IO_CONFIGS[0]);
+        let own = paths(&text);
+        let dropped: Vec<&String> = root.iter().filter(|p| !own.contains(p)).collect();
+        assert!(dropped.is_empty(), "{rel} drops root bans {dropped:?}");
+        assert!(own.iter().any(|p| p == "std::fs::write"), "{rel}");
+    }
+}
+
+#[test]
+fn exemption_inventory_matches_the_pinned_file() {
+    let root = workspace_root();
+    let inventory = match ratchet::scan(&root).unwrap() {
+        Ok(lines) => lines,
+        Err(reasonless) => panic!("exemptions without a reason: {reasonless:#?}"),
+    };
+    match ratchet::check(&root, &inventory).unwrap() {
+        RatchetStatus::Match => {}
+        RatchetStatus::Mismatch { missing, extra } => panic!(
+            "{} differs from the source's exemptions\n\
+             new, not pinned: {missing:#?}\n\
+             pinned, no longer in the source: {extra:#?}\n\
+             review, then make its entries read:\n{}",
+            ratchet::EXEMPTIONS_FILE,
+            inventory.join("\n")
+        ),
+    }
+}

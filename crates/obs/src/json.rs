@@ -1,14 +1,14 @@
 //! The workspace's one JSON reader, and the JSONL codec for trace events.
 //!
 //! The workspace is offline (no serde), so this module carries the only
-//! JSON tokenizer under `crates/` outside the dependency-free linter:
-//! [`parse`] reads a document into a [`Value`] tree — objects, arrays,
-//! strings (UTF-8 sliced from the input; `\"` and `\\` are the only
-//! escapes), numbers and bools, no `null` — and is what both the trace
-//! reader below and `pds_bench::baseline` (bench records, `BENCHMARK.json`)
-//! use. Integers are kept exact: a bare digit string that fits `u64`
-//! parses to [`Value::Int`], because the trace carries ids up to
-//! `u64::MAX` that an `f64` would round.
+//! JSON tokenizer under `crates/`: [`parse`] reads a document into a
+//! [`Value`] tree — objects, arrays, strings (UTF-8 sliced from the
+//! input; `\"` and `\\` are the only escapes), numbers and bools, no
+//! `null` — and is what the trace reader below, `pds_bench::baseline`
+//! (bench records, `BENCHMARK.json`) and the static gate's fixture test
+//! (clippy's diagnostics) use. Integers are kept exact: a bare digit
+//! string that fits `u64` parses to [`Value::Int`], because the trace
+//! carries ids up to `u64::MAX` that an `f64` would round.
 //!
 //! The trace schema is deliberately flat — one JSON object per line, values
 //! restricted to unsigned integers, booleans and bare identifier strings —

@@ -16,8 +16,8 @@
 //!   removing a sink must not change replay digests, statistics, or rng
 //!   consumption (asserted by integration tests).
 //! - **Virtual time only.** No wall-clock value appears in any event;
-//!   `cargo xtask lint` scans this crate like the simulation
-//!   crates.
+//!   the static gate's clock bans (`clippy.toml`) hold here as in the
+//!   simulation crates.
 //!
 //! # Quick tour
 //!

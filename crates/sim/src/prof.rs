@@ -2,8 +2,8 @@
 //!
 //! This module is the **only** place in the kernel that reads the host
 //! wall clock. `World::dispatch` holds a [`DispatchTimer`] guard instead
-//! of calling `Instant::now` itself, so the determinism lint can keep the
-//! rest of the crate clock-free.
+//! of calling `Instant::now` itself, so the `clippy.toml` clock ban keeps
+//! the rest of the crate clock-free.
 //!
 //! Two accumulator families:
 //!
@@ -18,8 +18,12 @@
 //! [`dump`] takes the run's elapsed *virtual* time so each line can
 //! report virtual-vs-wall throughput (simulated µs per wall ms): a
 //! subsystem whose throughput collapses as `n` grows is the bottleneck.
-//
-// det-lint: allow(wall-clock) -- module is compiled only under the `prof` feature (cfg-gated in lib.rs); it profiles wall time by design and never feeds simulation state.
+
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "compiled only under the `prof` feature; it profiles wall time by design and never feeds simulation state"
+)]
 
 use crate::events::EventKind;
 use std::cell::RefCell;
@@ -66,7 +70,6 @@ pub(crate) struct DispatchTimer {
 
 impl DispatchTimer {
     /// Starts timing against `slot` (see [`slot_of`]).
-    #[allow(clippy::disallowed_methods)]
     pub(crate) fn start(slot: usize) -> Self {
         Self {
             slot,
@@ -95,7 +98,6 @@ pub(crate) struct ScopeTimer {
 
 impl ScopeTimer {
     /// Starts timing against `slot` (one of the `SCOPE_*` constants).
-    #[allow(clippy::disallowed_methods)]
     pub(crate) fn start(slot: usize) -> Self {
         Self {
             slot,

@@ -8,6 +8,16 @@
 //! Messages with an empty intended list ("all neighbors") are fire-and-forget,
 //! exactly like PDS's flooded queries.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::config::SimConfig;
 use crate::radio::{FragSet, Frame, FrameKind};
 use bytes::Bytes;

@@ -27,6 +27,16 @@
 //! consuming API is [`TimerWheel::pop_until`], which only cascades windows
 //! whose deadline lies at or before the horizon.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use pds_core::SimTime;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -72,8 +82,11 @@ impl<T> Level<T> {
 
     /// The FIFO queue for `slot`. The single audited indexing site of the
     /// per-level slot array.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every caller derives `slot` by masking with SLOT_MASK, which is < SLOTS"
+    )]
     fn slot_mut(&mut self, slot: usize) -> &mut VecDeque<Entry<T>> {
-        // lint: allow(panic) -- every caller derives `slot` by masking with SLOT_MASK, which is < SLOTS
         &mut self.slots[slot]
     }
 }
@@ -132,8 +145,11 @@ impl<T> TimerWheel<T> {
 
     /// The wheel level at `index`. The single audited indexing site of the
     /// level array.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`index` comes from the XOR rule or a tier scan, both bounded by LEVELS"
+    )]
     fn level_mut(&mut self, index: usize) -> &mut Level<T> {
-        // lint: allow(panic) -- `index` comes from the XOR rule or a tier scan, both bounded by LEVELS
         &mut self.levels[index]
     }
 

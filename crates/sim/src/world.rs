@@ -1,6 +1,16 @@
 //! The simulation kernel: event loop, MAC/medium arbitration, pacing,
 //! delivery and node lifecycle.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::config::{SenderMode, SimConfig};
 use crate::events::{EventKind, EventQueue};
 use crate::fault::{FaultPlan, FaultState};
