@@ -21,7 +21,7 @@
 //! `--jobs N` (default: available cores) sets the worker count for the
 //! `"sweep"` block: the node-count × seed grid is run once sequentially
 //! and once through the parallel [`SweepRunner`], the two result vectors
-//! are asserted identical, and both wall times land in the record beside
+//! (statistics and replay digest per world) are asserted identical, and both wall times land in the record beside
 //! the host's core count, so readers can tell an honest speedup from an
 //! oversubscribed one.
 //!
@@ -29,7 +29,7 @@
 //! block: the city-scale scenario family (`pds_bench::city` — stadium
 //! exit, vehicular corridor, disaster relief) run on a fixed 2-second
 //! horizon, each scenario twice with the same seed (identical statistics
-//! asserted), recording events/sec and peak heap bytes per node. At
+//! and replay digest asserted), recording events/sec and peak heap bytes per node. At
 //! n ≥ 10000 the ≤ 32 KB/node budget of the slab/SoA memory diet is
 //! asserted outright.
 //!
@@ -227,7 +227,8 @@ fn resources_bench(horizon: SimTime) -> Vec<ResourceRow> {
 /// Sequential-vs-parallel sweep benchmark: the node-count × seed grid as
 /// one flat job list, run at 1 worker and at `jobs` workers. Each job
 /// builds its own world from its own seed, so the executor can only change
-/// wall-clock order — asserted by comparing the full result vectors.
+/// wall-clock order — asserted by comparing the full result vectors
+/// (statistics and replay digest per job).
 struct SweepBench {
     jobs: usize,
     sequential_wall_s: f64,
@@ -242,19 +243,19 @@ fn sweep_bench(horizon: SimTime, jobs: usize) -> SweepBench {
         .iter()
         .flat_map(|&n| SEEDS.iter().map(move |&s| (n, s)))
         .collect();
-    let run_all = |runner: &SweepRunner| -> (f64, Vec<pds_sim::Stats>) {
+    let run_all = |runner: &SweepRunner| -> (f64, Vec<(pds_sim::Stats, u64)>) {
         let start = WallClock::start();
         let stats = runner.run(points.len(), |i| {
             let (n, seed) = points[i];
             let mut world = build_world(n, seed);
             world.run_until(horizon);
-            world.stats().clone()
+            (world.stats().clone(), world.replay_digest())
         });
         (start.elapsed_s(), stats)
     };
-    let (sequential_wall_s, seq_stats) = run_all(&SweepRunner::new(1));
-    let (parallel_wall_s, par_stats) = run_all(&SweepRunner::new(jobs));
-    let results_equal = seq_stats == par_stats;
+    let (sequential_wall_s, seq_results) = run_all(&SweepRunner::new(1));
+    let (parallel_wall_s, par_results) = run_all(&SweepRunner::new(jobs));
+    let results_equal = seq_results == par_results;
     assert!(
         results_equal,
         "parallel sweep diverged from sequential run at {jobs} jobs"
@@ -282,10 +283,10 @@ fn sweep_bench(horizon: SimTime, jobs: usize) -> SweepBench {
 const CITY_SIM_SECONDS: f64 = 2.0;
 
 /// One row of the city-scale report (`pds_bench::city`): a scenario run
-/// twice with the same seed — statistics must match exactly — with peak
-/// heap and event throughput from the first run. The event count is a
-/// pure function of `(scenario, n, seed)`; the baseline check compares it
-/// exactly when the records ran the same `n`.
+/// twice with the same seed — statistics and replay digest must match
+/// exactly — with peak heap and event throughput from the first run. The
+/// event count is a pure function of `(scenario, n, seed)`; the baseline
+/// check compares it exactly when the records ran the same `n`.
 struct CityRow {
     scenario: &'static str,
     events: u64,
@@ -311,11 +312,11 @@ fn city_bench(n: usize) -> Vec<CityRow> {
             let wall_s = start.elapsed_s();
             let peak_alloc_bytes = heap_track::peak();
             let events = world.events_dispatched();
-            let first_stats = world.stats().clone();
+            let first = (world.stats().clone(), world.replay_digest());
             drop(world);
             let mut world = scenario.build(n, 42);
             world.run_until(horizon);
-            let stats_equal = *world.stats() == first_stats;
+            let stats_equal = (world.stats().clone(), world.replay_digest()) == first;
             assert!(
                 stats_equal,
                 "city {} diverged between same-seed runs at n={n}",

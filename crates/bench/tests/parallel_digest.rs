@@ -1,9 +1,7 @@
 //! Digest-level proof that the sweep executor is parallelism-transparent:
 //! running the same jobs at 1 worker and at 4 workers must produce the
 //! same per-job replay digests and traffic stats, in the same (input)
-//! order. Requires `--features replay-digest`.
-
-#![cfg(feature = "replay-digest")]
+//! order.
 
 use pds_bench::{GridScenario, SweepRunner, Workload};
 use pds_sim::SimTime;

@@ -212,9 +212,7 @@ fn cmd_repro(args: &[String]) -> ExitCode {
         s.frames_fault_delayed,
         s.frames_fault_duplicated
     );
-    if let Some(d) = result.outcome.digest {
-        println!("  replay digest: {d:#018x}");
-    }
+    println!("  replay digest: {:#018x}", result.outcome.digest);
     if result.passed() {
         println!("dst repro: PASS (all invariants held)");
         ExitCode::SUCCESS

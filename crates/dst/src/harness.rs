@@ -45,7 +45,7 @@ impl CaseResult {
 }
 
 /// Runs one case; with `check_replay` it runs twice and demands identical
-/// statistics (and, under the `replay-digest` feature, identical digests).
+/// statistics and identical replay digests.
 #[must_use]
 pub fn run_checked(spec: &CaseSpec, check_replay: bool) -> CaseResult {
     let outcome = run_case(spec);
@@ -58,8 +58,7 @@ pub fn run_checked(spec: &CaseSpec, check_replay: bool) -> CaseResult {
         if rerun.digest != outcome.digest {
             violations.push(format!(
                 "replay: digest {:#x} vs {:#x} across identical runs",
-                outcome.digest.unwrap_or(0),
-                rerun.digest.unwrap_or(0)
+                outcome.digest, rerun.digest
             ));
         }
     }

@@ -22,9 +22,8 @@ use std::collections::BTreeSet;
 pub struct CaseOutcome {
     /// Kernel traffic counters at the end of the run.
     pub stats: Stats,
-    /// Replay digest of the dispatched event stream (built with the
-    /// `replay-digest` feature only).
-    pub digest: Option<u64>,
+    /// Replay digest of the dispatched event stream.
+    pub digest: u64,
     /// High-water retransmission attempt across all transports.
     pub max_attempt: u32,
     /// Invariant breaches observed in-run, by invariant name.
@@ -78,10 +77,7 @@ pub fn run_case_recorded(spec: &CaseSpec) -> (CaseOutcome, FlightRecorder) {
 fn base_outcome(world: &World) -> CaseOutcome {
     CaseOutcome {
         stats: world.stats().clone(),
-        #[cfg(feature = "replay-digest")]
-        digest: Some(world.replay_digest()),
-        #[cfg(not(feature = "replay-digest"))]
-        digest: None,
+        digest: world.replay_digest(),
         max_attempt: world.max_retr_attempt(),
         violations: Vec::new(),
         unique_deliveries: 0,

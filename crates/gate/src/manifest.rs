@@ -1,10 +1,10 @@
 //! Minimal `Cargo.toml` reader for the manifest checks.
 //!
 //! Reads just what the gate needs — the package name, the keys of
-//! `[dependencies]` / `[dev-dependencies]` and the `[lints]` opt-in — with
-//! a line-oriented scan. The workspace's manifests are plain (no multi-line
-//! inline tables for dependencies), and `cargo metadata` is unavailable
-//! offline, so a full TOML parser would be dead weight.
+//! `[dependencies]` / `[dev-dependencies]` / `[features]` and the `[lints]`
+//! opt-in — with a line-oriented scan. The workspace's manifests are plain
+//! (no multi-line inline tables for dependencies), and `cargo metadata` is
+//! unavailable offline, so a full TOML parser would be dead weight.
 
 use std::path::{Path, PathBuf};
 
@@ -29,6 +29,8 @@ pub struct Manifest {
     /// ship and cargo permits cycles through them), but kept for
     /// reporting.
     pub dev_dependencies: Vec<Dep>,
+    /// Keys of `[features]`, with their declaration lines.
+    pub features: Vec<Dep>,
     /// Whether the manifest says `[lints] workspace = true`.
     pub lints_workspace: bool,
     /// Manifest path, for diagnostics.
@@ -50,6 +52,7 @@ pub fn parse(path: &Path, text: &str) -> Option<Manifest> {
     let mut name = None;
     let mut dependencies = Vec::new();
     let mut dev_dependencies = Vec::new();
+    let mut features = Vec::new();
     let mut lints_workspace = false;
     for (idx, raw) in text.lines().enumerate() {
         let lineno = u32::try_from(idx).unwrap_or(u32::MAX).saturating_add(1);
@@ -76,6 +79,7 @@ pub fn parse(path: &Path, text: &str) -> Option<Manifest> {
             "lints" if key == "workspace" => lints_workspace = value.trim() == "true",
             "dependencies" => dependencies.push(dep),
             "dev-dependencies" => dev_dependencies.push(dep),
+            "features" => features.push(dep),
             // Target-specific tables (`[target.….dependencies]`) count as
             // real dependencies too.
             s if s.ends_with(".dependencies") && !s.contains("dev") => dependencies.push(dep),
@@ -86,6 +90,7 @@ pub fn parse(path: &Path, text: &str) -> Option<Manifest> {
         name: name?,
         dependencies,
         dev_dependencies,
+        features,
         lints_workspace,
         path: path.to_path_buf(),
     })
@@ -155,5 +160,18 @@ workspace = true
         let m = parse(Path::new("t"), text).unwrap();
         assert_eq!(m.dep_names(), vec!["a"]);
         assert!(!m.lints_workspace);
+    }
+
+    #[test]
+    fn parses_feature_keys_with_their_lines() {
+        let text = "[package]\nname = \"x\"\n[features]\nprof = []\n# c\nfast = [\"y/fast\"]\n";
+        let m = parse(Path::new("t"), text).unwrap();
+        let found: Vec<(&str, u32)> = m
+            .features
+            .iter()
+            .map(|f| (f.name.as_str(), f.line))
+            .collect();
+        assert_eq!(found, vec![("prof", 4), ("fast", 6)]);
+        assert!(m.dependencies.is_empty());
     }
 }

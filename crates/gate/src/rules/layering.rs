@@ -10,6 +10,9 @@
 //!                              pds-bench ─► pds-dst   (facade: pds)
 //! ```
 //!
+//! The `pds` facade also hosts the repository-level `tests/` and
+//! `examples/`; their extra crates are dev-dependencies.
+//!
 //! The invariant that motivated this rule: **`pds-core` must never depend
 //! on `pds-sim`** — the protocol engines sit *below* the simulator so the
 //! same engine code can later run under a real network backend. Cargo
@@ -72,14 +75,19 @@ const ALLOWED: &[(&str, &[&str])] = &[
             "pds-bench",
         ],
     ),
-    // Test sources live in /tests and use everything via dev-dependencies
-    // (exempt); the one real edge exists so the crate's `replay-digest`
-    // feature can forward to pds-sim's (cargo features cannot reference
-    // dev-dependencies). Integration sits above every shipping crate, so
-    // the edge cannot create a cycle.
-    ("pds-integration", &["pds-sim"]),
     ("pds-gate", &[]),
 ];
+
+/// Table entries that name no crate in `manifests`: a retired crate must
+/// leave the table with it.
+#[must_use]
+pub fn stale_entries(manifests: &[Manifest]) -> Vec<&'static str> {
+    ALLOWED
+        .iter()
+        .map(|(name, _)| *name)
+        .filter(|name| !manifests.iter().any(|m| m.name == *name))
+        .collect()
+}
 
 /// Every layering violation among `manifests`, one message each, naming
 /// the manifest line that introduced the edge.
@@ -128,6 +136,7 @@ mod tests {
                 })
                 .collect(),
             dev_dependencies: Vec::new(),
+            features: Vec::new(),
             lints_workspace: true,
             path: PathBuf::from(format!("crates/{name}/Cargo.toml")),
         }
@@ -164,6 +173,13 @@ mod tests {
         });
         let msgs = violations(&[m]);
         assert!(msgs.is_empty(), "{msgs:?}");
+    }
+
+    #[test]
+    fn table_entries_without_a_crate_are_stale() {
+        let all: Vec<Manifest> = ALLOWED.iter().map(|(n, d)| manifest(n, d)).collect();
+        assert!(stale_entries(&all).is_empty());
+        assert_eq!(stale_entries(&all[1..]), vec![ALLOWED[0].0]);
     }
 
     #[test]

@@ -10,6 +10,11 @@ use pds_gate::{manifest, workspace_root, HOT_MODULES, PANIC_LINTS};
 /// of the graph is what keeps entropy-seeded randomness out of the code.
 const EXTERNAL_DEPS: &[&str] = &["bytes", "proptest", "criterion"];
 
+/// Every cargo feature in the workspace, as `(crate, feature)`. A feature
+/// is a second build that only some jobs compile, so adding one means
+/// extending this list consciously.
+const FEATURES: &[(&str, &str)] = &[("pds-bench", "prof"), ("pds-sim", "prof")];
+
 /// The crates whose `clippy.toml` adds the sans-io bans to the root one.
 const SANS_IO_CONFIGS: &[&str] = &["crates/core/clippy.toml", "crates/bloom/clippy.toml"];
 
@@ -27,6 +32,35 @@ fn read(rel: &str) -> String {
 fn crate_layering_follows_the_pinned_dag() {
     let found = layering::violations(&manifests());
     assert!(found.is_empty(), "{found:#?}");
+}
+
+#[test]
+fn layering_table_lists_only_existing_crates() {
+    let stale = layering::stale_entries(&manifests());
+    assert!(
+        stale.is_empty(),
+        "remove {stale:?} from rules/layering.rs: no such crate"
+    );
+}
+
+#[test]
+fn cargo_features_stay_the_pinned_few() {
+    let found: Vec<(String, String)> = manifests()
+        .into_iter()
+        .flat_map(|m| {
+            m.features
+                .into_iter()
+                .map(move |f| (m.name.clone(), f.name))
+        })
+        .collect();
+    let pinned: Vec<(String, String)> = FEATURES
+        .iter()
+        .map(|(c, f)| ((*c).to_string(), (*f).to_string()))
+        .collect();
+    assert_eq!(
+        found, pinned,
+        "a feature was added or removed; update FEATURES"
+    );
 }
 
 #[test]

@@ -13,7 +13,7 @@
 //! at a violation: a chatty relay cannot evict the quiet consumer's last
 //! session events, so `pds-obs explain` still sees both ends of the
 //! failing exchange. The DST harness dumps the recorder when an invariant
-//! trips, and the replay-digest gate does the same at first divergence —
+//! trips, and the replay-digest tests do the same at first divergence —
 //! turning every minimized seed into a causal narrative.
 
 use crate::event::TraceEvent;

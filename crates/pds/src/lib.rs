@@ -3,7 +3,8 @@
 //! mobility tooling ([`mobility`]), Bloom filters ([`bloom`]) and the
 //! experiment harness ([`mod@bench`]).
 //!
-//! The runnable examples in `/examples` are built against this crate:
+//! The cross-crate tests in `/tests` are test targets of this crate, and
+//! the runnable examples in `/examples` are built against it:
 //!
 //! * `quickstart` — two devices, one metadata discovery.
 //! * `air_quality` — a crowdsensing field of NO₂ samples: filtered

@@ -1,16 +1,16 @@
 //! Streaming replay digest over the dispatched event stream.
 //!
-//! Compiled only under the `replay-digest` feature. The kernel folds every
-//! event it dispatches — virtual timestamp, kind, and identifying payload —
-//! into a running FNV-1a accumulator. Two runs that dispatched the same
-//! events at the same virtual times in the same order end with the same
-//! digest; any divergence (a reordered MAC attempt, a timer firing one
-//! microsecond late, a different rng roll changing a backoff) changes it.
+//! Always on: the kernel folds every event it dispatches — virtual
+//! timestamp, kind, and identifying payload — into a running FNV-1a
+//! accumulator. Two runs that dispatched the same events at the same
+//! virtual times in the same order end with the same digest; any
+//! divergence (a reordered MAC attempt, a timer firing one microsecond
+//! late, a different rng roll changing a backoff) changes it.
 //!
 //! This is the enforcement half of the determinism contract (DESIGN.md §8):
-//! the `replay_digest` integration test runs one scenario twice under both
-//! spatial index implementations and asserts all four digests are equal,
-//! which CI gates on.
+//! the `replay_digest` tests of this crate pin the digest of one scenario
+//! and require it unchanged across reruns, re-bucket intervals, trace
+//! sinks and no-op fault plans.
 
 use crate::events::EventKind;
 use pds_core::SimTime;

@@ -60,7 +60,6 @@
 #![warn(missing_docs)]
 
 mod config;
-#[cfg(feature = "replay-digest")]
 mod digest;
 mod events;
 mod fault;

@@ -189,7 +189,8 @@ pub struct World {
     /// outcomes.
     events_dispatched: u64,
     /// Running digest of the dispatched event stream (DESIGN.md §8).
-    #[cfg(feature = "replay-digest")]
+    /// Always on, like `events_dispatched`, so every build can answer
+    /// "did this run replay?".
     digest: crate::digest::ReplayDigest,
 }
 
@@ -267,7 +268,6 @@ impl World {
             sink: None,
             faults: None,
             events_dispatched: 0,
-            #[cfg(feature = "replay-digest")]
             digest: crate::digest::ReplayDigest::default(),
         }
     }
@@ -275,8 +275,8 @@ impl World {
     /// FNV-1a digest of every event dispatched so far: virtual timestamp,
     /// event kind, and identifying payload, folded in dispatch order. Two
     /// runs replayed bit-identically iff their digests are equal (the
-    /// converse holds up to hash collisions). See DESIGN.md §8.
-    #[cfg(feature = "replay-digest")]
+    /// converse holds up to hash collisions). Maintained in every build.
+    /// See DESIGN.md §8.
     #[must_use]
     pub fn replay_digest(&self) -> u64 {
         self.digest.value()
@@ -646,7 +646,6 @@ impl World {
 
     fn dispatch(&mut self, kind: EventKind) {
         self.events_dispatched += 1;
-        #[cfg(feature = "replay-digest")]
         self.digest.record(self.now, &kind);
         if self.sink.is_some() {
             self.trace_kernel(&kind);

@@ -1,8 +1,6 @@
 //! The replay-digest gate (DESIGN.md §8): one scenario, run repeatedly —
 //! with eager and with lazy grid re-bucketing, traced and untraced, with
 //! and without a fault plan — must produce identical event stream digests.
-//! Run with `cargo test -p pds-sim --features replay-digest`.
-#![cfg(feature = "replay-digest")]
 
 use bytes::Bytes;
 use pds_sim::{

@@ -520,10 +520,8 @@ proptest! {
 
 /// Pre-diet replay digest of the n=1000 cluster-pair scenario, captured
 /// before the slab/SoA world refactor.
-#[cfg(feature = "replay-digest")]
 const PRE_DIET_N1000_DIGEST: u64 = 0x6597_973c_eb0f_b20d;
 
-#[cfg(feature = "replay-digest")]
 #[test]
 fn slab_world_replays_pre_diet_digest_at_n1000() {
     let mut config = SimConfig::default();
