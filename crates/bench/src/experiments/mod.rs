@@ -26,7 +26,7 @@ use crate::report::Table;
 pub struct RunConfig {
     /// Seeds to average over (the paper uses 5 runs).
     pub seeds: Vec<u64>,
-    /// Reduced problem sizes for quick runs (criterion benches, smoke
+    /// Reduced problem sizes for quick runs (`figures --quick`, smoke
     /// tests). Full size reproduces the paper's parameters.
     pub quick: bool,
 }

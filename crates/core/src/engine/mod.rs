@@ -373,7 +373,7 @@ impl PdsEngine {
         }
         match &q.kind {
             QueryKind::Metadata | QueryKind::SmallData => {
-                self.handle_discovery_query(now, from, me_intended, q)
+                self.handle_discovery_query(now, me_intended, q)
             }
             QueryKind::Cdi { .. } => self.handle_cdi_query(now, from, me_intended, q),
             QueryKind::Chunks { .. } => self.handle_chunk_query(now, from, me_intended, q),
@@ -394,10 +394,10 @@ impl PdsEngine {
         self.recent_responses.insert(r.id, now);
         match r.kind {
             ResponseKind::Metadata { entries } => {
-                self.handle_metadata_response(now, from, me_intended, r.id, entries)
+                self.handle_discovery_response(now, me_intended, r.id, entries)
             }
             ResponseKind::SmallData { items } => {
-                self.handle_small_data_response(now, from, me_intended, r.id, items)
+                self.handle_discovery_response(now, me_intended, r.id, items)
             }
             ResponseKind::Cdi { item, pairs } => {
                 self.handle_cdi_response(now, from, me_intended, &item, &pairs)

@@ -241,37 +241,70 @@ fn lingering_query_routes_multiple_responses() {
     }
 }
 
-#[test]
-fn one_shot_ablation_consumes_query() {
+/// Starts a small-data retrieval or, if `small_data` is false, a metadata
+/// discovery over everything.
+fn start_pdd(e: &mut PdsEngine, now: SimTime, small_data: bool) -> Vec<Outgoing> {
+    if small_data {
+        e.start_small_data_retrieval(now, QueryFilter::match_all())
+    } else {
+        e.start_discovery(now, QueryFilter::match_all())
+    }
+}
+
+/// A response from a far node carrying entries `seqs`, as small items with
+/// payloads or as bare metadata.
+fn pdd_response(id: u64, seqs: &[u32], small_data: bool) -> PdsMessage {
+    let entries = seqs.iter().map(|&k| entry(k));
+    let kind = if small_data {
+        ResponseKind::SmallData {
+            items: entries.map(|d| (d, Bytes::from_static(b"v"))).collect(),
+        }
+    } else {
+        ResponseKind::Metadata {
+            entries: entries.collect(),
+        }
+    };
+    PdsMessage::Response(ResponseMessage {
+        id: crate::ids::ResponseId(id),
+        sender: NodeId(8),
+        kind,
+    })
+}
+
+/// Under the one-shot ablation, a relay forwards the first response to a
+/// lingering query and then drops the query, for either entry kind.
+fn check_one_shot_ablation_consumes_query(small_data: bool) {
     let config = PdsConfig {
         one_shot_queries: true,
         ..PdsConfig::default()
     };
     let mut es = engines(2, &config);
     let now = t(0.0);
-    let start = es[0].start_discovery(now, QueryFilter::match_all());
+    let start = start_pdd(&mut es[0], now, small_data);
     let PdsMessage::Query(q) = start[0].message.clone() else {
         panic!()
     };
     es[1].handle_message(now, NodeId(0), true, PdsMessage::Query(q));
-    let r1 = ResponseMessage {
-        id: crate::ids::ResponseId(1),
-        sender: NodeId(8),
-        kind: ResponseKind::Metadata {
-            entries: vec![entry(1)],
-        },
-    };
-    let out1 = es[1].handle_message(now, NodeId(8), true, PdsMessage::Response(r1));
-    assert!(!out1.is_empty(), "first response relayed");
-    let r2 = ResponseMessage {
-        id: crate::ids::ResponseId(2),
-        sender: NodeId(8),
-        kind: ResponseKind::Metadata {
-            entries: vec![entry(2)],
-        },
-    };
-    let out2 = es[1].handle_message(now, NodeId(8), true, PdsMessage::Response(r2));
-    assert!(out2.is_empty(), "one-shot query already consumed");
+    let out1 = es[1].handle_message(now, NodeId(8), true, pdd_response(1, &[1], small_data));
+    assert!(
+        !out1.is_empty(),
+        "first response relayed (small data: {small_data})"
+    );
+    let out2 = es[1].handle_message(now, NodeId(8), true, pdd_response(2, &[2], small_data));
+    assert!(
+        out2.is_empty(),
+        "one-shot query already consumed (small data: {small_data})"
+    );
+}
+
+#[test]
+fn one_shot_ablation_consumes_query() {
+    check_one_shot_ablation_consumes_query(false);
+}
+
+#[test]
+fn small_data_one_shot_ablation_consumes_query() {
+    check_one_shot_ablation_consumes_query(true);
 }
 
 #[test]
@@ -312,28 +345,34 @@ fn mixedcast_disabled_sends_per_consumer() {
         mixedcast: false,
         ..PdsConfig::default()
     };
-    let mut es = engines(3, &config);
-    let now = t(0.0);
-    for consumer in [0usize, 1] {
-        let start = es[consumer].start_discovery(now, QueryFilter::match_all());
-        let PdsMessage::Query(q) = start[0].message.clone() else {
-            panic!()
-        };
-        es[2].handle_message(now, NodeId(consumer as u32), true, PdsMessage::Query(q));
+    for small_data in [false, true] {
+        let mut es = engines(3, &config);
+        let now = t(0.0);
+        for consumer in [0usize, 1] {
+            let start = start_pdd(&mut es[consumer], now, small_data);
+            let PdsMessage::Query(q) = start[0].message.clone() else {
+                panic!()
+            };
+            es[2].handle_message(now, NodeId(consumer as u32), true, PdsMessage::Query(q));
+        }
+        let out = es[2].handle_message(now, NodeId(9), true, pdd_response(5, &[1], small_data));
+        let responses: Vec<&Outgoing> = out
+            .iter()
+            .filter(|o| matches!(o.message, PdsMessage::Response(_)))
+            .collect();
+        assert_eq!(
+            responses.len(),
+            2,
+            "one response per consumer (small data: {small_data})"
+        );
+        assert!(responses.iter().all(|o| matches!(
+            &o.message,
+            PdsMessage::Response(r) if matches!(r.kind, ResponseKind::SmallData { .. }) == small_data
+        )));
+        let mut intended: Vec<NodeId> = responses.iter().flat_map(|o| o.intended.clone()).collect();
+        intended.sort();
+        assert_eq!(intended, vec![NodeId(0), NodeId(1)]);
     }
-    let r = ResponseMessage {
-        id: crate::ids::ResponseId(5),
-        sender: NodeId(9),
-        kind: ResponseKind::Metadata {
-            entries: vec![entry(1)],
-        },
-    };
-    let out = es[2].handle_message(now, NodeId(9), true, PdsMessage::Response(r));
-    let responses: Vec<_> = out
-        .iter()
-        .filter(|o| matches!(o.message, PdsMessage::Response(_)))
-        .collect();
-    assert_eq!(responses.len(), 2, "one response per consumer");
 }
 
 #[test]
@@ -468,6 +507,55 @@ fn small_data_retrieval_delivers_payloads() {
     }
     // The relay opportunistically cached payloads too.
     assert!(es[1].store().small_payload(&entry(0)).is_some());
+}
+
+#[test]
+fn small_data_collects_only_items_whose_payload_it_holds() {
+    // The consumer has overheard node 2's metadata but holds none of its
+    // payloads, and node 2 is out of range in round 0. Those items count as
+    // collected only once their payloads arrive, so the later rounds' Bloom
+    // filters must not suppress them.
+    let config = PdsConfig::default();
+    let mut es = engines(3, &config);
+    for k in 0..10u32 {
+        let holder = if k < 5 { 2 } else { 1 };
+        es[holder]
+            .store_mut()
+            .insert_own(entry(k), Some(Bytes::from(vec![k as u8; 16])));
+    }
+    for k in 0..5u32 {
+        es[0].store_mut().cache_metadata(entry(k), t(1000.0));
+    }
+    let apart = vec![vec![1], vec![0], vec![]];
+    let adj = line(3);
+    let mut now = t(0.0);
+    let mut out = es[0].start_small_data_retrieval(now, QueryFilter::match_all());
+    pump(
+        &mut es,
+        &apart,
+        out.into_iter().map(|o| (0, o)).collect(),
+        now,
+    );
+    for _ in 0..40 {
+        now += SimDuration::from_millis(400);
+        out = es[0].poll(now);
+        pump(
+            &mut es,
+            &adj,
+            out.into_iter().map(|o| (0, o)).collect(),
+            now,
+        );
+        if es[0].discovery().expect("session").is_finished() {
+            break;
+        }
+    }
+    let s = es[0].discovery().expect("session");
+    assert!(s.is_finished());
+    let held = (0..10u32)
+        .filter(|&k| es[0].store().small_payload(&entry(k)).is_some())
+        .count();
+    assert_eq!(s.collected.len(), held, "collected without the payload");
+    assert_eq!(held, 10);
 }
 
 // ---- PDR ------------------------------------------------------------------
@@ -932,34 +1020,6 @@ fn pending_chunk_marks_are_garbage_collected() {
         e.gc(t(1_000.0));
         assert!(e.pending_chunk.is_empty(), "pending marks must expire");
     }
-}
-
-#[test]
-fn small_data_one_shot_ablation_consumes_query() {
-    let config = PdsConfig {
-        one_shot_queries: true,
-        ..PdsConfig::default()
-    };
-    let mut es = engines(2, &config);
-    let now = t(0.0);
-    let start = es[0].start_small_data_retrieval(now, QueryFilter::match_all());
-    let PdsMessage::Query(q) = start[0].message.clone() else {
-        panic!()
-    };
-    es[1].handle_message(now, NodeId(0), true, PdsMessage::Query(q));
-    let resp = |rid: u64, seq: u32| {
-        PdsMessage::Response(ResponseMessage {
-            id: crate::ids::ResponseId(rid),
-            sender: NodeId(8),
-            kind: ResponseKind::SmallData {
-                items: vec![(entry(seq), Bytes::from_static(b"v"))],
-            },
-        })
-    };
-    let out1 = es[1].handle_message(now, NodeId(8), true, resp(1, 1));
-    assert!(!out1.is_empty(), "first small-data response relayed");
-    let out2 = es[1].handle_message(now, NodeId(8), true, resp(2, 2));
-    assert!(out2.is_empty(), "one-shot small-data query consumed");
 }
 
 #[test]

@@ -368,14 +368,24 @@ impl LingeringQueryTable {
         removed
     }
 
-    /// Unexpired, non-exhausted metadata queries.
-    pub fn match_metadata(&mut self, now: SimTime) -> Vec<&mut Lingering> {
-        self.match_kind(now, |k| matches!(k, QueryKind::Metadata))
+    /// Unexpired, non-exhausted discovery queries: [`QueryKind::SmallData`]
+    /// ones if `small_data`, else [`QueryKind::Metadata`] ones.
+    pub(crate) fn match_discovery(
+        &mut self,
+        small_data: bool,
+        now: SimTime,
+    ) -> Vec<&mut Lingering> {
+        // One closure per kind, so the flag is read once, not per entry.
+        if small_data {
+            self.match_kind(now, |k| matches!(k, QueryKind::SmallData))
+        } else {
+            self.match_kind(now, |k| matches!(k, QueryKind::Metadata))
+        }
     }
 
-    /// Unexpired, non-exhausted small-data queries.
-    pub fn match_small_data(&mut self, now: SimTime) -> Vec<&mut Lingering> {
-        self.match_kind(now, |k| matches!(k, QueryKind::SmallData))
+    /// Unexpired, non-exhausted metadata queries.
+    pub fn match_metadata(&mut self, now: SimTime) -> Vec<&mut Lingering> {
+        self.match_discovery(false, now)
     }
 
     /// Unexpired CDI queries for `item`.
@@ -516,7 +526,7 @@ mod tests {
             NodeId(2),
         );
         assert_eq!(lqt.match_metadata(t(0.0)).len(), 1);
-        assert_eq!(lqt.match_small_data(t(0.0)).len(), 1);
+        assert_eq!(lqt.match_discovery(true, t(0.0)).len(), 1);
         assert_eq!(lqt.match_cdi(&ItemName::new("vid"), t(0.0)).len(), 1);
         assert_eq!(lqt.match_cdi(&ItemName::new("other"), t(0.0)).len(), 0);
     }

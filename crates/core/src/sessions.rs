@@ -2,7 +2,7 @@
 //! collected so far, and the reports the evaluation harness reads.
 
 use crate::descriptor::{DataDescriptor, EntryKey};
-use crate::ids::{ChunkId, ItemName, QueryId};
+use crate::ids::{ChunkId, ItemName};
 use crate::predicate::QueryFilter;
 use crate::rounds::RoundController;
 use crate::{SimDuration, SimTime};
@@ -22,7 +22,6 @@ pub struct DiscoverySession {
     pub(crate) started_at: SimTime,
     pub(crate) last_new_at: SimTime,
     pub(crate) finished_at: Option<SimTime>,
-    pub(crate) current_query: QueryId,
     pub(crate) rounds_sent: u32,
     pub(crate) round_log: Vec<(SimTime, u32)>,
 }
@@ -199,7 +198,6 @@ mod tests {
             started_at: t(1.0),
             last_new_at: t(4.5),
             finished_at: None,
-            current_query: QueryId(1),
             rounds_sent: 2,
             round_log: vec![(t(1.0), 1), (t(3.0), 2)],
         };

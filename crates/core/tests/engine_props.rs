@@ -219,10 +219,11 @@ proptest! {
 // Exhaustive response-loss schedules: every lose/deliver choice for the
 // first `CHOICES` response deliveries, by bitmask, each mask on freshly built
 // engines. A quiet run makes 3 to 8 such deliveries on the stars and 8 (MDR),
-// 11 (PDD), 15 to 17 (PDR) and 22 (PDD without rewriting) on the line; a
-// lossy one re-solicits and makes more. Twelve therefore decides whole
-// sessions, recovery included, on the stars and whole first rounds and CDI
-// phases on the line, and keeps this file under 15 s in the debug profile.
+// 11 (PDD, small data), 15 to 17 (PDR) and 22 (PDD without rewriting) on the
+// line; a lossy one re-solicits and makes more. Twelve therefore decides
+// whole sessions, recovery included, on the stars and whole first rounds and
+// CDI phases on the line, and keeps this file under 20 s in the debug
+// profile.
 // On a star any subset of a round's responses can go missing; on the line two
 // relays put lingering queries, en-route rewriting, chunk-query division and
 // overhearing on the path. Delivery is instantaneous: timing, jitter, MAC
@@ -231,6 +232,7 @@ proptest! {
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Pdd { rewrite: bool },
+    SmallData,
     Pdr,
     Mdr,
 }
@@ -244,9 +246,11 @@ const CHUNKS: u32 = 3;
 const CHUNK_BYTES: usize = 256;
 
 /// Runs one schedule on fresh engines and asserts the session invariants.
-/// Node 0 consumes; the others each produce one entry (PDD) or hold two of
-/// the three chunks, every chunk on two nodes (PDR, MDR). A failure prints
-/// these arguments: `check_schedule(STAR4, Op::Pdr, false, 0x7c8)` re-runs it.
+/// Node 0 consumes; the others each produce one entry (PDD), one entry with
+/// its payload, node 1's metadata already overheard by the consumer (small
+/// data), or hold two of the three chunks, every chunk on two nodes (PDR,
+/// MDR). A failure prints these arguments:
+/// `check_schedule(STAR4, Op::Pdr, false, 0x7c8)` re-runs it.
 fn check_schedule(adj: Topology, op: Op, fifo: bool, lose: u32) {
     let case = (adj, op, fifo, lose);
     let check = |got: &dyn std::fmt::Debug, broken: &[(&str, bool)]| {
@@ -265,9 +269,12 @@ fn check_schedule(adj: Topology, op: Op, fifo: bool, lose: u32) {
         .map(|i| PdsEngine::new(NodeId(i as u32), config.clone(), 70_000 + i as u64))
         .collect();
     let desc = video(CHUNKS);
+    let pdd = matches!(op, Op::Pdd { .. } | Op::SmallData);
+    let small_data = matches!(op, Op::SmallData);
     for (i, e) in engines.iter_mut().enumerate().skip(1) {
-        if matches!(op, Op::Pdd { .. }) {
-            e.store_mut().insert_own(entry(i, 0), None);
+        if pdd {
+            let payload = small_data.then(|| Bytes::from(vec![i as u8; 16]));
+            e.store_mut().insert_own(entry(i, 0), payload);
             continue;
         }
         for c in [(i as u32 - 1) % CHUNKS, i as u32 % CHUNKS] {
@@ -276,18 +283,23 @@ fn check_schedule(adj: Topology, op: Op, fifo: bool, lose: u32) {
         }
     }
 
+    if small_data {
+        engines[0].store_mut().cache_metadata(entry(1, 0), t(1e6));
+    }
+
     let mut schedule = Schedule {
         lose,
         fifo,
         ..Schedule::default()
     };
     let finished = |e: &PdsEngine| match op {
-        Op::Pdd { .. } => e.discovery().is_some_and(|s| s.is_finished()),
+        Op::Pdd { .. } | Op::SmallData => e.discovery().is_some_and(|s| s.is_finished()),
         Op::Pdr | Op::Mdr => e.retrieval().is_some_and(|s| s.is_finished()),
     };
     let mut now = t(0.0);
     let mut out = match op {
         Op::Pdd { .. } => engines[0].start_discovery(now, QueryFilter::match_all()),
+        Op::SmallData => engines[0].start_small_data_retrieval(now, QueryFilter::match_all()),
         Op::Pdr => engines[0].start_retrieval(now, desc),
         Op::Mdr => engines[0].start_mdr_retrieval(now, desc),
     };
@@ -306,15 +318,20 @@ fn check_schedule(adj: Topology, op: Op, fifo: bool, lose: u32) {
     let (max_rounds, budget) = (config.rounds.max_rounds, config.pdr.max_recovery);
     let mdr = matches!(op, Op::Mdr);
 
-    if matches!(op, Op::Pdd { .. }) {
+    if pdd {
         let session = engines[0].discovery().expect("session");
         let r = session.report();
         let seeded = |d: &&DataDescriptor| (1..n).any(|i| **d == entry(i, 0));
+        let held = |d: &&DataDescriptor| engines[0].store().small_payload(d).is_some();
         let broken = [
             ("round cap passed", r.rounds > max_rounds),
             ("more entries than producers", r.entries >= n),
             ("phantom entry", !session.entries().iter().all(seeded)),
             ("quiet run misses an entry", quiet && r.entries != n - 1),
+            (
+                "collected without its payload",
+                small_data && !session.entries().iter().all(held),
+            ),
         ];
         return check(&(r, session.entries()), &broken);
     }
@@ -350,6 +367,11 @@ fn check_all_schedules(topologies: &[Topology], op: Op) {
 fn pdd_holds_on_every_response_loss_schedule() {
     check_all_schedules(&[STAR4, STAR5, LINE4], Op::Pdd { rewrite: true });
     check_all_schedules(&[STAR4, STAR5, LINE4], Op::Pdd { rewrite: false });
+}
+
+#[test]
+fn small_data_holds_on_every_response_loss_schedule() {
+    check_all_schedules(&[STAR4, STAR5, LINE4], Op::SmallData);
 }
 
 #[test]

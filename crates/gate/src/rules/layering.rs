@@ -23,7 +23,7 @@
 //! `[dev-dependencies]` are exempt: they never ship, and cargo permits
 //! dev-only cycles (pds-core's integration tests drive pds-sim). Only
 //! workspace (`pds*`) crates are layered; vendored externals
-//! (`bytes`, `proptest`, `criterion`) are outside the DAG.
+//! (`bytes`, `proptest`) are outside the DAG.
 
 use crate::manifest::Manifest;
 

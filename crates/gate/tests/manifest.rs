@@ -8,7 +8,7 @@ use pds_gate::{manifest, workspace_root, HOT_MODULES, PANIC_LINTS};
 /// The vendored stand-ins under `vendor/`: the only external crates any
 /// workspace crate may name. Keeping `rand`, `getrandom` and friends out
 /// of the graph is what keeps entropy-seeded randomness out of the code.
-const EXTERNAL_DEPS: &[&str] = &["bytes", "proptest", "criterion"];
+const EXTERNAL_DEPS: &[&str] = &["bytes", "proptest"];
 
 /// Every cargo feature in the workspace, as `(crate, feature)`. A feature
 /// is a second build that only some jobs compile, so adding one means

@@ -20,6 +20,6 @@ cargo run --release -p pds-obs -- critical-path results/trace.jsonl \
   | tee results/delay_decomposition.txt
 
 echo "== benchmarks =="
-cargo bench --workspace
+benchmark/run.sh
 
-echo "done — see results/, EXPERIMENTS.md and target/criterion/"
+echo "done — see results/ and EXPERIMENTS.md"
