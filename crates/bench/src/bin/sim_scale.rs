@@ -350,6 +350,20 @@ fn city_bench(n: usize) -> Vec<CityRow> {
         .collect()
 }
 
+/// The value after `flag`, or `default` when the flag is absent. A missing
+/// or unparsable value is an error, never the default: a bare `--out`
+/// would otherwise overwrite the committed record.
+fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Result<T, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(default);
+    };
+    let value = args.get(i + 1).filter(|v| !v.starts_with("--"));
+    let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: cannot parse {value:?}"))
+}
+
 fn main() -> std::process::ExitCode {
     const FLAGS: [&str; 5] = ["--quick", "--jobs", "--city-n", "--out", "--check-baseline"];
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -364,27 +378,30 @@ fn main() -> std::process::ExitCode {
         return std::process::ExitCode::from(2);
     }
     let quick = args.iter().any(|a| a == "--quick");
-    let value_of = |flag: &str| {
-        let i = args.iter().position(|a| a == flag)?;
-        args.get(i + 1).filter(|v| !v.starts_with("--"))
-    };
     // `--check-baseline [path]`: compare the fresh record against the
     // committed one; the path defaults to the committed record itself.
-    let check_baseline = args.iter().any(|a| a == "--check-baseline").then(|| {
-        value_of("--check-baseline").map_or("BENCH_sim_scale.json".to_owned(), String::clone)
+    let check_baseline = args.iter().position(|a| a == "--check-baseline").map(|i| {
+        args.get(i + 1)
+            .filter(|v| !v.starts_with("--"))
+            .map_or("BENCH_sim_scale.json".to_owned(), String::clone)
     });
-    if let Some(n) = value_of("--jobs").and_then(|s| s.parse().ok()) {
-        pds_bench::sweep::set_jobs(n);
-    }
-    let jobs = pds_bench::sweep::jobs();
     // `--city-n N` (default 10000): node count for the city-scale
     // scenario family. The per-push CI run keeps the default; nightly CI
     // passes 50000; 100000 is for manual capacity runs.
-    let city_n = value_of("--city-n")
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(10_000)
-        .max(1);
-    let out_path = value_of("--out").map_or("BENCH_sim_scale.json".to_owned(), String::clone);
+    let flags = (
+        flag_value(&args, "--jobs", pds_bench::sweep::jobs()),
+        flag_value(&args, "--city-n", 10_000_usize),
+        flag_value(&args, "--out", "BENCH_sim_scale.json".to_owned()),
+    );
+    let (jobs, city_n, out_path) = match flags {
+        (Ok(jobs), Ok(city_n), Ok(out_path)) => (jobs, city_n.max(1), out_path),
+        (Err(msg), _, _) | (_, Err(msg), _) | (_, _, Err(msg)) => {
+            eprintln!("sim_scale: {msg}");
+            return std::process::ExitCode::from(2);
+        }
+    };
+    pds_bench::sweep::set_jobs(jobs);
+    let jobs = pds_bench::sweep::jobs();
     let sim_seconds = if quick { 2.0 } else { 8.0 };
     let horizon = SimTime::from_secs_f64(sim_seconds);
 

@@ -119,14 +119,6 @@ pub struct PdsConfig {
     /// Storage budget and replacement policy for opportunistically cached
     /// chunks (§VII: finite storage demands a caching strategy).
     pub chunk_cache: crate::store::ChunkCacheConfig,
-    /// Per-node byte budget for the lingering query table (approximate
-    /// resident bytes: cached blooms, chunk bitsets, CDI bookkeeping).
-    /// Inserting past it evicts the oldest queries, and it bounds the
-    /// capacity of synthesized per-query Bloom filters. The default is
-    /// generous — tens of simultaneous lingering queries — so protocol
-    /// behavior only changes under genuine memory pressure; city-scale
-    /// scenarios tighten it (the kernel memory diet).
-    pub lqt_byte_budget: usize,
 }
 
 impl Default for PdsConfig {
@@ -147,7 +139,6 @@ impl Default for PdsConfig {
             query_hop_limit: None,
             forward_probability: 1.0,
             chunk_cache: crate::store::ChunkCacheConfig::default(),
-            lqt_byte_budget: 512 * 1024,
         }
     }
 }

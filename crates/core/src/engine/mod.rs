@@ -28,7 +28,7 @@ mod tests;
 use crate::cdi::CdiTable;
 use crate::config::PdsConfig;
 use crate::ids::{ChunkId, ItemName, QueryId, ResponseId};
-use crate::lqt::LingeringQueryTable;
+use crate::lqt::{LingeringQueryTable, NODE_BYTE_BUDGET};
 use crate::message::{
     MessageHeader, PdsMessage, QueryKind, QueryMessage, ResponseKind, ResponseMessage,
 };
@@ -211,12 +211,11 @@ impl PdsEngine {
     pub fn new(id: NodeId, config: PdsConfig, seed: u64) -> Self {
         let mut store = DataStore::new();
         store.set_chunk_cache(config.chunk_cache);
-        let lqt_budget = config.lqt_byte_budget;
         Self {
             id,
             config,
             store,
-            lqt: LingeringQueryTable::with_budget(lqt_budget),
+            lqt: LingeringQueryTable::with_budget(NODE_BYTE_BUDGET),
             cdi: CdiTable::new(),
             recent_responses: DetMap::default(),
             pending_chunk: DetMap::default(),

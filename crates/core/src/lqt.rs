@@ -177,6 +177,11 @@ impl Lingering {
     }
 }
 
+/// Per-node byte budget of every engine's lingering query table
+/// ([`LingeringQueryTable::approx_bytes`]): tens of simultaneous lingering
+/// queries, so only genuine memory pressure evicts.
+pub(crate) const NODE_BYTE_BUDGET: usize = 512 * 1024;
+
 /// The table of lingering queries, keyed by query id.
 ///
 /// # Examples
@@ -235,8 +240,8 @@ impl LingeringQueryTable {
     }
 
     /// Creates an empty table that evicts oldest queries once its
-    /// approximate footprint exceeds `byte_budget` bytes (the city-scale
-    /// per-node memory knob; see `PdsConfig::lqt_byte_budget`).
+    /// approximate footprint exceeds `byte_budget` bytes (every engine
+    /// uses `NODE_BYTE_BUDGET`).
     #[must_use]
     pub fn with_budget(byte_budget: usize) -> Self {
         Self {

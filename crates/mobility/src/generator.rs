@@ -36,12 +36,11 @@ impl ObservationParams {
 /// [`MobilityTrace::generate`] materializes, pulled one [`TraceEvent`] at
 /// a time.
 ///
-/// Memory is O(people currently present) regardless of duration — this is
-/// the primitive city-scale scenarios install directly (see
-/// `StreamInstaller`), where an hours-long trace for 100k people would
-/// otherwise materialize millions of events up front. `generate` is
-/// defined as "collect this stream", so the two are equal for the same
-/// seed by construction (and a property test holds them to it).
+/// Memory is O(people currently present) regardless of duration, where
+/// an hours-long trace for 100k people would materialize millions of
+/// events up front. `generate` is defined as "collect this stream", so the
+/// two are equal for the same seed by construction (and a property test
+/// holds them to it).
 #[derive(Debug)]
 pub struct TraceStream {
     params: ObservationParams,

@@ -1,6 +1,5 @@
 //! Installing a mobility trace into a simulated world.
 
-use crate::generator::TraceStream;
 use crate::trace::{MobilityTrace, PersonId, TraceAction, TraceEvent};
 use pds_det::DetMap;
 use pds_sim::{Application, NodeId, SimTime, World};
@@ -10,8 +9,7 @@ type Mapping = Arc<Mutex<DetMap<PersonId, NodeId>>>;
 type Factory = Arc<Mutex<dyn FnMut(PersonId) -> Box<dyn Application> + Send>>;
 
 /// Applies one trace event to the world, maintaining the person → node
-/// mapping. Shared by the materialized and streaming installers so the two
-/// cannot drift.
+/// mapping.
 fn apply_event(w: &mut World, ev: &TraceEvent, mapping: &Mapping, factory: &Factory) {
     match ev.action {
         TraceAction::Join { pos } => {
@@ -67,7 +65,7 @@ pub struct TraceInstaller {
     // other handles live inside the World, which must stay `Send` so sweep
     // workers can own one per thread. The lock is never contended — a world
     // is driven by exactly one thread at a time.
-    mapping: Arc<Mutex<DetMap<PersonId, NodeId>>>,
+    mapping: Mapping,
 }
 
 impl TraceInstaller {
@@ -133,105 +131,9 @@ impl TraceInstaller {
     }
 }
 
-/// Applies a [`TraceStream`] to a [`World`] lazily: exactly one mobility
-/// control closure is pending at any time, which pulls the next event from
-/// the stream when it fires and re-chains itself.
-///
-/// Behaviorally identical to generating the full trace and using
-/// [`TraceInstaller`] (the stream and the materialized trace are equal for
-/// the same seed, and both installers share [`apply_event`]) — but pending
-/// memory is O(1) instead of O(events), which is what makes hours-long
-/// city-scale scenarios with 10k–100k people feasible.
-#[derive(Debug, Clone)]
-pub struct StreamInstaller {
-    mapping: Mapping,
-}
-
-impl StreamInstaller {
-    /// Installs `stream` into `world`: the stream's initial people join at
-    /// the current world time, and subsequent events are pulled and applied
-    /// one at a time. `factory` builds the application for each person when
-    /// (and each time) they join.
-    pub fn install(
-        world: &mut World,
-        stream: TraceStream,
-        factory: impl FnMut(PersonId) -> Box<dyn Application> + Send + 'static,
-    ) -> Self {
-        let mapping: Mapping = Arc::default();
-        let factory: Factory = Arc::new(Mutex::new(factory));
-
-        for &(person, pos) in stream.initial_people() {
-            let app = (factory.lock().expect("uncontended"))(person);
-            let id = world.add_node(pos, app);
-            mapping.lock().expect("uncontended").insert(person, id);
-        }
-
-        let base = world.now();
-        let stream = Arc::new(Mutex::new(stream));
-        chain_next(world, base, &stream, &mapping, &factory);
-        Self { mapping }
-    }
-
-    /// The node currently embodying `person`, if they are present.
-    #[must_use]
-    pub fn node_of(&self, person: PersonId) -> Option<NodeId> {
-        self.mapping
-            .lock()
-            .expect("uncontended")
-            .get(&person)
-            .copied()
-    }
-
-    /// People currently present, in unspecified order.
-    #[must_use]
-    pub fn present_people(&self) -> Vec<PersonId> {
-        self.mapping
-            .lock()
-            .expect("uncontended")
-            .keys()
-            .copied()
-            .collect()
-    }
-
-    /// Nodes currently embodying present people, in unspecified order.
-    #[must_use]
-    pub fn present_nodes(&self) -> Vec<NodeId> {
-        self.mapping
-            .lock()
-            .expect("uncontended")
-            .values()
-            .copied()
-            .collect()
-    }
-}
-
-/// Pulls the next event from the stream and schedules a single closure that
-/// applies it, then chains the one after. Stream times are relative to the
-/// start of the stream (`base`).
-fn chain_next(
-    world: &mut World,
-    base: SimTime,
-    stream: &Arc<Mutex<TraceStream>>,
-    mapping: &Mapping,
-    factory: &Factory,
-) {
-    let Some(ev) = stream.lock().expect("uncontended").next() else {
-        return;
-    };
-    let stream = Arc::clone(stream);
-    let mapping = Arc::clone(mapping);
-    let factory = Arc::clone(factory);
-    let at = base + ev.at.since(SimTime::ZERO);
-    world.schedule(at, move |w| {
-        apply_event(w, &ev, &mapping, &factory);
-        chain_next(w, base, &stream, &mapping, &factory);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceEvent;
     use bytes::Bytes;
     use pds_sim::{Context, MessageMeta, Position, SimConfig, SimTime};
 
@@ -331,41 +233,5 @@ mod tests {
         let present = inst.present_people().len();
         assert!((20..=40).contains(&present), "present = {present}");
         assert_eq!(inst.present_nodes().len(), present);
-    }
-
-    #[test]
-    fn stream_installer_matches_trace_installer() {
-        let params = crate::presets::student_center();
-        let dur = pds_sim::SimDuration::from_secs(300);
-        let trace = MobilityTrace::generate(&params, dur, 1.0, 11);
-        let stream = TraceStream::new(&params, dur, 1.0, 11);
-
-        let mut wa = World::new(SimConfig::default(), 1);
-        let a = TraceInstaller::install(&mut wa, &trace, |_| Box::new(Idle));
-        let mut wb = World::new(SimConfig::default(), 1);
-        let b = StreamInstaller::install(&mut wb, stream, |_| Box::new(Idle));
-
-        for checkpoint in [50.0, 150.0, 300.0] {
-            wa.run_until(t(checkpoint));
-            wb.run_until(t(checkpoint));
-            let mut pa = a.present_people();
-            let mut pb = b.present_people();
-            pa.sort_unstable();
-            pb.sort_unstable();
-            assert_eq!(pa, pb, "present people diverged at t={checkpoint}");
-            for &p in &pa {
-                assert_eq!(
-                    a.node_of(p),
-                    b.node_of(p),
-                    "node of {p:?} at t={checkpoint}"
-                );
-                let na = a.node_of(p).expect("present");
-                assert_eq!(
-                    wa.position(na),
-                    wb.position(na),
-                    "position at t={checkpoint}"
-                );
-            }
-        }
     }
 }

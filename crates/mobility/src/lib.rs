@@ -13,10 +13,10 @@
 //!   generation matched to the published rates, with the 0.5×–2× mobility
 //!   multiplier used in Figs. 9, 10 and 12;
 //! * [`TraceStream`] — the same generator as a lazy iterator: memory stays
-//!   O(people present) instead of O(events), for city-scale scenarios;
-//! * [`TraceInstaller`] / [`StreamInstaller`] — apply a trace (materialized
-//!   or streaming) to a [`pds_sim::World`], creating and removing protocol
-//!   nodes as people come and go.
+//!   O(people present) instead of O(events); `MobilityTrace::generate`
+//!   collects it;
+//! * [`TraceInstaller`] — applies a trace to a [`pds_sim::World`],
+//!   creating and removing protocol nodes as people come and go.
 //!
 //! # Examples
 //!
@@ -39,7 +39,7 @@ mod install;
 mod trace;
 
 pub use generator::{ObservationParams, TraceStream};
-pub use install::{StreamInstaller, TraceInstaller};
+pub use install::TraceInstaller;
 pub use trace::{InvalidTrace, MobilityTrace, PersonId, TraceAction, TraceEvent};
 
 /// Observation-derived presets for the paper's two venues.

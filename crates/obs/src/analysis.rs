@@ -1,12 +1,14 @@
-//! Trace analysis: overhead breakdowns, delay CDFs, and trace diffing.
+//! Trace analysis: the event census, overhead breakdowns, exact-sample
+//! CDFs, and trace diffing.
 //!
 //! Everything here operates on in-memory `Vec<TraceEvent>` slices as read
 //! back by [`crate::json::read_trace_file`]; the `pds-obs` binary is a thin
 //! argument parser over these functions so tests can exercise the exact
-//! logic the CLI ships.
+//! logic the CLI ships. Each quantity has one derivation here, and every
+//! distribution is kept as its exact samples and printed by [`render_cdf`].
 
 use crate::event::{Phase, TraceEvent, TraceKind};
-use crate::metrics::MetricsRegistry;
+use pds_det::DetMap;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -38,8 +40,6 @@ pub fn phase_overhead(events: &[TraceEvent]) -> BTreeMap<Phase, PhaseOverhead> {
 /// virtual µs, in trace order.
 #[must_use]
 pub fn message_delays_us(events: &[TraceEvent]) -> Vec<u64> {
-    // The registry's histogram buckets are log2-coarse; walk the trace
-    // directly for exact per-message samples.
     let mut out = Vec::new();
     let mut open: BTreeMap<(u64, u64), u64> = BTreeMap::new();
     for ev in events {
@@ -69,6 +69,62 @@ pub fn session_delays_us(events: &[TraceEvent]) -> BTreeMap<Phase, Vec<u64>> {
         }
     }
     out
+}
+
+/// Event counts keyed by `(kind, phase)`, sorted by kind name then phase:
+/// per-phase queries, responses and sessions read straight off it.
+fn event_census(events: &[TraceEvent]) -> BTreeMap<(&'static str, Phase), u64> {
+    let mut out = BTreeMap::new();
+    for ev in events {
+        *out.entry((ev.kind.name(), ev.phase)).or_insert(0) += 1;
+    }
+    out
+}
+
+/// Gaps between successive `QuerySent` events of one node in one phase
+/// (a consumer's round latency, a relay's forward spacing) in virtual µs,
+/// per phase, in trace order.
+fn query_gaps_us(events: &[TraceEvent]) -> BTreeMap<Phase, Vec<u64>> {
+    let mut out: BTreeMap<Phase, Vec<u64>> = BTreeMap::new();
+    let mut last: DetMap<(u32, Phase), u64> = DetMap::default();
+    for ev in events {
+        if let TraceKind::QuerySent { .. } = ev.kind {
+            if let Some(prev) = last.insert((ev.node, ev.phase), ev.at_us) {
+                out.entry(ev.phase)
+                    .or_default()
+                    .push(ev.at_us.saturating_sub(prev));
+            }
+        }
+    }
+    out
+}
+
+/// Retransmission attempts per reliable message, one sample as each
+/// message closes (`MessageAcked` or `MessageFailed`), in trace order.
+fn retransmits_per_message(events: &[TraceEvent]) -> Vec<u64> {
+    let mut out = Vec::new();
+    let mut open: DetMap<(u32, u64), u64> = DetMap::default();
+    for ev in events {
+        match ev.kind {
+            TraceKind::Retransmit { seq, .. } => *open.entry((ev.node, seq)).or_insert(0) += 1,
+            TraceKind::MessageAcked { seq } | TraceKind::MessageFailed { seq } => {
+                out.push(open.remove(&(ev.node, seq)).unwrap_or(0));
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+/// OS send-buffer occupancy in bytes after each enqueue, in trace order.
+fn queue_depths(events: &[TraceEvent]) -> Vec<u64> {
+    events
+        .iter()
+        .filter_map(|ev| match ev.kind {
+            TraceKind::QueueDepth { bytes } => Some(bytes),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Empirical CDF of `samples`: sorted `(value, cumulative_fraction)` pairs.
@@ -192,10 +248,10 @@ pub fn render_overhead(events: &[TraceEvent]) -> String {
     out
 }
 
-/// Renders an ASCII CDF of `samples` (virtual µs) with ~`rows` quantile
-/// rows.
+/// Renders an ASCII CDF of `samples`, each value labelled with `unit`,
+/// with ~`rows` quantile rows.
 #[must_use]
-pub fn render_cdf(title: &str, samples: &[u64], rows: usize) -> String {
+pub fn render_cdf(title: &str, unit: &str, samples: &[u64], rows: usize) -> String {
     let mut out = format!("{title} (n={}):\n", samples.len());
     let curve = cdf(samples);
     if curve.is_empty() {
@@ -210,13 +266,15 @@ pub fn render_cdf(title: &str, samples: &[u64], rows: usize) -> String {
         let idx = ((q * (curve.len() - 1) as f64).round() as usize).min(curve.len() - 1);
         let (v, frac) = curve[idx];
         let bar = "#".repeat((frac * width as f64).round() as usize);
-        let _ = writeln!(out, "  p{:<5.1} {:>12} µs |{bar}", q * 100.0, v);
+        let _ = writeln!(out, "  p{:<5.1} {:>12} {unit} |{bar}", q * 100.0, v);
     }
     out
 }
 
-/// Renders the full summary: event counts, overhead table, delay CDFs and
-/// the aggregated metrics registry.
+/// Renders the full summary: the `(kind, phase)` event census, the
+/// overhead table, and the CDFs of message delay, per-phase session delay,
+/// per-phase query-round gap, retransmissions per reliable message and
+/// OS-buffer queue depth (each printed only when it has samples).
 #[must_use]
 pub fn render_summary(events: &[TraceEvent]) -> String {
     let mut out = String::new();
@@ -230,32 +288,40 @@ pub fn render_summary(events: &[TraceEvent]) -> String {
             last.at_us.saturating_sub(first.at_us)
         );
     }
-    // Event-kind census, sorted by name.
-    let mut census: BTreeMap<&'static str, u64> = BTreeMap::new();
-    for ev in events {
-        *census.entry(ev.kind.name()).or_insert(0) += 1;
-    }
-    out.push_str("events by kind:\n");
-    for (kind_name, count) in &census {
-        let _ = writeln!(out, "  {kind_name:<20} {count}");
+    out.push_str("events by kind and phase:\n");
+    for ((kind_name, phase), count) in event_census(events) {
+        let _ = writeln!(out, "  {kind_name:<20} {:<10} {count}", phase.name());
     }
     out.push('\n');
     out.push_str(&render_overhead(events));
     out.push('\n');
-    let delays = message_delays_us(events);
-    if !delays.is_empty() {
-        out.push_str(&render_cdf("message delay CDF", &delays, 10));
-        out.push('\n');
-    }
+    let mut block = |title: &str, unit: &str, samples: &[u64]| {
+        if !samples.is_empty() {
+            out.push_str(&render_cdf(title, unit, samples, 10));
+            out.push('\n');
+        }
+    };
+    block("message delay CDF", "µs", &message_delays_us(events));
     for (phase, samples) in session_delays_us(events) {
-        out.push_str(&render_cdf(
+        block(
             &format!("{} session delay CDF", phase.name()),
+            "µs",
             &samples,
-            10,
-        ));
-        out.push('\n');
+        );
     }
-    out.push_str(&MetricsRegistry::from_trace(events).render());
+    for (phase, samples) in query_gaps_us(events) {
+        block(
+            &format!("{} query-round gap CDF", phase.name()),
+            "µs",
+            &samples,
+        );
+    }
+    block(
+        "retransmits per message CDF",
+        "retx",
+        &retransmits_per_message(events),
+    );
+    block("queue depth CDF", "B", &queue_depths(events));
     out
 }
 
@@ -356,46 +422,95 @@ mod tests {
 
     #[test]
     fn message_delay_pairs_sent_and_delivered() {
-        let events = vec![
-            TraceEvent {
-                at_us: 100,
-                node: 3,
-                phase: Phase::Transport,
-                kind: TraceKind::MessageSent {
-                    seq: 7,
-                    bytes: 64,
-                    class: 2,
-                },
-            },
-            TraceEvent {
-                at_us: 450,
-                node: 8,
-                phase: Phase::Transport,
-                kind: TraceKind::MessageDelivered {
-                    origin: 3,
-                    seq: 7,
-                    bytes: 64,
-                    overheard: false,
-                },
-            },
-        ];
+        let events = parse(&[
+            r#"{"t":100,"node":3,"phase":"transport","kind":"message_sent","seq":7,"bytes":64,"class":2}"#,
+            r#"{"t":450,"node":8,"phase":"transport","kind":"message_delivered","origin":3,"seq":7,"bytes":64,"overheard":false}"#,
+        ]);
         assert_eq!(message_delays_us(&events), vec![350]);
+    }
+
+    /// Events from JSONL trace lines, the schema `pds-obs` reads.
+    fn parse(lines: &[&str]) -> Vec<TraceEvent> {
+        let parsed = lines.iter().map(|l| crate::json::parse_line(l));
+        parsed.collect::<Result<_, _>>().expect("schema lines")
+    }
+
+    /// A consumer (n0) running two discovery rounds and one retrieval
+    /// query, a relay (n1) forwarding both rounds, an MDR consumer (n3),
+    /// one reliable message acked after two retransmissions and one failed
+    /// without any.
+    fn hand_built_trace() -> Vec<TraceEvent> {
+        parse(&[
+            r#"{"t":100,"node":0,"phase":"pdd","kind":"query_sent","query":1,"session":1,"seq":1}"#,
+            r#"{"t":150,"node":0,"phase":"radio","kind":"queue_depth","bytes":80}"#,
+            r#"{"t":300,"node":1,"phase":"pdd","kind":"query_sent","query":1,"session":0,"seq":1}"#,
+            r#"{"t":1100,"node":0,"phase":"pdd","kind":"query_sent","query":2,"session":1,"seq":2}"#,
+            r#"{"t":1400,"node":1,"phase":"pdd","kind":"query_sent","query":2,"session":0,"seq":2}"#,
+            r#"{"t":2000,"node":0,"phase":"pdr","kind":"query_sent","query":3,"session":2,"seq":3}"#,
+            r#"{"t":2050,"node":3,"phase":"mdr","kind":"query_sent","query":4,"session":1,"seq":1}"#,
+            r#"{"t":2100,"node":0,"phase":"radio","kind":"queue_depth","bytes":1500}"#,
+            r#"{"t":2200,"node":0,"phase":"transport","kind":"message_sent","seq":5,"bytes":900,"class":2}"#,
+            r#"{"t":2500,"node":0,"phase":"transport","kind":"retransmit","seq":5,"frames":3}"#,
+            r#"{"t":2800,"node":0,"phase":"transport","kind":"retransmit","seq":5,"frames":1}"#,
+            r#"{"t":2900,"node":2,"phase":"transport","kind":"message_delivered","origin":0,"seq":5,"bytes":900,"overheard":false}"#,
+            r#"{"t":3000,"node":0,"phase":"transport","kind":"message_acked","seq":5}"#,
+            r#"{"t":3100,"node":0,"phase":"transport","kind":"message_sent","seq":6,"bytes":70,"class":1}"#,
+            r#"{"t":3200,"node":0,"phase":"transport","kind":"message_failed","seq":6}"#,
+        ])
+    }
+
+    #[test]
+    fn summary_census_rows_are_sorted() {
+        let events = hand_built_trace();
+        // Sorted by kind name, then by phase order (pdr before mdr).
+        let census: Vec<_> = event_census(&events).into_iter().collect();
+        let row = |kind, phase, n| ((kind, phase), n);
+        assert_eq!(
+            census,
+            [
+                row("message_acked", Phase::Transport, 1),
+                row("message_delivered", Phase::Transport, 1),
+                row("message_failed", Phase::Transport, 1),
+                row("message_sent", Phase::Transport, 2),
+                row("query_sent", Phase::Pdd, 4),
+                row("query_sent", Phase::Pdr, 1),
+                row("query_sent", Phase::Mdr, 1),
+                row("queue_depth", Phase::Radio, 2),
+                row("retransmit", Phase::Transport, 2),
+            ]
+        );
+        let s = render_summary(&events);
+        assert!(s.contains("\n  query_sent           mdr        1\n"), "{s}");
+    }
+
+    #[test]
+    fn summary_distributions_pin_exact_samples() {
+        let events = hand_built_trace();
+        // Gaps are per (node, phase): n0's and n1's rounds, not the
+        // interleaving of the two; the lone pdr and mdr queries have none.
+        let gaps = query_gaps_us(&events);
+        assert_eq!(gaps.len(), 1, "{gaps:?}");
+        assert_eq!(gaps[&Phase::Pdd], vec![1000, 1100]);
+        assert_eq!(retransmits_per_message(&events), vec![2, 0]);
+        assert_eq!(queue_depths(&events), vec![80, 1500]);
+        assert_eq!(message_delays_us(&events), vec![700]);
+
+        let s = render_summary(&events);
+        assert!(s.contains("pdd query-round gap CDF (n=2)"), "{s}");
+        assert!(s.contains("retransmits per message CDF (n=2)"), "{s}");
+        assert!(s.contains("queue depth CDF (n=2)"), "{s}");
+        assert!(s.contains("1500 B |"), "{s}");
+        assert!(s.contains("2 retx |"), "{s}");
+        assert!(s.contains("1100 µs |"), "{s}");
+        assert!(!s.contains("session delay CDF"), "no session finished: {s}");
     }
 
     #[test]
     fn summary_renders_all_sections() {
         let mut events = vec![tx(1, 0, 100, 1)];
-        events.push(TraceEvent {
-            at_us: 900,
-            node: 0,
-            phase: Phase::Pdd,
-            kind: TraceKind::SessionFinished {
-                session: 1,
-                delay_us: 800,
-                rounds: 2,
-                items: 5,
-            },
-        });
+        events.extend(parse(&[
+            r#"{"t":900,"node":0,"phase":"pdd","kind":"session_finished","session":1,"delay_us":800,"rounds":2,"items":5}"#,
+        ]));
         let s = render_summary(&events);
         assert!(s.contains("2 events"), "{s}");
         assert!(s.contains("tx_start"), "{s}");

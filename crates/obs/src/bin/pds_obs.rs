@@ -1,18 +1,18 @@
 //! `pds-obs` — trace-analysis CLI for PDS JSONL traces.
 //!
 //! ```text
-//! pds-obs summary <trace.jsonl>            per-phase overhead, delay CDFs,
-//!                                          metrics registry
+//! pds-obs summary <trace.jsonl>            (kind, phase) event census,
+//!                                          per-phase overhead, delay /
+//!                                          round-gap / retransmit /
+//!                                          queue-depth CDFs
 //! pds-obs sessions <trace.jsonl>           cross-node session span table
 //! pds-obs critical-path <trace.jsonl>      per-session delay decomposition
 //!                                          (processing / queueing /
 //!                                          contention / airtime / retx)
-//!                                          + per-phase shares and CDFs
+//!                                          + per-phase shares
 //! pds-obs explain <dump.jsonl>             causal narrative of the most
 //!                                          suspicious session in a
 //!                                          flight-recorder dump
-//! pds-obs cdf <trace.jsonl> [--session]    message (default) or session
-//!                                          delay CDF
 //! pds-obs diff <a.jsonl> <b.jsonl> [--context N]
 //!                                          first diverging event between
 //!                                          two traces
@@ -22,9 +22,8 @@
 //! `2` usage or parse error.
 
 use pds_obs::{
-    explain, first_divergence, message_delays_us, read_trace_file, render_cdf,
-    render_critical_path, render_divergence, render_sessions, render_summary, session_delays_us,
-    TraceEvent,
+    explain, first_divergence, read_trace_file, render_critical_path, render_divergence,
+    render_sessions, render_summary, TraceEvent,
 };
 use std::process::ExitCode;
 
@@ -33,7 +32,6 @@ const USAGE: &str = "usage:
   pds-obs sessions <trace.jsonl>
   pds-obs critical-path <trace.jsonl>
   pds-obs explain <dump.jsonl>
-  pds-obs cdf <trace.jsonl> [--session]
   pds-obs diff <a.jsonl> <b.jsonl> [--context N]";
 
 fn load(path: &str) -> Result<Vec<TraceEvent>, String> {
@@ -42,46 +40,15 @@ fn load(path: &str) -> Result<Vec<TraceEvent>, String> {
 
 fn run(args: &[String]) -> Result<ExitCode, String> {
     match args {
-        [cmd, path] if cmd == "summary" => {
-            print!("{}", render_summary(&load(path)?));
-            Ok(ExitCode::SUCCESS)
-        }
-        [cmd, path] if cmd == "sessions" => {
-            print!("{}", render_sessions(&load(path)?));
-            Ok(ExitCode::SUCCESS)
-        }
-        [cmd, path] if cmd == "critical-path" => {
-            print!("{}", render_critical_path(&load(path)?));
-            Ok(ExitCode::SUCCESS)
-        }
-        [cmd, path] if cmd == "explain" => {
-            print!("{}", explain(&load(path)?));
-            Ok(ExitCode::SUCCESS)
-        }
-        [cmd, path, rest @ ..] if cmd == "cdf" => {
-            let session = match rest {
-                [] => false,
-                [flag] if flag == "--session" => true,
+        [cmd, path] => {
+            let render: fn(&[TraceEvent]) -> String = match cmd.as_str() {
+                "summary" => render_summary,
+                "sessions" => render_sessions,
+                "critical-path" => render_critical_path,
+                "explain" => explain,
                 _ => return Err(USAGE.to_string()),
             };
-            let events = load(path)?;
-            if session {
-                let delays = session_delays_us(&events);
-                if delays.is_empty() {
-                    println!("<no finished sessions in trace>");
-                }
-                for (phase, samples) in delays {
-                    print!(
-                        "{}",
-                        render_cdf(&format!("{} session delay CDF", phase.name()), &samples, 10)
-                    );
-                }
-            } else {
-                print!(
-                    "{}",
-                    render_cdf("message delay CDF", &message_delays_us(&events), 10)
-                );
-            }
+            print!("{}", render(&load(path)?));
             Ok(ExitCode::SUCCESS)
         }
         [cmd, a, b, rest @ ..] if cmd == "diff" => {

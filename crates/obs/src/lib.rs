@@ -1,8 +1,9 @@
 //! Deterministic observability for the PDS reproduction: structured trace
 //! events (vocabulary declared once, in [`event`]'s schema table),
-//! pluggable sinks, a per-phase metrics registry, the analyses behind the
-//! `pds-obs` CLI, and — in [`json`] — the JSONL trace codec together with
-//! the workspace's one JSON reader.
+//! pluggable sinks, the analyses behind the `pds-obs` CLI (each trace
+//! quantity derived once, in [`analysis`] or [`span`], and every
+//! distribution printed by [`render_cdf`]), and — in [`json`] — the JSONL
+//! trace codec together with the workspace's one JSON reader.
 //!
 //! # Design constraints
 //!
@@ -43,7 +44,6 @@ pub mod analysis;
 pub mod event;
 pub mod flight;
 pub mod json;
-pub mod metrics;
 pub mod sink;
 pub mod span;
 
@@ -54,7 +54,6 @@ pub use analysis::{
 pub use event::{class, Phase, TraceEvent, TraceKind};
 pub use flight::FlightRecorder;
 pub use json::{parse_line, read_trace, read_trace_file, to_json, ParseError};
-pub use metrics::{Histogram, MetricsRegistry};
 pub use sink::{JsonlSink, RingSink, TraceSink};
 pub use span::{
     critical_path, explain, render_critical_path, render_sessions, sessions, DelayBreakdown,

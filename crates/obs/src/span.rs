@@ -104,8 +104,6 @@ pub struct SessionSpan {
     /// `SessionFinished` timestamp; `None` if the session never finished
     /// (the shape a recall violation dump has).
     pub finish_us: Option<u64>,
-    /// Reported end-to-end delay from `SessionFinished` (0 if unfinished).
-    pub delay_us: u64,
     /// Rounds / query waves issued.
     pub rounds: u64,
     /// Entries discovered or chunks received.
@@ -275,7 +273,6 @@ pub fn sessions(events: &[TraceEvent]) -> Vec<SessionSpan> {
                         phase: ev.phase,
                         start_us: ev.at_us,
                         finish_us: None,
-                        delay_us: 0,
                         rounds: 0,
                         items: 0,
                         events: Vec::new(),
@@ -285,13 +282,12 @@ pub fn sessions(events: &[TraceEvent]) -> Vec<SessionSpan> {
             }
             TraceKind::SessionFinished {
                 session,
-                delay_us,
                 rounds,
                 items,
+                ..
             } => {
                 if let Some(span) = spans.get_mut(&(ev.node, *session)) {
                     span.finish_us = Some(ev.at_us);
-                    span.delay_us = *delay_us;
                     span.rounds = *rounds;
                     span.items = *items;
                 }
@@ -419,7 +415,7 @@ pub fn render_sessions(events: &[TraceEvent]) -> String {
     let _ = writeln!(
         out,
         "  {:<14} {:<5} {:>10} {:>10} {:>7} {:>6} {:>6} {:>7} {:>6}",
-        "session", "phase", "start_ms", "delay_ms", "rounds", "items", "nodes", "events", "done"
+        "session", "phase", "start_ms", "span_ms", "rounds", "items", "nodes", "events", "done"
     );
     for s in &spans {
         let _ = writeln!(
@@ -441,8 +437,8 @@ pub fn render_sessions(events: &[TraceEvent]) -> String {
 }
 
 /// Renders the critical-path decomposition (`pds-obs critical-path`):
-/// per-session component table, per-phase aggregate shares, and per-phase
-/// session-delay CDFs.
+/// per-session component table (each span's total included) and per-phase
+/// aggregate shares.
 #[must_use]
 pub fn render_critical_path(events: &[TraceEvent]) -> String {
     let spans = sessions(events);
@@ -452,7 +448,7 @@ pub fn render_critical_path(events: &[TraceEvent]) -> String {
         "  {:<14} {:<5} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
         "session", "phase", "total", "proc", "queue", "cont", "air", "retx"
     );
-    let mut by_phase: BTreeMap<Phase, (DelayBreakdown, Vec<u64>)> = BTreeMap::new();
+    let mut by_phase: BTreeMap<Phase, DelayBreakdown> = BTreeMap::new();
     for s in &spans {
         let bd = critical_path(s);
         debug_assert_eq!(bd.total_us(), s.span_us(), "components must sum exactly");
@@ -471,13 +467,12 @@ pub fn render_critical_path(events: &[TraceEvent]) -> String {
         );
         let e = by_phase.entry(s.phase).or_default();
         for (i, us) in bd.us.iter().enumerate() {
-            e.0.us[i] += us;
+            e.us[i] += us;
         }
-        e.1.push(s.span_us());
     }
     out.push('\n');
     out.push_str("aggregate share by phase:\n");
-    for (phase, (bd, _)) in &by_phase {
+    for (phase, bd) in &by_phase {
         let total = bd.total_us().max(1);
         let _ = write!(out, "  {:<5}", phase.name());
         for (i, c) in DelayComponent::ALL.iter().enumerate() {
@@ -489,14 +484,6 @@ pub fn render_critical_path(events: &[TraceEvent]) -> String {
             );
         }
         out.push('\n');
-    }
-    for (phase, (_, delays)) in &by_phase {
-        out.push('\n');
-        out.push_str(&crate::analysis::render_cdf(
-            &format!("{} session delay CDF", phase.name()),
-            delays,
-            10,
-        ));
     }
     out
 }
@@ -836,7 +823,10 @@ mod tests {
         let s = render_critical_path(&events);
         assert!(s.contains("critical-path delay decomposition"), "{s}");
         assert!(s.contains("aggregate share by phase"), "{s}");
-        assert!(s.contains("pdr session delay CDF"), "{s}");
+        // The span totals live in the table; `summary` alone owns the
+        // "session delay CDF" title (the engine-reported delay).
+        assert!(s.contains(&fmt_ms(sessions(&events)[0].span_us())), "{s}");
+        assert!(!s.contains("session delay CDF"), "{s}");
         let story = explain(&events);
         assert!(story.contains("session n0#1 (pdr)"), "{story}");
         assert!(story.contains("airtime"), "{story}");

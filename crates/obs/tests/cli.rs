@@ -158,4 +158,9 @@ fn usage_and_parse_errors_exit_two() {
         .output()
         .expect("run");
     assert_eq!(out.status.code(), Some(2), "unreadable trace is an error");
+    // `summary` prints every CDF; there is no separate `cdf` subcommand.
+    let a = write_trace("no-cdf", &base_trace());
+    let out = bin().arg("cdf").arg(&a).output().expect("run");
+    std::fs::remove_file(&a).ok();
+    assert_eq!(out.status.code(), Some(2), "`cdf` is not a subcommand");
 }

@@ -8,11 +8,12 @@
 //! time — and the same analysis the `pds-obs` CLI runs offline works
 //! in-process:
 //!
-//! 1. an event census (what kinds of events, how many),
-//! 2. the per-phase overhead table (whose bytes were PDD vs PDR),
-//! 3. the message-delay CDF,
-//! 4. the session reports extracted from `session_finished` events,
-//! 5. the causal critical-path decomposition of each session's delay
+//! 1. the summary `pds-obs summary` prints: an event census by kind and
+//!    phase, the per-phase overhead table (whose bytes were PDD vs PDR),
+//!    and CDFs of message delay, session delay, query-round gap,
+//!    retransmissions per message and queue depth,
+//! 2. the session table, each session reconstructed as a cross-node span,
+//! 3. the causal critical-path decomposition of each session's delay
 //!    (queueing / contention / airtime / retransmission / processing).
 //!
 //! Run with: `cargo run --example trace [-- <trace.jsonl>]`
@@ -21,12 +22,8 @@
 
 use bytes::Bytes;
 use pds::core::{ChunkId, DataDescriptor, PdsConfig, PdsNode, QueryFilter};
-use pds::obs::{
-    cdf, message_delays_us, read_trace_file, render_cdf, render_critical_path, render_overhead,
-    JsonlSink, TraceKind,
-};
+use pds::obs::{read_trace_file, render_critical_path, render_sessions, render_summary, JsonlSink};
 use pds::sim::{Position, SimConfig, SimTime, World};
-use std::collections::BTreeMap;
 
 fn main() {
     let trace_path = std::env::args()
@@ -83,54 +80,21 @@ fn main() {
         trace_path.display()
     );
 
-    // -- 3. Event census: what actually happened ---------------------------
-    let mut census: BTreeMap<&'static str, usize> = BTreeMap::new();
-    for ev in &events {
-        *census.entry(ev.kind.name()).or_insert(0) += 1;
-    }
-    println!("event census:");
-    for (kind, count) in &census {
-        println!("  {kind:<20} {count:>7}");
-    }
-
-    // -- 4. Whose bytes? The per-phase overhead decomposition --------------
+    // -- 3. The summary: what happened, whose bytes, how long --------------
     // Discovery traffic (metadata queries and replies) is tiny next to the
-    // chunk transfer; this is the paper's overhead argument in one table.
-    println!("\n{}", render_overhead(&events));
+    // chunk transfer; the overhead table is the paper's overhead argument.
+    print!("{}", render_summary(&events));
 
-    // -- 5. Message delays: submit → first complete delivery ---------------
-    let delays = message_delays_us(&events);
-    println!("{}", render_cdf("message delay CDF", &delays, 8));
-    if let Some((p50, _)) = cdf(&delays).iter().find(|&&(_, p)| p >= 0.5) {
-        println!("median message delay: {:.1} ms", *p50 as f64 / 1e3);
-    }
+    // -- 4. Sessions, reconstructed across nodes ----------------------------
+    // The consumer's query, the relay's forward and the producer's response
+    // correlate back to one session id; `span_ms` is the emission span.
+    println!("{}", render_sessions(&events));
 
-    // -- 6. Session outcomes straight from the trace ------------------------
-    println!("\nconsumer sessions:");
-    for ev in &events {
-        if let TraceKind::SessionFinished {
-            delay_us,
-            rounds,
-            items,
-            ..
-        } = ev.kind
-        {
-            println!(
-                "  n{} {:<4} finished: {} items in {:.2} s over {} round(s)",
-                ev.node,
-                ev.phase.name(),
-                items,
-                delay_us as f64 / 1e6,
-                rounds
-            );
-        }
-    }
-    // -- 7. Where did the time go? The causal critical path ----------------
-    // Sessions are reconstructed across nodes (the consumer's query, the
-    // relay's forward, the producer's response) and every inter-event gap
-    // is charged to queueing, contention, airtime, retransmission or
-    // processing — the components sum exactly to the session delay.
-    println!("\n{}", render_critical_path(&events));
+    // -- 5. Where did the time go? The causal critical path ----------------
+    // Every inter-event gap of a session is charged to queueing,
+    // contention, airtime, retransmission or processing — the components
+    // sum exactly to the session span.
+    println!("{}", render_critical_path(&events));
     println!(
         "inspect the full trace with: pds-obs summary {}",
         trace_path.display()

@@ -8,8 +8,9 @@
 use bytes::Bytes;
 use pds_core::{DataDescriptor, PdsConfig, PdsNode, QueryFilter};
 use pds_obs::{
-    critical_path, first_divergence, phase_overhead, read_trace_file, render_divergence, sessions,
-    DelayComponent, FlightRecorder, JsonlSink, Phase, RingSink, TraceEvent, TraceKind, TraceSink,
+    critical_path, first_divergence, phase_overhead, read_trace_file, render_divergence,
+    render_summary, sessions, DelayComponent, FlightRecorder, JsonlSink, Phase, RingSink,
+    TraceEvent, TraceKind, TraceSink,
 };
 use pds_sim::{Position, SimConfig, SimTime, Stats, World};
 
@@ -221,4 +222,24 @@ fn protocol_phases_appear_in_the_trace() {
             .any(|e| matches!(e.kind, TraceKind::SessionFinished { .. })),
         "consumer sessions must emit SessionFinished"
     );
+}
+
+/// `summary` on a real discovery + retrieval run prints all five
+/// distributions it derives, each with samples: message delay, session
+/// delay, query-round gap, retransmits per message and queue depth.
+#[test]
+fn summary_prints_every_distribution_with_samples() {
+    let summary = render_summary(&traced_events(42));
+    for title in [
+        "message delay CDF",
+        "pdd session delay CDF",
+        "pdr session delay CDF",
+        "query-round gap CDF",
+        "retransmits per message CDF",
+        "queue depth CDF",
+    ] {
+        let block = format!("{title} (n=");
+        assert!(summary.contains(&block), "missing {title:?}:\n{summary}");
+        assert!(!summary.contains(&format!("{block}0)")), "{title} is empty");
+    }
 }
