@@ -7,14 +7,14 @@
 //! - **deterministic counters** (`frames_sent`, `frames_delivered`,
 //!   `events`) must match *exactly* — they are functions of the seed and
 //!   the horizon, so any drift is a silent behavior change, not noise;
-//! - **equality flags** (`stats_equal`, `results_equal`) must be `true`
-//!   in the fresh record;
+//! - **the equality flag** `stats_equal` must be `true` in the fresh
+//!   record;
 //! - **peak heap per node** (`bytes_per_node`) may grow at most 25% —
 //!   the memory diet must not quietly un-diet (a baseline of 0, from a
 //!   record written before the allocator counted unconditionally, is
 //!   skipped);
-//! - **wall times and everything derived from them** (`*_wall_s`,
-//!   `speedup`, `events_per_sec`) are never read: a gate whose tolerance
+//! - **wall times and everything derived from them** (`wall_s`,
+//!   `events_per_sec`) are never read: a gate whose tolerance
 //!   sits inside runner noise is not a measurement. They stay in the
 //!   record as trend lines; the measured costs live in the protocol
 //!   benchmark (`BENCHMARK.json`).
@@ -166,8 +166,6 @@ pub fn check(baseline_json: &str, current_json: &str) -> Result<Verdict, String>
         }
     }
 
-    flag_false(&mut regressions, cur.get("sweep"), "results_equal", "sweep");
-
     // City block: rows are matched by scenario key. Counters and heap are
     // comparable only when both records ran the same node count on the
     // same horizon — nightly 50k vs committed 10k is a different
@@ -239,8 +237,6 @@ mod tests {
             } = self;
             format!(
                 "{{\"bench\": \"sim_scale\", \"quick\": true, \"sim_seconds\": 2, \"cores\": 2,\n\
-                 \"sweep\": {{\"jobs\": 2, \"cores\": 2, \"sequential_wall_s\": {}, \
-                 \"parallel_wall_s\": {}, \"speedup\": {}, \"results_equal\": true}},\n\
                  \"resources\": [{{\"n\": 100, \"events\": {events}, \"frames_sent\": {frames}, \
                  \"frames_delivered\": 900, \"wall_s\": {}, \"events_per_sec\": {}, \
                  \"peak_alloc_bytes\": 1, \"bytes_per_node\": {bytes_per_node}}}],\n\
@@ -249,9 +245,6 @@ mod tests {
                  \"events\": {city_events}, \"wall_s\": {}, \"events_per_sec\": {}, \
                  \"peak_alloc_bytes\": 1, \"bytes_per_node\": {bytes_per_node}, \
                  \"stats_equal\": {city_equal}}}]}}}}",
-                2.8 * wall,
-                2.1 * wall,
-                1.3 * wall,
                 0.03 * wall,
                 2.6e6 * wall,
                 1.1 * wall,
@@ -308,7 +301,7 @@ mod tests {
 
     #[test]
     fn wall_times_are_ignored() {
-        // No wall-derived member is read: every `*wall_s`, `speedup` and
+        // No wall-derived member is read: every `wall_s` and
         // `events_per_sec` ten times worse (and ten times better) passes.
         for wall in [10.0, 0.1] {
             assert!(drift(|r| r.wall = wall).is_empty());
@@ -401,10 +394,10 @@ mod tests {
     fn parser_round_trips_the_committed_shape() {
         let v = parse(&BASE.json()).unwrap();
         assert_eq!(
-            v.get("sweep")
-                .and_then(|s| s.get("speedup"))
+            v.get("city")
+                .and_then(|c| c.get("budget_bytes_per_node"))
                 .and_then(Value::as_f64),
-            Some(1.3)
+            Some(32768.0)
         );
         assert_eq!(
             v.get("resources")

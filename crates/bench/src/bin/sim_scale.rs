@@ -18,13 +18,6 @@
 //! dispatched, frames sent and delivered, event throughput, and peak heap
 //! bytes (this binary installs a counting global allocator).
 //!
-//! `--jobs N` (default: available cores) sets the worker count for the
-//! `"sweep"` block: the node-count × seed grid is run once sequentially
-//! and once through the parallel [`SweepRunner`], the two result vectors
-//! (statistics and replay digest per world) are asserted identical, and both wall times land in the record beside
-//! the host's core count, so readers can tell an honest speedup from an
-//! oversubscribed one.
-//!
 //! `--city-n N` (default 10000) sets the node count for the `"city"`
 //! block: the city-scale scenario family (`pds_bench::city` — stadium
 //! exit, vehicular corridor, disaster relief) run on a fixed 2-second
@@ -41,7 +34,7 @@
 //! workloads by the protocol benchmark (`trace.overhead_ratio`,
 //! `obs.flight_record_ns`, `sim.bare_*_ns_per_event` in `BENCHMARK.json`).
 
-use pds_bench::{CityScenario, SweepRunner, WallClock, CITY_BYTES_PER_NODE_BUDGET};
+use pds_bench::{CityScenario, WallClock, CITY_BYTES_PER_NODE_BUDGET};
 use pds_sim::{
     Application, Context, MessageMeta, Position, SimConfig, SimDuration, SimTime, World,
 };
@@ -224,58 +217,6 @@ fn resources_bench(horizon: SimTime) -> Vec<ResourceRow> {
         .collect()
 }
 
-/// Sequential-vs-parallel sweep benchmark: the node-count × seed grid as
-/// one flat job list, run at 1 worker and at `jobs` workers. Each job
-/// builds its own world from its own seed, so the executor can only change
-/// wall-clock order — asserted by comparing the full result vectors
-/// (statistics and replay digest per job).
-struct SweepBench {
-    jobs: usize,
-    sequential_wall_s: f64,
-    parallel_wall_s: f64,
-    speedup: f64,
-    results_equal: bool,
-}
-
-fn sweep_bench(horizon: SimTime, jobs: usize) -> SweepBench {
-    const SEEDS: [u64; 4] = [11, 22, 33, 44];
-    let points: Vec<(usize, u64)> = NODE_COUNTS
-        .iter()
-        .flat_map(|&n| SEEDS.iter().map(move |&s| (n, s)))
-        .collect();
-    let run_all = |runner: &SweepRunner| -> (f64, Vec<(pds_sim::Stats, u64)>) {
-        let start = WallClock::start();
-        let stats = runner.run(points.len(), |i| {
-            let (n, seed) = points[i];
-            let mut world = build_world(n, seed);
-            world.run_until(horizon);
-            (world.stats().clone(), world.replay_digest())
-        });
-        (start.elapsed_s(), stats)
-    };
-    let (sequential_wall_s, seq_results) = run_all(&SweepRunner::new(1));
-    let (parallel_wall_s, par_results) = run_all(&SweepRunner::new(jobs));
-    let results_equal = seq_results == par_results;
-    assert!(
-        results_equal,
-        "parallel sweep diverged from sequential run at {jobs} jobs"
-    );
-    let speedup = sequential_wall_s / parallel_wall_s.max(1e-9);
-    println!(
-        "sweep ({} worlds)  sequential {sequential_wall_s:.3}s  \
-         parallel({jobs} jobs) {parallel_wall_s:.3}s  speedup {speedup:.2}x  \
-         results_equal={results_equal}",
-        points.len()
-    );
-    SweepBench {
-        jobs,
-        sequential_wall_s,
-        parallel_wall_s,
-        speedup,
-        results_equal,
-    }
-}
-
 /// Simulated horizon for the city family, independent of `--quick`: the
 /// city block stays comparable between quick and full records, and the
 /// disaster-relief partition window ([0.5 s, 1.2 s)) always falls inside
@@ -365,7 +306,7 @@ fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> 
 }
 
 fn main() -> std::process::ExitCode {
-    const FLAGS: [&str; 5] = ["--quick", "--jobs", "--city-n", "--out", "--check-baseline"];
+    const FLAGS: [&str; 4] = ["--quick", "--city-n", "--out", "--check-baseline"];
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Some(unknown) = args
         .iter()
@@ -389,28 +330,23 @@ fn main() -> std::process::ExitCode {
     // scenario family. The per-push CI run keeps the default; nightly CI
     // passes 50000; 100000 is for manual capacity runs.
     let flags = (
-        flag_value(&args, "--jobs", pds_bench::sweep::jobs()),
         flag_value(&args, "--city-n", 10_000_usize),
         flag_value(&args, "--out", "BENCH_sim_scale.json".to_owned()),
     );
-    let (jobs, city_n, out_path) = match flags {
-        (Ok(jobs), Ok(city_n), Ok(out_path)) => (jobs, city_n.max(1), out_path),
-        (Err(msg), _, _) | (_, Err(msg), _) | (_, _, Err(msg)) => {
+    let (city_n, out_path) = match flags {
+        (Ok(city_n), Ok(out_path)) => (city_n.max(1), out_path),
+        (Err(msg), _) | (_, Err(msg)) => {
             eprintln!("sim_scale: {msg}");
             return std::process::ExitCode::from(2);
         }
     };
-    pds_bench::sweep::set_jobs(jobs);
-    let jobs = pds_bench::sweep::jobs();
     let sim_seconds = if quick { 2.0 } else { 8.0 };
     let horizon = SimTime::from_secs_f64(sim_seconds);
 
-    let sweep = sweep_bench(horizon, jobs);
     let resources = resources_bench(horizon);
     let city_rows = city_bench(city_n);
 
-    // Context for the sweep block: a parallel run with more jobs than
-    // cores measures scheduling pressure, not the executor.
+    // Context for the wall-time columns, which are never gated.
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
     let mut json = String::new();
@@ -419,16 +355,6 @@ fn main() -> std::process::ExitCode {
     let _ = writeln!(json, "  \"quick\": {quick},");
     let _ = writeln!(json, "  \"sim_seconds\": {sim_seconds},");
     let _ = writeln!(json, "  \"cores\": {cores},");
-    let _ = writeln!(
-        json,
-        "  \"sweep\": {{\"jobs\": {}, \"cores\": {cores}, \"sequential_wall_s\": {:.6}, \
-         \"parallel_wall_s\": {:.6}, \"speedup\": {:.3}, \"results_equal\": {}}},",
-        sweep.jobs,
-        sweep.sequential_wall_s,
-        sweep.parallel_wall_s,
-        sweep.speedup,
-        sweep.results_equal
-    );
     let _ = writeln!(json, "  \"resources\": [");
     let res_last = resources.len() - 1;
     for (i, row) in resources.iter().enumerate() {

@@ -1,7 +1,7 @@
 //! `sim_scale` rejects a value flag whose value is missing or unparsable
 //! (exit 2, like an unknown flag) before running anything, instead of
 //! falling back to the default — a bare `--out` would otherwise overwrite
-//! the committed record.
+//! the committed record. The retired `--jobs` is an unknown flag.
 
 #[test]
 fn value_flags_without_a_usable_value_exit_two() {

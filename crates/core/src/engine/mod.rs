@@ -192,11 +192,14 @@ pub struct PdsEngine {
     pub(crate) lqt: LingeringQueryTable,
     pub(crate) cdi: CdiTable,
     pub(crate) recent_responses: DetMap<ResponseId, SimTime>,
-    /// Chunks this node has an outstanding sub-query for (value = that
-    /// query's expiry). Prevents every new upstream from spawning another
-    /// sub-query tree for the same chunk — without it the recursive
-    /// division builds looping query subgraphs and each arriving chunk is
-    /// relayed to dozens of upstreams.
+    /// Chunks this node has an outstanding sub-query for. The value is
+    /// when the mark lapses: `divide_chunks` stores `now +
+    /// PENDING_CHUNK_HORIZON` (8 s), whatever the query's own
+    /// `expires_at` is (ROADMAP item 5 weighs tying it to the PDR
+    /// watchdog instead). Prevents every new upstream from spawning
+    /// another sub-query tree for the same chunk — without it the
+    /// recursive division builds looping query subgraphs and each arriving
+    /// chunk is relayed to dozens of upstreams.
     pub(crate) pending_chunk: DetMap<(ItemName, ChunkId), SimTime>,
     pub(crate) rng: SimRng,
     pub(crate) discovery: Option<DiscoverySession>,

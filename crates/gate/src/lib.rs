@@ -52,6 +52,8 @@ pub const PANIC_LINTS: &[&str] = &[
 pub const HOT_MODULES: &[&str] = &[
     "crates/sim/src/wheel.rs",
     "crates/sim/src/transport.rs",
+    "crates/sim/src/mac.rs",
+    "crates/sim/src/medium.rs",
     "crates/sim/src/world.rs",
     "crates/core/src/engine/mod.rs",
     "crates/core/src/node.rs",

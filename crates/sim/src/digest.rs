@@ -20,26 +20,35 @@ use pds_core::SimTime;
 /// The digest is order- and value-sensitive: every field is folded as its
 /// 8 little-endian bytes, and each event kind contributes a distinct tag so
 /// that, e.g., `TxEnd(5)` and `Control(5)` at the same instant cannot
-/// collide structurally.
+/// collide structurally. It also counts the events it folds: the kernel's
+/// work unit (the denominator of events/s), which is not a protocol
+/// outcome and so not part of `Stats`.
 #[derive(Debug, Clone)]
-pub(crate) struct ReplayDigest(u64);
+pub(crate) struct ReplayDigest {
+    hash: u64,
+    events: u64,
+}
 
 impl Default for ReplayDigest {
     fn default() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
+        Self {
+            hash: 0xcbf2_9ce4_8422_2325,
+            events: 0,
+        }
     }
 }
 
 impl ReplayDigest {
     fn fold(&mut self, x: u64) {
         for b in x.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            self.hash ^= u64::from(b);
+            self.hash = self.hash.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
 
     /// Folds one dispatched event at virtual time `now`.
     pub(crate) fn record(&mut self, now: SimTime, kind: &EventKind) {
+        self.events += 1;
         self.fold(now.as_micros());
         match *kind {
             EventKind::Start(id) => {
@@ -78,7 +87,12 @@ impl ReplayDigest {
 
     /// The digest of everything recorded so far.
     pub(crate) fn value(&self) -> u64 {
-        self.0
+        self.hash
+    }
+
+    /// How many events were recorded so far.
+    pub(crate) fn events(&self) -> u64 {
+        self.events
     }
 }
 

@@ -20,7 +20,7 @@
 //! * With no plan installed the delivery path pays a single
 //!   `Option::is_some` branch (mirroring the trace-sink pattern).
 
-use crate::radio::Frame;
+use crate::radio::{Frame, Transmission};
 use pds_core::NodeId;
 use pds_core::SimRng;
 use pds_core::{SimDuration, SimTime};
@@ -155,10 +155,26 @@ pub(crate) struct PendingDelivery {
     pub frame: Frame,
 }
 
+/// What the installed plan does to one reception that survived the
+/// physical layer and baseline loss.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Fate {
+    /// A partition or silence window cuts the link.
+    Cut,
+    /// Dropped on top of the natural losses.
+    Dropped,
+    /// Diverted: it arrives only at `at`, as pending delivery `pending`.
+    Delayed { at: SimTime, pending: u64 },
+    /// Arrives now, and again at `at` as pending delivery `pending`.
+    Duplicated { at: SimTime, pending: u64 },
+    /// Untouched.
+    Pass,
+}
+
 /// Kernel-side state of an installed [`FaultPlan`].
 #[derive(Debug)]
 pub(crate) struct FaultState {
-    pub plan: FaultPlan,
+    plan: FaultPlan,
     /// The plan-owned rng stream. Never forked from the world rng, so
     /// installing a plan cannot perturb kernel randomness.
     rng: SimRng,
@@ -177,13 +193,35 @@ impl FaultState {
         }
     }
 
+    /// Decides the fate of `tx`'s reception at `r` at `now`: the cut
+    /// check, then the drop, delay and duplicate rolls, in that order, on
+    /// the plan-owned stream. A delayed or duplicated copy is registered
+    /// as a pending delivery; the caller schedules its `FaultDeliver`.
+    pub fn fate(&mut self, tx: &Transmission, r: NodeId, now: SimTime) -> Fate {
+        if self.plan.cuts(tx.sender, r, now) {
+            return Fate::Cut;
+        }
+        if self.roll_drop() {
+            return Fate::Dropped;
+        }
+        if let Some(at) = self.roll_delay(now) {
+            let pending = self.enqueue(r, tx.id, tx.frame.clone());
+            return Fate::Delayed { at, pending };
+        }
+        if let Some(at) = self.roll_dup(now) {
+            let pending = self.enqueue(r, tx.id, tx.frame.clone());
+            return Fate::Duplicated { at, pending };
+        }
+        Fate::Pass
+    }
+
     /// Rolls the extra-drop fault for one reception.
-    pub fn roll_drop(&mut self) -> bool {
+    fn roll_drop(&mut self) -> bool {
         self.plan.drop_prob > 0.0 && self.rng.chance(self.plan.drop_prob)
     }
 
     /// Rolls the delay fault; `Some(at)` diverts the reception to `at`.
-    pub fn roll_delay(&mut self, now: SimTime) -> Option<SimTime> {
+    fn roll_delay(&mut self, now: SimTime) -> Option<SimTime> {
         if self.plan.delay_prob > 0.0 && self.rng.chance(self.plan.delay_prob) {
             Some(now + self.extra_delay())
         } else {
@@ -193,7 +231,7 @@ impl FaultState {
 
     /// Rolls the duplicate fault; `Some(at)` schedules a second delivery
     /// at `at` in addition to the immediate one.
-    pub fn roll_dup(&mut self, now: SimTime) -> Option<SimTime> {
+    fn roll_dup(&mut self, now: SimTime) -> Option<SimTime> {
         if self.plan.dup_prob > 0.0 && self.rng.chance(self.plan.dup_prob) {
             Some(now + self.extra_delay())
         } else {
@@ -206,9 +244,8 @@ impl FaultState {
         SimDuration::from_micros(self.rng.range_u64(1, hi + 1))
     }
 
-    /// Registers a diverted reception; the caller schedules the returned
-    /// id's `FaultDeliver` event.
-    pub fn enqueue(&mut self, receiver: NodeId, tx: u64, frame: Frame) -> u64 {
+    /// Registers a diverted reception under a fresh pending id.
+    fn enqueue(&mut self, receiver: NodeId, tx: u64, frame: Frame) -> u64 {
         let id = self.next_pending;
         self.next_pending += 1;
         self.pending.insert(

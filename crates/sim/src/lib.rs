@@ -63,6 +63,8 @@ mod config;
 mod digest;
 mod events;
 mod fault;
+mod mac;
+mod medium;
 mod radio;
 mod slab;
 mod spatial;

@@ -6,9 +6,8 @@
 //! transmission overlaps in time), half-duplex conflict, or baseline random
 //! loss; see [`World`](crate::World) for the delivery rules.
 
-use crate::config::SimConfig;
-use crate::slab::SeqSlab;
-use crate::spatial::{NodeGrid, TxEntry, TxGrid};
+use crate::medium::Medium;
+use crate::spatial::TxEntry;
 use crate::transport::MessageId;
 use bytes::Bytes;
 use pds_core::NodeId;
@@ -266,20 +265,6 @@ pub(crate) enum PhysOutcome {
     Survivor,
 }
 
-/// Borrowed view of exactly the world state [`phys_verdicts`] reads, so
-/// the function stays pure over the radio state and testable without a
-/// `World`.
-#[derive(Clone, Copy)]
-pub(crate) struct PhysArgs<'a> {
-    pub config: &'a SimConfig,
-    pub transmissions: &'a SeqSlab<Transmission>,
-    /// Live transmission ids per sender, indexed by raw node id (empty
-    /// lists for nodes that are not transmitting).
-    pub tx_by_sender: &'a [Vec<u64>],
-    pub node_grid: &'a NodeGrid,
-    pub tx_grid: &'a TxGrid,
-}
-
 /// How [`phys_verdicts`] settled its receiver decisions (half-duplex ones
 /// excluded): diagnostics, never simulation state. A run whose `fallback`
 /// share is large has left the regime the far-field bound was built for
@@ -298,7 +283,7 @@ pub struct VerdictPaths {
 }
 
 /// Reusable candidate buffers for [`phys_verdicts`] — hot-path
-/// allocations otherwise; the world owns one.
+/// allocations otherwise; the medium owns one.
 #[derive(Debug, Default)]
 pub(crate) struct PhysScratch {
     /// Receiver candidates from the node grid.
@@ -332,8 +317,8 @@ const BOUND_MIN_POWER: f64 = 1e-100;
 /// Computes the physical receive verdicts of `tx`, evaluated at its end
 /// time, into `out` in ascending receiver-id order.
 ///
-/// Pure over its arguments: two calls over equal state produce
-/// bit-identical verdicts.
+/// Pure over the medium: two calls over equal state produce bit-identical
+/// verdicts.
 ///
 /// The capture decision at a receiver is *defined* by the exhaustive f64
 /// interference sum over every interferer in ascending id order. Most
@@ -344,7 +329,7 @@ const BOUND_MIN_POWER: f64 = 1e-100;
 /// contribution at all receivers at once. Only a decision within the
 /// bound's slack of the threshold runs the exhaustive sum, unchanged.
 pub(crate) fn phys_verdicts(
-    a: &PhysArgs<'_>,
+    medium: &Medium,
     tx: &Transmission,
     out: &mut Vec<(NodeId, PhysOutcome)>,
     scratch: &mut PhysScratch,
@@ -352,7 +337,7 @@ pub(crate) fn phys_verdicts(
     // `tx_end` dispatches exactly at the transmission's end time, so every
     // position below is evaluated at `tx.end`.
     let at = tx.end;
-    let radio = &a.config.radio;
+    let radio = &medium.radio;
     let range = radio.range_m;
     let tx_pos = tx.start_pos;
     // Candidates must come out ascending by id: the per-receiver rng rolls
@@ -362,7 +347,7 @@ pub(crate) fn phys_verdicts(
     receivers.clear();
     let cands = &mut scratch.cands_nodes;
     cands.clear();
-    a.node_grid.query_into(tx_pos, range, at, cands);
+    medium.node_grid.query_into(tx_pos, range, at, cands);
     cands.sort_unstable_by_key(|&(r, _)| r);
     cands.dedup_by_key(|&mut (r, _)| r);
     receivers.extend(
@@ -386,7 +371,7 @@ pub(crate) fn phys_verdicts(
     if trunc.is_finite() {
         let cands = &mut scratch.cands_tx;
         cands.clear();
-        a.tx_grid.query_into(tx_pos, trunc + range, cands);
+        medium.tx_grid.query_into(tx_pos, trunc + range, cands);
         cands.sort_unstable_by_key(|t| t.id);
         cands.dedup_by_key(|t| t.id);
         interferers.extend(
@@ -399,7 +384,8 @@ pub(crate) fn phys_verdicts(
         );
     } else {
         interferers.extend(
-            a.transmissions
+            medium
+                .transmissions
                 .values()
                 .filter(|t| keep(t))
                 .map(|t| (t.sender, t.start_pos)),
@@ -455,9 +441,10 @@ pub(crate) fn phys_verdicts(
         if d > range {
             continue;
         }
-        let half_duplex = a.tx_by_sender.get(r.0 as usize).is_some_and(|ids| {
+        let half_duplex = medium.tx_by_sender.get(r.0 as usize).is_some_and(|ids| {
             ids.iter().any(|tid| {
-                a.transmissions
+                medium
+                    .transmissions
                     .get(tid)
                     .is_some_and(|t| t.overlaps(tx.start, tx.end))
             })
@@ -493,7 +480,7 @@ pub(crate) fn phys_verdicts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slab::DenseTable;
+    use crate::config::SimConfig;
 
     #[test]
     fn distance_is_euclidean() {
@@ -594,18 +581,19 @@ mod tests {
     /// checks grid enumeration, the `tx_by_sender` lists and the
     /// far-field bound of [`phys_verdicts`] at once, bit for bit.
     fn oracle_verdicts(scene: &Scene, tx: &Transmission) -> Vec<(NodeId, PhysOutcome)> {
-        let radio = &scene.config.radio;
+        let radio = &scene.medium.radio;
         let range = radio.range_m;
         let trunc = range * radio.interference_range_factor;
         let power = |d: f64| d.max(1.0).powf(-radio.path_loss_exp);
         let concurrent = || {
             scene
+                .medium
                 .transmissions
                 .values()
                 .filter(|t| t.id != tx.id && t.overlaps(tx.start, tx.end))
         };
         let mut out = Vec::new();
-        for (r, m) in scene.motions.iter() {
+        for (r, m) in scene.medium.motions.iter() {
             let rpos = m.position(tx.end);
             if r == tx.sender || tx.start_pos.distance(&rpos) > range {
                 continue;
@@ -630,35 +618,21 @@ mod tests {
         out
     }
 
-    /// Exactly the state [`PhysArgs`] borrows, built by hand, plus the
-    /// authoritative motion table the world keeps beside it.
+    /// A medium built by hand through the kernel's own type.
     struct Scene {
-        config: SimConfig,
-        motions: DenseTable<Motion>,
-        transmissions: SeqSlab<Transmission>,
-        tx_by_sender: Vec<Vec<u64>>,
-        node_grid: NodeGrid,
-        tx_grid: TxGrid,
+        medium: Medium,
     }
 
     impl Scene {
         fn new(config: SimConfig) -> Self {
-            let cell_m = config.radio.range_m;
             Self {
-                config,
-                motions: DenseTable::default(),
-                transmissions: SeqSlab::default(),
-                tx_by_sender: Vec::new(),
-                node_grid: NodeGrid::new(cell_m, SimTime::ZERO),
-                tx_grid: TxGrid::new(cell_m),
+                medium: Medium::new(&config),
             }
         }
 
         fn node(&mut self, motion: Motion) -> NodeId {
-            let id = NodeId(self.tx_by_sender.len() as u32);
-            self.motions.insert(id, motion);
-            self.node_grid.upsert(id, &motion, SimTime::ZERO);
-            self.tx_by_sender.push(Vec::new());
+            let id = NodeId(self.medium.motions.len() as u32);
+            self.medium.place(id, motion, SimTime::ZERO);
             id
         }
 
@@ -668,60 +642,31 @@ mod tests {
 
         /// Puts `sender` on the air over `[start_us, end_us)`.
         fn transmit(&mut self, sender: NodeId, start_us: u64, end_us: u64) -> u64 {
-            let id = self.transmissions.len() as u64;
             let start = SimTime::from_micros(start_us);
             let end = SimTime::from_micros(end_us);
-            let pos = self.motions.get(&sender).expect("node").position(start);
-            self.transmissions.insert(
-                id,
-                Transmission {
-                    id,
-                    sender,
-                    start_pos: pos,
-                    start,
-                    end,
-                    frame: Frame {
-                        sender,
-                        wire_bytes: 100,
-                        class: 0,
-                        kind: FrameKind::Ack {
-                            msg: MessageId {
-                                origin: sender,
-                                seq: 0,
-                            },
-                            received: FragSet::new(1),
-                        },
-                    },
-                },
-            );
-            self.tx_grid.insert(TxEntry {
-                id,
+            let pos = self.medium.position(sender, start).expect("node");
+            let frame = Frame {
                 sender,
-                pos,
-                start,
-                end,
-            });
-            self.tx_by_sender[sender.0 as usize].push(id);
-            id
-        }
-
-        fn args(&self) -> PhysArgs<'_> {
-            PhysArgs {
-                config: &self.config,
-                transmissions: &self.transmissions,
-                tx_by_sender: &self.tx_by_sender,
-                node_grid: &self.node_grid,
-                tx_grid: &self.tx_grid,
-            }
+                wire_bytes: 100,
+                class: 0,
+                kind: FrameKind::Ack {
+                    msg: MessageId {
+                        origin: sender,
+                        seq: 0,
+                    },
+                    received: FragSet::new(1),
+                },
+            };
+            self.medium.begin(sender, pos, start, end, frame)
         }
 
         /// Verdicts of `tx` from the bounded function, checked against
         /// the oracle, plus how they were reached.
         fn verdicts(&self, tx: u64) -> (Vec<(NodeId, PhysOutcome)>, VerdictPaths) {
-            let tx = self.transmissions.get(&tx).expect("transmission");
+            let tx = self.medium.transmissions.get(&tx).expect("transmission");
             let mut scratch = PhysScratch::default();
             let mut got = Vec::new();
-            phys_verdicts(&self.args(), tx, &mut got, &mut scratch);
+            phys_verdicts(&self.medium, tx, &mut got, &mut scratch);
             assert_eq!(
                 got,
                 oracle_verdicts(self, tx),

@@ -17,30 +17,17 @@
 //!   index subtraction; iteration is ascending key order.
 //!
 //! **Generation-checked handles.** Ids in this kernel are never reused:
-//! `next_node`, `next_tx` and `next_ctrl` only ever increment. A monotone
-//! id therefore *is* a generation-checked handle — the degenerate case
-//! where the slot index and the generation coincide. A stale handle (a
-//! scheduled event naming a removed node, a pruned transmission id) can
-//! never alias a newer entry: [`DenseTable::get`] finds an empty slot and
-//! [`SeqSlab::get`] finds the key below its base, both returning `None`.
-//! The `debug_assert` in [`SeqSlab::insert`] pins the monotonicity this
-//! safety rests on.
-//!
-//! [`NodeTable`] adds the struct-of-arrays split on top of [`DenseTable`]:
-//! the radio-phase flags that MAC/TX dispatches touch constantly live in
-//! a parallel byte array (same idiom as the SoA grids in `spatial.rs`),
-//! so the hot path reads one cache line instead of dragging in the whole
-//! per-node struct.
+//! node ids are one past the highest slot ever filled
+//! ([`DenseTable::next_id`]) and sequence keys are allocated by the slab
+//! itself ([`SeqSlab::push_with`]). A monotone id therefore *is* a
+//! generation-checked handle — the degenerate case where the slot index
+//! and the generation coincide. A stale handle (a scheduled event naming
+//! a removed node, a pruned transmission id) can never alias a newer
+//! entry: [`DenseTable::get`] finds an empty slot and [`SeqSlab::get`]
+//! finds the key below its base, both returning `None`.
 
 use pds_core::NodeId;
 use std::collections::VecDeque;
-
-/// Radio-phase flag: the node's radio is currently transmitting.
-pub(crate) const FLAG_TRANSMITTING: u8 = 1 << 0;
-/// Radio-phase flag: a `MacTry` event is already scheduled.
-pub(crate) const FLAG_MAC_SCHEDULED: u8 = 1 << 1;
-/// Radio-phase flag: a `BucketDrain` event is already scheduled.
-pub(crate) const FLAG_BUCKET_SCHEDULED: u8 = 1 << 2;
 
 /// A dense slab indexed by [`NodeId`]. Replaces `BTreeMap<NodeId, T>`
 /// with identical ascending-id iteration order and O(1) lookup.
@@ -81,6 +68,12 @@ impl<T> DenseTable<T> {
 
     pub fn contains_key(&self, id: &NodeId) -> bool {
         self.get(id).is_some()
+    }
+
+    /// The id one past the highest slot ever filled: the next fresh id
+    /// when ids are issued in order and never reused.
+    pub fn next_id(&self) -> NodeId {
+        NodeId(self.slots.len() as u32)
     }
 
     /// Inserts at `id`, growing the slab as needed. Returns the previous
@@ -134,106 +127,6 @@ impl<T> DenseTable<T> {
     }
 }
 
-/// [`DenseTable`] plus a struct-of-arrays split: a parallel byte of hot
-/// radio-phase flags per slot (`FLAG_*`), kept outside the cold per-node
-/// struct so MAC/TX dispatches touch a compact array.
-#[derive(Debug)]
-pub(crate) struct NodeTable<T> {
-    table: DenseTable<T>,
-    flags: Vec<u8>,
-}
-
-impl<T> Default for NodeTable<T> {
-    fn default() -> Self {
-        Self {
-            table: DenseTable::default(),
-            flags: Vec::new(),
-        }
-    }
-}
-
-impl<T> NodeTable<T> {
-    /// Pre-sizes both arrays (see [`DenseTable::reserve`]).
-    pub fn reserve(&mut self, n: usize) {
-        self.table.reserve(n);
-        self.flags.reserve(n.saturating_sub(self.flags.len()));
-    }
-
-    pub fn get(&self, id: &NodeId) -> Option<&T> {
-        self.table.get(id)
-    }
-
-    pub fn get_mut(&mut self, id: &NodeId) -> Option<&mut T> {
-        self.table.get_mut(id)
-    }
-
-    /// The cold struct and the hot flags byte together — the common shape
-    /// of MAC/TX call sites, borrowed disjointly from the two arrays.
-    pub fn parts_mut(&mut self, id: &NodeId) -> Option<(&mut T, &mut u8)> {
-        let state = self.table.get_mut(id)?;
-        let flags = self.flags.get_mut(id.0 as usize)?;
-        Some((state, flags))
-    }
-
-    /// Current flags byte, 0 if the node is gone.
-    #[cfg(test)]
-    pub fn flags(&self, id: &NodeId) -> u8 {
-        if !self.table.contains_key(id) {
-            return 0;
-        }
-        self.flags.get(id.0 as usize).copied().unwrap_or(0)
-    }
-
-    /// Sets or clears one flag bit; no-op if the node is gone.
-    pub fn set_flag(&mut self, id: &NodeId, flag: u8, on: bool) {
-        if let Some((_, flags)) = self.parts_mut(id) {
-            if on {
-                *flags |= flag;
-            } else {
-                *flags &= !flag;
-            }
-        }
-    }
-
-    pub fn contains_key(&self, id: &NodeId) -> bool {
-        self.table.contains_key(id)
-    }
-
-    pub fn insert(&mut self, id: NodeId, value: T) -> Option<T> {
-        let i = id.0 as usize;
-        if self.flags.len() <= i {
-            self.flags.resize(i + 1, 0);
-        }
-        if let Some(f) = self.flags.get_mut(i) {
-            *f = 0;
-        }
-        self.table.insert(id, value)
-    }
-
-    pub fn remove(&mut self, id: &NodeId) -> Option<T> {
-        if let Some(f) = self.flags.get_mut(id.0 as usize) {
-            *f = 0;
-        }
-        self.table.remove(id)
-    }
-
-    pub fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    pub fn keys(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.table.keys()
-    }
-
-    pub fn values(&self) -> impl Iterator<Item = &T> {
-        self.table.values()
-    }
-
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
-        self.table.values_mut()
-    }
-}
-
 /// A base-offset slab for values keyed by a monotone `u64` sequence with
 /// a bounded live window. Replaces `BTreeMap<u64, T>` for transmissions
 /// and scheduled controls: O(1) lookup by subtraction, ascending-key
@@ -262,17 +155,14 @@ impl<T> SeqSlab<T> {
         usize::try_from(key.checked_sub(self.base)?).ok()
     }
 
-    /// Inserts the next value. `key` must be exactly one past the highest
-    /// key ever inserted — callers allocate keys from a monotone counter,
-    /// which is what makes stale handles unambiguous (module docs).
-    pub fn insert(&mut self, key: u64, value: T) {
-        debug_assert_eq!(
-            key,
-            self.base + self.slots.len() as u64,
-            "SeqSlab keys must be allocated monotonically"
-        );
-        self.slots.push_back(Some(value));
+    /// Inserts the value `make` builds from its key, and returns the key:
+    /// one past the highest key ever inserted, so keys are monotone and
+    /// never reused (module docs).
+    pub fn push_with(&mut self, make: impl FnOnce(u64) -> T) -> u64 {
+        let key = self.base + self.slots.len() as u64;
+        self.slots.push_back(Some(make(key)));
         self.live += 1;
+        key
     }
 
     pub fn get(&self, key: &u64) -> Option<&T> {
@@ -341,34 +231,10 @@ mod tests {
     }
 
     #[test]
-    fn node_table_flags_are_per_slot_and_reset_on_insert() {
-        let mut t: NodeTable<u32> = NodeTable::default();
-        t.insert(NodeId(2), 5);
-        assert_eq!(t.flags(&NodeId(2)), 0);
-        t.set_flag(&NodeId(2), FLAG_TRANSMITTING, true);
-        t.set_flag(&NodeId(2), FLAG_MAC_SCHEDULED, true);
-        assert_eq!(t.flags(&NodeId(2)), FLAG_TRANSMITTING | FLAG_MAC_SCHEDULED);
-        t.set_flag(&NodeId(2), FLAG_TRANSMITTING, false);
-        assert_eq!(t.flags(&NodeId(2)), FLAG_MAC_SCHEDULED);
-        // Flags of a dead node read as 0 and writes are no-ops.
-        t.remove(&NodeId(2));
-        assert_eq!(t.flags(&NodeId(2)), 0);
-        t.set_flag(&NodeId(2), FLAG_TRANSMITTING, true);
-        assert_eq!(t.flags(&NodeId(2)), 0);
-        // parts_mut hands out both halves together.
-        t.insert(NodeId(0), 1);
-        let (v, f) = t.parts_mut(&NodeId(0)).expect("live");
-        *v = 9;
-        *f |= FLAG_BUCKET_SCHEDULED;
-        assert_eq!(t.get(&NodeId(0)), Some(&9));
-        assert_eq!(t.flags(&NodeId(0)), FLAG_BUCKET_SCHEDULED);
-    }
-
-    #[test]
     fn seq_slab_window_advances_and_stale_keys_miss() {
         let mut s: SeqSlab<u64> = SeqSlab::default();
         for k in 0..5u64 {
-            s.insert(k, k * 100);
+            assert_eq!(s.push_with(|key| key * 100), k);
         }
         assert_eq!(s.len(), 5);
         let vals: Vec<u64> = s.values().copied().collect();
@@ -383,7 +249,7 @@ mod tests {
         let vals: Vec<u64> = s.values().copied().collect();
         assert_eq!(vals, vec![200, 300, 400], "ascending after base advance");
         // New inserts continue the monotone sequence.
-        s.insert(5, 500);
+        assert_eq!(s.push_with(|key| key * 100), 5);
         assert_eq!(s.get(&5), Some(&500));
         assert_eq!(s.len(), 4);
     }
@@ -391,13 +257,13 @@ mod tests {
     #[test]
     fn seq_slab_removing_all_resets_window_to_empty() {
         let mut s: SeqSlab<&'static str> = SeqSlab::default();
-        s.insert(0, "a");
-        s.insert(1, "b");
+        assert_eq!(s.push_with(|_| "a"), 0);
+        assert_eq!(s.push_with(|_| "b"), 1);
         assert_eq!(s.remove(&0), Some("a"));
         assert_eq!(s.remove(&1), Some("b"));
         assert_eq!(s.len(), 0);
         assert_eq!(s.values().count(), 0);
-        s.insert(2, "c");
+        assert_eq!(s.push_with(|_| "c"), 2, "keys are never reused");
         assert_eq!(s.get(&2), Some(&"c"));
         assert_eq!(s.remove(&2), Some("c"));
         assert_eq!(s.remove(&2), None);

@@ -4,6 +4,8 @@
 //! messages" (§VI-A); [`Stats::bytes_sent`] counts every on-air byte —
 //! data fragments, retransmissions and acks alike.
 
+use crate::radio::{Frame, FrameKind};
+
 /// On-air data bytes split by protocol phase (traffic class).
 ///
 /// Carried by every data frame as a one-byte class tag (see
@@ -104,6 +106,22 @@ pub struct Stats {
 }
 
 impl Stats {
+    /// Counts one frame going on the air: the single site where on-air
+    /// bytes are counted, so `data_bytes_by_phase.total() ==
+    /// data_bytes_sent` holds exactly.
+    pub(crate) fn count_on_air(&mut self, frame: &Frame) {
+        let wire = frame.wire_bytes as u64;
+        self.frames_sent += 1;
+        self.bytes_sent += wire;
+        match frame.kind {
+            FrameKind::Data { .. } => {
+                self.data_bytes_sent += wire;
+                self.data_bytes_by_phase.add(frame.class, wire);
+            }
+            FrameKind::Ack { .. } => self.ack_bytes_sent += wire,
+        }
+    }
+
     /// Counter-wise difference `self - earlier` (saturating), for measuring
     /// a window between two snapshots.
     #[must_use]

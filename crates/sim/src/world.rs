@@ -1,5 +1,7 @@
-//! The simulation kernel: event loop, MAC/medium arbitration, pacing,
-//! delivery and node lifecycle.
+//! The simulation kernel: the event loop, the application host, and the
+//! glue that carries frames between the transport, the MAC
+//! ([`crate::mac`]), the medium ([`crate::medium`]) and the fault seam
+//! ([`crate::fault`]).
 
 #![deny(
     clippy::unwrap_used,
@@ -11,20 +13,15 @@
     clippy::indexing_slicing
 )]
 
-use crate::config::{SenderMode, SimConfig};
+use crate::config::SimConfig;
 use crate::events::{EventKind, EventQueue};
-use crate::fault::{FaultPlan, FaultState};
-use crate::radio::{
-    phys_verdicts, Frame, FrameKind, Motion, PhysArgs, PhysOutcome, PhysScratch, Position,
-    Transmission, VerdictPaths,
-};
-use crate::slab::{
-    DenseTable, NodeTable, SeqSlab, FLAG_BUCKET_SCHEDULED, FLAG_MAC_SCHEDULED, FLAG_TRANSMITTING,
-};
-use crate::spatial::{NodeGrid, TxEntry, TxGrid};
+use crate::fault::{Fate, FaultPlan, FaultState};
+use crate::mac::{self, Mac, Offer, Release, SendClass};
+use crate::medium::Medium;
+use crate::radio::{Frame, FrameKind, Motion, PhysOutcome, Position, Transmission, VerdictPaths};
+use crate::slab::{DenseTable, SeqSlab};
 use crate::stats::{NodeStats, Stats};
 use crate::transport::{MessageId, RetrPlan, Transport};
-use crate::wheel::TimerWheel;
 use bytes::Bytes;
 use pds_core::SimRng;
 use pds_core::{Application, Command, Context, MessageHandle, MessageMeta, NodeId, TimerId};
@@ -32,7 +29,6 @@ use pds_core::{SimDuration, SimTime};
 use pds_det::DetMap;
 use pds_obs::{Phase, TraceEvent, TraceKind, TraceSink};
 use std::any::Any;
-use std::collections::VecDeque;
 
 /// Interval between transport garbage-collection sweeps.
 const SWEEP_INTERVAL: SimDuration = SimDuration::from_secs(5);
@@ -40,21 +36,8 @@ const SWEEP_INTERVAL: SimDuration = SimDuration::from_secs(5);
 const DELIVERED_HORIZON: SimDuration = SimDuration::from_secs(60);
 /// How long incomplete reassembly state is retained after the last fragment.
 const STALE_HORIZON: SimDuration = SimDuration::from_secs(30);
-/// Upper bound of the random pre-transmission defer that desynchronizes
-/// nodes deciding to transmit at the same instant (the DCF contention
-/// window analogue; collisions happen when two defers land within the
-/// sensing delay of each other).
-const INITIAL_DEFER: SimDuration = SimDuration::from_micros(600);
 /// Upper bound of the random jitter before an ack transmission.
 const ACK_JITTER: SimDuration = SimDuration::from_millis(10);
-
-/// Priority class of an outgoing frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SendClass {
-    Data,
-    Repair,
-    Ack,
-}
 
 #[derive(Debug)]
 enum TimerKind {
@@ -63,50 +46,15 @@ enum TimerKind {
     AckSend(MessageId),
 }
 
-/// Cold per-node state, stored inline in the node slab. The hot
-/// radio-phase bools (`transmitting`, `mac_scheduled`, `bucket_scheduled`)
-/// live in the slab's parallel flags array ([`NodeTable`]) — the
-/// struct-of-arrays split that keeps per-dispatch MAC checks on a compact
-/// byte array instead of this struct.
+/// Per-node state, stored inline in the node slab.
 struct NodeState {
     app: Box<dyn Application>,
     transport: Transport,
-    // Leaky bucket (unused in RawUdp mode).
-    bucket_queue: VecDeque<Frame>,
-    bucket_tokens: f64,
-    bucket_last: SimTime,
-    // OS UDP send buffer + MAC.
-    os_buffer: VecDeque<Frame>,
-    os_used: usize,
+    mac: Mac,
     timers: DetMap<TimerId, TimerKind>,
     msg_seq: u64,
     rng: SimRng,
     stats: NodeStats,
-}
-
-impl NodeState {
-    fn new(now: SimTime, rng: SimRng, bucket_capacity: f64) -> Self {
-        Self {
-            app: Box::new(NoopApp),
-            transport: Transport::new(),
-            bucket_queue: VecDeque::new(),
-            bucket_tokens: bucket_capacity,
-            bucket_last: now,
-            os_buffer: VecDeque::new(),
-            os_used: 0,
-            timers: DetMap::default(),
-            msg_seq: 0,
-            rng,
-            stats: NodeStats::default(),
-        }
-    }
-}
-
-/// Placeholder application swapped out immediately in `add_node`.
-struct NoopApp;
-impl Application for NoopApp {
-    fn on_start(&mut self, _ctx: &mut Context) {}
-    fn on_message(&mut self, _ctx: &mut Context, _meta: MessageMeta, _payload: Bytes) {}
 }
 
 type ControlFn = Box<dyn FnOnce(&mut World) + Send>;
@@ -118,62 +66,20 @@ pub struct World {
     config: SimConfig,
     now: SimTime,
     queue: EventQueue,
-    /// Dense node slab indexed by [`NodeId`], with the hot radio-phase
-    /// flags split into a parallel byte array (DESIGN.md §16). Iterates
+    /// Dense node slab indexed by [`NodeId`] (DESIGN.md §16). Iterates
     /// ascending by id, exactly like the `BTreeMap` it replaced.
-    nodes: NodeTable<NodeState>,
-    /// Motions of all alive nodes, keyed identically to `nodes`. Kept
-    /// outside [`NodeState`] so position lookups (grid re-bucketing,
-    /// physical verdicts) borrow a compact table, not the node slab.
-    motions: DenseTable<Motion>,
-    /// Active (and recently finished) transmissions, keyed by monotone tx
-    /// id in a base-offset slab sized to the live window. Iterates in
-    /// ascending id order, the order every interference sum folds in (f64
-    /// addition is not associative).
-    transmissions: SeqSlab<Transmission>,
-    /// Spatial index over node positions (receiver/neighbor queries).
-    node_grid: NodeGrid,
-    /// Spatial index over transmission start positions (carrier sense).
-    tx_grid: TxGrid,
-    /// Live transmission ids per sender, indexed by raw node id, for O(1)
-    /// half-duplex checks. Entries outlive their node (pruning still needs
-    /// them) and empty lists cost nothing.
-    tx_by_sender: Vec<Vec<u64>>,
-    /// Transmission end times, for amortized-O(1) pruning instead of map
-    /// sweeps. Same wheel primitive as the event queue (DESIGN.md §11);
-    /// pop order equals the old `BinaryHeap<Reverse<(end, tx_id)>>` because
-    /// tx ids are pushed in ascending order.
-    tx_prune: TimerWheel<u64>,
-    /// Reusable carrier-sense candidate buffer (avoids per-event allocs).
-    cs_scratch: Vec<TxEntry>,
-    /// Reusable candidate buffers for inline physical-verdict computes.
-    phys_scratch: PhysScratch,
-    /// Reusable verdict and delivery lists — hot-path allocations
-    /// otherwise.
-    vd_scratch: Vec<(NodeId, PhysOutcome)>,
-    dl_scratch: Vec<NodeId>,
-    /// Reusable leaky-bucket release buffer.
-    rel_scratch: Vec<Frame>,
-    /// Reusable neighbor-query result buffer ([`World::neighbors`]).
-    nbr_scratch: Vec<NodeId>,
-    /// Reusable neighbor-query candidate buffer.
-    nbr_cands: Vec<(NodeId, Motion)>,
-    /// Reusable fragmentation buffer, recycled through
-    /// [`Transport::send_message`] so large sends stop allocating a fresh
-    /// `Vec<Frame>` per message.
-    frame_scratch: Vec<Frame>,
-    /// Reusable application command buffer, threaded through [`Context`].
-    cmd_scratch: Vec<Command>,
-    next_node: u32,
-    next_tx: u64,
-    next_timer: u64,
-    next_ctrl: u64,
+    nodes: DenseTable<NodeState>,
+    /// Node motions, transmissions and the spatial indexes over them.
+    medium: Medium,
     /// Scheduled control closures, keyed by monotone id in a base-offset
     /// slab (they fire roughly in issue order, so the window stays small).
     controls: SeqSlab<ControlFn>,
+    next_timer: u64,
+    /// The one shared kernel stream: busy backoff, initial defer,
+    /// baseline loss and ack jitter draw from it, so their commit order
+    /// is part of the replay contract.
     rng: SimRng,
     stats: Stats,
-    max_airtime: SimDuration,
     /// Structured trace sink; `None` (the default) keeps every emission
     /// site a single branch. Sinks observe, never influence: installing
     /// one must not change replay digests, stats, or rng consumption.
@@ -182,16 +88,15 @@ pub struct World {
     /// delivery path at a single branch. Fault decisions consume only the
     /// plan-owned rng, so faultless and no-op-plan runs are bit-identical.
     faults: Option<Box<FaultState>>,
-    /// Kernel events dispatched so far. Always-on (one add per dispatch):
-    /// the denominator of the bench resource accounting's events/sec and
-    /// the natural progress unit for long adversarial runs. Deliberately
-    /// not part of [`Stats`] — it counts kernel work, not protocol
-    /// outcomes.
-    events_dispatched: u64,
-    /// Running digest of the dispatched event stream (DESIGN.md §8).
-    /// Always on, like `events_dispatched`, so every build can answer
-    /// "did this run replay?".
+    /// Running digest and count of the dispatched event stream (DESIGN.md
+    /// §8). Always on, so every build can answer "did this run replay?".
     digest: crate::digest::ReplayDigest,
+    /// Reusable buffers: application commands (threaded through
+    /// [`Context`]), fragments (recycled through
+    /// [`Transport::send_message`]), and one transmission's receivers.
+    cmd_scratch: Vec<Command>,
+    frame_scratch: Vec<Frame>,
+    rx_scratch: Vec<(NodeId, PhysOutcome)>,
 }
 
 impl World {
@@ -207,68 +112,24 @@ impl World {
     /// the physics).
     #[must_use]
     pub fn new(config: SimConfig, seed: u64) -> Self {
-        let radio = &config.radio;
-        assert!(
-            radio.path_loss_exp.is_finite() && radio.path_loss_exp >= 0.0,
-            "path_loss_exp must be finite and >= 0 (got {})",
-            radio.path_loss_exp
-        );
-        assert!(
-            radio.capture_sinr.is_finite() && radio.capture_sinr >= 0.0,
-            "capture_sinr must be finite and >= 0 (got {})",
-            radio.capture_sinr
-        );
-        let max_airtime = config.radio.frame_airtime(config.radio.max_frame_bytes);
-        // One cell per radio range: a decode-range query probes at most
-        // 3×3 cells.
-        let cell_m = config.radio.range_m;
-        // Carrier sense and (with a finite interference horizon) the
-        // interference pre-scan query this grid with wider radii; sizing
-        // its cells to the largest such radius keeps every probe at 3×3
-        // cells.
-        let tx_reach = if config.radio.interference_range_factor.is_finite() {
-            config
-                .radio
-                .cs_range_factor
-                .max(config.radio.interference_range_factor + 1.0)
-        } else {
-            config.radio.cs_range_factor
-        };
-        let tx_cell_m = cell_m * tx_reach.max(1.0);
         let mut queue = EventQueue::new();
         queue.push(SimTime::ZERO + SWEEP_INTERVAL, EventKind::Sweep);
         Self {
+            medium: Medium::new(&config),
             config,
             now: SimTime::ZERO,
             queue,
-            nodes: NodeTable::default(),
-            motions: DenseTable::default(),
-            transmissions: SeqSlab::default(),
-            node_grid: NodeGrid::new(cell_m, SimTime::ZERO),
-            tx_grid: TxGrid::new(tx_cell_m),
-            tx_by_sender: Vec::new(),
-            tx_prune: TimerWheel::new(),
-            cs_scratch: Vec::new(),
-            phys_scratch: PhysScratch::default(),
-            vd_scratch: Vec::new(),
-            dl_scratch: Vec::new(),
-            rel_scratch: Vec::new(),
-            nbr_scratch: Vec::new(),
-            nbr_cands: Vec::new(),
-            frame_scratch: Vec::new(),
-            cmd_scratch: Vec::new(),
-            next_node: 0,
-            next_tx: 0,
-            next_timer: 0,
-            next_ctrl: 0,
+            nodes: DenseTable::default(),
             controls: SeqSlab::default(),
+            next_timer: 0,
             rng: SimRng::new(seed),
             stats: Stats::default(),
-            max_airtime,
             sink: None,
             faults: None,
-            events_dispatched: 0,
             digest: crate::digest::ReplayDigest::default(),
+            cmd_scratch: Vec::new(),
+            frame_scratch: Vec::new(),
+            rx_scratch: Vec::new(),
         }
     }
 
@@ -319,18 +180,6 @@ impl World {
         self.faults = Some(Box::new(FaultState::new(plan)));
     }
 
-    /// Removes the installed fault plan, returning it. Receptions already
-    /// diverted to a delayed delivery are dropped with it.
-    pub fn take_faults(&mut self) -> Option<FaultPlan> {
-        self.faults.take().map(|f| f.plan)
-    }
-
-    /// Whether a fault plan is currently installed.
-    #[must_use]
-    pub fn faults_enabled(&self) -> bool {
-        self.faults.is_some()
-    }
-
     /// Highest retransmission attempt any tracked message has reached on
     /// any currently alive node — DST evidence for the bounded-retry
     /// invariant (`attempt ≤ max_retr + frag_count/8` by construction).
@@ -374,10 +223,12 @@ impl World {
         &self.stats
     }
 
-    /// Total kernel events dispatched since construction.
+    /// Total kernel events dispatched since construction: the denominator
+    /// of the bench resource accounting's events/sec and the natural
+    /// progress unit for long adversarial runs.
     #[must_use]
     pub fn events_dispatched(&self) -> u64 {
-        self.events_dispatched
+        self.digest.events()
     }
 
     /// How the physical verdicts of this world were settled: by the
@@ -385,7 +236,7 @@ impl World {
     /// observational; see DESIGN.md §18.
     #[must_use]
     pub fn verdict_paths(&self) -> VerdictPaths {
-        self.phys_scratch.paths
+        self.medium.verdict_paths()
     }
 
     /// Traffic counters for one node, if alive.
@@ -409,9 +260,7 @@ impl World {
     /// bucket and in the OS send buffer.
     #[must_use]
     pub fn queue_depths(&self, id: NodeId) -> Option<(usize, usize)> {
-        self.nodes
-            .get(&id)
-            .map(|n| (n.bucket_queue.iter().map(|f| f.wire_bytes).sum(), n.os_used))
+        self.nodes.get(&id).map(|n| n.mac.depths())
     }
 
     /// Pre-sizes the node slabs for `n` nodes. Purely an allocation hint:
@@ -420,24 +269,24 @@ impl World {
     /// transient peak-heap spikes). Never changes behavior.
     pub fn reserve_nodes(&mut self, n: usize) {
         self.nodes.reserve(n);
-        self.motions.reserve(n);
+        self.medium.reserve(n);
     }
 
     /// Adds a node at `pos` running `app`; `on_start` fires at the current
     /// time. Returns the new node's id.
     pub fn add_node(&mut self, pos: Position, app: Box<dyn Application>) -> NodeId {
-        let id = NodeId(self.next_node);
-        self.next_node += 1;
-        let rng = self.rng.fork(u64::from(id.0) | 1 << 32);
-        let capacity = match self.config.sender {
-            SenderMode::RawUdp => 0.0,
-            SenderMode::LeakyBucket { capacity_bytes, .. } => capacity_bytes as f64,
+        let id = self.nodes.next_id();
+        let state = NodeState {
+            app,
+            transport: Transport::new(),
+            mac: Mac::new(self.now, self.config.sender),
+            timers: DetMap::default(),
+            msg_seq: 0,
+            rng: self.rng.fork(u64::from(id.0) | 1 << 32),
+            stats: NodeStats::default(),
         };
-        let mut state = NodeState::new(self.now, rng, capacity);
-        state.app = app;
-        let motion = Motion::stationary(pos, self.now);
-        self.node_grid.upsert(id, &motion, self.now);
-        self.motions.insert(id, motion);
+        self.medium
+            .place(id, Motion::stationary(pos, self.now), self.now);
         self.nodes.insert(id, state);
         self.queue.push(self.now, EventKind::Start(id));
         id
@@ -448,8 +297,7 @@ impl World {
     /// reaches receivers.
     pub fn remove_node(&mut self, id: NodeId) {
         self.nodes.remove(&id);
-        self.motions.remove(&id);
-        self.node_grid.remove(id);
+        self.medium.remove(id);
     }
 
     /// Whether the node is currently in the world.
@@ -477,35 +325,30 @@ impl World {
     /// are ~1–1.5 m/s); it stops on arrival.
     pub fn move_node(&mut self, id: NodeId, dest: Position, speed_mps: f64) {
         let now = self.now;
-        let Some(cur) = self.motions.get_mut(&id) else {
+        let Some(from) = self.medium.position(id, now) else {
             return;
         };
-        let from = cur.position(now);
         let motion = Motion {
             from,
             to: dest,
             depart: now,
             speed_mps,
         };
-        *cur = motion;
-        self.node_grid.upsert(id, &motion, now);
+        self.medium.place(id, motion, now);
     }
 
     /// Teleports `id` to `pos` (scenario setup only).
     pub fn set_position(&mut self, id: NodeId, pos: Position) {
-        let now = self.now;
-        let Some(cur) = self.motions.get_mut(&id) else {
-            return;
-        };
-        let motion = Motion::stationary(pos, now);
-        *cur = motion;
-        self.node_grid.upsert(id, &motion, now);
+        if self.is_alive(id) {
+            self.medium
+                .place(id, Motion::stationary(pos, self.now), self.now);
+        }
     }
 
     /// Current position of `id`, if alive.
     #[must_use]
     pub fn position(&self, id: NodeId) -> Option<Position> {
-        self.motions.get(&id).map(|m| m.position(self.now))
+        self.medium.position(id, self.now)
     }
 
     /// Alive nodes currently within radio range of `id` (excluding itself),
@@ -517,22 +360,7 @@ impl World {
     /// allocation this query used to pay, which matters at city scale
     /// where protocol layers poll neighborhoods every dispatch.
     pub fn neighbors(&mut self, id: NodeId) -> &[NodeId] {
-        self.nbr_scratch.clear();
-        let Some(pos) = self.position(id) else {
-            return &self.nbr_scratch;
-        };
-        let range = self.config.radio.range_m;
-        self.nbr_cands.clear();
-        self.node_grid
-            .query_into(pos, range, self.now, &mut self.nbr_cands);
-        self.nbr_cands.sort_unstable_by_key(|&(r, _)| r);
-        self.nbr_cands.dedup_by_key(|&mut (r, _)| r);
-        for &(r, m) in &self.nbr_cands {
-            if r != id && m.position(self.now).distance(&pos) <= range {
-                self.nbr_scratch.push(r);
-            }
-        }
-        &self.nbr_scratch
+        self.medium.neighbors(id, self.now)
     }
 
     /// Schedules `f` to run at time `at` with full mutable access to the
@@ -541,9 +369,7 @@ impl World {
     /// everything a `World` owns, so whole worlds can move to sweep worker
     /// threads (see `pds-bench`).
     pub fn schedule(&mut self, at: SimTime, f: impl FnOnce(&mut World) + Send + 'static) {
-        let id = self.next_ctrl;
-        self.next_ctrl += 1;
-        self.controls.insert(id, Box::new(f));
+        let id = self.controls.push_with(|_| Box::new(f));
         self.queue.push(at.max(self.now), EventKind::Control(id));
     }
 
@@ -555,12 +381,6 @@ impl World {
         (state.app.as_ref() as &dyn Any).downcast_ref::<T>()
     }
 
-    /// Mutable access to a node's application.
-    pub fn app_mut<T: Application>(&mut self, id: NodeId) -> Option<&mut T> {
-        let state = self.nodes.get_mut(&id)?;
-        (state.app.as_mut() as &mut dyn Any).downcast_mut::<T>()
-    }
-
     /// Invokes `f` on node `id`'s application with a live [`Context`], so
     /// external drivers (scenario scripts, scheduled closures) can trigger
     /// protocol actions that send messages or arm timers. Returns `None` if
@@ -570,27 +390,13 @@ impl World {
         id: NodeId,
         f: impl FnOnce(&mut T, &mut Context) -> R,
     ) -> Option<R> {
-        let now = self.now;
-        let next_timer = self.next_timer;
-        let trace_on = self.sink.is_some();
-        let mut buf = std::mem::take(&mut self.cmd_scratch);
-        buf.clear();
-        let state = self.nodes.get_mut(&id)?;
-        let msg_seq = state.msg_seq;
-        let NodeState { app, rng, .. } = state;
-        let app = (app.as_mut() as &mut dyn Any).downcast_mut::<T>()?;
-        let mut ctx = Context::new(now, id, next_timer, msg_seq, rng, buf, trace_on);
-        let out = f(app, &mut ctx);
-        let (mut commands, next_timer, next_msg) = ctx.finish();
-        self.next_timer = next_timer;
-        if next_msg != msg_seq {
-            if let Some(state) = self.nodes.get_mut(&id) {
-                state.msg_seq = next_msg;
+        let mut out = None;
+        self.call_app(id, |app, ctx| {
+            if let Some(app) = (app as &mut dyn Any).downcast_mut::<T>() {
+                out = Some(f(app, ctx));
             }
-        }
-        self.apply_commands(id, &mut commands);
-        self.cmd_scratch = commands;
-        Some(out)
+        });
+        out
     }
 
     /// An independent random stream for scenario-level decisions.
@@ -603,13 +409,13 @@ impl World {
     pub fn run_until(&mut self, horizon: SimTime) {
         while let Some((at, kind)) = self.pop_event(horizon) {
             self.now = at.max(self.now);
-            self.refresh_node_grid();
+            self.medium.refresh(self.now);
             self.dispatch(kind);
         }
         self.now = self.now.max(horizon);
         // Leave exact buckets behind so post-run queries (scenario code
         // inspecting neighborhoods) need no staleness padding.
-        self.refresh_node_grid();
+        self.medium.refresh(self.now);
     }
 
     /// Pops the next due event off the scheduler. Factored out of
@@ -621,23 +427,6 @@ impl World {
         self.queue.pop_until(horizon)
     }
 
-    /// Re-buckets moving nodes once the grid is older than the configured
-    /// re-bucket interval. Until then, queries stay exact by padding their
-    /// radius with the maximum possible drift.
-    fn refresh_node_grid(&mut self) {
-        let now = self.now;
-        let stamp = self.node_grid.stamp();
-        if now <= stamp || now.since(stamp) < self.config.spatial.rebucket_interval {
-            return;
-        }
-        let Self {
-            node_grid, motions, ..
-        } = self;
-        #[cfg(feature = "prof")]
-        let _t = crate::prof::ScopeTimer::start(crate::prof::SCOPE_GRID);
-        node_grid.rebucket(now, |id| motions.get(&id).copied());
-    }
-
     /// Runs for `span` beyond the current time.
     pub fn run_for(&mut self, span: SimDuration) {
         let horizon = self.now + span;
@@ -645,49 +434,20 @@ impl World {
     }
 
     fn dispatch(&mut self, kind: EventKind) {
-        self.events_dispatched += 1;
         self.digest.record(self.now, &kind);
         if self.sink.is_some() {
             self.trace_kernel(&kind);
         }
         #[cfg(feature = "prof")]
         let _timer = crate::prof::DispatchTimer::start(crate::prof::slot_of(&kind));
-        self.dispatch_inner(kind);
-    }
-
-    /// Mirrors the dispatched event stream — exactly what the replay
-    /// digest folds — into the trace, so `pds-obs diff` of two traces
-    /// explains any digest mismatch down to the first diverging event.
-    fn trace_kernel(&mut self, kind: &EventKind) {
-        let (node, tk) = match *kind {
-            EventKind::Start(id) => (id.0, TraceKind::NodeStart),
-            EventKind::MacTry { node, deferred } => (node.0, TraceKind::MacTry { deferred }),
-            EventKind::TxEnd(tx) => (
-                self.transmissions.get(&tx).map_or(u32::MAX, |t| t.sender.0),
-                TraceKind::TxEnd { tx },
-            ),
-            EventKind::BucketDrain(node) => (node.0, TraceKind::BucketDrain),
-            EventKind::Timer { node, id } => (node.0, TraceKind::TimerFired { timer: id.0 }),
-            EventKind::Control(ctrl) => (u32::MAX, TraceKind::Control { ctrl }),
-            EventKind::Sweep => (u32::MAX, TraceKind::Sweep),
-            EventKind::FaultDeliver(fault) => (
-                self.faults
-                    .as_ref()
-                    .and_then(|f| f.pending.get(&fault))
-                    .map_or(u32::MAX, |p| p.receiver.0),
-                TraceKind::FaultDeliver { fault },
-            ),
-        };
-        self.emit(node, Phase::Kernel, tk);
-    }
-
-    fn dispatch_inner(&mut self, kind: EventKind) {
         match kind {
             EventKind::Start(id) => self.call_app(id, |app, ctx| app.on_start(ctx)),
             EventKind::MacTry { node, deferred } => self.mac_try(node, deferred),
             EventKind::TxEnd(tx) => self.tx_end(tx),
             EventKind::BucketDrain(node) => {
-                self.nodes.set_flag(&node, FLAG_BUCKET_SCHEDULED, false);
+                if let Some(state) = self.nodes.get_mut(&node) {
+                    state.mac.bucket_woken();
+                }
                 self.drain_bucket(node);
             }
             EventKind::Timer { node, id } => self.fire_timer(node, id),
@@ -707,13 +467,40 @@ impl World {
         }
     }
 
-    // ---- application callbacks -------------------------------------------
+    /// Mirrors the dispatched event stream — exactly what the replay
+    /// digest folds — into the trace, so `pds-obs diff` of two traces
+    /// explains any digest mismatch down to the first diverging event.
+    fn trace_kernel(&mut self, kind: &EventKind) {
+        let (node, tk) = match *kind {
+            EventKind::Start(id) => (id.0, TraceKind::NodeStart),
+            EventKind::MacTry { node, deferred } => (node.0, TraceKind::MacTry { deferred }),
+            EventKind::TxEnd(tx) => (
+                self.medium
+                    .transmissions
+                    .get(&tx)
+                    .map_or(u32::MAX, |t| t.sender.0),
+                TraceKind::TxEnd { tx },
+            ),
+            EventKind::BucketDrain(node) => (node.0, TraceKind::BucketDrain),
+            EventKind::Timer { node, id } => (node.0, TraceKind::TimerFired { timer: id.0 }),
+            EventKind::Control(ctrl) => (u32::MAX, TraceKind::Control { ctrl }),
+            EventKind::Sweep => (u32::MAX, TraceKind::Sweep),
+            EventKind::FaultDeliver(fault) => (
+                self.faults
+                    .as_ref()
+                    .and_then(|f| f.pending.get(&fault))
+                    .map_or(u32::MAX, |p| p.receiver.0),
+                TraceKind::FaultDeliver { fault },
+            ),
+        };
+        self.emit(node, Phase::Kernel, tk);
+    }
+
+    // ---- application host -------------------------------------------------
 
     fn call_app(&mut self, id: NodeId, f: impl FnOnce(&mut dyn Application, &mut Context)) {
         #[cfg(feature = "prof")]
         let _t = crate::prof::ScopeTimer::start(crate::prof::SCOPE_ENGINE);
-        let now = self.now;
-        let next_timer = self.next_timer;
         let trace_on = self.sink.is_some();
         let mut buf = std::mem::take(&mut self.cmd_scratch);
         buf.clear();
@@ -723,15 +510,11 @@ impl World {
         };
         let msg_seq = state.msg_seq;
         let NodeState { app, rng, .. } = state;
-        let mut ctx = Context::new(now, id, next_timer, msg_seq, rng, buf, trace_on);
+        let mut ctx = Context::new(self.now, id, self.next_timer, msg_seq, rng, buf, trace_on);
         f(app.as_mut(), &mut ctx);
         let (mut commands, next_timer, next_msg) = ctx.finish();
         self.next_timer = next_timer;
-        if next_msg != msg_seq {
-            if let Some(state) = self.nodes.get_mut(&id) {
-                state.msg_seq = next_msg;
-            }
-        }
+        state.msg_seq = next_msg;
         self.apply_commands(id, &mut commands);
         self.cmd_scratch = commands;
     }
@@ -773,29 +556,20 @@ impl World {
         intended: Vec<NodeId>,
         class: u8,
     ) {
-        let mut plan = {
-            let Self {
-                config,
-                nodes,
-                stats,
-                frame_scratch,
-                ..
-            } = self;
-            let Some(state) = nodes.get_mut(&id) else {
-                return;
-            };
-            stats.messages_sent += 1;
-            state.transport.send_message(
-                id,
-                handle.0,
-                handle,
-                payload,
-                intended,
-                class,
-                config,
-                std::mem::take(frame_scratch),
-            )
+        let Some(state) = self.nodes.get_mut(&id) else {
+            return;
         };
+        self.stats.messages_sent += 1;
+        let mut plan = state.transport.send_message(
+            id,
+            handle.0,
+            handle,
+            payload,
+            intended,
+            class,
+            &self.config,
+            std::mem::take(&mut self.frame_scratch),
+        );
         if self.sink.is_some() {
             let bytes: u64 = plan.frames.iter().map(|f| f.wire_bytes as u64).sum();
             self.emit(
@@ -814,245 +588,102 @@ impl World {
         self.frame_scratch = plan.frames;
     }
 
-    // ---- pacing: leaky bucket and OS buffer ------------------------------
+    // ---- MAC glue: pacing, OS buffer, contention -------------------------
 
     fn pace_frame(&mut self, id: NodeId, frame: Frame, class: SendClass) {
-        match self.config.sender {
-            SenderMode::RawUdp => self.enqueue_os(id, frame, class == SendClass::Ack),
-            SenderMode::LeakyBucket { .. } => match class {
-                // Acks bypass the bucket: tiny and latency-critical.
-                SendClass::Ack => self.enqueue_os(id, frame, true),
-                // Retransmitted fragments jump the (possibly megabytes
-                // deep) data queue: a chunk missing one fragment must not
-                // wait for the whole backlog to drain before it can repair.
-                SendClass::Repair => {
-                    if let Some(state) = self.nodes.get_mut(&id) {
-                        state.bucket_queue.push_front(frame);
-                    }
-                    self.drain_bucket(id);
-                }
-                SendClass::Data => {
-                    if let Some(state) = self.nodes.get_mut(&id) {
-                        state.bucket_queue.push_back(frame);
-                    }
-                    self.drain_bucket(id);
-                }
-            },
+        let Some(state) = self.nodes.get_mut(&id) else {
+            return;
+        };
+        match state.mac.admit(frame, class, self.config.sender) {
+            Some(frame) => self.enqueue_os(id, frame, class == SendClass::Ack),
+            None => self.drain_bucket(id),
         }
     }
 
     fn drain_bucket(&mut self, id: NodeId) {
-        let SenderMode::LeakyBucket {
-            capacity_bytes,
-            rate_bps,
-        } = self.config.sender
-        else {
-            return;
-        };
-        let os_cap = if self.config.radio.os_backpressure {
-            self.config.radio.os_buffer_bytes
-        } else {
-            usize::MAX // prototype regime: inject regardless; enqueue_os drops
-        };
-        let now = self.now;
-        let rate_bytes = rate_bps / 8.0;
-        let mut release = std::mem::take(&mut self.rel_scratch);
-        release.clear();
-        let mut schedule_in: Option<SimDuration> = None;
-        {
-            let Some((state, flags)) = self.nodes.parts_mut(&id) else {
+        loop {
+            let Some(state) = self.nodes.get_mut(&id) else {
                 return;
             };
-            let dt = now.since(state.bucket_last).as_secs_f64();
-            state.bucket_tokens =
-                (state.bucket_tokens + dt * rate_bytes).min(capacity_bytes as f64);
-            state.bucket_last = now;
-            let mut os_projected = state.os_used;
-            while let Some(front) = state.bucket_queue.front() {
-                let wire = front.wire_bytes;
-                let need = wire as f64;
-                // Backpressure: a paced sender observes a full OS buffer
-                // (blocking send / occupancy check) and waits for the MAC to
-                // drain instead of dropping; `mac_try` re-drains the bucket
-                // after each dequeue.
-                if os_projected + wire > os_cap {
-                    break;
+            match state.mac.release(&self.config, self.now) {
+                Release::Frame(frame) => self.enqueue_os(id, frame, false),
+                Release::Wake(at) => {
+                    self.queue.push(at, EventKind::BucketDrain(id));
+                    return;
                 }
-                if state.bucket_tokens + 1e-9 >= need {
-                    state.bucket_tokens -= need;
-                    os_projected += wire;
-                    if let Some(frame) = state.bucket_queue.pop_front() {
-                        release.push(frame);
-                    }
-                } else {
-                    if *flags & FLAG_BUCKET_SCHEDULED == 0 {
-                        let wait = (need - state.bucket_tokens) / rate_bytes;
-                        *flags |= FLAG_BUCKET_SCHEDULED;
-                        schedule_in = Some(SimDuration::from_secs_f64(wait.max(1e-6)));
-                    }
-                    break;
-                }
+                Release::Hold => return,
             }
-        }
-        for frame in release.drain(..) {
-            self.enqueue_os(id, frame, false);
-        }
-        self.rel_scratch = release;
-        if let Some(delay) = schedule_in {
-            self.queue.push(now + delay, EventKind::BucketDrain(id));
         }
     }
 
     fn enqueue_os(&mut self, id: NodeId, frame: Frame, priority: bool) {
-        let cap = self.config.radio.os_buffer_bytes;
-        let now = self.now;
-        let mut dropped_msg = None;
-        let mut dropped_bytes = None;
-        let mut queued_depth = None;
-        let mut schedule_mac = false;
-        {
-            let Some((state, flags)) = self.nodes.parts_mut(&id) else {
-                return;
-            };
-            if state.os_used + frame.wire_bytes > cap {
-                // The OS silently discards the datagram (§V-2).
-                self.stats.frames_dropped_os += 1;
-                dropped_bytes = Some(frame.wire_bytes as u64);
-                if let FrameKind::Data { msg, .. } = frame.kind {
-                    dropped_msg = Some(msg);
-                }
-            } else {
-                state.os_used += frame.wire_bytes;
-                queued_depth = Some(state.os_used as u64);
-                if priority {
-                    state.os_buffer.push_front(frame);
-                } else {
-                    state.os_buffer.push_back(frame);
-                }
-                if *flags & (FLAG_TRANSMITTING | FLAG_MAC_SCHEDULED) == 0 {
-                    *flags |= FLAG_MAC_SCHEDULED;
-                    schedule_mac = true;
-                }
-            }
-        }
-        if self.sink.is_some() {
-            if let Some(bytes) = dropped_bytes {
-                self.emit(id.0, Phase::Radio, TraceKind::FrameDroppedOs { bytes });
-            }
-            if let Some(bytes) = queued_depth {
+        let Some(state) = self.nodes.get_mut(&id) else {
+            return;
+        };
+        match state.mac.offer(frame, priority, &self.config.radio) {
+            Offer::Queued { depth, try_now } => {
+                let bytes = depth as u64;
                 self.emit(id.0, Phase::Radio, TraceKind::QueueDepth { bytes });
+                if try_now {
+                    self.try_mac_now(id);
+                }
             }
-        }
-        if schedule_mac {
-            self.queue.push(
-                now,
-                EventKind::MacTry {
-                    node: id,
-                    deferred: false,
-                },
-            );
-        }
-        if let Some(msg) = dropped_msg {
-            self.frame_done(id, msg);
+            Offer::Dropped(frame) => {
+                self.stats.frames_dropped_os += 1;
+                let bytes = frame.wire_bytes as u64;
+                self.emit(id.0, Phase::Radio, TraceKind::FrameDroppedOs { bytes });
+                if let FrameKind::Data { msg, .. } = frame.kind {
+                    self.frame_done(id, msg);
+                }
+            }
         }
     }
 
-    // ---- MAC: carrier sense, defer, transmit -----------------------------
+    /// Schedules a fresh contention attempt for `id` at the current time.
+    fn try_mac_now(&mut self, node: NodeId) {
+        let kind = EventKind::MacTry {
+            node,
+            deferred: false,
+        };
+        self.queue.push(self.now, kind);
+    }
 
     fn mac_try(&mut self, id: NodeId, deferred: bool) {
         let now = self.now;
-        let cs_range = self.config.radio.range_m * self.config.radio.cs_range_factor;
-        let sense_delay = self.config.radio.sense_delay;
-        let backoff_max = self.config.radio.backoff_max.as_micros();
-        let Some((state, flags)) = self.nodes.parts_mut(&id) else {
+        let Some(state) = self.nodes.get_mut(&id) else {
             return;
         };
-        if *flags & FLAG_TRANSMITTING != 0 || state.os_buffer.is_empty() {
-            *flags &= !FLAG_MAC_SCHEDULED;
+        if !state.mac.wants_air() {
             return;
         }
-        let Some(pos) = self.motions.get(&id).map(|m| m.position(now)) else {
+        let Some(pos) = self.medium.position(id, now) else {
             return;
         };
-        // Carrier sense: any ongoing transmission within the (extended)
-        // sense range that has been on the air long enough to detect. The
-        // grid carries the sense-relevant fields inline, so the scan never
-        // touches the transmission map; `max` is order-independent, so the
-        // unspecified query order is fine.
-        let mut cands = std::mem::take(&mut self.cs_scratch);
-        cands.clear();
-        self.tx_grid.query_into(pos, cs_range, &mut cands);
-        let busy_until = cands
-            .iter()
-            .filter(|t| {
-                t.end > now
-                    && t.sender != id
-                    && t.start + sense_delay <= now
-                    && t.pos.distance(&pos) <= cs_range
-            })
-            .map(|t| t.end)
-            .max();
-        self.cs_scratch = cands;
-        if let Some(until) = busy_until {
-            let backoff = if backoff_max > 0 {
-                self.rng.range_u64(0, backoff_max)
-            } else {
-                0
-            };
-            self.queue.push(
-                until + SimDuration::from_micros(backoff),
-                EventKind::MacTry {
-                    node: id,
-                    deferred: false,
-                },
-            );
-            return;
-        }
-        if !deferred {
-            let defer = self.rng.range_u64(0, INITIAL_DEFER.as_micros().max(1));
-            self.queue.push(
-                now + SimDuration::from_micros(defer),
-                EventKind::MacTry {
-                    node: id,
-                    deferred: true,
-                },
-            );
+        let busy = self.medium.busy_until(id, pos, now);
+        if let Some((at, deferred)) =
+            mac::contend(busy, deferred, now, &self.config.radio, &mut self.rng)
+        {
+            self.queue
+                .push(at, EventKind::MacTry { node: id, deferred });
             return;
         }
         // Transmit.
-        let Some((state, flags)) = self.nodes.parts_mut(&id) else {
+        let Some(state) = self.nodes.get_mut(&id) else {
             return;
         };
-        let Some(frame) = state.os_buffer.pop_front() else {
-            *flags &= !FLAG_MAC_SCHEDULED;
+        let Some((frame, wake_bucket)) = state.mac.dequeue() else {
             return;
         };
-        state.os_used = state.os_used.saturating_sub(frame.wire_bytes);
-        // The OS buffer drained: wake a backpressured leaky bucket.
-        let wake_bucket = !state.bucket_queue.is_empty() && *flags & FLAG_BUCKET_SCHEDULED == 0;
         if wake_bucket {
-            *flags |= FLAG_BUCKET_SCHEDULED;
+            // The OS buffer drained under a backpressured leaky bucket.
             self.queue.push(now, EventKind::BucketDrain(id));
         }
-        *flags = (*flags | FLAG_TRANSMITTING) & !FLAG_MAC_SCHEDULED;
-        state.stats.frames_sent += 1;
-        state.stats.bytes_sent += frame.wire_bytes as u64;
-        self.stats.frames_sent += 1;
-        self.stats.bytes_sent += frame.wire_bytes as u64;
         let wire = frame.wire_bytes as u64;
+        state.stats.frames_sent += 1;
+        state.stats.bytes_sent += wire;
+        self.stats.count_on_air(&frame);
         let frame_class = frame.class;
-        match frame.kind {
-            FrameKind::Data { .. } => {
-                // The single site where on-air data bytes are counted;
-                // splitting here keeps total() == data_bytes_sent exact.
-                self.stats.data_bytes_sent += wire;
-                self.stats.data_bytes_by_phase.add(frame_class, wire);
-            }
-            FrameKind::Ack { .. } => self.stats.ack_bytes_sent += wire,
-        }
-        let duration = self.config.radio.frame_airtime(frame.wire_bytes);
-        // Message identity of the carried payload, captured before the
-        // frame moves into the transmission table: `origin#seq` is the
+        // Message identity of the carried payload: `origin#seq` is the
         // correlation key tying this frame to its transport message and —
         // through the protocol layer's `QuerySent`/`ResponseSent` events —
         // to the consumer session it serves.
@@ -1061,229 +692,120 @@ impl World {
                 (u64::from(msg.origin.0), msg.seq)
             }
         };
-        let tx_id = self.next_tx;
-        self.next_tx += 1;
-        self.transmissions.insert(
-            tx_id,
-            Transmission {
-                id: tx_id,
-                sender: id,
-                start_pos: pos,
-                start: now,
-                end: now + duration,
-                frame,
-            },
-        );
-        self.tx_grid.insert(TxEntry {
-            id: tx_id,
-            sender: id,
-            pos,
-            start: now,
-            end: now + duration,
-        });
-        let sender_ix = id.0 as usize;
-        if sender_ix >= self.tx_by_sender.len() {
-            self.tx_by_sender.resize_with(sender_ix + 1, Vec::new);
-        }
-        if let Some(ids) = self.tx_by_sender.get_mut(sender_ix) {
-            ids.push(tx_id);
-        }
-        self.tx_prune.push(now + duration, tx_id);
-        self.queue.push(now + duration, EventKind::TxEnd(tx_id));
-        if self.sink.is_some() {
-            self.emit(
-                id.0,
-                Phase::Radio,
-                TraceKind::TxStart {
-                    tx: tx_id,
-                    origin: msg_origin,
-                    seq: msg_seq,
-                    bytes: wire,
-                    class: u64::from(frame_class),
-                },
-            );
-        }
+        let end = now + self.config.radio.frame_airtime(frame.wire_bytes);
+        let tx_id = self.medium.begin(id, pos, now, end, frame);
+        self.queue.push(end, EventKind::TxEnd(tx_id));
+        let kind = TraceKind::TxStart {
+            tx: tx_id,
+            origin: msg_origin,
+            seq: msg_seq,
+            bytes: wire,
+            class: u64::from(frame_class),
+        };
+        self.emit(id.0, Phase::Radio, kind);
     }
 
     // ---- transmission end: delivery --------------------------------------
 
     fn tx_end(&mut self, tx_id: u64) {
         let now = self.now;
-        let baseline_loss = self.config.radio.baseline_loss;
-        let Some(tx) = self.transmissions.get(&tx_id).cloned() else {
+        let Some(tx) = self.medium.transmissions.get(&tx_id).cloned() else {
             return;
         };
-
         // Sender-side: radio is free again.
-        let mut resume_mac = false;
-        if let Some((state, flags)) = self.nodes.parts_mut(&tx.sender) {
-            *flags &= !FLAG_TRANSMITTING;
-            if !state.os_buffer.is_empty() && *flags & FLAG_MAC_SCHEDULED == 0 {
-                *flags |= FLAG_MAC_SCHEDULED;
-                resume_mac = true;
-            }
-        }
-        if resume_mac {
-            self.queue.push(
-                now,
-                EventKind::MacTry {
-                    node: tx.sender,
-                    deferred: false,
-                },
-            );
-        }
-
-        // Physical verdicts: a pure function of the frozen radio state
-        // (`radio::phys_verdicts`); every rng draw, stat and emission
-        // happens in the commit loop below.
-        let mut verdicts = std::mem::take(&mut self.vd_scratch);
-        verdicts.clear();
+        if self
+            .nodes
+            .get_mut(&tx.sender)
+            .is_some_and(|s| s.mac.tx_done())
         {
-            #[cfg(feature = "prof")]
-            let _t = crate::prof::ScopeTimer::start(crate::prof::SCOPE_PHYS);
-            let mut scratch = std::mem::take(&mut self.phys_scratch);
-            let args = PhysArgs {
-                config: &self.config,
-                transmissions: &self.transmissions,
-                tx_by_sender: &self.tx_by_sender,
-                node_grid: &self.node_grid,
-                tx_grid: &self.tx_grid,
-            };
-            phys_verdicts(&args, &tx, &mut verdicts, &mut scratch);
-            self.phys_scratch = scratch;
+            self.try_mac_now(tx.sender);
         }
-        // Commit: in-range receivers in ascending id order. The
-        // per-receiver baseline-loss rolls below consume the shared rng
-        // stream, so verdict *order* is part of the replay contract.
-        let mut deliveries = std::mem::take(&mut self.dl_scratch);
-        deliveries.clear();
-        for &(r, outcome) in &verdicts {
-            match outcome {
-                PhysOutcome::HalfDuplex => {
-                    self.stats.frames_half_duplex += 1;
-                    self.emit(r.0, Phase::Radio, TraceKind::FrameHalfDuplex { tx: tx_id });
-                    continue;
-                }
-                PhysOutcome::Collided => {
-                    self.stats.frames_collided += 1;
-                    self.emit(r.0, Phase::Radio, TraceKind::FrameCollided { tx: tx_id });
-                    continue;
-                }
-                PhysOutcome::Survivor => {}
-            }
-            if self.rng.chance(baseline_loss) {
-                self.stats.frames_lost_random += 1;
-                self.emit(r.0, Phase::Radio, TraceKind::FrameLostRandom { tx: tx_id });
-                continue;
-            }
-            // Adversarial wire faults (DST layer), decided after the
-            // natural loss processes so the kernel rng stream above stays
-            // untouched; every roll consumes the plan-owned stream only,
-            // and the whole block is one branch when no plan is installed.
-            if self.faults.is_some() {
-                if self.fault_cut(tx.sender, r) {
-                    self.stats.frames_fault_cut += 1;
-                    self.emit(r.0, Phase::Radio, TraceKind::FaultCut { tx: tx_id });
-                    continue;
-                }
-                if self.fault_roll_drop() {
-                    self.stats.frames_fault_dropped += 1;
-                    self.emit(r.0, Phase::Radio, TraceKind::FaultDropped { tx: tx_id });
-                    continue;
-                }
-                if let Some(at) = self.fault_roll_delay() {
-                    self.stats.frames_fault_delayed += 1;
-                    self.emit(r.0, Phase::Radio, TraceKind::FaultDelayed { tx: tx_id });
-                    self.fault_enqueue(r, tx_id, tx.frame.clone(), at);
-                    continue; // counted as delivered when it arrives
-                }
-                if let Some(at) = self.fault_roll_dup() {
-                    self.stats.frames_fault_duplicated += 1;
-                    self.emit(r.0, Phase::Radio, TraceKind::FaultDuplicated { tx: tx_id });
-                    self.fault_enqueue(r, tx_id, tx.frame.clone(), at);
-                    // and fall through: the original copy arrives now.
-                }
-            }
-            self.stats.frames_delivered += 1;
-            if let Some(state) = self.nodes.get_mut(&r) {
-                state.stats.bytes_received += tx.frame.wire_bytes as u64;
-            }
-            if self.sink.is_some() {
-                self.emit(
-                    r.0,
-                    Phase::Radio,
-                    TraceKind::FrameDelivered {
-                        tx: tx_id,
-                        bytes: tx.frame.wire_bytes as u64,
-                    },
-                );
-            }
-            deliveries.push(r);
-        }
-        for &r in &deliveries {
+        // Physical verdicts are a pure function of the frozen medium; every
+        // rng draw, stat and emission happens in `receive`, called in
+        // ascending receiver order (the baseline-loss rolls consume the
+        // shared stream, so verdict *order* is part of the replay
+        // contract). Deliveries run after every receiver is committed.
+        let mut rx = std::mem::take(&mut self.rx_scratch);
+        self.medium.verdicts(&tx, &mut rx);
+        rx.retain(|&(r, outcome)| self.receive(&tx, r, outcome));
+        for &(r, _) in &rx {
             self.deliver_frame(r, &tx.frame);
         }
-        self.vd_scratch = verdicts;
-        self.dl_scratch = deliveries;
-
+        self.rx_scratch = rx;
         // Sender-side transport bookkeeping (retransmission arming).
         if let FrameKind::Data { msg, .. } = tx.frame.kind {
             self.frame_done(tx.sender, msg);
         }
+        self.medium.prune(now);
+    }
 
-        // Prune transmissions that can no longer overlap anything, and
-        // their spatial/per-sender index entries with them.
-        let horizon = now.since(SimTime::ZERO + self.max_airtime + self.max_airtime);
-        let keep_after = SimTime::ZERO + horizon; // now - 2*max_airtime, saturating
-        while let Some((_, id)) = self.tx_prune.pop_until(keep_after) {
-            let Some(t) = self.transmissions.remove(&id) else {
-                continue;
-            };
-            self.tx_grid.remove(id);
-            // Empty per-sender vecs stay in place: the slot is the
-            // sender's identity, and the capacity is reused by its next
-            // transmission.
-            if let Some(ids) = self.tx_by_sender.get_mut(t.sender.0 as usize) {
-                ids.retain(|&x| x != id);
-            }
+    /// Commits one receiver's physical verdict: counts and traces a loss,
+    /// or rolls baseline loss and then the fault plan. Returns whether the
+    /// frame reaches `r` now.
+    fn receive(&mut self, tx: &Transmission, r: NodeId, outcome: PhysOutcome) -> bool {
+        let (now, id, s) = (self.now, tx.id, &mut self.stats);
+        let (counter, kind) = match outcome {
+            PhysOutcome::HalfDuplex => (
+                &mut s.frames_half_duplex,
+                TraceKind::FrameHalfDuplex { tx: id },
+            ),
+            PhysOutcome::Collided => (&mut s.frames_collided, TraceKind::FrameCollided { tx: id }),
+            PhysOutcome::Survivor if self.rng.chance(self.config.radio.baseline_loss) => (
+                &mut s.frames_lost_random,
+                TraceKind::FrameLostRandom { tx: id },
+            ),
+            // Adversarial wire faults (DST layer), rolled after the natural
+            // losses and only on the plan-owned stream.
+            PhysOutcome::Survivor => match self
+                .faults
+                .as_mut()
+                .map_or(Fate::Pass, |f| f.fate(tx, r, now))
+            {
+                Fate::Pass => {
+                    self.count_delivery(r, id, &tx.frame);
+                    return true;
+                }
+                Fate::Cut => (&mut s.frames_fault_cut, TraceKind::FaultCut { tx: id }),
+                Fate::Dropped => (
+                    &mut s.frames_fault_dropped,
+                    TraceKind::FaultDropped { tx: id },
+                ),
+                // Counted as delivered when it arrives.
+                Fate::Delayed { at, pending } => {
+                    self.queue.push(at, EventKind::FaultDeliver(pending));
+                    (
+                        &mut s.frames_fault_delayed,
+                        TraceKind::FaultDelayed { tx: id },
+                    )
+                }
+                // The original copy arrives now as well.
+                Fate::Duplicated { at, pending } => {
+                    self.queue.push(at, EventKind::FaultDeliver(pending));
+                    s.frames_fault_duplicated += 1;
+                    self.emit(r.0, Phase::Radio, TraceKind::FaultDuplicated { tx: id });
+                    self.count_delivery(r, id, &tx.frame);
+                    return true;
+                }
+            },
+        };
+        *counter += 1;
+        self.emit(r.0, Phase::Radio, kind);
+        false
+    }
+
+    /// Reception-side bookkeeping of a frame reaching `r`.
+    fn count_delivery(&mut self, r: NodeId, tx: u64, frame: &Frame) {
+        let bytes = frame.wire_bytes as u64;
+        self.stats.frames_delivered += 1;
+        if let Some(state) = self.nodes.get_mut(&r) {
+            state.stats.bytes_received += bytes;
         }
-    }
-
-    // ---- fault injection (DST) -------------------------------------------
-
-    /// Whether the installed plan cuts sender→receiver right now
-    /// (partition or byzantine silence; consumes no randomness).
-    fn fault_cut(&self, s: NodeId, r: NodeId) -> bool {
-        self.faults
-            .as_ref()
-            .is_some_and(|f| f.plan.cuts(s, r, self.now))
-    }
-
-    fn fault_roll_drop(&mut self) -> bool {
-        self.faults.as_mut().is_some_and(|f| f.roll_drop())
-    }
-
-    fn fault_roll_delay(&mut self) -> Option<SimTime> {
-        let now = self.now;
-        self.faults.as_mut().and_then(|f| f.roll_delay(now))
-    }
-
-    fn fault_roll_dup(&mut self) -> Option<SimTime> {
-        let now = self.now;
-        self.faults.as_mut().and_then(|f| f.roll_dup(now))
-    }
-
-    /// Diverts one reception to a scheduled `FaultDeliver` at `at`.
-    fn fault_enqueue(&mut self, r: NodeId, tx: u64, frame: Frame, at: SimTime) {
-        if let Some(f) = self.faults.as_mut() {
-            let id = f.enqueue(r, tx, frame);
-            self.queue.push(at, EventKind::FaultDeliver(id));
-        }
+        self.emit(r.0, Phase::Radio, TraceKind::FrameDelivered { tx, bytes });
     }
 
     /// A fault-delayed or duplicated reception arrives. Reception-side
-    /// bookkeeping (delivered count, receiver bytes) happens here, at the
-    /// actual delivery instant; the receiver may have churned away since.
+    /// bookkeeping happens here, at the actual delivery instant; the
+    /// receiver may have churned away since.
     fn fault_deliver(&mut self, id: u64) {
         #[cfg(feature = "prof")]
         let _t = crate::prof::ScopeTimer::start(crate::prof::SCOPE_FAULT);
@@ -1293,26 +815,13 @@ impl World {
         if !self.nodes.contains_key(&p.receiver) {
             return;
         }
-        self.stats.frames_delivered += 1;
-        if let Some(state) = self.nodes.get_mut(&p.receiver) {
-            state.stats.bytes_received += p.frame.wire_bytes as u64;
-        }
-        if self.sink.is_some() {
-            self.emit(
-                p.receiver.0,
-                Phase::Radio,
-                TraceKind::FrameDelivered {
-                    tx: p.tx,
-                    bytes: p.frame.wire_bytes as u64,
-                },
-            );
-        }
+        self.count_delivery(p.receiver, p.tx, &p.frame);
         self.deliver_frame(p.receiver, &p.frame);
     }
 
     fn deliver_frame(&mut self, r: NodeId, frame: &Frame) {
         let now = self.now;
-        let ack_cfg = self.config.ack;
+        let ack = self.config.ack;
         match &frame.kind {
             FrameKind::Data {
                 msg,
@@ -1322,188 +831,147 @@ impl World {
                 payload,
                 msg_wire_bytes,
             } => {
-                let plan = {
-                    let Some(state) = self.nodes.get_mut(&r) else {
-                        return;
-                    };
-                    state.transport.on_data_frame(
-                        r,
-                        *msg,
-                        *frag,
-                        *frag_count,
-                        intended,
-                        payload,
-                        *msg_wire_bytes,
-                        frame.sender,
-                        ack_cfg.enabled,
-                        ack_cfg.ack_delay,
-                        now,
-                    )
+                let Some(state) = self.nodes.get_mut(&r) else {
+                    return;
                 };
+                let plan = state.transport.on_data_frame(
+                    r,
+                    *msg,
+                    *frag,
+                    *frag_count,
+                    intended,
+                    payload,
+                    *msg_wire_bytes,
+                    frame.sender,
+                    ack.enabled,
+                    ack.ack_delay,
+                    now,
+                );
                 if let Some(delay) = plan.schedule_ack {
                     let jitter = self.rng.range_u64(0, ACK_JITTER.as_micros().max(1));
-                    let tid = TimerId(self.next_timer);
-                    self.next_timer += 1;
-                    if let Some(state) = self.nodes.get_mut(&r) {
-                        state.timers.insert(tid, TimerKind::AckSend(*msg));
-                        self.queue.push(
-                            now + delay + SimDuration::from_micros(jitter),
-                            EventKind::Timer { node: r, id: tid },
-                        );
-                    }
+                    let at = now + delay + SimDuration::from_micros(jitter);
+                    self.arm_timer(r, at, TimerKind::AckSend(*msg));
                 }
-                if let Some(d) = plan.deliver {
-                    self.stats.messages_delivered += 1;
-                    if let Some(state) = self.nodes.get_mut(&r) {
-                        state.stats.messages_delivered += 1;
-                        if d.overheard {
-                            state.stats.messages_overheard += 1;
-                        }
-                    }
-                    if self.sink.is_some() {
-                        self.emit(
-                            r.0,
-                            Phase::Transport,
-                            TraceKind::MessageDelivered {
-                                origin: u64::from(msg.origin.0),
-                                seq: msg.seq,
-                                bytes: d.wire_bytes as u64,
-                                overheard: d.overheard,
-                            },
-                        );
-                    }
-                    let meta = MessageMeta {
-                        from: d.from,
-                        intended: d.intended,
-                        overheard: d.overheard,
-                        wire_bytes: d.wire_bytes,
-                    };
-                    let payload = d.payload;
-                    self.call_app(r, move |app, ctx| app.on_message(ctx, meta, payload));
+                let Some(d) = plan.deliver else {
+                    return;
+                };
+                self.stats.messages_delivered += 1;
+                if let Some(state) = self.nodes.get_mut(&r) {
+                    state.stats.messages_delivered += 1;
+                    state.stats.messages_overheard += u64::from(d.overheard);
                 }
+                let kind = TraceKind::MessageDelivered {
+                    origin: u64::from(msg.origin.0),
+                    seq: msg.seq,
+                    bytes: d.wire_bytes as u64,
+                    overheard: d.overheard,
+                };
+                self.emit(r.0, Phase::Transport, kind);
+                let meta = MessageMeta {
+                    from: d.from,
+                    intended: d.intended,
+                    overheard: d.overheard,
+                    wire_bytes: d.wire_bytes,
+                };
+                let payload = d.payload;
+                self.call_app(r, move |app, ctx| app.on_message(ctx, meta, payload));
             }
             FrameKind::Ack { msg, received } => {
                 if msg.origin != r {
                     return;
                 }
-                let completed = {
-                    let Some(state) = self.nodes.get_mut(&r) else {
-                        return;
-                    };
-                    state.transport.on_ack_frame(*msg, frame.sender, received)
+                let Some(state) = self.nodes.get_mut(&r) else {
+                    return;
                 };
-                if let Some((handle, timer)) = completed {
-                    if let Some(tid) = timer {
-                        if let Some(state) = self.nodes.get_mut(&r) {
-                            state.timers.remove(&tid);
-                        }
-                    }
-                    self.emit(
-                        r.0,
-                        Phase::Transport,
-                        TraceKind::MessageAcked { seq: msg.seq },
-                    );
-                    self.call_app(r, move |app, ctx| app.on_send_result(ctx, handle, true));
+                let Some((handle, timer)) =
+                    state.transport.on_ack_frame(*msg, frame.sender, received)
+                else {
+                    return;
+                };
+                if let Some(tid) = timer {
+                    state.timers.remove(&tid);
                 }
+                self.emit(
+                    r.0,
+                    Phase::Transport,
+                    TraceKind::MessageAcked { seq: msg.seq },
+                );
+                self.call_app(r, move |app, ctx| app.on_send_result(ctx, handle, true));
             }
         }
     }
 
     fn frame_done(&mut self, sender: NodeId, msg: MessageId) {
-        let now = self.now;
-        let retr_timeout = self.config.ack.retr_timeout;
-        let arm = {
-            let Some(state) = self.nodes.get_mut(&sender) else {
-                return;
-            };
-            state.transport.on_frame_done(msg)
+        let Some(state) = self.nodes.get_mut(&sender) else {
+            return;
         };
-        if arm {
-            let tid = TimerId(self.next_timer);
-            self.next_timer += 1;
+        if state.transport.on_frame_done(msg) {
+            let at = self.now + self.config.ack.retr_timeout;
+            let tid = self.arm_timer(sender, at, TimerKind::Retr(msg));
             if let Some(state) = self.nodes.get_mut(&sender) {
-                state.timers.insert(tid, TimerKind::Retr(msg));
                 state.transport.set_retr_timer(msg, tid);
-                self.queue.push(
-                    now + retr_timeout,
-                    EventKind::Timer {
-                        node: sender,
-                        id: tid,
-                    },
-                );
             }
         }
     }
 
     // ---- timers ----------------------------------------------------------
 
+    /// Arms a kernel timer on `node`, drawing its id from the same
+    /// sequence as application timers.
+    fn arm_timer(&mut self, node: NodeId, at: SimTime, kind: TimerKind) -> TimerId {
+        let id = TimerId(self.next_timer);
+        self.next_timer += 1;
+        if let Some(state) = self.nodes.get_mut(&node) {
+            state.timers.insert(id, kind);
+            self.queue.push(at, EventKind::Timer { node, id });
+        }
+        id
+    }
+
     fn fire_timer(&mut self, node: NodeId, id: TimerId) {
-        let kind = {
-            let Some(state) = self.nodes.get_mut(&node) else {
-                return;
-            };
-            let Some(kind) = state.timers.remove(&id) else {
-                return; // cancelled
-            };
-            kind
+        // Gone, or cancelled.
+        let Some(kind) = self.nodes.get_mut(&node).and_then(|s| s.timers.remove(&id)) else {
+            return;
         };
         match kind {
             TimerKind::App(tag) => self.call_app(node, move |app, ctx| app.on_timer(ctx, tag)),
             TimerKind::AckSend(msg) => {
-                let ack = {
-                    let Some(state) = self.nodes.get_mut(&node) else {
-                        return;
-                    };
-                    state.transport.make_ack(node, msg)
+                let ack = self.nodes.get_mut(&node);
+                let Some(frame) = ack.and_then(|s| s.transport.make_ack(node, msg)) else {
+                    return;
                 };
-                if let Some(frame) = ack {
-                    if self.sink.is_some() {
-                        self.emit(
-                            node.0,
-                            Phase::Transport,
-                            TraceKind::AckSent {
-                                origin: u64::from(msg.origin.0),
-                                seq: msg.seq,
-                                bytes: frame.wire_bytes as u64,
-                            },
-                        );
-                    }
-                    self.pace_frame(node, frame, SendClass::Ack);
-                }
+                let kind = TraceKind::AckSent {
+                    origin: u64::from(msg.origin.0),
+                    seq: msg.seq,
+                    bytes: frame.wire_bytes as u64,
+                };
+                self.emit(node.0, Phase::Transport, kind);
+                self.pace_frame(node, frame, SendClass::Ack);
             }
             TimerKind::Retr(msg) => {
-                let max_retr = self.config.ack.max_retr;
-                let plan = {
-                    let Some(state) = self.nodes.get_mut(&node) else {
-                        return;
-                    };
-                    state.transport.on_retr_timer(node, msg, max_retr)
+                let Some(state) = self.nodes.get_mut(&node) else {
+                    return;
                 };
-                match plan {
+                match state
+                    .transport
+                    .on_retr_timer(node, msg, self.config.ack.max_retr)
+                {
                     RetrPlan::Nothing => {}
                     RetrPlan::GiveUp(handle) => {
                         self.stats.messages_failed += 1;
-                        self.emit(
-                            node.0,
-                            Phase::Transport,
-                            TraceKind::MessageFailed { seq: msg.seq },
-                        );
+                        let kind = TraceKind::MessageFailed { seq: msg.seq };
+                        self.emit(node.0, Phase::Transport, kind);
                         self.call_app(node, move |app, ctx| {
                             app.on_send_result(ctx, handle, false);
                         });
                     }
                     RetrPlan::Retransmit(frames) => {
                         self.stats.frames_retransmitted += frames.len() as u64;
-                        if self.sink.is_some() {
-                            self.emit(
-                                node.0,
-                                Phase::Transport,
-                                TraceKind::Retransmit {
-                                    seq: msg.seq,
-                                    frames: frames.len() as u64,
-                                },
-                            );
-                        }
+                        let kind = TraceKind::Retransmit {
+                            seq: msg.seq,
+                            frames: frames.len() as u64,
+                        };
+                        self.emit(node.0, Phase::Transport, kind);
                         for frame in frames {
                             self.pace_frame(node, frame, SendClass::Repair);
                         }
@@ -1828,14 +1296,17 @@ mod tests {
     /// a filtered query equals a scan of the table.
     fn assert_grids_mirror_tables(w: &mut World) {
         let now = w.now;
-        let nodes: Vec<(NodeId, Motion)> = w.motions.iter().map(|(id, m)| (id, *m)).collect();
-        assert_eq!(w.node_grid.snapshot(), nodes, "node grid at {now}");
+        let nodes: Vec<(NodeId, Motion)> =
+            w.medium.motions.iter().map(|(id, m)| (id, *m)).collect();
+        assert_eq!(w.medium.node_grid.snapshot(), nodes, "node grid at {now}");
         let live: Vec<_> = w
+            .medium
             .transmissions
             .values()
             .map(|t| (t.id, t.sender, t.start_pos, t.start, t.end))
             .collect();
         let indexed: Vec<_> = w
+            .medium
             .tx_grid
             .snapshot()
             .iter()
@@ -1885,7 +1356,7 @@ mod tests {
                     450 => w.set_position(ids[7], Position::new(280.0, 10.0)),
                     _ => {}
                 }
-                in_flight += w.transmissions.len();
+                in_flight += w.medium.transmissions.len();
                 assert_grids_mirror_tables(&mut w);
             }
             assert!(in_flight > 0, "no transmission was ever observed");
