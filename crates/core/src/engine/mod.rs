@@ -234,12 +234,6 @@ impl PdsEngine {
         self.id
     }
 
-    /// The protocol configuration.
-    #[must_use]
-    pub fn config(&self) -> &PdsConfig {
-        &self.config
-    }
-
     /// The node's data store (read access).
     #[must_use]
     pub fn store(&self) -> &DataStore {

@@ -297,7 +297,7 @@ fn entry(owner: u32, k: u32) -> DataDescriptor {
         .build()
 }
 
-/// Producer ids doomed by the plan's churn storms, in removal order:
+/// Producer ids doomed by the spec's churn storms, in removal order:
 /// counted down from the highest id, never the consumer.
 fn doomed_ids(spec: &CaseSpec) -> Vec<Vec<u32>> {
     let consumer = spec.consumer_id();
@@ -322,9 +322,7 @@ fn run_pds(
     sim.radio.baseline_loss = f64::from(spec.loss_ppm) * PPM;
     sim.ack.max_retr = spec.max_retr;
     let mut world = World::new(sim, spec.world_seed);
-    let plan = spec.fault_plan();
-    let storms = plan.storms.clone();
-    world.install_faults(plan);
+    world.install_faults(spec.fault_plan());
     if let Some(s) = sink {
         world.set_trace_sink(s);
     }
@@ -343,7 +341,7 @@ fn run_pds(
     // `rejoin` add fresh (empty) nodes back at the same positions later.
     let doomed = doomed_ids(spec);
     let positions = grid::positions(g, g, grid::SPACING_M);
-    for (storm, victims) in storms.iter().zip(&doomed) {
+    for (storm, victims) in spec.churn_storms().iter().zip(&doomed) {
         for &v in victims {
             let id = ids[v as usize];
             world.schedule(storm.at, move |w| {

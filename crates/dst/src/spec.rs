@@ -7,7 +7,17 @@
 //! pasted from a CI log replays bit-for-bit, with no float-formatting
 //! drift.
 
-use pds_sim::{ChurnStorm, FaultPlan, PartitionWindow, SilenceWindow, SimDuration, SimTime};
+use pds_sim::{FaultPlan, PartitionWindow, SilenceWindow, SimDuration, SimTime};
+
+/// A mass leave/join burst: [`CaseSpec::storm_leave`] producers leave at
+/// `at`, and when `rejoin` is set fresh nodes take their places
+/// `rejoin_after` later.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ChurnStorm {
+    pub at: SimTime,
+    pub rejoin: bool,
+    pub rejoin_after: SimDuration,
+}
 
 /// One part-per-million as a probability.
 pub const PPM: f64 = 1e-6;
@@ -125,16 +135,24 @@ impl CaseSpec {
                 until: SimTime::from_secs_f64(start + horizon_s * 0.1),
             });
         }
-        for i in 0..self.storms {
-            let at = horizon_s * (0.2 + 0.4 * f64::from(i) / f64::from(self.storms.max(1)));
-            plan.storms.push(ChurnStorm {
-                at: SimTime::from_secs_f64(at),
-                leave: self.storm_leave(),
+        plan
+    }
+
+    /// The churn storms this spec describes, placed like the fault
+    /// windows: pure arithmetic over the horizon. The kernel knows nothing
+    /// of them; the pds scenario turns each into scheduled removals and
+    /// rejoins.
+    pub(crate) fn churn_storms(&self) -> Vec<ChurnStorm> {
+        let horizon_s = f64::from(self.horizon_ds) / 10.0;
+        (0..self.storms)
+            .map(|i| ChurnStorm {
+                at: SimTime::from_secs_f64(
+                    horizon_s * (0.2 + 0.4 * f64::from(i) / f64::from(self.storms.max(1))),
+                ),
                 rejoin: i % 2 == 1,
                 rejoin_after: SimDuration::from_secs(2),
-            });
-        }
-        plan
+            })
+            .collect()
     }
 
     /// Total nodes the scenario places.
@@ -357,7 +375,7 @@ mod tests {
         for w in &plan.silences {
             assert!(w.until < spec.horizon());
         }
-        assert_eq!(plan.storms.len(), 1);
+        assert_eq!(spec.churn_storms().len(), 1);
     }
 
     #[test]

@@ -114,12 +114,6 @@ impl TraceStream {
         &self.initial
     }
 
-    /// People currently present (as of the last event pulled).
-    #[must_use]
-    pub fn present_count(&self) -> usize {
-        self.present.len()
-    }
-
     fn rate(&self, per_min: f64) -> f64 {
         per_min * self.multiplier / 60.0
     }
@@ -317,21 +311,6 @@ mod tests {
             assert_eq!(streamed.as_slice(), trace.events());
             // Exhausted stream stays exhausted.
             assert_eq!(stream.next(), None);
-        }
-    }
-
-    #[test]
-    fn stream_present_count_tracks_population() {
-        let p = presets::student_center();
-        let mut stream = TraceStream::new(&p, hour(), 1.0, 5);
-        let mut expected = stream.initial_people().len();
-        while let Some(ev) = stream.next() {
-            match ev.action {
-                TraceAction::Join { .. } => expected += 1,
-                TraceAction::Leave => expected -= 1,
-                TraceAction::Move { .. } => {}
-            }
-            assert_eq!(stream.present_count(), expected);
         }
     }
 }

@@ -2,10 +2,9 @@
 //!
 //! A [`FaultPlan`] describes *wire-level* adversity — extra frame drops,
 //! duplicated deliveries, delayed (and therefore reordered) deliveries,
-//! time-windowed link partitions, and byzantine-silent senders — plus
-//! *scenario-level* churn storms that harnesses apply through scheduled
-//! control closures (the kernel cannot construct applications, so mass
-//! leave/join bursts are data here and actions in `pds-dst`).
+//! time-windowed link partitions, and byzantine-silent senders. Scenario
+//! adversity that needs applications, such as churn storms, belongs to the
+//! harness that builds them (`pds-dst`).
 //!
 //! The determinism contract of DESIGN.md §8 is preserved by construction:
 //!
@@ -20,7 +19,8 @@
 //! * With no plan installed the delivery path pays a single
 //!   `Option::is_some` branch (mirroring the trace-sink pattern).
 
-use crate::radio::{Frame, Transmission};
+use crate::radio::Transmission;
+use crate::transport::Frame;
 use pds_core::NodeId;
 use pds_core::SimRng;
 use pds_core::{SimDuration, SimTime};
@@ -68,22 +68,6 @@ impl SilenceWindow {
     }
 }
 
-/// A mass leave/join burst. The kernel carries this as plan data only; DST
-/// harnesses turn it into `World::schedule` closures (removing `leave`
-/// nodes at `at` and re-adding fresh ones `rejoin_after` later when
-/// `rejoin` is set).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChurnStorm {
-    /// When the burst strikes.
-    pub at: SimTime,
-    /// How many nodes leave at once.
-    pub leave: u32,
-    /// Whether replacements join afterwards.
-    pub rejoin: bool,
-    /// Delay before replacements join (ignored unless `rejoin`).
-    pub rejoin_after: SimDuration,
-}
-
 /// A complete deterministic fault schedule for one run.
 ///
 /// Identical (world seed, plan) pairs replay identically; the plan's own
@@ -105,8 +89,6 @@ pub struct FaultPlan {
     pub partitions: Vec<PartitionWindow>,
     /// Byzantine-silent transmitter windows.
     pub silences: Vec<SilenceWindow>,
-    /// Churn storms, applied by harnesses (see [`ChurnStorm`]).
-    pub storms: Vec<ChurnStorm>,
 }
 
 impl FaultPlan {
@@ -122,7 +104,6 @@ impl FaultPlan {
             delay_max: SimDuration::from_millis(200),
             partitions: Vec::new(),
             silences: Vec::new(),
-            storms: Vec::new(),
         }
     }
 
@@ -295,16 +276,9 @@ mod tests {
     }
 
     #[test]
-    fn noop_plan_is_noop_and_storms_do_not_count() {
+    fn noop_plan_is_noop() {
         let mut p = FaultPlan::none(9);
         assert!(p.is_noop());
-        p.storms.push(ChurnStorm {
-            at: t(1.0),
-            leave: 3,
-            rejoin: true,
-            rejoin_after: SimDuration::from_secs(2),
-        });
-        assert!(p.is_noop(), "storms are harness-side, not wire-side");
         p.drop_prob = 0.1;
         assert!(!p.is_noop());
     }

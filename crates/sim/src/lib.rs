@@ -77,7 +77,7 @@ mod world;
 pub mod prof;
 
 pub use config::{AckConfig, RadioConfig, SenderMode, SimConfig, SpatialConfig};
-pub use fault::{ChurnStorm, FaultPlan, PartitionWindow, SilenceWindow};
+pub use fault::{FaultPlan, PartitionWindow, SilenceWindow};
 pub use radio::{Position, VerdictPaths};
 pub use stats::{EnergyModel, NodeStats, PhaseBytes, Stats};
 pub use wheel::TimerWheel;

@@ -19,7 +19,7 @@
 )]
 
 use crate::config::{RadioConfig, SenderMode, SimConfig};
-use crate::radio::Frame;
+use crate::transport::Frame;
 use pds_core::{SimDuration, SimRng, SimTime};
 use std::collections::VecDeque;
 
@@ -254,8 +254,7 @@ pub(crate) fn contend(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::radio::{FragSet, FrameKind};
-    use crate::transport::MessageId;
+    use crate::transport::{FragSet, FrameKind, MessageId};
     use pds_core::NodeId;
 
     fn frame(seq: u64, wire_bytes: usize) -> Frame {
@@ -274,9 +273,7 @@ mod tests {
     }
 
     fn seq_of(f: &Frame) -> u64 {
-        match &f.kind {
-            FrameKind::Data { msg, .. } | FrameKind::Ack { msg, .. } => msg.seq,
-        }
+        f.msg().seq
     }
 
     /// A 3 KB bucket refilling at 8 KB/s in front of a 4 KB buffer.

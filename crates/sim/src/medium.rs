@@ -21,10 +21,11 @@
 
 use crate::config::{RadioConfig, SimConfig};
 use crate::radio::{
-    phys_verdicts, Frame, Motion, PhysOutcome, PhysScratch, Position, Transmission, VerdictPaths,
+    phys_verdicts, Motion, PhysOutcome, PhysScratch, Position, Transmission, VerdictPaths,
 };
 use crate::slab::{DenseTable, SeqSlab};
 use crate::spatial::{NodeGrid, TxEntry, TxGrid};
+use crate::transport::Frame;
 use crate::wheel::TimerWheel;
 use pds_core::{NodeId, SimDuration, SimTime};
 

@@ -1,4 +1,6 @@
-//! Geometry and the on-air representation of frames.
+//! Geometry, transmissions on the air, and their physical verdicts. The
+//! frames they carry are the transport's wire format
+//! ([`crate::transport::Frame`]).
 //!
 //! Propagation is a disk model: a frame transmitted by `s` can be received
 //! by every alive node within `range_m` of `s` — the broadcast/overhearing
@@ -8,12 +10,10 @@
 
 use crate::medium::Medium;
 use crate::spatial::TxEntry;
-use crate::transport::MessageId;
-use bytes::Bytes;
+use crate::transport::Frame;
 use pds_core::NodeId;
 use pds_core::SimTime;
 use std::fmt;
-use std::sync::Arc;
 
 /// A point in the 2-D simulation area, in meters.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -96,138 +96,6 @@ impl Motion {
         }
         self.depart + pds_core::SimDuration::from_secs_f64(total / self.speed_mps)
     }
-}
-
-/// Bit set over fragment indices, used in selective acks.
-///
-/// The first 64 bits live inline: messages rarely fragment past 64
-/// pieces, and the receive path creates one of these per message, so the
-/// common case must not allocate.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub(crate) struct FragSet {
-    word0: u64,
-    spill: Vec<u64>,
-    count: u32,
-}
-
-impl FragSet {
-    pub fn new(frag_count: u32) -> Self {
-        let words = (frag_count as usize).div_ceil(64).max(1);
-        Self {
-            word0: 0,
-            spill: vec![0; words - 1],
-            count: 0,
-        }
-    }
-
-    /// Sets a bit; returns true if newly set.
-    pub fn set(&mut self, idx: u32) -> bool {
-        let (w, b) = (idx as usize / 64, idx % 64);
-        let mask = 1u64 << b;
-        let word = if w == 0 {
-            &mut self.word0
-        } else {
-            &mut self.spill[w - 1]
-        };
-        if *word & mask == 0 {
-            *word |= mask;
-            self.count += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    pub fn contains(&self, idx: u32) -> bool {
-        let (w, b) = (idx as usize / 64, idx % 64);
-        let word = if w == 0 {
-            Some(self.word0)
-        } else {
-            self.spill.get(w - 1).copied()
-        };
-        word.is_some_and(|word| word & (1u64 << b) != 0)
-    }
-
-    #[cfg(test)]
-    pub fn len(&self) -> u32 {
-        self.count
-    }
-
-    pub fn is_complete(&self, frag_count: u32) -> bool {
-        self.count >= frag_count
-    }
-
-    /// A set with every fragment bit up to `frag_count` present. The
-    /// transport's delivered-message tombstones rebuild their (complete)
-    /// ack bitmap with this instead of retaining one per message; the
-    /// wire size (`byte_len`) depends only on `frag_count`, so the
-    /// rebuilt ack frame is byte-identical to the retained one.
-    pub fn full(frag_count: u32) -> Self {
-        let mut s = Self::new(frag_count);
-        for i in 0..frag_count {
-            s.set(i);
-        }
-        s
-    }
-
-    /// Merges another set into this one (bitwise or).
-    pub fn merge(&mut self, other: &FragSet) {
-        if other.spill.len() > self.spill.len() {
-            self.spill.resize(other.spill.len(), 0);
-        }
-        self.word0 |= other.word0;
-        for (w, o) in self.spill.iter_mut().zip(other.spill.iter()) {
-            *w |= *o;
-        }
-        self.count =
-            self.word0.count_ones() + self.spill.iter().map(|w| w.count_ones()).sum::<u32>();
-    }
-
-    /// Wire size of the bitmap in bytes.
-    pub fn byte_len(&self) -> usize {
-        (1 + self.spill.len()) * 8
-    }
-
-    #[cfg(test)]
-    pub fn iter_missing(&self, frag_count: u32) -> impl Iterator<Item = u32> + '_ {
-        (0..frag_count).filter(move |&i| !self.contains(i))
-    }
-}
-
-/// A frame on the air: the unit of transmission, ≤ `max_frame_bytes`.
-#[derive(Debug, Clone)]
-pub(crate) struct Frame {
-    pub sender: NodeId,
-    pub wire_bytes: usize,
-    /// Traffic class of the carried message (see [`pds_obs::class`]);
-    /// always `OTHER` for acks.
-    pub class: u8,
-    pub kind: FrameKind,
-}
-
-#[derive(Debug, Clone)]
-pub(crate) enum FrameKind {
-    /// One fragment of an application message.
-    Data {
-        msg: MessageId,
-        frag: u32,
-        frag_count: u32,
-        /// Shared across all fragments of a message (and with the sender's
-        /// tracking state): cloning a frame is a refcount bump, not a list
-        /// copy.
-        intended: Arc<[NodeId]>,
-        /// The *whole* message payload, shared by every fragment (and the
-        /// sender's tracking state) — an ns-3-style shared packet buffer.
-        /// The fragment's own bytes are the `frag`-th `frag_payload`-sized
-        /// window of it; per-fragment wire length is computed
-        /// arithmetically, so fragment slices never materialize and
-        /// reassembly is a refcount bump instead of a memcpy.
-        payload: Bytes,
-        /// Total wire bytes of the whole message (for overhead metadata).
-        msg_wire_bytes: u32,
-    },
-    /// Selective acknowledgement of the fragments of `msg` received so far.
-    Ack { msg: MessageId, received: FragSet },
 }
 
 /// A transmission in progress (or recently finished, kept for overlap
@@ -481,6 +349,7 @@ pub(crate) fn phys_verdicts(
 mod tests {
     use super::*;
     use crate::config::SimConfig;
+    use crate::transport::{FragSet, FrameKind, MessageId};
 
     #[test]
     fn distance_is_euclidean() {

@@ -5,7 +5,9 @@
 //! dense scenarios O(n²)–O(n³); bucketing positions into square cells of
 //! roughly one radio range turns each range query into a 3×3 cell probe.
 //!
-//! Two wrinkles distinguish this from a textbook grid:
+//! Both grids are one [`CellGrid`] — entries bucketed by cell, each key's
+//! cell remembered for unlinking — and two wrinkles distinguish them from a
+//! textbook grid:
 //!
 //! * **Positions are time-parameterized.** A node's [`Motion`] gives its
 //!   position at any instant, so buckets go stale as virtual time advances.
@@ -43,18 +45,146 @@ pub(crate) fn cell_of(pos: Position, cell_m: f64) -> Cell {
     )
 }
 
-/// Spatial index over alive node positions.
+/// An entry a grid cell holds, identified by its key.
+pub(crate) trait Keyed: Copy + std::fmt::Debug {
+    type Key: Copy + Ord + std::hash::Hash + std::fmt::Debug;
+    fn key(&self) -> Self::Key;
+}
+
+impl Keyed for (NodeId, Motion) {
+    type Key = NodeId;
+    fn key(&self) -> NodeId {
+        self.0
+    }
+}
+
+impl Keyed for TxEntry {
+    type Key = u64;
+    fn key(&self) -> u64 {
+        self.id
+    }
+}
+
+/// The cell bookkeeping both grids share: entries bucketed by cell, and
+/// each key's cell so removal unlinks in O(cell size).
+#[derive(Debug)]
+pub(crate) struct CellGrid<E: Keyed> {
+    cell_m: f64,
+    cells: DetMap<Cell, Vec<E>>,
+    entries: DetMap<E::Key, Cell>,
+}
+
+impl<E: Keyed> CellGrid<E> {
+    /// Creates an empty grid with the given cell edge in meters.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `cell_m` is positive and finite.
+    pub fn new(cell_m: f64) -> Self {
+        assert!(
+            cell_m.is_finite() && cell_m > 0.0,
+            "spatial cell size must be positive"
+        );
+        Self {
+            cell_m,
+            cells: DetMap::default(),
+            entries: DetMap::default(),
+        }
+    }
+
+    /// Indexes `entry` in the cell of `pos`: inserted if its key is new,
+    /// otherwise moved there or, within the same cell, overwritten.
+    fn upsert(&mut self, entry: E, pos: Position) {
+        let key = entry.key();
+        let cell = cell_of(pos, self.cell_m);
+        match self.entries.insert(key, cell) {
+            Some(old) if old == cell => {
+                let cell = self.cells.get_mut(&cell);
+                if let Some(e) = cell.and_then(|es| es.iter_mut().find(|e| e.key() == key)) {
+                    *e = entry;
+                }
+            }
+            Some(old) => {
+                self.unlink(key, old);
+                self.cells.entry(cell).or_default().push(entry);
+            }
+            None => self.cells.entry(cell).or_default().push(entry),
+        }
+    }
+
+    /// Drops the entry keyed `key`, if indexed.
+    pub fn remove(&mut self, key: E::Key) {
+        if let Some(cell) = self.entries.remove(&key) {
+            self.unlink(key, cell);
+        }
+    }
+
+    fn unlink(&mut self, key: E::Key, cell: Cell) {
+        if let Some(es) = self.cells.get_mut(&cell) {
+            if let Some(i) = es.iter().position(|e| e.key() == key) {
+                es.swap_remove(i);
+            }
+            if es.is_empty() {
+                self.cells.remove(&cell);
+            }
+        }
+    }
+
+    /// Appends to `out` every entry whose cell lies within `radius` meters
+    /// of `center` — a superset for exact filtering. Order is unspecified;
+    /// callers needing a deterministic order sort by key.
+    pub fn query_into(&self, center: Position, radius: f64, out: &mut Vec<E>) {
+        // Exact bounding box of the query disk in cell coordinates: any
+        // entry within `radius` of `center` lies in one of these cells.
+        let (x_lo, y_lo) = cell_of(
+            Position::new(center.x - radius, center.y - radius),
+            self.cell_m,
+        );
+        let (x_hi, y_hi) = cell_of(
+            Position::new(center.x + radius, center.y + radius),
+            self.cell_m,
+        );
+        // A pathological radius (a node grid's drift pad under a huge
+        // rebucket interval × fast walkers) could ask for far more cells
+        // than there are entries; fall back to listing everything rather
+        // than walking an enormous, mostly empty box.
+        let probes = (x_hi - x_lo + 1) as f64 * (y_hi - y_lo + 1) as f64;
+        if probes > 1024.0 && probes > self.entries.len() as f64 {
+            for es in self.cells.values() {
+                out.extend_from_slice(es);
+            }
+            return;
+        }
+        for cx in x_lo..=x_hi {
+            for cy in y_lo..=y_hi {
+                if let Some(es) = self.cells.get(&(cx, cy)) {
+                    out.extend_from_slice(es);
+                }
+            }
+        }
+    }
+
+    /// Every indexed entry, ascending by key.
+    #[cfg(test)]
+    pub fn snapshot(&self) -> Vec<E> {
+        let mut all: Vec<_> = self.cells.values().flatten().copied().collect();
+        all.sort_unstable_by_key(Keyed::key);
+        all
+    }
+}
+
+/// Spatial index over alive node positions: a cell grid of
+/// `(id, motion)` entries plus the drift layer that keeps it a superset
+/// while nodes walk.
 ///
 /// Membership updates (add/move/remove) are applied eagerly; only the
 /// drift of in-flight motions is compensated lazily (see module docs).
+/// Each entry carries the node's motion, so range queries yield positions
+/// without a per-candidate lookup in the node table. The copy stays exact
+/// because every motion change re-upserts the node.
 #[derive(Debug)]
 pub(crate) struct NodeGrid {
-    cell_m: f64,
-    /// Each entry carries the node's motion, so range queries yield
-    /// positions without a per-candidate lookup in the node table. The
-    /// copy stays exact because every motion change re-upserts the node.
-    cells: DetMap<Cell, Vec<(NodeId, Motion)>>,
-    entries: DetMap<NodeId, Cell>,
+    grid: CellGrid<(NodeId, Motion)>,
     /// Nodes whose motion was still in progress at the last re-bucket (or
     /// that changed motion since), with their walking speeds.
     moving: DetMap<NodeId, f64>,
@@ -71,14 +201,8 @@ impl NodeGrid {
     ///
     /// Panics unless `cell_m` is positive and finite.
     pub fn new(cell_m: f64, now: SimTime) -> Self {
-        assert!(
-            cell_m.is_finite() && cell_m > 0.0,
-            "spatial cell size must be positive"
-        );
         Self {
-            cell_m,
-            cells: DetMap::default(),
-            entries: DetMap::default(),
+            grid: CellGrid::new(cell_m),
             moving: DetMap::default(),
             max_speed: 0.0,
             stamp: now,
@@ -90,35 +214,10 @@ impl NodeGrid {
         self.stamp
     }
 
-    fn unlink(&mut self, id: NodeId, cell: Cell) {
-        if let Some(ids) = self.cells.get_mut(&cell) {
-            if let Some(i) = ids.iter().position(|&(x, _)| x == id) {
-                ids.swap_remove(i);
-            }
-            if ids.is_empty() {
-                self.cells.remove(&cell);
-            }
-        }
-    }
-
     /// Inserts `id` or moves it to the bucket matching `motion` at `now`,
     /// and tracks it as a drift source while its walk is in progress.
     pub fn upsert(&mut self, id: NodeId, motion: &Motion, now: SimTime) {
-        let cell = cell_of(motion.position(now), self.cell_m);
-        match self.entries.insert(id, cell) {
-            Some(old) if old == cell => {
-                if let Some(ids) = self.cells.get_mut(&cell) {
-                    if let Some(e) = ids.iter_mut().find(|(x, _)| *x == id) {
-                        e.1 = *motion;
-                    }
-                }
-            }
-            Some(old) => {
-                self.unlink(id, old);
-                self.cells.entry(cell).or_default().push((id, *motion));
-            }
-            None => self.cells.entry(cell).or_default().push((id, *motion)),
-        }
+        self.grid.upsert((id, *motion), motion.position(now));
         if motion.speed_mps > 0.0 && motion.arrival() > now {
             self.moving.insert(id, motion.speed_mps);
             self.max_speed = self.max_speed.max(motion.speed_mps);
@@ -129,9 +228,7 @@ impl NodeGrid {
 
     /// Removes `id` from the index (node churned out).
     pub fn remove(&mut self, id: NodeId) {
-        if let Some(cell) = self.entries.remove(&id) {
-            self.unlink(id, cell);
-        }
+        self.grid.remove(id);
         self.moving.remove(&id);
     }
 
@@ -161,47 +258,18 @@ impl NodeGrid {
         out: &mut Vec<(NodeId, Motion)>,
     ) {
         let pad = self.max_speed * now.since(self.stamp).as_secs_f64();
-        let reach = radius + pad;
-        // Exact bounding box of the query disk in cell coordinates: any
-        // entry within `reach` of `center` lies in one of these cells.
-        let (x_lo, y_lo) = cell_of(
-            Position::new(center.x - reach, center.y - reach),
-            self.cell_m,
-        );
-        let (x_hi, y_hi) = cell_of(
-            Position::new(center.x + reach, center.y + reach),
-            self.cell_m,
-        );
-        // A pathological pad (huge rebucket interval × fast walkers) could
-        // ask for far more cells than there are nodes; fall back to listing
-        // everything rather than walking an enormous, mostly empty box.
-        let probes = (x_hi - x_lo + 1) as f64 * (y_hi - y_lo + 1) as f64;
-        if probes > 1024.0 && probes > self.entries.len() as f64 {
-            for ids in self.cells.values() {
-                out.extend_from_slice(ids);
-            }
-            return;
-        }
-        for cx in x_lo..=x_hi {
-            for cy in y_lo..=y_hi {
-                if let Some(ids) = self.cells.get(&(cx, cy)) {
-                    out.extend_from_slice(ids);
-                }
-            }
-        }
+        self.grid.query_into(center, radius + pad, out);
     }
 
     #[cfg(test)]
     fn len(&self) -> usize {
-        self.entries.len()
+        self.grid.entries.len()
     }
 
     /// Every indexed node with its motion copy, ascending by id.
     #[cfg(test)]
     pub fn snapshot(&self) -> Vec<(NodeId, Motion)> {
-        let mut all: Vec<_> = self.cells.values().flatten().copied().collect();
-        all.sort_unstable_by_key(|&(id, _)| id);
-        all
+        self.grid.snapshot()
     }
 }
 
@@ -219,86 +287,12 @@ pub(crate) struct TxEntry {
 /// Spatial index over in-flight (and recently finished) transmissions,
 /// keyed by transmission id at the sender's start position. Transmissions
 /// never move, so buckets are exact.
-#[derive(Debug, Default)]
-pub(crate) struct TxGrid {
-    cell_m: f64,
-    cells: DetMap<Cell, Vec<TxEntry>>,
-    entries: DetMap<u64, Cell>,
-}
+pub(crate) type TxGrid = CellGrid<TxEntry>;
 
 impl TxGrid {
-    /// Creates an empty grid with the given cell edge in meters.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `cell_m` is positive and finite.
-    pub fn new(cell_m: f64) -> Self {
-        assert!(
-            cell_m.is_finite() && cell_m > 0.0,
-            "spatial cell size must be positive"
-        );
-        Self {
-            cell_m,
-            cells: DetMap::default(),
-            entries: DetMap::default(),
-        }
-    }
-
     /// Indexes a transmission at its start position.
     pub fn insert(&mut self, entry: TxEntry) {
-        let cell = cell_of(entry.pos, self.cell_m);
-        self.cells.entry(cell).or_default().push(entry);
-        self.entries.insert(entry.id, cell);
-    }
-
-    /// Drops transmission `id` from the index.
-    pub fn remove(&mut self, id: u64) {
-        if let Some(cell) = self.entries.remove(&id) {
-            if let Some(txs) = self.cells.get_mut(&cell) {
-                if let Some(i) = txs.iter().position(|t| t.id == id) {
-                    txs.swap_remove(i);
-                }
-                if txs.is_empty() {
-                    self.cells.remove(&cell);
-                }
-            }
-        }
-    }
-
-    /// Appends to `out` every transmission whose start cell lies within
-    /// `radius` meters of `center` — a superset for exact filtering. Order
-    /// is unspecified; callers needing a deterministic order sort by id.
-    pub fn query_into(&self, center: Position, radius: f64, out: &mut Vec<TxEntry>) {
-        let (x_lo, y_lo) = cell_of(
-            Position::new(center.x - radius, center.y - radius),
-            self.cell_m,
-        );
-        let (x_hi, y_hi) = cell_of(
-            Position::new(center.x + radius, center.y + radius),
-            self.cell_m,
-        );
-        let probes = (x_hi - x_lo + 1) as f64 * (y_hi - y_lo + 1) as f64;
-        if probes > 1024.0 && probes > self.entries.len() as f64 {
-            for txs in self.cells.values() {
-                out.extend_from_slice(txs);
-            }
-            return;
-        }
-        for cx in x_lo..=x_hi {
-            for cy in y_lo..=y_hi {
-                if let Some(txs) = self.cells.get(&(cx, cy)) {
-                    out.extend_from_slice(txs);
-                }
-            }
-        }
-    }
-
-    /// Every indexed transmission, ascending by id.
-    #[cfg(test)]
-    pub fn snapshot(&self) -> Vec<TxEntry> {
-        let mut all: Vec<_> = self.cells.values().flatten().copied().collect();
-        all.sort_unstable_by_key(|t| t.id);
-        all
+        self.upsert(entry, entry.pos);
     }
 }
 

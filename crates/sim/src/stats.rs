@@ -4,7 +4,7 @@
 //! messages" (§VI-A); [`Stats::bytes_sent`] counts every on-air byte —
 //! data fragments, retransmissions and acks alike.
 
-use crate::radio::{Frame, FrameKind};
+use crate::transport::{Frame, FrameKind};
 
 /// On-air data bytes split by protocol phase (traffic class).
 ///

@@ -1,5 +1,7 @@
 //! Application-level reliable transport: fragmentation, reassembly,
-//! selective acknowledgements and retransmission (§V-1 of the paper).
+//! selective acknowledgements and retransmission (§V-1 of the paper),
+//! and the wire format that carries them: [`Frame`], [`FrameKind`] and the
+//! [`FragSet`] ack bitmap.
 //!
 //! Messages whose intended-receiver list is non-empty are tracked: every
 //! intended receiver acknowledges with a fragment bitmap, and the sender
@@ -7,6 +9,10 @@
 //! `RetrTimeout` after the last fragment of each attempt leaves the radio.
 //! Messages with an empty intended list ("all neighbors") are fire-and-forget,
 //! exactly like PDS's flooded queries.
+//!
+//! The kernel hands every received frame to [`Transport::receive`] whole
+//! and acts on the returned [`Received`]; it never looks inside a frame
+//! beyond [`Frame::msg`].
 
 #![deny(
     clippy::unwrap_used,
@@ -18,10 +24,10 @@
     clippy::indexing_slicing
 )]
 
-use crate::config::SimConfig;
-use crate::radio::{FragSet, Frame, FrameKind};
+use crate::config::{AckConfig, SimConfig};
 use bytes::Bytes;
-use pds_core::{MessageHandle, NodeId, TimerId};
+use pds_core::MessageHandle;
+use pds_core::NodeId;
 use pds_core::{SimDuration, SimTime};
 use pds_det::DetMap;
 use std::fmt;
@@ -33,6 +39,12 @@ pub(crate) const DATA_HEADER_BASE: usize = 40;
 pub(crate) const PER_RECEIVER_BYTES: usize = 4;
 /// Fixed wire overhead of an ack frame before the fragment bitmap.
 pub(crate) const ACK_HEADER_BASE: usize = 32;
+/// Interval between [`Transport::sweep`] garbage-collection passes.
+pub(crate) const SWEEP_INTERVAL: SimDuration = SimDuration::from_secs(5);
+/// How long delivered-message dedup state is retained.
+const DELIVERED_HORIZON: SimDuration = SimDuration::from_secs(60);
+/// How long incomplete reassembly state is retained after the last fragment.
+const STALE_HORIZON: SimDuration = SimDuration::from_secs(30);
 
 /// Globally unique message identity: (origin node, per-origin sequence).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -46,6 +58,155 @@ impl fmt::Display for MessageId {
         write!(f, "{}#{}", self.origin, self.seq)
     }
 }
+
+// ---- wire format ----------------------------------------------------------
+
+/// Bit set over fragment indices, used in selective acks.
+///
+/// The first 64 bits live inline: messages rarely fragment past 64
+/// pieces, and the receive path creates one of these per message, so the
+/// common case must not allocate.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub(crate) struct FragSet {
+    word0: u64,
+    spill: Vec<u64>,
+    count: u32,
+}
+
+impl FragSet {
+    pub fn new(frag_count: u32) -> Self {
+        let words = (frag_count as usize).div_ceil(64).max(1);
+        Self {
+            word0: 0,
+            spill: vec![0; words - 1],
+            count: 0,
+        }
+    }
+
+    /// Sets a bit; returns true if newly set. An index past the size the
+    /// set was built for is never set.
+    pub fn set(&mut self, idx: u32) -> bool {
+        let (w, b) = (idx as usize / 64, idx % 64);
+        let mask = 1u64 << b;
+        let word = if w == 0 {
+            Some(&mut self.word0)
+        } else {
+            self.spill.get_mut(w - 1)
+        };
+        match word {
+            Some(word) if *word & mask == 0 => {
+                *word |= mask;
+                self.count += 1;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    pub fn contains(&self, idx: u32) -> bool {
+        let (w, b) = (idx as usize / 64, idx % 64);
+        let word = if w == 0 {
+            Some(self.word0)
+        } else {
+            self.spill.get(w - 1).copied()
+        };
+        word.is_some_and(|word| word & (1u64 << b) != 0)
+    }
+
+    #[cfg(test)]
+    pub fn len(&self) -> u32 {
+        self.count
+    }
+
+    pub fn is_complete(&self, frag_count: u32) -> bool {
+        self.count >= frag_count
+    }
+
+    /// A set with every fragment bit up to `frag_count` present. The
+    /// delivered-message tombstones rebuild their (complete) ack bitmap
+    /// with this instead of retaining one per message; the wire size
+    /// (`byte_len`) depends only on `frag_count`, so the rebuilt ack frame
+    /// is byte-identical to the retained one.
+    pub fn full(frag_count: u32) -> Self {
+        let mut s = Self::new(frag_count);
+        for i in 0..frag_count {
+            s.set(i);
+        }
+        s
+    }
+
+    /// Merges another set into this one (bitwise or).
+    pub fn merge(&mut self, other: &FragSet) {
+        if other.spill.len() > self.spill.len() {
+            self.spill.resize(other.spill.len(), 0);
+        }
+        self.word0 |= other.word0;
+        for (w, o) in self.spill.iter_mut().zip(other.spill.iter()) {
+            *w |= *o;
+        }
+        self.count =
+            self.word0.count_ones() + self.spill.iter().map(|w| w.count_ones()).sum::<u32>();
+    }
+
+    /// Wire size of the bitmap in bytes.
+    pub fn byte_len(&self) -> usize {
+        (1 + self.spill.len()) * 8
+    }
+
+    #[cfg(test)]
+    pub fn iter_missing(&self, frag_count: u32) -> impl Iterator<Item = u32> + '_ {
+        (0..frag_count).filter(move |&i| !self.contains(i))
+    }
+}
+
+/// A frame on the air: the unit of transmission, ≤ `max_frame_bytes`.
+#[derive(Debug, Clone)]
+pub(crate) struct Frame {
+    pub sender: NodeId,
+    pub wire_bytes: usize,
+    /// Traffic class of the carried message (see [`pds_obs::class`]);
+    /// always `OTHER` for acks.
+    pub class: u8,
+    pub kind: FrameKind,
+}
+
+impl Frame {
+    /// The message this frame carries a fragment of, or acknowledges:
+    /// `origin#seq` ties the frame to its transport message and, through
+    /// the protocol layer's trace events, to the session it serves.
+    pub fn msg(&self) -> MessageId {
+        match self.kind {
+            FrameKind::Data { msg, .. } | FrameKind::Ack { msg, .. } => msg,
+        }
+    }
+}
+
+#[derive(Debug, Clone)]
+pub(crate) enum FrameKind {
+    /// One fragment of an application message.
+    Data {
+        msg: MessageId,
+        frag: u32,
+        frag_count: u32,
+        /// Shared across all fragments of a message (and with the sender's
+        /// tracking state): cloning a frame is a refcount bump, not a list
+        /// copy.
+        intended: Arc<[NodeId]>,
+        /// The *whole* message payload, shared by every fragment (and the
+        /// sender's tracking state) — an ns-3-style shared packet buffer.
+        /// The fragment's own bytes are the `frag`-th `frag_payload`-sized
+        /// window of it; per-fragment wire length is computed
+        /// arithmetically, so fragment slices never materialize and
+        /// reassembly is a refcount bump instead of a memcpy.
+        payload: Bytes,
+        /// Total wire bytes of the whole message (for overhead metadata).
+        msg_wire_bytes: u32,
+    },
+    /// Selective acknowledgement of the fragments of `msg` received so far.
+    Ack { msg: MessageId, received: FragSet },
+}
+
+// ---- per-node state -------------------------------------------------------
 
 #[derive(Debug)]
 struct Outgoing {
@@ -63,7 +224,11 @@ struct Outgoing {
     attempt: u32,
     /// Frames of the current attempt not yet off the radio (or dropped).
     in_flight: u32,
-    retr_timer: Option<TimerId>,
+    /// Whether the kernel holds a retransmission timer for this message:
+    /// set when [`Transport::on_frame_done`] asks for one, cleared when it
+    /// fires. A message acked in full is dropped with its flag; the timer
+    /// still fires and finds nothing to do.
+    retr_armed: bool,
 }
 
 impl Outgoing {
@@ -150,26 +315,24 @@ pub(crate) struct Transport {
     max_attempt: u32,
 }
 
-/// Result of submitting a message for transmission.
-pub(crate) struct SendPlan {
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub msg: MessageId,
-    pub frames: Vec<Frame>,
-    /// Whether the message is tracked for ack/retransmission (the kernel
-    /// does not branch on this — frame completion events drive the timer —
-    /// but tests assert it).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub tracked: bool,
-}
-
-/// What the kernel must do after a data frame is received.
+/// What the kernel must do after a frame reaches a node.
 #[derive(Debug)]
-pub(crate) struct DataPlan {
-    /// Deliver this completed message to the application.
-    pub deliver: Option<DeliverPlan>,
-    /// Schedule an ack transmission after the given delay (only if none is
-    /// already pending for this message).
-    pub schedule_ack: Option<SimDuration>,
+pub(crate) enum Received {
+    /// A fragment of `msg` arrived.
+    Data {
+        msg: MessageId,
+        /// Arm the ack timer for `msg` after this delay (set only when
+        /// none is already pending for it).
+        ack_after: Option<SimDuration>,
+        /// The fragment completed the message: deliver it.
+        deliver: Option<DeliverPlan>,
+    },
+    /// Every intended receiver has now acknowledged every fragment of
+    /// this node's message.
+    Acked(MessageHandle),
+    /// Nothing: an ack for another node's message, for a message no
+    /// longer tracked, or one that leaves fragments unacknowledged.
+    Nothing,
 }
 
 #[derive(Debug)]
@@ -213,24 +376,27 @@ impl Transport {
         cfg.radio.max_frame_bytes - header
     }
 
-    /// Fragments `payload` and registers tracking state when reliable.
+    /// Fragments `payload` into data frames of message `origin#handle`
+    /// and registers tracking state when reliable.
     ///
     /// `frames` is a recycled buffer (cleared here) that the built frames
-    /// are pushed into; it is handed back via [`SendPlan::frames`] so the
-    /// caller can drain and reuse it.
+    /// are pushed into; it is handed back so the caller can drain and
+    /// reuse it.
     #[allow(clippy::too_many_arguments)] // mirrors the frame-header fields
     pub fn send_message(
         &mut self,
         origin: NodeId,
-        seq: u64,
         handle: MessageHandle,
         payload: Bytes,
         intended: Vec<NodeId>,
         class: u8,
         cfg: &SimConfig,
         mut frames: Vec<Frame>,
-    ) -> SendPlan {
-        let msg = MessageId { origin, seq };
+    ) -> Vec<Frame> {
+        let msg = MessageId {
+            origin,
+            seq: handle.0,
+        };
         // One shared receiver list for every fragment (and the tracking
         // state): a 256 KB message fans out into ~170 frames without ~170
         // copies of the list.
@@ -251,8 +417,7 @@ impl Transport {
             class,
             (0..frag_count).map(|f| (f, Arc::clone(&intended))),
         );
-        let tracked = cfg.ack.enabled && !intended.is_empty();
-        if tracked {
+        if cfg.ack.enabled && !intended.is_empty() {
             let acked = intended
                 .iter()
                 .map(|&r| (r, FragSet::new(frag_count)))
@@ -270,34 +435,37 @@ impl Transport {
                     acked,
                     attempt: 0,
                     in_flight: frag_count,
-                    retr_timer: None,
+                    retr_armed: false,
                 },
             );
         }
-        SendPlan {
-            msg,
-            frames,
-            tracked,
-        }
+        frames
     }
 
-    /// Handles a received data fragment at node `me`. `payload` is the
-    /// whole message payload the frame carries (see [`FrameKind::Data`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn on_data_frame(
+    /// Handles `frame` reaching node `me`: reassembles data fragments
+    /// (delivering completed messages, requesting acks from intended
+    /// receivers) and merges acks addressed to this node's own messages.
+    pub fn receive(
         &mut self,
         me: NodeId,
-        msg: MessageId,
-        frag: u32,
-        frag_count: u32,
-        intended: &Arc<[NodeId]>,
-        payload: &Bytes,
-        msg_wire_bytes: u32,
-        from: NodeId,
-        ack_enabled: bool,
-        ack_delay: SimDuration,
+        frame: &Frame,
+        ack: &AckConfig,
         now: SimTime,
-    ) -> DataPlan {
+    ) -> Received {
+        let (msg, frag, frag_count, intended, payload, msg_wire_bytes) = match &frame.kind {
+            FrameKind::Data {
+                msg,
+                frag,
+                frag_count,
+                intended,
+                payload,
+                msg_wire_bytes,
+            } => (*msg, *frag, *frag_count, intended, payload, *msg_wire_bytes),
+            FrameKind::Ack { msg, received } => {
+                return self.on_ack(me, *msg, frame.sender, received)
+            }
+        };
+        let from = frame.sender;
         let entry = self.incoming.entry(msg).or_insert_with(|| {
             Incoming::Assembling(Box::new(Assembling {
                 payload: payload.clone(),
@@ -313,7 +481,7 @@ impl Transport {
         });
 
         let mut deliver = None;
-        let schedule_ack;
+        let ack_after;
         // (frag_count, intended_me, ack_timer_pending) of a newly
         // completed assembly, to collapse into a tombstone below.
         let mut done: Option<(u32, bool, bool)> = None;
@@ -342,14 +510,14 @@ impl Transport {
                     }
                 }
                 let complete = asm.received.is_complete(asm.frag_count);
-                schedule_ack = if ack_enabled && asm.intended_me && !asm.ack_timer_pending {
+                ack_after = if ack.enabled && asm.intended_me && !asm.ack_timer_pending {
                     asm.ack_timer_pending = true;
                     // Complete messages ack promptly (short jitter applied
                     // by the kernel); incomplete ones wait for stragglers.
                     Some(if complete {
                         SimDuration::ZERO
                     } else {
-                        ack_delay
+                        ack.ack_delay
                     })
                 } else {
                     None
@@ -370,7 +538,7 @@ impl Transport {
                 }
                 // Already delivered and reassembled: duplicates never
                 // redeliver, and a complete entry always acks promptly.
-                schedule_ack = if ack_enabled && *intended_me && !*ack_timer_pending {
+                ack_after = if ack.enabled && *intended_me && !*ack_timer_pending {
                     *ack_timer_pending = true;
                     Some(SimDuration::ZERO)
                 } else {
@@ -388,11 +556,38 @@ impl Transport {
                 last_activity: now,
             };
         }
-
-        DataPlan {
+        Received::Data {
+            msg,
+            ack_after,
             deliver,
-            schedule_ack,
         }
+    }
+
+    /// Merges `receiver`'s ack bitmap for `msg` when `msg` is one of this
+    /// node's (`me`'s) tracked messages; a message acked in full stops
+    /// being tracked.
+    fn on_ack(
+        &mut self,
+        me: NodeId,
+        msg: MessageId,
+        receiver: NodeId,
+        bitmap: &FragSet,
+    ) -> Received {
+        if msg.origin != me {
+            return Received::Nothing;
+        }
+        let Some(out) = self.outgoing.get_mut(&msg) else {
+            return Received::Nothing;
+        };
+        if let Some(set) = out.acked.get_mut(&receiver) {
+            set.merge(bitmap);
+        }
+        if !out.fully_acked() {
+            return Received::Nothing;
+        }
+        self.outgoing
+            .remove(&msg)
+            .map_or(Received::Nothing, |out| Received::Acked(out.handle))
     }
 
     /// Builds the ack frame for `msg` when its ack timer fires.
@@ -423,41 +618,21 @@ impl Transport {
         })
     }
 
-    /// Merges an ack from `receiver`; returns the completed message's handle
-    /// when every intended receiver has acknowledged every fragment.
-    pub fn on_ack_frame(
-        &mut self,
-        msg: MessageId,
-        receiver: NodeId,
-        bitmap: &FragSet,
-    ) -> Option<(MessageHandle, Option<TimerId>)> {
-        let out = self.outgoing.get_mut(&msg)?;
-        if let Some(set) = out.acked.get_mut(&receiver) {
-            set.merge(bitmap);
-        }
-        if out.fully_acked() {
-            let out = self.outgoing.remove(&msg)?;
-            return Some((out.handle, out.retr_timer));
-        }
-        None
-    }
-
-    /// Notes that one frame of `msg` left the radio (or was dropped).
-    /// Returns `true` when the current attempt has no frames in flight and a
-    /// retransmission timer should be armed.
-    pub fn on_frame_done(&mut self, msg: MessageId) -> bool {
-        let Some(out) = self.outgoing.get_mut(&msg) else {
-            return false;
+    /// Notes that `frame` left the radio (or was dropped). Returns the
+    /// message whose retransmission timer the kernel must now arm: a
+    /// tracked data frame's message whose current attempt has no frames
+    /// left in flight and no timer armed yet.
+    pub fn on_frame_done(&mut self, frame: &Frame) -> Option<MessageId> {
+        let FrameKind::Data { msg, .. } = frame.kind else {
+            return None;
         };
+        let out = self.outgoing.get_mut(&msg)?;
         out.in_flight = out.in_flight.saturating_sub(1);
-        out.in_flight == 0 && out.retr_timer.is_none()
-    }
-
-    /// Records the armed retransmission timer for `msg`.
-    pub fn set_retr_timer(&mut self, msg: MessageId, id: TimerId) {
-        if let Some(out) = self.outgoing.get_mut(&msg) {
-            out.retr_timer = Some(id);
+        if out.in_flight > 0 || out.retr_armed {
+            return None;
         }
+        out.retr_armed = true;
+        Some(msg)
     }
 
     /// Handles a retransmission timeout.
@@ -472,7 +647,7 @@ impl Transport {
         let Some(out) = self.outgoing.get_mut(&msg) else {
             return RetrPlan::Nothing;
         };
-        out.retr_timer = None;
+        out.retr_armed = false;
         if out.fully_acked() {
             let _ = self.outgoing.remove(&msg);
             return RetrPlan::Nothing;
@@ -516,16 +691,12 @@ impl Transport {
     }
 
     /// Drops stale incoming state: delivered messages older than
-    /// `delivered_horizon`, incomplete ones idle longer than `stale_horizon`.
-    pub fn sweep(
-        &mut self,
-        now: SimTime,
-        delivered_horizon: SimDuration,
-        stale_horizon: SimDuration,
-    ) {
+    /// `DELIVERED_HORIZON`, incomplete ones idle longer than
+    /// `STALE_HORIZON`.
+    pub fn sweep(&mut self, now: SimTime) {
         self.incoming.retain(|_, inc| match inc {
-            Incoming::Assembling(asm) => now.since(asm.last_activity) < stale_horizon,
-            Incoming::Done { last_activity, .. } => now.since(*last_activity) < delivered_horizon,
+            Incoming::Assembling(asm) => now.since(asm.last_activity) < STALE_HORIZON,
+            Incoming::Done { last_activity, .. } => now.since(*last_activity) < DELIVERED_HORIZON,
         });
     }
 }
@@ -582,54 +753,48 @@ mod tests {
         Bytes::from((0..n).map(|i| (i % 251) as u8).collect::<Vec<u8>>())
     }
 
+    /// Sends a `len`-byte message with handle `seq` from `origin`; returns
+    /// its id and frames.
     fn send(
         t: &mut Transport,
         origin: NodeId,
         seq: u64,
         len: usize,
         intended: Vec<NodeId>,
-    ) -> SendPlan {
-        t.send_message(
+    ) -> (MessageId, Vec<Frame>) {
+        let frames = t.send_message(
             origin,
-            seq,
             MessageHandle(seq),
             payload(len),
             intended,
             pds_obs::class::OTHER,
             &cfg(),
             Vec::new(),
-        )
+        );
+        (MessageId { origin, seq }, frames)
     }
 
-    /// Drives all of `plan`'s frames into receiver transport `rx` at `me`.
-    fn receive_all(rx: &mut Transport, me: NodeId, plan: &SendPlan) -> Option<DeliverPlan> {
+    /// Hands `frame` to receiver transport `rx` at `me`; returns the ack
+    /// request and the delivery.
+    fn receive(
+        rx: &mut Transport,
+        me: NodeId,
+        frame: &Frame,
+    ) -> (Option<SimDuration>, Option<DeliverPlan>) {
+        match rx.receive(me, frame, &AckConfig::default(), SimTime::ZERO) {
+            Received::Data {
+                ack_after, deliver, ..
+            } => (ack_after, deliver),
+            other => panic!("expected a data outcome, got {other:?}"),
+        }
+    }
+
+    /// Drives all of `frames` into receiver transport `rx` at `me`.
+    fn receive_all(rx: &mut Transport, me: NodeId, frames: &[Frame]) -> Option<DeliverPlan> {
         let mut delivered = None;
-        for f in &plan.frames {
-            if let FrameKind::Data {
-                msg,
-                frag,
-                frag_count,
-                intended,
-                payload,
-                msg_wire_bytes,
-            } = &f.kind
-            {
-                let p = rx.on_data_frame(
-                    me,
-                    *msg,
-                    *frag,
-                    *frag_count,
-                    intended,
-                    payload,
-                    *msg_wire_bytes,
-                    f.sender,
-                    true,
-                    SimDuration::from_millis(40),
-                    SimTime::ZERO,
-                );
-                if p.deliver.is_some() {
-                    delivered = p.deliver;
-                }
+        for f in frames {
+            if let (_, Some(d)) = receive(rx, me, f) {
+                delivered = Some(d);
             }
         }
         delivered
@@ -638,18 +803,18 @@ mod tests {
     #[test]
     fn small_message_is_single_fragment() {
         let mut t = Transport::new();
-        let plan = send(&mut t, NodeId(0), 0, 100, vec![NodeId(1)]);
-        assert_eq!(plan.frames.len(), 1);
-        assert!(plan.tracked);
+        let (msg, frames) = send(&mut t, NodeId(0), 0, 100, vec![NodeId(1)]);
+        assert_eq!(frames.len(), 1);
+        assert!(t.is_tracking(msg));
     }
 
     #[test]
     fn large_message_fragments_and_reassembles() {
         let mut tx = Transport::new();
         let mut rx = Transport::new();
-        let plan = send(&mut tx, NodeId(0), 0, 256 * 1024, vec![NodeId(1)]);
-        assert!(plan.frames.len() > 100, "256 KB should fragment heavily");
-        let d = receive_all(&mut rx, NodeId(1), &plan).expect("complete");
+        let (_, frames) = send(&mut tx, NodeId(0), 0, 256 * 1024, vec![NodeId(1)]);
+        assert!(frames.len() > 100, "256 KB should fragment heavily");
+        let d = receive_all(&mut rx, NodeId(1), &frames).expect("complete");
         assert_eq!(d.payload, payload(256 * 1024));
         assert!(!d.overheard);
     }
@@ -658,65 +823,66 @@ mod tests {
     fn overhearing_node_reassembles_too() {
         let mut tx = Transport::new();
         let mut rx = Transport::new();
-        let plan = send(&mut tx, NodeId(0), 0, 5000, vec![NodeId(1)]);
-        let d = receive_all(&mut rx, NodeId(9), &plan).expect("complete");
+        let (_, frames) = send(&mut tx, NodeId(0), 0, 5000, vec![NodeId(1)]);
+        let d = receive_all(&mut rx, NodeId(9), &frames).expect("complete");
         assert!(d.overheard);
     }
 
     #[test]
     fn empty_intended_is_untracked() {
         let mut t = Transport::new();
-        let plan = send(&mut t, NodeId(0), 0, 100, vec![]);
-        assert!(!plan.tracked);
-        assert!(!t.is_tracking(plan.msg));
+        let (msg, _) = send(&mut t, NodeId(0), 0, 100, vec![]);
+        assert!(!t.is_tracking(msg));
     }
 
     #[test]
     fn ack_completes_message() {
         let mut tx = Transport::new();
         let mut rx = Transport::new();
-        let plan = send(&mut tx, NodeId(0), 3, 4000, vec![NodeId(1)]);
-        receive_all(&mut rx, NodeId(1), &plan);
-        let ack = rx.make_ack(NodeId(1), plan.msg).expect("ack frame");
-        let FrameKind::Ack { msg, received } = ack.kind else {
-            panic!("expected ack")
-        };
-        let done = tx.on_ack_frame(msg, NodeId(1), &received);
-        assert_eq!(done.map(|(h, _)| h), Some(MessageHandle(3)));
-        assert!(!tx.is_tracking(plan.msg));
+        let (msg, frames) = send(&mut tx, NodeId(0), 3, 4000, vec![NodeId(1)]);
+        receive_all(&mut rx, NodeId(1), &frames);
+        let ack = rx.make_ack(NodeId(1), msg).expect("ack frame");
+        assert_eq!(ack.msg(), msg);
+        // Only the origin merges its acks; an overhearing node ignores them.
+        assert!(matches!(
+            rx.receive(NodeId(1), &ack, &AckConfig::default(), SimTime::ZERO),
+            Received::Nothing
+        ));
+        let done = tx.receive(NodeId(0), &ack, &AckConfig::default(), SimTime::ZERO);
+        assert!(matches!(done, Received::Acked(MessageHandle(3))));
+        assert!(!tx.is_tracking(msg));
+        // The retransmission timer armed for the message still fires once
+        // the kernel no longer cancels it; it finds nothing to do.
+        assert!(matches!(
+            tx.on_retr_timer(NodeId(0), msg, 4),
+            RetrPlan::Nothing
+        ));
     }
 
     #[test]
     fn partial_ack_keeps_tracking_and_retransmits_missing() {
         let mut tx = Transport::new();
         let mut rx = Transport::new();
-        let plan = send(&mut tx, NodeId(0), 0, 5000, vec![NodeId(1)]);
-        assert!(plan.frames.len() >= 4);
+        let (msg, frames) = send(&mut tx, NodeId(0), 0, 5000, vec![NodeId(1)]);
+        assert!(frames.len() >= 4);
         // Deliver all but the last fragment.
-        let partial = SendPlan {
-            msg: plan.msg,
-            frames: plan.frames[..plan.frames.len() - 1].to_vec(),
-            tracked: true,
-        };
-        assert!(receive_all(&mut rx, NodeId(1), &partial).is_none());
-        let ack = rx.make_ack(NodeId(1), plan.msg).expect("partial ack");
-        let FrameKind::Ack { received, .. } = &ack.kind else {
-            panic!()
-        };
-        assert!(tx.on_ack_frame(plan.msg, NodeId(1), received).is_none());
-        // All frames "finish"; the retransmission timer wants arming.
-        let mut arm = false;
-        for _ in 0..plan.frames.len() {
-            arm = tx.on_frame_done(plan.msg);
-        }
-        assert!(arm);
-        match tx.on_retr_timer(NodeId(0), plan.msg, 4) {
+        let last = frames.len() - 1;
+        assert!(receive_all(&mut rx, NodeId(1), &frames[..last]).is_none());
+        let ack = rx.make_ack(NodeId(1), msg).expect("partial ack");
+        let got = tx.receive(NodeId(0), &ack, &AckConfig::default(), SimTime::ZERO);
+        assert!(matches!(got, Received::Nothing));
+        assert!(tx.is_tracking(msg));
+        // All frames "finish"; the last one asks for the retransmission
+        // timer, and only once.
+        let armed: Vec<_> = frames.iter().filter_map(|f| tx.on_frame_done(f)).collect();
+        assert_eq!(armed, vec![msg]);
+        match tx.on_retr_timer(NodeId(0), msg, 4) {
             RetrPlan::Retransmit(frames) => {
                 assert_eq!(frames.len(), 1, "only the missing fragment");
                 let FrameKind::Data { frag, .. } = frames[0].kind else {
                     panic!()
                 };
-                assert_eq!(frag as usize, plan.frames.len() - 1);
+                assert_eq!(frag as usize, last);
             }
             other => panic!("expected retransmit, got {other:?}"),
         }
@@ -727,33 +893,26 @@ mod tests {
         let mut tx = Transport::new();
         let mut rx = Transport::new();
         let both = vec![NodeId(1), NodeId(2)];
-        let plan = send(&mut tx, NodeId(0), 0, 5000, both.clone());
-        let last = plan.frames.len() - 1;
+        let (msg, sent) = send(&mut tx, NodeId(0), 0, 5000, both.clone());
+        let last = sent.len() - 1;
         // Node 1 acks all but the last fragment, node 2 nothing.
-        let partial = SendPlan {
-            msg: plan.msg,
-            frames: plan.frames[..last].to_vec(),
-            tracked: true,
-        };
-        assert!(receive_all(&mut rx, NodeId(1), &partial).is_none());
-        let ack = rx.make_ack(NodeId(1), plan.msg).expect("partial ack");
-        let FrameKind::Ack { received, .. } = &ack.kind else {
-            panic!()
-        };
-        assert!(tx.on_ack_frame(plan.msg, NodeId(1), received).is_none());
-        for _ in 0..plan.frames.len() {
-            tx.on_frame_done(plan.msg);
+        assert!(receive_all(&mut rx, NodeId(1), &sent[..last]).is_none());
+        let ack = rx.make_ack(NodeId(1), msg).expect("partial ack");
+        let got = tx.receive(NodeId(0), &ack, &AckConfig::default(), SimTime::ZERO);
+        assert!(matches!(got, Received::Nothing));
+        for f in &sent {
+            tx.on_frame_done(f);
         }
-        let RetrPlan::Retransmit(frames) = tx.on_retr_timer(NodeId(0), plan.msg, 4) else {
+        let RetrPlan::Retransmit(frames) = tx.on_retr_timer(NodeId(0), msg, 4) else {
             panic!("expected retransmit")
         };
         let FrameKind::Data {
             intended: original, ..
-        } = &plan.frames[0].kind
+        } = &sent[0].kind
         else {
             panic!()
         };
-        assert_eq!(frames.len(), plan.frames.len(), "node 2 misses them all");
+        assert_eq!(frames.len(), sent.len(), "node 2 misses them all");
         for (i, f) in frames.iter().enumerate() {
             let FrameKind::Data { frag, intended, .. } = &f.kind else {
                 panic!()
@@ -763,10 +922,10 @@ mod tests {
                 // Missed by everyone: the message's own list, not a copy.
                 assert_eq!(&intended[..], &both[..]);
                 assert!(Arc::ptr_eq(intended, original));
-                assert_eq!(f.wire_bytes, plan.frames[i].wire_bytes);
+                assert_eq!(f.wire_bytes, sent[i].wire_bytes);
             } else {
                 assert_eq!(&intended[..], &[NodeId(2)]);
-                assert_eq!(f.wire_bytes, plan.frames[i].wire_bytes - PER_RECEIVER_BYTES);
+                assert_eq!(f.wire_bytes, sent[i].wire_bytes - PER_RECEIVER_BYTES);
             }
         }
     }
@@ -774,12 +933,10 @@ mod tests {
     #[test]
     fn gives_up_after_max_retr() {
         let mut tx = Transport::new();
-        let plan = send(&mut tx, NodeId(0), 7, 100, vec![NodeId(1)]);
+        let (msg, frames) = send(&mut tx, NodeId(0), 7, 100, vec![NodeId(1)]);
         for attempt in 0..=4u32 {
-            for _ in 0..1 {
-                tx.on_frame_done(plan.msg);
-            }
-            match tx.on_retr_timer(NodeId(0), plan.msg, 4) {
+            tx.on_frame_done(&frames[0]);
+            match tx.on_retr_timer(NodeId(0), msg, 4) {
                 RetrPlan::Retransmit(_) if attempt < 4 => {}
                 RetrPlan::GiveUp(h) if attempt == 4 => {
                     assert_eq!(h, MessageHandle(7));
@@ -795,15 +952,15 @@ mod tests {
     fn retry_budget_scales_with_fragment_count() {
         // A ~40-fragment message gets max_retr + 40/8 = 9 attempts.
         let mut tx = Transport::new();
-        let plan = send(&mut tx, NodeId(0), 0, 55_000, vec![NodeId(1)]);
-        let frag_count = plan.frames.len() as u32;
+        let (msg, frames) = send(&mut tx, NodeId(0), 0, 55_000, vec![NodeId(1)]);
+        let frag_count = frames.len() as u32;
         assert!(frag_count >= 30, "needs a multi-fragment message");
         let budget = 4 + frag_count / 8;
         for attempt in 0..=budget {
-            for _ in 0..frag_count {
-                tx.on_frame_done(plan.msg);
+            for f in &frames {
+                tx.on_frame_done(f);
             }
-            match tx.on_retr_timer(NodeId(0), plan.msg, 4) {
+            match tx.on_retr_timer(NodeId(0), msg, 4) {
                 RetrPlan::Retransmit(_) if attempt < budget => {}
                 RetrPlan::GiveUp(_) if attempt == budget => return,
                 other => panic!("attempt {attempt}/{budget}: unexpected {other:?}"),
@@ -816,10 +973,10 @@ mod tests {
     fn duplicate_fragments_do_not_redeliver() {
         let mut tx = Transport::new();
         let mut rx = Transport::new();
-        let plan = send(&mut tx, NodeId(0), 0, 2000, vec![NodeId(1)]);
-        assert!(receive_all(&mut rx, NodeId(1), &plan).is_some());
+        let (_, frames) = send(&mut tx, NodeId(0), 0, 2000, vec![NodeId(1)]);
+        assert!(receive_all(&mut rx, NodeId(1), &frames).is_some());
         assert!(
-            receive_all(&mut rx, NodeId(1), &plan).is_none(),
+            receive_all(&mut rx, NodeId(1), &frames).is_none(),
             "second delivery suppressed"
         );
     }
@@ -828,46 +985,11 @@ mod tests {
     fn ack_requested_once_until_sent() {
         let mut tx = Transport::new();
         let mut rx = Transport::new();
-        let plan = send(&mut tx, NodeId(0), 0, 5000, vec![NodeId(1)]);
-        let FrameKind::Data {
-            msg,
-            frag,
-            frag_count,
-            intended,
-            payload,
-            msg_wire_bytes,
-        } = plan.frames[0].kind.clone()
-        else {
-            panic!()
-        };
-        let p1 = rx.on_data_frame(
-            NodeId(1),
-            msg,
-            frag,
-            frag_count,
-            &intended,
-            &payload,
-            msg_wire_bytes,
-            NodeId(0),
-            true,
-            SimDuration::from_millis(40),
-            SimTime::ZERO,
-        );
-        assert!(p1.schedule_ack.is_some());
-        let p2 = rx.on_data_frame(
-            NodeId(1),
-            msg,
-            frag,
-            frag_count,
-            &intended,
-            &payload,
-            msg_wire_bytes,
-            NodeId(0),
-            true,
-            SimDuration::from_millis(40),
-            SimTime::ZERO,
-        );
-        assert!(p2.schedule_ack.is_none(), "timer already pending");
+        let (msg, frames) = send(&mut tx, NodeId(0), 0, 5000, vec![NodeId(1)]);
+        let (first, _) = receive(&mut rx, NodeId(1), &frames[0]);
+        assert!(first.is_some());
+        let (second, _) = receive(&mut rx, NodeId(1), &frames[0]);
+        assert!(second.is_none(), "timer already pending");
         assert!(rx.make_ack(NodeId(1), msg).is_some());
     }
 
@@ -875,47 +997,20 @@ mod tests {
     fn overhearing_node_never_acks() {
         let mut tx = Transport::new();
         let mut rx = Transport::new();
-        let plan = send(&mut tx, NodeId(0), 0, 100, vec![NodeId(1)]);
-        let FrameKind::Data {
-            msg,
-            frag,
-            frag_count,
-            intended,
-            payload,
-            msg_wire_bytes,
-        } = plan.frames[0].kind.clone()
-        else {
-            panic!()
-        };
-        let p = rx.on_data_frame(
-            NodeId(5),
-            msg,
-            frag,
-            frag_count,
-            &intended,
-            &payload,
-            msg_wire_bytes,
-            NodeId(0),
-            true,
-            SimDuration::from_millis(40),
-            SimTime::ZERO,
-        );
-        assert!(p.schedule_ack.is_none());
-        assert!(p.deliver.expect("delivered").overheard);
+        let (_, frames) = send(&mut tx, NodeId(0), 0, 100, vec![NodeId(1)]);
+        let (ack_after, deliver) = receive(&mut rx, NodeId(5), &frames[0]);
+        assert!(ack_after.is_none());
+        assert!(deliver.expect("delivered").overheard);
     }
 
     #[test]
     fn sweep_drops_stale_state() {
         let mut tx = Transport::new();
         let mut rx = Transport::new();
-        let plan = send(&mut tx, NodeId(0), 0, 100, vec![NodeId(1)]);
-        receive_all(&mut rx, NodeId(1), &plan);
+        let (_, frames) = send(&mut tx, NodeId(0), 0, 100, vec![NodeId(1)]);
+        receive_all(&mut rx, NodeId(1), &frames);
         assert_eq!(rx.incoming.len(), 1);
-        rx.sweep(
-            SimTime::from_secs_f64(120.0),
-            SimDuration::from_secs(60),
-            SimDuration::from_secs(30),
-        );
+        rx.sweep(SimTime::from_secs_f64(120.0));
         assert!(rx.incoming.is_empty());
     }
 
@@ -930,10 +1025,9 @@ mod tests {
     #[test]
     fn wire_bytes_include_headers() {
         let mut t = Transport::new();
-        let plan = send(&mut t, NodeId(0), 0, 100, vec![NodeId(1), NodeId(2)]);
-        let f = &plan.frames[0];
+        let (_, frames) = send(&mut t, NodeId(0), 0, 100, vec![NodeId(1), NodeId(2)]);
         assert_eq!(
-            f.wire_bytes,
+            frames[0].wire_bytes,
             DATA_HEADER_BASE + 2 * PER_RECEIVER_BYTES + 100
         );
     }

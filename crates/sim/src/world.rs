@@ -18,10 +18,10 @@ use crate::events::{EventKind, EventQueue};
 use crate::fault::{Fate, FaultPlan, FaultState};
 use crate::mac::{self, Mac, Offer, Release, SendClass};
 use crate::medium::Medium;
-use crate::radio::{Frame, FrameKind, Motion, PhysOutcome, Position, Transmission, VerdictPaths};
+use crate::radio::{Motion, PhysOutcome, Position, Transmission, VerdictPaths};
 use crate::slab::{DenseTable, SeqSlab};
 use crate::stats::{NodeStats, Stats};
-use crate::transport::{MessageId, RetrPlan, Transport};
+use crate::transport::{Frame, MessageId, Received, RetrPlan, Transport, SWEEP_INTERVAL};
 use bytes::Bytes;
 use pds_core::SimRng;
 use pds_core::{Application, Command, Context, MessageHandle, MessageMeta, NodeId, TimerId};
@@ -30,12 +30,6 @@ use pds_det::DetMap;
 use pds_obs::{Phase, TraceEvent, TraceKind, TraceSink};
 use std::any::Any;
 
-/// Interval between transport garbage-collection sweeps.
-const SWEEP_INTERVAL: SimDuration = SimDuration::from_secs(5);
-/// How long delivered-message dedup state is retained.
-const DELIVERED_HORIZON: SimDuration = SimDuration::from_secs(60);
-/// How long incomplete reassembly state is retained after the last fragment.
-const STALE_HORIZON: SimDuration = SimDuration::from_secs(30);
 /// Upper bound of the random jitter before an ack transmission.
 const ACK_JITTER: SimDuration = SimDuration::from_millis(10);
 
@@ -174,8 +168,6 @@ impl World {
     /// from now on; probabilistic decisions consume the plan's own rng
     /// stream, never the kernel's, so a [`FaultPlan::none`] plan leaves
     /// replay digests and statistics bit-identical to no plan at all.
-    /// Churn storms carried by the plan are scenario data for harnesses;
-    /// the kernel does not act on them.
     pub fn install_faults(&mut self, plan: FaultPlan) {
         self.faults = Some(Box::new(FaultState::new(plan)));
     }
@@ -203,12 +195,6 @@ impl World {
                 kind,
             });
         }
-    }
-
-    /// The shared configuration.
-    #[must_use]
-    pub fn config(&self) -> &SimConfig {
-        &self.config
     }
 
     /// Current virtual time.
@@ -427,12 +413,6 @@ impl World {
         self.queue.pop_until(horizon)
     }
 
-    /// Runs for `span` beyond the current time.
-    pub fn run_for(&mut self, span: SimDuration) {
-        let horizon = self.now + span;
-        self.run_until(horizon);
-    }
-
     fn dispatch(&mut self, kind: EventKind) {
         self.digest.record(self.now, &kind);
         if self.sink.is_some() {
@@ -459,7 +439,7 @@ impl World {
             EventKind::Sweep => {
                 let now = self.now;
                 for state in self.nodes.values_mut() {
-                    state.transport.sweep(now, DELIVERED_HORIZON, STALE_HORIZON);
+                    state.transport.sweep(now);
                 }
                 self.queue.push(now + SWEEP_INTERVAL, EventKind::Sweep);
             }
@@ -560,9 +540,8 @@ impl World {
             return;
         };
         self.stats.messages_sent += 1;
-        let mut plan = state.transport.send_message(
+        let mut frames = state.transport.send_message(
             id,
-            handle.0,
             handle,
             payload,
             intended,
@@ -571,7 +550,7 @@ impl World {
             std::mem::take(&mut self.frame_scratch),
         );
         if self.sink.is_some() {
-            let bytes: u64 = plan.frames.iter().map(|f| f.wire_bytes as u64).sum();
+            let bytes: u64 = frames.iter().map(|f| f.wire_bytes as u64).sum();
             self.emit(
                 id.0,
                 Phase::Transport,
@@ -582,10 +561,10 @@ impl World {
                 },
             );
         }
-        for frame in plan.frames.drain(..) {
+        for frame in frames.drain(..) {
             self.pace_frame(id, frame, SendClass::Data);
         }
-        self.frame_scratch = plan.frames;
+        self.frame_scratch = frames;
     }
 
     // ---- MAC glue: pacing, OS buffer, contention -------------------------
@@ -632,9 +611,7 @@ impl World {
                 self.stats.frames_dropped_os += 1;
                 let bytes = frame.wire_bytes as u64;
                 self.emit(id.0, Phase::Radio, TraceKind::FrameDroppedOs { bytes });
-                if let FrameKind::Data { msg, .. } = frame.kind {
-                    self.frame_done(id, msg);
-                }
+                self.frame_done(id, &frame);
             }
         }
     }
@@ -682,23 +659,14 @@ impl World {
         state.stats.frames_sent += 1;
         state.stats.bytes_sent += wire;
         self.stats.count_on_air(&frame);
-        let frame_class = frame.class;
-        // Message identity of the carried payload: `origin#seq` is the
-        // correlation key tying this frame to its transport message and —
-        // through the protocol layer's `QuerySent`/`ResponseSent` events —
-        // to the consumer session it serves.
-        let (msg_origin, msg_seq) = match &frame.kind {
-            FrameKind::Data { msg, .. } | FrameKind::Ack { msg, .. } => {
-                (u64::from(msg.origin.0), msg.seq)
-            }
-        };
+        let (frame_class, msg) = (frame.class, frame.msg());
         let end = now + self.config.radio.frame_airtime(frame.wire_bytes);
         let tx_id = self.medium.begin(id, pos, now, end, frame);
         self.queue.push(end, EventKind::TxEnd(tx_id));
         let kind = TraceKind::TxStart {
             tx: tx_id,
-            origin: msg_origin,
-            seq: msg_seq,
+            origin: u64::from(msg.origin.0),
+            seq: msg.seq,
             bytes: wire,
             class: u64::from(frame_class),
         };
@@ -733,9 +701,7 @@ impl World {
         }
         self.rx_scratch = rx;
         // Sender-side transport bookkeeping (retransmission arming).
-        if let FrameKind::Data { msg, .. } = tx.frame.kind {
-            self.frame_done(tx.sender, msg);
-        }
+        self.frame_done(tx.sender, &tx.frame);
         self.medium.prune(now);
     }
 
@@ -821,38 +787,22 @@ impl World {
 
     fn deliver_frame(&mut self, r: NodeId, frame: &Frame) {
         let now = self.now;
-        let ack = self.config.ack;
-        match &frame.kind {
-            FrameKind::Data {
+        let Some(state) = self.nodes.get_mut(&r) else {
+            return;
+        };
+        match state.transport.receive(r, frame, &self.config.ack, now) {
+            Received::Nothing => {}
+            Received::Data {
                 msg,
-                frag,
-                frag_count,
-                intended,
-                payload,
-                msg_wire_bytes,
+                ack_after,
+                deliver,
             } => {
-                let Some(state) = self.nodes.get_mut(&r) else {
-                    return;
-                };
-                let plan = state.transport.on_data_frame(
-                    r,
-                    *msg,
-                    *frag,
-                    *frag_count,
-                    intended,
-                    payload,
-                    *msg_wire_bytes,
-                    frame.sender,
-                    ack.enabled,
-                    ack.ack_delay,
-                    now,
-                );
-                if let Some(delay) = plan.schedule_ack {
+                if let Some(delay) = ack_after {
                     let jitter = self.rng.range_u64(0, ACK_JITTER.as_micros().max(1));
                     let at = now + delay + SimDuration::from_micros(jitter);
-                    self.arm_timer(r, at, TimerKind::AckSend(*msg));
+                    self.arm_timer(r, at, TimerKind::AckSend(msg));
                 }
-                let Some(d) = plan.deliver else {
+                let Some(d) = deliver else {
                     return;
                 };
                 self.stats.messages_delivered += 1;
@@ -876,41 +826,22 @@ impl World {
                 let payload = d.payload;
                 self.call_app(r, move |app, ctx| app.on_message(ctx, meta, payload));
             }
-            FrameKind::Ack { msg, received } => {
-                if msg.origin != r {
-                    return;
-                }
-                let Some(state) = self.nodes.get_mut(&r) else {
-                    return;
-                };
-                let Some((handle, timer)) =
-                    state.transport.on_ack_frame(*msg, frame.sender, received)
-                else {
-                    return;
-                };
-                if let Some(tid) = timer {
-                    state.timers.remove(&tid);
-                }
-                self.emit(
-                    r.0,
-                    Phase::Transport,
-                    TraceKind::MessageAcked { seq: msg.seq },
-                );
+            Received::Acked(handle) => {
+                // A message's sequence number is its handle.
+                let kind = TraceKind::MessageAcked { seq: handle.0 };
+                self.emit(r.0, Phase::Transport, kind);
                 self.call_app(r, move |app, ctx| app.on_send_result(ctx, handle, true));
             }
         }
     }
 
-    fn frame_done(&mut self, sender: NodeId, msg: MessageId) {
-        let Some(state) = self.nodes.get_mut(&sender) else {
-            return;
-        };
-        if state.transport.on_frame_done(msg) {
+    /// Arms the retransmission timer when `frame` was the last of its
+    /// message's attempt to leave the radio.
+    fn frame_done(&mut self, sender: NodeId, frame: &Frame) {
+        let node = self.nodes.get_mut(&sender);
+        if let Some(msg) = node.and_then(|s| s.transport.on_frame_done(frame)) {
             let at = self.now + self.config.ack.retr_timeout;
-            let tid = self.arm_timer(sender, at, TimerKind::Retr(msg));
-            if let Some(state) = self.nodes.get_mut(&sender) {
-                state.transport.set_retr_timer(msg, tid);
-            }
+            self.arm_timer(sender, at, TimerKind::Retr(msg));
         }
     }
 
@@ -918,14 +849,13 @@ impl World {
 
     /// Arms a kernel timer on `node`, drawing its id from the same
     /// sequence as application timers.
-    fn arm_timer(&mut self, node: NodeId, at: SimTime, kind: TimerKind) -> TimerId {
+    fn arm_timer(&mut self, node: NodeId, at: SimTime, kind: TimerKind) {
         let id = TimerId(self.next_timer);
         self.next_timer += 1;
         if let Some(state) = self.nodes.get_mut(&node) {
             state.timers.insert(id, kind);
             self.queue.push(at, EventKind::Timer { node, id });
         }
-        id
     }
 
     fn fire_timer(&mut self, node: NodeId, id: TimerId) {
@@ -1108,6 +1038,10 @@ mod tests {
         w.add_node(Position::new(30.0, 0.0), Box::new(Sink::new()));
         w.run_until(secs(2.0));
         assert_eq!(w.app::<Blaster>(a).expect("app").results, vec![true]);
+        // The run ends well past the 200 ms retransmission timeout: the
+        // timer armed before the ack landed fired and found nothing to do.
+        assert_eq!(w.stats().frames_retransmitted, 0);
+        assert_eq!(w.stats().messages_failed, 0);
     }
 
     #[test]
@@ -1540,7 +1474,7 @@ mod tests {
         let mut w = World::new(lossless(), 1);
         w.run_until(secs(3.0));
         assert_eq!(w.now(), secs(3.0));
-        w.run_for(SimDuration::from_secs(2));
+        w.run_until(secs(5.0));
         assert_eq!(w.now(), secs(5.0));
     }
 }
