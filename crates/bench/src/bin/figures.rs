@@ -7,7 +7,9 @@
 //!
 //! Each experiment name matches a paper figure (`fig3` … `fig16`,
 //! `saturation`, `leaky-sweep`, `ack-sweep`). Results are printed and
-//! written to `<out>/<experiment>[-i].csv` (default `results/`).
+//! written to `<out>/<experiment>[-i].csv`. The default `<out>` follows the
+//! mode — `results/paper/` for the full run, `results/quick/` for
+//! `--quick` — so one mode never overwrites the other's committed record.
 //!
 //! `--jobs N` sets the sweep-executor worker count; the default is the
 //! number of available cores and `--jobs 1` restores fully sequential
@@ -21,11 +23,12 @@ use std::path::PathBuf;
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let mut config = RunConfig::paper();
-    let mut out_dir = PathBuf::from("results");
+    let mut out_dir = PathBuf::from("results/paper");
 
     if let Some(i) = args.iter().position(|a| a == "--quick") {
         args.remove(i);
         config = RunConfig::quick();
+        out_dir = PathBuf::from("results/quick");
     }
     if let Some(i) = args.iter().position(|a| a == "--seeds") {
         args.remove(i);

@@ -7,7 +7,7 @@ cd "$(dirname "$0")/.."
 echo "== tests =="
 cargo test --workspace
 
-echo "== paper figures (CSV in results/) =="
+echo "== paper figures (CSV in results/paper/) =="
 cargo run --release -p pds-bench --bin figures -- all
 
 echo "== session delay decomposition (results/delay_decomposition.txt) =="
