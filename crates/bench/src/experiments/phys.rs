@@ -228,7 +228,6 @@ pub fn ack_sweep(cfg: &RunConfig) -> Vec<Table> {
             enabled: true,
             retr_timeout: SimDuration::from_millis(timeout),
             max_retr,
-            ack_delay: SimDuration::from_millis(40),
         };
         single_hop_run(c, 4, count, seed).0
     });

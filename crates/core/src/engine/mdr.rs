@@ -8,6 +8,7 @@
 //! causes with multiple cached copies is exactly what Figs. 13/14 measure.
 
 use super::{Outgoing, PdsEngine};
+use crate::config::{BLOOM_FPP, QUERY_LIFETIME};
 use crate::descriptor::DataDescriptor;
 use crate::ids::{ChunkId, ItemName};
 use crate::lqt::chunk_key;
@@ -93,7 +94,7 @@ impl PdsEngine {
         let bloom = if received.is_empty() {
             None
         } else {
-            let params = BloomParams::optimal((total as usize * 2).max(64), self.config.bloom_fpp);
+            let params = BloomParams::optimal((total as usize * 2).max(64), BLOOM_FPP);
             let mut b = BloomFilter::with_round(params, round);
             for c in &received {
                 b.insert(&chunk_key(item, *c));
@@ -108,7 +109,7 @@ impl PdsEngine {
                 total_chunks: total,
             },
             sender: self.id,
-            expires_at: now + self.config.query_lifetime,
+            expires_at: now + QUERY_LIFETIME,
             filter: QueryFilter::match_all(),
             bloom,
             round,

@@ -212,12 +212,10 @@ impl PdsEngine {
     /// distinct seed).
     #[must_use]
     pub fn new(id: NodeId, config: PdsConfig, seed: u64) -> Self {
-        let mut store = DataStore::new();
-        store.set_chunk_cache(config.chunk_cache);
         Self {
             id,
             config,
-            store,
+            store: DataStore::new(),
             lqt: LingeringQueryTable::with_budget(NODE_BYTE_BUDGET),
             cdi: CdiTable::new(),
             recent_responses: DetMap::default(),
@@ -435,17 +433,10 @@ impl PdsEngine {
 
     /// Forwards a flooded query: sender rewritten to this node, Bloom filter
     /// refreshed from the (possibly rewritten) lingering copy (§III-B-2).
-    /// Returns `None` when the query's hop budget is spent or the node's
-    /// probabilistic-flooding coin says no (broadcast-storm reduction,
-    /// §VII).
-    pub(crate) fn forward_flood(&mut self, q: &QueryMessage) -> Option<Outgoing> {
+    /// Returns `None` when the query's hop budget is spent.
+    pub(crate) fn forward_flood(&self, q: &QueryMessage) -> Option<Outgoing> {
         if q.ttl_hops == 1 {
             return None; // budget spent at this hop
-        }
-        if self.config.forward_probability < 1.0
-            && !self.rng.chance(self.config.forward_probability)
-        {
-            return None;
         }
         let rewritten = if self.config.rewrite {
             self.lqt.get(q.id).and_then(|l| l.bloom.as_ref())

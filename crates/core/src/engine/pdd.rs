@@ -4,6 +4,7 @@
 //! run through the same code, generic over [`DiscoveryEntry`].
 
 use super::{Outgoing, PdsEngine};
+use crate::config::{BLOOM_FPP, METADATA_TTL, QUERY_LIFETIME};
 use crate::descriptor::DataDescriptor;
 use crate::ids::ResponseId;
 use crate::lqt::Lingering;
@@ -164,8 +165,7 @@ impl PdsEngine {
         };
         let round = session.controller.round();
         let bloom = (round > 0).then(|| {
-            let params =
-                BloomParams::optimal(session.collected.len().max(2048) * 2, self.config.bloom_fpp);
+            let params = BloomParams::optimal(session.collected.len().max(2048) * 2, BLOOM_FPP);
             let mut bloom = BloomFilter::with_round(params, round);
             for key in &session.collected {
                 bloom.insert(key.as_bytes());
@@ -181,7 +181,7 @@ impl PdsEngine {
             filter: session.filter.clone(),
             id: self.new_query_id(),
             sender: self.id,
-            expires_at: now + self.config.query_lifetime,
+            expires_at: now + QUERY_LIFETIME,
             bloom,
             round,
             ttl_hops: self.config.query_hop_limit.unwrap_or(0),
@@ -267,7 +267,7 @@ impl PdsEngine {
         id: ResponseId,
         entries: Vec<E>,
     ) -> Vec<Outgoing> {
-        let expires_at = now + self.config.metadata_ttl;
+        let expires_at = now + METADATA_TTL;
         for e in &entries {
             e.cache(&mut self.store, expires_at);
         }

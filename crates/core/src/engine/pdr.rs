@@ -9,6 +9,10 @@
 
 use super::{Outgoing, PdsEngine, MAX_CHUNK_QUERY_DEPTH};
 use crate::assign::min_max_assign;
+use crate::config::{
+    CDI_TTL, MAX_RECOVERY, METADATA_TTL, PHASE1_MIN, PHASE1_TIMEOUT, QUERY_LIFETIME, WATCHDOG,
+    WATCHDOG_PER_CHUNK,
+};
 use crate::descriptor::DataDescriptor;
 use crate::ids::{ChunkId, ItemName, ResponseId};
 use crate::message::{QueryKind, QueryMessage, ResponseKind, ResponseMessage};
@@ -73,7 +77,7 @@ impl PdsEngine {
             id,
             kind: QueryKind::Cdi { descriptor },
             sender: self.id,
-            expires_at: now + self.config.query_lifetime,
+            expires_at: now + QUERY_LIFETIME,
             filter: QueryFilter::match_all(),
             bloom: None,
             round: 0,
@@ -99,7 +103,6 @@ impl PdsEngine {
     }
 
     fn poll_cdi_phase(&mut self, now: SimTime) -> Vec<Outgoing> {
-        let p = self.config.pdr;
         let Some(session) = self.retrieval.as_ref() else {
             return Vec::new();
         };
@@ -116,7 +119,7 @@ impl PdsEngine {
             .chain(have.iter().copied())
             .collect();
         let full = covered.len() as u32 >= total;
-        if (full && elapsed >= p.phase1_min) || elapsed >= p.phase1_timeout {
+        if (full && elapsed >= PHASE1_MIN) || elapsed >= PHASE1_TIMEOUT {
             if covered.len() as u32 > have.len() as u32 {
                 // Enough routes: move to phase 2 and send the first wave.
                 if let Some(s) = &mut self.retrieval {
@@ -132,7 +135,7 @@ impl PdsEngine {
                 Some(s) => {
                     s.phase_started_at = now;
                     // Only an attempt that re-queries is counted.
-                    let give_up = s.recovery_attempts >= p.max_recovery;
+                    let give_up = s.recovery_attempts >= MAX_RECOVERY;
                     s.recovery_attempts += u32::from(!give_up);
                     give_up
                 }
@@ -148,7 +151,6 @@ impl PdsEngine {
     }
 
     fn poll_chunk_phase(&mut self, now: SimTime) -> Vec<Outgoing> {
-        let p = self.config.pdr;
         let (missing, stalled, descriptor, item) = {
             let Some(s) = self.retrieval.as_ref() else {
                 return Vec::new();
@@ -157,7 +159,7 @@ impl PdsEngine {
                 .map(ChunkId)
                 .filter(|c| !s.received.contains(c))
                 .collect();
-            let threshold = p.watchdog + p.watchdog_per_chunk.saturating_mul(missing.len() as u64);
+            let threshold = WATCHDOG + WATCHDOG_PER_CHUNK.saturating_mul(missing.len() as u64);
             let stalled = now.since(s.last_progress_at.max(s.phase_started_at)) >= threshold;
             (missing, stalled, s.descriptor.clone(), s.item.clone())
         };
@@ -174,7 +176,7 @@ impl PdsEngine {
             Some(s) => {
                 s.last_progress_at = now;
                 s.rounds_sent += 1;
-                let give_up = s.recovery_attempts >= p.max_recovery;
+                let give_up = s.recovery_attempts >= MAX_RECOVERY;
                 s.recovery_attempts += u32::from(!give_up);
                 give_up
             }
@@ -208,13 +210,8 @@ impl PdsEngine {
             .collect();
         // Chunk queries must outlive the (serialized) transfer they route:
         // scale the lingering horizon with the amount requested.
-        let expires = now
-            + self.config.query_lifetime
-            + self
-                .config
-                .pdr
-                .watchdog_per_chunk
-                .saturating_mul(missing.len() as u64 * 2);
+        let expires =
+            now + QUERY_LIFETIME + WATCHDOG_PER_CHUNK.saturating_mul(missing.len() as u64 * 2);
         self.divide_chunks(now, item, &missing, None, expires, 0, force)
     }
 
@@ -325,7 +322,7 @@ impl PdsEngine {
         // Learning the item's existence from the query itself is free
         // metadata.
         self.store
-            .cache_metadata(descriptor.clone(), now + self.config.metadata_ttl);
+            .cache_metadata(descriptor.clone(), now + METADATA_TTL);
 
         let mut out = Vec::new();
         let pairs = self.cdi_summary_with_local(&item, now);
@@ -381,7 +378,7 @@ impl PdsEngine {
         item: &ItemName,
         pairs: &[(ChunkId, u32)],
     ) -> Vec<Outgoing> {
-        let ttl = self.config.cdi_ttl;
+        let ttl = CDI_TTL;
         for &(c, h) in pairs {
             self.cdi
                 .observe(item, c, from, h.saturating_add(1), now + ttl);
@@ -520,8 +517,7 @@ impl PdsEngine {
         // holds it one hop away.
         self.store
             .cache_chunk(&item_descriptor, chunk, data.clone());
-        self.cdi
-            .observe(&item, chunk, from, 1, now + self.config.cdi_ttl);
+        self.cdi.observe(&item, chunk, from, 1, now + CDI_TTL);
         self.pending_chunk.remove(&(item.clone(), chunk));
 
         // Feed our own retrieval session (intended or overheard alike).

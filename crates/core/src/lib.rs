@@ -73,7 +73,7 @@ pub use time::{SimDuration, SimTime};
 
 pub use assign::{min_max_assign, AssignStrategy, ChunkCandidates};
 pub use cdi::{CdiEntry, CdiTable};
-pub use config::{PdrParams, PdsConfig, RoundParams};
+pub use config::{PdsConfig, RoundParams, MAX_RECOVERY};
 pub use descriptor::{attrs, AttrName, DataDescriptor, DescriptorBuilder, EntryKey};
 pub use engine::{Jitter, Outgoing, PdsEngine};
 pub use ids::{ChunkId, ItemName, QueryId, ResponseId};
@@ -87,5 +87,5 @@ pub use rounds::{RoundController, RoundDecision};
 pub use sessions::{
     DiscoveryReport, DiscoverySession, RetrievalPhase, RetrievalReport, RetrievalSession,
 };
-pub use store::{ChunkCacheConfig, DataStore, EvictionPolicy, MetaEntry};
+pub use store::{DataStore, MetaEntry};
 pub use value::AttrValue;

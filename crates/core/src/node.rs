@@ -13,7 +13,7 @@
     clippy::indexing_slicing
 )]
 
-use crate::config::PdsConfig;
+use crate::config::{PdsConfig, RESPONSE_JITTER, ROUND_POLL};
 use crate::descriptor::DataDescriptor;
 use crate::engine::{Outgoing, PdsEngine};
 use crate::ids::ChunkId;
@@ -26,7 +26,7 @@ use pds_obs::{Phase, TraceKind};
 
 const TAG_POLL: u64 = 1;
 const TAG_GC: u64 = 2;
-const TAG_SEND: u64 = 3;
+pub(crate) const TAG_SEND: u64 = 3;
 
 const GC_INTERVAL: SimDuration = SimDuration::from_secs(1);
 
@@ -286,7 +286,7 @@ impl PdsNode {
         };
         if !self.poll_armed && engine.has_live_session() {
             self.poll_armed = true;
-            arm_on_lattice(ctx, self.started_at, self.config.rounds.poll, TAG_POLL);
+            arm_on_lattice(ctx, self.started_at, ROUND_POLL, TAG_POLL);
         }
         if !self.gc_armed && (engine.holds_expiring_state() || !self.in_flight.is_empty()) {
             self.gc_armed = true;
@@ -297,7 +297,7 @@ impl PdsNode {
     /// Sends (or schedules, for jittered responses) the engine's outgoing
     /// messages.
     fn dispatch(&mut self, ctx: &mut Context, outs: Vec<Outgoing>) {
-        let jitter_max = self.config.response_jitter.as_micros();
+        let jitter_max = RESPONSE_JITTER.as_micros();
         for out in outs {
             let max = match out.jitter {
                 crate::engine::Jitter::None => 0,

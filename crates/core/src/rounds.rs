@@ -2,11 +2,12 @@
 //!
 //! The consumer makes two decisions from response-arrival statistics:
 //!
-//! 1. **Is the current round finished?** Upon each poll it computes the
+//! 1. **Is the current round finished?** The paper ends a round once the
 //!    ratio of responses received within the recent window `T` to all
-//!    responses since the round's query was sent; when that ratio falls to
-//!    `T_r` or below, the stream has "diminished" and the round is over. A
-//!    round that never produced a response ends after one idle window.
+//!    responses since the round's query was sent falls to `T_r` or below.
+//!    With its best value `T_r = 0` that means no response arrived within
+//!    the last window: the stream has "diminished". A round that never
+//!    produced a response ends after one idle window.
 //! 2. **Start another round?** If the fraction of *new* entries this round
 //!    (relative to everything received so far) exceeds `T_d`, more data is
 //!    likely still out there. With the paper's best value `T_d = 0`, rounds
@@ -50,7 +51,6 @@ pub struct RoundController {
     round: u32,
     round_started: SimTime,
     arrivals: VecDeque<SimTime>,
-    responses_this_round: u64,
     new_entries_this_round: u64,
     total_entries: u64,
 }
@@ -64,7 +64,6 @@ impl RoundController {
             round: 0,
             round_started: now,
             arrivals: VecDeque::new(),
-            responses_this_round: 0,
             new_entries_this_round: 0,
             total_entries: 0,
         }
@@ -85,7 +84,6 @@ impl RoundController {
     /// Records a response carrying `new_entries` not-seen-before entries.
     pub fn on_response(&mut self, now: SimTime, new_entries: u64) {
         self.arrivals.push_back(now);
-        self.responses_this_round += 1;
         self.new_entries_this_round += new_entries;
         self.total_entries += new_entries;
     }
@@ -95,7 +93,6 @@ impl RoundController {
         self.round += 1;
         self.round_started = now;
         self.arrivals.clear();
-        self.responses_this_round = 0;
         self.new_entries_this_round = 0;
     }
 
@@ -129,13 +126,10 @@ impl RoundController {
         while self.arrivals.front().is_some_and(|&a| a < window_start) {
             self.arrivals.pop_front();
         }
-        if self.responses_this_round == 0 {
-            // Nothing back yet: wait at least one window before giving up.
-            return now.since(self.round_started) >= self.params.t_window;
-        }
-        let recent = self.arrivals.len() as f64;
-        let total = self.responses_this_round as f64;
-        recent / total <= self.params.t_r
+        // Nothing within the last window. A round that has heard nothing
+        // yet also waits out one whole window before giving up; one that
+        // has, and then fell silent for a window, is past it already.
+        self.arrivals.is_empty() && now.since(self.round_started) >= self.params.t_window
     }
 }
 
@@ -147,9 +141,7 @@ mod tests {
     fn params() -> RoundParams {
         RoundParams {
             t_window: SimDuration::from_secs(1),
-            t_r: 0.0,
             t_d: 0.0,
-            poll: SimDuration::from_millis(200),
             max_rounds: 12,
         }
     }
@@ -206,20 +198,6 @@ mod tests {
         // 4 new out of 14 total = 0.29 < 0.5 → finished despite new entries.
         c.on_response(t(1.7), 4);
         assert_eq!(c.poll(t(3.0)), RoundDecision::Finished);
-    }
-
-    #[test]
-    fn positive_t_r_ends_round_while_trickling() {
-        let mut p = params();
-        p.t_r = 0.2;
-        let mut c = RoundController::new(p, t(0.0));
-        // 10 responses early, then a trickle: 1 in the last second out of 11
-        // total = 0.09 ≤ 0.2 → round considered finished.
-        for i in 0..10 {
-            c.on_response(t(0.1 + 0.01 * f64::from(i)), 1);
-        }
-        c.on_response(t(2.0), 1);
-        assert_eq!(c.poll(t(2.1)), RoundDecision::StartNextRound);
     }
 
     #[test]

@@ -5,7 +5,13 @@
 //! cached *without* its payload carries an expiration time and is removed at
 //! expiry; entries whose payload (or any chunk of the item) is present live
 //! as long as the payload does.
+//!
+//! Opportunistically cached chunks share one byte budget,
+//! [`CHUNK_CACHE_BYTES`]; above it the least recently used cached chunk is
+//! evicted (§VII: storage is finite, so cached chunks need a replacement
+//! strategy). Locally produced chunks are pinned and never evicted.
 
+use crate::config::CHUNK_CACHE_BYTES;
 use crate::descriptor::{DataDescriptor, EntryKey};
 use crate::ids::{ChunkId, ItemName};
 use crate::predicate::QueryFilter;
@@ -24,33 +30,10 @@ pub struct MetaEntry {
     pub expires_at: Option<SimTime>,
 }
 
-/// Which cached chunk to evict when the cache budget is exceeded (§VII of
-/// the paper: storage is finite, so opportunistically cached chunks need a
-/// replacement strategy; locally produced chunks are never evicted).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvictionPolicy {
-    /// Least recently used (by access order).
-    #[default]
-    Lru,
-    /// Least frequently used (by hit count; ties broken by recency).
-    Lfu,
-}
-
-/// Budget and policy for opportunistically cached chunks.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ChunkCacheConfig {
-    /// Byte budget for *cached* (not locally produced) chunks; `None` means
-    /// unbounded — the paper's default assumption of ample storage.
-    pub capacity_bytes: Option<usize>,
-    /// Replacement strategy when over budget.
-    pub policy: EvictionPolicy,
-}
-
 #[derive(Debug, Clone)]
 struct CachedChunkMeta {
     bytes: usize,
     last_access: u64,
-    hits: u64,
     pinned: bool,
 }
 
@@ -70,7 +53,7 @@ struct CachedChunkMeta {
 /// let now = SimTime::ZERO;
 /// assert_eq!(store.match_metadata(&QueryFilter::match_all(), now).len(), 1);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct DataStore {
     metadata: DetMap<EntryKey, MetaEntry>,
     // How many `metadata` entries carry an `expires_at`: what `gc` could
@@ -81,17 +64,41 @@ pub struct DataStore {
     // Index: item name → entry key of the whole-item (chunk-less) descriptor.
     items_by_name: DetMap<ItemName, EntryKey>,
     // Cache accounting for opportunistically stored chunks.
-    cache_config: ChunkCacheConfig,
+    cache_capacity: usize,
     chunk_meta: DetMap<(ItemName, ChunkId), CachedChunkMeta>,
     cached_bytes: usize,
     access_clock: u64,
 }
 
+impl Default for DataStore {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl DataStore {
-    /// Creates an empty store.
+    /// Creates an empty store with the [`CHUNK_CACHE_BYTES`] cache budget.
     #[must_use]
     pub fn new() -> Self {
-        Self::default()
+        Self {
+            metadata: DetMap::default(),
+            expiring: 0,
+            small_payloads: DetMap::default(),
+            chunks: DetMap::default(),
+            items_by_name: DetMap::default(),
+            cache_capacity: CHUNK_CACHE_BYTES,
+            chunk_meta: DetMap::default(),
+            cached_bytes: 0,
+            access_clock: 0,
+        }
+    }
+
+    /// Shrinks the cache budget so a test can reach eviction with a few
+    /// small chunks. Evicts immediately if the cache is over the new budget.
+    #[cfg(test)]
+    pub(crate) fn set_chunk_cache_bytes(&mut self, capacity: usize) {
+        self.cache_capacity = capacity;
+        self.maybe_evict();
     }
 
     /// Inserts a locally produced data item: metadata (never expiring) plus
@@ -193,13 +200,6 @@ impl DataStore {
         }
     }
 
-    /// Configures the byte budget and replacement policy for cached chunks.
-    /// Evicts immediately if the current cache is over the new budget.
-    pub fn set_chunk_cache(&mut self, config: ChunkCacheConfig) {
-        self.cache_config = config;
-        self.maybe_evict();
-    }
-
     /// Stores one *locally produced* chunk: pinned, never evicted; pins the
     /// item's metadata entry (the paper: an entry lives as long as *any*
     /// chunk of the item).
@@ -208,7 +208,8 @@ impl DataStore {
     }
 
     /// Opportunistically caches a chunk received or overheard from the
-    /// network: evictable under the configured [`ChunkCacheConfig`].
+    /// network: evictable, least recently used first, once cached chunks
+    /// pass the store's byte budget.
     pub fn cache_chunk(&mut self, item_descriptor: &DataDescriptor, chunk: ChunkId, data: Bytes) {
         self.store_chunk(item_descriptor, chunk, data, false);
         self.maybe_evict();
@@ -246,7 +247,6 @@ impl DataStore {
                     CachedChunkMeta {
                         bytes: data.len(),
                         last_access: self.access_clock,
-                        hits: 0,
                         pinned,
                     },
                 );
@@ -257,20 +257,15 @@ impl DataStore {
         self.pin_metadata(item_descriptor);
     }
 
-    /// Evicts cached (unpinned) chunks until within budget, per the policy.
+    /// Evicts least recently used cached (unpinned) chunks until within
+    /// budget.
     fn maybe_evict(&mut self) {
-        let Some(capacity) = self.cache_config.capacity_bytes else {
-            return;
-        };
-        while self.cached_bytes > capacity {
+        while self.cached_bytes > self.cache_capacity {
             let victim = self
                 .chunk_meta
                 .iter()
                 .filter(|(_, m)| !m.pinned)
-                .min_by_key(|(_, m)| match self.cache_config.policy {
-                    EvictionPolicy::Lru => (m.last_access, 0),
-                    EvictionPolicy::Lfu => (m.hits, m.last_access),
-                })
+                .min_by_key(|(_, m)| m.last_access)
                 .map(|(k, _)| k.clone());
             let Some((item, chunk)) = victim else {
                 return; // everything left is pinned
@@ -304,20 +299,19 @@ impl DataStore {
     }
 
     /// The bytes of chunk `chunk` of `item`, if held (a peek: does not
-    /// count as a cache hit).
+    /// count as a use for LRU eviction).
     #[must_use]
     pub fn chunk(&self, item: &ItemName, chunk: ChunkId) -> Option<Bytes> {
         self.chunks.get(item).and_then(|m| m.get(&chunk)).cloned()
     }
 
-    /// Like [`DataStore::chunk`], but counts as a cache hit for the
-    /// eviction policy — the serving path uses this.
+    /// Like [`DataStore::chunk`], but counts as a use for LRU eviction —
+    /// the serving path uses this.
     #[must_use]
     pub fn fetch_chunk(&mut self, item: &ItemName, chunk: ChunkId) -> Option<Bytes> {
         let data = self.chunks.get(item).and_then(|m| m.get(&chunk)).cloned()?;
         self.access_clock += 1;
         if let Some(meta) = self.chunk_meta.get_mut(&(item.clone(), chunk)) {
-            meta.hits += 1;
             meta.last_access = self.access_clock;
         }
         Some(data)
@@ -540,10 +534,7 @@ mod tests {
     #[test]
     fn cache_respects_byte_budget_lru() {
         let mut s = DataStore::new();
-        s.set_chunk_cache(ChunkCacheConfig {
-            capacity_bytes: Some(2_000),
-            policy: EvictionPolicy::Lru,
-        });
+        s.set_chunk_cache_bytes(2_000);
         let item = item_desc("vid", 4);
         for c in 0..4u32 {
             s.cache_chunk(&item, ChunkId(c), Bytes::from(vec![0u8; 1_000]));
@@ -559,10 +550,7 @@ mod tests {
     #[test]
     fn lru_eviction_honours_access_recency() {
         let mut s = DataStore::new();
-        s.set_chunk_cache(ChunkCacheConfig {
-            capacity_bytes: Some(2_000),
-            policy: EvictionPolicy::Lru,
-        });
+        s.set_chunk_cache_bytes(2_000);
         let item = item_desc("vid", 3);
         s.cache_chunk(&item, ChunkId(0), Bytes::from(vec![0u8; 1_000]));
         s.cache_chunk(&item, ChunkId(1), Bytes::from(vec![0u8; 1_000]));
@@ -581,37 +569,9 @@ mod tests {
     }
 
     #[test]
-    fn lfu_eviction_honours_popularity() {
-        let mut s = DataStore::new();
-        s.set_chunk_cache(ChunkCacheConfig {
-            capacity_bytes: Some(2_000),
-            policy: EvictionPolicy::Lfu,
-        });
-        let item = item_desc("vid", 3);
-        s.cache_chunk(&item, ChunkId(0), Bytes::from(vec![0u8; 1_000]));
-        s.cache_chunk(&item, ChunkId(1), Bytes::from(vec![0u8; 1_000]));
-        // Chunk 1 is popular (3 hits); chunk 0 never served.
-        for _ in 0..3 {
-            let _ = s.fetch_chunk(&ItemName::new("vid"), ChunkId(1));
-        }
-        s.cache_chunk(&item, ChunkId(2), Bytes::from(vec![0u8; 1_000]));
-        assert!(
-            !s.has_chunk(&ItemName::new("vid"), ChunkId(0)),
-            "LFU victim"
-        );
-        assert!(
-            s.has_chunk(&ItemName::new("vid"), ChunkId(1)),
-            "popular chunk survives"
-        );
-    }
-
-    #[test]
     fn own_chunks_are_never_evicted() {
         let mut s = DataStore::new();
-        s.set_chunk_cache(ChunkCacheConfig {
-            capacity_bytes: Some(500),
-            policy: EvictionPolicy::Lru,
-        });
+        s.set_chunk_cache_bytes(500);
         let item = item_desc("vid", 3);
         s.insert_chunk(&item, ChunkId(0), Bytes::from(vec![0u8; 1_000]));
         s.cache_chunk(&item, ChunkId(1), Bytes::from(vec![0u8; 1_000]));
@@ -627,10 +587,7 @@ mod tests {
     #[test]
     fn pinning_a_cached_chunk_takes_it_off_the_budget() {
         let mut s = DataStore::new();
-        s.set_chunk_cache(ChunkCacheConfig {
-            capacity_bytes: Some(1_500),
-            policy: EvictionPolicy::Lru,
-        });
+        s.set_chunk_cache_bytes(1_500);
         let item = item_desc("vid", 3);
         let vid = ItemName::new("vid");
         let unpinned_bytes = |s: &DataStore| -> usize {
@@ -660,6 +617,7 @@ mod tests {
 
     #[test]
     fn unbounded_cache_never_evicts() {
+        // Far below the default budget, caching keeps every chunk.
         let mut s = DataStore::new();
         let item = item_desc("vid", 8);
         for c in 0..8u32 {
@@ -667,6 +625,30 @@ mod tests {
         }
         assert_eq!(s.chunk_ids(&ItemName::new("vid")).len(), 8);
         assert_eq!(s.cached_chunk_bytes(), 80_000);
+    }
+
+    #[test]
+    fn default_store_evicts_past_the_chunk_cache_budget() {
+        // Every chunk clones one shared buffer: the budget counts each
+        // chunk's bytes, the test allocates one chunk.
+        const CHUNK: usize = 256 * 1024;
+        let data = Bytes::from(vec![0u8; CHUNK]);
+        let fit = u32::try_from(CHUNK_CACHE_BYTES / CHUNK).expect("small");
+        let mut s = DataStore::new();
+        let vid = ItemName::new("vid");
+        let item = item_desc("vid", i64::from(fit) + 2);
+        s.insert_chunk(&item, ChunkId(0), data.clone());
+        for c in 1..=fit {
+            s.cache_chunk(&item, ChunkId(c), data.clone());
+        }
+        assert_eq!(s.cached_chunk_bytes(), fit as usize * CHUNK);
+        assert!(s.has_chunk(&vid, ChunkId(1)), "within budget: no eviction");
+        s.cache_chunk(&item, ChunkId(fit + 1), data);
+        assert!(!s.has_chunk(&vid, ChunkId(1)), "least recently used goes");
+        assert!(s.has_chunk(&vid, ChunkId(2)));
+        assert!(s.has_chunk(&vid, ChunkId(fit + 1)));
+        assert!(s.has_chunk(&vid, ChunkId(0)), "own data pinned");
+        assert_eq!(s.cached_chunk_bytes(), fit as usize * CHUNK);
     }
 
     #[test]

@@ -315,7 +315,7 @@ fn check_schedule(adj: Topology, op: Op, fifo: bool, lose: u32) {
     }
     check(&now, &[("still running", !finished(&engines[0]))]);
     let quiet = schedule.lost == 0;
-    let (max_rounds, budget) = (config.rounds.max_rounds, config.pdr.max_recovery);
+    let (max_rounds, budget) = (config.rounds.max_rounds, pds_core::MAX_RECOVERY);
     let mdr = matches!(op, Op::Mdr);
 
     if pdd {

@@ -82,7 +82,7 @@ mod tests {
     #[test]
     fn spacing_supports_eight_neighbors_at_default_range() {
         // Diagonal neighbor must be in range; two-step neighbor must not.
-        let range = pds_sim::RadioConfig::default().range_m;
+        let range = pds_sim::RANGE_M;
         assert!(SPACING_M * std::f64::consts::SQRT_2 <= range);
         assert!(2.0 * SPACING_M > range);
     }

@@ -5,16 +5,41 @@
 //! broadcast bitrate in the single-digit Mbps range, a ~1 MB OS UDP send
 //! buffer, a 300 KB / 4.5 Mbps leaky bucket, and 0.2 s / 4-retry
 //! ack/retransmission.
+//!
+//! [`RadioConfig`] and [`AckConfig`] carry only the values some experiment
+//! or test varies; the values the paper fixes — the radio range, frame
+//! size and overhead, the carrier-sense delay and the ack delay — are named
+//! constants below.
 
 use pds_core::SimDuration;
+
+/// Radio range in meters (disk propagation model). 75 m with 50 m grid
+/// spacing makes all 8 surrounding grid neighbors reachable, as in the
+/// paper's 10×10 grid scenario. It is also the spatial grids' cell size.
+pub const RANGE_M: f64 = 75.0;
+
+/// Fixed per-frame MAC/PHY overhead time (preamble, DIFS, etc.).
+pub(crate) const FRAME_OVERHEAD: SimDuration = SimDuration::from_micros(300);
+
+/// Maximum frame size in bytes, headers included (the prototype sends
+/// 1.5 KB UDP packets).
+pub(crate) const MAX_FRAME_BYTES: usize = 1500;
+
+/// How long a transmission must have been on the air before carrier sense
+/// detects it (rx/tx turnaround + detection). Two stations whose deferred
+/// starts fall within this window of each other collide — the CSMA
+/// vulnerability slot that produces contention losses among concurrent
+/// senders (Fig. 3's leaky-bucket-only curve).
+pub(crate) const SENSE_DELAY: SimDuration = SimDuration::from_micros(30);
+
+/// Delay before an intended receiver acknowledges an *incomplete* message
+/// (gives trailing fragments time to arrive); complete messages are acked
+/// after a short random jitter (§V-1).
+pub(crate) const ACK_DELAY: SimDuration = SimDuration::from_millis(40);
 
 /// Physical-layer and MAC-layer parameters shared by all nodes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RadioConfig {
-    /// Radio range in meters (disk propagation model). The default of 75 m
-    /// with 50 m grid spacing makes all 8 surrounding grid neighbors
-    /// reachable, as in the paper's 10×10 grid scenario.
-    pub range_m: f64,
     /// MAC broadcast bitrate in bits per second. The default (12 Mbps) is
     /// chosen so the per-hop service rate comfortably exceeds the paper's
     /// 4.5 Mbps application injection rate — matching the NS-3 evaluation,
@@ -22,11 +47,6 @@ pub struct RadioConfig {
     /// (the paper's 20 MB retrieval takes only ~30 % longer than the
     /// single-hop serialization minimum).
     pub mac_rate_bps: f64,
-    /// Fixed per-frame MAC/PHY overhead time (preamble, DIFS, etc.).
-    pub frame_overhead: SimDuration,
-    /// Maximum frame size in bytes, headers included (the prototype sends
-    /// 1.5 KB UDP packets).
-    pub max_frame_bytes: usize,
     /// OS UDP send-buffer capacity in bytes. The prototype observed ~658
     /// 1.5 KB packets (~1 MB) buffered before overflow drops begin.
     pub os_buffer_bytes: usize,
@@ -54,7 +74,7 @@ pub struct RadioConfig {
     /// classic hidden terminals disappear; set 1.0 to study them.
     pub cs_range_factor: f64,
     /// Interference horizon as a multiple of the decode range: transmitters
-    /// farther than `range_m × interference_range_factor` from a receiver
+    /// farther than `RANGE_M × interference_range_factor` from a receiver
     /// are excluded from its interference sum. The default (infinity) sums
     /// every concurrent transmission, exactly as NS-3-style full-SINR does,
     /// and stays affordable at city scale: far transmitters are bounded
@@ -66,12 +86,6 @@ pub struct RadioConfig {
     /// ~4.0 changes capture decisions only when dozens of such far
     /// transmitters overlap.
     pub interference_range_factor: f64,
-    /// How long a transmission must have been on the air before carrier
-    /// sense detects it (rx/tx turnaround + detection). Two stations whose
-    /// deferred starts fall within this window of each other collide — the
-    /// CSMA vulnerability slot that produces contention losses among
-    /// concurrent senders (Fig. 3's leaky-bucket-only curve).
-    pub sense_delay: SimDuration,
     /// Whether a paced sender observes OS-buffer occupancy and waits
     /// (blocking-send semantics) instead of overflowing. `true` models the
     /// NS-3 multi-hop evaluation (device queues do not silently eat data);
@@ -84,10 +98,7 @@ pub struct RadioConfig {
 impl Default for RadioConfig {
     fn default() -> Self {
         Self {
-            range_m: 75.0,
             mac_rate_bps: 12.0e6,
-            frame_overhead: SimDuration::from_micros(300),
-            max_frame_bytes: 1500,
             os_buffer_bytes: 1_000_000,
             baseline_loss: 0.02,
             backoff_max: SimDuration::from_millis(2),
@@ -95,7 +106,6 @@ impl Default for RadioConfig {
             capture_sinr: 2.0,
             cs_range_factor: 2.0,
             interference_range_factor: f64::INFINITY,
-            sense_delay: SimDuration::from_micros(30),
             os_backpressure: true,
         }
     }
@@ -106,7 +116,7 @@ impl RadioConfig {
     #[must_use]
     pub fn frame_airtime(&self, bytes: usize) -> SimDuration {
         let tx = (bytes as f64 * 8.0) / self.mac_rate_bps;
-        SimDuration::from_secs_f64(tx) + self.frame_overhead
+        SimDuration::from_secs_f64(tx) + FRAME_OVERHEAD
     }
 }
 
@@ -157,10 +167,6 @@ pub struct AckConfig {
     /// Maximum number of retransmissions per message (`MaxRetrTime`;
     /// plateaus at 4).
     pub max_retr: u32,
-    /// Delay before an intended receiver acknowledges an *incomplete*
-    /// message (gives trailing fragments time to arrive); complete messages
-    /// are acked after a short random jitter.
-    pub ack_delay: SimDuration,
 }
 
 impl Default for AckConfig {
@@ -169,7 +175,6 @@ impl Default for AckConfig {
             enabled: true,
             retr_timeout: SimDuration::from_millis(200),
             max_retr: 4,
-            ack_delay: SimDuration::from_millis(40),
         }
     }
 }
@@ -312,6 +317,48 @@ mod tests {
         // path are not options.
         let SpatialConfig { rebucket_interval } = SpatialConfig::default();
         assert_eq!(rebucket_interval, SimDuration::ZERO);
+    }
+
+    #[test]
+    fn radio_config_has_exactly_nine_fields() {
+        // Exhaustive for the same reason: each field is an axis of a radio
+        // study, of the calibration presets or of a test that needs a
+        // state the default cannot reach. The range, frame size and
+        // overhead and the sense delay are constants.
+        let RadioConfig {
+            mac_rate_bps,
+            os_buffer_bytes,
+            baseline_loss,
+            backoff_max,
+            path_loss_exp,
+            capture_sinr,
+            cs_range_factor,
+            interference_range_factor,
+            os_backpressure,
+        } = RadioConfig::default();
+        assert_eq!(mac_rate_bps, 12.0e6);
+        assert_eq!(os_buffer_bytes, 1_000_000);
+        assert_eq!(baseline_loss, 0.02);
+        assert_eq!(backoff_max, SimDuration::from_millis(2));
+        assert_eq!(
+            (path_loss_exp, capture_sinr, cs_range_factor),
+            (3.0, 2.0, 2.0)
+        );
+        assert_eq!(interference_range_factor, f64::INFINITY);
+        assert!(os_backpressure);
+    }
+
+    #[test]
+    fn ack_config_has_exactly_three_fields() {
+        // The ack delay is a constant; these three are the §V-1 sweep axes.
+        let AckConfig {
+            enabled,
+            retr_timeout,
+            max_retr,
+        } = AckConfig::default();
+        assert!(enabled);
+        assert_eq!(retr_timeout, SimDuration::from_millis(200));
+        assert_eq!(max_retr, 4);
     }
 
     #[test]

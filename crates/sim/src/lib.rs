@@ -76,7 +76,7 @@ mod world;
 #[cfg(feature = "prof")]
 pub mod prof;
 
-pub use config::{AckConfig, RadioConfig, SenderMode, SimConfig, SpatialConfig};
+pub use config::{AckConfig, RadioConfig, SenderMode, SimConfig, SpatialConfig, RANGE_M};
 pub use fault::{FaultPlan, PartitionWindow, SilenceWindow};
 pub use radio::{Position, VerdictPaths};
 pub use stats::{EnergyModel, NodeStats, PhaseBytes, Stats};

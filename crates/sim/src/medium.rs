@@ -19,7 +19,7 @@
     clippy::indexing_slicing
 )]
 
-use crate::config::{RadioConfig, SimConfig};
+use crate::config::{RadioConfig, SimConfig, MAX_FRAME_BYTES, RANGE_M, SENSE_DELAY};
 use crate::radio::{
     phys_verdicts, Motion, PhysOutcome, PhysScratch, Position, Transmission, VerdictPaths,
 };
@@ -72,9 +72,8 @@ impl Medium {
     ///
     /// # Panics
     ///
-    /// Panics if `radio.range_m` is not a positive finite cell size, or if
-    /// `radio.path_loss_exp` or `radio.capture_sinr` is negative or not
-    /// finite (see [`World::new`](crate::World::new)).
+    /// Panics if `radio.path_loss_exp` or `radio.capture_sinr` is negative
+    /// or not finite (see [`World::new`](crate::World::new)).
     pub fn new(config: &SimConfig) -> Self {
         let radio = config.radio.clone();
         assert!(
@@ -89,7 +88,7 @@ impl Medium {
         );
         // One cell per radio range: a decode-range query probes at most
         // 3×3 cells.
-        let cell_m = radio.range_m;
+        let cell_m = RANGE_M;
         // Carrier sense and (with a finite interference horizon) the
         // interference pre-scan query this grid with wider radii; sizing
         // its cells to the largest such radius keeps every probe at 3×3
@@ -102,7 +101,7 @@ impl Medium {
             radio.cs_range_factor
         };
         Self {
-            max_airtime: radio.frame_airtime(radio.max_frame_bytes),
+            max_airtime: radio.frame_airtime(MAX_FRAME_BYTES),
             rebucket_interval: config.spatial.rebucket_interval,
             motions: DenseTable::default(),
             transmissions: SeqSlab::default(),
@@ -162,7 +161,7 @@ impl Medium {
         let Some(pos) = self.position(id, now) else {
             return &self.nbr_scratch;
         };
-        let range = self.radio.range_m;
+        let range = RANGE_M;
         self.nbr_cands.clear();
         self.node_grid
             .query_into(pos, range, now, &mut self.nbr_cands);
@@ -180,8 +179,7 @@ impl Medium {
     /// transmissions within the (extended) sense range that have been on
     /// the air long enough to detect, or `None` if the channel is idle.
     pub fn busy_until(&mut self, id: NodeId, pos: Position, now: SimTime) -> Option<SimTime> {
-        let cs_range = self.radio.range_m * self.radio.cs_range_factor;
-        let sense_delay = self.radio.sense_delay;
+        let cs_range = RANGE_M * self.radio.cs_range_factor;
         // The grid carries the sense-relevant fields inline, so the scan
         // never touches the transmission slab; `max` is order-independent,
         // so the unspecified query order is fine.
@@ -192,7 +190,7 @@ impl Medium {
             .filter(|t| {
                 t.end > now
                     && t.sender != id
-                    && t.start + sense_delay <= now
+                    && t.start + SENSE_DELAY <= now
                     && t.pos.distance(&pos) <= cs_range
             })
             .map(|t| t.end)

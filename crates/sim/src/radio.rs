@@ -3,11 +3,12 @@
 //! ([`crate::transport::Frame`]).
 //!
 //! Propagation is a disk model: a frame transmitted by `s` can be received
-//! by every alive node within `range_m` of `s` — the broadcast/overhearing
+//! by every alive node within `RANGE_M` of `s` — the broadcast/overhearing
 //! property PDS exploits. Receptions fail on collision (another in-range
 //! transmission overlaps in time), half-duplex conflict, or baseline random
 //! loss; see [`World`](crate::World) for the delivery rules.
 
+use crate::config::RANGE_M;
 use crate::medium::Medium;
 use crate::spatial::TxEntry;
 use crate::transport::Frame;
@@ -206,7 +207,7 @@ pub(crate) fn phys_verdicts(
     // position below is evaluated at `tx.end`.
     let at = tx.end;
     let radio = &medium.radio;
-    let range = radio.range_m;
+    let range = RANGE_M;
     let tx_pos = tx.start_pos;
     // Candidates must come out ascending by id: the per-receiver rng rolls
     // at commit consume the shared stream, so receiver *order* is part of
@@ -451,7 +452,7 @@ mod tests {
     /// far-field bound of [`phys_verdicts`] at once, bit for bit.
     fn oracle_verdicts(scene: &Scene, tx: &Transmission) -> Vec<(NodeId, PhysOutcome)> {
         let radio = &scene.medium.radio;
-        let range = radio.range_m;
+        let range = RANGE_M;
         let trunc = range * radio.interference_range_factor;
         let power = |d: f64| d.max(1.0).powf(-radio.path_loss_exp);
         let concurrent = || {

@@ -24,7 +24,7 @@
     clippy::indexing_slicing
 )]
 
-use crate::config::{AckConfig, SimConfig};
+use crate::config::{AckConfig, SimConfig, ACK_DELAY, MAX_FRAME_BYTES};
 use bytes::Bytes;
 use pds_core::MessageHandle;
 use pds_core::NodeId;
@@ -159,7 +159,7 @@ impl FragSet {
     }
 }
 
-/// A frame on the air: the unit of transmission, ≤ `max_frame_bytes`.
+/// A frame on the air: the unit of transmission, ≤ `MAX_FRAME_BYTES`.
 #[derive(Debug, Clone)]
 pub(crate) struct Frame {
     pub sender: NodeId,
@@ -366,14 +366,13 @@ impl Transport {
     ///
     /// Panics if the header alone would exceed the frame size (receiver list
     /// too long for the MTU).
-    pub fn frag_payload_size(cfg: &SimConfig, receivers: usize) -> usize {
+    pub fn frag_payload_size(receivers: usize) -> usize {
         let header = DATA_HEADER_BASE + PER_RECEIVER_BYTES * receivers;
         assert!(
-            header < cfg.radio.max_frame_bytes,
-            "intended receiver list ({receivers} entries) does not fit a {}-byte frame",
-            cfg.radio.max_frame_bytes
+            header < MAX_FRAME_BYTES,
+            "intended receiver list ({receivers} entries) does not fit a {MAX_FRAME_BYTES}-byte frame"
         );
-        cfg.radio.max_frame_bytes - header
+        MAX_FRAME_BYTES - header
     }
 
     /// Fragments `payload` into data frames of message `origin#handle`
@@ -401,7 +400,7 @@ impl Transport {
         // state): a 256 KB message fans out into ~170 frames without ~170
         // copies of the list.
         let intended: Arc<[NodeId]> = intended.into();
-        let frag_payload = Self::frag_payload_size(cfg, intended.len());
+        let frag_payload = Self::frag_payload_size(intended.len());
         let frag_count = (payload.len().max(1)).div_ceil(frag_payload) as u32;
         let header = DATA_HEADER_BASE + PER_RECEIVER_BYTES * intended.len();
         let msg_wire_bytes = (payload.len() + frag_count as usize * header) as u32;
@@ -517,7 +516,7 @@ impl Transport {
                     Some(if complete {
                         SimDuration::ZERO
                     } else {
-                        ack.ack_delay
+                        ACK_DELAY
                     })
                 } else {
                     None
@@ -1016,9 +1015,8 @@ mod tests {
 
     #[test]
     fn frag_payload_accounts_for_receivers() {
-        let c = cfg();
-        let none = Transport::frag_payload_size(&c, 0);
-        let ten = Transport::frag_payload_size(&c, 10);
+        let none = Transport::frag_payload_size(0);
+        let ten = Transport::frag_payload_size(10);
         assert_eq!(none - ten, 40);
     }
 

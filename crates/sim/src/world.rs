@@ -99,9 +99,8 @@ impl World {
     ///
     /// # Panics
     ///
-    /// Panics if `radio.range_m` is not a positive finite cell size, or if
-    /// `radio.path_loss_exp` or `radio.capture_sinr` is negative or not
-    /// finite: received power must not grow with distance (the far-field
+    /// Panics if `radio.path_loss_exp` or `radio.capture_sinr` is negative
+    /// or not finite: received power must not grow with distance (the far-field
     /// interference bound of DESIGN.md §18 is unsound otherwise, and so is
     /// the physics).
     #[must_use]
@@ -1247,7 +1246,7 @@ mod tests {
             .map(|t| (t.id, t.sender, t.pos, t.start, t.end))
             .collect();
         assert_eq!(indexed, live, "transmission grid at {now}");
-        let range = w.config.radio.range_m;
+        let range = crate::config::RANGE_M;
         for &(id, m) in &nodes {
             let pos = m.position(now);
             let scan: Vec<NodeId> = nodes
