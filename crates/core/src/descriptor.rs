@@ -1,7 +1,17 @@
 //! Data descriptors — self-describing metadata entries (§II-B).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::ids::{ChunkId, ItemName};
-use crate::value::AttrValue;
+use crate::value::{AttrRef, AttrValue};
 use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::fmt;
@@ -24,95 +34,11 @@ pub mod attrs {
     pub const TIME: &str = "time";
 }
 
-/// An interned attribute name: the six well-known names every descriptor
-/// in the system uses are enum atoms (no heap allocation, one byte),
-/// and only genuinely custom names pay for an owned string.
-///
-/// A city-scale world holds millions of descriptor attributes — almost
-/// all of them named `ns`/`type`/`name`/`time`/`chunk_id`/`total_chunks`.
-/// As `String` keys those cost ~24 bytes of struct plus a heap block
-/// each; as atoms they cost nothing. Ordering and equality are defined
-/// by the *name string* (see [`AttrName::as_str`]), so sorted iteration,
-/// canonical encodings and [`EntryKey`]s are byte-identical to the
-/// string-keyed representation this replaces.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum AttrName {
-    /// `chunk_id`
-    ChunkId,
-    /// `name`
-    Name,
-    /// `ns`
-    Ns,
-    /// `time`
-    Time,
-    /// `total_chunks`
-    TotalChunks,
-    /// `type`
-    Type,
-    /// Any other attribute name.
-    Other(Box<str>),
-}
-
-impl AttrName {
-    /// The name as a string slice — the canonical form that defines
-    /// ordering, equality and the wire encoding.
-    #[must_use]
-    pub fn as_str(&self) -> &str {
-        match self {
-            AttrName::ChunkId => attrs::CHUNK_ID,
-            AttrName::Name => attrs::NAME,
-            AttrName::Ns => attrs::NAMESPACE,
-            AttrName::Time => attrs::TIME,
-            AttrName::TotalChunks => attrs::TOTAL_CHUNKS,
-            AttrName::Type => attrs::TYPE,
-            AttrName::Other(s) => s,
-        }
-    }
-}
-
-impl From<&str> for AttrName {
-    fn from(s: &str) -> Self {
-        match s {
-            attrs::CHUNK_ID => AttrName::ChunkId,
-            attrs::NAME => AttrName::Name,
-            attrs::NAMESPACE => AttrName::Ns,
-            attrs::TIME => AttrName::Time,
-            attrs::TOTAL_CHUNKS => AttrName::TotalChunks,
-            attrs::TYPE => AttrName::Type,
-            other => AttrName::Other(other.into()),
-        }
-    }
-}
-
-impl From<String> for AttrName {
-    fn from(s: String) -> Self {
-        AttrName::from(s.as_str())
-    }
-}
-
-impl PartialOrd for AttrName {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for AttrName {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.as_str().cmp(other.as_str())
-    }
-}
-
-impl fmt::Display for AttrName {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
 /// Canonical identity of a metadata entry: the byte encoding of its
 /// descriptor. Used as the Bloom-filter element and dedup key.
 ///
-/// A key *is* its descriptor's shared handle (the encoding is cached
-/// there), so a map keyed by `EntryKey` whose value is the descriptor
+/// A key *is* its descriptor's shared handle (a descriptor is its
+/// encoding), so a map keyed by `EntryKey` whose value is the descriptor
 /// holds one allocation per entry, not two. Equality, ordering and hashing
 /// go by the key bytes alone — `Hash` feeds the hasher exactly what the
 /// byte slice does, which is what lets maps be probed with `&[u8]` and
@@ -170,15 +96,15 @@ impl Borrow<[u8]> for EntryKey {
 /// A data descriptor: a set of named attribute values describing one data
 /// item (or one chunk of a large item).
 ///
-/// Attributes are kept sorted by name, so equal descriptors have equal
-/// canonical encodings ([`DataDescriptor::entry_key`]).
-///
-/// A descriptor is an immutable shared handle: the attributes and their
-/// canonical encoding live behind one `Arc`, so `clone()` is a reference
-/// count bump and [`encode`](Self::encode) /
-/// [`entry_key`](Self::entry_key) / [`encoded_len`](Self::encoded_len)
-/// never re-derive anything. The store, a discovery session and every
-/// relayed response that mention an entry share that one allocation.
+/// A descriptor *is* its canonical encoding — a count byte, then each
+/// attribute as a length-prefixed name and a tagged value, names strictly
+/// ascending — held in one shared `Arc<[u8]>`. `clone()` is a reference
+/// count bump, [`encode`](Self::encode) / [`entry_key`](Self::entry_key) /
+/// [`encoded_len`](Self::encoded_len) derive nothing, and attributes are
+/// read from the bytes in place as [`AttrRef`]s. The store, a discovery
+/// session and every relayed response that mention an entry share that
+/// one allocation. Equality is equality of the encodings, so it agrees
+/// with [`EntryKey`] equality even for `-0.0` or a NaN from the wire.
 ///
 /// # Examples
 ///
@@ -194,18 +120,8 @@ impl Borrow<[u8]> for EntryKey {
 /// assert_eq!(video.total_chunks(), Some(80));
 /// assert_eq!(video.item_name().unwrap().as_str(), "parade-finale");
 /// ```
-#[derive(Clone)]
-pub struct DataDescriptor(Arc<Canonical>);
-
-/// What a descriptor handle points at. `encoded` is always the canonical
-/// encoding of `attrs`; nothing mutates either after construction.
-struct Canonical {
-    /// Sorted by name, unique — a flat slice, not a tree: descriptors have
-    /// a handful of attributes, and one contiguous allocation (with
-    /// interned [`AttrName`] atoms) replaces a B-tree node per map.
-    attrs: Box<[(AttrName, AttrValue)]>,
-    encoded: Box<[u8]>,
-}
+#[derive(Clone, PartialEq, Eq)]
+pub struct DataDescriptor(Arc<[u8]>);
 
 /// Most attributes a descriptor can hold: the count travels as one byte.
 const MAX_ATTRS: usize = u8::MAX as usize;
@@ -214,21 +130,13 @@ const MAX_STR_LEN: usize = u16::MAX as usize;
 
 impl Default for DataDescriptor {
     fn default() -> Self {
-        Self::canonical(Vec::new())
-    }
-}
-
-impl PartialEq for DataDescriptor {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.attrs == other.0.attrs
+        Self::canonical(std::iter::empty())
     }
 }
 
 impl fmt::Debug for DataDescriptor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DataDescriptor")
-            .field("attrs", &self.0.attrs)
-            .finish()
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
@@ -239,67 +147,63 @@ impl DataDescriptor {
         DescriptorBuilder::default()
     }
 
-    /// Wraps name-sorted, unique attributes, encoding them once.
+    /// Encodes name-sorted, unique attributes once.
     ///
     /// # Panics
     ///
     /// Panics on more than 255 attributes: the count would wrap on the
     /// wire, and the wire form is the identity.
-    fn canonical(attrs: Vec<(AttrName, AttrValue)>) -> Self {
+    fn canonical<'a>(attrs: impl Iterator<Item = (&'a str, AttrRef<'a>)> + Clone) -> Self {
+        let (count, len) = attrs.clone().fold((0, 1), |(count, len), (k, v)| {
+            (count + 1, len + 1 + k.len() + v.encoded_len())
+        });
         assert!(
-            attrs.len() <= MAX_ATTRS,
+            count <= MAX_ATTRS,
             "a descriptor holds at most 255 attributes"
         );
-        let len = 1 + attrs
-            .iter()
-            .map(|(k, v)| 1 + k.as_str().len() + v.encoded_len())
-            .sum::<usize>();
         let mut encoded = Vec::with_capacity(len);
-        encoded.push(attrs.len() as u8);
-        for (k, v) in &attrs {
-            let k = k.as_str();
+        encoded.push(count as u8);
+        for (k, v) in attrs {
             encoded.push(k.len() as u8);
             encoded.extend_from_slice(k.as_bytes());
             v.encode(&mut encoded);
         }
-        Self(Arc::new(Canonical {
-            attrs: attrs.into(),
-            encoded: encoded.into(),
-        }))
+        Self(encoded.into())
     }
 
-    /// Looks up an attribute by name.
+    /// Looks up an attribute by name, reading it in place: a forward scan
+    /// that stops at the first name past `name`, since names ascend.
     #[must_use]
-    pub fn get(&self, name: &str) -> Option<&AttrValue> {
-        let attrs = &self.0.attrs;
-        attrs
-            .binary_search_by(|(k, _)| k.as_str().cmp(name))
-            .ok()
-            .and_then(|i| attrs.get(i).map(|(_, v)| v))
+    pub fn get(&self, name: &str) -> Option<AttrRef<'_>> {
+        self.iter()
+            .take_while(|&(k, _)| k <= name)
+            .find(|&(k, _)| k == name)
+            .map(|(_, v)| v)
     }
 
     /// Iterates attributes in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &AttrValue)> {
-        self.0.attrs.iter().map(|(k, v)| (k.as_str(), v))
+    pub fn iter(&self) -> impl Iterator<Item = (&str, AttrRef<'_>)> + Clone {
+        let mut rest = self.0.get(1..).unwrap_or_default();
+        std::iter::from_fn(move || read_attr(&mut rest))
     }
 
     /// Number of attributes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.0.attrs.len()
+        self.0.first().map_or(0, |&n| usize::from(n))
     }
 
     /// Whether the descriptor has no attributes.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.0.attrs.is_empty()
+        self.len() == 0
     }
 
     /// The `name` attribute, if present and a string.
     #[must_use]
     pub fn name(&self) -> Option<&str> {
         match self.get(attrs::NAME) {
-            Some(AttrValue::Str(s)) => Some(s),
+            Some(AttrRef::Str(s)) => Some(s),
             _ => None,
         }
     }
@@ -310,11 +214,11 @@ impl DataDescriptor {
         self.name().map(ItemName::new)
     }
 
-    /// The `total_chunks` attribute, if present and an integer.
+    /// The `total_chunks` attribute, if present and an integer in `u32`.
     #[must_use]
     pub fn total_chunks(&self) -> Option<u32> {
         match self.get(attrs::TOTAL_CHUNKS) {
-            Some(AttrValue::Int(n)) if *n >= 0 => u32::try_from(*n).ok(),
+            Some(AttrRef::Int(n)) => u32::try_from(n).ok(),
             _ => None,
         }
     }
@@ -324,7 +228,7 @@ impl DataDescriptor {
     #[must_use]
     pub fn chunk_id(&self) -> Option<ChunkId> {
         match self.get(attrs::CHUNK_ID) {
-            Some(AttrValue::Int(n)) if *n >= 0 => u32::try_from(*n).ok().map(ChunkId),
+            Some(AttrRef::Int(n)) => u32::try_from(n).ok().map(ChunkId),
             _ => None,
         }
     }
@@ -338,13 +242,10 @@ impl DataDescriptor {
     /// Panics if the descriptor already holds 255 other attributes.
     #[must_use]
     pub fn chunk_descriptor(&self, id: ChunkId) -> DataDescriptor {
-        let mut attrs = self.0.attrs.to_vec();
-        insert_sorted(
-            &mut attrs,
-            AttrName::ChunkId,
-            AttrValue::Int(i64::from(id.0)),
-        );
-        Self::canonical(attrs)
+        let below = self.iter().take_while(|&(k, _)| k < attrs::CHUNK_ID);
+        let above = self.iter().skip_while(|&(k, _)| k <= attrs::CHUNK_ID);
+        let chunk_id = (attrs::CHUNK_ID, AttrRef::Int(i64::from(id.0)));
+        Self::canonical(below.chain(std::iter::once(chunk_id)).chain(above))
     }
 
     /// This descriptor with any `chunk_id` removed — the whole-item
@@ -354,9 +255,7 @@ impl DataDescriptor {
         if self.get(attrs::CHUNK_ID).is_none() {
             return self.clone();
         }
-        let mut attrs = self.0.attrs.to_vec();
-        attrs.retain(|(k, _)| !matches!(k, AttrName::ChunkId));
-        Self::canonical(attrs)
+        Self::canonical(self.iter().filter(|&(k, _)| k != attrs::CHUNK_ID))
     }
 
     /// Canonical encoding, used as identity (Bloom elements, dedup keys):
@@ -367,58 +266,56 @@ impl DataDescriptor {
         EntryKey(self.clone())
     }
 
-    /// The serialized descriptor — computed once, when it was built or
-    /// decoded.
+    /// The serialized descriptor — the descriptor itself.
     #[must_use]
     pub fn encode(&self) -> &[u8] {
-        &self.0.encoded
+        &self.0
     }
 
     /// Wire size of the encoded form.
     #[must_use]
     pub fn encoded_len(&self) -> usize {
-        self.0.encoded.len()
+        self.0.len()
     }
 
     /// Deserializes a descriptor from the front of `buf`, advancing it.
     ///
     /// Senders write attributes in canonical order (names strictly
-    /// ascending), and then the bytes read *are* the encoding: they are
-    /// kept as the key. Any other order — unsorted, or a repeated name,
-    /// where the last value wins — is re-encoded canonically, so a hostile
-    /// wire form cannot mint a second identity for one attribute set.
+    /// ascending), and then the bytes read *are* the descriptor: they are
+    /// validated in place and copied once. Any other order — unsorted, or
+    /// a repeated name, where the last value wins — is re-encoded
+    /// canonically, so a hostile wire form cannot mint a second identity
+    /// for one attribute set.
     ///
     /// Returns `None` on truncation or malformed content.
     pub fn decode(buf: &mut &[u8]) -> Option<Self> {
         let wire = *buf;
         let (&n, mut rest) = wire.split_first()?;
-        let mut attrs: Vec<(AttrName, AttrValue)> = Vec::with_capacity(usize::from(n));
         let mut ascending = true;
+        let mut prev = None;
         for _ in 0..n {
-            let (&klen, after) = rest.split_first()?;
-            let (name, after) = after.split_at_checked(usize::from(klen))?;
-            let name = std::str::from_utf8(name).ok()?;
-            rest = after;
-            let value = AttrValue::decode(&mut rest)?;
-            ascending &= attrs.last().is_none_or(|(prev, _)| prev.as_str() < name);
-            insert_sorted(&mut attrs, AttrName::from(name), value);
+            let (name, _) = read_attr(&mut rest)?;
+            ascending &= prev.is_none_or(|prev| prev < name);
+            prev = Some(name);
         }
+        let read = wire.get(..wire.len() - rest.len())?;
         *buf = rest;
-        if !ascending {
-            return Some(Self::canonical(attrs));
+        if ascending {
+            return Some(Self(read.into()));
         }
-        let encoded = wire.get(..wire.len() - rest.len())?;
-        Some(Self(Arc::new(Canonical {
-            attrs: attrs.into(),
-            encoded: encoded.into(),
-        })))
+        let mut attrs = Vec::with_capacity(usize::from(n));
+        let mut body = read.get(1..)?;
+        while let Some((name, value)) = read_attr(&mut body) {
+            insert_sorted(&mut attrs, name, value);
+        }
+        Some(Self::canonical(attrs.into_iter()))
     }
 }
 
 impl fmt::Display for DataDescriptor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (i, (k, v)) in self.0.attrs.iter().enumerate() {
+        for (i, (k, v)) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -428,9 +325,20 @@ impl fmt::Display for DataDescriptor {
     }
 }
 
+/// Reads one attribute — a length-prefixed UTF-8 name, then a value —
+/// from the front of `buf`, advancing it; `None` on malformed content.
+fn read_attr<'a>(buf: &mut &'a [u8]) -> Option<(&'a str, AttrRef<'a>)> {
+    let (&len, rest) = buf.split_first()?;
+    let (name, mut rest) = rest.split_at_checked(usize::from(len))?;
+    let name = std::str::from_utf8(name).ok()?;
+    let value = AttrRef::read(&mut rest)?;
+    *buf = rest;
+    Some((name, value))
+}
+
 /// Inserts (or replaces) `name` in a name-sorted attribute vec.
-fn insert_sorted(attrs: &mut Vec<(AttrName, AttrValue)>, name: AttrName, value: AttrValue) {
-    match attrs.binary_search_by(|(k, _)| k.as_str().cmp(name.as_str())) {
+fn insert_sorted<K: AsRef<str>, V>(attrs: &mut Vec<(K, V)>, name: K, value: V) {
+    match attrs.binary_search_by(|(k, _)| k.as_ref().cmp(name.as_ref())) {
         Ok(i) => {
             if let Some(slot) = attrs.get_mut(i) {
                 slot.1 = value;
@@ -443,7 +351,7 @@ fn insert_sorted(attrs: &mut Vec<(AttrName, AttrValue)>, name: AttrName, value: 
 /// Incremental builder for [`DataDescriptor`].
 #[derive(Debug, Default)]
 pub struct DescriptorBuilder {
-    attrs: Vec<(AttrName, AttrValue)>,
+    attrs: Vec<(String, AttrValue)>,
 }
 
 impl DescriptorBuilder {
@@ -471,7 +379,7 @@ impl DescriptorBuilder {
             ),
             AttrValue::Int(_) | AttrValue::Time(_) => {}
         }
-        insert_sorted(&mut self.attrs, AttrName::from(name), value);
+        insert_sorted(&mut self.attrs, name, value);
         self
     }
 
@@ -483,7 +391,7 @@ impl DescriptorBuilder {
     /// in the canonical encoding).
     #[must_use]
     pub fn build(self) -> DataDescriptor {
-        DataDescriptor::canonical(self.attrs)
+        DataDescriptor::canonical(self.attrs.iter().map(|(k, v)| (k.as_str(), v.view())))
     }
 }
 
@@ -506,7 +414,7 @@ mod tests {
             .attr("a", 1i64)
             .attr("a", 2i64)
             .build();
-        assert_eq!(d.get("a"), Some(&AttrValue::Int(2)));
+        assert_eq!(d.get("a"), Some(AttrRef::Int(2)));
         assert_eq!(d.len(), 1);
         assert!(!d.is_empty());
     }
@@ -656,6 +564,22 @@ mod tests {
             assert_eq!(back.encode(), d.encode());
             assert_eq!(back.entry_key(), d.entry_key());
         }
+    }
+
+    #[test]
+    fn equality_is_entry_key_equality() {
+        // Signed zeros are equal as floats but encode, and so key,
+        // differently: the store holds them as two entries.
+        let zero = DataDescriptor::builder().attr("x", 0.0).build();
+        let minus = DataDescriptor::builder().attr("x", -0.0).build();
+        assert_ne!(zero.entry_key(), minus.entry_key());
+        assert_ne!(zero, minus);
+        // The builder rejects NaN but the wire can carry one: the decoded
+        // descriptor still equals its own clone.
+        let nan = wire(&[("x", AttrValue::Float(f64::NAN))]);
+        let d = DataDescriptor::decode(&mut &nan[..]).expect("decodes");
+        assert_eq!(d.clone(), d);
+        assert_eq!(d.clone().entry_key(), d.entry_key());
     }
 
     #[test]

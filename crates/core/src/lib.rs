@@ -74,7 +74,7 @@ pub use time::{SimDuration, SimTime};
 pub use assign::{min_max_assign, AssignStrategy, ChunkCandidates};
 pub use cdi::{CdiEntry, CdiTable};
 pub use config::{PdsConfig, RoundParams, MAX_RECOVERY};
-pub use descriptor::{attrs, AttrName, DataDescriptor, DescriptorBuilder, EntryKey};
+pub use descriptor::{attrs, DataDescriptor, DescriptorBuilder, EntryKey};
 pub use engine::{Jitter, Outgoing, PdsEngine};
 pub use ids::{ChunkId, ItemName, QueryId, ResponseId};
 pub use lqt::{chunk_key, Lingering, LingeringQueryTable};
@@ -88,4 +88,4 @@ pub use sessions::{
     DiscoveryReport, DiscoverySession, RetrievalPhase, RetrievalReport, RetrievalSession,
 };
 pub use store::{DataStore, MetaEntry};
-pub use value::AttrValue;
+pub use value::{AttrRef, AttrValue};

@@ -7,7 +7,7 @@
 //! different type, does not hold.
 
 use crate::descriptor::DataDescriptor;
-use crate::value::AttrValue;
+use crate::value::{AttrRef, AttrValue};
 use bytes::{Buf, BufMut};
 use std::cmp::Ordering;
 use std::fmt;
@@ -165,7 +165,7 @@ impl Predicate {
         }
     }
 
-    fn decode(buf: &mut impl Buf) -> Option<Self> {
+    fn decode(buf: &mut &[u8]) -> Option<Self> {
         if buf.remaining() < 1 {
             return None;
         }
@@ -177,12 +177,12 @@ impl Predicate {
         buf.copy_to_slice(&mut ab);
         let attr = String::from_utf8(ab).ok()?;
         let relation = Relation::from_code(buf.get_u8())?;
-        let value = AttrValue::decode(buf)?;
+        let value = AttrRef::read(buf)?.to_owned();
         if buf.remaining() < 1 {
             return None;
         }
         let value2 = if buf.get_u8() == 1 {
-            Some(AttrValue::decode(buf)?)
+            Some(AttrRef::read(buf)?.to_owned())
         } else {
             None
         };
@@ -275,7 +275,7 @@ impl QueryFilter {
     }
 
     /// Deserializes a filter; `None` on malformed input.
-    pub fn decode(buf: &mut impl Buf) -> Option<Self> {
+    pub fn decode(buf: &mut &[u8]) -> Option<Self> {
         if buf.remaining() < 1 {
             return None;
         }

@@ -350,25 +350,6 @@ impl DataStore {
             .collect()
     }
 
-    /// All unexpired (descriptor, payload) small items matching `filter`.
-    #[must_use]
-    pub fn match_small_items(
-        &self,
-        filter: &QueryFilter,
-        now: SimTime,
-    ) -> Vec<(&DataDescriptor, Bytes)> {
-        self.metadata
-            .values()
-            .filter(|e| e.expires_at.is_none_or(|t| t > now))
-            .filter(|e| filter.matches(&e.descriptor))
-            .filter_map(|e| {
-                self.small_payloads
-                    .get(e.descriptor.encode())
-                    .map(|p| (&e.descriptor, p.clone()))
-            })
-            .collect()
-    }
-
     /// Whether a metadata entry for this descriptor is present (expired or
     /// not).
     #[must_use]
@@ -499,17 +480,7 @@ mod tests {
         let f = QueryFilter::new(vec![Predicate::new("type", Relation::Eq, "no2")]);
         let m = s.match_metadata(&f, t(0.0));
         assert_eq!(m.len(), 1);
-        assert_eq!(m[0].get("type"), Some(&crate::AttrValue::Str("no2".into())));
-    }
-
-    #[test]
-    fn match_small_items_returns_payloads() {
-        let mut s = DataStore::new();
-        s.insert_own(desc("no2"), Some(Bytes::from_static(b"12ppb")));
-        s.insert_own(desc("co2"), None);
-        let items = s.match_small_items(&QueryFilter::match_all(), t(0.0));
-        assert_eq!(items.len(), 1, "only items with payloads");
-        assert_eq!(items[0].1, Bytes::from_static(b"12ppb"));
+        assert_eq!(m[0].get("type"), Some(crate::AttrRef::Str("no2")));
     }
 
     #[test]

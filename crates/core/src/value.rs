@@ -1,6 +1,19 @@
 //! Attribute values — the primitive types of data descriptors (§II-B).
+//!
+//! [`AttrValue`] is an owned value, as a builder or a predicate holds it;
+//! [`AttrRef`] is the same value read in place from an encoding, as a
+//! descriptor hands it out. Both share one wire form and one reader.
 
-use bytes::{Buf, BufMut};
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -22,89 +35,150 @@ pub enum AttrValue {
     Time(i64),
 }
 
+/// An attribute value borrowed from an encoding: what
+/// [`DataDescriptor::get`](crate::DataDescriptor::get) and
+/// [`DataDescriptor::iter`](crate::DataDescriptor::iter) return, read from
+/// the descriptor's bytes without allocating.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum AttrRef<'a> {
+    /// A UTF-8 string.
+    Str(&'a str),
+    /// A signed integer.
+    Int(i64),
+    /// A float.
+    Float(f64),
+    /// Seconds since the Unix epoch.
+    Time(i64),
+}
+
 impl AttrValue {
+    /// This value borrowed as an [`AttrRef`].
+    #[must_use]
+    pub(crate) fn view(&self) -> AttrRef<'_> {
+        match self {
+            AttrValue::Str(s) => AttrRef::Str(s),
+            AttrValue::Int(i) => AttrRef::Int(*i),
+            AttrValue::Float(f) => AttrRef::Float(*f),
+            AttrValue::Time(t) => AttrRef::Time(*t),
+        }
+    }
+
     /// Compares two values of the same variant; `None` across variants.
     #[must_use]
     pub fn partial_cmp_same_type(&self, other: &AttrValue) -> Option<Ordering> {
-        match (self, other) {
-            (AttrValue::Str(a), AttrValue::Str(b)) => Some(a.cmp(b)),
-            (AttrValue::Int(a), AttrValue::Int(b)) => Some(a.cmp(b)),
-            (AttrValue::Float(a), AttrValue::Float(b)) => a.partial_cmp(b),
-            (AttrValue::Time(a), AttrValue::Time(b)) => Some(a.cmp(b)),
-            _ => None,
-        }
+        self.view().partial_cmp_same_type(other)
     }
 
     /// Serializes the value (tag byte + body).
     pub fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            AttrValue::Str(s) => {
-                out.put_u8(0);
-                out.put_u16_le(s.len() as u16);
-                out.put_slice(s.as_bytes());
-            }
-            AttrValue::Int(i) => {
-                out.put_u8(1);
-                out.put_i64_le(*i);
-            }
-            AttrValue::Float(f) => {
-                out.put_u8(2);
-                out.put_f64_le(*f);
-            }
-            AttrValue::Time(t) => {
-                out.put_u8(3);
-                out.put_i64_le(*t);
-            }
-        }
-    }
-
-    /// Deserializes a value previously written by [`encode`](Self::encode).
-    ///
-    /// # Errors
-    ///
-    /// Returns `None` on truncation, an unknown tag, or invalid UTF-8.
-    pub fn decode(buf: &mut impl Buf) -> Option<Self> {
-        if buf.remaining() < 1 {
-            return None;
-        }
-        match buf.get_u8() {
-            0 => {
-                if buf.remaining() < 2 {
-                    return None;
-                }
-                let len = buf.get_u16_le() as usize;
-                if buf.remaining() < len {
-                    return None;
-                }
-                let mut bytes = vec![0u8; len];
-                buf.copy_to_slice(&mut bytes);
-                String::from_utf8(bytes).ok().map(AttrValue::Str)
-            }
-            1 => (buf.remaining() >= 8).then(|| AttrValue::Int(buf.get_i64_le())),
-            2 => (buf.remaining() >= 8).then(|| AttrValue::Float(buf.get_f64_le())),
-            3 => (buf.remaining() >= 8).then(|| AttrValue::Time(buf.get_i64_le())),
-            _ => None,
-        }
+        self.view().encode(out);
     }
 
     /// Wire size of the encoded form in bytes.
     #[must_use]
     pub fn encoded_len(&self) -> usize {
+        self.view().encoded_len()
+    }
+}
+
+impl<'a> AttrRef<'a> {
+    /// Reads a value written by [`AttrValue::encode`] from the front of
+    /// `buf`, advancing it past the value.
+    ///
+    /// Returns `None` (leaving `buf` as it was) on truncation, an unknown
+    /// tag, or invalid UTF-8.
+    pub fn read(buf: &mut &'a [u8]) -> Option<Self> {
+        let (&tag, rest) = buf.split_first()?;
+        let (value, rest) = if tag == 0 {
+            let (len, rest) = rest.split_first_chunk::<2>()?;
+            let (s, rest) = rest.split_at_checked(usize::from(u16::from_le_bytes(*len)))?;
+            (AttrRef::Str(std::str::from_utf8(s).ok()?), rest)
+        } else {
+            let (body, rest) = rest.split_first_chunk::<8>()?;
+            let value = match tag {
+                1 => AttrRef::Int(i64::from_le_bytes(*body)),
+                2 => AttrRef::Float(f64::from_le_bytes(*body)),
+                3 => AttrRef::Time(i64::from_le_bytes(*body)),
+                _ => return None,
+            };
+            (value, rest)
+        };
+        *buf = rest;
+        Some(value)
+    }
+
+    /// Serializes the value (tag byte + body).
+    pub(crate) fn encode(self, out: &mut Vec<u8>) {
         match self {
-            AttrValue::Str(s) => 3 + s.len(),
+            AttrRef::Str(s) => {
+                out.push(0);
+                out.extend_from_slice(&(s.len() as u16).to_le_bytes());
+                out.extend_from_slice(s.as_bytes());
+            }
+            AttrRef::Int(i) => {
+                out.push(1);
+                out.extend_from_slice(&i.to_le_bytes());
+            }
+            AttrRef::Float(f) => {
+                out.push(2);
+                out.extend_from_slice(&f.to_le_bytes());
+            }
+            AttrRef::Time(t) => {
+                out.push(3);
+                out.extend_from_slice(&t.to_le_bytes());
+            }
+        }
+    }
+
+    /// Wire size of the encoded form in bytes.
+    #[must_use]
+    pub(crate) fn encoded_len(self) -> usize {
+        match self {
+            AttrRef::Str(s) => 3 + s.len(),
             _ => 9,
+        }
+    }
+
+    /// An owned copy of the value.
+    #[must_use]
+    pub fn to_owned(self) -> AttrValue {
+        match self {
+            AttrRef::Str(s) => AttrValue::Str(s.to_owned()),
+            AttrRef::Int(i) => AttrValue::Int(i),
+            AttrRef::Float(f) => AttrValue::Float(f),
+            AttrRef::Time(t) => AttrValue::Time(t),
+        }
+    }
+
+    /// Compares with an owned value of the same variant; `None` across
+    /// variants.
+    #[must_use]
+    pub fn partial_cmp_same_type(self, other: &AttrValue) -> Option<Ordering> {
+        match (self, other) {
+            (AttrRef::Str(a), AttrValue::Str(b)) => Some(a.cmp(b.as_str())),
+            (AttrRef::Int(a), AttrValue::Int(b)) | (AttrRef::Time(a), AttrValue::Time(b)) => {
+                Some(a.cmp(b))
+            }
+            (AttrRef::Float(a), AttrValue::Float(b)) => a.partial_cmp(b),
+            _ => None,
+        }
+    }
+}
+
+impl fmt::Display for AttrRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AttrRef::Str(s) => f.write_str(s),
+            AttrRef::Int(i) => write!(f, "{i}"),
+            AttrRef::Float(x) => write!(f, "{x}"),
+            AttrRef::Time(t) => write!(f, "@{t}"),
         }
     }
 }
 
 impl fmt::Display for AttrValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AttrValue::Str(s) => f.write_str(s),
-            AttrValue::Int(i) => write!(f, "{i}"),
-            AttrValue::Float(x) => write!(f, "{x}"),
-            AttrValue::Time(t) => write!(f, "@{t}"),
-        }
+        self.view().fmt(f)
     }
 }
 
@@ -147,8 +221,8 @@ mod tests {
         v.encode(&mut buf);
         assert_eq!(buf.len(), v.encoded_len());
         let mut slice = &buf[..];
-        let out = AttrValue::decode(&mut slice).expect("decodes");
-        assert!(!slice.has_remaining());
+        let out = AttrRef::read(&mut slice).expect("decodes").to_owned();
+        assert!(slice.is_empty());
         out
     }
 
@@ -207,12 +281,11 @@ mod tests {
 
     #[test]
     fn decode_rejects_garbage() {
-        let mut buf: &[u8] = &[9, 0, 0];
-        assert_eq!(AttrValue::decode(&mut buf), None);
-        let mut buf: &[u8] = &[1, 0];
-        assert_eq!(AttrValue::decode(&mut buf), None);
-        let mut buf: &[u8] = &[];
-        assert_eq!(AttrValue::decode(&mut buf), None);
+        for garbage in [&[9, 0, 0][..], &[1, 0], &[], &[0, 2, 0, 0xff, 0xfe]] {
+            let mut buf = garbage;
+            assert_eq!(AttrRef::read(&mut buf), None);
+            assert_eq!(buf, garbage, "a failed read leaves the buffer alone");
+        }
     }
 
     #[test]
@@ -239,11 +312,7 @@ mod tests {
     #[test]
     fn encoded_len_matches_for_long_strings() {
         let v = AttrValue::Str("x".repeat(500));
-        let mut buf = Vec::new();
-        v.encode(&mut buf);
-        assert_eq!(buf.len(), v.encoded_len());
-        let mut slice = &buf[..];
-        assert_eq!(AttrValue::decode(&mut slice), Some(v));
+        assert_eq!(roundtrip(&v), v);
     }
 
     #[test]

@@ -57,6 +57,8 @@ pub const HOT_MODULES: &[&str] = &[
     "crates/sim/src/world.rs",
     "crates/core/src/engine/mod.rs",
     "crates/core/src/node.rs",
+    "crates/core/src/descriptor.rs",
+    "crates/core/src/value.rs",
 ];
 
 /// The workspace root: two levels above this crate's manifest.

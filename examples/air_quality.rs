@@ -8,7 +8,9 @@
 //!
 //! Run with: `cargo run --example air_quality`
 
-use pds::core::{AttrValue, DataDescriptor, PdsConfig, PdsNode, Predicate, QueryFilter, Relation};
+use pds::core::{
+    AttrRef, AttrValue, DataDescriptor, PdsConfig, PdsNode, Predicate, QueryFilter, Relation,
+};
 use pds::mobility::grid;
 use pds::sim::{SimConfig, SimRng, SimTime, World};
 
@@ -85,18 +87,14 @@ fn main() {
     for d in session.entries() {
         if let Some(payload) = engine.store().small_payload(d) {
             if shown < 5 {
+                let coord = |name| match d.get(name) {
+                    Some(AttrRef::Float(v)) => v,
+                    _ => 0.0,
+                };
                 println!(
                     "  ({:>5.0} m, {:>5.0} m): {}",
-                    d.get("x")
-                        .map(ToString::to_string)
-                        .unwrap_or_default()
-                        .parse::<f64>()
-                        .unwrap_or(0.0),
-                    d.get("y")
-                        .map(ToString::to_string)
-                        .unwrap_or_default()
-                        .parse::<f64>()
-                        .unwrap_or(0.0),
+                    coord("x"),
+                    coord("y"),
                     String::from_utf8_lossy(&payload)
                 );
                 shown += 1;

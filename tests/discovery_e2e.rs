@@ -3,7 +3,8 @@
 //! opportunistic caching.
 
 use pds_core::{
-    AttrValue, DataDescriptor, PdsConfig, PdsNode, Predicate, QueryFilter, Relation, RoundParams,
+    AttrRef, AttrValue, DataDescriptor, PdsConfig, PdsNode, Predicate, QueryFilter, Relation,
+    RoundParams,
 };
 use pds_mobility::grid;
 use pds_sim::{NodeId, SimConfig, SimDuration, SimTime, World};
@@ -91,7 +92,7 @@ fn filtered_discovery_returns_only_matches() {
     assert!(session
         .entries()
         .iter()
-        .all(|d| d.get("type") == Some(&AttrValue::Str("no2".into()))));
+        .all(|d| d.get("type") == Some(AttrRef::Str("no2"))));
 }
 
 #[test]

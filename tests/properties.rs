@@ -4,11 +4,12 @@
 
 use pds_bloom::{BloomFilter, BloomParams};
 use pds_core::{
-    min_max_assign, AssignStrategy, AttrValue, ChunkId, DataDescriptor, NodeId, PdsMessage,
-    Predicate, QueryFilter, QueryId, QueryKind, QueryMessage, Relation, ResponseId, ResponseKind,
-    ResponseMessage,
+    min_max_assign, AssignStrategy, AttrRef, AttrValue, ChunkId, DataDescriptor, NodeId,
+    PdsMessage, Predicate, QueryFilter, QueryId, QueryKind, QueryMessage, Relation, ResponseId,
+    ResponseKind, ResponseMessage,
 };
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 // ---- generators -----------------------------------------------------------
 
@@ -19,6 +20,23 @@ fn attr_value() -> impl Strategy<Value = AttrValue> {
         (-1.0e9f64..1.0e9).prop_map(AttrValue::Float),
         any::<i32>().prop_map(|t| AttrValue::Time(i64::from(t))),
     ]
+}
+
+/// Attribute names that collide often and include the well-known ones the
+/// descriptor's typed accessors read.
+fn attr_name() -> impl Strategy<Value = String> {
+    prop_oneof![
+        "[a-c]",
+        "[a-z]{1,8}",
+        Just("name".to_owned()),
+        Just("total_chunks".to_owned()),
+        Just("chunk_id".to_owned()),
+    ]
+}
+
+/// Any value, or a small non-negative integer (a valid chunk count or id).
+fn attr_value_or_count() -> impl Strategy<Value = AttrValue> {
+    prop_oneof![attr_value(), (0i64..100).prop_map(AttrValue::Int)]
 }
 
 fn descriptor() -> impl Strategy<Value = DataDescriptor> {
@@ -95,19 +113,27 @@ proptest! {
 
     #[test]
     fn hostile_wire_order_still_yields_the_canonical_key(
-        d in descriptor(),
-        decoys in proptest::collection::vec(attr_value(), 6),
-        rotate in 0usize..6,
+        input in proptest::collection::vec((attr_name(), attr_value_or_count()), 1..8),
+        decoys in proptest::collection::vec(attr_value(), 8),
+        rotate in 0usize..8,
     ) {
+        let d = input
+            .iter()
+            .fold(DataDescriptor::builder(), |b, (k, v)| b.attr(k.as_str(), v.clone()))
+            .build();
+        // What the builder was given, deduplicated (the last value wins)
+        // and sorted by name.
+        let expect: BTreeMap<&str, &AttrValue> =
+            input.iter().map(|(k, v)| (k.as_str(), v)).collect();
         // The same attribute set written the way no honest sender writes
         // it: every name first with a decoy value (a repeated name — the
         // last value wins), then the real attributes in rotated, reversed
         // order. The decoder must not take those bytes as the identity.
-        let mut real: Vec<(&str, &AttrValue)> = d.iter().collect();
+        let mut real: Vec<(&str, &AttrValue)> = expect.iter().map(|(k, v)| (*k, *v)).collect();
         real.reverse();
-        real.rotate_left(rotate % d.len());
-        let mut wire = vec![(2 * d.len()) as u8];
-        let decoyed = d.iter().zip(&decoys).map(|((name, _), decoy)| (name, decoy));
+        real.rotate_left(rotate % expect.len());
+        let mut wire = vec![(2 * real.len()) as u8];
+        let decoyed = expect.keys().zip(&decoys).map(|(name, decoy)| (*name, decoy));
         for (name, value) in decoyed.chain(real) {
             wire.push(name.len() as u8);
             wire.extend_from_slice(name.as_bytes());
@@ -119,7 +145,29 @@ proptest! {
         prop_assert_eq!(slice, &b"tail"[..]);
         prop_assert_eq!(back.entry_key(), d.entry_key());
         prop_assert_eq!(back.entry_key().as_bytes(), d.encode());
-        prop_assert_eq!(back, d);
+        prop_assert_eq!(&back, &d);
+        // Both read every attribute back in place exactly as given.
+        let listed: Vec<(&str, AttrValue)> = expect.iter().map(|(k, v)| (*k, (*v).clone())).collect();
+        let int = |name| match expect.get(name) {
+            Some(AttrValue::Int(n)) => u32::try_from(*n).ok(),
+            _ => None,
+        };
+        for desc in [&d, &back] {
+            for (name, value) in &expect {
+                prop_assert_eq!(desc.get(name).map(AttrRef::to_owned).as_ref(), Some(*value));
+            }
+            prop_assert_eq!(desc.get("a0"), None);
+            let iterated: Vec<(&str, AttrValue)> = desc.iter().map(|(k, v)| (k, v.to_owned())).collect();
+            prop_assert_eq!(&iterated, &listed);
+            prop_assert_eq!(desc.len(), expect.len());
+            let name = match expect.get("name") {
+                Some(AttrValue::Str(s)) => Some(s.as_str()),
+                _ => None,
+            };
+            prop_assert_eq!(desc.name(), name);
+            prop_assert_eq!(desc.total_chunks(), int("total_chunks"));
+            prop_assert_eq!(desc.chunk_id(), int("chunk_id").map(ChunkId));
+        }
     }
 
     #[test]
