@@ -217,9 +217,10 @@ impl PdsEngine {
 
     /// The recursive query division shared by the consumer and en-route
     /// nodes: assign chunks to neighbors per CDI, one directed sub-query per
-    /// neighbor (§IV-B). `force` (consumer recovery) re-requests chunks even
-    /// when a sub-query is already outstanding; en-route division skips
-    /// them — the in-flight copy will satisfy every lingering upstream.
+    /// neighbor (§IV-B). `force` (only the consumer's first phase-2 wave)
+    /// requests chunks even when a sub-query is already outstanding;
+    /// recovery waves and en-route division skip them — the in-flight copy
+    /// will satisfy every lingering upstream.
     #[allow(clippy::too_many_arguments)] // the division context is irreducible
     fn divide_chunks(
         &mut self,

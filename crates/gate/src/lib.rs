@@ -54,6 +54,7 @@ pub const HOT_MODULES: &[&str] = &[
     "crates/sim/src/transport.rs",
     "crates/sim/src/mac.rs",
     "crates/sim/src/medium.rs",
+    "crates/sim/src/profile.rs",
     "crates/sim/src/world.rs",
     "crates/core/src/engine/mod.rs",
     "crates/core/src/node.rs",

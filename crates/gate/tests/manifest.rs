@@ -13,7 +13,7 @@ const EXTERNAL_DEPS: &[&str] = &["bytes", "proptest"];
 /// Every cargo feature in the workspace, as `(crate, feature)`. A feature
 /// is a second build that only some jobs compile, so adding one means
 /// extending this list consciously.
-const FEATURES: &[(&str, &str)] = &[("pds-bench", "prof"), ("pds-sim", "prof")];
+const FEATURES: &[(&str, &str)] = &[];
 
 /// The crates whose `clippy.toml` adds the sans-io bans to the root one.
 const SANS_IO_CONFIGS: &[&str] = &["crates/core/clippy.toml", "crates/bloom/clippy.toml"];

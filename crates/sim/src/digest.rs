@@ -20,20 +20,16 @@ use pds_core::SimTime;
 /// The digest is order- and value-sensitive: every field is folded as its
 /// 8 little-endian bytes, and each event kind contributes a distinct tag so
 /// that, e.g., `TxEnd(5)` and `Control(5)` at the same instant cannot
-/// collide structurally. It also counts the events it folds: the kernel's
-/// work unit (the denominator of events/s), which is not a protocol
-/// outcome and so not part of `Stats`.
+/// collide structurally.
 #[derive(Debug, Clone)]
 pub(crate) struct ReplayDigest {
     hash: u64,
-    events: u64,
 }
 
 impl Default for ReplayDigest {
     fn default() -> Self {
         Self {
             hash: 0xcbf2_9ce4_8422_2325,
-            events: 0,
         }
     }
 }
@@ -46,53 +42,31 @@ impl ReplayDigest {
         }
     }
 
-    /// Folds one dispatched event at virtual time `now`.
+    /// Folds one dispatched event at virtual time `now`: the time, the
+    /// kind's tag ([`EventKind::slot`] + 1), then its identifying payload.
     pub(crate) fn record(&mut self, now: SimTime, kind: &EventKind) {
-        self.events += 1;
         self.fold(now.as_micros());
+        self.fold(kind.slot() as u64 + 1);
         match *kind {
-            EventKind::Start(id) => {
-                self.fold(1);
-                self.fold(u64::from(id.0));
-            }
+            EventKind::Start(node) | EventKind::BucketDrain(node) => self.fold(u64::from(node.0)),
             EventKind::MacTry { node, deferred } => {
-                self.fold(2);
                 self.fold(u64::from(node.0));
                 self.fold(u64::from(deferred));
             }
-            EventKind::TxEnd(tx) => {
-                self.fold(3);
-                self.fold(tx);
-            }
-            EventKind::BucketDrain(node) => {
-                self.fold(4);
-                self.fold(u64::from(node.0));
+            EventKind::TxEnd(id) | EventKind::Control(id) | EventKind::FaultDeliver(id) => {
+                self.fold(id);
             }
             EventKind::Timer { node, id } => {
-                self.fold(5);
                 self.fold(u64::from(node.0));
                 self.fold(id.0);
             }
-            EventKind::Control(id) => {
-                self.fold(6);
-                self.fold(id);
-            }
-            EventKind::Sweep => self.fold(7),
-            EventKind::FaultDeliver(id) => {
-                self.fold(8);
-                self.fold(id);
-            }
+            EventKind::Sweep => {}
         }
     }
 
     /// The digest of everything recorded so far.
     pub(crate) fn value(&self) -> u64 {
         self.hash
-    }
-
-    /// How many events were recorded so far.
-    pub(crate) fn events(&self) -> u64 {
-        self.events
     }
 }
 

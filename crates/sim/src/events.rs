@@ -47,6 +47,36 @@ pub(crate) enum EventKind {
     FaultDeliver(u64),
 }
 
+impl EventKind {
+    /// This kind's row in [`KIND_NAMES`] and in the kernel profile. Also
+    /// its tag in the replay digest, so the order is pinned.
+    pub(crate) fn slot(&self) -> usize {
+        match self {
+            Self::Start(_) => 0,
+            Self::MacTry { .. } => 1,
+            Self::TxEnd(_) => 2,
+            Self::BucketDrain(_) => 3,
+            Self::Timer { .. } => 4,
+            Self::Control(_) => 5,
+            Self::Sweep => 6,
+            Self::FaultDeliver(_) => 7,
+        }
+    }
+}
+
+/// The event kinds' names, indexed by [`EventKind::slot`]: those of the
+/// trace events that mirror them (`pds_obs::TraceKind::name`).
+pub(crate) const KIND_NAMES: [&str; 8] = [
+    "node_start",
+    "mac_try",
+    "tx_end",
+    "bucket_drain",
+    "timer_fired",
+    "control",
+    "sweep",
+    "fault_deliver",
+];
+
 /// The kernel's time-ordered, insertion-stable event queue.
 pub(crate) type EventQueue = TimerWheel<EventKind>;
 

@@ -65,6 +65,7 @@ mod events;
 mod fault;
 mod mac;
 mod medium;
+mod profile;
 mod radio;
 mod slab;
 mod spatial;
@@ -73,11 +74,9 @@ mod transport;
 mod wheel;
 mod world;
 
-#[cfg(feature = "prof")]
-pub mod prof;
-
 pub use config::{AckConfig, RadioConfig, SenderMode, SimConfig, SpatialConfig, RANGE_M};
 pub use fault::{FaultPlan, PartitionWindow, SilenceWindow};
+pub use profile::{KernelProfile, Tally};
 pub use radio::{Position, VerdictPaths};
 pub use stats::{EnergyModel, NodeStats, PhaseBytes, Stats};
 pub use wheel::TimerWheel;

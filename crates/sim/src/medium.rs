@@ -20,9 +20,8 @@
 )]
 
 use crate::config::{RadioConfig, SimConfig, MAX_FRAME_BYTES, RANGE_M, SENSE_DELAY};
-use crate::radio::{
-    phys_verdicts, Motion, PhysOutcome, PhysScratch, Position, Transmission, VerdictPaths,
-};
+use crate::profile::{Profiler, Scope};
+use crate::radio::{phys_verdicts, Motion, PhysOutcome, PhysScratch, Position, Transmission};
 use crate::slab::{DenseTable, SeqSlab};
 use crate::spatial::{NodeGrid, TxEntry, TxGrid};
 use crate::transport::Frame;
@@ -60,7 +59,7 @@ pub(crate) struct Medium {
     tx_prune: TimerWheel<u64>,
     /// Reusable carrier-sense candidate buffer.
     cs_scratch: Vec<TxEntry>,
-    /// Reusable buffers of the physical verdict, with its path counts.
+    /// Reusable buffers of the physical verdict.
     phys: PhysScratch,
     /// Reusable neighbor-query result and candidate buffers.
     nbr_scratch: Vec<NodeId>,
@@ -141,16 +140,16 @@ impl Medium {
 
     /// Re-buckets moving nodes once the grid is older than the configured
     /// re-bucket interval. Until then, queries stay exact by padding their
-    /// radius with the maximum possible drift.
-    pub fn refresh(&mut self, now: SimTime) {
+    /// radius with the maximum possible drift. Only a rebucket is timed.
+    pub fn refresh(&mut self, now: SimTime, prof: &mut Profiler) {
         let stamp = self.node_grid.stamp();
         if now <= stamp || now.since(stamp) < self.rebucket_interval {
             return;
         }
-        #[cfg(feature = "prof")]
-        let _t = crate::prof::ScopeTimer::start(crate::prof::SCOPE_GRID);
+        let t0 = prof.read();
         let motions = &self.motions;
         self.node_grid.rebucket(now, |id| motions.get(&id).copied());
+        prof.charge(Scope::Grid, t0);
     }
 
     /// Alive nodes within radio range of `id` at `now` (excluding
@@ -235,18 +234,18 @@ impl Medium {
 
     /// The physical receive verdicts of `tx` into `out` (cleared first),
     /// in ascending receiver-id order. See [`phys_verdicts`].
-    pub fn verdicts(&mut self, tx: &Transmission, out: &mut Vec<(NodeId, PhysOutcome)>) {
-        #[cfg(feature = "prof")]
-        let _t = crate::prof::ScopeTimer::start(crate::prof::SCOPE_PHYS);
+    pub fn verdicts(
+        &mut self,
+        tx: &Transmission,
+        out: &mut Vec<(NodeId, PhysOutcome)>,
+        prof: &mut Profiler,
+    ) {
+        let t0 = prof.read();
         out.clear();
         let mut scratch = std::mem::take(&mut self.phys);
-        phys_verdicts(self, tx, out, &mut scratch);
+        phys_verdicts(self, tx, out, &mut scratch, &mut prof.profile.verdict_paths);
         self.phys = scratch;
-    }
-
-    /// How the physical verdicts so far were settled.
-    pub fn verdict_paths(&self) -> VerdictPaths {
-        self.phys.paths
+        prof.charge(Scope::Phys, t0);
     }
 
     /// Drops transmissions that can no longer overlap anything — those

@@ -166,8 +166,6 @@ pub(crate) struct PhysScratch {
     /// The interferers within [`FAR_SPLIT`] ranges of the sender, in the
     /// same (ascending id) order.
     pub near: Vec<(NodeId, Position)>,
-    /// Decision-path counts accumulated over every call.
-    pub paths: VerdictPaths,
 }
 
 /// Interferers farther than this many decode ranges from the *sender* are
@@ -184,7 +182,8 @@ const FAR_SPLIT: f64 = 3.0;
 const BOUND_MIN_POWER: f64 = 1e-100;
 
 /// Computes the physical receive verdicts of `tx`, evaluated at its end
-/// time, into `out` in ascending receiver-id order.
+/// time, into `out` in ascending receiver-id order, and adds how each was
+/// settled to `paths`.
 ///
 /// Pure over the medium: two calls over equal state produce bit-identical
 /// verdicts.
@@ -202,6 +201,7 @@ pub(crate) fn phys_verdicts(
     tx: &Transmission,
     out: &mut Vec<(NodeId, PhysOutcome)>,
     scratch: &mut PhysScratch,
+    paths: &mut VerdictPaths,
 ) {
     // `tx_end` dispatches exactly at the transmission's end time, so every
     // position below is evaluated at `tx.end`.
@@ -304,7 +304,6 @@ pub(crate) fn phys_verdicts(
     // No near interferer and even an edge-of-range signal captures over
     // the whole far field: every receiver survives, no arithmetic each.
     let clear = near.is_empty() && p_edge >= capture * u_far * (1.0 + eps);
-    let paths = &mut scratch.paths;
     for &(r, rpos) in scratch.receivers.iter() {
         let d = tx_pos.distance(&rpos);
         if d > range {
@@ -535,14 +534,14 @@ mod tests {
         fn verdicts(&self, tx: u64) -> (Vec<(NodeId, PhysOutcome)>, VerdictPaths) {
             let tx = self.medium.transmissions.get(&tx).expect("transmission");
             let mut scratch = PhysScratch::default();
-            let mut got = Vec::new();
-            phys_verdicts(&self.medium, tx, &mut got, &mut scratch);
+            let (mut got, mut paths) = (Vec::new(), VerdictPaths::default());
+            phys_verdicts(&self.medium, tx, &mut got, &mut scratch, &mut paths);
             assert_eq!(
                 got,
                 oracle_verdicts(self, tx),
                 "verdicts differ from the exhaustive reference"
             );
-            (got, scratch.paths)
+            (got, paths)
         }
     }
 

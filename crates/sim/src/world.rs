@@ -18,7 +18,8 @@ use crate::events::{EventKind, EventQueue};
 use crate::fault::{Fate, FaultPlan, FaultState};
 use crate::mac::{self, Mac, Offer, Release, SendClass};
 use crate::medium::Medium;
-use crate::radio::{Motion, PhysOutcome, Position, Transmission, VerdictPaths};
+use crate::profile::{KernelProfile, Profiler, Scope};
+use crate::radio::{Motion, PhysOutcome, Position, Transmission};
 use crate::slab::{DenseTable, SeqSlab};
 use crate::stats::{NodeStats, Stats};
 use crate::transport::{Frame, MessageId, Received, RetrPlan, Transport, SWEEP_INTERVAL};
@@ -82,9 +83,11 @@ pub struct World {
     /// delivery path at a single branch. Fault decisions consume only the
     /// plan-owned rng, so faultless and no-op-plan runs are bit-identical.
     faults: Option<Box<FaultState>>,
-    /// Running digest and count of the dispatched event stream (DESIGN.md
-    /// §8). Always on, so every build can answer "did this run replay?".
+    /// Running digest of the dispatched event stream (DESIGN.md §8).
+    /// Always on, so every build can answer "did this run replay?".
     digest: crate::digest::ReplayDigest,
+    /// Per-kind event counts, and host time while a clock is lent.
+    prof: Profiler,
     /// Reusable buffers: application commands (threaded through
     /// [`Context`]), fragments (recycled through
     /// [`Transport::send_message`]), and one transmission's receivers.
@@ -120,6 +123,7 @@ impl World {
             sink: None,
             faults: None,
             digest: crate::digest::ReplayDigest::default(),
+            prof: Profiler::default(),
             cmd_scratch: Vec::new(),
             frame_scratch: Vec::new(),
             rx_scratch: Vec::new(),
@@ -160,6 +164,22 @@ impl World {
     #[must_use]
     pub fn trace_enabled(&self) -> bool {
         self.sink.is_some()
+    }
+
+    /// Lends a host clock reading nanoseconds: from now on the
+    /// [`profile`](Self::profile) also records where host time goes, per
+    /// event kind and per kernel scope. An instrument like the trace sink:
+    /// replay digests and statistics are identical with or without one.
+    pub fn lend_host_clock(&mut self, clock: impl FnMut() -> u64 + Send + 'static) {
+        self.prof.clock = Some(Box::new(clock));
+    }
+
+    /// What this world dispatched per event kind, how its physical
+    /// verdicts were settled, and — while a host clock is lent — where
+    /// the host time went. Purely observational; see DESIGN.md §14.
+    #[must_use]
+    pub fn profile(&self) -> KernelProfile {
+        self.prof.profile
     }
 
     /// Installs a deterministic fault plan (DST layer). Wire-level faults
@@ -213,15 +233,7 @@ impl World {
     /// progress unit for long adversarial runs.
     #[must_use]
     pub fn events_dispatched(&self) -> u64 {
-        self.digest.events()
-    }
-
-    /// How the physical verdicts of this world were settled: by the
-    /// far-field bound, exactly, or by the exhaustive fallback. Purely
-    /// observational; see DESIGN.md §18.
-    #[must_use]
-    pub fn verdict_paths(&self) -> VerdictPaths {
-        self.medium.verdict_paths()
+        self.prof.profile.kinds.iter().map(|t| t.count).sum()
     }
 
     /// Traffic counters for one node, if alive.
@@ -394,22 +406,23 @@ impl World {
     pub fn run_until(&mut self, horizon: SimTime) {
         while let Some((at, kind)) = self.pop_event(horizon) {
             self.now = at.max(self.now);
-            self.medium.refresh(self.now);
+            self.medium.refresh(self.now, &mut self.prof);
             self.dispatch(kind);
         }
         self.now = self.now.max(horizon);
         // Leave exact buckets behind so post-run queries (scenario code
         // inspecting neighborhoods) need no staleness padding.
-        self.medium.refresh(self.now);
+        self.medium.refresh(self.now, &mut self.prof);
     }
 
     /// Pops the next due event off the scheduler. Factored out of
-    /// [`run_until`] so the profiler can charge wheel time separately
+    /// [`run_until`] so the profile can charge wheel time separately
     /// from dispatch time.
     fn pop_event(&mut self, horizon: SimTime) -> Option<(SimTime, EventKind)> {
-        #[cfg(feature = "prof")]
-        let _t = crate::prof::ScopeTimer::start(crate::prof::SCOPE_WHEEL);
-        self.queue.pop_until(horizon)
+        let t0 = self.prof.read();
+        let event = self.queue.pop_until(horizon);
+        self.prof.charge(Scope::Wheel, t0);
+        event
     }
 
     fn dispatch(&mut self, kind: EventKind) {
@@ -417,8 +430,7 @@ impl World {
         if self.sink.is_some() {
             self.trace_kernel(&kind);
         }
-        #[cfg(feature = "prof")]
-        let _timer = crate::prof::DispatchTimer::start(crate::prof::slot_of(&kind));
+        let (slot, t0) = (kind.slot(), self.prof.read());
         match kind {
             EventKind::Start(id) => self.call_app(id, |app, ctx| app.on_start(ctx)),
             EventKind::MacTry { node, deferred } => self.mac_try(node, deferred),
@@ -444,6 +456,7 @@ impl World {
             }
             EventKind::FaultDeliver(id) => self.fault_deliver(id),
         }
+        self.prof.dispatched(slot, t0);
     }
 
     /// Mirrors the dispatched event stream — exactly what the replay
@@ -478,8 +491,6 @@ impl World {
     // ---- application host -------------------------------------------------
 
     fn call_app(&mut self, id: NodeId, f: impl FnOnce(&mut dyn Application, &mut Context)) {
-        #[cfg(feature = "prof")]
-        let _t = crate::prof::ScopeTimer::start(crate::prof::SCOPE_ENGINE);
         let trace_on = self.sink.is_some();
         let mut buf = std::mem::take(&mut self.cmd_scratch);
         buf.clear();
@@ -487,6 +498,7 @@ impl World {
             self.cmd_scratch = buf;
             return;
         };
+        let t0 = self.prof.read();
         let msg_seq = state.msg_seq;
         let NodeState { app, rng, .. } = state;
         let mut ctx = Context::new(self.now, id, self.next_timer, msg_seq, rng, buf, trace_on);
@@ -496,6 +508,7 @@ impl World {
         state.msg_seq = next_msg;
         self.apply_commands(id, &mut commands);
         self.cmd_scratch = commands;
+        self.prof.charge(Scope::App, t0);
     }
 
     fn apply_commands(&mut self, id: NodeId, commands: &mut Vec<Command>) {
@@ -693,7 +706,7 @@ impl World {
         // shared stream, so verdict *order* is part of the replay
         // contract). Deliveries run after every receiver is committed.
         let mut rx = std::mem::take(&mut self.rx_scratch);
-        self.medium.verdicts(&tx, &mut rx);
+        self.medium.verdicts(&tx, &mut rx, &mut self.prof);
         rx.retain(|&(r, outcome)| self.receive(&tx, r, outcome));
         for &(r, _) in &rx {
             self.deliver_frame(r, &tx.frame);
@@ -772,8 +785,6 @@ impl World {
     /// bookkeeping happens here, at the actual delivery instant; the
     /// receiver may have churned away since.
     fn fault_deliver(&mut self, id: u64) {
-        #[cfg(feature = "prof")]
-        let _t = crate::prof::ScopeTimer::start(crate::prof::SCOPE_FAULT);
         let Some(p) = self.faults.as_mut().and_then(|f| f.pending.remove(&id)) else {
             return;
         };
@@ -1323,9 +1334,85 @@ mod tests {
         let mut w = World::new(SimConfig::default(), 11);
         add_chatter_clusters(&mut w);
         w.run_until(secs(4.0));
-        let p = w.verdict_paths();
+        let p = w.profile().verdict_paths;
         assert!(p.cleared + p.bounded > 100, "{p:?}");
         assert!(p.fallback * 20 < p.cleared + p.bounded, "{p:?}");
+    }
+
+    /// The chatter clusters plus an acked sender overrunning its leaky
+    /// bucket, under a delaying and duplicating fault plan, with one
+    /// control closure: every event kind fires. `setup` lends a clock or
+    /// installs a sink before the run.
+    fn profiled_world(setup: impl FnOnce(&mut World)) -> World {
+        let mut w = World::new(SimConfig::default(), 5);
+        let mut plan = FaultPlan::none(3);
+        (plan.dup_prob, plan.delay_prob) = (0.05, 0.05);
+        w.install_faults(plan);
+        setup(&mut w);
+        add_chatter_clusters(&mut w);
+        let acked = Blaster::new(200, 3000, vec![NodeId(1)]);
+        w.add_node(Position::new(10.0, 10.0), Box::new(acked));
+        w.schedule(secs(0.5), |w| w.remove_node(NodeId(3)));
+        w.run_until(secs(6.0));
+        w
+    }
+
+    /// Lends `w` a fake host clock that advances 1 ns per read.
+    fn lend_counting_clock(w: &mut World) {
+        let mut ticks = 1..;
+        w.lend_host_clock(move || ticks.next().unwrap_or(0));
+    }
+
+    #[test]
+    fn profile_counts_match_the_trace_and_a_lent_clock_only_observes() {
+        let mut traced = profiled_world(|w| w.set_trace_sink(Box::new(pds_obs::RingSink::new(0))));
+        let sink = traced.take_trace_sink().expect("installed");
+        let ring = sink.as_any().downcast_ref::<pds_obs::RingSink>();
+        let mut census = [0u64; 8];
+        for ev in ring.expect("ring").events() {
+            if ev.phase == Phase::Kernel {
+                let kind = KernelProfile::KINDS
+                    .iter()
+                    .position(|&k| k == ev.kind.name());
+                census[kind.expect("a kernel kind")] += 1;
+            }
+        }
+        let p = traced.profile();
+        assert_eq!(p.kinds.map(|t| t.count), census);
+        assert_eq!(census.iter().sum::<u64>(), traced.events_dispatched());
+        assert!(census.iter().all(|&n| n > 0), "a kind never fired: {p:?}");
+        // Without a clock nothing is timed.
+        assert!(p.kinds.iter().all(|t| t.ns == 0));
+        assert_eq!(p.scopes, [crate::Tally::default(); 4]);
+        let timed = profiled_world(lend_counting_clock);
+        assert_eq!(timed.replay_digest(), traced.replay_digest());
+        assert_eq!(timed.stats(), traced.stats());
+        assert_eq!(timed.profile().kinds.map(|t| t.count), census);
+        assert_eq!(timed.profile().verdict_paths, p.verdict_paths);
+    }
+
+    #[test]
+    fn a_lent_clock_times_kinds_and_scopes_exactly() {
+        let p = profiled_world(lend_counting_clock).profile();
+        assert_eq!(p, profiled_world(lend_counting_clock).profile());
+        // Each scope entry spans exactly its own two reads. Dispatches also
+        // span the app calls and verdicts nested in them; the wheel and
+        // grid scopes run between dispatches.
+        assert!(
+            p.scopes.iter().all(|s| s.count > 0 && s.ns == s.count),
+            "{p:?}"
+        );
+        let [wheel, app, grid, phys] = p.scopes;
+        let events: u64 = p.kinds.iter().map(|t| t.count).sum();
+        let dispatch_ns: u64 = p.kinds.iter().map(|t| t.ns).sum();
+        assert_eq!(dispatch_ns, events + 2 * (app.count + phys.count));
+        assert_eq!(wheel.count, events + 1, "one empty pop ends the run");
+        assert!(grid.count < events, "only actual rebuckets are timed");
+        let [start, mac_try, _, bucket, _, _, sweep, _] = p.kinds;
+        assert_eq!(start.ns, 3 * start.count, "one app call per start");
+        for plain in [mac_try, bucket, sweep] {
+            assert_eq!(plain.ns, plain.count, "{p:?}");
+        }
     }
 
     #[test]
