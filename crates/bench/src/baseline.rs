@@ -34,7 +34,7 @@ use std::fmt;
 /// Fractional growth in per-node peak heap (`bytes_per_node`) the fresh
 /// run may show before the check fails (one-sided: using less memory is
 /// never a regression). Skipped when the baseline recorded no peak (0).
-pub const BYTES_PER_NODE_TOLERANCE: f64 = 0.25;
+pub(crate) const BYTES_PER_NODE_TOLERANCE: f64 = 0.25;
 
 pub use pds_sim::obs::json::Value;
 

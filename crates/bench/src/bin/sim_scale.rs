@@ -87,12 +87,12 @@ mod heap_track {
     static ALLOC: CountingAlloc = CountingAlloc;
 
     /// Resets the high-water mark to the currently live bytes.
-    pub fn reset_peak() {
+    pub(crate) fn reset_peak() {
         PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
     /// Peak live heap bytes since the last [`reset_peak`].
-    pub fn peak() -> usize {
+    pub(crate) fn peak() -> usize {
         PEAK.load(Ordering::Relaxed)
     }
 }

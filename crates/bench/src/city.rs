@@ -25,11 +25,6 @@ use pds_sim::{
     SimDuration, SimTime, World,
 };
 
-/// The node counts the city family is specified at. The quick bench runs
-/// the smallest; nightly CI runs 50k via `--city-n`; 100k is for manual
-/// capacity runs.
-pub const CITY_NODE_COUNTS: [usize; 3] = [10_000, 50_000, 100_000];
-
 /// Per-node peak-heap budget for the city family, bytes. The pre-diet
 /// kernel sat near 84 KB/node on the dense-chatter scenario; the slab/SoA
 /// diet commits to ≤ 32 KB/node at n = 10k (≥ 2.5× reduction), asserted
@@ -247,7 +242,7 @@ fn build_relief(world: &mut World, n: usize) {
 /// half and healing implicitly at the window end. Pure data — determinism
 /// comes from [`PartitionWindow`] being a time/id predicate.
 #[must_use]
-pub fn disaster_partition_plan(seed: u64, n: u32) -> FaultPlan {
+pub(crate) fn disaster_partition_plan(seed: u64, n: u32) -> FaultPlan {
     let mut plan = FaultPlan::none(seed);
     plan.partitions.push(PartitionWindow {
         from: SimTime::from_secs_f64(0.5),

@@ -65,7 +65,7 @@ fn retrieval_with(pds: PdsConfig, size: usize, redundancy: usize, seed: u64) -> 
 /// Design ablations (DESIGN.md §4): each row disables one of the paper's
 /// mechanisms on the normal-load discovery scenario (plus the assignment
 /// ablation on a retrieval). Overhead is the paper's cost metric.
-pub fn ablations(cfg: &RunConfig) -> Vec<Table> {
+pub(crate) fn ablations(cfg: &RunConfig) -> Vec<Table> {
     let entries = if cfg.quick { 1_000 } else { 5_000 };
     // Redundancy 2 gives the Bloom-filter machinery duplicates to prune.
     let redundancy = 2;

@@ -51,7 +51,7 @@ fn pdd_mobility_run(
 /// Note: departing nodes carry away data that may not have been replicated
 /// yet, so recall is measured against what was seeded — a node leaving with
 /// the only copy before any query reaches it legitimately costs recall.
-pub fn fig09_10_mobility_pdd(cfg: &RunConfig) -> Vec<Table> {
+pub(crate) fn fig09_10_mobility_pdd(cfg: &RunConfig) -> Vec<Table> {
     let entries = if cfg.quick { 200 } else { 1_000 };
     let multipliers: &[f64] = if cfg.quick {
         &[1.0]
@@ -95,7 +95,7 @@ pub fn fig09_10_mobility_pdd(cfg: &RunConfig) -> Vec<Table> {
 
 /// Fig. 12: PDR of a 20 MB item under Student Center mobility; latency
 /// stays roughly flat across mobility multipliers.
-pub fn fig12_mobility_pdr(cfg: &RunConfig) -> Vec<Table> {
+pub(crate) fn fig12_mobility_pdr(cfg: &RunConfig) -> Vec<Table> {
     let size = if cfg.quick { 2_000_000 } else { 20_000_000 };
     let multipliers: &[f64] = if cfg.quick {
         &[1.0]

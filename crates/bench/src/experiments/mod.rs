@@ -11,13 +11,14 @@ mod pdd;
 mod pdr;
 mod phys;
 
-pub use extra::{ablations, energy};
-pub use mobility::{fig09_10_mobility_pdd, fig12_mobility_pdr};
-pub use pdd::{
-    fig04_hops, fig05_rounds, fig06_amount, fig07_sequential, fig08_simultaneous, saturation,
-};
-pub use pdr::{fig11_item_size, fig13_14_redundancy, fig15_sequential, fig16_simultaneous};
-pub use phys::{ack_sweep, fig03_single_hop, leaky_sweep};
+pub use extra::energy;
+pub use pdd::saturation;
+
+use extra::ablations;
+use mobility::{fig09_10_mobility_pdd, fig12_mobility_pdr};
+use pdd::{fig04_hops, fig05_rounds, fig06_amount, fig07_sequential, fig08_simultaneous};
+use pdr::{fig11_item_size, fig13_14_redundancy, fig15_sequential, fig16_simultaneous};
+use phys::{ack_sweep, fig03_single_hop, leaky_sweep};
 
 use crate::report::Table;
 

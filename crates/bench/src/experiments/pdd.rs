@@ -125,7 +125,7 @@ pub fn saturation(cfg: &RunConfig) -> Vec<Table> {
 
 /// Fig. 4: single-round PDD (with ack) on growing grids, 50 entries per
 /// node; recall drops as the maximum hop count grows.
-pub fn fig04_hops(cfg: &RunConfig) -> Vec<Table> {
+pub(crate) fn fig04_hops(cfg: &RunConfig) -> Vec<Table> {
     let sizes: &[usize] = if cfg.quick {
         &[3, 5]
     } else {
@@ -162,7 +162,7 @@ pub fn fig04_hops(cfg: &RunConfig) -> Vec<Table> {
 
 /// Fig. 5: multi-round PDD recall (plus latency/overhead, whose figures the
 /// paper omits) vs the window `T` for `T_d ∈ {0, 0.1, 0.3}`, `T_r = 0`.
-pub fn fig05_rounds(cfg: &RunConfig) -> Vec<Table> {
+pub(crate) fn fig05_rounds(cfg: &RunConfig) -> Vec<Table> {
     let windows: &[u64] = if cfg.quick {
         &[400, 1_000]
     } else {
@@ -227,7 +227,7 @@ pub fn fig05_rounds(cfg: &RunConfig) -> Vec<Table> {
 
 /// Fig. 6: multi-round PDD vs metadata amount 5k–20k: recall stays ~100 %,
 /// latency grows sub-linearly, overhead near-linearly.
-pub fn fig06_amount(cfg: &RunConfig) -> Vec<Table> {
+pub(crate) fn fig06_amount(cfg: &RunConfig) -> Vec<Table> {
     let amounts: &[usize] = if cfg.quick {
         &[500, 2_000]
     } else {
@@ -264,7 +264,7 @@ pub fn fig06_amount(cfg: &RunConfig) -> Vec<Table> {
 
 /// Fig. 7: five consumers discover one after another; opportunistic caching
 /// makes later consumers faster.
-pub fn fig07_sequential(cfg: &RunConfig) -> Vec<Table> {
+pub(crate) fn fig07_sequential(cfg: &RunConfig) -> Vec<Table> {
     let entries = if cfg.quick { 1_000 } else { 5_000 };
     let consumers = 5usize;
     let mut t = Table::new(
@@ -309,7 +309,7 @@ pub fn fig07_sequential(cfg: &RunConfig) -> Vec<Table> {
 
 /// Fig. 8: 1–5 consumers discover simultaneously; mixedcast keeps the
 /// per-consumer latency growth sub-linear.
-pub fn fig08_simultaneous(cfg: &RunConfig) -> Vec<Table> {
+pub(crate) fn fig08_simultaneous(cfg: &RunConfig) -> Vec<Table> {
     let entries = if cfg.quick { 1_000 } else { 5_000 };
     let mut t = Table::new(
         "Fig. 8 — PDD with simultaneous consumers",

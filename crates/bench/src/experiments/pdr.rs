@@ -36,7 +36,7 @@ fn retrieval_run(size_bytes: usize, redundancy: usize, mdr: bool, seed: u64) -> 
 
 /// Fig. 11: PDR latency and overhead grow near-linearly with item size;
 /// recall stays 100 %.
-pub fn fig11_item_size(cfg: &RunConfig) -> Vec<Table> {
+pub(crate) fn fig11_item_size(cfg: &RunConfig) -> Vec<Table> {
     let sizes_mb: &[usize] = if cfg.quick { &[1, 4] } else { &[1, 5, 10, 20] };
     let mut t = Table::new(
         "Fig. 11 — PDR vs data item size",
@@ -72,7 +72,7 @@ pub fn fig11_item_size(cfg: &RunConfig) -> Vec<Table> {
 /// Figs. 13/14: PDR vs MDR as chunk redundancy grows (20 MB item). MDR
 /// degrades with more copies (duplicate replies); PDR stays flat or
 /// improves (nearest-copy selection).
-pub fn fig13_14_redundancy(cfg: &RunConfig) -> Vec<Table> {
+pub(crate) fn fig13_14_redundancy(cfg: &RunConfig) -> Vec<Table> {
     let size = if cfg.quick { 4_000_000 } else { 20_000_000 };
     let redundancies: &[usize] = if cfg.quick { &[1, 3] } else { &[1, 2, 3, 4, 5] };
     let mut lat = Table::new(
@@ -114,7 +114,7 @@ pub fn fig13_14_redundancy(cfg: &RunConfig) -> Vec<Table> {
 
 /// Fig. 15: sequential PDR consumers — chunks cached by earlier retrievals
 /// shorten paths for later ones.
-pub fn fig15_sequential(cfg: &RunConfig) -> Vec<Table> {
+pub(crate) fn fig15_sequential(cfg: &RunConfig) -> Vec<Table> {
     let size = if cfg.quick { 4_000_000 } else { 20_000_000 };
     let consumers = if cfg.quick { 3 } else { 5 };
     let mut t = Table::new(
@@ -160,7 +160,7 @@ pub fn fig15_sequential(cfg: &RunConfig) -> Vec<Table> {
 
 /// Fig. 16: simultaneous PDR consumers — latency/overhead rise then
 /// stabilize as consumers share transmissions.
-pub fn fig16_simultaneous(cfg: &RunConfig) -> Vec<Table> {
+pub(crate) fn fig16_simultaneous(cfg: &RunConfig) -> Vec<Table> {
     let size = if cfg.quick { 4_000_000 } else { 20_000_000 };
     let max_consumers = if cfg.quick { 3 } else { 5 };
     let mut t = Table::new(

@@ -120,7 +120,7 @@ fn single_hop_run(config: SimConfig, senders: usize, count: usize, seed: u64) ->
 
 /// Fig. 3: reception rate and receiver data rate for raw UDP, leaky bucket
 /// only, and leaky bucket + ack, with 1–4 concurrent senders.
-pub fn fig03_single_hop(cfg: &RunConfig) -> Vec<Table> {
+pub(crate) fn fig03_single_hop(cfg: &RunConfig) -> Vec<Table> {
     let count = if cfg.quick { 800 } else { 4_000 };
     let modes: [(&str, SimConfig); 3] = [
         ("raw-udp", {
@@ -168,7 +168,7 @@ pub fn fig03_single_hop(cfg: &RunConfig) -> Vec<Table> {
 
 /// §V-2 sweep: reception vs `LeakingRate` (1–6 Mbps) and `BucketCapacity`
 /// (the paper settles on 300 KB / 4.5 Mbps).
-pub fn leaky_sweep(cfg: &RunConfig) -> Vec<Table> {
+pub(crate) fn leaky_sweep(cfg: &RunConfig) -> Vec<Table> {
     let count = if cfg.quick { 1_200 } else { 6_000 };
     let rates = [1.0e6, 2.0e6, 3.0e6, 4.0e6, 4.5e6, 5.0e6, 6.0e6];
     let capacities = [100_000usize, 300_000, 600_000, 1_200_000];
@@ -203,7 +203,7 @@ pub fn leaky_sweep(cfg: &RunConfig) -> Vec<Table> {
 
 /// §V-1 sweep: reception vs `RetrTimeout` and `MaxRetrTime` with four
 /// concurrent senders (the paper finds the benefit plateaus at 0.2 s / 4).
-pub fn ack_sweep(cfg: &RunConfig) -> Vec<Table> {
+pub(crate) fn ack_sweep(cfg: &RunConfig) -> Vec<Table> {
     let count = if cfg.quick { 300 } else { 800 };
     let timeouts = [50u64, 100, 200, 400];
     let retries = [0u32, 1, 2, 4, 8];

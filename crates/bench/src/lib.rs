@@ -18,10 +18,10 @@ pub mod city;
 pub mod experiments;
 pub mod metrics;
 pub mod report;
-pub mod scenario;
+pub(crate) mod scenario;
 pub mod sweep;
 
-pub use city::{CityScenario, CITY_BYTES_PER_NODE_BUDGET, CITY_NODE_COUNTS};
-pub use metrics::{average_runs, run_seeds, RunMetrics, WallClock};
-pub use scenario::{GridScenario, MobilityScenario, Workload};
-pub use sweep::{run_grid, SweepRunner};
+pub use city::{CityScenario, CITY_BYTES_PER_NODE_BUDGET};
+pub use metrics::WallClock;
+pub use scenario::{GridScenario, Workload};
+pub use sweep::SweepRunner;

@@ -37,7 +37,7 @@ mod wall {
 
 /// Metrics of one experiment run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RunMetrics {
+pub(crate) struct RunMetrics {
     /// Fraction of distinct metadata entries or chunks received.
     pub recall: f64,
     /// Seconds from sending the query to the last returned entry/chunk.
@@ -58,7 +58,7 @@ pub struct RunMetrics {
 impl RunMetrics {
     /// A zeroed, unfinished run (placeholder for failed horizons).
     #[must_use]
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Self {
             recall: 0.0,
             latency_s: 0.0,
@@ -74,7 +74,7 @@ impl RunMetrics {
     /// folded into the last (`other`) bucket so the four components sum to
     /// `bytes_sent`.
     #[must_use]
-    pub fn phase_split_mb(window: &pds_sim::Stats) -> [f64; 4] {
+    pub(crate) fn phase_split_mb(window: &pds_sim::Stats) -> [f64; 4] {
         let p = window.data_bytes_by_phase;
         let classified = p.pdd + p.pdr + p.mdr;
         [
@@ -93,7 +93,7 @@ impl RunMetrics {
 ///
 /// Panics if `runs` is empty.
 #[must_use]
-pub fn average_runs(runs: &[RunMetrics]) -> RunMetrics {
+pub(crate) fn average_runs(runs: &[RunMetrics]) -> RunMetrics {
     assert!(!runs.is_empty(), "cannot average zero runs");
     let n = runs.len() as f64;
     let mut overhead_by_phase_mb = [0.0; 4];
@@ -120,7 +120,7 @@ pub fn average_runs(runs: &[RunMetrics]) -> RunMetrics {
 /// `results[i]` against `seeds[i]`, and the parallel executor's
 /// bit-identical-to-sequential guarantee rests on it (see
 /// `run_seeds_preserves_order` below and `crate::sweep`).
-pub fn run_seeds<T, F>(seeds: &[u64], f: F) -> Vec<T>
+pub(crate) fn run_seeds<T, F>(seeds: &[u64], f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(u64) -> T + Sync,

@@ -10,10 +10,13 @@ use std::path::Path;
 /// ```
 /// use pds_bench::report::Table;
 ///
-/// let mut t = Table::new("Fig. X", &["n", "recall"]);
-/// t.push_row(vec!["1".into(), "100.0%".into()]);
+/// let t = Table {
+///     title: "Fig. X".into(),
+///     columns: vec!["n".into(), "recall".into()],
+///     rows: vec![vec!["1".into(), "100.0%".into()]],
+/// };
 /// assert!(t.render().contains("Fig. X"));
-/// assert_eq!(t.to_csv(), "n,recall\n1,100.0%\n");
+/// assert!(t.render().contains("100.0%"));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -28,7 +31,7 @@ pub struct Table {
 impl Table {
     /// Creates an empty table.
     #[must_use]
-    pub fn new(title: impl Into<String>, columns: &[&str]) -> Self {
+    pub(crate) fn new(title: impl Into<String>, columns: &[&str]) -> Self {
         Self {
             title: title.into(),
             columns: columns.iter().map(|s| (*s).to_owned()).collect(),
@@ -41,7 +44,7 @@ impl Table {
     /// # Panics
     ///
     /// Panics if the cell count differs from the column count.
-    pub fn push_row(&mut self, cells: Vec<String>) {
+    pub(crate) fn push_row(&mut self, cells: Vec<String>) {
         assert_eq!(
             cells.len(),
             self.columns.len(),
@@ -87,7 +90,7 @@ impl Table {
 
     /// Renders RFC-4180-ish CSV (cells are simple numbers/labels here).
     #[must_use]
-    pub fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{}", self.columns.join(","));
         for row in &self.rows {
@@ -109,13 +112,13 @@ impl Table {
 
 /// Formats a float with 2 decimals (latency seconds, MB, recall).
 #[must_use]
-pub fn f2(x: f64) -> String {
+pub(crate) fn f2(x: f64) -> String {
     format!("{x:.2}")
 }
 
 /// Formats a recall as a percentage with 1 decimal.
 #[must_use]
-pub fn pct(x: f64) -> String {
+pub(crate) fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
 

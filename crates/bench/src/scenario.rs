@@ -73,7 +73,7 @@ impl Workload {
     /// each chunk placed on `redundancy` distinct random nodes, never on
     /// `exclude` (the consumer, so retrieval is not trivially local).
     #[must_use]
-    pub fn with_chunked_item(
+    pub(crate) fn with_chunked_item(
         mut self,
         name: &str,
         size_bytes: usize,
@@ -215,7 +215,7 @@ impl Built {
     /// # Panics
     ///
     /// Panics if the workload has no chunked item.
-    pub fn start_retrieval(&mut self, node: NodeId) {
+    pub(crate) fn start_retrieval(&mut self, node: NodeId) {
         let item = self.item.clone().expect("workload has a chunked item");
         self.world.with_app::<PdsNode, _>(node, |n, ctx| {
             n.start_retrieval(ctx, item);
@@ -227,7 +227,7 @@ impl Built {
     /// # Panics
     ///
     /// Panics if the workload has no chunked item.
-    pub fn start_mdr(&mut self, node: NodeId) {
+    pub(crate) fn start_mdr(&mut self, node: NodeId) {
         let item = self.item.clone().expect("workload has a chunked item");
         self.world.with_app::<PdsNode, _>(node, |n, ctx| {
             n.start_mdr_retrieval(ctx, item);
@@ -267,7 +267,7 @@ impl Built {
     /// Discovery metrics for `node`, with overhead measured against the
     /// `before` stats snapshot.
     #[must_use]
-    pub fn discovery_metrics(&self, node: NodeId, before: &Stats) -> RunMetrics {
+    pub(crate) fn discovery_metrics(&self, node: NodeId, before: &Stats) -> RunMetrics {
         let Some(report) = self
             .world
             .app::<PdsNode>(node)
@@ -293,7 +293,7 @@ impl Built {
     /// Retrieval metrics for `node`, with overhead measured against the
     /// `before` stats snapshot.
     #[must_use]
-    pub fn retrieval_metrics(&self, node: NodeId, before: &Stats) -> RunMetrics {
+    pub(crate) fn retrieval_metrics(&self, node: NodeId, before: &Stats) -> RunMetrics {
         let Some(report) = self
             .world
             .app::<PdsNode>(node)
@@ -316,7 +316,7 @@ impl Built {
 /// The mobility scenario: a venue preset, a rate multiplier and a trace
 /// applied to the world (§VI-B-2).
 #[derive(Debug, Clone)]
-pub struct MobilityScenario {
+pub(crate) struct MobilityScenario {
     /// Venue observation parameters.
     pub params: ObservationParams,
     /// Rate multiplier (the paper sweeps 0.5×–2×).
@@ -337,7 +337,7 @@ impl MobilityScenario {
     /// departure events are dropped — a consumer that walks away has no
     /// recall to measure).
     #[must_use]
-    pub fn build(&self, workload: &Workload) -> Built {
+    pub(crate) fn build(&self, workload: &Workload) -> Built {
         let trace =
             MobilityTrace::generate(&self.params, self.duration, self.multiplier, self.seed);
         // Pick the consumer among the initial people and keep them present.

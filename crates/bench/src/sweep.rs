@@ -37,7 +37,7 @@ pub fn set_jobs(n: usize) {
 /// number of available cores (falling back to 1 if that cannot be
 /// determined).
 #[must_use]
-pub fn jobs() -> usize {
+pub(crate) fn jobs() -> usize {
     match JOBS.load(Ordering::Relaxed) {
         0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         n => n,
@@ -60,7 +60,7 @@ impl SweepRunner {
         Self { jobs: jobs.max(1) }
     }
 
-    /// A runner with the process-wide worker count (see [`jobs`]).
+    /// A runner with the process-wide worker count (see `jobs`).
     #[must_use]
     pub fn with_process_jobs() -> Self {
         Self::new(jobs())
@@ -128,7 +128,7 @@ impl SweepRunner {
 /// This is the workhorse behind the per-point loops in
 /// `experiments/{pdd,pdr,phys,mobility,extra}.rs`: tables built from its
 /// output are bit-identical to the old nested sequential loops.
-pub fn run_grid<P, T, F>(points: &[P], seeds: &[u64], f: F) -> Vec<Vec<T>>
+pub(crate) fn run_grid<P, T, F>(points: &[P], seeds: &[u64], f: F) -> Vec<Vec<T>>
 where
     P: Sync,
     T: Send,

@@ -9,7 +9,7 @@ use std::fmt;
 ///
 /// Guarantees **no false negatives**: after `insert(x)`, `contains(x)` is
 /// always `true` for the same hash family (same seed). False positives occur
-/// with the probability predicted by [`BloomParams::expected_fpp`].
+/// with probability `(1 - e^{-kn/m})^k` after `n` insertions.
 ///
 /// # Examples
 ///
@@ -57,24 +57,6 @@ impl BloomFilter {
         self.params
     }
 
-    /// The hash-family seed (derived from the discovery round).
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Number of `insert` calls so far (counts duplicates).
-    #[must_use]
-    pub fn items(&self) -> u64 {
-        self.items
-    }
-
-    /// Whether no element has ever been inserted.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.items == 0
-    }
-
     /// Inserts an element. Returns `true` if the element was *not* already
     /// reported present (i.e. at least one probed bit was newly set).
     pub fn insert(&mut self, element: &[u8]) -> bool {
@@ -107,7 +89,7 @@ impl BloomFilter {
     /// Fraction of bits set — a saturation diagnostic. A healthy filter sits
     /// near 0.5 at design load.
     #[must_use]
-    pub fn fill_ratio(&self) -> f64 {
+    pub(crate) fn fill_ratio(&self) -> f64 {
         let set: u32 = self.bits.iter().map(|b| b.count_ones()).sum();
         f64::from(set) / self.params.bits() as f64
     }
@@ -160,8 +142,8 @@ impl BloomFilter {
     }
 
     /// Size of the encoded form in bytes, for message-overhead accounting.
-    #[must_use]
-    pub fn encoded_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn encoded_len(&self) -> usize {
         28 + self.bits.len()
     }
 
@@ -253,7 +235,7 @@ mod tests {
     #[test]
     fn empty_filter_matches_nothing_mostly() {
         let f = filter(100);
-        assert!(f.is_empty());
+        assert_eq!(f.items, 0);
         assert!(!f.contains(b"anything"));
     }
 
@@ -262,7 +244,7 @@ mod tests {
         let mut f = filter(100);
         assert!(f.insert(b"x"));
         assert!(!f.insert(b"x"), "re-inserting must not set new bits");
-        assert_eq!(f.items(), 2);
+        assert_eq!(f.items, 2);
     }
 
     #[test]
@@ -275,14 +257,14 @@ mod tests {
         for i in 0..60u32 {
             let element = i.to_le_bytes();
             f.insert(&element);
-            for idx in crate::double_hash_indices(&element, f.seed(), 5, 1_021) {
+            for idx in crate::double_hash_indices(&element, f.seed, 5, 1_021) {
                 expected[(idx / 8) as usize] |= 1 << (idx % 8);
             }
         }
         assert_eq!(f.bits, expected);
         for i in 0..2_000u32 {
             let element = i.to_le_bytes();
-            let all_set = crate::double_hash_indices(&element, f.seed(), 5, 1_021)
+            let all_set = crate::double_hash_indices(&element, f.seed, 5, 1_021)
                 .into_iter()
                 .all(|idx| expected[(idx / 8) as usize] & (1 << (idx % 8)) != 0);
             assert_eq!(f.contains(&element), all_set, "element {i}");
@@ -294,7 +276,7 @@ mod tests {
         let params = BloomParams::optimal(100, 0.01);
         let a = BloomFilter::with_round(params, 0);
         let b = BloomFilter::with_round(params, 1);
-        assert_ne!(a.seed(), b.seed());
+        assert_ne!(a.seed, b.seed);
     }
 
     #[test]

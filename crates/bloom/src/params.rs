@@ -28,7 +28,7 @@ impl BloomParams {
     ///
     /// Panics if `bits == 0` or `hashes == 0`.
     #[must_use]
-    pub fn new(bits: u64, hashes: u32) -> Self {
+    pub(crate) fn new(bits: u64, hashes: u32) -> Self {
         assert!(bits > 0, "bloom filter must have at least one bit");
         assert!(hashes > 0, "bloom filter must use at least one hash");
         Self { bits, hashes }
@@ -81,8 +81,8 @@ impl BloomParams {
 
     /// Predicted false-positive probability after `items` insertions:
     /// `(1 - e^{-kn/m})^k`.
-    #[must_use]
-    pub fn expected_fpp(&self, items: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn expected_fpp(&self, items: usize) -> f64 {
         let k = f64::from(self.hashes);
         let n = items as f64;
         let m = self.bits as f64;

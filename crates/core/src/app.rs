@@ -118,7 +118,7 @@ pub enum Command {
     /// Disarm a previously set timer.
     CancelTimer(TimerId),
     /// Forward a trace event to the world's sink. Only ever issued while a
-    /// sink is installed (see [`Context::trace`]).
+    /// sink is installed (see `Context::trace`).
     Trace(TraceEvent),
 }
 
@@ -176,12 +176,12 @@ impl<'a> Context<'a> {
 
     /// The id of the node this callback runs on.
     #[must_use]
-    pub fn node_id(&self) -> NodeId {
+    pub(crate) fn node_id(&self) -> NodeId {
         self.node
     }
 
     /// Deterministic per-node randomness (jitter, probabilistic choices).
-    pub fn rng(&mut self) -> &mut SimRng {
+    pub(crate) fn rng(&mut self) -> &mut SimRng {
         self.rng
     }
 
@@ -200,7 +200,7 @@ impl<'a> Context<'a> {
     /// Like [`Context::broadcast`], additionally tagging the message's
     /// frames with a traffic class (see [`pds_obs::class`]) so the radio
     /// layer can attribute on-air bytes to a protocol phase.
-    pub fn broadcast_class(
+    pub(crate) fn broadcast_class(
         &mut self,
         payload: Bytes,
         intended: &[NodeId],
@@ -220,14 +220,14 @@ impl<'a> Context<'a> {
     /// Whether a trace sink is installed. Applications may use this to skip
     /// building expensive trace payloads.
     #[must_use]
-    pub fn trace_enabled(&self) -> bool {
+    pub(crate) fn trace_enabled(&self) -> bool {
         self.trace_enabled
     }
 
     /// Emits a structured trace event attributed to this node at the
     /// current virtual time. No-op (a single branch) when no sink is
     /// installed; tracing never alters simulation behavior.
-    pub fn trace(&mut self, phase: Phase, kind: TraceKind) {
+    pub(crate) fn trace(&mut self, phase: Phase, kind: TraceKind) {
         if self.trace_enabled {
             self.commands.push(Command::Trace(TraceEvent {
                 at_us: self.now.as_micros(),

@@ -24,7 +24,7 @@ pub enum AssignStrategy {
 }
 
 /// The candidate providers of one chunk: `(neighbor, hop count)` pairs.
-pub type ChunkCandidates = (ChunkId, Vec<(NodeId, u32)>);
+pub(crate) type ChunkCandidates = (ChunkId, Vec<(NodeId, u32)>);
 
 /// Assigns every chunk to one capable neighbor.
 ///

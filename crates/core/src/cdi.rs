@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 
 /// One CDI route: chunk reachable `hops` away via `neighbor`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CdiEntry {
+pub(crate) struct CdiEntry {
     /// Next hop toward the nearest known copy.
     pub neighbor: NodeId,
     /// Distance in hops (0 = the chunk is local).
@@ -34,7 +34,7 @@ pub struct CdiEntry {
 /// let mut cdi = CdiTable::new();
 /// let item = ItemName::new("clip");
 /// cdi.observe(&item, ChunkId(0), NodeId(3), 2, SimTime::from_secs_f64(30.0));
-/// assert_eq!(cdi.best_hops(&item, ChunkId(0), SimTime::ZERO), Some(2));
+/// assert_eq!(cdi.candidates(&item, ChunkId(0), SimTime::ZERO), [(NodeId(3), 2)]);
 /// ```
 #[derive(Debug, Default)]
 pub struct CdiTable {
@@ -91,8 +91,8 @@ impl CdiTable {
     }
 
     /// The smallest known hop count to `chunk` of `item` at `now`.
-    #[must_use]
-    pub fn best_hops(&self, item: &ItemName, chunk: ChunkId, now: SimTime) -> Option<u32> {
+    #[cfg(test)]
+    pub(crate) fn best_hops(&self, item: &ItemName, chunk: ChunkId, now: SimTime) -> Option<u32> {
         self.routes
             .get(item)?
             .get(&chunk)?
@@ -122,7 +122,7 @@ impl CdiTable {
     /// Per-chunk minimum hop counts for `item` — the `(ChunkId, HopCount)`
     /// pairs a CDI response carries (§IV-A).
     #[must_use]
-    pub fn summary(&self, item: &ItemName, now: SimTime) -> Vec<(ChunkId, u32)> {
+    pub(crate) fn summary(&self, item: &ItemName, now: SimTime) -> Vec<(ChunkId, u32)> {
         self.routes
             .get(item)
             .map(|chunks| {
@@ -143,7 +143,7 @@ impl CdiTable {
 
     /// Chunks of `item` with at least one unexpired route.
     #[must_use]
-    pub fn covered_chunks(&self, item: &ItemName, now: SimTime) -> Vec<ChunkId> {
+    pub(crate) fn covered_chunks(&self, item: &ItemName, now: SimTime) -> Vec<ChunkId> {
         self.summary(item, now)
             .into_iter()
             .map(|(c, _)| c)
@@ -151,7 +151,7 @@ impl CdiTable {
     }
 
     /// Drops expired routes (and empty item groups).
-    pub fn gc(&mut self, now: SimTime) {
+    pub(crate) fn gc(&mut self, now: SimTime) {
         for chunks in self.routes.values_mut() {
             for per_neighbor in chunks.values_mut() {
                 per_neighbor.retain(|_, e| e.expires_at > now);
@@ -162,8 +162,8 @@ impl CdiTable {
     }
 
     /// Total number of stored routes (diagnostics).
-    #[must_use]
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.routes
             .values()
             .flat_map(|c| c.values())
@@ -174,7 +174,7 @@ impl CdiTable {
     /// Whether the table holds no routes. O(1): `observe` never leaves an
     /// empty group behind and `gc` drops the ones it empties.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.routes.is_empty()
     }
 }

@@ -19,19 +19,13 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Well-known attribute names.
-pub mod attrs {
-    /// Namespace where the data type is defined.
-    pub const NAMESPACE: &str = "ns";
-    /// Data type (e.g. `no2`, `video`, or the system types `metadata`/`cdi`).
-    pub const TYPE: &str = "type";
+pub(crate) mod attrs {
     /// Unique item name for large chunked items.
-    pub const NAME: &str = "name";
+    pub(crate) const NAME: &str = "name";
     /// Number of chunks of a large item.
-    pub const TOTAL_CHUNKS: &str = "total_chunks";
+    pub(crate) const TOTAL_CHUNKS: &str = "total_chunks";
     /// Chunk index, present only on chunk descriptors.
-    pub const CHUNK_ID: &str = "chunk_id";
-    /// Generation time.
-    pub const TIME: &str = "time";
+    pub(crate) const CHUNK_ID: &str = "chunk_id";
 }
 
 /// Canonical identity of a metadata entry: the byte encoding of its
@@ -56,7 +50,7 @@ impl EntryKey {
 
     /// The descriptor this key identifies.
     #[must_use]
-    pub fn descriptor(&self) -> &DataDescriptor {
+    pub(crate) fn descriptor(&self) -> &DataDescriptor {
         &self.0
     }
 }
@@ -118,7 +112,7 @@ impl Borrow<[u8]> for EntryKey {
 ///     .attr("total_chunks", AttrValue::Int(80))
 ///     .build();
 /// assert_eq!(video.total_chunks(), Some(80));
-/// assert_eq!(video.item_name().unwrap().as_str(), "parade-finale");
+/// assert_eq!(video.name(), Some("parade-finale"));
 /// ```
 #[derive(Clone, PartialEq, Eq)]
 pub struct DataDescriptor(Arc<[u8]>);
@@ -210,7 +204,7 @@ impl DataDescriptor {
 
     /// The `name` attribute as an [`ItemName`], if present and a string.
     #[must_use]
-    pub fn item_name(&self) -> Option<ItemName> {
+    pub(crate) fn item_name(&self) -> Option<ItemName> {
         self.name().map(ItemName::new)
     }
 
@@ -240,8 +234,8 @@ impl DataDescriptor {
     /// # Panics
     ///
     /// Panics if the descriptor already holds 255 other attributes.
-    #[must_use]
-    pub fn chunk_descriptor(&self, id: ChunkId) -> DataDescriptor {
+    #[cfg(test)]
+    pub(crate) fn chunk_descriptor(&self, id: ChunkId) -> DataDescriptor {
         let below = self.iter().take_while(|&(k, _)| k < attrs::CHUNK_ID);
         let above = self.iter().skip_while(|&(k, _)| k <= attrs::CHUNK_ID);
         let chunk_id = (attrs::CHUNK_ID, AttrRef::Int(i64::from(id.0)));
@@ -251,7 +245,7 @@ impl DataDescriptor {
     /// This descriptor with any `chunk_id` removed — the whole-item
     /// descriptor a chunk belongs to (the same handle when there is none).
     #[must_use]
-    pub fn item_descriptor(&self) -> DataDescriptor {
+    pub(crate) fn item_descriptor(&self) -> DataDescriptor {
         if self.get(attrs::CHUNK_ID).is_none() {
             return self.clone();
         }
@@ -401,9 +395,9 @@ mod tests {
 
     fn sample() -> DataDescriptor {
         DataDescriptor::builder()
-            .attr(attrs::NAMESPACE, "env")
-            .attr(attrs::TYPE, "no2")
-            .attr(attrs::TIME, AttrValue::Time(100))
+            .attr("ns", "env")
+            .attr("type", "no2")
+            .attr("time", AttrValue::Time(100))
             .attr("x", 1.5)
             .build()
     }

@@ -226,12 +226,6 @@ impl PdsEngine {
         }
     }
 
-    /// This node's id.
-    #[must_use]
-    pub fn id(&self) -> NodeId {
-        self.id
-    }
-
     /// The node's data store (read access).
     #[must_use]
     pub fn store(&self) -> &DataStore {
@@ -242,12 +236,6 @@ impl PdsEngine {
     /// data).
     pub fn store_mut(&mut self) -> &mut DataStore {
         &mut self.store
-    }
-
-    /// The node's CDI table.
-    #[must_use]
-    pub fn cdi(&self) -> &CdiTable {
-        &self.cdi
     }
 
     /// The node's lingering query table.
@@ -415,7 +403,7 @@ impl PdsEngine {
     /// Clears the outstanding-sub-query marks for `chunks` (the transport
     /// reported the sub-query undeliverable, so nothing is in flight and
     /// re-division must not be suppressed).
-    pub fn clear_pending_chunks(&mut self, item: &ItemName, chunks: &[ChunkId]) {
+    pub(crate) fn clear_pending_chunks(&mut self, item: &ItemName, chunks: &[ChunkId]) {
         for c in chunks {
             self.pending_chunk.remove(&(item.clone(), *c));
         }

@@ -629,10 +629,10 @@ fn pdr_cdi_learns_distances() {
     let item = ItemName::new("vid");
     // Node 1 sees the chunks one hop away (via node 2); node 0 two hops
     // (via node 1).
-    assert_eq!(es[1].cdi().best_hops(&item, ChunkId(0), now), Some(1));
-    assert_eq!(es[0].cdi().best_hops(&item, ChunkId(0), now), Some(2));
+    assert_eq!(es[1].cdi.best_hops(&item, ChunkId(0), now), Some(1));
+    assert_eq!(es[0].cdi.best_hops(&item, ChunkId(0), now), Some(2));
     assert_eq!(
-        es[0].cdi().candidates(&item, ChunkId(0), now),
+        es[0].cdi.candidates(&item, ChunkId(0), now),
         vec![(NodeId(1), 2)]
     );
 }

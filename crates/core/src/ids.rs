@@ -41,7 +41,7 @@ impl ItemName {
 
     /// The name as a string slice.
     #[must_use]
-    pub fn as_str(&self) -> &str {
+    pub(crate) fn as_str(&self) -> &str {
         &self.0
     }
 }

@@ -71,10 +71,10 @@ pub use app::{Application, Command, Context, MessageHandle, MessageMeta, NodeId,
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
 
-pub use assign::{min_max_assign, AssignStrategy, ChunkCandidates};
-pub use cdi::{CdiEntry, CdiTable};
+pub use assign::{min_max_assign, AssignStrategy};
+pub use cdi::CdiTable;
 pub use config::{PdsConfig, RoundParams, MAX_RECOVERY};
-pub use descriptor::{attrs, DataDescriptor, DescriptorBuilder, EntryKey};
+pub use descriptor::{DataDescriptor, DescriptorBuilder, EntryKey};
 pub use engine::{Jitter, Outgoing, PdsEngine};
 pub use ids::{ChunkId, ItemName, QueryId, ResponseId};
 pub use lqt::{chunk_key, Lingering, LingeringQueryTable};
@@ -83,9 +83,8 @@ pub use message::{
 };
 pub use node::PdsNode;
 pub use predicate::{Predicate, QueryFilter, Relation};
-pub use rounds::{RoundController, RoundDecision};
 pub use sessions::{
     DiscoveryReport, DiscoverySession, RetrievalPhase, RetrievalReport, RetrievalSession,
 };
-pub use store::{DataStore, MetaEntry};
+pub use store::DataStore;
 pub use value::{AttrRef, AttrValue};

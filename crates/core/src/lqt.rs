@@ -38,7 +38,7 @@ pub struct ChunkSet {
 
 impl ChunkSet {
     /// Adds a chunk; returns `true` if newly added.
-    pub fn insert(&mut self, c: ChunkId) -> bool {
+    pub(crate) fn insert(&mut self, c: ChunkId) -> bool {
         let (w, b) = (c.0 as usize / 64, c.0 % 64);
         if self.words.len() <= w {
             self.words.resize(w + 1, 0);
@@ -57,7 +57,7 @@ impl ChunkSet {
     }
 
     /// Removes a chunk; returns `true` if it was present.
-    pub fn remove(&mut self, c: &ChunkId) -> bool {
+    pub(crate) fn remove(&mut self, c: &ChunkId) -> bool {
         let (w, b) = (c.0 as usize / 64, c.0 % 64);
         let Some(word) = self.words.get_mut(w) else {
             return false;
@@ -74,7 +74,7 @@ impl ChunkSet {
 
     /// Whether a chunk is present.
     #[must_use]
-    pub fn contains(&self, c: &ChunkId) -> bool {
+    pub(crate) fn contains(&self, c: &ChunkId) -> bool {
         let (w, b) = (c.0 as usize / 64, c.0 % 64);
         self.words
             .get(w)
@@ -82,20 +82,20 @@ impl ChunkSet {
     }
 
     /// Number of chunks present.
-    #[must_use]
-    pub fn len(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> u32 {
         self.len
     }
 
     /// Whether the set is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Approximate heap footprint in bytes.
     #[must_use]
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         self.words.capacity() * 8
     }
 }
@@ -132,19 +132,19 @@ pub struct Lingering {
 impl Lingering {
     /// Whether the query is still alive at `now`.
     #[must_use]
-    pub fn unexpired(&self, now: SimTime) -> bool {
+    pub(crate) fn unexpired(&self, now: SimTime) -> bool {
         self.query.expires_at > now
     }
 
     /// Whether `key` is already covered by the query's Bloom filter (i.e.
     /// the consumer has it, or it was already sent toward them).
     #[must_use]
-    pub fn bloom_contains(&self, key: &[u8]) -> bool {
+    pub(crate) fn bloom_contains(&self, key: &[u8]) -> bool {
         self.bloom.as_ref().is_some_and(|b| b.contains(key))
     }
 
     /// Records that `key` has been sent toward the consumer.
-    pub fn bloom_insert(&mut self, key: &[u8]) {
+    pub(crate) fn bloom_insert(&mut self, key: &[u8]) {
         if let Some(b) = &mut self.bloom {
             b.insert(key);
         }
@@ -155,7 +155,7 @@ impl Lingering {
     /// map, and the query's own allocations). Drives the table's byte
     /// budget; an estimate, not an exact accounting.
     #[must_use]
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         let bloom = self
             .bloom
             .as_ref()
@@ -217,8 +217,6 @@ pub struct LingeringQueryTable {
     /// ([`LingeringQueryTable::approx_bytes`]); inserting past it evicts
     /// the oldest entries. `usize::MAX` = unbounded.
     byte_budget: usize,
-    /// Entries dropped so far to fit the byte budget.
-    evictions: u64,
 }
 
 impl Default for LingeringQueryTable {
@@ -227,7 +225,6 @@ impl Default for LingeringQueryTable {
             entries: DetMap::default(),
             order: VecDeque::new(),
             byte_budget: usize::MAX,
-            evictions: 0,
         }
     }
 }
@@ -252,7 +249,7 @@ impl LingeringQueryTable {
 
     /// Approximate resident bytes across all held entries.
     #[must_use]
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         self.entries.values().map(Lingering::approx_bytes).sum()
     }
 
@@ -346,24 +343,23 @@ impl LingeringQueryTable {
             self.order.pop_front();
             if let Some(evicted) = self.entries.remove(&oldest) {
                 total = total.saturating_sub(evicted.approx_bytes());
-                self.evictions += 1;
             }
         }
     }
 
     /// Mutable access to one entry.
-    pub fn get_mut(&mut self, id: QueryId) -> Option<&mut Lingering> {
+    pub(crate) fn get_mut(&mut self, id: QueryId) -> Option<&mut Lingering> {
         self.entries.get_mut(&id)
     }
 
     /// Shared access to one entry.
     #[must_use]
-    pub fn get(&self, id: QueryId) -> Option<&Lingering> {
+    pub(crate) fn get(&self, id: QueryId) -> Option<&Lingering> {
         self.entries.get(&id)
     }
 
     /// Removes one entry (one-shot ablation, or consumer-side cleanup).
-    pub fn remove(&mut self, id: QueryId) -> Option<Lingering> {
+    pub(crate) fn remove(&mut self, id: QueryId) -> Option<Lingering> {
         let removed = self.entries.remove(&id);
         if self.entries.is_empty() {
             // Nothing left for the lazily skipped ids to shadow: an empty
@@ -394,7 +390,7 @@ impl LingeringQueryTable {
     }
 
     /// Unexpired CDI queries for `item`.
-    pub fn match_cdi(&mut self, item: &ItemName, now: SimTime) -> Vec<&mut Lingering> {
+    pub(crate) fn match_cdi(&mut self, item: &ItemName, now: SimTime) -> Vec<&mut Lingering> {
         self.match_kind(
             now,
             |k| matches!(k, QueryKind::Cdi { descriptor } if descriptor.item_name().as_ref() == Some(item)),
@@ -404,7 +400,7 @@ impl LingeringQueryTable {
     /// Unexpired queries that still want chunk `chunk` of `item`: directed
     /// chunk queries with the chunk outstanding, and MDR queries whose Bloom
     /// filter does not cover it.
-    pub fn match_chunk(
+    pub(crate) fn match_chunk(
         &mut self,
         item: &ItemName,
         chunk: ChunkId,
@@ -441,7 +437,7 @@ impl LingeringQueryTable {
     }
 
     /// Drops expired queries.
-    pub fn gc(&mut self, now: SimTime) {
+    pub(crate) fn gc(&mut self, now: SimTime) {
         self.entries.retain(|_, l| l.unexpired(now));
         let entries = &self.entries;
         self.order.retain(|q| entries.contains_key(q));
@@ -457,14 +453,6 @@ impl LingeringQueryTable {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Entries evicted so far to keep the table within its byte budget
-    /// (oldest first). Expiry through [`LingeringQueryTable::gc`] and
-    /// explicit removal are not counted.
-    #[must_use]
-    pub fn evictions(&self) -> u64 {
-        self.evictions
     }
 }
 
@@ -684,30 +672,25 @@ mod tests {
         assert!(!lqt.seen(QueryId(0)), "oldest evicted first");
         assert!(lqt.seen(QueryId(63)), "newest always kept");
         assert!(!lqt.is_empty() && lqt.len() < 64);
-        assert_eq!(lqt.evictions(), 64 - lqt.len() as u64);
     }
 
     #[test]
-    fn evictions_count_only_budget_drops() {
+    fn a_saturated_table_keeps_only_the_newest() {
         // Smaller than any one entry: the table is saturated by a single
         // query, and only the newest survives an insert.
         let mut lqt = LingeringQueryTable::with_budget(1);
         lqt.insert(query(0, QueryKind::Metadata, 10.0), NodeId(2));
-        assert_eq!(lqt.evictions(), 0, "a lone entry is never evicted");
+        assert!(lqt.seen(QueryId(0)), "a lone entry is never evicted");
         for i in 1..=10 {
             lqt.insert(query(i, QueryKind::Metadata, 10.0), NodeId(2));
             assert_eq!(lqt.len(), 1, "saturated: each insert evicts the previous");
-            assert_eq!(lqt.evictions(), i);
+            assert!(lqt.seen(QueryId(i)));
         }
-        // Neither a duplicate, nor removal, nor expiry is an eviction.
         assert!(!lqt.insert(query(10, QueryKind::Metadata, 10.0), NodeId(2)));
-        lqt.insert(query(11, QueryKind::Metadata, 20.0), NodeId(2));
-        assert_eq!(lqt.evictions(), 11);
-        lqt.remove(QueryId(11));
+        lqt.remove(QueryId(10));
         lqt.insert(query(12, QueryKind::Metadata, 10.0), NodeId(2));
         lqt.gc(t(10.0));
         assert!(lqt.is_empty());
-        assert_eq!(lqt.evictions(), 11);
     }
 
     #[test]

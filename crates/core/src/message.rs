@@ -367,7 +367,7 @@ impl PdsMessage {
 
     /// Wire size of the encoded form.
     #[must_use]
-    pub fn encoded_len(&self) -> usize {
+    pub(crate) fn encoded_len(&self) -> usize {
         match self {
             PdsMessage::Query(q) => {
                 let kind = match &q.kind {

@@ -50,7 +50,7 @@ const IN_FLIGHT_HORIZON: SimDuration = SimDuration::from_secs(120);
 ///
 /// Construct with locally produced data via [`PdsNode::with_metadata`] /
 /// [`PdsNode::with_chunk`]; start consumer operations from scenario code
-/// through [`pds_sim::World::with_app`]:
+/// through `pds_sim::World::with_app`:
 ///
 /// ```
 /// use pds_core::{PdsConfig, PdsNode, QueryFilter};

@@ -117,12 +117,6 @@ impl Predicate {
         }
     }
 
-    /// The constrained attribute name.
-    #[must_use]
-    pub fn attr(&self) -> &str {
-        &self.attr
-    }
-
     /// Whether `descriptor` satisfies this predicate.
     #[must_use]
     pub fn matches(&self, descriptor: &DataDescriptor) -> bool {
@@ -248,18 +242,6 @@ impl QueryFilter {
         Self::default()
     }
 
-    /// Whether the filter has no predicates.
-    #[must_use]
-    pub fn is_match_all(&self) -> bool {
-        self.predicates.is_empty()
-    }
-
-    /// The predicates.
-    #[must_use]
-    pub fn predicates(&self) -> &[Predicate] {
-        &self.predicates
-    }
-
     /// Whether `descriptor` satisfies every predicate.
     #[must_use]
     pub fn matches(&self, descriptor: &DataDescriptor) -> bool {
@@ -365,7 +347,6 @@ mod tests {
 
     #[test]
     fn match_all_matches_everything() {
-        assert!(QueryFilter::match_all().is_match_all());
         assert!(QueryFilter::match_all().matches(&d("a", 0.0, 0)));
         assert!(QueryFilter::match_all().matches(&DataDescriptor::default()));
     }

@@ -19,7 +19,7 @@ use std::collections::VecDeque;
 
 /// What the consumer should do after a poll.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RoundDecision {
+pub(crate) enum RoundDecision {
     /// Keep waiting for responses.
     Continue,
     /// The round diminished; start the next round.
@@ -29,24 +29,8 @@ pub enum RoundDecision {
 }
 
 /// Round state machine for one discovery operation.
-///
-/// # Examples
-///
-/// ```
-/// use pds_core::{RoundController, RoundDecision, RoundParams};
-/// use pds_core::SimTime;
-///
-/// let mut ctrl = RoundController::new(RoundParams::default(), SimTime::ZERO);
-/// ctrl.on_response(SimTime::from_secs_f64(0.2), 5);
-/// // The stream has been quiet for longer than T = 1 s and brought news:
-/// // start another round.
-/// assert_eq!(
-///     ctrl.poll(SimTime::from_secs_f64(1.5)),
-///     RoundDecision::StartNextRound
-/// );
-/// ```
 #[derive(Debug)]
-pub struct RoundController {
+pub(crate) struct RoundController {
     params: RoundParams,
     round: u32,
     round_started: SimTime,
@@ -58,7 +42,7 @@ pub struct RoundController {
 impl RoundController {
     /// Creates a controller; the first round starts at `now`.
     #[must_use]
-    pub fn new(params: RoundParams, now: SimTime) -> Self {
+    pub(crate) fn new(params: RoundParams, now: SimTime) -> Self {
         Self {
             params,
             round: 0,
@@ -71,25 +55,19 @@ impl RoundController {
 
     /// The current round number (0-based).
     #[must_use]
-    pub fn round(&self) -> u32 {
+    pub(crate) fn round(&self) -> u32 {
         self.round
     }
 
-    /// Total distinct entries recorded so far.
-    #[must_use]
-    pub fn total_entries(&self) -> u64 {
-        self.total_entries
-    }
-
     /// Records a response carrying `new_entries` not-seen-before entries.
-    pub fn on_response(&mut self, now: SimTime, new_entries: u64) {
+    pub(crate) fn on_response(&mut self, now: SimTime, new_entries: u64) {
         self.arrivals.push_back(now);
         self.new_entries_this_round += new_entries;
         self.total_entries += new_entries;
     }
 
     /// Advances to the next round at `now`.
-    pub fn start_next_round(&mut self, now: SimTime) {
+    pub(crate) fn start_next_round(&mut self, now: SimTime) {
         self.round += 1;
         self.round_started = now;
         self.arrivals.clear();
@@ -97,7 +75,7 @@ impl RoundController {
     }
 
     /// Evaluates the two decisions at `now`.
-    pub fn poll(&mut self, now: SimTime) -> RoundDecision {
+    pub(crate) fn poll(&mut self, now: SimTime) -> RoundDecision {
         if !self.round_finished(now) {
             return RoundDecision::Continue;
         }
@@ -156,7 +134,7 @@ mod tests {
         c.on_response(t(0.2), 5);
         c.on_response(t(0.5), 3);
         assert_eq!(c.poll(t(0.6)), RoundDecision::Continue);
-        assert_eq!(c.total_entries(), 8);
+        assert_eq!(c.total_entries, 8);
     }
 
     #[test]
@@ -222,7 +200,7 @@ mod tests {
         c.on_response(t(0.1), 2);
         assert_eq!(c.poll(t(0.2)), RoundDecision::Continue);
         assert_eq!(c.poll(t(0.2)), RoundDecision::Continue);
-        assert_eq!(c.total_entries(), 2);
+        assert_eq!(c.total_entries, 2);
     }
 
     #[test]
@@ -231,7 +209,7 @@ mod tests {
         c.on_response(t(0.1), 7);
         c.start_next_round(t(2.0));
         assert_eq!(c.round(), 1);
-        assert_eq!(c.total_entries(), 7, "totals persist across rounds");
+        assert_eq!(c.total_entries, 7, "totals persist across rounds");
         // Fresh round with no responses: finishes after one idle window,
         // and with no new entries the discovery ends.
         assert_eq!(c.poll(t(2.5)), RoundDecision::Continue);

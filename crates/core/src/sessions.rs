@@ -126,12 +126,6 @@ impl RetrievalSession {
         &self.transitions
     }
 
-    /// The item being retrieved.
-    #[must_use]
-    pub fn item(&self) -> &ItemName {
-        &self.item
-    }
-
     /// Immutable snapshot of progress.
     #[must_use]
     pub fn report(&self) -> RetrievalReport {
@@ -239,7 +233,7 @@ mod tests {
         assert_eq!(r.received_chunks, 2);
         assert_eq!(r.latency, SimDuration::from_secs(2));
         assert!(!s.is_finished());
-        assert_eq!(s.item().as_str(), "vid");
+        assert_eq!(s.item.as_str(), "vid");
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 
 /// One stored metadata entry.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MetaEntry {
+pub(crate) struct MetaEntry {
     /// The descriptor.
     pub descriptor: DataDescriptor,
     /// Expiration for payload-less cached entries; `None` while the payload
@@ -77,7 +77,7 @@ impl Default for DataStore {
 }
 
 impl DataStore {
-    /// Creates an empty store with the [`CHUNK_CACHE_BYTES`] cache budget.
+    /// Creates an empty store with the `CHUNK_CACHE_BYTES` cache budget.
     #[must_use]
     pub fn new() -> Self {
         Self {
@@ -140,7 +140,7 @@ impl DataStore {
     /// The whole-item descriptor registered under `name`, if any metadata
     /// entry for it has been seen.
     #[must_use]
-    pub fn item_descriptor_by_name(&self, name: &ItemName) -> Option<&DataDescriptor> {
+    pub(crate) fn item_descriptor_by_name(&self, name: &ItemName) -> Option<&DataDescriptor> {
         let key = self.items_by_name.get(name)?;
         self.metadata.get(key).map(|e| &e.descriptor)
     }
@@ -177,7 +177,7 @@ impl DataStore {
     }
 
     /// Caches a small item's payload (entry becomes non-expiring).
-    pub fn cache_small_payload(&mut self, descriptor: &DataDescriptor, payload: Bytes) {
+    pub(crate) fn cache_small_payload(&mut self, descriptor: &DataDescriptor, payload: Bytes) {
         self.small_payloads.insert(descriptor.entry_key(), payload);
         self.pin_metadata(descriptor);
     }
@@ -210,7 +210,12 @@ impl DataStore {
     /// Opportunistically caches a chunk received or overheard from the
     /// network: evictable, least recently used first, once cached chunks
     /// pass the store's byte budget.
-    pub fn cache_chunk(&mut self, item_descriptor: &DataDescriptor, chunk: ChunkId, data: Bytes) {
+    pub(crate) fn cache_chunk(
+        &mut self,
+        item_descriptor: &DataDescriptor,
+        chunk: ChunkId,
+        data: Bytes,
+    ) {
         self.store_chunk(item_descriptor, chunk, data, false);
         self.maybe_evict();
     }
@@ -285,8 +290,8 @@ impl DataStore {
     }
 
     /// Bytes currently used by evictable cached chunks.
-    #[must_use]
-    pub fn cached_chunk_bytes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn cached_chunk_bytes(&self) -> usize {
         self.cached_bytes
     }
 
@@ -308,7 +313,7 @@ impl DataStore {
     /// Like [`DataStore::chunk`], but counts as a use for LRU eviction —
     /// the serving path uses this.
     #[must_use]
-    pub fn fetch_chunk(&mut self, item: &ItemName, chunk: ChunkId) -> Option<Bytes> {
+    pub(crate) fn fetch_chunk(&mut self, item: &ItemName, chunk: ChunkId) -> Option<Bytes> {
         let data = self.chunks.get(item).and_then(|m| m.get(&chunk)).cloned()?;
         self.access_clock += 1;
         if let Some(meta) = self.chunk_meta.get_mut(&(item.clone(), chunk)) {
@@ -352,8 +357,8 @@ impl DataStore {
 
     /// Whether a metadata entry for this descriptor is present (expired or
     /// not).
-    #[must_use]
-    pub fn contains_metadata(&self, descriptor: &DataDescriptor) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains_metadata(&self, descriptor: &DataDescriptor) -> bool {
         self.metadata.contains_key(descriptor.encode())
     }
 
@@ -371,7 +376,7 @@ impl DataStore {
     }
 
     /// Removes expired payload-less metadata entries (§II-C).
-    pub fn gc(&mut self, now: SimTime) {
+    pub(crate) fn gc(&mut self, now: SimTime) {
         let before = self.metadata.len();
         self.metadata
             .retain(|_, e| e.expires_at.is_none_or(|t| t > now));

@@ -128,7 +128,7 @@ impl SimDuration {
 
     /// Multiplies the duration by an integer factor, saturating on overflow.
     #[must_use]
-    pub fn saturating_mul(self, factor: u64) -> Self {
+    pub(crate) fn saturating_mul(self, factor: u64) -> Self {
         Self(self.0.saturating_mul(factor))
     }
 }

@@ -64,8 +64,8 @@ impl AttrValue {
     }
 
     /// Compares two values of the same variant; `None` across variants.
-    #[must_use]
-    pub fn partial_cmp_same_type(&self, other: &AttrValue) -> Option<Ordering> {
+    #[cfg(test)]
+    pub(crate) fn partial_cmp_same_type(&self, other: &AttrValue) -> Option<Ordering> {
         self.view().partial_cmp_same_type(other)
     }
 
@@ -76,7 +76,7 @@ impl AttrValue {
 
     /// Wire size of the encoded form in bytes.
     #[must_use]
-    pub fn encoded_len(&self) -> usize {
+    pub(crate) fn encoded_len(&self) -> usize {
         self.view().encoded_len()
     }
 }
@@ -87,7 +87,7 @@ impl<'a> AttrRef<'a> {
     ///
     /// Returns `None` (leaving `buf` as it was) on truncation, an unknown
     /// tag, or invalid UTF-8.
-    pub fn read(buf: &mut &'a [u8]) -> Option<Self> {
+    pub(crate) fn read(buf: &mut &'a [u8]) -> Option<Self> {
         let (&tag, rest) = buf.split_first()?;
         let (value, rest) = if tag == 0 {
             let (len, rest) = rest.split_first_chunk::<2>()?;

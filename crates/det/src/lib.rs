@@ -103,12 +103,6 @@ pub type DetSet<T> = HashSet<T, DetState>;
 /// `std::collections::hash_map` (which the determinism lint rejects).
 pub use std::collections::hash_map::Entry as MapEntry;
 
-/// Creates an empty [`DetMap`] with room for `n` entries.
-#[must_use]
-pub fn map_with_capacity<K, V>(n: usize) -> DetMap<K, V> {
-    DetMap::with_capacity_and_hasher(n, DetState::default())
-}
-
 /// Creates an empty [`DetSet`] with room for `n` items.
 #[must_use]
 pub fn set_with_capacity<T>(n: usize) -> DetSet<T> {
@@ -186,9 +180,6 @@ mod tests {
 
     #[test]
     fn with_capacity_helpers() {
-        let mut m = map_with_capacity::<u8, u8>(32);
-        assert!(m.capacity() >= 32);
-        m.insert(1, 1);
         let mut s = set_with_capacity::<u8>(32);
         assert!(s.capacity() >= 32);
         s.insert(1);

@@ -14,7 +14,7 @@ use pds_sim::SimRng;
 /// Every how many cases the sweep re-runs a case to check replay equality
 /// (invariant I1). Each check doubles that case's cost, so the smoke tier
 /// samples rather than re-running everything.
-pub const REPLAY_SAMPLE: usize = 8;
+pub(crate) const REPLAY_SAMPLE: usize = 8;
 
 /// One case's spec, outcome and the invariants it violated.
 #[derive(Debug, Clone)]

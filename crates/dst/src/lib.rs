@@ -10,9 +10,9 @@
 //!   the invariants: no duplicate delivery, exactly-once send results,
 //!   bounded retries, discovery termination and full recall of the stable
 //!   producer set.
-//! - [`harness`] — the seeded case generator and the parallel sweep
+//! - `harness` — the seeded case generator and the parallel sweep
 //!   driver (thousands of `(seed, fault-plan)` pairs per run).
-//! - [`minimize`] — greedy failing-case shrinking: when a sweep finds a
+//! - [`mod@minimize`] — greedy failing-case shrinking: when a sweep finds a
 //!   violation, it is reduced to a locally minimal spec that still fails
 //!   the *same* invariant, and emitted as a one-line repro command.
 //!
@@ -26,7 +26,7 @@
 //! minimized.
 #![forbid(unsafe_code)]
 
-pub mod harness;
+pub(crate) mod harness;
 pub mod minimize;
 pub mod scenario;
 pub mod spec;

@@ -20,7 +20,7 @@ pub(crate) struct ChurnStorm {
 }
 
 /// One part-per-million as a probability.
-pub const PPM: f64 = 1e-6;
+pub(crate) const PPM: f64 = 1e-6;
 
 /// `count` evenly spaced partition-and-heal windows over the middle half
 /// of a `horizon_s`-second run, each a tenth of the horizon long — always
@@ -31,7 +31,7 @@ pub const PPM: f64 = 1e-6;
 /// placement is pure arithmetic over `(horizon_s, count)` — no rng — so
 /// a minimized case replays its surviving windows bit-for-bit.
 #[must_use]
-pub fn partition_windows(horizon_s: f64, count: u32, boundary: u32) -> Vec<PartitionWindow> {
+pub(crate) fn partition_windows(horizon_s: f64, count: u32, boundary: u32) -> Vec<PartitionWindow> {
     (0..count)
         .map(|i| {
             let start = horizon_s * (0.25 + 0.5 * f64::from(i) / f64::from(count.max(1)));
@@ -111,7 +111,7 @@ pub struct CaseSpec {
 impl CaseSpec {
     /// Run horizon as simulation time.
     #[must_use]
-    pub fn horizon(&self) -> SimTime {
+    pub(crate) fn horizon(&self) -> SimTime {
         SimTime::from_secs_f64(f64::from(self.horizon_ds) / 10.0)
     }
 
@@ -119,7 +119,7 @@ impl CaseSpec {
     /// placement is pure arithmetic over the horizon so that shrinking a
     /// count field removes whole windows without moving the survivors.
     #[must_use]
-    pub fn fault_plan(&self) -> FaultPlan {
+    pub(crate) fn fault_plan(&self) -> FaultPlan {
         let mut plan = FaultPlan::none(self.plan_seed);
         plan.drop_prob = f64::from(self.drop_ppm) * PPM;
         plan.dup_prob = f64::from(self.dup_ppm) * PPM;
@@ -157,7 +157,7 @@ impl CaseSpec {
 
     /// Total nodes the scenario places.
     #[must_use]
-    pub fn node_count(&self) -> u32 {
+    pub(crate) fn node_count(&self) -> u32 {
         match self.family {
             Family::Transport => self.nodes,
             Family::Pds => self.nodes * self.nodes,
@@ -167,7 +167,7 @@ impl CaseSpec {
     /// The consumer's node id: the grid center (pds) or the line's far end
     /// (transport — the node the first blaster addresses last).
     #[must_use]
-    pub fn consumer_id(&self) -> u32 {
+    pub(crate) fn consumer_id(&self) -> u32 {
         match self.family {
             Family::Transport => self.nodes.saturating_sub(1),
             Family::Pds => {
@@ -182,7 +182,7 @@ impl CaseSpec {
     /// recall claim rather than test it; in the transport family every
     /// node is fair game).
     #[must_use]
-    pub fn silenced_node(&self, i: u32) -> u32 {
+    pub(crate) fn silenced_node(&self, i: u32) -> u32 {
         let n = self.node_count().max(2);
         let mut id = (n - 1).saturating_sub(i % n);
         if self.family == Family::Pds && id == self.consumer_id() {
@@ -194,7 +194,7 @@ impl CaseSpec {
     /// How many nodes one churn storm removes: a quarter of the grid,
     /// at least one, never the consumer.
     #[must_use]
-    pub fn storm_leave(&self) -> u32 {
+    pub(crate) fn storm_leave(&self) -> u32 {
         (self.node_count() / 4).max(1)
     }
 

@@ -16,7 +16,8 @@
 //!   layering DAG ([`rules::layering`]), that every crate opts into the
 //!   workspace lints, the external dependency set, that the hot modules
 //!   keep their panic deny and the sans-io configs keep every root ban,
-//!   and the exemption inventory ([`ratchet`]).
+//!   the exemption inventory ([`ratchet`]) and the public-item inventory
+//!   ([`surface`]).
 //! * **`tests/fixtures.rs`** runs clippy itself over the accept/reject
 //!   fixtures under `fixtures/`, so every shape the gate claims to
 //!   reject is shown to be rejected by the real configs.
@@ -26,6 +27,7 @@
 
 pub mod manifest;
 pub mod ratchet;
+pub mod surface;
 
 /// Rules over the workspace manifests.
 pub mod rules {

@@ -39,15 +39,15 @@ pub struct Manifest {
 
 impl Manifest {
     /// Normal-dependency names, in declaration order.
-    #[must_use]
-    pub fn dep_names(&self) -> Vec<&str> {
+    #[cfg(test)]
+    pub(crate) fn dep_names(&self) -> Vec<&str> {
         self.dependencies.iter().map(|d| d.name.as_str()).collect()
     }
 }
 
 /// Parses one manifest file's text.
 #[must_use]
-pub fn parse(path: &Path, text: &str) -> Option<Manifest> {
+pub(crate) fn parse(path: &Path, text: &str) -> Option<Manifest> {
     let mut section = String::new();
     let mut name = None;
     let mut dependencies = Vec::new();

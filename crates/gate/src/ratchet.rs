@@ -1,6 +1,6 @@
 //! The exemption ratchet.
 //!
-//! An exemption from a gated lint ([`GATED_LINTS`]) is an
+//! An exemption from a gated lint (`GATED_LINTS`) is an
 //! `#[expect(<lint>, reason = "<why>")]` attribute on the narrowest item
 //! that needs it; `expect` rather than `allow`, so an exemption that no
 //! longer suppresses anything fails clippy as unfulfilled. Every such
@@ -18,7 +18,7 @@ use std::path::Path;
 pub const EXEMPTIONS_FILE: &str = "lint-exemptions.txt";
 
 /// Lints whose exemptions are audited: the ones the gate denies.
-pub const GATED_LINTS: &[&str] = &[
+pub(crate) const GATED_LINTS: &[&str] = &[
     "unsafe_code",
     "clippy::disallowed_methods",
     "clippy::disallowed_types",
@@ -159,20 +159,9 @@ fn unquote(lit: &str) -> String {
 /// The workspace's inventory: every audited exemption under the scan
 /// roots, sorted and deduplicated. `Err` lists reasonless exemptions.
 pub fn scan(root: &Path) -> std::io::Result<Result<Vec<String>, Vec<String>>> {
-    let mut files = Vec::new();
-    for dir in SCAN_ROOTS {
-        walk(&root.join(dir), &mut files)?;
-    }
-    files.sort();
-    let mut lines = Vec::new();
-    let mut errors = Vec::new();
-    for file in files {
-        let rel = file
-            .strip_prefix(root)
-            .unwrap_or(&file)
-            .display()
-            .to_string();
-        match file_inventory(&rel, &std::fs::read_to_string(&file)?) {
+    let (mut lines, mut errors) = (Vec::new(), Vec::new());
+    for (rel, text) in sources(root, SCAN_ROOTS)? {
+        match file_inventory(&rel, &text) {
             Ok(found) => lines.extend(found),
             Err(e) => errors.push(e),
         }
@@ -183,6 +172,23 @@ pub fn scan(root: &Path) -> std::io::Result<Result<Vec<String>, Vec<String>>> {
     lines.sort();
     lines.dedup();
     Ok(Ok(lines))
+}
+
+/// Every `.rs` file under the `dirs` of `root`, as (path relative to
+/// `root`, text), in path order.
+pub(crate) fn sources(root: &Path, dirs: &[&str]) -> std::io::Result<Vec<(String, String)>> {
+    let mut files = Vec::new();
+    for dir in dirs {
+        walk(&root.join(dir), &mut files)?;
+    }
+    files.sort();
+    files
+        .into_iter()
+        .map(|file| {
+            let rel = file.strip_prefix(root).unwrap_or(&file).display();
+            Ok((rel.to_string(), std::fs::read_to_string(&file)?))
+        })
+        .collect()
 }
 
 fn walk(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> std::io::Result<()> {
@@ -203,30 +209,30 @@ fn walk(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Compares `inventory` to the pinned file under `root`. A missing file
-/// is treated as an empty inventory.
-pub fn check(root: &Path, inventory: &[String]) -> std::io::Result<RatchetStatus> {
-    let path = root.join(EXEMPTIONS_FILE);
+/// Compares `inventory` to the pinned `file` under `root`, line for line
+/// and counting repeats. A missing file is treated as an empty inventory.
+pub fn check(root: &Path, file: &str, inventory: &[String]) -> std::io::Result<RatchetStatus> {
+    let path = root.join(file);
     let text = if path.is_file() {
         std::fs::read_to_string(path)?
     } else {
         String::new()
     };
-    let pinned: Vec<&str> = text
+    let mut extra: Vec<String> = text
         .lines()
         .map(str::trim)
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(str::to_string)
         .collect();
-    let missing: Vec<String> = inventory
-        .iter()
-        .filter(|l| !pinned.contains(&l.as_str()))
-        .cloned()
-        .collect();
-    let extra: Vec<String> = pinned
-        .iter()
-        .filter(|l| !inventory.iter().any(|i| i == *l))
-        .map(|l| (*l).to_string())
-        .collect();
+    let mut missing = Vec::new();
+    for line in inventory {
+        match extra.iter().position(|l| l == line) {
+            Some(i) => {
+                extra.remove(i);
+            }
+            None => missing.push(line.clone()),
+        }
+    }
     if missing.is_empty() && extra.is_empty() {
         Ok(RatchetStatus::Match)
     } else {
@@ -280,7 +286,7 @@ mod tests {
             "a.rs: expect(clippy::panic) -- bounded".to_string(),
             "c.rs: expect(clippy::panic) -- new one".to_string(),
         ];
-        match check(&root, &grown).unwrap() {
+        match check(&root, EXEMPTIONS_FILE, &grown).unwrap() {
             RatchetStatus::Mismatch { missing, extra } => {
                 assert_eq!(missing, vec!["c.rs: expect(clippy::panic) -- new one"]);
                 assert!(extra.is_empty());
@@ -294,7 +300,10 @@ mod tests {
     fn missing_file_with_empty_inventory_matches() {
         let root = tmpdir("absent");
         let _ = std::fs::remove_file(root.join(EXEMPTIONS_FILE));
-        assert_eq!(check(&root, &[]).unwrap(), RatchetStatus::Match);
+        assert_eq!(
+            check(&root, EXEMPTIONS_FILE, &[]).unwrap(),
+            RatchetStatus::Match
+        );
         let _ = std::fs::remove_dir_all(&root);
     }
 }

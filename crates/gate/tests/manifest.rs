@@ -3,7 +3,7 @@
 
 use pds_gate::ratchet::{self, RatchetStatus};
 use pds_gate::rules::layering;
-use pds_gate::{manifest, workspace_root, HOT_MODULES, PANIC_LINTS};
+use pds_gate::{manifest, surface, workspace_root, HOT_MODULES, PANIC_LINTS};
 
 /// The vendored stand-ins under `vendor/`: the only external crates any
 /// workspace crate may name. Keeping `rand`, `getrandom` and friends out
@@ -135,7 +135,7 @@ fn exemption_inventory_matches_the_pinned_file() {
         Ok(lines) => lines,
         Err(reasonless) => panic!("exemptions without a reason: {reasonless:#?}"),
     };
-    match ratchet::check(&root, &inventory).unwrap() {
+    match ratchet::check(&root, ratchet::EXEMPTIONS_FILE, &inventory).unwrap() {
         RatchetStatus::Match => {}
         RatchetStatus::Mismatch { missing, extra } => panic!(
             "{} differs from the source's exemptions\n\
@@ -143,6 +143,24 @@ fn exemption_inventory_matches_the_pinned_file() {
              pinned, no longer in the source: {extra:#?}\n\
              review, then make its entries read:\n{}",
             ratchet::EXEMPTIONS_FILE,
+            inventory.join("\n")
+        ),
+    }
+}
+
+#[test]
+fn public_surface_matches_the_pinned_file() {
+    let root = workspace_root();
+    let inventory = surface::scan(&root).unwrap();
+    match ratchet::check(&root, surface::SURFACE_FILE, &inventory).unwrap() {
+        RatchetStatus::Match => {}
+        RatchetStatus::Mismatch { missing, extra } => panic!(
+            "{} differs from the `pub` items under crates/*/src\n\
+             new, not pinned: {missing:#?}\n\
+             pinned, no longer in the source: {extra:#?}\n\
+             narrow what no other crate uses to `pub(crate)`, then make its \
+             entries read:\n{}",
+            surface::SURFACE_FILE,
             inventory.join("\n")
         ),
     }

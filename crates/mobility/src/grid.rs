@@ -59,13 +59,6 @@ pub fn center_subgrid(rows: usize, cols: usize, inner: usize) -> Vec<usize> {
     out
 }
 
-/// Maximum hop count from the center of an `n × n` grid to a corner, when
-/// each node reaches its 8 surrounding neighbors (Chebyshev distance).
-#[must_use]
-pub fn max_hops_from_center(n: usize) -> usize {
-    n / 2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,15 +103,5 @@ mod tests {
     #[should_panic(expected = "subgrid larger")]
     fn oversized_subgrid_panics() {
         let _ = center_subgrid(3, 3, 5);
-    }
-
-    #[test]
-    fn max_hops_matches_paper_fig4() {
-        // Paper Fig. 4: grids 3×3 → 11×11 give max hop counts 1 → 5.
-        assert_eq!(max_hops_from_center(3), 1);
-        assert_eq!(max_hops_from_center(5), 2);
-        assert_eq!(max_hops_from_center(7), 3);
-        assert_eq!(max_hops_from_center(9), 4);
-        assert_eq!(max_hops_from_center(11), 5);
     }
 }

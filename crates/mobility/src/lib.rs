@@ -27,7 +27,6 @@
 //! let params = presets::student_center();
 //! let trace = MobilityTrace::generate(&params, SimDuration::from_secs(600), 1.0, 42);
 //! assert_eq!(trace.initial_people().len(), params.population);
-//! assert!(trace.validate().is_ok());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -40,7 +39,7 @@ mod trace;
 
 pub use generator::{ObservationParams, TraceStream};
 pub use install::TraceInstaller;
-pub use trace::{InvalidTrace, MobilityTrace, PersonId, TraceAction, TraceEvent};
+pub use trace::{MobilityTrace, PersonId, TraceAction, TraceEvent};
 
 /// Observation-derived presets for the paper's two venues.
 pub mod presets {

@@ -1,6 +1,5 @@
 //! Mobility traces: time-stamped join / leave / move event streams.
 
-use pds_det::DetSet;
 use pds_sim::{Position, SimTime};
 use std::fmt;
 
@@ -57,8 +56,9 @@ pub struct MobilityTrace {
 }
 
 /// Why a trace failed validation.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InvalidTrace {
+pub(crate) enum InvalidTrace {
     /// Events are not sorted by time.
     Unsorted,
     /// A person appears twice in the initial placement or re-joins while
@@ -67,18 +67,6 @@ pub enum InvalidTrace {
     /// A leave or move refers to a person who is not present.
     NotPresent(PersonId),
 }
-
-impl fmt::Display for InvalidTrace {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Unsorted => write!(f, "trace events are not time-ordered"),
-            Self::DuplicateJoin(p) => write!(f, "person {p} joins while already present"),
-            Self::NotPresent(p) => write!(f, "event refers to absent person {p}"),
-        }
-    }
-}
-
-impl std::error::Error for InvalidTrace {}
 
 impl MobilityTrace {
     /// Assembles a trace from parts (mainly for tests and custom scenarios).
@@ -105,8 +93,9 @@ impl MobilityTrace {
     /// # Errors
     ///
     /// Returns the first [`InvalidTrace`] violation found.
-    pub fn validate(&self) -> Result<(), InvalidTrace> {
-        let mut present: DetSet<PersonId> = DetSet::default();
+    #[cfg(test)]
+    pub(crate) fn validate(&self) -> Result<(), InvalidTrace> {
+        let mut present: pds_det::DetSet<PersonId> = pds_det::DetSet::default();
         for &(p, _) in &self.initial {
             if !present.insert(p) {
                 return Err(InvalidTrace::DuplicateJoin(p));

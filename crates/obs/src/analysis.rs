@@ -39,7 +39,7 @@ pub fn phase_overhead(events: &[TraceEvent]) -> BTreeMap<Phase, PhaseOverhead> {
 /// Transport-level message delays (submit → first complete delivery) in
 /// virtual µs, in trace order.
 #[must_use]
-pub fn message_delays_us(events: &[TraceEvent]) -> Vec<u64> {
+pub(crate) fn message_delays_us(events: &[TraceEvent]) -> Vec<u64> {
     let mut out = Vec::new();
     let mut open: BTreeMap<(u64, u64), u64> = BTreeMap::new();
     for ev in events {
@@ -61,7 +61,7 @@ pub fn message_delays_us(events: &[TraceEvent]) -> Vec<u64> {
 /// Per-phase session delays (the paper's discovery / retrieval latency) in
 /// virtual µs, in trace order.
 #[must_use]
-pub fn session_delays_us(events: &[TraceEvent]) -> BTreeMap<Phase, Vec<u64>> {
+pub(crate) fn session_delays_us(events: &[TraceEvent]) -> BTreeMap<Phase, Vec<u64>> {
     let mut out: BTreeMap<Phase, Vec<u64>> = BTreeMap::new();
     for ev in events {
         if let TraceKind::SessionFinished { delay_us, .. } = ev.kind {
@@ -214,7 +214,7 @@ pub fn render_divergence(
 
 /// Renders the per-phase overhead table.
 #[must_use]
-pub fn render_overhead(events: &[TraceEvent]) -> String {
+pub(crate) fn render_overhead(events: &[TraceEvent]) -> String {
     let table = phase_overhead(events);
     let total_bytes: u64 = table.values().map(|e| e.bytes).sum();
     let mut out = String::from("on-air overhead by phase:\n");
@@ -251,7 +251,7 @@ pub fn render_overhead(events: &[TraceEvent]) -> String {
 /// Renders an ASCII CDF of `samples`, each value labelled with `unit`,
 /// with ~`rows` quantile rows.
 #[must_use]
-pub fn render_cdf(title: &str, unit: &str, samples: &[u64], rows: usize) -> String {
+pub(crate) fn render_cdf(title: &str, unit: &str, samples: &[u64], rows: usize) -> String {
     let mut out = format!("{title} (n={}):\n", samples.len());
     let curve = cdf(samples);
     if curve.is_empty() {

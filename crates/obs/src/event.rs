@@ -47,7 +47,7 @@ pub mod class {
 
 impl Phase {
     /// All phases, in canonical (sort) order.
-    pub const ALL: [Phase; 7] = [
+    pub(crate) const ALL: [Phase; 7] = [
         Phase::Kernel,
         Phase::Radio,
         Phase::Transport,
@@ -59,7 +59,7 @@ impl Phase {
 
     /// Stable lowercase name used in the JSONL schema.
     #[must_use]
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Phase::Kernel => "kernel",
             Phase::Radio => "radio",
@@ -73,7 +73,7 @@ impl Phase {
 
     /// Inverse of [`Phase::name`].
     #[must_use]
-    pub fn parse(s: &str) -> Option<Phase> {
+    pub(crate) fn parse(s: &str) -> Option<Phase> {
         Phase::ALL.into_iter().find(|p| p.name() == s)
     }
 
@@ -91,7 +91,7 @@ impl Phase {
     /// Maps a frame traffic-class byte back to its protocol phase.
     /// Unknown classes collapse to [`Phase::Other`].
     #[must_use]
-    pub fn from_class(c: u8) -> Phase {
+    pub(crate) fn from_class(c: u8) -> Phase {
         match c {
             class::PDD => Phase::Pdd,
             class::PDR => Phase::Pdr,

@@ -82,12 +82,6 @@ impl FlightRecorder {
         }
     }
 
-    /// Per-node ring capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Total events recorded over the run (retained or overwritten).
     #[must_use]
     pub fn recorded(&self) -> u64 {
@@ -157,7 +151,7 @@ impl FlightRecorder {
     /// # Errors
     ///
     /// Returns the first I/O error.
-    pub fn write_jsonl<W: Write>(&self, mut w: W) -> io::Result<()> {
+    pub(crate) fn write_jsonl<W: Write>(&self, mut w: W) -> io::Result<()> {
         let mut line = String::new();
         for ev in self.in_emission_order() {
             line.clear();

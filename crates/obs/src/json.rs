@@ -12,11 +12,11 @@
 //!
 //! The trace schema is deliberately flat — one JSON object per line, values
 //! restricted to unsigned integers, booleans and bare identifier strings —
-//! and is declared once, in [`crate::event`]'s `trace_kinds!` table; the
+//! and is declared once, in the `event` module's `trace_kinds!` table; the
 //! writer and reader here walk that table. Field order in serialized
 //! output is fixed (`t`, `node`, `phase`, `kind`, then payload fields in
 //! declaration order), which makes traces byte-comparable with `diff(1)`
-//! as well as with [`crate::analysis::first_divergence`].
+//! as well as with [`crate::first_divergence`].
 //!
 //! [`parse_line`] rejects everything the writer cannot have produced: a
 //! line that is not one object, trailing garbage, a nested, fractional,

@@ -1,9 +1,9 @@
 //! Deterministic observability for the PDS reproduction: structured trace
-//! events (vocabulary declared once, in [`event`]'s schema table),
-//! pluggable sinks, the analyses behind the `pds-obs` CLI (each trace
-//! quantity derived once, in [`analysis`] or [`span`], and every
-//! distribution printed by [`render_cdf`]), and — in [`json`] — the JSONL
-//! trace codec together with the workspace's one JSON reader.
+//! events (vocabulary declared once, in the `event` module's schema
+//! table), pluggable sinks, the analyses behind the `pds-obs` CLI (each
+//! trace quantity derived once, in the `analysis` or `span` module, and
+//! every distribution printed by one CDF renderer), and — in [`json`] —
+//! the JSONL trace codec together with the workspace's one JSON reader.
 //!
 //! # Design constraints
 //!
@@ -40,16 +40,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analysis;
-pub mod event;
+pub(crate) mod analysis;
+pub(crate) mod event;
 pub mod flight;
 pub mod json;
-pub mod sink;
-pub mod span;
+pub(crate) mod sink;
+pub(crate) mod span;
 
 pub use analysis::{
-    cdf, first_divergence, message_delays_us, phase_overhead, render_cdf, render_divergence,
-    render_overhead, render_summary, session_delays_us, Divergence, PhaseOverhead,
+    cdf, first_divergence, phase_overhead, render_divergence, render_summary, Divergence,
+    PhaseOverhead,
 };
 pub use event::{class, Phase, TraceEvent, TraceKind};
 pub use flight::FlightRecorder;

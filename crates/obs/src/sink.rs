@@ -64,18 +64,6 @@ impl RingSink {
         self.events.iter().cloned().collect()
     }
 
-    /// Number of retained events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether no events are retained.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Events evicted because the ring was full.
     #[must_use]
     pub fn dropped(&self) -> u64 {
@@ -133,12 +121,6 @@ impl<W: Write + Send + 'static> JsonlSink<W> {
             lines: 0,
             errors: 0,
         }
-    }
-
-    /// Lines successfully written.
-    #[must_use]
-    pub fn lines(&self) -> u64 {
-        self.lines
     }
 
     /// Write errors swallowed so far (should stay 0).
@@ -207,7 +189,7 @@ mod tests {
         r.record(&ev(1));
         r.record(&ev(2));
         r.record(&ev(3));
-        assert_eq!(r.len(), 2);
+        assert_eq!(r.events.len(), 2);
         assert_eq!(r.dropped(), 1);
         let got: Vec<u64> = r.events().iter().map(|e| e.at_us).collect();
         assert_eq!(got, vec![2, 3]);
@@ -219,9 +201,9 @@ mod tests {
         for i in 0..100 {
             r.record(&ev(i));
         }
-        assert_eq!(r.len(), 100);
+        assert_eq!(r.events.len(), 100);
         assert_eq!(r.dropped(), 0);
-        assert!(!r.is_empty());
+        assert!(!r.events.is_empty());
     }
 
     #[test]
@@ -229,7 +211,7 @@ mod tests {
         let mut s = JsonlSink::new(Vec::new());
         s.record(&ev(5));
         s.record(&ev(6));
-        assert_eq!(s.lines(), 2);
+        assert_eq!(s.lines, 2);
         assert_eq!(s.errors(), 0);
         let buf = s.into_inner();
         let text = String::from_utf8(buf).expect("utf8");
@@ -242,6 +224,6 @@ mod tests {
         let mut boxed: Box<dyn TraceSink> = Box::new(RingSink::new(0));
         boxed.record(&ev(9));
         let ring = boxed.as_any().downcast_ref::<RingSink>().expect("ring");
-        assert_eq!(ring.len(), 1);
+        assert_eq!(ring.events.len(), 1);
     }
 }

@@ -119,7 +119,7 @@ impl SessionSpan {
     /// End of the decomposition window: finish time, or the last joined
     /// event for an unfinished session.
     #[must_use]
-    pub fn end_us(&self) -> u64 {
+    pub(crate) fn end_us(&self) -> u64 {
         self.finish_us
             .or_else(|| self.events.last().map(|e| e.at_us))
             .unwrap_or(self.start_us)

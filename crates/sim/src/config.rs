@@ -114,7 +114,7 @@ impl Default for RadioConfig {
 impl RadioConfig {
     /// Airtime of a frame of `bytes` bytes, including fixed overhead.
     #[must_use]
-    pub fn frame_airtime(&self, bytes: usize) -> SimDuration {
+    pub(crate) fn frame_airtime(&self, bytes: usize) -> SimDuration {
         let tx = (bytes as f64 * 8.0) / self.mac_rate_bps;
         SimDuration::from_secs_f64(tx) + FRAME_OVERHEAD
     }
@@ -142,7 +142,7 @@ pub enum SenderMode {
 impl SenderMode {
     /// The paper's calibrated leaky bucket: 300 KB capacity, 4.5 Mbps rate.
     #[must_use]
-    pub fn paper_leaky_bucket() -> Self {
+    pub(crate) fn paper_leaky_bucket() -> Self {
         Self::LeakyBucket {
             capacity_bytes: 300_000,
             rate_bps: 4.5e6,
@@ -226,25 +226,6 @@ impl SimConfig {
         Self::default()
     }
 
-    /// Raw UDP broadcast with no pacing and no acks (Fig. 3 baseline).
-    #[must_use]
-    pub fn raw_udp() -> Self {
-        Self {
-            sender: SenderMode::RawUdp,
-            ack: AckConfig::disabled(),
-            ..Self::default()
-        }
-    }
-
-    /// Leaky bucket pacing but no acks (Fig. 3 middle configuration).
-    #[must_use]
-    pub fn leaky_only() -> Self {
-        Self {
-            ack: AckConfig::disabled(),
-            ..Self::default()
-        }
-    }
-
     /// The Android-prototype regime of §V: the phones' effective broadcast
     /// service rate (~5 Mbps) and fire-and-forget UDP sends that overflow
     /// the OS buffer silently. Used by the single-hop calibration
@@ -288,9 +269,6 @@ mod tests {
 
     #[test]
     fn presets_differ_as_expected() {
-        assert!(!SimConfig::raw_udp().ack.enabled);
-        assert_eq!(SimConfig::raw_udp().sender, SenderMode::RawUdp);
-        assert!(!SimConfig::leaky_only().ack.enabled);
         assert!(SimConfig::paper_multi_hop().ack.enabled);
     }
 

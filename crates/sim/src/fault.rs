@@ -42,7 +42,7 @@ pub struct PartitionWindow {
 impl PartitionWindow {
     /// Whether a frame from `s` to `r` at `now` crosses the cut.
     #[must_use]
-    pub fn cuts(&self, s: NodeId, r: NodeId, now: SimTime) -> bool {
+    pub(crate) fn cuts(&self, s: NodeId, r: NodeId, now: SimTime) -> bool {
         self.from <= now && now < self.until && (s.0 < self.boundary) != (r.0 < self.boundary)
     }
 }
@@ -63,7 +63,7 @@ pub struct SilenceWindow {
 impl SilenceWindow {
     /// Whether frames sent by `s` at `now` are suppressed.
     #[must_use]
-    pub fn silences(&self, s: NodeId, now: SimTime) -> bool {
+    pub(crate) fn silences(&self, s: NodeId, now: SimTime) -> bool {
         self.node == s.0 && self.from <= now && now < self.until
     }
 }
@@ -120,7 +120,7 @@ impl FaultPlan {
     /// Whether a frame from `s` to `r` at `now` is cut by a partition or a
     /// silence window (pure predicate; consumes no randomness).
     #[must_use]
-    pub fn cuts(&self, s: NodeId, r: NodeId, now: SimTime) -> bool {
+    pub(crate) fn cuts(&self, s: NodeId, r: NodeId, now: SimTime) -> bool {
         self.silences.iter().any(|w| w.silences(s, now))
             || self.partitions.iter().any(|w| w.cuts(s, r, now))
     }
@@ -164,7 +164,7 @@ pub(crate) struct FaultState {
 }
 
 impl FaultState {
-    pub fn new(plan: FaultPlan) -> Self {
+    pub(crate) fn new(plan: FaultPlan) -> Self {
         let rng = SimRng::new(plan.seed);
         Self {
             plan,
@@ -178,7 +178,7 @@ impl FaultState {
     /// check, then the drop, delay and duplicate rolls, in that order, on
     /// the plan-owned stream. A delayed or duplicated copy is registered
     /// as a pending delivery; the caller schedules its `FaultDeliver`.
-    pub fn fate(&mut self, tx: &Transmission, r: NodeId, now: SimTime) -> Fate {
+    pub(crate) fn fate(&mut self, tx: &Transmission, r: NodeId, now: SimTime) -> Fate {
         if self.plan.cuts(tx.sender, r, now) {
             return Fate::Cut;
         }

@@ -77,7 +77,7 @@ mod world;
 pub use config::{AckConfig, RadioConfig, SenderMode, SimConfig, SpatialConfig, RANGE_M};
 pub use fault::{FaultPlan, PartitionWindow, SilenceWindow};
 pub use profile::{KernelProfile, Tally};
-pub use radio::{Position, VerdictPaths};
+pub use radio::Position;
 pub use stats::{EnergyModel, NodeStats, PhaseBytes, Stats};
 pub use wheel::TimerWheel;
 pub use world::World;
@@ -91,7 +91,7 @@ pub use pds_core::{
     SimTime, TimerId,
 };
 
-// Re-exported so applications can emit trace events through [`Context`]
-// without naming the observability crate.
+// Re-exported so simulator users can install a sink without naming the
+// observability crate.
 pub use pds_obs as obs;
-pub use pds_obs::{Phase, TraceEvent, TraceKind, TraceSink};
+pub use pds_obs::TraceSink;

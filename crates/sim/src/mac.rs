@@ -79,7 +79,7 @@ pub(crate) struct Mac {
 
 impl Mac {
     /// A full bucket and an empty buffer at `now`.
-    pub fn new(now: SimTime, sender: SenderMode) -> Self {
+    pub(crate) fn new(now: SimTime, sender: SenderMode) -> Self {
         let tokens = match sender {
             SenderMode::RawUdp => 0.0,
             SenderMode::LeakyBucket { capacity_bytes, .. } => capacity_bytes as f64,
@@ -97,7 +97,7 @@ impl Mac {
     }
 
     /// Bytes waiting in the leaky bucket and in the OS send buffer.
-    pub fn depths(&self) -> (usize, usize) {
+    pub(crate) fn depths(&self) -> (usize, usize) {
         (
             self.bucket.iter().map(|f| f.wire_bytes).sum(),
             self.os_bytes,
@@ -108,7 +108,12 @@ impl Mac {
     /// bucket — every ack, and every frame of a raw-UDP sender — and must
     /// go straight to [`Mac::offer`]; otherwise queues it and the caller
     /// drains the bucket with [`Mac::release`].
-    pub fn admit(&mut self, frame: Frame, class: SendClass, sender: SenderMode) -> Option<Frame> {
+    pub(crate) fn admit(
+        &mut self,
+        frame: Frame,
+        class: SendClass,
+        sender: SenderMode,
+    ) -> Option<Frame> {
         match (sender, class) {
             // Acks bypass the bucket: tiny and latency-critical.
             (SenderMode::RawUdp, _) | (_, SendClass::Ack) => return Some(frame),
@@ -123,7 +128,7 @@ impl Mac {
 
     /// Refills the bucket up to `now` and releases its head frame if the
     /// tokens afford it. Call until it stops returning frames.
-    pub fn release(&mut self, config: &SimConfig, now: SimTime) -> Release {
+    pub(crate) fn release(&mut self, config: &SimConfig, now: SimTime) -> Release {
         let SenderMode::LeakyBucket {
             capacity_bytes,
             rate_bps,
@@ -165,13 +170,13 @@ impl Mac {
     }
 
     /// The scheduled `BucketDrain` fired.
-    pub fn bucket_woken(&mut self) {
+    pub(crate) fn bucket_woken(&mut self) {
         self.drain_scheduled = false;
     }
 
     /// Hands a frame to the OS send buffer; `priority` frames (acks) go
     /// to its head.
-    pub fn offer(&mut self, frame: Frame, priority: bool, radio: &RadioConfig) -> Offer {
+    pub(crate) fn offer(&mut self, frame: Frame, priority: bool, radio: &RadioConfig) -> Offer {
         if self.os_bytes + frame.wire_bytes > radio.os_buffer_bytes {
             // The OS silently discards the datagram (§V-2).
             return Offer::Dropped(frame);
@@ -192,7 +197,7 @@ impl Mac {
 
     /// Whether a `MacTry` has anything to contend for. A radio already on
     /// the air, or an empty buffer, retires the scheduled try.
-    pub fn wants_air(&mut self) -> bool {
+    pub(crate) fn wants_air(&mut self) -> bool {
         if self.transmitting || self.os.is_empty() {
             self.try_scheduled = false;
             return false;
@@ -203,7 +208,7 @@ impl Mac {
     /// Takes the buffer's head frame onto the air. The flag says the
     /// buffer drained under a waiting bucket: schedule a `BucketDrain`
     /// now.
-    pub fn dequeue(&mut self) -> Option<(Frame, bool)> {
+    pub(crate) fn dequeue(&mut self) -> Option<(Frame, bool)> {
         self.try_scheduled = false;
         let frame = self.os.pop_front()?;
         self.os_bytes = self.os_bytes.saturating_sub(frame.wire_bytes);
@@ -215,7 +220,7 @@ impl Mac {
 
     /// The radio went quiet. Returns whether a `MacTry` is due now for
     /// the frames still buffered.
-    pub fn tx_done(&mut self) -> bool {
+    pub(crate) fn tx_done(&mut self) -> bool {
         self.transmitting = false;
         let try_now = !self.os.is_empty() && !self.try_scheduled;
         self.try_scheduled |= try_now;

@@ -73,7 +73,7 @@ impl Medium {
     ///
     /// Panics if `radio.path_loss_exp` or `radio.capture_sinr` is negative
     /// or not finite (see [`World::new`](crate::World::new)).
-    pub fn new(config: &SimConfig) -> Self {
+    pub(crate) fn new(config: &SimConfig) -> Self {
         let radio = config.radio.clone();
         assert!(
             radio.path_loss_exp.is_finite() && radio.path_loss_exp >= 0.0,
@@ -117,31 +117,31 @@ impl Medium {
     }
 
     /// Pre-sizes the motion table for `n` nodes (an allocation hint).
-    pub fn reserve(&mut self, n: usize) {
+    pub(crate) fn reserve(&mut self, n: usize) {
         self.motions.reserve(n);
     }
 
     /// Sets `id`'s motion from `now` on, adding the node if it is new.
-    pub fn place(&mut self, id: NodeId, motion: Motion, now: SimTime) {
+    pub(crate) fn place(&mut self, id: NodeId, motion: Motion, now: SimTime) {
         self.node_grid.upsert(id, &motion, now);
         self.motions.insert(id, motion);
     }
 
     /// Removes a node. Its frames already on the air stay there.
-    pub fn remove(&mut self, id: NodeId) {
+    pub(crate) fn remove(&mut self, id: NodeId) {
         self.motions.remove(&id);
         self.node_grid.remove(id);
     }
 
     /// Position of `id` at `now`, if alive.
-    pub fn position(&self, id: NodeId, now: SimTime) -> Option<Position> {
+    pub(crate) fn position(&self, id: NodeId, now: SimTime) -> Option<Position> {
         self.motions.get(&id).map(|m| m.position(now))
     }
 
     /// Re-buckets moving nodes once the grid is older than the configured
     /// re-bucket interval. Until then, queries stay exact by padding their
     /// radius with the maximum possible drift. Only a rebucket is timed.
-    pub fn refresh(&mut self, now: SimTime, prof: &mut Profiler) {
+    pub(crate) fn refresh(&mut self, now: SimTime, prof: &mut Profiler) {
         let stamp = self.node_grid.stamp();
         if now <= stamp || now.since(stamp) < self.rebucket_interval {
             return;
@@ -155,7 +155,7 @@ impl Medium {
     /// Alive nodes within radio range of `id` at `now` (excluding
     /// itself), ascending by id, in a scratch buffer the next call
     /// overwrites.
-    pub fn neighbors(&mut self, id: NodeId, now: SimTime) -> &[NodeId] {
+    pub(crate) fn neighbors(&mut self, id: NodeId, now: SimTime) -> &[NodeId] {
         self.nbr_scratch.clear();
         let Some(pos) = self.position(id, now) else {
             return &self.nbr_scratch;
@@ -177,7 +177,12 @@ impl Medium {
     /// Carrier sense at `pos`: the latest end among other senders'
     /// transmissions within the (extended) sense range that have been on
     /// the air long enough to detect, or `None` if the channel is idle.
-    pub fn busy_until(&mut self, id: NodeId, pos: Position, now: SimTime) -> Option<SimTime> {
+    pub(crate) fn busy_until(
+        &mut self,
+        id: NodeId,
+        pos: Position,
+        now: SimTime,
+    ) -> Option<SimTime> {
         let cs_range = RANGE_M * self.radio.cs_range_factor;
         // The grid carries the sense-relevant fields inline, so the scan
         // never touches the transmission slab; `max` is order-independent,
@@ -198,7 +203,7 @@ impl Medium {
 
     /// Puts `frame` on the air from `pos` over `[start, end)` and returns
     /// its transmission id.
-    pub fn begin(
+    pub(crate) fn begin(
         &mut self,
         sender: NodeId,
         pos: Position,
@@ -234,7 +239,7 @@ impl Medium {
 
     /// The physical receive verdicts of `tx` into `out` (cleared first),
     /// in ascending receiver-id order. See [`phys_verdicts`].
-    pub fn verdicts(
+    pub(crate) fn verdicts(
         &mut self,
         tx: &Transmission,
         out: &mut Vec<(NodeId, PhysOutcome)>,
@@ -251,7 +256,7 @@ impl Medium {
     /// Drops transmissions that can no longer overlap anything — those
     /// that ended more than two maximal airtimes before `now` — with
     /// their grid and per-sender index entries.
-    pub fn prune(&mut self, now: SimTime) {
+    pub(crate) fn prune(&mut self, now: SimTime) {
         let horizon = now.since(SimTime::ZERO + self.max_airtime + self.max_airtime);
         let keep_after = SimTime::ZERO + horizon; // now - 2*max_airtime, saturating
         while let Some((_, id)) = self.tx_prune.pop_until(keep_after) {

@@ -34,22 +34,22 @@ pub struct Tally {
 /// via [`World::profile`](crate::World::profile); purely observational.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct KernelProfile {
-    /// Per event kind, named by [`KernelProfile::KINDS`]. `count` covers
-    /// every dispatched event; `ns` accrues only while a clock is lent.
+    /// Per event kind, named by the kernel's trace-event names. `count`
+    /// covers every dispatched event; `ns` accrues only while a clock is lent.
     pub kinds: [Tally; 8],
-    /// Per subsystem, named by [`KernelProfile::SCOPES`]: the wheel pop,
-    /// the application call, the grid rebucket and the physical verdict.
+    /// Per subsystem, in this order: the wheel pop, the application call,
+    /// the grid rebucket and the physical verdict.
     /// Both fields accrue only while a clock is lent.
     pub scopes: [Tally; 4],
     /// How the physical verdicts were settled (DESIGN.md §18).
-    pub verdict_paths: VerdictPaths,
+    pub(crate) verdict_paths: VerdictPaths,
 }
 
 impl KernelProfile {
     /// Names of the [`kinds`](Self::kinds) rows.
-    pub const KINDS: [&'static str; 8] = KIND_NAMES;
+    pub(crate) const KINDS: [&'static str; 8] = KIND_NAMES;
     /// Names of the [`scopes`](Self::scopes) rows.
-    pub const SCOPES: [&'static str; 4] = ["wheel", "app", "grid", "phys"];
+    pub(crate) const SCOPES: [&'static str; 4] = ["wheel", "app", "grid", "phys"];
 }
 
 impl fmt::Display for KernelProfile {
@@ -84,7 +84,7 @@ pub(crate) struct Profiler {
 impl Profiler {
     /// The lent clock's reading, or `None` when none is lent.
     #[inline]
-    pub fn read(&mut self) -> Option<u64> {
+    pub(crate) fn read(&mut self) -> Option<u64> {
         self.clock.as_mut().map(|c| c())
     }
 
@@ -96,7 +96,7 @@ impl Profiler {
 
     /// Charges the time since `t0` to `scope`.
     #[inline]
-    pub fn charge(&mut self, scope: Scope, t0: Option<u64>) {
+    pub(crate) fn charge(&mut self, scope: Scope, t0: Option<u64>) {
         if let Some(ns) = self.since(t0) {
             if let Some(t) = self.profile.scopes.get_mut(scope as usize) {
                 t.count += 1;
@@ -108,7 +108,7 @@ impl Profiler {
     /// Counts one dispatched event of kind `slot`, charging it the time
     /// since `t0`.
     #[inline]
-    pub fn dispatched(&mut self, slot: usize, t0: Option<u64>) {
+    pub(crate) fn dispatched(&mut self, slot: usize, t0: Option<u64>) {
         let ns = self.since(t0);
         if let Some(t) = self.profile.kinds.get_mut(slot) {
             t.count += 1;

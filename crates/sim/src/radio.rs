@@ -59,7 +59,7 @@ pub(crate) struct Motion {
 
 impl Motion {
     /// A node standing still at `pos`.
-    pub fn stationary(pos: Position, now: SimTime) -> Self {
+    pub(crate) fn stationary(pos: Position, now: SimTime) -> Self {
         Self {
             from: pos,
             to: pos,
@@ -69,7 +69,7 @@ impl Motion {
     }
 
     /// Position at time `at` (clamped to the destination).
-    pub fn position(&self, at: SimTime) -> Position {
+    pub(crate) fn position(&self, at: SimTime) -> Position {
         let total = self.from.distance(&self.to);
         if total <= f64::EPSILON || self.speed_mps <= 0.0 {
             return if at >= self.arrival() {
@@ -90,7 +90,7 @@ impl Motion {
     }
 
     /// Time the node reaches (or reached) its destination.
-    pub fn arrival(&self) -> SimTime {
+    pub(crate) fn arrival(&self) -> SimTime {
         let total = self.from.distance(&self.to);
         if total <= f64::EPSILON || self.speed_mps <= 0.0 {
             return self.depart;
@@ -116,7 +116,7 @@ pub(crate) struct Transmission {
 
 impl Transmission {
     /// Whether two transmission windows overlap in time.
-    pub fn overlaps(&self, start: SimTime, end: SimTime) -> bool {
+    pub(crate) fn overlaps(&self, start: SimTime, end: SimTime) -> bool {
         self.start < end && start < self.end
     }
 }
@@ -139,7 +139,7 @@ pub(crate) enum PhysOutcome {
 /// share is large has left the regime the far-field bound was built for
 /// (DESIGN.md §18).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct VerdictPaths {
+pub(crate) struct VerdictPaths {
     /// Receivers of transmissions cleared as a whole: no near interferer,
     /// and the far-field bound cannot beat capture even at the range edge.
     pub cleared: u64,

@@ -53,32 +53,32 @@ impl<T> Default for DenseTable<T> {
 impl<T> DenseTable<T> {
     /// Pre-sizes the slab for `n` nodes, so large scenario setup does not
     /// pay repeated doubling copies (and their transient peak-heap spikes).
-    pub fn reserve(&mut self, n: usize) {
+    pub(crate) fn reserve(&mut self, n: usize) {
         let need = n.saturating_sub(self.slots.len());
         self.slots.reserve(need);
     }
 
-    pub fn get(&self, id: &NodeId) -> Option<&T> {
+    pub(crate) fn get(&self, id: &NodeId) -> Option<&T> {
         self.slots.get(id.0 as usize)?.as_ref()
     }
 
-    pub fn get_mut(&mut self, id: &NodeId) -> Option<&mut T> {
+    pub(crate) fn get_mut(&mut self, id: &NodeId) -> Option<&mut T> {
         self.slots.get_mut(id.0 as usize)?.as_mut()
     }
 
-    pub fn contains_key(&self, id: &NodeId) -> bool {
+    pub(crate) fn contains_key(&self, id: &NodeId) -> bool {
         self.get(id).is_some()
     }
 
     /// The id one past the highest slot ever filled: the next fresh id
     /// when ids are issued in order and never reused.
-    pub fn next_id(&self) -> NodeId {
+    pub(crate) fn next_id(&self) -> NodeId {
         NodeId(self.slots.len() as u32)
     }
 
     /// Inserts at `id`, growing the slab as needed. Returns the previous
     /// occupant, if any (never happens for monotone ids).
-    pub fn insert(&mut self, id: NodeId, value: T) -> Option<T> {
+    pub(crate) fn insert(&mut self, id: NodeId, value: T) -> Option<T> {
         let i = id.0 as usize;
         if self.slots.len() <= i {
             self.slots.resize_with(i + 1, || None);
@@ -91,7 +91,7 @@ impl<T> DenseTable<T> {
         old
     }
 
-    pub fn remove(&mut self, id: &NodeId) -> Option<T> {
+    pub(crate) fn remove(&mut self, id: &NodeId) -> Option<T> {
         let old = self.slots.get_mut(id.0 as usize)?.take();
         if old.is_some() {
             self.live -= 1;
@@ -99,17 +99,17 @@ impl<T> DenseTable<T> {
         old
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.live
     }
 
     /// Occupied ids, ascending — no allocation, unlike collecting keys.
-    pub fn keys(&self) -> impl Iterator<Item = NodeId> + '_ {
+    pub(crate) fn keys(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.iter().map(|(id, _)| id)
     }
 
     /// `(id, value)` pairs in ascending id order.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, &T)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (NodeId, &T)> {
         self.slots
             .iter()
             .enumerate()
@@ -117,12 +117,12 @@ impl<T> DenseTable<T> {
     }
 
     /// Values in ascending id order.
-    pub fn values(&self) -> impl Iterator<Item = &T> {
+    pub(crate) fn values(&self) -> impl Iterator<Item = &T> {
         self.slots.iter().filter_map(Option::as_ref)
     }
 
     /// Mutable values in ascending id order.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
+    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
         self.slots.iter_mut().filter_map(Option::as_mut)
     }
 }
@@ -158,20 +158,20 @@ impl<T> SeqSlab<T> {
     /// Inserts the value `make` builds from its key, and returns the key:
     /// one past the highest key ever inserted, so keys are monotone and
     /// never reused (module docs).
-    pub fn push_with(&mut self, make: impl FnOnce(u64) -> T) -> u64 {
+    pub(crate) fn push_with(&mut self, make: impl FnOnce(u64) -> T) -> u64 {
         let key = self.base + self.slots.len() as u64;
         self.slots.push_back(Some(make(key)));
         self.live += 1;
         key
     }
 
-    pub fn get(&self, key: &u64) -> Option<&T> {
+    pub(crate) fn get(&self, key: &u64) -> Option<&T> {
         self.slots.get(self.index(*key)?)?.as_ref()
     }
 
     /// Removes `key`, advancing the base past any leading vacated run so
     /// the ring stays proportional to the live window.
-    pub fn remove(&mut self, key: &u64) -> Option<T> {
+    pub(crate) fn remove(&mut self, key: &u64) -> Option<T> {
         let i = self.index(*key)?;
         let old = self.slots.get_mut(i)?.take();
         if old.is_some() {
@@ -185,13 +185,13 @@ impl<T> SeqSlab<T> {
     }
 
     #[cfg(test)]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.live
     }
 
     /// Values in ascending key order — the iteration order every f64
     /// interference sum depends on.
-    pub fn values(&self) -> impl Iterator<Item = &T> {
+    pub(crate) fn values(&self) -> impl Iterator<Item = &T> {
         self.slots.iter().filter_map(Option::as_ref)
     }
 }

@@ -80,7 +80,7 @@ impl<E: Keyed> CellGrid<E> {
     /// # Panics
     ///
     /// Panics unless `cell_m` is positive and finite.
-    pub fn new(cell_m: f64) -> Self {
+    pub(crate) fn new(cell_m: f64) -> Self {
         assert!(
             cell_m.is_finite() && cell_m > 0.0,
             "spatial cell size must be positive"
@@ -113,7 +113,7 @@ impl<E: Keyed> CellGrid<E> {
     }
 
     /// Drops the entry keyed `key`, if indexed.
-    pub fn remove(&mut self, key: E::Key) {
+    pub(crate) fn remove(&mut self, key: E::Key) {
         if let Some(cell) = self.entries.remove(&key) {
             self.unlink(key, cell);
         }
@@ -133,7 +133,7 @@ impl<E: Keyed> CellGrid<E> {
     /// Appends to `out` every entry whose cell lies within `radius` meters
     /// of `center` — a superset for exact filtering. Order is unspecified;
     /// callers needing a deterministic order sort by key.
-    pub fn query_into(&self, center: Position, radius: f64, out: &mut Vec<E>) {
+    pub(crate) fn query_into(&self, center: Position, radius: f64, out: &mut Vec<E>) {
         // Exact bounding box of the query disk in cell coordinates: any
         // entry within `radius` of `center` lies in one of these cells.
         let (x_lo, y_lo) = cell_of(
@@ -166,7 +166,7 @@ impl<E: Keyed> CellGrid<E> {
 
     /// Every indexed entry, ascending by key.
     #[cfg(test)]
-    pub fn snapshot(&self) -> Vec<E> {
+    pub(crate) fn snapshot(&self) -> Vec<E> {
         let mut all: Vec<_> = self.cells.values().flatten().copied().collect();
         all.sort_unstable_by_key(Keyed::key);
         all
@@ -200,7 +200,7 @@ impl NodeGrid {
     /// # Panics
     ///
     /// Panics unless `cell_m` is positive and finite.
-    pub fn new(cell_m: f64, now: SimTime) -> Self {
+    pub(crate) fn new(cell_m: f64, now: SimTime) -> Self {
         Self {
             grid: CellGrid::new(cell_m),
             moving: DetMap::default(),
@@ -210,13 +210,13 @@ impl NodeGrid {
     }
 
     /// Time of the last re-bucket.
-    pub fn stamp(&self) -> SimTime {
+    pub(crate) fn stamp(&self) -> SimTime {
         self.stamp
     }
 
     /// Inserts `id` or moves it to the bucket matching `motion` at `now`,
     /// and tracks it as a drift source while its walk is in progress.
-    pub fn upsert(&mut self, id: NodeId, motion: &Motion, now: SimTime) {
+    pub(crate) fn upsert(&mut self, id: NodeId, motion: &Motion, now: SimTime) {
         self.grid.upsert((id, *motion), motion.position(now));
         if motion.speed_mps > 0.0 && motion.arrival() > now {
             self.moving.insert(id, motion.speed_mps);
@@ -227,7 +227,7 @@ impl NodeGrid {
     }
 
     /// Removes `id` from the index (node churned out).
-    pub fn remove(&mut self, id: NodeId) {
+    pub(crate) fn remove(&mut self, id: NodeId) {
         self.grid.remove(id);
         self.moving.remove(&id);
     }
@@ -235,7 +235,7 @@ impl NodeGrid {
     /// Re-buckets every moving node at `now` using `motion_of` to read its
     /// current motion, then resets the staleness clock. Nodes that arrived
     /// stop contributing drift.
-    pub fn rebucket(&mut self, now: SimTime, motion_of: impl Fn(NodeId) -> Option<Motion>) {
+    pub(crate) fn rebucket(&mut self, now: SimTime, motion_of: impl Fn(NodeId) -> Option<Motion>) {
         let ids: Vec<NodeId> = self.moving.keys().copied().collect();
         for id in ids {
             match motion_of(id) {
@@ -250,7 +250,7 @@ impl NodeGrid {
     /// Appends to `out` every node whose bucket lies within `radius` meters
     /// of `center` (padded for bucket staleness at `now`) — a superset of
     /// the nodes truly in range, for the caller to filter exactly.
-    pub fn query_into(
+    pub(crate) fn query_into(
         &self,
         center: Position,
         radius: f64,
@@ -268,7 +268,7 @@ impl NodeGrid {
 
     /// Every indexed node with its motion copy, ascending by id.
     #[cfg(test)]
-    pub fn snapshot(&self) -> Vec<(NodeId, Motion)> {
+    pub(crate) fn snapshot(&self) -> Vec<(NodeId, Motion)> {
         self.grid.snapshot()
     }
 }
@@ -291,7 +291,7 @@ pub(crate) type TxGrid = CellGrid<TxEntry>;
 
 impl TxGrid {
     /// Indexes a transmission at its start position.
-    pub fn insert(&mut self, entry: TxEntry) {
+    pub(crate) fn insert(&mut self, entry: TxEntry) {
         self.upsert(entry, entry.pos);
     }
 }

@@ -26,14 +26,14 @@ pub struct PhaseBytes {
 
 impl PhaseBytes {
     /// Sum over all phases — equals the old undivided counter.
-    #[must_use]
-    pub fn total(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn total(&self) -> u64 {
         self.pdd + self.pdr + self.mdr + self.other
     }
 
     /// Adds `bytes` to the bucket for traffic class `class` (unknown
     /// classes count as `other`).
-    pub fn add(&mut self, class: u8, bytes: u64) {
+    pub(crate) fn add(&mut self, class: u8, bytes: u64) {
         match class {
             pds_obs::class::PDD => self.pdd += bytes,
             pds_obs::class::PDR => self.pdr += bytes,
@@ -44,7 +44,7 @@ impl PhaseBytes {
 
     /// Bucket-wise difference `self - earlier` (saturating).
     #[must_use]
-    pub fn since(&self, earlier: &PhaseBytes) -> PhaseBytes {
+    pub(crate) fn since(&self, earlier: &PhaseBytes) -> PhaseBytes {
         PhaseBytes {
             pdd: self.pdd.saturating_sub(earlier.pdd),
             pdr: self.pdr.saturating_sub(earlier.pdr),

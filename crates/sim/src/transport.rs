@@ -74,7 +74,7 @@ pub(crate) struct FragSet {
 }
 
 impl FragSet {
-    pub fn new(frag_count: u32) -> Self {
+    pub(crate) fn new(frag_count: u32) -> Self {
         let words = (frag_count as usize).div_ceil(64).max(1);
         Self {
             word0: 0,
@@ -85,7 +85,7 @@ impl FragSet {
 
     /// Sets a bit; returns true if newly set. An index past the size the
     /// set was built for is never set.
-    pub fn set(&mut self, idx: u32) -> bool {
+    pub(crate) fn set(&mut self, idx: u32) -> bool {
         let (w, b) = (idx as usize / 64, idx % 64);
         let mask = 1u64 << b;
         let word = if w == 0 {
@@ -103,7 +103,7 @@ impl FragSet {
         }
     }
 
-    pub fn contains(&self, idx: u32) -> bool {
+    pub(crate) fn contains(&self, idx: u32) -> bool {
         let (w, b) = (idx as usize / 64, idx % 64);
         let word = if w == 0 {
             Some(self.word0)
@@ -114,11 +114,11 @@ impl FragSet {
     }
 
     #[cfg(test)]
-    pub fn len(&self) -> u32 {
+    pub(crate) fn len(&self) -> u32 {
         self.count
     }
 
-    pub fn is_complete(&self, frag_count: u32) -> bool {
+    pub(crate) fn is_complete(&self, frag_count: u32) -> bool {
         self.count >= frag_count
     }
 
@@ -127,7 +127,7 @@ impl FragSet {
     /// with this instead of retaining one per message; the wire size
     /// (`byte_len`) depends only on `frag_count`, so the rebuilt ack frame
     /// is byte-identical to the retained one.
-    pub fn full(frag_count: u32) -> Self {
+    pub(crate) fn full(frag_count: u32) -> Self {
         let mut s = Self::new(frag_count);
         for i in 0..frag_count {
             s.set(i);
@@ -136,7 +136,7 @@ impl FragSet {
     }
 
     /// Merges another set into this one (bitwise or).
-    pub fn merge(&mut self, other: &FragSet) {
+    pub(crate) fn merge(&mut self, other: &FragSet) {
         if other.spill.len() > self.spill.len() {
             self.spill.resize(other.spill.len(), 0);
         }
@@ -149,12 +149,12 @@ impl FragSet {
     }
 
     /// Wire size of the bitmap in bytes.
-    pub fn byte_len(&self) -> usize {
+    pub(crate) fn byte_len(&self) -> usize {
         (1 + self.spill.len()) * 8
     }
 
     #[cfg(test)]
-    pub fn iter_missing(&self, frag_count: u32) -> impl Iterator<Item = u32> + '_ {
+    pub(crate) fn iter_missing(&self, frag_count: u32) -> impl Iterator<Item = u32> + '_ {
         (0..frag_count).filter(move |&i| !self.contains(i))
     }
 }
@@ -174,7 +174,7 @@ impl Frame {
     /// The message this frame carries a fragment of, or acknowledges:
     /// `origin#seq` ties the frame to its transport message and, through
     /// the protocol layer's trace events, to the session it serves.
-    pub fn msg(&self) -> MessageId {
+    pub(crate) fn msg(&self) -> MessageId {
         match self.kind {
             FrameKind::Data { msg, .. } | FrameKind::Ack { msg, .. } => msg,
         }
@@ -356,7 +356,7 @@ pub(crate) enum RetrPlan {
 }
 
 impl Transport {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -366,7 +366,7 @@ impl Transport {
     ///
     /// Panics if the header alone would exceed the frame size (receiver list
     /// too long for the MTU).
-    pub fn frag_payload_size(receivers: usize) -> usize {
+    pub(crate) fn frag_payload_size(receivers: usize) -> usize {
         let header = DATA_HEADER_BASE + PER_RECEIVER_BYTES * receivers;
         assert!(
             header < MAX_FRAME_BYTES,
@@ -382,7 +382,7 @@ impl Transport {
     /// are pushed into; it is handed back so the caller can drain and
     /// reuse it.
     #[allow(clippy::too_many_arguments)] // mirrors the frame-header fields
-    pub fn send_message(
+    pub(crate) fn send_message(
         &mut self,
         origin: NodeId,
         handle: MessageHandle,
@@ -444,7 +444,7 @@ impl Transport {
     /// Handles `frame` reaching node `me`: reassembles data fragments
     /// (delivering completed messages, requesting acks from intended
     /// receivers) and merges acks addressed to this node's own messages.
-    pub fn receive(
+    pub(crate) fn receive(
         &mut self,
         me: NodeId,
         frame: &Frame,
@@ -590,7 +590,7 @@ impl Transport {
     }
 
     /// Builds the ack frame for `msg` when its ack timer fires.
-    pub fn make_ack(&mut self, me: NodeId, msg: MessageId) -> Option<Frame> {
+    pub(crate) fn make_ack(&mut self, me: NodeId, msg: MessageId) -> Option<Frame> {
         let received = match self.incoming.get_mut(&msg)? {
             Incoming::Assembling(asm) => {
                 asm.ack_timer_pending = false;
@@ -621,7 +621,7 @@ impl Transport {
     /// message whose retransmission timer the kernel must now arm: a
     /// tracked data frame's message whose current attempt has no frames
     /// left in flight and no timer armed yet.
-    pub fn on_frame_done(&mut self, frame: &Frame) -> Option<MessageId> {
+    pub(crate) fn on_frame_done(&mut self, frame: &Frame) -> Option<MessageId> {
         let FrameKind::Data { msg, .. } = frame.kind else {
             return None;
         };
@@ -642,7 +642,7 @@ impl Transport {
     /// only repairs the missing ones — a fixed 4-attempt budget would
     /// abandon large messages that lose a handful of fragments per attempt
     /// under contention.
-    pub fn on_retr_timer(&mut self, me: NodeId, msg: MessageId, max_retr: u32) -> RetrPlan {
+    pub(crate) fn on_retr_timer(&mut self, me: NodeId, msg: MessageId, max_retr: u32) -> RetrPlan {
         let Some(out) = self.outgoing.get_mut(&msg) else {
             return RetrPlan::Nothing;
         };
@@ -679,20 +679,20 @@ impl Transport {
     }
 
     /// Highest retransmission attempt this node ever reached.
-    pub fn max_attempt(&self) -> u32 {
+    pub(crate) fn max_attempt(&self) -> u32 {
         self.max_attempt
     }
 
     /// Whether an outgoing message is still tracked (unacked).
     #[cfg(test)]
-    pub fn is_tracking(&self, msg: MessageId) -> bool {
+    pub(crate) fn is_tracking(&self, msg: MessageId) -> bool {
         self.outgoing.contains_key(&msg)
     }
 
     /// Drops stale incoming state: delivered messages older than
     /// `DELIVERED_HORIZON`, incomplete ones idle longer than
     /// `STALE_HORIZON`.
-    pub fn sweep(&mut self, now: SimTime) {
+    pub(crate) fn sweep(&mut self, now: SimTime) {
         self.incoming.retain(|_, inc| match inc {
             Incoming::Assembling(asm) => now.since(asm.last_activity) < STALE_HORIZON,
             Incoming::Done { last_activity, .. } => now.since(*last_activity) < DELIVERED_HORIZON,

@@ -133,7 +133,7 @@ impl<T> TimerWheel<T> {
 
     /// Number of pending entries (wheel levels + overflow tier).
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 

@@ -160,12 +160,6 @@ impl World {
         sink
     }
 
-    /// Whether a trace sink is currently installed.
-    #[must_use]
-    pub fn trace_enabled(&self) -> bool {
-        self.sink.is_some()
-    }
-
     /// Lends a host clock reading nanoseconds: from now on the
     /// [`profile`](Self::profile) also records where host time goes, per
     /// event kind and per kernel scope. An instrument like the trace sink:
@@ -335,7 +329,8 @@ impl World {
     }
 
     /// Teleports `id` to `pos` (scenario setup only).
-    pub fn set_position(&mut self, id: NodeId, pos: Position) {
+    #[cfg(test)]
+    pub(crate) fn set_position(&mut self, id: NodeId, pos: Position) {
         if self.is_alive(id) {
             self.medium
                 .place(id, Motion::stationary(pos, self.now), self.now);
@@ -936,7 +931,7 @@ impl std::fmt::Debug for World {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::AckConfig;
+    use crate::config::{AckConfig, SenderMode};
 
     /// Records everything it receives.
     struct Sink {
@@ -1088,7 +1083,11 @@ mod tests {
 
     #[test]
     fn raw_udp_overflows_os_buffer() {
-        let mut c = SimConfig::raw_udp();
+        let mut c = SimConfig {
+            sender: SenderMode::RawUdp,
+            ack: AckConfig::disabled(),
+            ..SimConfig::default()
+        };
         c.radio.baseline_loss = 0.0;
         let mut w = World::new(c, 5);
         // 2 MB injected instantly into a 1 MB buffer.
@@ -1108,7 +1107,10 @@ mod tests {
 
     #[test]
     fn leaky_bucket_avoids_overflow() {
-        let mut c = SimConfig::leaky_only();
+        let mut c = SimConfig {
+            ack: AckConfig::disabled(),
+            ..SimConfig::default()
+        };
         c.radio.baseline_loss = 0.0;
         let mut w = World::new(c, 5);
         w.add_node(
