@@ -54,6 +54,10 @@ pub(crate) const WATCHDOG_PER_CHUNK: SimDuration = SimDuration::from_millis(750)
 /// before a retrieval reports what it has.
 pub const MAX_RECOVERY: u32 = 10;
 
+/// Largest chunk count an item may have: every chunk id is below it
+/// (DESIGN.md §16, "Transport and core diets").
+pub const MAX_ITEM_CHUNKS: u32 = 1 << 16;
+
 /// Byte budget for a node's opportunistically cached (not locally
 /// produced) chunks; above it the store evicts the least recently used
 /// (§VII: finite storage demands a caching strategy). 64 MiB is more than

@@ -10,6 +10,7 @@
     clippy::indexing_slicing
 )]
 
+use crate::config::MAX_ITEM_CHUNKS;
 use crate::ids::{ChunkId, ItemName};
 use crate::value::{AttrRef, AttrValue};
 use std::borrow::Borrow;
@@ -208,11 +209,12 @@ impl DataDescriptor {
         self.name().map(ItemName::new)
     }
 
-    /// The `total_chunks` attribute, if present and an integer in `u32`.
+    /// The `total_chunks` attribute, if present and an integer in
+    /// `0..=MAX_ITEM_CHUNKS`.
     #[must_use]
     pub fn total_chunks(&self) -> Option<u32> {
         match self.get(attrs::TOTAL_CHUNKS) {
-            Some(AttrRef::Int(n)) => u32::try_from(n).ok(),
+            Some(AttrRef::Int(n)) => u32::try_from(n).ok().filter(|&n| n <= MAX_ITEM_CHUNKS),
             _ => None,
         }
     }
@@ -454,6 +456,18 @@ mod tests {
         assert_eq!(item.chunk_id(), None);
         assert_eq!(chunk.total_chunks(), Some(4));
         assert_eq!(chunk.item_name(), Some(ItemName::new("vid")));
+    }
+
+    #[test]
+    fn total_chunks_stops_at_the_item_limit() {
+        let with = |n: u32| {
+            DataDescriptor::builder()
+                .attr(attrs::TOTAL_CHUNKS, AttrValue::Int(i64::from(n)))
+                .build()
+                .total_chunks()
+        };
+        assert_eq!(with(MAX_ITEM_CHUNKS), Some(MAX_ITEM_CHUNKS));
+        assert_eq!(with(MAX_ITEM_CHUNKS + 1), None);
     }
 
     #[test]

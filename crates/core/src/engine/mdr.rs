@@ -15,10 +15,9 @@ use crate::lqt::chunk_key;
 use crate::message::{QueryKind, QueryMessage, ResponseKind, ResponseMessage};
 use crate::predicate::QueryFilter;
 use crate::rounds::{RoundController, RoundDecision};
-use crate::sessions::{RetrievalPhase, RetrievalSession};
+use crate::sessions::{RetrievalMode, RetrievalPhase};
 use crate::{NodeId, SimDuration, SimTime};
 use pds_bloom::{BloomFilter, BloomParams};
-use std::collections::BTreeSet;
 
 impl PdsEngine {
     /// Starts an MDR retrieval of the item `descriptor` describes.
@@ -31,45 +30,10 @@ impl PdsEngine {
         now: SimTime,
         descriptor: DataDescriptor,
     ) -> Vec<Outgoing> {
-        let (Some(item), Some(total)) = (descriptor.item_name(), descriptor.total_chunks()) else {
-            debug_assert!(
-                false,
-                "retrieval descriptor must carry `name` and `total_chunks`"
-            );
+        let mode = RetrievalMode::Mdr(RoundController::new(self.mdr_round_params(), now));
+        let Some((item, total)) = self.open_retrieval(now, descriptor, mode) else {
             return Vec::new();
         };
-        let received: BTreeSet<ChunkId> = self.store.chunk_ids(&item).into_iter().collect();
-        let done = received.len() as u32 >= total;
-        let phase = if done {
-            RetrievalPhase::Done
-        } else {
-            RetrievalPhase::ChunkRetrieval
-        };
-        let session = RetrievalSession {
-            item: item.clone(),
-            descriptor,
-            total_chunks: total,
-            received,
-            bytes_received: 0,
-            phase,
-            started_at: now,
-            phase_started_at: now,
-            last_progress_at: now,
-            finished_at: if done { Some(now) } else { None },
-            recovery_attempts: 0,
-            mdr: true,
-            controller: None,
-            rounds_sent: 1,
-            transitions: vec![(now, phase)],
-        };
-        self.retrieval = Some(session);
-        let params = self.mdr_round_params();
-        if let Some(s) = &mut self.retrieval {
-            s.controller = Some(RoundController::new(params, now));
-        }
-        if done {
-            return Vec::new();
-        }
         vec![self.mdr_query(now, &item, total, 0)]
     }
 
@@ -86,21 +50,15 @@ impl PdsEngine {
     }
 
     fn mdr_query(&mut self, now: SimTime, item: &ItemName, total: u32, round: u32) -> Outgoing {
-        let received: Vec<ChunkId> = self
-            .retrieval
-            .as_ref()
-            .map(|s| s.received.iter().copied().collect())
-            .unwrap_or_default();
-        let bloom = if received.is_empty() {
-            None
-        } else {
+        let received = self.retrieval.as_ref().map(|s| &s.received);
+        let bloom = received.filter(|r| !r.is_empty()).map(|received| {
             let params = BloomParams::optimal((total as usize * 2).max(64), BLOOM_FPP);
             let mut b = BloomFilter::with_round(params, round);
-            for c in &received {
-                b.insert(&chunk_key(item, *c));
+            for c in received.iter() {
+                b.insert(&chunk_key(item, ChunkId(c)));
             }
-            Some(b.encode())
-        };
+            b.encode()
+        });
         let id = self.new_query_id();
         let query = QueryMessage {
             id,
@@ -121,49 +79,30 @@ impl PdsEngine {
 
     /// Round control for MDR (mirrors PDD's multi-round discovery).
     pub(crate) fn poll_mdr(&mut self, now: SimTime) -> Vec<Outgoing> {
-        let (decision, item, total) = {
-            let Some(s) = &mut self.retrieval else {
-                return Vec::new();
-            };
-            if s.is_finished() {
-                return Vec::new();
-            }
-            let done = s.received.len() as u32 >= s.total_chunks;
-            let decision = if done {
-                RoundDecision::Finished
-            } else {
-                s.controller
-                    .as_mut()
-                    .map_or(RoundDecision::Finished, |c| c.poll(now))
-            };
-            (decision, s.item.clone(), s.total_chunks)
+        let Some(s) = &mut self.retrieval else {
+            return Vec::new();
+        };
+        let RetrievalMode::Mdr(ctrl) = &mut s.mode else {
+            return Vec::new();
+        };
+        if s.phase == RetrievalPhase::Done {
+            return Vec::new();
+        }
+        let decision = if s.received.is_full() {
+            RoundDecision::Finished
+        } else {
+            ctrl.poll(now)
         };
         match decision {
             RoundDecision::Continue => Vec::new(),
             RoundDecision::Finished => {
-                if let Some(s) = &mut self.retrieval {
-                    if s.phase != RetrievalPhase::Done {
-                        s.transitions.push((now, RetrievalPhase::Done));
-                    }
-                    s.phase = RetrievalPhase::Done;
-                    if s.finished_at.is_none() {
-                        s.finished_at = Some(now);
-                    }
-                }
+                self.finish_retrieval(now);
                 Vec::new()
             }
             RoundDecision::StartNextRound => {
-                let round = {
-                    let ctrl = self.retrieval.as_mut().and_then(|s| {
-                        s.rounds_sent += 1;
-                        s.controller.as_mut()
-                    });
-                    let Some(ctrl) = ctrl else {
-                        return Vec::new();
-                    };
-                    ctrl.start_next_round(now);
-                    ctrl.round()
-                };
+                s.rounds_sent += 1;
+                ctrl.start_next_round(now);
+                let (round, item, total) = (ctrl.round(), s.item.clone(), s.total_chunks);
                 vec![self.mdr_query(now, &item, total, round)]
             }
         }

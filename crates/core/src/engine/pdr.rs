@@ -17,10 +17,10 @@ use crate::descriptor::DataDescriptor;
 use crate::ids::{ChunkId, ItemName, ResponseId};
 use crate::message::{QueryKind, QueryMessage, ResponseKind, ResponseMessage};
 use crate::predicate::QueryFilter;
-use crate::sessions::{RetrievalPhase, RetrievalSession};
+use crate::sessions::{RetrievalMode, RetrievalPhase, RetrievalSession};
 use crate::{NodeId, SimTime};
 use bytes::Bytes;
-use pds_det::DetMap;
+use pds_det::{BitSet, DetMap};
 use std::collections::BTreeSet;
 
 impl PdsEngine {
@@ -33,23 +33,45 @@ impl PdsEngine {
     /// drive a chunked retrieval; such a request is refused (no messages,
     /// no session) and asserts in debug builds.
     pub fn start_retrieval(&mut self, now: SimTime, descriptor: DataDescriptor) -> Vec<Outgoing> {
+        match self.open_retrieval(now, descriptor.clone(), RetrievalMode::Pdr) {
+            Some(_) => vec![self.cdi_query(now, descriptor)],
+            None => Vec::new(),
+        }
+    }
+
+    /// Opens the consumer's retrieval session for `descriptor`'s item, PDR
+    /// or MDR alike, counting the chunks the store already holds. Returns
+    /// the item and its chunk count while chunks remain to fetch; `None`
+    /// when everything is held (the session is finished at once) or when
+    /// the descriptor lacks `name` or `total_chunks` (no session; asserts
+    /// in debug builds).
+    pub(super) fn open_retrieval(
+        &mut self,
+        now: SimTime,
+        descriptor: DataDescriptor,
+        mode: RetrievalMode,
+    ) -> Option<(ItemName, u32)> {
         let (Some(item), Some(total)) = (descriptor.item_name(), descriptor.total_chunks()) else {
             debug_assert!(
                 false,
                 "retrieval descriptor must carry `name` and `total_chunks`"
             );
-            return Vec::new();
+            return None;
         };
-        let received: BTreeSet<ChunkId> = self.store.chunk_ids(&item).into_iter().collect();
-        let done = received.len() as u32 >= total;
-        let phase = if done {
-            RetrievalPhase::Done
-        } else {
-            RetrievalPhase::CdiCollection
+        let mut received = BitSet::new(total);
+        for c in self.store.chunk_ids(&item) {
+            received.insert(c.0);
+        }
+        let done = received.is_full();
+        let mdr = matches!(mode, RetrievalMode::Mdr(_));
+        let phase = match (done, mdr) {
+            (true, _) => RetrievalPhase::Done,
+            (false, false) => RetrievalPhase::CdiCollection,
+            (false, true) => RetrievalPhase::ChunkRetrieval,
         };
-        let session = RetrievalSession {
+        self.retrieval = Some(RetrievalSession {
             item: item.clone(),
-            descriptor: descriptor.clone(),
+            descriptor,
             total_chunks: total,
             received,
             bytes_received: 0,
@@ -57,18 +79,14 @@ impl PdsEngine {
             started_at: now,
             phase_started_at: now,
             last_progress_at: now,
-            finished_at: if done { Some(now) } else { None },
+            finished_at: done.then_some(now),
             recovery_attempts: 0,
-            mdr: false,
-            controller: None,
-            rounds_sent: 0,
+            // MDR's first round goes out with the session.
+            rounds_sent: u32::from(mdr),
+            mode,
             transitions: vec![(now, phase)],
-        };
-        self.retrieval = Some(session);
-        if done {
-            return Vec::new();
-        }
-        vec![self.cdi_query(now, descriptor)]
+        });
+        (!done).then_some((item, total))
     }
 
     fn cdi_query(&mut self, now: SimTime, descriptor: DataDescriptor) -> Outgoing {
@@ -92,13 +110,11 @@ impl PdsEngine {
         let Some(session) = &self.retrieval else {
             return Vec::new();
         };
-        if session.mdr {
-            return self.poll_mdr(now);
-        }
-        match session.phase {
-            RetrievalPhase::Done => Vec::new(),
-            RetrievalPhase::CdiCollection => self.poll_cdi_phase(now),
-            RetrievalPhase::ChunkRetrieval => self.poll_chunk_phase(now),
+        match (&session.mode, session.phase) {
+            (_, RetrievalPhase::Done) => Vec::new(),
+            (RetrievalMode::Mdr(_), _) => self.poll_mdr(now),
+            (RetrievalMode::Pdr, RetrievalPhase::CdiCollection) => self.poll_cdi_phase(now),
+            (RetrievalMode::Pdr, RetrievalPhase::ChunkRetrieval) => self.poll_chunk_phase(now),
         }
     }
 
@@ -109,18 +125,15 @@ impl PdsEngine {
         let elapsed = now.since(session.phase_started_at);
         let item = session.item.clone();
         let descriptor = session.descriptor.clone();
-        let total = session.total_chunks;
-        let have: BTreeSet<ChunkId> = session.received.clone();
-
-        let covered: BTreeSet<ChunkId> = self
-            .cdi
-            .covered_chunks(&item, now)
-            .into_iter()
-            .chain(have.iter().copied())
-            .collect();
-        let full = covered.len() as u32 >= total;
-        if (full && elapsed >= PHASE1_MIN) || elapsed >= PHASE1_TIMEOUT {
-            if covered.len() as u32 > have.len() as u32 {
+        let have = session.received.len();
+        // Held chunks plus those with a route; an id outside the item is
+        // no coverage.
+        let mut covered = session.received.clone();
+        for c in self.cdi.covered_chunks(&item, now) {
+            covered.insert(c.0);
+        }
+        if (covered.is_full() && elapsed >= PHASE1_MIN) || elapsed >= PHASE1_TIMEOUT {
+            if covered.len() > have {
                 // Enough routes: move to phase 2 and send the first wave.
                 if let Some(s) = &mut self.retrieval {
                     s.phase = RetrievalPhase::ChunkRetrieval;
@@ -157,7 +170,7 @@ impl PdsEngine {
             };
             let missing: Vec<ChunkId> = (0..s.total_chunks)
                 .map(ChunkId)
-                .filter(|c| !s.received.contains(c))
+                .filter(|c| !s.received.contains(c.0))
                 .collect();
             let threshold = WATCHDOG + WATCHDOG_PER_CHUNK.saturating_mul(missing.len() as u64);
             let stalled = now.since(s.last_progress_at.max(s.phase_started_at)) >= threshold;
@@ -206,7 +219,7 @@ impl PdsEngine {
         };
         let missing: Vec<ChunkId> = (0..session.total_chunks)
             .map(ChunkId)
-            .filter(|c| !session.received.contains(c))
+            .filter(|c| !session.received.contains(c.0))
             .collect();
         // Chunk queries must outlive the (serialized) transfer they route:
         // scale the lingering horizon with the amount requested.
@@ -290,7 +303,7 @@ impl PdsEngine {
         out
     }
 
-    fn finish_retrieval(&mut self, now: SimTime) {
+    pub(super) fn finish_retrieval(&mut self, now: SimTime) {
         if let Some(s) = &mut self.retrieval {
             if s.phase != RetrievalPhase::Done {
                 s.transitions.push((now, RetrievalPhase::Done));
@@ -466,7 +479,7 @@ impl PdsEngine {
         for &c in chunks {
             if let Some(data) = self.store.fetch_chunk(item, c) {
                 if let Some(l) = self.lqt.get_mut(q.id) {
-                    l.remaining_chunks.remove(&c);
+                    l.remaining_chunks.remove(c.0);
                 }
                 let r = ResponseMessage {
                     id: self.new_response_id(),
@@ -541,7 +554,7 @@ impl PdsEngine {
                 receivers.insert(l.upstream);
                 match &l.query.kind {
                     QueryKind::Chunks { .. } => {
-                        l.remaining_chunks.remove(&chunk);
+                        l.remaining_chunks.remove(chunk.0);
                     }
                     QueryKind::MdrChunks { .. } => {
                         // MDR's redundancy detection is intrinsic to the
@@ -585,12 +598,12 @@ impl PdsEngine {
         if &s.item != item || s.is_finished() {
             return;
         }
-        let new = s.received.insert(chunk);
+        let new = s.received.insert(chunk.0);
         if new {
             s.bytes_received += bytes;
             s.last_progress_at = now;
         }
-        if let Some(ctrl) = &mut s.controller {
+        if let RetrievalMode::Mdr(ctrl) = &mut s.mode {
             if me_intended {
                 ctrl.on_response(now, u64::from(new));
             }

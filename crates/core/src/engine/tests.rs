@@ -612,6 +612,42 @@ fn pdr_retrieves_across_multiple_hops() {
 }
 
 #[test]
+fn chunk_ids_outside_the_item_do_not_count() {
+    let desc = video("vid", 2);
+    let chunk = |c: u32| {
+        PdsMessage::Response(crate::message::ResponseMessage {
+            id: crate::ids::ResponseId(100 + u64::from(c)),
+            sender: NodeId(1),
+            kind: ResponseKind::Chunk {
+                descriptor: desc.clone(),
+                chunk: ChunkId(c),
+                data: Bytes::from(vec![0u8; 16]),
+            },
+        })
+    };
+    for mdr in [false, true] {
+        let mut e = PdsEngine::new(NodeId(0), PdsConfig::default(), 1);
+        if mdr {
+            e.start_mdr_retrieval(t(0.0), desc.clone());
+        } else {
+            e.start_retrieval(t(0.0), desc.clone());
+        }
+        for c in [0, 2 + 3] {
+            e.handle_message(t(0.1), NodeId(1), true, chunk(c));
+        }
+        if mdr {
+            e.poll(t(0.4));
+            let s = e.retrieval().expect("session");
+            assert!(!s.is_finished(), "chunk 1 is still missing");
+        } else {
+            let r = e.retrieval().expect("session").report();
+            assert_eq!(r.received_chunks, 1);
+            assert!((r.recall - 0.5).abs() < 1e-12, "recall = {}", r.recall);
+        }
+    }
+}
+
+#[test]
 fn pdr_cdi_learns_distances() {
     let config = PdsConfig::default();
     let mut es = engines(3, &config);

@@ -73,7 +73,7 @@ pub use time::{SimDuration, SimTime};
 
 pub use assign::{min_max_assign, AssignStrategy};
 pub use cdi::CdiTable;
-pub use config::{PdsConfig, RoundParams, MAX_RECOVERY};
+pub use config::{PdsConfig, RoundParams, MAX_ITEM_CHUNKS, MAX_RECOVERY};
 pub use descriptor::{DataDescriptor, DescriptorBuilder, EntryKey};
 pub use engine::{Jitter, Outgoing, PdsEngine};
 pub use ids::{ChunkId, ItemName, QueryId, ResponseId};

@@ -5,13 +5,16 @@
 //! the continuing stream of responses back toward its sender. The table also
 //! holds each query's Bloom filter (cached at insertion, §III-B-2) which
 //! en-route rewriting mutates, and the per-query bookkeeping PDR needs
-//! (remaining requested chunks, best CDI distances already reported).
+//! (remaining requested chunks, best CDI distances already reported). A
+//! chunk query's remaining chunks are a [`BitSet`] sized to the largest id
+//! it names, and never past `MAX_ITEM_CHUNKS`.
 
+use crate::config::MAX_ITEM_CHUNKS;
 use crate::ids::{ChunkId, ItemName, QueryId};
 use crate::message::{QueryKind, QueryMessage};
 use crate::{NodeId, SimTime};
 use pds_bloom::BloomFilter;
-use pds_det::DetMap;
+use pds_det::{BitSet, DetMap};
 use std::collections::VecDeque;
 
 /// Canonical Bloom-filter / dedup key for a chunk of an item (used by MDR
@@ -25,91 +28,6 @@ pub fn chunk_key(item: &ItemName, chunk: ChunkId) -> Vec<u8> {
     k
 }
 
-/// A dense bitset of chunk ids. Chunk ids are small and dense
-/// (`0..total_chunks`), so one bit per chunk replaces a `BTreeSet` node
-/// per chunk — a ~100× shrink for the outstanding-chunk tracking every
-/// directed chunk query carries, which is what the per-node LQT byte
-/// budget counts at city scale.
-#[derive(Debug, Clone, Default)]
-pub struct ChunkSet {
-    words: Vec<u64>,
-    len: u32,
-}
-
-impl ChunkSet {
-    /// Adds a chunk; returns `true` if newly added.
-    pub(crate) fn insert(&mut self, c: ChunkId) -> bool {
-        let (w, b) = (c.0 as usize / 64, c.0 % 64);
-        if self.words.len() <= w {
-            self.words.resize(w + 1, 0);
-        }
-        let Some(word) = self.words.get_mut(w) else {
-            return false;
-        };
-        let mask = 1u64 << b;
-        if *word & mask == 0 {
-            *word |= mask;
-            self.len += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Removes a chunk; returns `true` if it was present.
-    pub(crate) fn remove(&mut self, c: &ChunkId) -> bool {
-        let (w, b) = (c.0 as usize / 64, c.0 % 64);
-        let Some(word) = self.words.get_mut(w) else {
-            return false;
-        };
-        let mask = 1u64 << b;
-        if *word & mask != 0 {
-            *word &= !mask;
-            self.len -= 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Whether a chunk is present.
-    #[must_use]
-    pub(crate) fn contains(&self, c: &ChunkId) -> bool {
-        let (w, b) = (c.0 as usize / 64, c.0 % 64);
-        self.words
-            .get(w)
-            .is_some_and(|word| word & (1u64 << b) != 0)
-    }
-
-    /// Number of chunks present.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> u32 {
-        self.len
-    }
-
-    /// Whether the set is empty.
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Approximate heap footprint in bytes.
-    #[must_use]
-    pub(crate) fn approx_bytes(&self) -> usize {
-        self.words.capacity() * 8
-    }
-}
-
-impl FromIterator<ChunkId> for ChunkSet {
-    fn from_iter<I: IntoIterator<Item = ChunkId>>(iter: I) -> Self {
-        let mut s = ChunkSet::default();
-        for c in iter {
-            s.insert(c);
-        }
-        s
-    }
-}
-
 /// One lingering query and its mutable en-route state.
 #[derive(Debug)]
 pub struct Lingering {
@@ -121,7 +39,7 @@ pub struct Lingering {
     pub bloom: Option<BloomFilter>,
     /// For [`QueryKind::Chunks`]: chunks still owed upstream; relaying a
     /// chunk removes it so later copies are not re-relayed.
-    pub remaining_chunks: ChunkSet,
+    pub remaining_chunks: BitSet,
     /// For [`QueryKind::Cdi`]: best hop count already reported upstream per
     /// chunk; only improvements are forwarded.
     pub reported_cdi: DetMap<ChunkId, u32>,
@@ -172,7 +90,7 @@ impl Lingering {
         size_of::<Self>()
             + bloom
             + query
-            + self.remaining_chunks.approx_bytes()
+            + self.remaining_chunks.heap_bytes()
             + self.reported_cdi.capacity() * (size_of::<ChunkId>() + size_of::<u32>() + 8)
     }
 }
@@ -298,9 +216,16 @@ impl LingeringQueryTable {
                     )
                 })
             });
-        let remaining_chunks: ChunkSet = match &query.kind {
-            QueryKind::Chunks { chunks, .. } => chunks.iter().copied().collect(),
-            _ => ChunkSet::default(),
+        let remaining_chunks = match &query.kind {
+            QueryKind::Chunks { chunks, .. } => {
+                let n = chunks.iter().map(|c| c.0.saturating_add(1)).max();
+                let mut set = BitSet::new(n.unwrap_or(0).min(MAX_ITEM_CHUNKS));
+                for c in chunks {
+                    set.insert(c.0);
+                }
+                set
+            }
+            _ => BitSet::default(),
         };
         let id = query.id;
         self.entries.insert(
@@ -412,7 +337,7 @@ impl LingeringQueryTable {
             .filter(|l| l.unexpired(now) && !l.exhausted)
             .filter(|l| match &l.query.kind {
                 QueryKind::Chunks { item: i, .. } => {
-                    i == item && l.remaining_chunks.contains(&chunk)
+                    i == item && l.remaining_chunks.contains(chunk.0)
                 }
                 QueryKind::MdrChunks { item: i, .. } => i == item && !l.bloom_contains(&key),
                 _ => false,
@@ -544,7 +469,7 @@ mod tests {
         lqt.get_mut(QueryId(1))
             .expect("present")
             .remaining_chunks
-            .remove(&ChunkId(0));
+            .remove(0);
         assert_eq!(lqt.match_chunk(&item, ChunkId(0), t(0.0)).len(), 0);
         assert_eq!(lqt.match_chunk(&item, ChunkId(1), t(0.0)).len(), 1);
         assert_eq!(lqt.match_chunk(&item, ChunkId(9), t(0.0)).len(), 0);
@@ -640,21 +565,6 @@ mod tests {
             lqt.get(QueryId(3)).expect("q3").bloom.is_none(),
             "directed chunk queries dedup via remaining_chunks instead"
         );
-    }
-
-    #[test]
-    fn chunk_set_tracks_membership_like_a_btreeset() {
-        let mut s: ChunkSet = [ChunkId(0), ChunkId(3), ChunkId(130)].into_iter().collect();
-        assert_eq!(s.len(), 3);
-        assert!(s.contains(&ChunkId(0)) && s.contains(&ChunkId(130)));
-        assert!(!s.contains(&ChunkId(1)) && !s.contains(&ChunkId(999)));
-        assert!(s.remove(&ChunkId(3)));
-        assert!(!s.remove(&ChunkId(3)), "double remove is a no-op");
-        assert!(!s.insert(ChunkId(0)), "duplicate insert is a no-op");
-        assert_eq!(s.len(), 2);
-        assert!(!s.is_empty());
-        // 131 chunks fit in three words: the whole set is ~24 heap bytes.
-        assert!(s.approx_bytes() <= 64);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! part of the UDP broadcast header; everything else the paper's message
 //! formats describe (§III-A) is here.
 
+use crate::config::MAX_ITEM_CHUNKS;
 use crate::descriptor::DataDescriptor;
 use crate::ids::{ChunkId, ItemName, QueryId, ResponseId};
 use crate::predicate::QueryFilter;
@@ -136,7 +137,8 @@ pub enum DecodeError {
     BadTag(u8),
     /// An embedded string was not valid UTF-8.
     BadString,
-    /// An embedded descriptor or filter failed to decode.
+    /// An embedded descriptor or filter failed to decode, or a chunk
+    /// query named a chunk id of `MAX_ITEM_CHUNKS` or more.
     BadBody,
     /// Bytes were left over after a complete message. Rejected because a
     /// chunk is kept as a view of its whole message: a tiny chunk with
@@ -150,7 +152,7 @@ impl fmt::Display for DecodeError {
             Self::Truncated => write!(f, "message truncated"),
             Self::BadTag(t) => write!(f, "unknown message tag {t}"),
             Self::BadString => write!(f, "invalid UTF-8 in message"),
-            Self::BadBody => write!(f, "malformed descriptor or filter"),
+            Self::BadBody => write!(f, "malformed descriptor, filter or chunk id"),
             Self::TrailingBytes => write!(f, "trailing bytes after message"),
         }
     }
@@ -445,7 +447,11 @@ impl PdsMessage {
                         if buf.remaining() < n * 4 {
                             return Err(DecodeError::Truncated);
                         }
-                        let chunks = (0..n).map(|_| ChunkId(buf.get_u32_le())).collect();
+                        let chunks: Vec<ChunkId> =
+                            (0..n).map(|_| ChunkId(buf.get_u32_le())).collect();
+                        if chunks.iter().any(|c| c.0 >= MAX_ITEM_CHUNKS) {
+                            return Err(DecodeError::BadBody);
+                        }
                         QueryKind::Chunks { item, chunks }
                     }
                     4 => {

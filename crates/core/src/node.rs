@@ -19,7 +19,7 @@ use crate::engine::{Outgoing, PdsEngine};
 use crate::ids::ChunkId;
 use crate::message::{MessageHeader, PdsMessage};
 use crate::predicate::QueryFilter;
-use crate::sessions::{DiscoveryReport, RetrievalReport};
+use crate::sessions::{DiscoveryReport, RetrievalMode, RetrievalReport};
 use crate::{Application, Context, MessageMeta, SimDuration, SimTime};
 use bytes::Bytes;
 use pds_obs::{Phase, TraceKind};
@@ -390,7 +390,10 @@ impl PdsNode {
             if let Some(session) = engine.retrieval() {
                 let report = session.report();
                 if report.finished_at.is_some() {
-                    let phase = if session.mdr { Phase::Mdr } else { Phase::Pdr };
+                    let phase = match session.mode {
+                        RetrievalMode::Mdr(_) => Phase::Mdr,
+                        RetrievalMode::Pdr => Phase::Pdr,
+                    };
                     self.retrieval_finished = true;
                     ctx.trace(
                         phase,

@@ -2,12 +2,11 @@
 //! collected so far, and the reports the evaluation harness reads.
 
 use crate::descriptor::{DataDescriptor, EntryKey};
-use crate::ids::{ChunkId, ItemName};
+use crate::ids::ItemName;
 use crate::predicate::QueryFilter;
 use crate::rounds::RoundController;
 use crate::{SimDuration, SimTime};
-use pds_det::DetSet;
-use std::collections::BTreeSet;
+use pds_det::{BitSet, DetSet};
 
 /// A running (or finished) metadata / small-data discovery at a consumer.
 #[derive(Debug)]
@@ -88,13 +87,24 @@ pub enum RetrievalPhase {
     Done,
 }
 
+/// Which protocol drives a retrieval.
+#[derive(Debug)]
+pub(crate) enum RetrievalMode {
+    /// Two-phase PDR (§IV): CDI collection, then directed chunk queries.
+    Pdr,
+    /// The MDR baseline (§VI-B-3), paced by its multi-round controller.
+    Mdr(RoundController),
+}
+
 /// A running (or finished) large-item retrieval at a consumer.
 #[derive(Debug)]
 pub struct RetrievalSession {
     pub(crate) item: ItemName,
     pub(crate) descriptor: DataDescriptor,
     pub(crate) total_chunks: u32,
-    pub(crate) received: BTreeSet<ChunkId>,
+    /// Chunk ids received or already held, over `0..total_chunks`: an id
+    /// outside the item never counts toward it.
+    pub(crate) received: BitSet,
     pub(crate) bytes_received: u64,
     pub(crate) phase: RetrievalPhase,
     pub(crate) started_at: SimTime,
@@ -102,8 +112,7 @@ pub struct RetrievalSession {
     pub(crate) last_progress_at: SimTime,
     pub(crate) finished_at: Option<SimTime>,
     pub(crate) recovery_attempts: u32,
-    pub(crate) mdr: bool,
-    pub(crate) controller: Option<RoundController>,
+    pub(crate) mode: RetrievalMode,
     pub(crate) rounds_sent: u32,
     pub(crate) transitions: Vec<(SimTime, RetrievalPhase)>,
 }
@@ -131,11 +140,11 @@ impl RetrievalSession {
     pub fn report(&self) -> RetrievalReport {
         RetrievalReport {
             total_chunks: self.total_chunks,
-            received_chunks: self.received.len() as u32,
+            received_chunks: self.received.len(),
             recall: if self.total_chunks == 0 {
                 1.0
             } else {
-                self.received.len() as f64 / f64::from(self.total_chunks)
+                f64::from(self.received.len()) / f64::from(self.total_chunks)
             },
             bytes_received: self.bytes_received,
             rounds: self.rounds_sent,
@@ -205,9 +214,9 @@ mod tests {
 
     #[test]
     fn retrieval_report_computes_recall() {
-        let mut received = BTreeSet::new();
-        received.insert(ChunkId(0));
-        received.insert(ChunkId(1));
+        let mut received = BitSet::new(8);
+        received.insert(0);
+        received.insert(1);
         let s = RetrievalSession {
             item: ItemName::new("vid"),
             descriptor: DataDescriptor::builder().attr("name", "vid").build(),
@@ -220,8 +229,7 @@ mod tests {
             last_progress_at: t(2.0),
             finished_at: None,
             recovery_attempts: 1,
-            mdr: false,
-            controller: None,
+            mode: RetrievalMode::Pdr,
             rounds_sent: 1,
             transitions: vec![
                 (t(0.0), RetrievalPhase::CdiCollection),
@@ -242,7 +250,7 @@ mod tests {
             item: ItemName::new("empty"),
             descriptor: DataDescriptor::builder().attr("name", "empty").build(),
             total_chunks: 0,
-            received: BTreeSet::new(),
+            received: BitSet::new(0),
             bytes_received: 0,
             phase: RetrievalPhase::Done,
             started_at: t(0.0),
@@ -250,8 +258,7 @@ mod tests {
             last_progress_at: t(0.0),
             finished_at: Some(t(0.0)),
             recovery_attempts: 0,
-            mdr: true,
-            controller: None,
+            mode: RetrievalMode::Mdr(RoundController::new(RoundParams::default(), t(0.0))),
             rounds_sent: 0,
             transitions: vec![(t(0.0), RetrievalPhase::Done)],
         };

@@ -9,7 +9,8 @@
 use bytes::Bytes;
 use pds_core::{
     Application, ChunkId, Context, DataDescriptor, DecodeError, ItemName, MessageMeta, PdsConfig,
-    PdsEngine, PdsMessage, PdsNode, QueryFilter, ResponseId, ResponseKind, ResponseMessage,
+    PdsEngine, PdsMessage, PdsNode, QueryFilter, QueryId, QueryKind, QueryMessage, ResponseId,
+    ResponseKind, ResponseMessage, MAX_ITEM_CHUNKS,
 };
 use pds_obs::{RingSink, TraceKind};
 use pds_sim::{NodeId, Position, SimConfig, SimTime, World};
@@ -354,4 +355,39 @@ fn a_padded_chunk_is_a_decode_error_not_a_stored_chunk() {
     assert_eq!(node.decode_errors(), 1);
     let engine = node.engine().expect("started");
     assert!(!engine.store().has_chunk(&ItemName::new("clip"), ChunkId(0)));
+}
+
+#[test]
+fn a_chunk_query_past_the_item_limit_is_a_decode_error() {
+    let naming = |chunk: u32| {
+        PdsMessage::Query(QueryMessage {
+            id: QueryId(5),
+            kind: QueryKind::Chunks {
+                item: ItemName::new("clip"),
+                chunks: vec![ChunkId(chunk)],
+            },
+            sender: NodeId(1),
+            expires_at: secs(20.0),
+            filter: QueryFilter::match_all(),
+            bloom: None,
+            round: 0,
+            ttl_hops: 0,
+        })
+        .encode()
+    };
+    assert!(PdsMessage::decode(&naming(MAX_ITEM_CHUNKS - 1)).is_ok());
+    // A few dozen bytes that would size a lingering chunk set at 512 MiB.
+    let hostile = naming(u32::MAX);
+    assert!(hostile.len() < 64, "{} bytes", hostile.len());
+    assert_eq!(PdsMessage::decode(&hostile), Err(DecodeError::BadBody));
+    let mut world = World::new(SimConfig::default(), 8);
+    let victim = world.add_node(
+        Position::new(60.0, 0.0),
+        Box::new(PdsNode::new(PdsConfig::default(), 2)),
+    );
+    world.add_node(Position::new(0.0, 0.0), Box::new(Injector(hostile)));
+    world.run_until(secs(5.0));
+    let node = world.app::<PdsNode>(victim).expect("alive");
+    assert_eq!(node.decode_errors(), 1);
+    assert!(node.engine().expect("started").lqt().is_empty());
 }

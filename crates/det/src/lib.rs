@@ -45,6 +45,9 @@
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
+mod bitset;
+pub use bitset::BitSet;
+
 /// Fixed-seed multiply-xor hasher for the small keys used across the
 /// workspace (node/chunk/query ids, grid cells, entry keys).
 ///

@@ -89,15 +89,17 @@ impl TraceSink for RingSink {
 
 /// Serializes every event as one JSON object per line (JSONL).
 ///
-/// I/O errors are counted, not propagated — an emission site inside the
-/// simulation kernel has no useful way to surface a disk error, and
-/// aborting a run over its *diagnostics* would be backwards.
+/// An emission site inside the simulation kernel has no useful way to
+/// surface a disk error, and aborting a run over its *diagnostics* would be
+/// backwards: so the first write or flush error is kept, nothing is written
+/// after it, and the owner reads it back with [`JsonlSink::error`] (through
+/// [`TraceSink::as_any`] on a sink taken back from the simulator) or
+/// [`JsonlSink::finish`].
 pub struct JsonlSink<W: Write + Send + 'static> {
     writer: W,
     /// Reused line buffer: steady-state recording allocates nothing.
     line: String,
-    lines: u64,
-    errors: u64,
+    error: Option<io::Error>,
 }
 
 impl JsonlSink<io::BufWriter<std::fs::File>> {
@@ -118,38 +120,45 @@ impl<W: Write + Send + 'static> JsonlSink<W> {
         Self {
             writer,
             line: String::with_capacity(128),
-            lines: 0,
-            errors: 0,
+            error: None,
         }
     }
 
-    /// Write errors swallowed so far (should stay 0).
+    /// The first I/O error met, after which the trace is incomplete.
     #[must_use]
-    pub fn errors(&self) -> u64 {
-        self.errors
+    pub fn error(&self) -> Option<&io::Error> {
+        self.error.as_ref()
     }
 
     /// Flushes and returns the underlying writer.
-    pub fn into_inner(mut self) -> W {
-        let _ = self.writer.flush();
-        self.writer
+    ///
+    /// # Errors
+    ///
+    /// Returns the first write or flush error: the trace is incomplete.
+    pub fn finish(mut self) -> io::Result<W> {
+        TraceSink::flush(&mut self);
+        match self.error {
+            Some(e) => Err(e),
+            None => Ok(self.writer),
+        }
     }
 }
 
 impl<W: Write + Send + 'static> TraceSink for JsonlSink<W> {
     fn record(&mut self, ev: &TraceEvent) {
+        if self.error.is_some() {
+            return;
+        }
         self.line.clear();
         json::push_json(ev, &mut self.line);
         self.line.push('\n');
-        if self.writer.write_all(self.line.as_bytes()).is_ok() {
-            self.lines += 1;
-        } else {
-            self.errors += 1;
-        }
+        self.error = self.writer.write_all(self.line.as_bytes()).err();
     }
 
     fn flush(&mut self) {
-        let _ = self.writer.flush();
+        if self.error.is_none() {
+            self.error = self.writer.flush().err();
+        }
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -163,9 +172,8 @@ impl<W: Write + Send + 'static> TraceSink for JsonlSink<W> {
 impl<W: Write + Send + 'static> std::fmt::Debug for JsonlSink<W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JsonlSink")
-            .field("lines", &self.lines)
-            .field("errors", &self.errors)
-            .finish()
+            .field("error", &self.error)
+            .finish_non_exhaustive()
     }
 }
 
@@ -211,12 +219,61 @@ mod tests {
         let mut s = JsonlSink::new(Vec::new());
         s.record(&ev(5));
         s.record(&ev(6));
-        assert_eq!(s.lines, 2);
-        assert_eq!(s.errors(), 0);
-        let buf = s.into_inner();
+        assert!(s.error().is_none());
+        let buf = s.finish().expect("written");
         let text = String::from_utf8(buf).expect("utf8");
         assert_eq!(text.lines().count(), 2);
         assert!(text.starts_with('{'));
+    }
+
+    /// Accepts `left` bytes, then fails every write; counts write calls.
+    struct FailAfter {
+        left: usize,
+        calls: u32,
+    }
+
+    impl Write for FailAfter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.left == 0 {
+                return Err(io::Error::other("device full"));
+            }
+            let n = buf.len().min(self.left);
+            self.left -= n;
+            Ok(n)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn jsonl_sink_keeps_the_first_error_and_stops_writing() {
+        let failing = || {
+            let mut s = JsonlSink::new(FailAfter {
+                left: 100,
+                calls: 0,
+            });
+            for i in 0..10 {
+                s.record(&ev(i));
+            }
+            s
+        };
+        let mut s = failing();
+        assert_eq!(
+            s.error().map(io::Error::kind),
+            Some(io::ErrorKind::Other),
+            "a short write is an error"
+        );
+        let calls = s.writer.calls;
+        s.record(&ev(11));
+        TraceSink::flush(&mut s);
+        assert_eq!(s.writer.calls, calls, "nothing is written after it");
+        assert!(s.finish().is_err());
+        // What a caller holding the simulator's boxed sink sees.
+        let boxed: Box<dyn TraceSink> = Box::new(failing());
+        let jsonl = boxed.as_any().downcast_ref::<JsonlSink<FailAfter>>();
+        assert!(jsonl.and_then(JsonlSink::error).is_some());
     }
 
     #[test]

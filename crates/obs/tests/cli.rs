@@ -16,7 +16,7 @@ fn write_trace(name: &str, events: &[TraceEvent]) -> PathBuf {
     for ev in events {
         sink.record(ev);
     }
-    drop(sink.into_inner());
+    sink.finish().expect("trace written");
     path
 }
 

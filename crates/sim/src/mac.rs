@@ -259,8 +259,9 @@ pub(crate) fn contend(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{FragSet, FrameKind, MessageId};
+    use crate::transport::{FrameKind, MessageId};
     use pds_core::NodeId;
+    use pds_det::BitSet;
 
     fn frame(seq: u64, wire_bytes: usize) -> Frame {
         Frame {
@@ -272,7 +273,7 @@ mod tests {
                     origin: NodeId(0),
                     seq,
                 },
-                received: FragSet::new(1),
+                received: BitSet::new(1),
             },
         }
     }

@@ -349,7 +349,8 @@ pub(crate) fn phys_verdicts(
 mod tests {
     use super::*;
     use crate::config::SimConfig;
-    use crate::transport::{FragSet, FrameKind, MessageId};
+    use crate::transport::{FrameKind, MessageId};
+    use pds_det::BitSet;
 
     #[test]
     fn distance_is_euclidean() {
@@ -383,38 +384,6 @@ mod tests {
     }
 
     #[test]
-    fn fragset_counts_and_completes() {
-        let mut s = FragSet::new(130);
-        assert!(!s.is_complete(130));
-        for i in 0..130 {
-            assert!(s.set(i), "index {i} should be new");
-        }
-        assert!(!s.set(5));
-        assert!(s.is_complete(130));
-        assert_eq!(s.len(), 130);
-        assert_eq!(s.iter_missing(130).count(), 0);
-    }
-
-    #[test]
-    fn fragset_merge_unions() {
-        let mut a = FragSet::new(10);
-        a.set(1);
-        let mut b = FragSet::new(10);
-        b.set(2);
-        b.set(1);
-        a.merge(&b);
-        assert!(a.contains(1) && a.contains(2));
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.iter_missing(10).count(), 8);
-    }
-
-    #[test]
-    fn fragset_full_is_complete() {
-        assert!(FragSet::full(65).is_complete(65));
-        assert_eq!(FragSet::full(65).byte_len(), 16);
-    }
-
-    #[test]
     fn transmission_overlap_rules() {
         let tx = Transmission {
             id: 1,
@@ -431,7 +400,7 @@ mod tests {
                         origin: NodeId(0),
                         seq: 0,
                     },
-                    received: FragSet::new(1),
+                    received: BitSet::new(1),
                 },
             },
         };
@@ -523,7 +492,7 @@ mod tests {
                         origin: sender,
                         seq: 0,
                     },
-                    received: FragSet::new(1),
+                    received: BitSet::new(1),
                 },
             };
             self.medium.begin(sender, pos, start, end, frame)

@@ -1,7 +1,9 @@
 //! Application-level reliable transport: fragmentation, reassembly,
 //! selective acknowledgements and retransmission (§V-1 of the paper),
-//! and the wire format that carries them: [`Frame`], [`FrameKind`] and the
-//! [`FragSet`] ack bitmap.
+//! and the wire format that carries them: [`Frame`] and [`FrameKind`]. One
+//! [`BitSet`] per message, sized to its fragment count when the first
+//! fragment arrives, serves both reassembly and the selective-ack bitmap;
+//! a fragment index past that count is never set.
 //!
 //! Messages whose intended-receiver list is non-empty are tracked: every
 //! intended receiver acknowledges with a fragment bitmap, and the sender
@@ -29,7 +31,7 @@ use bytes::Bytes;
 use pds_core::MessageHandle;
 use pds_core::NodeId;
 use pds_core::{SimDuration, SimTime};
-use pds_det::DetMap;
+use pds_det::{BitSet, DetMap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -60,104 +62,6 @@ impl fmt::Display for MessageId {
 }
 
 // ---- wire format ----------------------------------------------------------
-
-/// Bit set over fragment indices, used in selective acks.
-///
-/// The first 64 bits live inline: messages rarely fragment past 64
-/// pieces, and the receive path creates one of these per message, so the
-/// common case must not allocate.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub(crate) struct FragSet {
-    word0: u64,
-    spill: Vec<u64>,
-    count: u32,
-}
-
-impl FragSet {
-    pub(crate) fn new(frag_count: u32) -> Self {
-        let words = (frag_count as usize).div_ceil(64).max(1);
-        Self {
-            word0: 0,
-            spill: vec![0; words - 1],
-            count: 0,
-        }
-    }
-
-    /// Sets a bit; returns true if newly set. An index past the size the
-    /// set was built for is never set.
-    pub(crate) fn set(&mut self, idx: u32) -> bool {
-        let (w, b) = (idx as usize / 64, idx % 64);
-        let mask = 1u64 << b;
-        let word = if w == 0 {
-            Some(&mut self.word0)
-        } else {
-            self.spill.get_mut(w - 1)
-        };
-        match word {
-            Some(word) if *word & mask == 0 => {
-                *word |= mask;
-                self.count += 1;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    pub(crate) fn contains(&self, idx: u32) -> bool {
-        let (w, b) = (idx as usize / 64, idx % 64);
-        let word = if w == 0 {
-            Some(self.word0)
-        } else {
-            self.spill.get(w - 1).copied()
-        };
-        word.is_some_and(|word| word & (1u64 << b) != 0)
-    }
-
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> u32 {
-        self.count
-    }
-
-    pub(crate) fn is_complete(&self, frag_count: u32) -> bool {
-        self.count >= frag_count
-    }
-
-    /// A set with every fragment bit up to `frag_count` present. The
-    /// delivered-message tombstones rebuild their (complete) ack bitmap
-    /// with this instead of retaining one per message; the wire size
-    /// (`byte_len`) depends only on `frag_count`, so the rebuilt ack frame
-    /// is byte-identical to the retained one.
-    pub(crate) fn full(frag_count: u32) -> Self {
-        let mut s = Self::new(frag_count);
-        for i in 0..frag_count {
-            s.set(i);
-        }
-        s
-    }
-
-    /// Merges another set into this one (bitwise or).
-    pub(crate) fn merge(&mut self, other: &FragSet) {
-        if other.spill.len() > self.spill.len() {
-            self.spill.resize(other.spill.len(), 0);
-        }
-        self.word0 |= other.word0;
-        for (w, o) in self.spill.iter_mut().zip(other.spill.iter()) {
-            *w |= *o;
-        }
-        self.count =
-            self.word0.count_ones() + self.spill.iter().map(|w| w.count_ones()).sum::<u32>();
-    }
-
-    /// Wire size of the bitmap in bytes.
-    pub(crate) fn byte_len(&self) -> usize {
-        (1 + self.spill.len()) * 8
-    }
-
-    #[cfg(test)]
-    pub(crate) fn iter_missing(&self, frag_count: u32) -> impl Iterator<Item = u32> + '_ {
-        (0..frag_count).filter(move |&i| !self.contains(i))
-    }
-}
 
 /// A frame on the air: the unit of transmission, ≤ `MAX_FRAME_BYTES`.
 #[derive(Debug, Clone)]
@@ -203,7 +107,7 @@ pub(crate) enum FrameKind {
         msg_wire_bytes: u32,
     },
     /// Selective acknowledgement of the fragments of `msg` received so far.
-    Ack { msg: MessageId, received: FragSet },
+    Ack { msg: MessageId, received: BitSet },
 }
 
 // ---- per-node state -------------------------------------------------------
@@ -219,7 +123,7 @@ struct Outgoing {
     /// Traffic class carried by every frame of this message, including
     /// retransmissions (see [`pds_obs::class`]).
     class: u8,
-    acked: DetMap<NodeId, FragSet>,
+    acked: DetMap<NodeId, BitSet>,
     /// 0 = initial transmission, 1..=max_retr are retransmissions.
     attempt: u32,
     /// Frames of the current attempt not yet off the radio (or dropped).
@@ -233,11 +137,9 @@ struct Outgoing {
 
 impl Outgoing {
     fn fully_acked(&self) -> bool {
-        self.intended.iter().all(|r| {
-            self.acked
-                .get(r)
-                .is_some_and(|s| s.is_complete(self.frag_count))
-        })
+        self.intended
+            .iter()
+            .all(|r| self.acked.get(r).is_some_and(BitSet::is_full))
     }
 
     /// Fragments still missing at any intended receiver, each with the
@@ -278,7 +180,7 @@ enum Incoming {
     Assembling(Box<Assembling>),
     /// Delivered. Everything duplicate suppression and re-acking need —
     /// and nothing else. The complete ack bitmap is rebuilt on demand
-    /// from `frag_count` ([`FragSet::full`]), byte-identical on the wire.
+    /// from `frag_count` ([`BitSet::full`]), byte-identical on the wire.
     Done {
         frag_count: u32,
         intended_me: bool,
@@ -294,7 +196,7 @@ struct Assembling {
     /// arrived in `received`; their bytes are already here, so delivery is
     /// a refcount bump, never a copy.
     payload: Bytes,
-    received: FragSet,
+    received: BitSet,
     frag_count: u32,
     from: NodeId,
     intended: Arc<[NodeId]>,
@@ -419,7 +321,7 @@ impl Transport {
         if cfg.ack.enabled && !intended.is_empty() {
             let acked = intended
                 .iter()
-                .map(|&r| (r, FragSet::new(frag_count)))
+                .map(|&r| (r, BitSet::new(frag_count)))
                 .collect();
             self.outgoing.insert(
                 msg,
@@ -468,7 +370,7 @@ impl Transport {
         let entry = self.incoming.entry(msg).or_insert_with(|| {
             Incoming::Assembling(Box::new(Assembling {
                 payload: payload.clone(),
-                received: FragSet::new(frag_count),
+                received: BitSet::new(frag_count),
                 frag_count,
                 from,
                 intended: Arc::clone(intended),
@@ -494,21 +396,18 @@ impl Transport {
                 if intended.contains(&me) {
                     asm.intended_me = true;
                 }
-                if frag < asm.frag_count {
-                    asm.received.set(frag);
-                    if asm.received.is_complete(asm.frag_count) {
-                        deliver = Some(DeliverPlan {
-                            from,
-                            intended: asm.intended.to_vec(),
-                            overheard: !asm.intended_me,
-                            wire_bytes: asm.msg_wire_bytes as usize,
-                            // Zero-copy: every fragment carried the same
-                            // shared message payload; delivery hands it over.
-                            payload: asm.payload.clone(),
-                        });
-                    }
+                if asm.received.insert(frag) && asm.received.is_full() {
+                    deliver = Some(DeliverPlan {
+                        from,
+                        intended: asm.intended.to_vec(),
+                        overheard: !asm.intended_me,
+                        wire_bytes: asm.msg_wire_bytes as usize,
+                        // Zero-copy: every fragment carried the same
+                        // shared message payload; delivery hands it over.
+                        payload: asm.payload.clone(),
+                    });
                 }
-                let complete = asm.received.is_complete(asm.frag_count);
+                let complete = asm.received.is_full();
                 ack_after = if ack.enabled && asm.intended_me && !asm.ack_timer_pending {
                     asm.ack_timer_pending = true;
                     // Complete messages ack promptly (short jitter applied
@@ -570,7 +469,7 @@ impl Transport {
         me: NodeId,
         msg: MessageId,
         receiver: NodeId,
-        bitmap: &FragSet,
+        bitmap: &BitSet,
     ) -> Received {
         if msg.origin != me {
             return Received::Nothing;
@@ -579,7 +478,7 @@ impl Transport {
             return Received::Nothing;
         };
         if let Some(set) = out.acked.get_mut(&receiver) {
-            set.merge(bitmap);
+            set.union_with(bitmap);
         }
         if !out.fully_acked() {
             return Received::Nothing;
@@ -605,7 +504,7 @@ impl Transport {
                 // The tombstone dropped its bitmap at delivery; a delivered
                 // message's bitmap is complete by definition, and the wire
                 // size depends only on the fragment count.
-                FragSet::full(*frag_count)
+                BitSet::full(*frag_count)
             }
         };
         let wire = ACK_HEADER_BASE + received.byte_len();

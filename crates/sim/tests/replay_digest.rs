@@ -89,7 +89,16 @@ fn run_plan(rebucket_ms: u64, seed: u64, traced: bool, plan: Option<FaultPlan>) 
         // mismatch offline.
         jsonl_sink_from_env(rebucket_ms, seed)
     };
-    let (digest, stats, _) = run_sinked(rebucket_ms, seed, sink, plan);
+    let (digest, stats, sink) = run_sinked(rebucket_ms, seed, sink, plan);
+    let jsonl = sink.as_deref().and_then(|s| {
+        s.as_any()
+            .downcast_ref::<pds_sim::obs::JsonlSink<std::io::BufWriter<std::fs::File>>>()
+    });
+    if let Some(e) = jsonl.and_then(pds_sim::obs::JsonlSink::error) {
+        eprintln!(
+            "PDS_TRACE_DIR: trace of rebucket {rebucket_ms} ms, seed {seed} is incomplete: {e}"
+        );
+    }
     (digest, stats)
 }
 

@@ -24,8 +24,9 @@ use bytes::Bytes;
 use pds::core::{ChunkId, DataDescriptor, PdsConfig, PdsNode, QueryFilter};
 use pds::obs::{read_trace_file, render_critical_path, render_sessions, render_summary, JsonlSink};
 use pds::sim::{Position, SimConfig, SimTime, World};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let trace_path = std::env::args()
         .nth(1)
         .map(std::path::PathBuf::from)
@@ -69,7 +70,16 @@ fn main() {
         });
     });
     world.run_until(SimTime::from_secs_f64(30.0));
-    drop(world.take_trace_sink()); // flush the JSONL file
+    // Flush the JSONL file; a trace cut short by an I/O error is no trace.
+    let sink = world.take_trace_sink().expect("sink installed");
+    let written = sink
+        .as_any()
+        .downcast_ref::<JsonlSink<std::io::BufWriter<std::fs::File>>>()
+        .and_then(JsonlSink::error);
+    if let Some(e) = written {
+        eprintln!("trace {} is incomplete: {e}", trace_path.display());
+        return ExitCode::FAILURE;
+    }
 
     // -- 2. Read it back ---------------------------------------------------
     let events = read_trace_file(&trace_path).expect("parse trace");
@@ -99,6 +109,7 @@ fn main() {
         "inspect the full trace with: pds-obs summary {}",
         trace_path.display()
     );
+    ExitCode::SUCCESS
 }
 
 fn video(total: u32) -> DataDescriptor {

@@ -1,0 +1,126 @@
+#!/usr/bin/env bash
+# A/B comparison of the protocol benchmark: a base revision against the
+# current checkout.
+#
+#   scripts/ab.sh <base-rev> [--workload W] [--pairs N] [--seed S]
+#
+# Exports <base-rev> with `git archive` into a temporary directory (no
+# worktree entry is left in .git if the run is cut short), builds both
+# benchmark binaries offline, then runs N pairs (default 5) of
+# `benchmark/run.sh --workload W --seed S --trace 0` per workload (default:
+# all four of BENCHMARK.json, seed 11), alternating which side runs first.
+#
+# For every end-to-end metric of BENCHMARK.json it prints both medians, the
+# base's interquartile range (Python's `statistics.quantiles` exclusive
+# method), the change's win count (ties count for neither side) and a
+# verdict:
+#   - `sim_latency_iqm_s`, `recall`, `overhead_mb`, `finished_share` are
+#     exact: any difference in any pair fails;
+#   - the others fail when the change's median is worse than the base's by
+#     more than the metric's `bound`, and read `unresolved` when the base's
+#     own IQR is wider than that bound;
+#   - the share of failed operations fails if it grows.
+# Exits 1 if any verdict fails. Needs git, cargo, jq, awk.
+set -euo pipefail
+
+usage() {
+  echo "usage: $0 <base-rev> [--workload W] [--pairs N] [--seed S]" >&2
+  exit 2
+}
+
+[ $# -ge 1 ] || usage
+base_rev=$1
+shift
+workloads=""
+pairs=5
+seed=11
+while [ $# -gt 0 ]; do
+  case $1 in
+    --workload) workloads=${2:?}; shift 2 ;;
+    --pairs) pairs=${2:?}; shift 2 ;;
+    --seed) seed=${2:?}; shift 2 ;;
+    *) usage ;;
+  esac
+done
+
+root=$(git rev-parse --show-toplevel)
+cd "$root"
+[ -n "$workloads" ] || workloads=$(jq -r '.workloads[].name' BENCHMARK.json)
+base_sha=$(git rev-parse --short "$base_rev^{commit}")
+
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+mkdir -p "$tmp/base" "$tmp/runs"
+git archive "$base_sha" | tar -x -C "$tmp/base"
+
+echo "building base $base_sha and the checkout (offline)" >&2
+for dir in "$tmp/base" "$root"; do
+  cargo build --release --offline --quiet --manifest-path "$dir/benchmark/Cargo.toml"
+done
+
+# run <side> <dir> <workload> <pair>: one end-to-end run; keeps its result
+# object (the last line of output).
+run() {
+  local out="$tmp/runs/$3.$1.$4.json"
+  (cd "$2" && benchmark/run.sh --workload "$3" --seed "$seed" --trace 0) | tail -n 1 > "$out" \
+    || echo "# $1 run $4 of $3 exited non-zero" >&2
+  jq -e .metrics "$out" > /dev/null || { echo "no result object in $out" >&2; exit 1; }
+}
+
+for w in $workloads; do
+  for ((i = 1; i <= pairs; i++)); do
+    echo "$w: pair $i/$pairs" >&2
+    if ((i % 2)); then
+      run base "$tmp/base" "$w" "$i"
+      run change "$root" "$w" "$i"
+    else
+      run change "$root" "$w" "$i"
+      run base "$tmp/base" "$w" "$i"
+    fi
+  done
+done
+
+# shellcheck disable=SC2016 # jq program, not shell expansion
+report='
+def q($k): sort as $d | ($d | length) as $n | ($n + 1) as $m
+  | (($k * $m / 4) | floor | if . < 1 then 1 elif . > $n - 1 then $n - 1 else . end) as $j
+  | ($k * $m - $j * 4) as $delta
+  | if $n == 1 then $d[0] else ($d[$j - 1] * (4 - $delta) + $d[$j] * $delta) / 4 end;
+def exact: IN("sim_latency_iqm_s", "recall", "overhead_mb", "finished_share");
+def fmt: if . == null then "-" else (. * 10000 | round / 10000 | tostring) end;
+($bench[0].end_to_end) as $metrics
+| [$metrics[] | . as $m
+  | [$base[] | .metrics[$m.name].value] as $b
+  | [$change[] | .metrics[$m.name].value] as $c
+  | ($b | q(2)) as $bm | ($c | q(2)) as $cm
+  | (($b | q(3)) - ($b | q(1))) as $iqr
+  | ([range($b | length)] | map(select(
+        if $m.better == "lower" then $c[.] < $b[.] else $c[.] > $b[.] end)) | length) as $wins
+  | (if $bm == 0 then 0 else ($cm - $bm) / $bm end) as $rel
+  | (if $m.better == "lower" then $rel else -$rel end) as $worse
+  | (if ($m.name | exact) then
+       (if $b == $c and ($b | unique | length) == 1 then "ok (identical)" else "FAIL (differs)" end)
+     elif $worse > $m.bound then "FAIL (worse by \($worse * 1000 | round / 10)% > \($m.bound * 100)%)"
+     elif $bm != 0 and $iqr / $bm > $m.bound then "unresolved (base IQR \($iqr / $bm * 1000 | round / 10)%)"
+     else "ok (\($rel * 1000 | round / 10)%)" end) as $verdict
+  | [$m.name, ($bm | fmt), ($cm | fmt), ($iqr | fmt), "\($wins)/\($b | length)", $verdict]]
+| ([$base[] | .failed] | add) as $bf | ([$base[] | .attempted] | add) as $ba
+| ([$change[] | .failed] | add) as $cf | ([$change[] | .attempted] | add) as $ca
+| . + [["failed ops", "\($bf)/\($ba)", "\($cf)/\($ca)", "-", "-",
+        (if $cf * $ba > $bf * $ca then "FAIL (grows)" else "ok" end)]]
+| (["metric", "base_median", "change_median", "base_iqr", "wins", "verdict"], .[])
+| @tsv'
+
+status=0
+for w in $workloads; do
+  echo
+  echo "== $w: $pairs pairs, seed $seed, base $base_sha vs checkout"
+  table=$(jq -rn --slurpfile bench BENCHMARK.json \
+    --slurpfile base <(cat "$tmp/runs/$w.base."*.json) \
+    --slurpfile change <(cat "$tmp/runs/$w.change."*.json) "$report")
+  awk -F '\t' '{ printf "%-18s %-12s %-14s %-10s %-6s %s\n", $1, $2, $3, $4, $5, $6 }' <<< "$table"
+  grep -q FAIL <<< "$table" && status=1
+done
+echo
+if ((status)); then echo "ab: regression found"; else echo "ab: no regression"; fi
+exit $status

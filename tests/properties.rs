@@ -4,9 +4,9 @@
 
 use pds_bloom::{BloomFilter, BloomParams};
 use pds_core::{
-    min_max_assign, AssignStrategy, AttrRef, AttrValue, ChunkId, DataDescriptor, NodeId,
-    PdsMessage, Predicate, QueryFilter, QueryId, QueryKind, QueryMessage, Relation, ResponseId,
-    ResponseKind, ResponseMessage,
+    min_max_assign, AssignStrategy, AttrRef, AttrValue, ChunkId, DataDescriptor, DecodeError,
+    NodeId, PdsMessage, Predicate, QueryFilter, QueryId, QueryKind, QueryMessage, Relation,
+    ResponseId, ResponseKind, ResponseMessage, MAX_ITEM_CHUNKS,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -34,9 +34,15 @@ fn attr_name() -> impl Strategy<Value = String> {
     ]
 }
 
-/// Any value, or a small non-negative integer (a valid chunk count or id).
+/// Any value, a small non-negative integer (a valid chunk count or id), or
+/// a count on either side of `MAX_ITEM_CHUNKS`.
 fn attr_value_or_count() -> impl Strategy<Value = AttrValue> {
-    prop_oneof![attr_value(), (0i64..100).prop_map(AttrValue::Int)]
+    let limit = i64::from(MAX_ITEM_CHUNKS);
+    prop_oneof![
+        attr_value(),
+        (0i64..100).prop_map(AttrValue::Int),
+        (limit - 4..limit + 4).prop_map(AttrValue::Int),
+    ]
 }
 
 fn descriptor() -> impl Strategy<Value = DataDescriptor> {
@@ -165,7 +171,10 @@ proptest! {
                 _ => None,
             };
             prop_assert_eq!(desc.name(), name);
-            prop_assert_eq!(desc.total_chunks(), int("total_chunks"));
+            // An item has at most `MAX_ITEM_CHUNKS` chunks; a larger count
+            // reads as absent.
+            let total = int("total_chunks").filter(|&n| n <= MAX_ITEM_CHUNKS);
+            prop_assert_eq!(desc.total_chunks(), total);
             prop_assert_eq!(desc.chunk_id(), int("chunk_id").map(ChunkId));
         }
     }
@@ -214,9 +223,19 @@ proptest! {
         round in 0u32..16,
         f in filter(),
         bloom in proptest::option::of(proptest::collection::vec(any::<u8>(), 0..64)),
-        chunks in proptest::collection::vec(any::<u32>(), 0..16),
+        chunks in proptest::collection::vec(0..MAX_ITEM_CHUNKS, 0..16),
+        past_limit in proptest::option::of((MAX_ITEM_CHUNKS..u32::MAX, any::<usize>())),
         kind_sel in 0u8..5,
     ) {
+        let mut chunks = chunks;
+        // One chunk id past the item limit makes a chunk query undecodable.
+        let hostile = match (kind_sel, past_limit) {
+            (3, Some((id, at))) => {
+                chunks.insert(at % (chunks.len() + 1), id);
+                true
+            }
+            _ => false,
+        };
         let kind = match kind_sel {
             0 => QueryKind::Metadata,
             1 => QueryKind::SmallData,
@@ -240,8 +259,12 @@ proptest! {
             ttl_hops: 0,
         };
         let m = PdsMessage::Query(q);
-        let back = PdsMessage::decode(&m.encode()).expect("decodes");
-        prop_assert_eq!(back, m);
+        if hostile {
+            prop_assert_eq!(PdsMessage::decode(&m.encode()), Err(DecodeError::BadBody));
+        } else {
+            let back = PdsMessage::decode(&m.encode()).expect("decodes");
+            prop_assert_eq!(back, m);
+        }
     }
 
     #[test]
