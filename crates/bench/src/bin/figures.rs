@@ -46,7 +46,7 @@ fn main() {
             .and_then(|s| s.parse().ok())
             .unwrap_or_else(|| usage("--jobs needs a number"));
         args.remove(i);
-        pds_bench::sweep::set_jobs(n);
+        config.jobs = n;
     }
     if let Some(i) = args.iter().position(|a| a == "--out") {
         args.remove(i);

@@ -99,7 +99,7 @@ pub(crate) fn ablations(cfg: &RunConfig) -> Vec<Table> {
             },
         ),
     ];
-    let grid = run_grid(&variants, &cfg.seeds, |(_, pds), seed| {
+    let grid = run_grid(cfg, &variants, |(_, pds), seed| {
         discovery_with(pds.clone(), entries, redundancy, seed)
     });
     for ((label, _), runs) in variants.iter().zip(&grid) {
@@ -124,7 +124,7 @@ pub(crate) fn ablations(cfg: &RunConfig) -> Vec<Table> {
         ("min-max heuristic (paper)", AssignStrategy::MinMax),
         ("greedy least-hop", AssignStrategy::Greedy),
     ];
-    let grid = run_grid(&assigns, &cfg.seeds, |&(_, assign), seed| {
+    let grid = run_grid(cfg, &assigns, |&(_, assign), seed| {
         let pds = PdsConfig {
             assign,
             ..PdsConfig::default()
@@ -182,7 +182,7 @@ pub fn energy(cfg: &RunConfig) -> Vec<Table> {
         (acc.0 / n, acc.1 / n, acc.2 / n)
     };
     // Discovery.
-    let runs = run_seeds(&cfg.seeds, |seed| {
+    let runs = run_seeds(cfg, |seed| {
         let sc = GridScenario::paper_default(seed);
         let wl = Workload::new(sc.node_count()).with_metadata(entries, 1, seed);
         let mut built = sc.build(&wl);
@@ -196,7 +196,7 @@ pub fn energy(cfg: &RunConfig) -> Vec<Table> {
     });
     row(&format!("PDD ({entries} entries)"), fold(runs));
     // Retrieval.
-    let runs = run_seeds(&cfg.seeds, |seed| {
+    let runs = run_seeds(cfg, |seed| {
         let sc = GridScenario::paper_default(seed);
         let center = grid::center_index(10, 10);
         let wl = Workload::new(sc.node_count()).with_chunked_item(

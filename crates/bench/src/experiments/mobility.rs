@@ -68,7 +68,7 @@ pub(crate) fn fig09_10_mobility_pdd(cfg: &RunConfig) -> Vec<Table> {
         .iter()
         .flat_map(|&(_, params)| multipliers.iter().map(move |&m| (params, m)))
         .collect();
-    let grid = run_grid(&points, &cfg.seeds, |&(params, m), seed| {
+    let grid = run_grid(cfg, &points, |&(params, m), seed| {
         pdd_mobility_run(params, m, entries, seed)
     });
     let mut grid = grid.into_iter();
@@ -110,7 +110,7 @@ pub(crate) fn fig12_mobility_pdr(cfg: &RunConfig) -> Vec<Table> {
         ),
         &["multiplier", "recall", "latency_s", "overhead_mb"],
     );
-    let grid = run_grid(multipliers, &cfg.seeds, |&m, seed| {
+    let grid = run_grid(cfg, multipliers, |&m, seed| {
         let sc = scenario(params, m, 600, seed);
         // Chunks seeded on initial people, never on the consumer
         // (index 0).

@@ -30,6 +30,9 @@ pub struct RunConfig {
     /// Reduced problem sizes for quick runs (`figures --quick`, smoke
     /// tests). Full size reproduces the paper's parameters.
     pub quick: bool,
+    /// Sweep workers (`figures --jobs N`); every table is identical
+    /// whatever the count (see [`crate::sweep`]).
+    pub jobs: usize,
 }
 
 impl RunConfig {
@@ -39,6 +42,7 @@ impl RunConfig {
         Self {
             seeds: vec![11, 22, 33, 44, 55],
             quick: false,
+            jobs: available_jobs(),
         }
     }
 
@@ -48,8 +52,14 @@ impl RunConfig {
         Self {
             seeds: vec![11],
             quick: true,
+            jobs: available_jobs(),
         }
     }
+}
+
+/// One sweep worker per available core (1 if that cannot be determined).
+fn available_jobs() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// An experiment: its CLI name and runner.

@@ -71,7 +71,7 @@ pub fn saturation(cfg: &RunConfig) -> Vec<Table> {
         .iter()
         .flat_map(|&amount| [1usize, 2].into_iter().map(move |r| (amount, r)))
         .collect();
-    let grid = run_grid(&points, &cfg.seeds, |&(amount, redundancy), seed| {
+    let grid = run_grid(cfg, &points, |&(amount, redundancy), seed| {
         discovery_run(
             10,
             10,
@@ -101,7 +101,7 @@ pub fn saturation(cfg: &RunConfig) -> Vec<Table> {
         &["entries", "recall", "latency_s", "overhead_mb"],
     );
     let entries = if cfg.quick { 2_000 } else { 5_000 };
-    let runs = run_seeds(&cfg.seeds, |seed| {
+    let runs = run_seeds(cfg, |seed| {
         discovery_run(
             10,
             10,
@@ -135,7 +135,7 @@ pub(crate) fn fig04_hops(cfg: &RunConfig) -> Vec<Table> {
         "Fig. 4 — single-round PDD vs max hop count (50 entries/node)",
         &["grid", "max_hops", "recall", "latency_s", "overhead_mb"],
     );
-    let grid = run_grid(sizes, &cfg.seeds, |&n, seed| {
+    let grid = run_grid(cfg, sizes, |&n, seed| {
         discovery_run(
             n,
             n,
@@ -186,7 +186,7 @@ pub(crate) fn fig05_rounds(cfg: &RunConfig) -> Vec<Table> {
         .iter()
         .flat_map(|&w| tds.iter().map(move |&td| (w, td)))
         .collect();
-    let grid = run_grid(&points, &cfg.seeds, |&(window, td), seed| {
+    let grid = run_grid(cfg, &points, |&(window, td), seed| {
         let pds = PdsConfig {
             rounds: RoundParams {
                 t_window: SimDuration::from_millis(window),
@@ -237,7 +237,7 @@ pub(crate) fn fig06_amount(cfg: &RunConfig) -> Vec<Table> {
         "Fig. 6 — multi-round PDD vs metadata amount",
         &["entries", "recall", "latency_s", "overhead_mb", "rounds"],
     );
-    let grid = run_grid(amounts, &cfg.seeds, |&amount, seed| {
+    let grid = run_grid(cfg, amounts, |&amount, seed| {
         discovery_run(
             10,
             10,
@@ -274,7 +274,7 @@ pub(crate) fn fig07_sequential(cfg: &RunConfig) -> Vec<Table> {
     // Sequential runs yield one metric per consumer per seed. The unit of
     // parallelism is the seed: consumers within one world stay strictly
     // serial (the whole point of Fig. 7 is caching from earlier consumers).
-    let per_seed: Vec<Vec<RunMetrics>> = run_seeds(&cfg.seeds, |seed| {
+    let per_seed: Vec<Vec<RunMetrics>> = run_seeds(cfg, |seed| {
         let sc = GridScenario::paper_default(seed);
         let wl = Workload::new(sc.node_count()).with_metadata(entries, 1, seed);
         let mut built = sc.build(&wl);
@@ -316,7 +316,7 @@ pub(crate) fn fig08_simultaneous(cfg: &RunConfig) -> Vec<Table> {
         &["consumers", "recall", "mean_latency_s", "overhead_mb"],
     );
     let ks: Vec<usize> = (1..=5).collect();
-    let grid = run_grid(&ks, &cfg.seeds, |&k, seed| {
+    let grid = run_grid(cfg, &ks, |&k, seed| {
         let sc = GridScenario::paper_default(seed);
         let wl = Workload::new(sc.node_count()).with_metadata(entries, 1, seed);
         let mut built = sc.build(&wl);

@@ -50,7 +50,7 @@ pub(crate) fn fig11_item_size(cfg: &RunConfig) -> Vec<Table> {
             "other_mb",
         ],
     );
-    let grid = run_grid(sizes_mb, &cfg.seeds, |&mb, seed| {
+    let grid = run_grid(cfg, sizes_mb, |&mb, seed| {
         retrieval_run(mb * 1_000_000, 1, false, seed)
     });
     for (&mb, runs) in sizes_mb.iter().zip(&grid) {
@@ -89,7 +89,7 @@ pub(crate) fn fig13_14_redundancy(cfg: &RunConfig) -> Vec<Table> {
         .iter()
         .flat_map(|&r| [(r, false), (r, true)])
         .collect();
-    let grid = run_grid(&points, &cfg.seeds, |&(r, mdr), seed| {
+    let grid = run_grid(cfg, &points, |&(r, mdr), seed| {
         retrieval_run(size, r, mdr, seed)
     });
     let mut grid = grid.into_iter();
@@ -123,7 +123,7 @@ pub(crate) fn fig15_sequential(cfg: &RunConfig) -> Vec<Table> {
     );
     // Seeds run in parallel; consumers within one world stay serial (the
     // figure measures caching left behind by earlier retrievals).
-    let per_seed: Vec<Vec<RunMetrics>> = run_seeds(&cfg.seeds, |seed| {
+    let per_seed: Vec<Vec<RunMetrics>> = run_seeds(cfg, |seed| {
         let sc = GridScenario::paper_default(seed);
         let center = grid::center_index(10, 10);
         let wl =
@@ -168,7 +168,7 @@ pub(crate) fn fig16_simultaneous(cfg: &RunConfig) -> Vec<Table> {
         &["consumers", "recall", "mean_latency_s", "overhead_mb"],
     );
     let ks: Vec<usize> = (1..=max_consumers).collect();
-    let grid = run_grid(&ks, &cfg.seeds, |&k, seed| {
+    let grid = run_grid(cfg, &ks, |&k, seed| {
         let sc = GridScenario::paper_default(seed);
         let center = grid::center_index(10, 10);
         let wl =

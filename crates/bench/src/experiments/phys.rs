@@ -147,7 +147,7 @@ pub(crate) fn fig03_single_hop(cfg: &RunConfig) -> Vec<Table> {
     let points: Vec<(usize, &SimConfig)> = (1..=4usize)
         .flat_map(|senders| modes.iter().map(move |(_, c)| (senders, c)))
         .collect();
-    let grid = run_grid(&points, &cfg.seeds, |&(senders, config), seed| {
+    let grid = run_grid(cfg, &points, |&(senders, config), seed| {
         single_hop_run(config.clone(), senders, count, seed)
     });
     let mut grid = grid.into_iter();
@@ -180,7 +180,7 @@ pub(crate) fn leaky_sweep(cfg: &RunConfig) -> Vec<Table> {
         .iter()
         .flat_map(|&rate| capacities.iter().map(move |&cap| (rate, cap)))
         .collect();
-    let grid = run_grid(&points, &cfg.seeds, |&(rate, capacity), seed| {
+    let grid = run_grid(cfg, &points, |&(rate, capacity), seed| {
         let mut c = SimConfig::prototype();
         c.ack = AckConfig::disabled();
         c.sender = SenderMode::LeakyBucket {
@@ -222,7 +222,7 @@ pub(crate) fn ack_sweep(cfg: &RunConfig) -> Vec<Table> {
         .iter()
         .flat_map(|&t| retries.iter().map(move |&r| (t, r)))
         .collect();
-    let grid = run_grid(&points, &cfg.seeds, |&(timeout, max_retr), seed| {
+    let grid = run_grid(cfg, &points, |&(timeout, max_retr), seed| {
         let mut c = SimConfig::prototype();
         c.ack = AckConfig {
             enabled: true,

@@ -112,20 +112,21 @@ pub(crate) fn average_runs(runs: &[RunMetrics]) -> RunMetrics {
     }
 }
 
-/// Runs `f` once per seed on the process-wide [`crate::sweep::SweepRunner`]
-/// pool (each run builds its own world) and returns the results **in
-/// input-seed order**, regardless of which worker finishes first.
+/// Runs `f` once per seed of `cfg` on `cfg.jobs` workers (each run builds
+/// its own world) and returns the results **in input-seed order**,
+/// regardless of which worker finishes first.
 ///
 /// The ordering contract is load-bearing: every table and CSV averages
 /// `results[i]` against `seeds[i]`, and the parallel executor's
 /// bit-identical-to-sequential guarantee rests on it (see
 /// `run_seeds_preserves_order` below and `crate::sweep`).
-pub(crate) fn run_seeds<T, F>(seeds: &[u64], f: F) -> Vec<T>
+pub(crate) fn run_seeds<T, F>(cfg: &crate::experiments::RunConfig, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(u64) -> T + Sync,
 {
-    crate::sweep::SweepRunner::with_process_jobs().run(seeds.len(), |i| f(seeds[i]))
+    let seeds = &cfg.seeds;
+    crate::sweep::SweepRunner::new(cfg.jobs).run(seeds.len(), |i| f(seeds[i]))
 }
 
 #[cfg(test)]
@@ -170,7 +171,12 @@ mod tests {
 
     #[test]
     fn run_seeds_preserves_order() {
-        let out = run_seeds(&[1, 2, 3], |seed| RunMetrics {
+        let cfg = crate::experiments::RunConfig {
+            seeds: vec![1, 2, 3],
+            quick: true,
+            jobs: 2,
+        };
+        let out = run_seeds(&cfg, |seed| RunMetrics {
             recall: seed as f64,
             ..RunMetrics::empty()
         });

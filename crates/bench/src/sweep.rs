@@ -19,30 +19,9 @@
 //! nowhere else: `clippy.toml` bans threads and channels workspace-wide,
 //! and [`SweepRunner::run`] carries the one audited exemption.
 
+use crate::experiments::RunConfig;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-
-/// Process-wide job-count override, set once by binary flag parsing.
-/// 0 means "unset": fall back to the available cores.
-static JOBS: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the process-wide worker count used by [`SweepRunner::with_process_jobs`]
-/// (the `--jobs N` flag of the `figures` and `sim_scale` binaries).
-/// Values are clamped to at least 1.
-pub fn set_jobs(n: usize) {
-    JOBS.store(n.max(1), Ordering::Relaxed);
-}
-
-/// The effective worker count: the [`set_jobs`] override if set, else the
-/// number of available cores (falling back to 1 if that cannot be
-/// determined).
-#[must_use]
-pub(crate) fn jobs() -> usize {
-    match JOBS.load(Ordering::Relaxed) {
-        0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        n => n,
-    }
-}
 
 /// Runs independent jobs on a bounded worker pool, returning results in
 /// job order regardless of completion order.
@@ -58,18 +37,6 @@ impl SweepRunner {
     #[must_use]
     pub fn new(jobs: usize) -> Self {
         Self { jobs: jobs.max(1) }
-    }
-
-    /// A runner with the process-wide worker count (see `jobs`).
-    #[must_use]
-    pub fn with_process_jobs() -> Self {
-        Self::new(jobs())
-    }
-
-    /// The worker count this runner was built with.
-    #[must_use]
-    pub fn jobs(&self) -> usize {
-        self.jobs
     }
 
     /// Executes `f(0), f(1), …, f(count - 1)` across the pool and returns
@@ -121,22 +88,23 @@ impl SweepRunner {
     }
 }
 
-/// Runs a `points × seeds` grid through [`SweepRunner::with_process_jobs`] as one
-/// flat job list (so late points keep all workers busy) and chunks the
-/// results back into one `Vec` per point, both dimensions in input order.
+/// Runs a `points × cfg.seeds` grid on `cfg.jobs` workers as one flat job
+/// list (so late points keep all workers busy) and chunks the results
+/// back into one `Vec` per point, both dimensions in input order.
 ///
 /// This is the workhorse behind the per-point loops in
 /// `experiments/{pdd,pdr,phys,mobility,extra}.rs`: tables built from its
 /// output are bit-identical to the old nested sequential loops.
-pub(crate) fn run_grid<P, T, F>(points: &[P], seeds: &[u64], f: F) -> Vec<Vec<T>>
+pub(crate) fn run_grid<P, T, F>(cfg: &RunConfig, points: &[P], f: F) -> Vec<Vec<T>>
 where
     P: Sync,
     T: Send,
     F: Fn(&P, u64) -> T + Sync,
 {
+    let seeds = &cfg.seeds;
     let per = seeds.len();
-    let flat = SweepRunner::with_process_jobs()
-        .run(points.len() * per, |i| f(&points[i / per], seeds[i % per]));
+    let flat =
+        SweepRunner::new(cfg.jobs).run(points.len() * per, |i| f(&points[i / per], seeds[i % per]));
     let mut flat = flat.into_iter();
     points
         .iter()
@@ -181,8 +149,12 @@ mod tests {
     #[test]
     fn grid_is_chunked_per_point_in_order() {
         let points = ["a", "b", "c"];
-        let seeds = [7, 8];
-        let grid = run_grid(&points, &seeds, |p, s| format!("{p}{s}"));
+        let cfg = RunConfig {
+            seeds: vec![7, 8],
+            quick: true,
+            jobs: 2,
+        };
+        let grid = run_grid(&cfg, &points, |p, s| format!("{p}{s}"));
         assert_eq!(
             grid,
             vec![
@@ -195,6 +167,6 @@ mod tests {
 
     #[test]
     fn clamps_zero_jobs_to_one() {
-        assert_eq!(SweepRunner::new(0).jobs(), 1);
+        assert_eq!(SweepRunner::new(0).jobs, 1);
     }
 }

@@ -28,10 +28,12 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Handle of a pending timer, for cancellation.
+/// Identity of an armed timer. Timers are fire-only: once armed, a timer
+/// fires (or is dropped with its node), and a moot firing is the
+/// protocol's to ignore.
 ///
-/// The raw value is public so kernel backends can mint handles; protocol
-/// code should treat it as opaque.
+/// The raw value is public so kernel backends can mint ids; protocol
+/// code never sees one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TimerId(#[doc(hidden)] pub u64);
 
@@ -106,7 +108,7 @@ pub enum Command {
         /// used to split the radio byte counters by protocol phase.
         class: u8,
     },
-    /// Arm a timer.
+    /// Arm a fire-only timer.
     SetTimer {
         /// Pre-assigned timer id.
         id: TimerId,
@@ -115,8 +117,6 @@ pub enum Command {
         /// Application tag echoed to [`Application::on_timer`].
         tag: u64,
     },
-    /// Disarm a previously set timer.
-    CancelTimer(TimerId),
     /// Forward a trace event to the world's sink. Only ever issued while a
     /// sink is installed (see `Context::trace`).
     Trace(TraceEvent),
@@ -239,8 +239,9 @@ impl<'a> Context<'a> {
     }
 
     /// Arms a timer that fires `delay` from now, delivering `tag` to
-    /// [`Application::on_timer`].
-    pub fn set_timer(&mut self, delay: SimDuration, tag: u64) -> TimerId {
+    /// [`Application::on_timer`]. Timers cannot be cancelled: one that
+    /// turns out moot still fires, and `on_timer` ignores it.
+    pub fn set_timer(&mut self, delay: SimDuration, tag: u64) {
         let id = TimerId(self.next_timer);
         self.next_timer += 1;
         self.commands.push(Command::SetTimer {
@@ -248,12 +249,6 @@ impl<'a> Context<'a> {
             at: self.now + delay,
             tag,
         });
-        id
-    }
-
-    /// Cancels a timer if it has not fired yet (no-op otherwise).
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.commands.push(Command::CancelTimer(id));
     }
 }
 
@@ -278,11 +273,18 @@ mod tests {
         let m1 = ctx.broadcast(Bytes::from_static(b"a"), &[]);
         let m2 = ctx.broadcast(Bytes::from_static(b"b"), &[NodeId(1)]);
         assert_ne!(m1, m2);
-        let t1 = ctx.set_timer(SimDuration::from_millis(1), 7);
-        let t2 = ctx.set_timer(SimDuration::from_millis(2), 8);
-        assert_ne!(t1, t2);
+        ctx.set_timer(SimDuration::from_millis(1), 7);
+        ctx.set_timer(SimDuration::from_millis(2), 8);
         let (commands, next_timer, next_msg) = ctx.finish();
         assert_eq!(commands.len(), 4);
+        let timer_ids: Vec<TimerId> = commands
+            .iter()
+            .filter_map(|c| match c {
+                Command::SetTimer { id, .. } => Some(*id),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(timer_ids, vec![TimerId(5), TimerId(6)]);
         assert_eq!(next_timer, 7);
         assert_eq!(next_msg, 11);
     }

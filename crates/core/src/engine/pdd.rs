@@ -126,7 +126,6 @@ impl PdsEngine {
             started_at: now,
             last_new_at: now,
             finished_at: None,
-            rounds_sent: 1,
             round_log: vec![(now, 1)],
         });
         self.flood_discovery_round(now)
@@ -149,8 +148,8 @@ impl PdsEngine {
             }
             RoundDecision::StartNextRound => {
                 session.controller.start_next_round(now);
-                session.rounds_sent += 1;
-                session.round_log.push((now, session.rounds_sent));
+                let round = session.round_log.len() as u32 + 1;
+                session.round_log.push((now, round));
                 self.flood_discovery_round(now)
             }
         }

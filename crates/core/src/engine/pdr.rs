@@ -523,6 +523,11 @@ impl PdsEngine {
         chunk: ChunkId,
         data: Bytes,
     ) -> Vec<Outgoing> {
+        // A chunk outside the item, as its descriptor states it, is no
+        // chunk at all: dropped before it is cached, routed or relayed.
+        if descriptor.total_chunks().is_some_and(|n| chunk.0 >= n) {
+            return Vec::new();
+        }
         let item_descriptor = descriptor.item_descriptor();
         let Some(item) = item_descriptor.item_name() else {
             return Vec::new();

@@ -648,6 +648,51 @@ fn chunk_ids_outside_the_item_do_not_count() {
 }
 
 #[test]
+fn chunk_responses_outside_the_item_are_dropped() {
+    let desc = video("vid", 2);
+    let vid = ItemName::new("vid");
+    let mut e = PdsEngine::new(NodeId(0), PdsConfig::default(), 1);
+    for c in [0, 5] {
+        let response = PdsMessage::Response(ResponseMessage {
+            id: crate::ids::ResponseId(100 + u64::from(c)),
+            sender: NodeId(1),
+            kind: ResponseKind::Chunk {
+                descriptor: desc.clone(),
+                chunk: ChunkId(c),
+                data: Bytes::from(vec![0u8; 16]),
+            },
+        });
+        e.handle_message(t(0.1), NodeId(1), true, response);
+    }
+    assert_eq!(e.store().chunk_ids(&vid), vec![ChunkId(0)]);
+    let cdi_query = crate::message::QueryMessage {
+        id: crate::ids::QueryId(500),
+        kind: QueryKind::Cdi {
+            descriptor: desc.clone(),
+        },
+        sender: NodeId(2),
+        expires_at: t(30.0),
+        filter: QueryFilter::match_all(),
+        bloom: None,
+        round: 0,
+        ttl_hops: 0,
+    };
+    let out = e.handle_message(t(0.2), NodeId(2), true, PdsMessage::Query(cdi_query));
+    let pairs: Vec<(ChunkId, u32)> = out
+        .iter()
+        .filter_map(|o| match &o.message {
+            PdsMessage::Response(r) => match &r.kind {
+                ResponseKind::Cdi { pairs, .. } => Some(pairs.clone()),
+                _ => None,
+            },
+            PdsMessage::Query(_) => None,
+        })
+        .flatten()
+        .collect();
+    assert_eq!(pairs, vec![(ChunkId(0), 0)], "chunk 5 is not announced");
+}
+
+#[test]
 fn pdr_cdi_learns_distances() {
     let config = PdsConfig::default();
     let mut es = engines(3, &config);

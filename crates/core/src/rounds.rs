@@ -15,7 +15,6 @@
 
 use crate::config::RoundParams;
 use crate::SimTime;
-use std::collections::VecDeque;
 
 /// What the consumer should do after a poll.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,7 +33,10 @@ pub(crate) struct RoundController {
     params: RoundParams,
     round: u32,
     round_started: SimTime,
-    arrivals: VecDeque<SimTime>,
+    /// When this round's latest response arrived. Arrivals never go back
+    /// in time, so with `T_r = 0` it alone decides whether the last window
+    /// heard anything.
+    last_arrival: Option<SimTime>,
     new_entries_this_round: u64,
     total_entries: u64,
 }
@@ -47,7 +49,7 @@ impl RoundController {
             params,
             round: 0,
             round_started: now,
-            arrivals: VecDeque::new(),
+            last_arrival: None,
             new_entries_this_round: 0,
             total_entries: 0,
         }
@@ -61,7 +63,7 @@ impl RoundController {
 
     /// Records a response carrying `new_entries` not-seen-before entries.
     pub(crate) fn on_response(&mut self, now: SimTime, new_entries: u64) {
-        self.arrivals.push_back(now);
+        self.last_arrival = Some(now);
         self.new_entries_this_round += new_entries;
         self.total_entries += new_entries;
     }
@@ -70,12 +72,12 @@ impl RoundController {
     pub(crate) fn start_next_round(&mut self, now: SimTime) {
         self.round += 1;
         self.round_started = now;
-        self.arrivals.clear();
+        self.last_arrival = None;
         self.new_entries_this_round = 0;
     }
 
     /// Evaluates the two decisions at `now`.
-    pub(crate) fn poll(&mut self, now: SimTime) -> RoundDecision {
+    pub(crate) fn poll(&self, now: SimTime) -> RoundDecision {
         if !self.round_finished(now) {
             return RoundDecision::Continue;
         }
@@ -96,18 +98,16 @@ impl RoundController {
         }
     }
 
-    fn round_finished(&mut self, now: SimTime) -> bool {
+    fn round_finished(&self, now: SimTime) -> bool {
         let window_start = SimTime::from_micros(
             now.as_micros()
                 .saturating_sub(self.params.t_window.as_micros()),
         );
-        while self.arrivals.front().is_some_and(|&a| a < window_start) {
-            self.arrivals.pop_front();
-        }
         // Nothing within the last window. A round that has heard nothing
         // yet also waits out one whole window before giving up; one that
         // has, and then fell silent for a window, is past it already.
-        self.arrivals.is_empty() && now.since(self.round_started) >= self.params.t_window
+        self.last_arrival.is_none_or(|a| a < window_start)
+            && now.since(self.round_started) >= self.params.t_window
     }
 }
 
@@ -160,7 +160,7 @@ mod tests {
 
     #[test]
     fn empty_network_finishes_after_one_window() {
-        let mut c = RoundController::new(params(), t(0.0));
+        let c = RoundController::new(params(), t(0.0));
         assert_eq!(c.poll(t(0.5)), RoundDecision::Continue);
         assert_eq!(c.poll(t(1.0)), RoundDecision::Finished);
     }
@@ -225,6 +225,17 @@ mod tests {
             c.on_response(t(0.1 + 0.4 * f64::from(i)), 0);
         }
         assert_eq!(c.poll(t(8.2)), RoundDecision::Continue);
+    }
+
+    #[test]
+    fn an_arrival_on_the_window_edge_keeps_the_round_open() {
+        let at = |us: u64| SimTime::from_micros(us);
+        let mut c = RoundController::new(params(), t(0.0));
+        c.on_response(at(2_000_000), 1);
+        // The window of a poll at 3 s starts at exactly 2 s: still open.
+        assert_eq!(c.poll(at(3_000_000)), RoundDecision::Continue);
+        // One µs later the arrival lies before the window.
+        assert_eq!(c.poll(at(3_000_001)), RoundDecision::StartNextRound);
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub struct DiscoverySession {
     pub(crate) started_at: SimTime,
     pub(crate) last_new_at: SimTime,
     pub(crate) finished_at: Option<SimTime>,
-    pub(crate) rounds_sent: u32,
+    /// Every round start, numbered from 1: its length is the rounds sent.
     pub(crate) round_log: Vec<(SimTime, u32)>,
 }
 
@@ -45,7 +45,7 @@ impl DiscoverySession {
     pub fn report(&self) -> DiscoveryReport {
         DiscoveryReport {
             entries: self.collected.len(),
-            rounds: self.rounds_sent,
+            rounds: self.round_log.len() as u32,
             started_at: self.started_at,
             finished_at: self.finished_at,
             latency: self.last_new_at.since(self.started_at),
@@ -201,7 +201,6 @@ mod tests {
             started_at: t(1.0),
             last_new_at: t(4.5),
             finished_at: None,
-            rounds_sent: 2,
             round_log: vec![(t(1.0), 1), (t(3.0), 2)],
         };
         let r = s.report();

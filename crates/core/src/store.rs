@@ -18,7 +18,7 @@ use crate::predicate::QueryFilter;
 use crate::SimTime;
 use bytes::Bytes;
 use pds_det::DetMap;
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
 
 /// One stored metadata entry.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,10 +30,15 @@ pub(crate) struct MetaEntry {
     pub expires_at: Option<SimTime>,
 }
 
+/// One held chunk: its bytes and its place in the eviction order.
 #[derive(Debug, Clone)]
-struct CachedChunkMeta {
-    bytes: usize,
+struct HeldChunk {
+    data: Bytes,
+    /// The store's `access_clock` at the chunk's last store or fetch. Each
+    /// is a fresh tick, so no two chunks share one and the LRU victim is
+    /// unique whatever order the maps iterate in.
     last_access: u64,
+    /// Produced locally: never evicted, never on the cache budget.
     pinned: bool,
 }
 
@@ -60,12 +65,13 @@ pub struct DataStore {
     // ever remove, kept so the owner can ask in O(1).
     expiring: usize,
     small_payloads: DetMap<EntryKey, Bytes>,
-    chunks: DetMap<ItemName, BTreeMap<ChunkId, Bytes>>,
+    // Every held chunk, with its eviction bookkeeping.
+    chunks: DetMap<ItemName, BTreeMap<ChunkId, HeldChunk>>,
     // Index: item name → entry key of the whole-item (chunk-less) descriptor.
     items_by_name: DetMap<ItemName, EntryKey>,
-    // Cache accounting for opportunistically stored chunks.
+    // Cache accounting for opportunistically stored chunks: the budget and
+    // the bytes of every unpinned chunk.
     cache_capacity: usize,
-    chunk_meta: DetMap<(ItemName, ChunkId), CachedChunkMeta>,
     cached_bytes: usize,
     access_clock: u64,
 }
@@ -87,7 +93,6 @@ impl DataStore {
             chunks: DetMap::default(),
             items_by_name: DetMap::default(),
             cache_capacity: CHUNK_CACHE_BYTES,
-            chunk_meta: DetMap::default(),
             cached_bytes: 0,
             access_clock: 0,
         }
@@ -231,31 +236,28 @@ impl DataStore {
             return;
         };
         self.access_clock += 1;
-        let key = (name.clone(), chunk);
-        match self.chunk_meta.get_mut(&key) {
-            Some(meta) => {
+        let last_access = self.access_clock;
+        match self.chunks.entry(name).or_default().entry(chunk) {
+            btree_map::Entry::Occupied(mut e) => {
                 // Re-storing an existing chunk: refresh recency; pinning is
                 // sticky (own data stays pinned even if later overheard).
-                meta.last_access = self.access_clock;
-                if pinned && !meta.pinned {
+                let held = e.get_mut();
+                held.last_access = last_access;
+                if pinned && !held.pinned {
                     // No longer evictable, so no longer on the cache budget.
-                    meta.pinned = true;
-                    self.cached_bytes -= meta.bytes;
+                    held.pinned = true;
+                    self.cached_bytes -= held.data.len();
                 }
             }
-            None => {
+            btree_map::Entry::Vacant(v) => {
                 if !pinned {
                     self.cached_bytes += data.len();
                 }
-                self.chunk_meta.insert(
-                    key,
-                    CachedChunkMeta {
-                        bytes: data.len(),
-                        last_access: self.access_clock,
-                        pinned,
-                    },
-                );
-                self.chunks.entry(name).or_default().insert(chunk, data);
+                v.insert(HeldChunk {
+                    data,
+                    last_access,
+                    pinned,
+                });
             }
         }
         self.index_item(item_descriptor);
@@ -267,24 +269,20 @@ impl DataStore {
     fn maybe_evict(&mut self) {
         while self.cached_bytes > self.cache_capacity {
             let victim = self
-                .chunk_meta
+                .chunks
                 .iter()
-                .filter(|(_, m)| !m.pinned)
-                .min_by_key(|(_, m)| m.last_access)
-                .map(|(k, _)| k.clone());
+                .flat_map(|(item, held)| held.iter().map(move |(&c, h)| (item, c, h)))
+                .filter(|(_, _, h)| !h.pinned)
+                .min_by_key(|(_, _, h)| h.last_access)
+                .map(|(item, c, _)| (item.clone(), c));
             let Some((item, chunk)) = victim else {
                 return; // everything left is pinned
             };
-            let meta = self
-                .chunk_meta
-                .remove(&(item.clone(), chunk))
-                .expect("victim");
-            self.cached_bytes = self.cached_bytes.saturating_sub(meta.bytes);
-            if let Some(per_item) = self.chunks.get_mut(&item) {
-                per_item.remove(&chunk);
-                if per_item.is_empty() {
-                    self.chunks.remove(&item);
-                }
+            let per_item = self.chunks.get_mut(&item).expect("victim's item");
+            let held = per_item.remove(&chunk).expect("victim");
+            self.cached_bytes -= held.data.len();
+            if per_item.is_empty() {
+                self.chunks.remove(&item);
             }
         }
     }
@@ -307,19 +305,17 @@ impl DataStore {
     /// count as a use for LRU eviction).
     #[must_use]
     pub fn chunk(&self, item: &ItemName, chunk: ChunkId) -> Option<Bytes> {
-        self.chunks.get(item).and_then(|m| m.get(&chunk)).cloned()
+        self.chunks.get(item)?.get(&chunk).map(|h| h.data.clone())
     }
 
     /// Like [`DataStore::chunk`], but counts as a use for LRU eviction —
     /// the serving path uses this.
     #[must_use]
     pub(crate) fn fetch_chunk(&mut self, item: &ItemName, chunk: ChunkId) -> Option<Bytes> {
-        let data = self.chunks.get(item).and_then(|m| m.get(&chunk)).cloned()?;
+        let held = self.chunks.get_mut(item)?.get_mut(&chunk)?;
         self.access_clock += 1;
-        if let Some(meta) = self.chunk_meta.get_mut(&(item.clone(), chunk)) {
-            meta.last_access = self.access_clock;
-        }
-        Some(data)
+        held.last_access = self.access_clock;
+        Some(held.data.clone())
     }
 
     /// Ids of held chunks of `item`, ascending.
@@ -545,6 +541,33 @@ mod tests {
     }
 
     #[test]
+    fn lru_eviction_spans_items() {
+        // Two items' chunks, cached interleaved: the victim is the least
+        // recently used chunk of the whole store, not of one item.
+        let mut s = DataStore::new();
+        s.set_chunk_cache_bytes(3_000);
+        let (a, b) = (item_desc("a", 4), item_desc("b", 4));
+        let (na, nb) = (ItemName::new("a"), ItemName::new("b"));
+        let kb = || Bytes::from(vec![0u8; 1_000]);
+        s.cache_chunk(&a, ChunkId(0), kb());
+        s.cache_chunk(&b, ChunkId(0), kb());
+        s.cache_chunk(&a, ChunkId(1), kb());
+        // Touch a/0: b/0 is now the oldest chunk of the store.
+        let _ = s.fetch_chunk(&na, ChunkId(0));
+        s.cache_chunk(&b, ChunkId(1), kb());
+        assert!(!s.has_chunk(&nb, ChunkId(0)), "the store-wide LRU goes");
+        assert_eq!(s.chunk_ids(&na), vec![ChunkId(0), ChunkId(1)]);
+        assert_eq!(s.chunk_ids(&nb), vec![ChunkId(1)]);
+        // Next out are a/1 (stored before the touch), then a/0.
+        s.cache_chunk(&b, ChunkId(2), kb());
+        assert_eq!(s.chunk_ids(&na), vec![ChunkId(0)]);
+        s.cache_chunk(&b, ChunkId(3), kb());
+        assert!(s.chunk_ids(&na).is_empty());
+        assert_eq!(s.chunk_ids(&nb), vec![ChunkId(1), ChunkId(2), ChunkId(3)]);
+        assert_eq!(s.cached_chunk_bytes(), 3_000);
+    }
+
+    #[test]
     fn own_chunks_are_never_evicted() {
         let mut s = DataStore::new();
         s.set_chunk_cache_bytes(500);
@@ -567,10 +590,11 @@ mod tests {
         let item = item_desc("vid", 3);
         let vid = ItemName::new("vid");
         let unpinned_bytes = |s: &DataStore| -> usize {
-            s.chunk_meta
+            s.chunks
                 .values()
-                .filter(|m| !m.pinned)
-                .map(|m| m.bytes)
+                .flat_map(BTreeMap::values)
+                .filter(|h| !h.pinned)
+                .map(|h| h.data.len())
                 .sum()
         };
         // First overheard, then produced locally: the same chunk, now pinned.

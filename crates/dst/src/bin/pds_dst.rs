@@ -101,7 +101,7 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
         }
     };
     let jobs = match parse_u64(args, "--jobs", 0) {
-        Ok(0) => pds_bench::sweep::SweepRunner::with_process_jobs().jobs(),
+        Ok(0) => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         Ok(v) => v as usize,
         Err(e) => {
             eprintln!("error: {e}");

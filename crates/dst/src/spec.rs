@@ -26,8 +26,8 @@ pub(crate) const PPM: f64 = 1e-6;
 /// of a `horizon_s`-second run, each a tenth of the horizon long — always
 /// healed well before the end — splitting the id space at `boundary`.
 ///
-/// This is the canonical partition schedule shape shared by the DST
-/// sweep ([`CaseSpec::fault_plan`]) and city-scale disaster scenarios:
+/// The DST sweep's partition schedule ([`CaseSpec::fault_plan`]; the
+/// city disaster scenario builds its own single window in `pds_bench`):
 /// placement is pure arithmetic over `(horizon_s, count)` — no rng — so
 /// a minimized case replays its surviving windows bit-for-bit.
 #[must_use]

@@ -56,7 +56,7 @@ impl ReplayDigest {
             EventKind::TxEnd(id) | EventKind::Control(id) | EventKind::FaultDeliver(id) => {
                 self.fold(id);
             }
-            EventKind::Timer { node, id } => {
+            EventKind::Timer { node, id, .. } => {
                 self.fold(u64::from(node.0));
                 self.fold(id.0);
             }
@@ -73,6 +73,7 @@ impl ReplayDigest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::TimerKind;
     use pds_core::{NodeId, TimerId};
 
     #[test]
@@ -106,6 +107,7 @@ mod tests {
             EventKind::Timer {
                 node: NodeId(1),
                 id: TimerId(9),
+                kind: TimerKind::App(0),
             },
         );
         let digest = |events: &[&(SimTime, EventKind)]| {
@@ -121,5 +123,15 @@ mod tests {
             digest(&[&(SimTime::from_micros(1), EventKind::Control(1))]),
             "kind tags must separate same-payload events"
         );
+        // A timer folds its node and id, never what it does.
+        let retr = (
+            SimTime::from_micros(2),
+            EventKind::Timer {
+                node: NodeId(1),
+                id: TimerId(9),
+                kind: TimerKind::Retr(4),
+            },
+        );
+        assert_eq!(digest(&[&b]), digest(&[&retr]));
     }
 }

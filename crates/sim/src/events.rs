@@ -30,12 +30,15 @@ pub(crate) enum EventKind {
     TxEnd(u64),
     /// The leaky bucket may release more frames.
     BucketDrain(NodeId),
-    /// A timer (application or transport) fires.
+    /// A timer (application or transport) fires. Timers are fire-only,
+    /// so the event is the whole timer: nothing is kept beside it.
     Timer {
         /// Owning node.
         node: NodeId,
-        /// Timer identity within the node's table.
+        /// Timer identity, in the digest and the trace.
         id: TimerId,
+        /// What firing does.
+        kind: TimerKind,
     },
     /// A scheduled control closure (scenario orchestration) runs.
     Control(u64),
@@ -45,6 +48,19 @@ pub(crate) enum EventKind {
     /// Never scheduled unless a `FaultPlan` is installed, so faultless
     /// replay digests are untouched by the variant's existence.
     FaultDeliver(u64),
+}
+
+/// What a timer does when it fires. Laid out so that `EventKind` stays
+/// at 32 bytes: an ack timer's message id is spelt out as two fields, and
+/// a retransmission timer's message always originates at its own node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TimerKind {
+    /// An application timer; the tag goes to `on_timer`.
+    App(u64),
+    /// The retransmission timeout of this node's own message `seq`.
+    Retr(u64),
+    /// The ack delay of message `origin#seq`, received by this node.
+    AckSend { origin: NodeId, seq: u64 },
 }
 
 impl EventKind {
@@ -150,6 +166,11 @@ mod tests {
     }
 
     #[test]
+    fn a_timer_event_is_at_most_32_bytes() {
+        assert!(std::mem::size_of::<EventKind>() <= 32);
+    }
+
+    #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
         q.push(t(30), EventKind::Sweep);
@@ -206,9 +227,17 @@ mod tests {
                     _ => rng.range_u64(0, 8), // same-tick ties
                 };
                 let at = t(frontier.saturating_add(offset));
-                let kind = match round % 3 {
+                let kind = match round % 4 {
                     0 => EventKind::Control(round),
                     1 => EventKind::Sweep,
+                    2 => EventKind::Timer {
+                        node: NodeId(round as u32 % 7),
+                        id: TimerId(round),
+                        kind: TimerKind::AckSend {
+                            origin: NodeId(3),
+                            seq: round,
+                        },
+                    },
                     _ => EventKind::TxEnd(round),
                 };
                 wheel.push(at, kind.clone());

@@ -20,11 +20,11 @@
 //!   `Option::is_some` branch (mirroring the trace-sink pattern).
 
 use crate::radio::Transmission;
+use crate::slab::SeqSlab;
 use crate::transport::Frame;
 use pds_core::NodeId;
 use pds_core::SimRng;
 use pds_core::{SimDuration, SimTime};
-use pds_det::DetMap;
 
 /// A time window during which the node set is split in two and frames
 /// crossing the split are cut (both directions). Healing is implicit:
@@ -159,8 +159,9 @@ pub(crate) struct FaultState {
     /// The plan-owned rng stream. Never forked from the world rng, so
     /// installing a plan cannot perturb kernel randomness.
     rng: SimRng,
-    pub pending: DetMap<u64, PendingDelivery>,
-    next_pending: u64,
+    /// Diverted receptions by pending id: 0, 1, 2, … in divert order,
+    /// each removed by its own `FaultDeliver`.
+    pub pending: SeqSlab<PendingDelivery>,
 }
 
 impl FaultState {
@@ -169,8 +170,7 @@ impl FaultState {
         Self {
             plan,
             rng,
-            pending: DetMap::default(),
-            next_pending: 0,
+            pending: SeqSlab::default(),
         }
     }
 
@@ -227,17 +227,11 @@ impl FaultState {
 
     /// Registers a diverted reception under a fresh pending id.
     fn enqueue(&mut self, receiver: NodeId, tx: u64, frame: Frame) -> u64 {
-        let id = self.next_pending;
-        self.next_pending += 1;
-        self.pending.insert(
-            id,
-            PendingDelivery {
-                receiver,
-                tx,
-                frame,
-            },
-        );
-        id
+        self.pending.push_with(|_| PendingDelivery {
+            receiver,
+            tx,
+            frame,
+        })
     }
 }
 

@@ -87,8 +87,7 @@ pub use world::World;
 // core sits below every kernel backend). Re-exported here so simulator
 // users keep their `pds_sim::…` paths.
 pub use pds_core::{
-    Application, Command, Context, MessageHandle, MessageMeta, NodeId, SimDuration, SimRng,
-    SimTime, TimerId,
+    Application, Command, Context, MessageHandle, MessageMeta, NodeId, SimDuration, SimRng, SimTime,
 };
 
 // Re-exported so simulator users can install a sink without naming the

@@ -13,8 +13,9 @@
 //!   shared-rng draws or f64 summation (DESIGN.md §8).
 //! * [`SeqSlab`] — a base-offset ring for values keyed by a monotone
 //!   `u64` sequence with a bounded live window (transmissions are pruned
-//!   at `now − 2×max_airtime`; controls fire and leave). Lookup is an
-//!   index subtraction; iteration is ascending key order.
+//!   at `now − 2×max_airtime`; controls and fault-diverted receptions
+//!   fire and leave). Lookup is an index subtraction; iteration is
+//!   ascending key order.
 //!
 //! **Generation-checked handles.** Ids in this kernel are never reused:
 //! node ids are one past the highest slot ever filled
@@ -128,8 +129,8 @@ impl<T> DenseTable<T> {
 }
 
 /// A base-offset slab for values keyed by a monotone `u64` sequence with
-/// a bounded live window. Replaces `BTreeMap<u64, T>` for transmissions
-/// and scheduled controls: O(1) lookup by subtraction, ascending-key
+/// a bounded live window. Holds transmissions, scheduled controls and
+/// fault-diverted receptions: O(1) lookup by subtraction, ascending-key
 /// iteration, and memory proportional to the live window (the leading
 /// run of vacated slots is reclaimed as the base advances).
 #[derive(Debug)]

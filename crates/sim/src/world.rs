@@ -14,7 +14,7 @@
 )]
 
 use crate::config::SimConfig;
-use crate::events::{EventKind, EventQueue};
+use crate::events::{EventKind, EventQueue, TimerKind};
 use crate::fault::{Fate, FaultPlan, FaultState};
 use crate::mac::{self, Mac, Offer, Release, SendClass};
 use crate::medium::Medium;
@@ -27,26 +27,17 @@ use bytes::Bytes;
 use pds_core::SimRng;
 use pds_core::{Application, Command, Context, MessageHandle, MessageMeta, NodeId, TimerId};
 use pds_core::{SimDuration, SimTime};
-use pds_det::DetMap;
 use pds_obs::{Phase, TraceEvent, TraceKind, TraceSink};
 use std::any::Any;
 
 /// Upper bound of the random jitter before an ack transmission.
 const ACK_JITTER: SimDuration = SimDuration::from_millis(10);
 
-#[derive(Debug)]
-enum TimerKind {
-    App(u64),
-    Retr(MessageId),
-    AckSend(MessageId),
-}
-
 /// Per-node state, stored inline in the node slab.
 struct NodeState {
     app: Box<dyn Application>,
     transport: Transport,
     mac: Mac,
-    timers: DetMap<TimerId, TimerKind>,
     msg_seq: u64,
     rng: SimRng,
     stats: NodeStats,
@@ -271,7 +262,6 @@ impl World {
             app,
             transport: Transport::new(),
             mac: Mac::new(self.now, self.config.sender),
-            timers: DetMap::default(),
             msg_seq: 0,
             rng: self.rng.fork(u64::from(id.0) | 1 << 32),
             stats: NodeStats::default(),
@@ -436,7 +426,7 @@ impl World {
                 }
                 self.drain_bucket(node);
             }
-            EventKind::Timer { node, id } => self.fire_timer(node, id),
+            EventKind::Timer { node, kind, .. } => self.fire_timer(node, kind),
             EventKind::Control(id) => {
                 if let Some(f) = self.controls.remove(&id) {
                     f(self);
@@ -469,7 +459,7 @@ impl World {
                 TraceKind::TxEnd { tx },
             ),
             EventKind::BucketDrain(node) => (node.0, TraceKind::BucketDrain),
-            EventKind::Timer { node, id } => (node.0, TraceKind::TimerFired { timer: id.0 }),
+            EventKind::Timer { node, id, .. } => (node.0, TraceKind::TimerFired { timer: id.0 }),
             EventKind::Control(ctrl) => (u32::MAX, TraceKind::Control { ctrl }),
             EventKind::Sweep => (u32::MAX, TraceKind::Sweep),
             EventKind::FaultDeliver(fault) => (
@@ -516,15 +506,7 @@ impl World {
                     class,
                 } => self.start_send(id, handle, payload, intended, class),
                 Command::SetTimer { id: tid, at, tag } => {
-                    if let Some(state) = self.nodes.get_mut(&id) {
-                        state.timers.insert(tid, TimerKind::App(tag));
-                        self.queue.push(at, EventKind::Timer { node: id, id: tid });
-                    }
-                }
-                Command::CancelTimer(tid) => {
-                    if let Some(state) = self.nodes.get_mut(&id) {
-                        state.timers.remove(&tid);
-                    }
+                    self.push_timer(id, tid, at, TimerKind::App(tag));
                 }
                 Command::Trace(ev) => {
                     if let Some(s) = self.sink.as_mut() {
@@ -805,7 +787,8 @@ impl World {
                 if let Some(delay) = ack_after {
                     let jitter = self.rng.range_u64(0, ACK_JITTER.as_micros().max(1));
                     let at = now + delay + SimDuration::from_micros(jitter);
-                    self.arm_timer(r, at, TimerKind::AckSend(msg));
+                    let (origin, seq) = (msg.origin, msg.seq);
+                    self.arm_timer(r, at, TimerKind::AckSend { origin, seq });
                 }
                 let Some(d) = deliver else {
                     return;
@@ -846,7 +829,7 @@ impl World {
         let node = self.nodes.get_mut(&sender);
         if let Some(msg) = node.and_then(|s| s.transport.on_frame_done(frame)) {
             let at = self.now + self.config.ack.retr_timeout;
-            self.arm_timer(sender, at, TimerKind::Retr(msg));
+            self.arm_timer(sender, at, TimerKind::Retr(msg.seq));
         }
     }
 
@@ -857,33 +840,40 @@ impl World {
     fn arm_timer(&mut self, node: NodeId, at: SimTime, kind: TimerKind) {
         let id = TimerId(self.next_timer);
         self.next_timer += 1;
-        if let Some(state) = self.nodes.get_mut(&node) {
-            state.timers.insert(id, kind);
-            self.queue.push(at, EventKind::Timer { node, id });
+        self.push_timer(node, id, at, kind);
+    }
+
+    /// Schedules timer `id` of `node`: the event is the whole timer.
+    /// A dead node's timer is not scheduled at all.
+    fn push_timer(&mut self, node: NodeId, id: TimerId, at: SimTime, kind: TimerKind) {
+        if self.nodes.contains_key(&node) {
+            self.queue.push(at, EventKind::Timer { node, id, kind });
         }
     }
 
-    fn fire_timer(&mut self, node: NodeId, id: TimerId) {
-        // Gone, or cancelled.
-        let Some(kind) = self.nodes.get_mut(&node).and_then(|s| s.timers.remove(&id)) else {
-            return;
-        };
+    /// Fires a timer of `node`; every arm skips a node that left since the
+    /// timer was armed. A moot transport timer finds nothing to do:
+    /// `make_ack` returns `None` and `on_retr_timer` `Nothing` for a
+    /// finished message.
+    fn fire_timer(&mut self, node: NodeId, kind: TimerKind) {
         match kind {
             TimerKind::App(tag) => self.call_app(node, move |app, ctx| app.on_timer(ctx, tag)),
-            TimerKind::AckSend(msg) => {
+            TimerKind::AckSend { origin, seq } => {
+                let msg = MessageId { origin, seq };
                 let ack = self.nodes.get_mut(&node);
                 let Some(frame) = ack.and_then(|s| s.transport.make_ack(node, msg)) else {
                     return;
                 };
                 let kind = TraceKind::AckSent {
-                    origin: u64::from(msg.origin.0),
-                    seq: msg.seq,
+                    origin: u64::from(origin.0),
+                    seq,
                     bytes: frame.wire_bytes as u64,
                 };
                 self.emit(node.0, Phase::Transport, kind);
                 self.pace_frame(node, frame, SendClass::Ack);
             }
-            TimerKind::Retr(msg) => {
+            TimerKind::Retr(seq) => {
+                let msg = MessageId { origin: node, seq };
                 let Some(state) = self.nodes.get_mut(&node) else {
                     return;
                 };
@@ -1458,16 +1448,15 @@ mod tests {
     }
 
     #[test]
-    fn timers_fire_and_cancel() {
+    fn timers_fire_with_their_tags() {
         struct TimerApp {
             fired: Vec<u64>,
         }
         impl Application for TimerApp {
             fn on_start(&mut self, ctx: &mut Context) {
                 ctx.set_timer(SimDuration::from_millis(10), 1);
-                let t2 = ctx.set_timer(SimDuration::from_millis(20), 2);
+                ctx.set_timer(SimDuration::from_millis(20), 2);
                 ctx.set_timer(SimDuration::from_millis(30), 3);
-                ctx.cancel_timer(t2);
             }
             fn on_message(&mut self, _: &mut Context, _: MessageMeta, _: Bytes) {}
             fn on_timer(&mut self, _ctx: &mut Context, tag: u64) {
@@ -1480,7 +1469,7 @@ mod tests {
             Box::new(TimerApp { fired: Vec::new() }),
         );
         w.run_until(secs(1.0));
-        assert_eq!(w.app::<TimerApp>(a).expect("app").fired, vec![1, 3]);
+        assert_eq!(w.app::<TimerApp>(a).expect("app").fired, vec![1, 2, 3]);
     }
 
     #[test]
