@@ -8,6 +8,7 @@
 //! routes disappear.
 
 use crate::ids::{ChunkId, ItemName};
+use crate::time::ExpiryBound;
 use crate::{NodeId, SimTime};
 use pds_det::DetMap;
 use std::collections::BTreeMap;
@@ -41,6 +42,8 @@ pub struct CdiTable {
     // item → chunk → neighbor → entry  (all min-hop neighbors are kept, so
     // the assignment step can balance load across them).
     routes: DetMap<ItemName, BTreeMap<ChunkId, BTreeMap<NodeId, CdiEntry>>>,
+    // No route's `expires_at` is earlier than this.
+    next_expiry: ExpiryBound,
 }
 
 impl CdiTable {
@@ -78,6 +81,7 @@ impl CdiTable {
                 e.expires_at = e.expires_at.max(expires_at);
             }
             None => {
+                self.next_expiry.note(expires_at);
                 per_neighbor.insert(
                     neighbor,
                     CdiEntry {
@@ -150,15 +154,26 @@ impl CdiTable {
             .collect()
     }
 
-    /// Drops expired routes (and empty item groups).
+    /// Drops expired routes (and empty item groups). Scans only once the
+    /// earliest expiry may have passed.
     pub(crate) fn gc(&mut self, now: SimTime) {
+        if self.next_expiry.due(now) {
+            self.sweep(now);
+        }
+    }
+
+    /// The full scan behind [`CdiTable::gc`]: drops every expired route
+    /// and rebuilds the expiry bound from the survivors.
+    fn sweep(&mut self, now: SimTime) {
+        let mut next = ExpiryBound::default();
         for chunks in self.routes.values_mut() {
             for per_neighbor in chunks.values_mut() {
-                per_neighbor.retain(|_, e| e.expires_at > now);
+                per_neighbor.retain(|_, e| next.keep(e.expires_at, now));
             }
             chunks.retain(|_, per_neighbor| !per_neighbor.is_empty());
         }
         self.routes.retain(|_, chunks| !chunks.is_empty());
+        self.next_expiry = next;
     }
 
     /// Total number of stored routes (diagnostics).
@@ -261,6 +276,39 @@ mod tests {
             cdi.covered_chunks(&item(), t(0.0)),
             vec![ChunkId(0), ChunkId(3)]
         );
+    }
+
+    #[test]
+    fn gc_removes_what_a_full_sweep_removes() {
+        // The same op sequence on two tables; the twin sweeps at every gc
+        // instant (the rule before the expiry bound), the table only when
+        // its bound is due.
+        let mut rng = crate::SimRng::new(0xcd1);
+        let mut skipped = 0;
+        for _ in 0..20 {
+            let (mut cdi, mut twin) = (CdiTable::new(), CdiTable::new());
+            let mut now = 0;
+            for _ in 0..400 {
+                now += rng.range_u64(0, 3_000_000);
+                if rng.chance(0.8) {
+                    // A new route, or a refresh or extension of a held one.
+                    let item = ItemName::new(if rng.chance(0.5) { "a" } else { "b" });
+                    let chunk = ChunkId(rng.range_u64(0, 4) as u32);
+                    let neighbor = NodeId(rng.range_u64(0, 4) as u32);
+                    let hops = rng.range_u64(0, 4) as u32;
+                    let until = SimTime::from_micros(now + rng.range_u64(1, 20_000_000));
+                    cdi.observe(&item, chunk, neighbor, hops, until);
+                    twin.observe(&item, chunk, neighbor, hops, until);
+                } else {
+                    let at = SimTime::from_micros(now);
+                    skipped += usize::from(!cdi.next_expiry.due(at));
+                    cdi.gc(at);
+                    twin.sweep(at);
+                    assert_eq!(cdi.routes, twin.routes);
+                }
+            }
+        }
+        assert!(skipped > 0, "no gc was skipped");
     }
 
     #[test]

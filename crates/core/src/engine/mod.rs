@@ -34,7 +34,8 @@ use crate::message::{
 };
 use crate::sessions::{DiscoverySession, RetrievalSession};
 use crate::store::DataStore;
-use crate::{NodeId, SimRng, SimTime};
+use crate::time::ExpiryBound;
+use crate::{NodeId, SimDuration, SimRng, SimTime};
 use pds_bloom::BloomFilter;
 use pds_det::DetMap;
 use pds_obs::Phase;
@@ -44,11 +45,49 @@ use pds_obs::Phase;
 pub(crate) const MAX_CHUNK_QUERY_DEPTH: u32 = 16;
 /// How long received response ids are remembered for redundant-copy
 /// detection.
-const RECENT_RESPONSE_HORIZON_SECS: u64 = 60;
+const RECENT_RESPONSE_HORIZON: SimDuration = SimDuration::from_secs(60);
 /// How long an outstanding sub-query suppresses re-division of the same
 /// chunk. Long enough to absorb the duplicate-query burst of one wave,
 /// short enough that recovery re-requests pass.
-const PENDING_CHUNK_HORIZON: crate::SimDuration = crate::SimDuration::from_secs(8);
+const PENDING_CHUNK_HORIZON: SimDuration = SimDuration::from_secs(8);
+
+/// Algorithm 2's recent-response ids, each with the instant it arrived;
+/// an id is forgotten `RECENT_RESPONSE_HORIZON` after it arrived.
+#[derive(Debug, Default)]
+pub(crate) struct RecentResponses {
+    seen: DetMap<ResponseId, SimTime>,
+    /// No id in `seen` is forgotten before this.
+    next_expiry: ExpiryBound,
+}
+
+impl RecentResponses {
+    /// Remembers `id` as received at `now`.
+    pub(crate) fn insert(&mut self, id: ResponseId, now: SimTime) {
+        self.seen.insert(id, now);
+        self.next_expiry.note(now + RECENT_RESPONSE_HORIZON);
+    }
+
+    /// Forgets the ids older than the horizon. Scans only once the oldest
+    /// may have aged past it.
+    pub(crate) fn gc(&mut self, now: SimTime) {
+        if self.next_expiry.due(now) {
+            self.sweep(now);
+        }
+    }
+
+    /// The full scan behind [`RecentResponses::gc`].
+    fn sweep(&mut self, now: SimTime) {
+        let mut next = ExpiryBound::default();
+        self.seen.retain(|_, &mut t| {
+            let live = now.since(t) < RECENT_RESPONSE_HORIZON;
+            if live {
+                next.note(t + RECENT_RESPONSE_HORIZON);
+            }
+            live
+        });
+        self.next_expiry = next;
+    }
+}
 
 /// How much random delay to apply before transmitting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,7 +230,7 @@ pub struct PdsEngine {
     pub(crate) store: DataStore,
     pub(crate) lqt: LingeringQueryTable,
     pub(crate) cdi: CdiTable,
-    pub(crate) recent_responses: DetMap<ResponseId, SimTime>,
+    pub(crate) recent_responses: RecentResponses,
     /// Chunks this node has an outstanding sub-query for. The value is
     /// when the mark lapses: `divide_chunks` stores `now +
     /// PENDING_CHUNK_HORIZON` (8 s), whatever the query's own
@@ -218,7 +257,7 @@ impl PdsEngine {
             store: DataStore::new(),
             lqt: LingeringQueryTable::with_budget(NODE_BYTE_BUDGET),
             cdi: CdiTable::new(),
-            recent_responses: DetMap::default(),
+            recent_responses: RecentResponses::default(),
             pending_chunk: DetMap::default(),
             rng: SimRng::new(seed ^ 0x7064_735f_656e_6769),
             discovery: None,
@@ -279,7 +318,7 @@ impl PdsEngine {
     /// RR lookup (Algorithm 2): a copy of a recently received response is
     /// discarded.
     fn response_is_redundant(&self, id: ResponseId) -> bool {
-        self.recent_responses.contains_key(&id)
+        self.recent_responses.seen.contains_key(&id)
     }
 
     /// Processes one received message. `from` is the transmitting neighbor;
@@ -323,7 +362,7 @@ impl PdsEngine {
     pub fn holds_expiring_state(&self) -> bool {
         !self.lqt.is_empty()
             || !self.cdi.is_empty()
-            || !self.recent_responses.is_empty()
+            || !self.recent_responses.seen.is_empty()
             || !self.pending_chunk.is_empty()
             || self.store.expiring_len() > 0
     }
@@ -335,9 +374,7 @@ impl PdsEngine {
         self.store.gc(now);
         self.lqt.gc(now);
         self.cdi.gc(now);
-        let horizon = RECENT_RESPONSE_HORIZON_SECS * 1_000_000;
-        self.recent_responses
-            .retain(|_, &mut t| now.as_micros().saturating_sub(t.as_micros()) < horizon);
+        self.recent_responses.gc(now);
         self.pending_chunk.retain(|_, &mut t| t > now);
     }
 

@@ -381,9 +381,32 @@ impl PdsEngine {
         v
     }
 
+    /// The chunk count of `item` as this node knows it: from its own
+    /// retrieval session, its stored metadata, or a lingering CDI query's
+    /// descriptor, in that order.
+    fn known_total_chunks(&self, item: &ItemName) -> Option<u32> {
+        if let Some(s) = self.retrieval.as_ref().filter(|s| &s.item == item) {
+            return Some(s.total_chunks);
+        }
+        if let Some(n) = self
+            .store
+            .item_descriptor_by_name(item)
+            .and_then(DataDescriptor::total_chunks)
+        {
+            return Some(n);
+        }
+        self.lqt.iter().find_map(|l| match &l.query.kind {
+            QueryKind::Cdi { descriptor } if descriptor.item_name().as_ref() == Some(item) => {
+                descriptor.total_chunks()
+            }
+            _ => None,
+        })
+    }
+
     /// Handles a CDI response: update routes (hop+1 via the transmitter),
     /// then relay improvements toward matching lingering CDI queries
-    /// (§IV-A).
+    /// (§IV-A). A pair naming a chunk outside the item, when the node
+    /// knows the item's chunk count, is no route at all and is dropped.
     pub(crate) fn handle_cdi_response(
         &mut self,
         now: SimTime,
@@ -393,7 +416,8 @@ impl PdsEngine {
         pairs: &[(ChunkId, u32)],
     ) -> Vec<Outgoing> {
         let ttl = CDI_TTL;
-        for &(c, h) in pairs {
+        let total = self.known_total_chunks(item).unwrap_or(u32::MAX);
+        for &(c, h) in pairs.iter().filter(|(c, _)| c.0 < total) {
             self.cdi
                 .observe(item, c, from, h.saturating_add(1), now + ttl);
         }

@@ -693,6 +693,93 @@ fn chunk_responses_outside_the_item_are_dropped() {
 }
 
 #[test]
+fn cdi_pairs_outside_the_item_are_not_routed() {
+    let desc = video("vid", 2);
+    let vid = ItemName::new("vid");
+    let cdi_query = |id: u64, sender: u32| crate::message::QueryMessage {
+        id: crate::ids::QueryId(id),
+        kind: QueryKind::Cdi {
+            descriptor: desc.clone(),
+        },
+        sender: NodeId(sender),
+        expires_at: t(30.0),
+        filter: QueryFilter::match_all(),
+        bloom: None,
+        round: 0,
+        ttl_hops: 0,
+    };
+    let cdi_pairs = |out: &[Outgoing]| -> Vec<(ChunkId, u32)> {
+        out.iter()
+            .filter_map(|o| match &o.message {
+                PdsMessage::Response(r) => match &r.kind {
+                    ResponseKind::Cdi { pairs, .. } => Some(pairs.clone()),
+                    _ => None,
+                },
+                PdsMessage::Query(_) => None,
+            })
+            .flatten()
+            .collect()
+    };
+    // How the node knows the item's two chunks: from a CDI query it
+    // lingers (which also caches the item's metadata), from its own
+    // retrieval, from stored metadata alone, from the lingering query
+    // alone; or not at all.
+    for source in ["query", "retrieval", "metadata", "lqt", "none"] {
+        let mut e = PdsEngine::new(NodeId(0), PdsConfig::default(), 1);
+        match source {
+            "query" => {
+                e.handle_message(
+                    t(0.1),
+                    NodeId(2),
+                    true,
+                    PdsMessage::Query(cdi_query(500, 2)),
+                );
+            }
+            "retrieval" => {
+                e.start_retrieval(t(0.1), desc.clone());
+            }
+            "metadata" => {
+                e.store.cache_metadata(desc.clone(), t(100.0));
+            }
+            "lqt" => {
+                e.lqt.insert(cdi_query(500, 2), NodeId(2));
+            }
+            _ => {}
+        }
+        let response = PdsMessage::Response(ResponseMessage {
+            id: crate::ids::ResponseId(100),
+            sender: NodeId(1),
+            kind: ResponseKind::Cdi {
+                item: vid.clone(),
+                pairs: vec![(ChunkId(0), 0), (ChunkId(5), 0)],
+            },
+        });
+        let relayed = e.handle_message(t(0.2), NodeId(1), true, response);
+        let out = e.handle_message(
+            t(0.3),
+            NodeId(3),
+            true,
+            PdsMessage::Query(cdi_query(501, 3)),
+        );
+        let known = source != "none";
+        let want: &[(ChunkId, u32)] = if known {
+            &[(ChunkId(0), 1)]
+        } else {
+            &[(ChunkId(0), 1), (ChunkId(5), 1)]
+        };
+        assert_eq!(cdi_pairs(&out), want, "{source}: the reply");
+        assert_eq!(
+            e.cdi.best_hops(&vid, ChunkId(5), t(0.3)).is_some(),
+            !known,
+            "{source}: the route"
+        );
+        if source == "query" || source == "lqt" {
+            assert_eq!(cdi_pairs(&relayed), want, "{source}: the relay upstream");
+        }
+    }
+}
+
+#[test]
 fn pdr_cdi_learns_distances() {
     let config = PdsConfig::default();
     let mut es = engines(3, &config);
@@ -1331,6 +1418,7 @@ fn node_dropping_on_the_header_matches_engine_fed_decoded_messages() {
     let recent = |e: &PdsEngine| {
         let mut ids: Vec<(ResponseId, SimTime)> = e
             .recent_responses
+            .seen
             .iter()
             .map(|(&id, &at)| (id, at))
             .collect();
@@ -1469,4 +1557,33 @@ fn a_chunk_is_written_once_per_transmission_and_viewed_by_every_receiver() {
     // One write per transmission, none per reception.
     assert_eq!(sent.iter().filter(|(s, _)| *s == 2).count(), 3);
     assert_eq!(sent.iter().filter(|(s, _)| *s == 1).count(), 3);
+}
+
+#[test]
+fn recent_response_gc_removes_what_a_full_sweep_removes() {
+    // The same op sequence on two logs; the twin sweeps at every gc
+    // instant (the rule before the expiry bound), the log only when its
+    // bound is due.
+    let mut rng = crate::SimRng::new(0x4e5);
+    let mut skipped = 0;
+    for _ in 0..20 {
+        let (mut log, mut twin) = (RecentResponses::default(), RecentResponses::default());
+        let mut now = 0;
+        for _ in 0..400 {
+            now += rng.range_u64(0, 6_000_000);
+            let at = SimTime::from_micros(now);
+            if rng.chance(0.7) {
+                // A new id, or an id seen again (its arrival moves later).
+                let id = crate::ids::ResponseId(rng.range_u64(0, 40));
+                log.insert(id, at);
+                twin.insert(id, at);
+            } else {
+                skipped += usize::from(!log.next_expiry.due(at));
+                log.gc(at);
+                twin.sweep(at);
+                assert_eq!(log.seen, twin.seen);
+            }
+        }
+    }
+    assert!(skipped > 0, "no gc was skipped");
 }

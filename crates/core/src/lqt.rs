@@ -12,6 +12,7 @@
 use crate::config::MAX_ITEM_CHUNKS;
 use crate::ids::{ChunkId, ItemName, QueryId};
 use crate::message::{QueryKind, QueryMessage};
+use crate::time::ExpiryBound;
 use crate::{NodeId, SimTime};
 use pds_bloom::BloomFilter;
 use pds_det::{BitSet, DetMap};
@@ -31,7 +32,10 @@ pub fn chunk_key(item: &ItemName, chunk: ChunkId) -> Vec<u8> {
 /// One lingering query and its mutable en-route state.
 #[derive(Debug)]
 pub struct Lingering {
-    /// The query as last received.
+    /// The query as last received. Its `expires_at` is the entry's expiry
+    /// as of insertion: lowered later, the entry stops matching at once
+    /// but [`LingeringQueryTable`]'s `gc` may keep it until the earliest
+    /// expiry it was inserted with.
     pub query: QueryMessage,
     /// The neighbor that transmitted it — where responses are routed.
     pub upstream: NodeId,
@@ -135,6 +139,8 @@ pub struct LingeringQueryTable {
     /// ([`LingeringQueryTable::approx_bytes`]); inserting past it evicts
     /// the oldest entries. `usize::MAX` = unbounded.
     byte_budget: usize,
+    /// No held query's `expires_at` is earlier than this.
+    next_expiry: ExpiryBound,
 }
 
 impl Default for LingeringQueryTable {
@@ -143,6 +149,7 @@ impl Default for LingeringQueryTable {
             entries: DetMap::default(),
             order: VecDeque::new(),
             byte_budget: usize::MAX,
+            next_expiry: ExpiryBound::default(),
         }
     }
 }
@@ -228,6 +235,7 @@ impl LingeringQueryTable {
             _ => BitSet::default(),
         };
         let id = query.id;
+        self.next_expiry.note(query.expires_at);
         self.entries.insert(
             id,
             Lingering {
@@ -361,11 +369,25 @@ impl LingeringQueryTable {
         self.entries.values()
     }
 
-    /// Drops expired queries.
+    /// Drops expired queries. Scans only once the earliest expiry may
+    /// have passed; until then ids dropped by `remove` stay in the
+    /// eviction queue, where `enforce_budget` skips them.
     pub(crate) fn gc(&mut self, now: SimTime) {
-        self.entries.retain(|_, l| l.unexpired(now));
+        if self.next_expiry.due(now) {
+            self.sweep(now);
+        }
+    }
+
+    /// The full scan behind [`LingeringQueryTable::gc`]: drops every
+    /// expired query and stale queue id, and rebuilds the expiry bound
+    /// from the survivors.
+    fn sweep(&mut self, now: SimTime) {
+        let mut next = ExpiryBound::default();
+        self.entries
+            .retain(|_, l| next.keep(l.query.expires_at, now));
         let entries = &self.entries;
         self.order.retain(|q| entries.contains_key(q));
+        self.next_expiry = next;
     }
 
     /// Number of held queries.
@@ -601,6 +623,56 @@ mod tests {
         lqt.insert(query(12, QueryKind::Metadata, 10.0), NodeId(2));
         lqt.gc(t(10.0));
         assert!(lqt.is_empty());
+    }
+
+    #[test]
+    fn gc_removes_what_a_full_sweep_removes() {
+        // The same op sequence on two tables; the twin sweeps at every gc
+        // instant (the rule before the expiry bound), the table only when
+        // its bound is due. A small budget makes inserts evict.
+        fn live(lqt: &LingeringQueryTable) -> (Vec<(QueryId, SimTime)>, Vec<QueryId>) {
+            let mut entries: Vec<_> = lqt
+                .entries
+                .iter()
+                .map(|(&id, l)| (id, l.query.expires_at))
+                .collect();
+            entries.sort_unstable();
+            let order = lqt.order.iter().copied().filter(|&q| lqt.seen(q)).collect();
+            (entries, order)
+        }
+        let mut rng = crate::SimRng::new(0x1a7);
+        let mut skipped = 0;
+        for budget in [usize::MAX, 6 * 1024] {
+            for _ in 0..10 {
+                let mut lqt = LingeringQueryTable::with_budget(budget);
+                let mut twin = LingeringQueryTable::with_budget(budget);
+                let mut now = 0;
+                for _ in 0..400 {
+                    now += rng.range_u64(0, 3_000_000);
+                    let id = rng.range_u64(0, 24);
+                    match rng.range_u64(0, 5) {
+                        // Insert (a held id is refused, as a redundant copy).
+                        0..=2 => {
+                            let expires = (now + rng.range_u64(1, 20_000_000)) as f64 / 1e6;
+                            let q = query(id, QueryKind::Metadata, expires);
+                            assert_eq!(lqt.insert(q.clone(), NodeId(2)), twin.insert(q, NodeId(2)));
+                        }
+                        3 => {
+                            lqt.remove(QueryId(id));
+                            twin.remove(QueryId(id));
+                        }
+                        _ => {
+                            let at = SimTime::from_micros(now);
+                            skipped += usize::from(!lqt.next_expiry.due(at));
+                            lqt.gc(at);
+                            twin.sweep(at);
+                            assert_eq!(live(&lqt), live(&twin));
+                        }
+                    }
+                }
+            }
+        }
+        assert!(skipped > 0, "no gc was skipped");
     }
 
     #[test]

@@ -138,7 +138,7 @@ pub enum DecodeError {
     /// An embedded string was not valid UTF-8.
     BadString,
     /// An embedded descriptor or filter failed to decode, or a chunk
-    /// query named a chunk id of `MAX_ITEM_CHUNKS` or more.
+    /// query or CDI response named a chunk id of `MAX_ITEM_CHUNKS` or more.
     BadBody,
     /// Bytes were left over after a complete message. Rejected because a
     /// chunk is kept as a view of its whole message: a tiny chunk with
@@ -529,9 +529,12 @@ impl PdsMessage {
                         if buf.remaining() < n * 8 {
                             return Err(DecodeError::Truncated);
                         }
-                        let pairs = (0..n)
+                        let pairs: Vec<(ChunkId, u32)> = (0..n)
                             .map(|_| (ChunkId(buf.get_u32_le()), buf.get_u32_le()))
                             .collect();
+                        if pairs.iter().any(|(c, _)| c.0 >= MAX_ITEM_CHUNKS) {
+                            return Err(DecodeError::BadBody);
+                        }
                         ResponseKind::Cdi { item, pairs }
                     }
                     3 => {

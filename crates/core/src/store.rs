@@ -15,6 +15,7 @@ use crate::config::CHUNK_CACHE_BYTES;
 use crate::descriptor::{DataDescriptor, EntryKey};
 use crate::ids::{ChunkId, ItemName};
 use crate::predicate::QueryFilter;
+use crate::time::ExpiryBound;
 use crate::SimTime;
 use bytes::Bytes;
 use pds_det::DetMap;
@@ -64,6 +65,8 @@ pub struct DataStore {
     // How many `metadata` entries carry an `expires_at`: what `gc` could
     // ever remove, kept so the owner can ask in O(1).
     expiring: usize,
+    // No `expires_at` in `metadata` is earlier than this.
+    next_expiry: ExpiryBound,
     small_payloads: DetMap<EntryKey, Bytes>,
     // Every held chunk, with its eviction bookkeeping.
     chunks: DetMap<ItemName, BTreeMap<ChunkId, HeldChunk>>,
@@ -89,6 +92,7 @@ impl DataStore {
         Self {
             metadata: DetMap::default(),
             expiring: 0,
+            next_expiry: ExpiryBound::default(),
             small_payloads: DetMap::default(),
             chunks: DetMap::default(),
             items_by_name: DetMap::default(),
@@ -174,7 +178,10 @@ impl DataStore {
                     descriptor: descriptor.clone(),
                     expires_at: if has_payload { None } else { Some(expires_at) },
                 });
-                self.expiring += usize::from(!has_payload);
+                if !has_payload {
+                    self.expiring += 1;
+                    self.next_expiry.note(expires_at);
+                }
                 self.index_item(&descriptor);
                 true
             }
@@ -371,12 +378,23 @@ impl DataStore {
         self.expiring
     }
 
-    /// Removes expired payload-less metadata entries (§II-C).
+    /// Removes expired payload-less metadata entries (§II-C). Scans only
+    /// once the earliest expiry may have passed.
     pub(crate) fn gc(&mut self, now: SimTime) {
+        if self.next_expiry.due(now) {
+            self.sweep(now);
+        }
+    }
+
+    /// The full scan behind [`DataStore::gc`]: removes every expired entry
+    /// and rebuilds the expiry bound from the survivors.
+    fn sweep(&mut self, now: SimTime) {
         let before = self.metadata.len();
+        let mut next = ExpiryBound::default();
         self.metadata
-            .retain(|_, e| e.expires_at.is_none_or(|t| t > now));
+            .retain(|_, e| e.expires_at.is_none_or(|t| next.keep(t, now)));
         self.expiring -= before - self.metadata.len();
+        self.next_expiry = next;
     }
 }
 
@@ -683,6 +701,49 @@ mod tests {
         assert_eq!(s.expiring_len(), 0);
         assert_eq!(s.expiring_len(), recount(&s));
         assert_eq!(s.metadata_len(), 4, "own, b, c and the item stay");
+    }
+
+    #[test]
+    fn gc_removes_what_a_full_sweep_removes() {
+        // The same op sequence on two stores; the twin sweeps at every gc
+        // instant (the rule before the expiry bound), the store only when
+        // its bound is due.
+        let mut rng = crate::SimRng::new(0x5707e);
+        let mut skipped = 0;
+        for _ in 0..20 {
+            let (mut s, mut twin) = (DataStore::new(), DataStore::new());
+            let mut now = 0;
+            for _ in 0..400 {
+                now += rng.range_u64(0, 3_000_000);
+                let d = desc(&format!("e{}", rng.range_u64(0, 12)));
+                let until = SimTime::from_micros(now + rng.range_u64(1, 20_000_000));
+                match rng.range_u64(0, 6) {
+                    // Insert, or extend an entry already cached.
+                    0..=2 => {
+                        s.cache_metadata(d.clone(), until);
+                        twin.cache_metadata(d, until);
+                    }
+                    // A payload or local production takes the expiry away.
+                    3 => {
+                        s.cache_small_payload(&d, Bytes::from_static(b"v"));
+                        twin.cache_small_payload(&d, Bytes::from_static(b"v"));
+                    }
+                    4 => {
+                        s.insert_own(d.clone(), None);
+                        twin.insert_own(d, None);
+                    }
+                    _ => {
+                        let at = SimTime::from_micros(now);
+                        skipped += usize::from(!s.next_expiry.due(at));
+                        s.gc(at);
+                        twin.sweep(at);
+                        assert_eq!(s.metadata, twin.metadata);
+                        assert_eq!(s.expiring, twin.expiring);
+                    }
+                }
+            }
+        }
+        assert!(skipped > 0, "no gc was skipped");
     }
 
     #[test]

@@ -172,6 +172,46 @@ impl Sub for SimDuration {
     }
 }
 
+/// A lower bound on the earliest instant at which an entry of a soft-state
+/// table expires, i.e. on the first `now` at which its `gc` can remove
+/// anything (DESIGN.md §19). An insert lowers it with
+/// [`note`](Self::note); extending an entry's expiry leaves it alone, and a
+/// removal outside `gc` only makes it looser. `gc` returns at once while
+/// the bound is not [`due`](Self::due), and otherwise sweeps and rebuilds
+/// it exactly from the survivors.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ExpiryBound(SimTime);
+
+impl Default for ExpiryBound {
+    /// Nothing expires: the bound of an empty table.
+    fn default() -> Self {
+        Self(SimTime::MAX)
+    }
+}
+
+impl ExpiryBound {
+    /// Accounts for an entry that expires at `at`.
+    pub(crate) fn note(&mut self, at: SimTime) {
+        self.0 = self.0.min(at);
+    }
+
+    /// Whether an entry may have expired by `now`, so a sweep is needed.
+    #[must_use]
+    pub(crate) fn due(self, now: SimTime) -> bool {
+        now >= self.0
+    }
+
+    /// Whether an entry that expires at `at` survives a sweep at `now`;
+    /// a survivor is noted. Rebuilds the bound exactly over a sweep.
+    pub(crate) fn keep(&mut self, at: SimTime, now: SimTime) -> bool {
+        let live = at > now;
+        if live {
+            self.note(at);
+        }
+        live
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

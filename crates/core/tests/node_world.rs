@@ -391,3 +391,32 @@ fn a_chunk_query_past_the_item_limit_is_a_decode_error() {
     assert_eq!(node.decode_errors(), 1);
     assert!(node.engine().expect("started").lqt().is_empty());
 }
+
+#[test]
+fn a_cdi_response_past_the_item_limit_is_a_decode_error() {
+    let naming = |chunk: u32| {
+        PdsMessage::Response(ResponseMessage {
+            id: ResponseId(9),
+            sender: NodeId(1),
+            kind: ResponseKind::Cdi {
+                item: ItemName::new("clip"),
+                pairs: vec![(ChunkId(0), 0), (ChunkId(chunk), 0)],
+            },
+        })
+        .encode()
+    };
+    assert!(PdsMessage::decode(&naming(MAX_ITEM_CHUNKS - 1)).is_ok());
+    let hostile = naming(70_000);
+    assert_eq!(PdsMessage::decode(&hostile), Err(DecodeError::BadBody));
+    let mut world = World::new(SimConfig::default(), 8);
+    let victim = world.add_node(
+        Position::new(60.0, 0.0),
+        Box::new(PdsNode::new(PdsConfig::default(), 2)),
+    );
+    world.add_node(Position::new(0.0, 0.0), Box::new(Injector(hostile)));
+    world.run_until(secs(5.0));
+    let node = world.app::<PdsNode>(victim).expect("alive");
+    assert_eq!(node.decode_errors(), 1);
+    // Neither the response id nor any route was kept.
+    assert!(!node.engine().expect("started").holds_expiring_state());
+}

@@ -21,7 +21,9 @@
 
 use crate::config::{RadioConfig, SimConfig, MAX_FRAME_BYTES, RANGE_M, SENSE_DELAY};
 use crate::profile::{Profiler, Scope};
-use crate::radio::{phys_verdicts, Motion, PhysOutcome, PhysScratch, Position, Transmission};
+use crate::radio::{
+    phys_verdicts, Motion, PathLossMemo, PhysOutcome, PhysScratch, Position, Transmission,
+};
 use crate::slab::{DenseTable, SeqSlab};
 use crate::spatial::{NodeGrid, TxEntry, TxGrid};
 use crate::transport::Frame;
@@ -109,7 +111,10 @@ impl Medium {
             tx_by_sender: Vec::new(),
             tx_prune: TimerWheel::new(),
             cs_scratch: Vec::new(),
-            phys: PhysScratch::default(),
+            phys: PhysScratch {
+                memo: PathLossMemo::new(),
+                ..PhysScratch::default()
+            },
             nbr_scratch: Vec::new(),
             nbr_cands: Vec::new(),
             radio,

@@ -149,6 +149,10 @@ pub(crate) struct VerdictPaths {
     pub exact: u64,
     /// Margin tests inconclusive: decided by the exhaustive sum.
     pub fallback: u64,
+    /// Received powers computed by `powf` (path-loss memo misses).
+    pub powf: u64,
+    /// Received powers read back from the path-loss memo.
+    pub memo_hits: u64,
 }
 
 /// Reusable candidate buffers for [`phys_verdicts`] — hot-path
@@ -166,6 +170,67 @@ pub(crate) struct PhysScratch {
     /// The interferers within [`FAR_SPLIT`] ranges of the sender, in the
     /// same (ascending id) order.
     pub near: Vec<(NodeId, Position)>,
+    /// Received power by distance.
+    pub memo: PathLossMemo,
+}
+
+/// Slots of the [`PathLossMemo`]: 64 KiB of `(key, power)` pairs.
+const MEMO_SLOTS: usize = 1 << 12;
+
+/// An exact, direct-mapped memo of the received power `d.max(1.0)^-α`.
+///
+/// Static nodes see the same sender distances frame after frame, so most
+/// arguments are exact repeats. The key is the bit pattern of
+/// `d.max(1.0)`, which is never 0 (the empty mark), and a hit returns the
+/// value `powf` produced for that very argument: every verdict is
+/// bit-identical with or without the memo. A colliding key overwrites the
+/// slot. A memo serves one α, its medium's, which is fixed for the life of
+/// the medium, so no entry ever goes stale.
+#[derive(Debug, Default)]
+pub(crate) struct PathLossMemo {
+    /// `(key bits, power)`, or `(0, _)` when empty. The default memo has
+    /// no slots and remembers nothing.
+    slots: Box<[(u64, f64)]>,
+}
+
+impl PathLossMemo {
+    /// An empty memo.
+    pub(crate) fn new() -> Self {
+        Self {
+            slots: vec![(0, 0.0); MEMO_SLOTS].into_boxed_slice(),
+        }
+    }
+
+    /// The slot of `key`. Fibonacci hashing: the top bits of the product
+    /// mix every key bit, so keys that differ only in low mantissa bits
+    /// spread too.
+    fn slot(key: u64) -> usize {
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MEMO_SLOTS.trailing_zeros())) as usize
+    }
+
+    /// Received power at distance `d` for path-loss exponent `alpha`, with
+    /// a 1 m reference floor, counted into `paths`.
+    pub(crate) fn power(&mut self, d: f64, alpha: f64, paths: &mut VerdictPaths) -> f64 {
+        let x = d.max(1.0);
+        let key = x.to_bits();
+        match self.slots.get_mut(Self::slot(key)) {
+            Some(&mut (k, p)) if k == key => {
+                paths.memo_hits += 1;
+                p
+            }
+            Some(entry) => {
+                paths.powf += 1;
+                let p = x.powf(-alpha);
+                *entry = (key, p);
+                p
+            }
+            // The default memo: nothing to remember into.
+            None => {
+                paths.powf += 1;
+                x.powf(-alpha)
+            }
+        }
+    }
 }
 
 /// Interferers farther than this many decode ranges from the *sender* are
@@ -228,8 +293,8 @@ pub(crate) fn phys_verdicts(
     let path_loss = radio.path_loss_exp;
     let capture = radio.capture_sinr;
     let trunc = range * radio.interference_range_factor;
-    // Received power at distance d, with a 1 m reference floor.
-    let power = |d: f64| d.max(1.0).powf(-path_loss);
+    // Received power at distance d goes through the memo.
+    let memo = &mut scratch.memo;
     // Everything that could interfere with this frame at *some* receiver,
     // in ascending id order (f64 addition is not associative; the exact
     // per-receiver sum order is part of the replay contract).
@@ -262,12 +327,17 @@ pub(crate) fn phys_verdicts(
     }
     // The exhaustive interference sum at one receiver over `list`: the
     // definition of the verdict when `list` is every interferer.
-    let interference = |list: &[(NodeId, Position)], r: NodeId, rpos: Position| -> f64 {
+    let interference = |memo: &mut PathLossMemo,
+                        paths: &mut VerdictPaths,
+                        list: &[(NodeId, Position)],
+                        r: NodeId,
+                        rpos: Position|
+     -> f64 {
         list.iter()
             .filter(|&&(s, _)| s != r)
             .map(|&(_, p)| p.distance(&rpos))
             .filter(|&d| d <= trunc)
-            .map(power)
+            .map(|d| memo.power(d, path_loss, paths))
             .sum()
     };
     let collided = |signal: f64, interference: f64| {
@@ -280,7 +350,7 @@ pub(crate) fn phys_verdicts(
     // Far-field split. `u_far` bounds, at every in-range receiver, what
     // the far interferers can add to its sum; the horizon and `s != r`
     // filters only ever remove terms, so it stays an upper bound.
-    let p_edge = power(range);
+    let p_edge = memo.power(range, path_loss, paths);
     let split = if p_edge >= BOUND_MIN_POWER && capture * BOUND_MIN_POWER <= 1.0 {
         FAR_SPLIT * range
     } else {
@@ -292,7 +362,7 @@ pub(crate) fn phys_verdicts(
     for &(s, p) in scratch.interferers.iter() {
         let d = tx_pos.distance(&p);
         if d > split && d.is_finite() {
-            u_far += power(d - range);
+            u_far += memo.power(d - range, path_loss, paths);
         } else {
             near.push((s, p));
         }
@@ -326,8 +396,8 @@ pub(crate) fn phys_verdicts(
             out.push((r, PhysOutcome::Survivor));
             continue;
         }
-        let signal = power(d);
-        let near_sum = interference(near, r, rpos);
+        let signal = memo.power(d, path_loss, paths);
+        let near_sum = interference(memo, paths, near, r, rpos);
         let outcome = if all_near {
             paths.exact += 1;
             collided(signal, near_sum)
@@ -339,7 +409,10 @@ pub(crate) fn phys_verdicts(
             PhysOutcome::Collided
         } else {
             paths.fallback += 1;
-            collided(signal, interference(&scratch.interferers, r, rpos))
+            collided(
+                signal,
+                interference(memo, paths, &scratch.interferers, r, rpos),
+            )
         };
         out.push((r, outcome));
     }
@@ -499,10 +572,15 @@ mod tests {
         }
 
         /// Verdicts of `tx` from the bounded function, checked against
-        /// the oracle, plus how they were reached.
+        /// the oracle, plus how they were reached (the decision counts;
+        /// the power counts depend on the memo's state and are zeroed).
+        /// A second call on the now warm memo must agree.
         fn verdicts(&self, tx: u64) -> (Vec<(NodeId, PhysOutcome)>, VerdictPaths) {
             let tx = self.medium.transmissions.get(&tx).expect("transmission");
-            let mut scratch = PhysScratch::default();
+            let mut scratch = PhysScratch {
+                memo: PathLossMemo::new(),
+                ..PhysScratch::default()
+            };
             let (mut got, mut paths) = (Vec::new(), VerdictPaths::default());
             phys_verdicts(&self.medium, tx, &mut got, &mut scratch, &mut paths);
             assert_eq!(
@@ -510,7 +588,17 @@ mod tests {
                 oracle_verdicts(self, tx),
                 "verdicts differ from the exhaustive reference"
             );
-            (got, paths)
+            assert!(paths.powf > 0, "a cold memo computes the edge power");
+            let (mut warm, mut warm_paths) = (Vec::new(), VerdictPaths::default());
+            phys_verdicts(&self.medium, tx, &mut warm, &mut scratch, &mut warm_paths);
+            let decisions = |p: VerdictPaths| VerdictPaths {
+                powf: 0,
+                memo_hits: 0,
+                ..p
+            };
+            assert_eq!(warm, got, "a warm memo changes no verdict");
+            assert_eq!(decisions(warm_paths), decisions(paths));
+            (got, decisions(paths))
         }
     }
 
@@ -571,6 +659,51 @@ mod tests {
             let (scene, subject) = random_scene(seed);
             scene.verdicts(subject);
         }
+    }
+
+    #[test]
+    fn path_loss_memo_is_bit_identical_to_powf() {
+        let mut rng = pds_core::SimRng::new(44);
+        // Grid-exact, sub-metre (floored to 1 m) and arbitrary distances,
+        // drawn with repeats so that hits, misses and evictions all occur.
+        let mut pool: Vec<f64> = (0..3_000).map(|_| rng.range_f64(0.0, 1_500.0)).collect();
+        pool.extend((0..200).map(|i| f64::from(i) * 5.0));
+        pool.extend([0.0, 0.25, 1.0, f64::MIN_POSITIVE, 1e300]);
+        for alpha in [0.0, 2.0, 2.7, 3.0, 4.0] {
+            let mut memo = PathLossMemo::new();
+            let mut paths = VerdictPaths::default();
+            for _ in 0..20_000 {
+                let d = pool[rng.range_u64(0, pool.len() as u64) as usize];
+                let want = d.max(1.0).powf(-alpha);
+                assert_eq!(
+                    memo.power(d, alpha, &mut paths).to_bits(),
+                    want.to_bits(),
+                    "{d} at α {alpha}"
+                );
+            }
+            assert_eq!(paths.powf + paths.memo_hits, 20_000);
+            assert!(paths.powf > 0 && paths.memo_hits > 0, "{paths:?}");
+        }
+    }
+
+    #[test]
+    fn colliding_distances_evict_each_other_and_stay_exact() {
+        let slot = |d: f64| PathLossMemo::slot(d.max(1.0).to_bits());
+        let a = 37.5;
+        let b = (1..)
+            .map(|i| a + f64::from(i) * 0.125)
+            .find(|&b| slot(b) == slot(a))
+            .expect("some distance shares the slot");
+        let mut memo = PathLossMemo::new();
+        let mut paths = VerdictPaths::default();
+        for d in [a, b, a, b, b, a] {
+            assert_eq!(
+                memo.power(d, 3.0, &mut paths).to_bits(),
+                d.powf(-3.0).to_bits()
+            );
+        }
+        // Each switch of key misses; only the repeated `b` hits.
+        assert_eq!((paths.powf, paths.memo_hits), (5, 1));
     }
 
     #[test]

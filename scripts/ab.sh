@@ -3,12 +3,16 @@
 # current checkout.
 #
 #   scripts/ab.sh <base-rev> [--workload W] [--pairs N] [--seed S]
+#                 [--claim METRIC | --smoke]
 #
 # Exports <base-rev> with `git archive` into a temporary directory (no
 # worktree entry is left in .git if the run is cut short), builds both
 # benchmark binaries offline, then runs N pairs (default 5) of
 # `benchmark/run.sh --workload W --seed S --trace 0` per workload (default:
 # all four of BENCHMARK.json, seed 11), alternating which side runs first.
+# `--smoke` passes `--smoke` on (tiny worlds, seconds per run) and checks
+# only the exact metrics and the failed share: with base HEAD it shows that
+# two separate builds agree exactly and that the script works end to end.
 #
 # For every end-to-end metric of BENCHMARK.json it prints both medians, the
 # base's interquartile range (Python's `statistics.quantiles` exclusive
@@ -20,11 +24,16 @@
 #     more than the metric's `bound`, and read `unresolved` when the base's
 #     own IQR is wider than that bound;
 #   - the share of failed operations fails if it grows.
-# Exits 1 if any verdict fails. Needs git, cargo, jq, awk.
+# `--claim METRIC` adds one line per workload: the claimed gain in that
+# end-to-end metric is met when the change wins at least nine in ten pairs
+# (ties count for neither side) and the medians differ, in the change's
+# favour, by more than the base's IQR.
+# Exits 1 if any verdict fails or a claim is not met. Needs git, cargo, jq,
+# awk.
 set -euo pipefail
 
 usage() {
-  echo "usage: $0 <base-rev> [--workload W] [--pairs N] [--seed S]" >&2
+  echo "usage: $0 <base-rev> [--workload W] [--pairs N] [--seed S] [--claim METRIC | --smoke]" >&2
   exit 2
 }
 
@@ -34,18 +43,30 @@ shift
 workloads=""
 pairs=5
 seed=11
+claim=""
+smoke=false
 while [ $# -gt 0 ]; do
   case $1 in
     --workload) workloads=${2:?}; shift 2 ;;
     --pairs) pairs=${2:?}; shift 2 ;;
     --seed) seed=${2:?}; shift 2 ;;
+    --claim) claim=${2:?}; shift 2 ;;
+    --smoke) smoke=true; shift ;;
     *) usage ;;
   esac
 done
+# A claim is about host cost, which smoke-sized runs do not measure.
+[ -n "$claim" ] && $smoke && usage
 
 root=$(git rev-parse --show-toplevel)
 cd "$root"
 [ -n "$workloads" ] || workloads=$(jq -r '.workloads[].name' BENCHMARK.json)
+if [ -n "$claim" ] && ! jq -e --arg m "$claim" 'any(.end_to_end[]; .name == $m)' BENCHMARK.json > /dev/null; then
+  echo "--claim $claim: not an end-to-end metric of BENCHMARK.json" >&2
+  exit 2
+fi
+size=()
+$smoke && size=(--smoke)
 base_sha=$(git rev-parse --short "$base_rev^{commit}")
 
 tmp=$(mktemp -d)
@@ -62,7 +83,7 @@ done
 # object (the last line of output).
 run() {
   local out="$tmp/runs/$3.$1.$4.json"
-  (cd "$2" && benchmark/run.sh --workload "$3" --seed "$seed" --trace 0) | tail -n 1 > "$out" \
+  (cd "$2" && benchmark/run.sh --workload "$3" --seed "$seed" --trace 0 "${size[@]}") | tail -n 1 > "$out" \
     || echo "# $1 run $4 of $3 exited non-zero" >&2
   jq -e .metrics "$out" > /dev/null || { echo "no result object in $out" >&2; exit 1; }
 }
@@ -80,26 +101,33 @@ for w in $workloads; do
   done
 done
 
-# shellcheck disable=SC2016 # jq program, not shell expansion
-report='
+# shellcheck disable=SC2016 # jq programs, not shell expansion
+defs='
 def q($k): sort as $d | ($d | length) as $n | ($n + 1) as $m
   | (($k * $m / 4) | floor | if . < 1 then 1 elif . > $n - 1 then $n - 1 else . end) as $j
   | ($k * $m - $j * 4) as $delta
   | if $n == 1 then $d[0] else ($d[$j - 1] * (4 - $delta) + $d[$j] * $delta) / 4 end;
 def exact: IN("sim_latency_iqm_s", "recall", "overhead_mb", "finished_share");
 def fmt: if . == null then "-" else (. * 10000 | round / 10000 | tostring) end;
+# One end-to-end metric $m over the paired runs: both medians, the base IQR
+# and how many pairs the change won.
+def paired($m):
+  [$base[] | .metrics[$m.name].value] as $b
+  | [$change[] | .metrics[$m.name].value] as $c
+  | {b: $b, c: $c, bm: ($b | q(2)), cm: ($c | q(2)), iqr: (($b | q(3)) - ($b | q(1))),
+     wins: ([range($b | length)] | map(select(
+        if $m.better == "lower" then $c[.] < $b[.] else $c[.] > $b[.] end)) | length)};
+'
+# shellcheck disable=SC2016
+report=$defs'
 ($bench[0].end_to_end) as $metrics
 | [$metrics[] | . as $m
-  | [$base[] | .metrics[$m.name].value] as $b
-  | [$change[] | .metrics[$m.name].value] as $c
-  | ($b | q(2)) as $bm | ($c | q(2)) as $cm
-  | (($b | q(3)) - ($b | q(1))) as $iqr
-  | ([range($b | length)] | map(select(
-        if $m.better == "lower" then $c[.] < $b[.] else $c[.] > $b[.] end)) | length) as $wins
+  | paired($m) as {b: $b, c: $c, bm: $bm, cm: $cm, iqr: $iqr, wins: $wins}
   | (if $bm == 0 then 0 else ($cm - $bm) / $bm end) as $rel
   | (if $m.better == "lower" then $rel else -$rel end) as $worse
   | (if ($m.name | exact) then
        (if $b == $c and ($b | unique | length) == 1 then "ok (identical)" else "FAIL (differs)" end)
+     elif $smoke then "not checked (smoke)"
      elif $worse > $m.bound then "FAIL (worse by \($worse * 1000 | round / 10)% > \($m.bound * 100)%)"
      elif $bm != 0 and $iqr / $bm > $m.bound then "unresolved (base IQR \($iqr / $bm * 1000 | round / 10)%)"
      else "ok (\($rel * 1000 | round / 10)%)" end) as $verdict
@@ -110,17 +138,37 @@ def fmt: if . == null then "-" else (. * 10000 | round / 10000 | tostring) end;
         (if $cf * $ba > $bf * $ca then "FAIL (grows)" else "ok" end)]]
 | (["metric", "base_median", "change_median", "base_iqr", "wins", "verdict"], .[])
 | @tsv'
+# The claim rule: at least nine in ten pairs won, and a median gap in the
+# change's favour wider than the base's IQR.
+# shellcheck disable=SC2016
+verdict=$defs'
+($bench[0].end_to_end[] | select(.name == $claim)) as $m
+| paired($m) as {b: $b, bm: $bm, cm: $cm, iqr: $iqr, wins: $wins}
+| (if $m.better == "lower" then $bm - $cm else $cm - $bm end) as $gap
+| (if $wins * 10 >= ($b | length) * 9 and $gap > $iqr then "met" else "not met" end) as $met
+| "claim \($claim): \($met) (\($wins)/\($b | length) pairs won; median \($bm | fmt) -> \($cm | fmt), gap \($gap | fmt) vs base IQR \($iqr | fmt))"'
+
+# runs_jq <workload> <jq args...>: a jq program over BENCHMARK.json and the
+# workload's base and change result objects.
+runs_jq() {
+  jq -rn --slurpfile bench BENCHMARK.json \
+    --slurpfile base <(cat "$tmp/runs/$1.base."*.json) \
+    --slurpfile change <(cat "$tmp/runs/$1.change."*.json) "${@:2}"
+}
 
 status=0
 for w in $workloads; do
   echo
   echo "== $w: $pairs pairs, seed $seed, base $base_sha vs checkout"
-  table=$(jq -rn --slurpfile bench BENCHMARK.json \
-    --slurpfile base <(cat "$tmp/runs/$w.base."*.json) \
-    --slurpfile change <(cat "$tmp/runs/$w.change."*.json) "$report")
+  table=$(runs_jq "$w" --argjson smoke "$smoke" "$report")
   awk -F '\t' '{ printf "%-18s %-12s %-14s %-10s %-6s %s\n", $1, $2, $3, $4, $5, $6 }' <<< "$table"
   grep -q FAIL <<< "$table" && status=1
+  if [ -n "$claim" ]; then
+    line=$(runs_jq "$w" --arg claim "$claim" "$verdict")
+    echo "$line"
+    [[ $line == *": met "* ]] || status=1
+  fi
 done
 echo
-if ((status)); then echo "ab: regression found"; else echo "ab: no regression"; fi
+if ((status)); then echo "ab: regression found or claim not met"; else echo "ab: no regression"; fi
 exit $status

@@ -272,10 +272,20 @@ proptest! {
         id in any::<u64>(),
         sender in any::<u32>(),
         entries in proptest::collection::vec(descriptor(), 0..8),
-        pairs in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..8),
+        pairs in proptest::collection::vec((0..MAX_ITEM_CHUNKS, any::<u32>()), 0..8),
+        past_limit in proptest::option::of((MAX_ITEM_CHUNKS..u32::MAX, any::<u32>(), any::<usize>())),
         payload in proptest::collection::vec(any::<u8>(), 0..512),
         kind_sel in 0u8..4,
     ) {
+        let mut pairs = pairs;
+        // One chunk id past the item limit makes a CDI response undecodable.
+        let hostile = match (kind_sel, past_limit) {
+            (2, Some((id, hops, at))) => {
+                pairs.insert(at % (pairs.len() + 1), (id, hops));
+                true
+            }
+            _ => false,
+        };
         let kind = match kind_sel {
             0 => ResponseKind::Metadata { entries },
             1 => ResponseKind::SmallData {
@@ -296,8 +306,12 @@ proptest! {
             sender: NodeId(sender),
             kind,
         });
-        let back = PdsMessage::decode(&m.encode()).expect("decodes");
-        prop_assert_eq!(back, m);
+        if hostile {
+            prop_assert_eq!(PdsMessage::decode(&m.encode()), Err(DecodeError::BadBody));
+        } else {
+            let back = PdsMessage::decode(&m.encode()).expect("decodes");
+            prop_assert_eq!(back, m);
+        }
     }
 
     #[test]
