@@ -99,7 +99,7 @@ impl BloomFilter {
     /// Layout: `bits:u64 | hashes:u32 | seed:u64 | items:u64 | bitarray`.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(28 + self.bits.len());
+        let mut out = Vec::with_capacity(self.encoded_len());
         out.extend_from_slice(&self.params.bits().to_le_bytes());
         out.extend_from_slice(&self.params.hashes().to_le_bytes());
         out.extend_from_slice(&self.seed.to_le_bytes());
@@ -141,9 +141,10 @@ impl BloomFilter {
         })
     }
 
-    /// Size of the encoded form in bytes, for message-overhead accounting.
-    #[cfg(test)]
-    pub(crate) fn encoded_len(&self) -> usize {
+    /// Size of the encoded form in bytes: the 28-byte header plus the bit
+    /// array.
+    #[must_use]
+    pub fn encoded_len(&self) -> usize {
         28 + self.bits.len()
     }
 

@@ -121,7 +121,7 @@ impl PdsEngine {
         let QueryKind::MdrChunks { item, .. } = &q.kind else {
             return Vec::new();
         };
-        self.lqt.insert(q.clone(), q.sender);
+        self.lqt.insert(&q, q.sender);
         let mut out = Vec::new();
         let held = self.store.chunk_ids(item);
         let item_descriptor = self

@@ -241,8 +241,10 @@ pub struct PdsEngine {
     /// chunk is relayed to dozens of upstreams.
     pub(crate) pending_chunk: DetMap<(ItemName, ChunkId), SimTime>,
     pub(crate) rng: SimRng,
-    pub(crate) discovery: Option<DiscoverySession>,
-    pub(crate) retrieval: Option<RetrievalSession>,
+    // Boxed: only a consumer runs a session, and an idle node should not
+    // carry the room for one.
+    pub(crate) discovery: Option<Box<DiscoverySession>>,
+    pub(crate) retrieval: Option<Box<RetrievalSession>>,
 }
 
 impl PdsEngine {
@@ -286,13 +288,13 @@ impl PdsEngine {
     /// The running or finished discovery session, if any.
     #[must_use]
     pub fn discovery(&self) -> Option<&DiscoverySession> {
-        self.discovery.as_ref()
+        self.discovery.as_deref()
     }
 
     /// The running or finished retrieval session, if any.
     #[must_use]
     pub fn retrieval(&self) -> Option<&RetrievalSession> {
-        self.retrieval.as_ref()
+        self.retrieval.as_deref()
     }
 
     /// Whether the message behind `header` is a copy Algorithms 1 and 2
@@ -453,7 +455,7 @@ impl PdsEngine {
     /// routes *back toward itself* — poisoning CDI distance vectors.
     pub(crate) fn register_own_query(&mut self, q: &QueryMessage) {
         let me = self.id;
-        self.lqt.insert(q.clone(), me);
+        self.lqt.insert(q, me);
     }
 
     /// Forwards a flooded query: sender rewritten to this node, Bloom filter

@@ -118,7 +118,7 @@ impl PdsEngine {
                 .filter_map(|d| E::local(&self.store, d))
                 .map(|e| e.descriptor().entry_key()),
         );
-        self.discovery = Some(DiscoverySession {
+        self.discovery = Some(Box::new(DiscoverySession {
             filter,
             small_data: E::SMALL_DATA,
             collected,
@@ -127,7 +127,7 @@ impl PdsEngine {
             last_new_at: now,
             finished_at: None,
             round_log: vec![(now, 1)],
-        });
+        }));
         self.flood_discovery_round(now)
     }
 
@@ -199,7 +199,7 @@ impl PdsEngine {
         me_intended: bool,
         q: QueryMessage,
     ) -> Vec<Outgoing> {
-        self.lqt.insert(q.clone(), q.sender);
+        self.lqt.insert(&q, q.sender);
         let mut out = Vec::new();
         out.extend(match q.kind {
             QueryKind::SmallData => self.respond_discovery::<(DataDescriptor, Bytes)>(now, &q),

@@ -69,7 +69,7 @@ impl PdsEngine {
             (false, false) => RetrievalPhase::CdiCollection,
             (false, true) => RetrievalPhase::ChunkRetrieval,
         };
-        self.retrieval = Some(RetrievalSession {
+        self.retrieval = Some(Box::new(RetrievalSession {
             item: item.clone(),
             descriptor,
             total_chunks: total,
@@ -85,7 +85,7 @@ impl PdsEngine {
             rounds_sent: u32::from(mdr),
             mode,
             transitions: vec![(now, phase)],
-        });
+        }));
         (!done).then_some((item, total))
     }
 
@@ -329,7 +329,7 @@ impl PdsEngine {
         let QueryKind::Cdi { descriptor } = &q.kind else {
             return Vec::new();
         };
-        self.lqt.insert(q.clone(), q.sender);
+        self.lqt.insert(&q, q.sender);
         let Some(item) = descriptor.item_name() else {
             return Vec::new();
         };
@@ -488,7 +488,7 @@ impl PdsEngine {
         let QueryKind::Chunks { item, chunks } = &q.kind else {
             return Vec::new();
         };
-        self.lqt.insert(q.clone(), q.sender);
+        self.lqt.insert(&q, q.sender);
         let mut out = Vec::new();
         let mut remaining = Vec::new();
         let item_descriptor = self

@@ -1587,3 +1587,12 @@ fn recent_response_gc_removes_what_a_full_sweep_removes() {
     }
     assert!(skipped > 0, "no gc was skipped");
 }
+
+#[test]
+fn an_idle_engine_carries_no_session_slots() {
+    // Only a consumer runs a session: until it starts one, each is a
+    // pointer's worth of `None`.
+    assert_eq!(size_of::<Option<Box<DiscoverySession>>>(), 8);
+    assert_eq!(size_of::<Option<Box<RetrievalSession>>>(), 8);
+    assert!(size_of::<PdsEngine>() <= 448);
+}

@@ -16,6 +16,7 @@ use crate::time::ExpiryBound;
 use crate::{NodeId, SimTime};
 use pds_bloom::BloomFilter;
 use pds_det::{BitSet, DetMap};
+use std::borrow::Borrow;
 use std::collections::VecDeque;
 
 /// Canonical Bloom-filter / dedup key for a chunk of an item (used by MDR
@@ -32,7 +33,9 @@ pub fn chunk_key(item: &ItemName, chunk: ChunkId) -> Vec<u8> {
 /// One lingering query and its mutable en-route state.
 #[derive(Debug)]
 pub struct Lingering {
-    /// The query as last received. Its `expires_at` is the entry's expiry
+    /// The query as last received, less a wire Bloom filter that decoded:
+    /// that one is held only as `bloom`, and `query.bloom` keeps just a
+    /// malformed filter, verbatim. Its `expires_at` is the entry's expiry
     /// as of insertion: lowered later, the entry stops matching at once
     /// but [`LingeringQueryTable`]'s `gc` may keep it until the earliest
     /// expiry it was inserted with.
@@ -41,6 +44,9 @@ pub struct Lingering {
     pub upstream: NodeId,
     /// The query's Bloom filter, decoded once and rewritten en-route.
     pub bloom: Option<BloomFilter>,
+    /// Whether `bloom` was decoded from the query's wire filter rather
+    /// than synthesized here.
+    wire_bloom: bool,
     /// For [`QueryKind::Chunks`]: chunks still owed upstream; relaying a
     /// chunk removes it so later copies are not re-relayed.
     pub remaining_chunks: BitSet,
@@ -75,14 +81,17 @@ impl Lingering {
     /// Approximate resident bytes of this entry: struct plus the heap
     /// behind it (cached Bloom bits, outstanding-chunk bitset, reported-CDI
     /// map, and the query's own allocations). Drives the table's byte
-    /// budget; an estimate, not an exact accounting.
+    /// budget; an estimate, not an exact accounting. The query is charged
+    /// as it was received, with its wire Bloom filter, whether or not that
+    /// is still held: the budget evicts the same entries either way.
     #[must_use]
     pub(crate) fn approx_bytes(&self) -> usize {
-        let bloom = self
-            .bloom
-            .as_ref()
-            .map_or(0, |b| b.params().byte_len() + 32);
-        let query = self.query.bloom.as_ref().map_or(0, Vec::capacity)
+        let (bloom, wire) = self.bloom.as_ref().map_or((0, 0), |b| {
+            let wire = if self.wire_bloom { b.encoded_len() } else { 0 };
+            (b.params().byte_len() + 32, wire)
+        });
+        let query = wire
+            + self.query.bloom.as_ref().map_or(0, Vec::len)
             + match &self.query.kind {
                 QueryKind::Cdi { descriptor } => descriptor.encoded_len() * 2,
                 QueryKind::Chunks { item, chunks } => {
@@ -125,7 +134,7 @@ pub(crate) const NODE_BYTE_BUDGET: usize = 512 * 1024;
 ///     round: 0,
 ///     ttl_hops: 0,
 /// };
-/// assert!(lqt.insert(q.clone(), NodeId(7)));
+/// assert!(lqt.insert(&q, NodeId(7)));
 /// assert!(lqt.seen(QueryId(1)), "redundant copies are detected");
 /// assert_eq!(lqt.match_metadata(SimTime::ZERO).len(), 1);
 /// ```
@@ -184,14 +193,15 @@ impl LingeringQueryTable {
         self.entries.contains_key(&id)
     }
 
-    /// Inserts a freshly received query. The Bloom filter is decoded and
-    /// cached; malformed filters are treated as absent (the query still
-    /// works, just without pruning). For bloom-less metadata / small-data /
-    /// MDR queries an empty filter is created, so en-route rewriting can
-    /// still suppress duplicate replies from different providers
-    /// (§III-B-2). Returns `false` (and leaves the table unchanged) if the
-    /// id is already present.
-    pub fn insert(&mut self, query: QueryMessage, upstream: NodeId) -> bool {
+    /// Inserts a freshly received query. The Bloom filter is decoded from
+    /// the borrowed wire bytes and held decoded only; malformed filters are
+    /// treated as absent (the query still works, just without pruning).
+    /// For bloom-less metadata / small-data / MDR queries an empty filter
+    /// is created, so en-route rewriting can still suppress duplicate
+    /// replies from different providers (§III-B-2). Returns `false` (and
+    /// leaves the table unchanged) if the id is already present.
+    pub fn insert(&mut self, query: impl Borrow<QueryMessage>, upstream: NodeId) -> bool {
+        let query = query.borrow();
         if self.entries.contains_key(&query.id) {
             return false;
         }
@@ -204,25 +214,27 @@ impl LingeringQueryTable {
         } else {
             (self.byte_budget / 16).max(64)
         };
-        let bloom = query
-            .bloom
-            .as_deref()
-            .and_then(|b| BloomFilter::decode(b).ok())
-            .or_else(|| {
-                let capacity = match &query.kind {
-                    QueryKind::Metadata | QueryKind::SmallData => Some(4096),
-                    QueryKind::MdrChunks { total_chunks, .. } => {
-                        Some((*total_chunks as usize * 2).max(64))
-                    }
-                    _ => None,
-                };
-                capacity.map(|n| {
-                    BloomFilter::with_round(
-                        pds_bloom::BloomParams::optimal(n.min(cap_limit), 0.01),
-                        query.round,
-                    )
-                })
-            });
+        let (wire, malformed) = match query.bloom.as_deref().map(BloomFilter::decode) {
+            Some(Ok(b)) => (Some(b), None),
+            Some(Err(_)) => (None, query.bloom.clone()),
+            None => (None, None),
+        };
+        let wire_bloom = wire.is_some();
+        let bloom = wire.or_else(|| {
+            let capacity = match &query.kind {
+                QueryKind::Metadata | QueryKind::SmallData => Some(4096),
+                QueryKind::MdrChunks { total_chunks, .. } => {
+                    Some((*total_chunks as usize * 2).max(64))
+                }
+                _ => None,
+            };
+            capacity.map(|n| {
+                BloomFilter::with_round(
+                    pds_bloom::BloomParams::optimal(n.min(cap_limit), 0.01),
+                    query.round,
+                )
+            })
+        });
         let remaining_chunks = match &query.kind {
             QueryKind::Chunks { chunks, .. } => {
                 let n = chunks.iter().map(|c| c.0.saturating_add(1)).max();
@@ -239,9 +251,15 @@ impl LingeringQueryTable {
         self.entries.insert(
             id,
             Lingering {
-                query,
+                query: QueryMessage {
+                    kind: query.kind.clone(),
+                    filter: query.filter.clone(),
+                    bloom: malformed,
+                    ..*query
+                },
                 upstream,
                 bloom,
+                wire_bloom,
                 remaining_chunks,
                 reported_cdi: DetMap::default(),
                 exhausted: false,
@@ -673,6 +691,126 @@ mod tests {
             }
         }
         assert!(skipped > 0, "no gc was skipped");
+    }
+
+    /// A query of a seeded mix: every kind, with a wire Bloom filter, a
+    /// malformed one or none.
+    fn seeded_query(rng: &mut crate::SimRng, id: u64, now: u64) -> QueryMessage {
+        let expires_at = SimTime::from_micros(now + rng.range_u64(1, 20_000_000));
+        let item = ItemName::new(format!("item{}", rng.range_u64(0, 4)));
+        let kind = match rng.range_u64(0, 5) {
+            0 => QueryKind::Metadata,
+            1 => QueryKind::SmallData,
+            2 => QueryKind::Cdi {
+                descriptor: crate::DataDescriptor::builder()
+                    .attr("name", item.as_str())
+                    .build(),
+            },
+            3 => QueryKind::Chunks {
+                chunks: (0..rng.range_u64(1, 40))
+                    .map(|c| ChunkId(c as u32 * 3))
+                    .collect(),
+                item,
+            },
+            _ => QueryKind::MdrChunks {
+                item,
+                total_chunks: rng.range_u64(1, 200) as u32,
+            },
+        };
+        let bloom = match rng.range_u64(0, 3) {
+            0 => None,
+            1 => {
+                let n = rng.range_u64(1, 400) as usize;
+                let mut b = BloomFilter::with_round(BloomParams::optimal(n, 0.01), 1);
+                b.insert(b"held");
+                Some(b.encode())
+            }
+            _ => Some(vec![7; rng.range_u64(0, 300) as usize]),
+        };
+        QueryMessage {
+            id: QueryId(id),
+            kind,
+            sender: NodeId(1),
+            expires_at,
+            filter: QueryFilter::match_all(),
+            bloom,
+            round: rng.range_u64(0, 3) as u32,
+            ttl_hops: 0,
+        }
+    }
+
+    #[test]
+    fn approx_bytes_charges_the_query_as_received() {
+        // The charge when the entry kept the whole received query: its
+        // wire Bloom bytes next to the decoded filter.
+        let as_received = |q: &QueryMessage, l: &Lingering| {
+            size_of::<Lingering>()
+                + l.bloom.as_ref().map_or(0, |b| b.params().byte_len() + 32)
+                + q.bloom.as_ref().map_or(0, Vec::len)
+        };
+        let mut wire = BloomFilter::with_round(BloomParams::optimal(300, 0.01), 1);
+        wire.insert(b"held");
+        let mut lqt = LingeringQueryTable::new();
+        for (id, bloom) in [
+            (1, Some(wire.encode())),
+            (2, Some(vec![1, 2, 3])),
+            (3, None),
+        ] {
+            let mut q = query(id, QueryKind::Metadata, 10.0);
+            q.bloom = bloom;
+            lqt.insert(&q, NodeId(2));
+            let l = lqt.get(q.id).expect("present");
+            assert_eq!(l.approx_bytes(), as_received(&q, l), "query {id}");
+            // Only a malformed filter is kept in wire form.
+            assert_eq!(l.query.bloom.is_some(), id == 2, "query {id}");
+        }
+        // The wire filter is held decoded, bit for bit.
+        let held = lqt.get(QueryId(1)).and_then(|l| l.bloom.as_ref());
+        assert_eq!(held.map(BloomFilter::encode), Some(wire.encode()));
+
+        // A seeded mix of kinds, filters, redundant copies, removes and gc
+        // under a small budget evicts exactly the ids, and charges exactly
+        // the bytes, that a table holding every received query whole did.
+        const EVICTED: [u64; 67] = [
+            36, 40, 42, 46, 47, 48, 49, 57, 50, 60, 71, 79, 83, 81, 85, 84, 86, 54, 108, 55, 111,
+            113, 116, 115, 119, 121, 122, 124, 125, 128, 64, 130, 69, 134, 68, 142, 141, 71, 145,
+            146, 147, 149, 74, 150, 153, 154, 155, 156, 158, 159, 160, 162, 163, 164, 168, 169,
+            170, 171, 172, 173, 87, 175, 88, 177, 178, 179, 180,
+        ];
+        let mut rng = crate::SimRng::new(0xb1_00f);
+        let mut lqt = LingeringQueryTable::with_budget(16 * 1024);
+        let (mut evicted, mut charged) = (Vec::new(), 0);
+        let (mut now, mut next_id) = (0, 0);
+        for _ in 0..300 {
+            now += rng.range_u64(0, 1_000_000);
+            match rng.range_u64(0, 10) {
+                0..=6 => {
+                    let id = if rng.range_u64(0, 8) == 0 {
+                        next_id / 2
+                    } else {
+                        next_id
+                    };
+                    next_id += 1;
+                    let q = seeded_query(&mut rng, id, now);
+                    let before: Vec<QueryId> = lqt.entries.keys().copied().collect();
+                    lqt.insert(&q, NodeId(2));
+                    evicted.extend(before.into_iter().filter(|&q| !lqt.seen(q)).map(|q| q.0));
+                    charged += lqt.approx_bytes();
+                }
+                7 => {
+                    lqt.remove(QueryId(rng.range_u64(0, next_id + 1)));
+                }
+                _ => lqt.gc(SimTime::from_micros(now)),
+            }
+        }
+        assert_eq!(evicted, EVICTED);
+        assert_eq!(charged, 2_622_463);
+    }
+
+    #[test]
+    fn a_lingering_query_is_248_bytes() {
+        // `approx_bytes` charges this size per entry: it moves the budget.
+        assert_eq!(size_of::<Lingering>(), 248);
     }
 
     #[test]

@@ -21,15 +21,9 @@ use bytes::Bytes;
 use pds_det::DetMap;
 use std::collections::{btree_map, BTreeMap};
 
-/// One stored metadata entry.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct MetaEntry {
-    /// The descriptor.
-    pub descriptor: DataDescriptor,
-    /// Expiration for payload-less cached entries; `None` while the payload
-    /// (or any chunk of the item) is held, or for locally produced data.
-    pub expires_at: Option<SimTime>,
-}
+/// The expiry of a metadata entry that never expires: its payload (or any
+/// chunk of the item) is held, or the data was produced locally.
+const NEVER: SimTime = SimTime::MAX;
 
 /// One held chunk: its bytes and its place in the eviction order.
 #[derive(Debug, Clone)]
@@ -61,11 +55,13 @@ struct HeldChunk {
 /// ```
 #[derive(Debug)]
 pub struct DataStore {
-    metadata: DetMap<EntryKey, MetaEntry>,
-    // How many `metadata` entries carry an `expires_at`: what `gc` could
-    // ever remove, kept so the owner can ask in O(1).
+    // Each entry's descriptor is its key; the value is when it expires,
+    // `NEVER` for a pinned entry.
+    metadata: DetMap<EntryKey, SimTime>,
+    // How many `metadata` entries expire at all: what `gc` could ever
+    // remove, kept so the owner can ask in O(1).
     expiring: usize,
-    // No `expires_at` in `metadata` is earlier than this.
+    // No expiry in `metadata` is earlier than this.
     next_expiry: ExpiryBound,
     small_payloads: DetMap<EntryKey, Bytes>,
     // Every held chunk, with its eviction bookkeeping.
@@ -117,14 +113,8 @@ impl DataStore {
             self.small_payloads.insert(descriptor.entry_key(), p);
         }
         self.index_item(&descriptor);
-        let replaced = self.metadata.insert(
-            descriptor.entry_key(),
-            MetaEntry {
-                descriptor,
-                expires_at: None,
-            },
-        );
-        if replaced.is_some_and(|e| e.expires_at.is_some()) {
+        let replaced = self.metadata.insert(descriptor.entry_key(), NEVER);
+        if replaced.is_some_and(|at| at != NEVER) {
             self.expiring -= 1;
         }
     }
@@ -151,34 +141,33 @@ impl DataStore {
     #[must_use]
     pub(crate) fn item_descriptor_by_name(&self, name: &ItemName) -> Option<&DataDescriptor> {
         let key = self.items_by_name.get(name)?;
-        self.metadata.get(key).map(|e| &e.descriptor)
+        self.metadata
+            .get_key_value(key)
+            .map(|(k, _)| k.descriptor())
     }
 
     /// Caches a metadata entry learned from the network. If the entry is
     /// already present, a later expiration extends it; entries backed by a
-    /// payload stay non-expiring. Returns `true` if the entry was new.
+    /// payload stay non-expiring, and so does one cached to expire at
+    /// `SimTime::MAX`. Returns `true` if the entry was new.
     pub fn cache_metadata(&mut self, descriptor: DataDescriptor, expires_at: SimTime) -> bool {
         let has_payload = self.small_payloads.contains_key(descriptor.encode())
             || self.has_any_chunk(&descriptor);
+        let expires_at = if has_payload { NEVER } else { expires_at };
         match self.metadata.entry(descriptor.entry_key()) {
             pds_det::MapEntry::Occupied(mut e) => {
-                let entry = e.get_mut();
-                if entry.expires_at.is_some() {
-                    if has_payload {
-                        entry.expires_at = None;
+                let at = e.get_mut();
+                if *at < expires_at {
+                    *at = expires_at;
+                    if expires_at == NEVER {
                         self.expiring -= 1;
-                    } else if entry.expires_at.is_some_and(|t| t < expires_at) {
-                        entry.expires_at = Some(expires_at);
                     }
                 }
                 false
             }
             pds_det::MapEntry::Vacant(v) => {
-                v.insert(MetaEntry {
-                    descriptor: descriptor.clone(),
-                    expires_at: if has_payload { None } else { Some(expires_at) },
-                });
-                if !has_payload {
+                v.insert(expires_at);
+                if expires_at != NEVER {
                     self.expiring += 1;
                     self.next_expiry.note(expires_at);
                 }
@@ -197,18 +186,12 @@ impl DataStore {
     /// Makes the entry for `descriptor` non-expiring, adding it if absent:
     /// its payload (or a chunk of the item) is now held.
     fn pin_metadata(&mut self, descriptor: &DataDescriptor) {
-        if let Some(e) = self.metadata.get_mut(descriptor.encode()) {
-            if e.expires_at.take().is_some() {
+        if let Some(at) = self.metadata.get_mut(descriptor.encode()) {
+            if std::mem::replace(at, NEVER) != NEVER {
                 self.expiring -= 1;
             }
         } else {
-            self.metadata.insert(
-                descriptor.entry_key(),
-                MetaEntry {
-                    descriptor: descriptor.clone(),
-                    expires_at: None,
-                },
-            );
+            self.metadata.insert(descriptor.entry_key(), NEVER);
         }
     }
 
@@ -351,10 +334,10 @@ impl DataStore {
     #[must_use]
     pub fn match_metadata(&self, filter: &QueryFilter, now: SimTime) -> Vec<&DataDescriptor> {
         self.metadata
-            .values()
-            .filter(|e| e.expires_at.is_none_or(|t| t > now))
-            .filter(|e| filter.matches(&e.descriptor))
-            .map(|e| &e.descriptor)
+            .iter()
+            .filter(|&(_, &at)| at > now)
+            .map(|(k, _)| k.descriptor())
+            .filter(|d| filter.matches(d))
             .collect()
     }
 
@@ -371,8 +354,8 @@ impl DataStore {
         self.metadata.len()
     }
 
-    /// Number of stored metadata entries that carry an expiration (cached
-    /// without their payload): the entries [`DataStore::gc`] may remove.
+    /// Number of stored metadata entries that expire (cached without their
+    /// payload): the entries [`DataStore::gc`] may remove.
     #[must_use]
     pub(crate) fn expiring_len(&self) -> usize {
         self.expiring
@@ -392,7 +375,7 @@ impl DataStore {
         let before = self.metadata.len();
         let mut next = ExpiryBound::default();
         self.metadata
-            .retain(|_, e| e.expires_at.is_none_or(|t| next.keep(t, now)));
+            .retain(|_, &mut at| at == NEVER || next.keep(at, now));
         self.expiring -= before - self.metadata.len();
         self.next_expiry = next;
     }
@@ -672,12 +655,7 @@ mod tests {
     #[test]
     fn expiring_len_counts_what_gc_can_remove() {
         let mut s = DataStore::new();
-        let recount = |s: &DataStore| {
-            s.metadata
-                .values()
-                .filter(|e| e.expires_at.is_some())
-                .count()
-        };
+        let recount = |s: &DataStore| s.metadata.values().filter(|&&at| at != NEVER).count();
         let item = item_desc("vid", 4);
         s.insert_own(desc("own"), None);
         assert!(s.cache_metadata(desc("a"), t(10.0)));
@@ -744,6 +722,96 @@ mod tests {
             }
         }
         assert!(skipped > 0, "no gc was skipped");
+    }
+
+    #[test]
+    fn metadata_order_is_the_key_tables_order() {
+        // `match_metadata` order is wire-visible (DESIGN.md §17, invariant
+        // 1). A reference table of the keys alone, driven by the same map
+        // calls, must iterate in the same order. The calls matter, not just
+        // the key set: `insert` of a present key may grow the table. A model
+        // of each entry's expiry (`None`: pinned) decides what is live.
+        let mut rng = crate::SimRng::new(0x0de7);
+        for _ in 0..10 {
+            let mut s = DataStore::new();
+            let mut keys: DetMap<EntryKey, ()> = DetMap::default();
+            let mut expiry: BTreeMap<Vec<u8>, Option<SimTime>> = BTreeMap::new();
+            let (mut payloads, mut chunked) = (Vec::new(), Vec::new());
+            let mut now = 0;
+            for _ in 0..400 {
+                now += rng.range_u64(0, 2_000_000);
+                let at = SimTime::from_micros(now);
+                let n = rng.range_u64(0, 40);
+                let d = if n.is_multiple_of(4) {
+                    item_desc(&format!("v{n}"), 4)
+                } else {
+                    desc(&format!("e{n}"))
+                };
+                let key = d.entry_key();
+                // What the store does to the entry: expire at `Some(t)`,
+                // or pin with `None`.
+                let until = match rng.range_u64(0, 8) {
+                    // Insert, or extend an entry already cached.
+                    0..=3 => {
+                        let until =
+                            at + crate::SimDuration::from_micros(rng.range_u64(1, 20_000_000));
+                        s.cache_metadata(d.clone(), until);
+                        let pinned = payloads.contains(&key)
+                            || d.name().is_some_and(|n| chunked.iter().any(|c| c == n));
+                        (!pinned).then_some(until)
+                    }
+                    // A payload, a chunk or local production pins it.
+                    4 => {
+                        s.cache_small_payload(&d, Bytes::from_static(b"v"));
+                        payloads.push(key.clone());
+                        None
+                    }
+                    5 if d.name().is_some() => {
+                        s.insert_chunk(&d, ChunkId(0), Bytes::from_static(b"c"));
+                        chunked.extend(d.name().map(str::to_owned));
+                        None
+                    }
+                    5 => {
+                        s.insert_own(d.clone(), None);
+                        keys.insert(key.clone(), ());
+                        None
+                    }
+                    _ => {
+                        s.gc(at);
+                        expiry.retain(|_, t| t.is_none_or(|t| t > at));
+                        keys.retain(|k, ()| expiry.contains_key(k.as_bytes()));
+                        continue;
+                    }
+                };
+                match expiry.get_mut(key.as_bytes()) {
+                    Some(t) => *t = t.zip(until).map(|(t, until)| t.max(until)),
+                    None => {
+                        expiry.insert(key.as_bytes().to_vec(), until);
+                        // Caching and pinning insert an absent key only.
+                        keys.entry(key).or_insert(());
+                    }
+                }
+                let live: Vec<&[u8]> = keys
+                    .keys()
+                    .map(EntryKey::as_bytes)
+                    .filter(|k| expiry[*k].is_none_or(|t| t > at))
+                    .collect();
+                let matched: Vec<&[u8]> = s
+                    .match_metadata(&QueryFilter::match_all(), at)
+                    .into_iter()
+                    .map(DataDescriptor::encode)
+                    .collect();
+                assert_eq!(matched, live);
+            }
+            let expiring = expiry.values().filter(|t| t.is_some()).count();
+            assert_eq!(s.expiring_len(), expiring);
+        }
+    }
+
+    #[test]
+    fn a_metadata_bucket_is_at_most_24_bytes() {
+        // The descriptor is the key; the value is its expiry alone.
+        assert!(size_of::<(EntryKey, SimTime)>() <= 24);
     }
 
     #[test]

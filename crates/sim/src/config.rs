@@ -25,6 +25,11 @@ pub(crate) const FRAME_OVERHEAD: SimDuration = SimDuration::from_micros(300);
 /// 1.5 KB UDP packets).
 pub(crate) const MAX_FRAME_BYTES: usize = 1500;
 
+/// Most fragments one message may have: 2^16, so a 64 MiB message fits
+/// and a reassembly's fragment set is at most 8 KiB. A received data frame
+/// claiming more is dropped before any reassembly state is made for it.
+pub(crate) const MAX_MESSAGE_FRAGMENTS: u32 = 1 << 16;
+
 /// How long a transmission must have been on the air before carrier sense
 /// detects it (rx/tx turnaround + detection). Two stations whose deferred
 /// starts fall within this window of each other collide — the CSMA

@@ -26,7 +26,7 @@
     clippy::indexing_slicing
 )]
 
-use crate::config::{AckConfig, SimConfig, ACK_DELAY, MAX_FRAME_BYTES};
+use crate::config::{AckConfig, SimConfig, ACK_DELAY, MAX_FRAME_BYTES, MAX_MESSAGE_FRAGMENTS};
 use bytes::Bytes;
 use pds_core::MessageHandle;
 use pds_core::NodeId;
@@ -233,7 +233,8 @@ pub(crate) enum Received {
     /// this node's message.
     Acked(MessageHandle),
     /// Nothing: an ack for another node's message, for a message no
-    /// longer tracked, or one that leaves fragments unacknowledged.
+    /// longer tracked, or one that leaves fragments unacknowledged; or a
+    /// data frame claiming more than `MAX_MESSAGE_FRAGMENTS` fragments.
     Nothing,
 }
 
@@ -304,6 +305,11 @@ impl Transport {
         let intended: Arc<[NodeId]> = intended.into();
         let frag_payload = Self::frag_payload_size(intended.len());
         let frag_count = (payload.len().max(1)).div_ceil(frag_payload) as u32;
+        debug_assert!(
+            frag_count <= MAX_MESSAGE_FRAGMENTS,
+            "a {}-byte message needs {frag_count} fragments",
+            payload.len()
+        );
         let header = DATA_HEADER_BASE + PER_RECEIVER_BYTES * intended.len();
         let msg_wire_bytes = (payload.len() + frag_count as usize * header) as u32;
         frames.clear();
@@ -366,6 +372,9 @@ impl Transport {
                 return self.on_ack(me, *msg, frame.sender, received)
             }
         };
+        if frag_count > MAX_MESSAGE_FRAGMENTS {
+            return Received::Nothing;
+        }
         let from = frame.sender;
         let entry = self.incoming.entry(msg).or_insert_with(|| {
             Incoming::Assembling(Box::new(Assembling {
@@ -715,6 +724,20 @@ mod tests {
         let d = receive_all(&mut rx, NodeId(1), &frames).expect("complete");
         assert_eq!(d.payload, payload(256 * 1024));
         assert!(!d.overheard);
+    }
+
+    #[test]
+    fn a_data_frame_past_the_fragment_limit_is_dropped() {
+        let mut tx = Transport::new();
+        let mut rx = Transport::new();
+        let (_, mut frames) = send(&mut tx, NodeId(0), 0, 100, vec![NodeId(1)]);
+        let FrameKind::Data { frag_count, .. } = &mut frames[0].kind else {
+            panic!("a data frame")
+        };
+        *frag_count = u32::MAX;
+        let got = rx.receive(NodeId(1), &frames[0], &AckConfig::default(), SimTime::ZERO);
+        assert!(matches!(got, Received::Nothing));
+        assert!(rx.incoming.is_empty(), "no reassembly state");
     }
 
     #[test]

@@ -20,6 +20,9 @@
 # verdict:
 #   - `sim_latency_iqm_s`, `recall`, `overhead_mb`, `finished_share` are
 #     exact: any difference in any pair fails;
+#   - so is the `fingerprint` row, the replay fingerprint each run prints
+#     on its `# sessions … fingerprint` line: two builds that simulate the
+#     same events print the same one;
 #   - the others fail when the change's median is worse than the base's by
 #     more than the metric's `bound`, and read `unresolved` when the base's
 #     own IQR is wider than that bound;
@@ -80,12 +83,14 @@ for dir in "$tmp/base" "$root"; do
 done
 
 # run <side> <dir> <workload> <pair>: one end-to-end run; keeps its result
-# object (the last line of output).
+# object (the last line of output) with the run's fingerprint added.
 run() {
-  local out="$tmp/runs/$3.$1.$4.json"
-  (cd "$2" && benchmark/run.sh --workload "$3" --seed "$seed" --trace 0 "${size[@]}") | tail -n 1 > "$out" \
+  local out="$tmp/runs/$3.$1.$4.json" log="$tmp/runs/$3.$1.$4.log" fp
+  (cd "$2" && benchmark/run.sh --workload "$3" --seed "$seed" --trace 0 "${size[@]}") > "$log" \
     || echo "# $1 run $4 of $3 exited non-zero" >&2
-  jq -e .metrics "$out" > /dev/null || { echo "no result object in $out" >&2; exit 1; }
+  fp=$(sed -n 's/^# sessions .*, fingerprint \([0-9a-f]*\)$/\1/p' "$log")
+  tail -n 1 "$log" | jq -c --arg fp "$fp" '. + {fingerprint: $fp}' > "$out" \
+    && jq -e .metrics "$out" > /dev/null || { echo "no result object in $log" >&2; exit 1; }
 }
 
 for w in $workloads; do
@@ -134,6 +139,11 @@ report=$defs'
   | [$m.name, ($bm | fmt), ($cm | fmt), ($iqr | fmt), "\($wins)/\($b | length)", $verdict]]
 | ([$base[] | .failed] | add) as $bf | ([$base[] | .attempted] | add) as $ba
 | ([$change[] | .failed] | add) as $cf | ([$change[] | .attempted] | add) as $ca
+| [$base[] | .fingerprint] as $bp | [$change[] | .fingerprint] as $cp
+| . + [["fingerprint", $bp[0], $cp[0], "-", "-",
+        (if any($bp[], $cp[]; . == "") then "FAIL (missing)"
+         elif $bp == $cp and ($bp | unique | length) == 1 then "ok (identical)"
+         else "FAIL (differs)" end)]]
 | . + [["failed ops", "\($bf)/\($ba)", "\($cf)/\($ca)", "-", "-",
         (if $cf * $ba > $bf * $ca then "FAIL (grows)" else "ok" end)]]
 | (["metric", "base_median", "change_median", "base_iqr", "wins", "verdict"], .[])
@@ -161,7 +171,7 @@ for w in $workloads; do
   echo
   echo "== $w: $pairs pairs, seed $seed, base $base_sha vs checkout"
   table=$(runs_jq "$w" --argjson smoke "$smoke" "$report")
-  awk -F '\t' '{ printf "%-18s %-12s %-14s %-10s %-6s %s\n", $1, $2, $3, $4, $5, $6 }' <<< "$table"
+  awk -F '\t' '{ printf "%-18s %-17s %-17s %-10s %-6s %s\n", $1, $2, $3, $4, $5, $6 }' <<< "$table"
   grep -q FAIL <<< "$table" && status=1
   if [ -n "$claim" ]; then
     line=$(runs_jq "$w" --arg claim "$claim" "$verdict")
