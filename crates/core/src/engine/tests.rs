@@ -6,6 +6,7 @@ use super::*;
 use crate::config::PdsConfig;
 use crate::descriptor::DataDescriptor;
 use crate::ids::{ChunkId, ItemName};
+use crate::message::tests::one_of_each_kind;
 use crate::message::{MessageHeader, PdsMessage, QueryKind, ResponseKind};
 use crate::predicate::{Predicate, QueryFilter, Relation};
 use crate::sessions::RetrievalPhase;
@@ -1193,59 +1194,6 @@ fn gc_reclaims_protocol_state() {
 }
 
 // ---- the zero-copy metadata path ------------------------------------------
-
-/// One message of every query and response kind.
-fn one_of_each_kind() -> Vec<PdsMessage> {
-    let query = |kind| {
-        PdsMessage::Query(QueryMessage {
-            id: QueryId(0x0123_4567_89ab_cdef),
-            kind,
-            sender: NodeId(7),
-            expires_at: t(12.5),
-            filter: QueryFilter::new(vec![Predicate::new("type", Relation::Eq, "no2")]),
-            bloom: Some(vec![1, 2, 3, 4]),
-            round: 2,
-            ttl_hops: 5,
-        })
-    };
-    let response = |kind| {
-        PdsMessage::Response(ResponseMessage {
-            id: ResponseId(0xfedc_ba98_7654_3210),
-            sender: NodeId(3),
-            kind,
-        })
-    };
-    vec![
-        query(QueryKind::Metadata),
-        query(QueryKind::SmallData),
-        query(QueryKind::Cdi {
-            descriptor: video("vid", 8),
-        }),
-        query(QueryKind::Chunks {
-            item: ItemName::new("vid"),
-            chunks: vec![ChunkId(0), ChunkId(5)],
-        }),
-        query(QueryKind::MdrChunks {
-            item: ItemName::new("vid"),
-            total_chunks: 8,
-        }),
-        response(ResponseKind::Metadata {
-            entries: vec![entry(1), entry(2)],
-        }),
-        response(ResponseKind::SmallData {
-            items: vec![(entry(1), Bytes::from_static(b"12ppb"))],
-        }),
-        response(ResponseKind::Cdi {
-            item: ItemName::new("vid"),
-            pairs: vec![(ChunkId(0), 0), (ChunkId(1), 3)],
-        }),
-        response(ResponseKind::Chunk {
-            descriptor: video("vid", 8),
-            chunk: ChunkId(4),
-            data: Bytes::from(vec![9u8; 64]),
-        }),
-    ]
-}
 
 #[test]
 fn header_peek_agrees_with_decode_on_every_kind_and_truncation() {

@@ -566,9 +566,129 @@ impl PdsMessage {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::predicate::{Predicate, Relation};
+
+    /// One message of every query and response kind.
+    pub(crate) fn one_of_each_kind() -> Vec<PdsMessage> {
+        let entry = |n: i64| {
+            DataDescriptor::builder()
+                .attr("type", "no2")
+                .attr("seq", n)
+                .build()
+        };
+        let video = || {
+            DataDescriptor::builder()
+                .attr("type", "video")
+                .attr("name", "vid")
+                .attr("total_chunks", 8i64)
+                .build()
+        };
+        let query = |kind| {
+            PdsMessage::Query(QueryMessage {
+                id: QueryId(0x0123_4567_89ab_cdef),
+                kind,
+                sender: NodeId(7),
+                expires_at: SimTime::from_secs_f64(12.5),
+                filter: QueryFilter::new(vec![Predicate::new("type", Relation::Eq, "no2")]),
+                bloom: Some(vec![1, 2, 3, 4]),
+                round: 2,
+                ttl_hops: 5,
+            })
+        };
+        let response = |kind| {
+            PdsMessage::Response(ResponseMessage {
+                id: ResponseId(0xfedc_ba98_7654_3210),
+                sender: NodeId(3),
+                kind,
+            })
+        };
+        vec![
+            query(QueryKind::Metadata),
+            query(QueryKind::SmallData),
+            query(QueryKind::Cdi {
+                descriptor: video(),
+            }),
+            query(QueryKind::Chunks {
+                item: ItemName::new("vid"),
+                chunks: vec![ChunkId(0), ChunkId(5)],
+            }),
+            query(QueryKind::MdrChunks {
+                item: ItemName::new("vid"),
+                total_chunks: 8,
+            }),
+            response(ResponseKind::Metadata {
+                entries: vec![entry(1), entry(2)],
+            }),
+            response(ResponseKind::SmallData {
+                items: vec![(entry(1), Bytes::from_static(b"12ppb"))],
+            }),
+            response(ResponseKind::Cdi {
+                item: ItemName::new("vid"),
+                pairs: vec![(ChunkId(0), 0), (ChunkId(1), 3)],
+            }),
+            response(ResponseKind::Chunk {
+                descriptor: video(),
+                chunk: ChunkId(4),
+                data: Bytes::from(vec![9u8; 64]),
+            }),
+        ]
+    }
+
+    /// [`one_of_each_kind`], then each of its queries again without a Bloom
+    /// filter.
+    fn every_wire_shape() -> Vec<PdsMessage> {
+        let all = one_of_each_kind();
+        let bloomless = all.iter().filter_map(|m| match m {
+            PdsMessage::Query(q) => Some(PdsMessage::Query(QueryMessage {
+                bloom: None,
+                ..q.clone()
+            })),
+            PdsMessage::Response(_) => None,
+        });
+        let bloomless: Vec<PdsMessage> = bloomless.collect();
+        all.into_iter().chain(bloomless).collect()
+    }
+
+    fn to_hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn from_hex(hex: &str) -> Bytes {
+        let digit = |at: usize| u8::from_str_radix(&hex[at..at + 2], 16).expect("hex");
+        Bytes::from((0..hex.len()).step_by(2).map(digit).collect::<Vec<u8>>())
+    }
+
+    /// The encoding of every [`every_wire_shape`] message, in order. Any
+    /// change here is a wire-format change: peers and recorded traces
+    /// would no longer agree.
+    const PINNED: [&str; 14] = [
+        "00efcdab89674523010700000020bcbe0000000000020000000500010474797065000003006e6f3200010400000001020304",
+        "00efcdab89674523010700000020bcbe0000000000020000000501010474797065000003006e6f3200010400000001020304",
+        "00efcdab89674523010700000020bcbe000000000002000000050203046e616d650003007669640c746f74616c5f6368756e6b730108000000000000000474797065000500766964656f010474797065000003006e6f3200010400000001020304",
+        "00efcdab89674523010700000020bcbe00000000000200000005030300766964020000000000000005000000010474797065000003006e6f3200010400000001020304",
+        "00efcdab89674523010700000020bcbe0000000000020000000504030076696408000000010474797065000003006e6f3200010400000001020304",
+        "011032547698badcfe030000000002000000020373657101010000000000000004747970650003006e6f32020373657101020000000000000004747970650003006e6f32",
+        "011032547698badcfe030000000101000000020373657101010000000000000004747970650003006e6f32050000003132707062",
+        "011032547698badcfe030000000203007669640200000000000000000000000100000003000000",
+        "011032547698badcfe030000000303046e616d650003007669640c746f74616c5f6368756e6b730108000000000000000474797065000500766964656f040000004000000009090909090909090909090909090909090909090909090909090909090909090909090909090909090909090909090909090909090909090909090909090909",
+        "00efcdab89674523010700000020bcbe0000000000020000000500010474797065000003006e6f320000",
+        "00efcdab89674523010700000020bcbe0000000000020000000501010474797065000003006e6f320000",
+        "00efcdab89674523010700000020bcbe000000000002000000050203046e616d650003007669640c746f74616c5f6368756e6b730108000000000000000474797065000500766964656f010474797065000003006e6f320000",
+        "00efcdab89674523010700000020bcbe00000000000200000005030300766964020000000000000005000000010474797065000003006e6f320000",
+        "00efcdab89674523010700000020bcbe0000000000020000000504030076696408000000010474797065000003006e6f320000",
+    ];
+
+    #[test]
+    fn wire_bytes_are_pinned() {
+        let shapes = every_wire_shape();
+        assert_eq!(shapes.len(), PINNED.len());
+        for (m, hex) in shapes.iter().zip(PINNED) {
+            assert_eq!(to_hex(&m.encode()), hex, "{m:?}");
+            assert_eq!(PdsMessage::decode(&from_hex(hex)).as_ref(), Ok(m));
+        }
+    }
 
     fn roundtrip(m: &PdsMessage) {
         let bytes = m.encode();
