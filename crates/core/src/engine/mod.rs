@@ -142,17 +142,7 @@ pub struct Outgoing {
 /// so relayed MDR chunk data counts as PDR — a documented approximation
 /// (DESIGN.md §9).
 pub(crate) fn phase_of(message: &PdsMessage) -> Phase {
-    match message {
-        PdsMessage::Query(q) => match q.kind {
-            QueryKind::Metadata | QueryKind::SmallData => Phase::Pdd,
-            QueryKind::Cdi { .. } | QueryKind::Chunks { .. } => Phase::Pdr,
-            QueryKind::MdrChunks { .. } => Phase::Mdr,
-        },
-        PdsMessage::Response(r) => match r.kind {
-            ResponseKind::Metadata { .. } | ResponseKind::SmallData { .. } => Phase::Pdd,
-            ResponseKind::Cdi { .. } | ResponseKind::Chunk { .. } => Phase::Pdr,
-        },
-    }
+    message.phase()
 }
 
 impl Outgoing {

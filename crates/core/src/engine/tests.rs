@@ -1199,7 +1199,6 @@ fn gc_reclaims_protocol_state() {
 fn header_peek_agrees_with_decode_on_every_kind_and_truncation() {
     for message in one_of_each_kind() {
         let wire = message.encode();
-        assert_eq!(wire.len(), message.encoded_len(), "{message:?}");
         let header = MessageHeader::peek(&wire).expect("a whole message has a header");
         assert_eq!(header.phase(), phase_of(&message), "{message:?}");
         let head_len = match (&message, header) {
@@ -1219,7 +1218,7 @@ fn header_peek_agrees_with_decode_on_every_kind_and_truncation() {
         // reject it.
         let fresh = PdsEngine::new(NodeId(1), PdsConfig::default(), 1);
         for cut in 0..wire.len() {
-            let peeked = MessageHeader::peek(&wire[..cut]);
+            let peeked = MessageHeader::peek(&wire.slice(..cut));
             assert_eq!(peeked, (cut >= head_len).then_some(header), "cut {cut}");
             assert!(PdsMessage::decode(&wire.slice(..cut)).is_err(), "cut {cut}");
             assert!(!peeked.is_some_and(|h| fresh.is_redundant(t(0.0), &h)));
@@ -1239,9 +1238,9 @@ fn header_peek_agrees_with_decode_on_every_kind_and_truncation() {
     // Unknown message and kind tags have no header.
     let mut wire = one_of_each_kind().swap_remove(0).encode().to_vec();
     wire[26] = 9;
-    assert_eq!(MessageHeader::peek(&wire), None);
+    assert_eq!(MessageHeader::peek(&Bytes::from(wire.clone())), None);
     wire[0] = 2;
-    assert_eq!(MessageHeader::peek(&wire), None);
+    assert_eq!(MessageHeader::peek(&Bytes::from(wire)), None);
 }
 
 #[test]

@@ -4,49 +4,17 @@
 //! next-hop receiver lists live at the transport layer
 //! ([`MessageMeta::intended`](crate::MessageMeta::intended)), as in the prototype where they are
 //! part of the UDP broadcast header; everything else the paper's message
-//! formats describe (§III-A) is here.
+//! formats describe (§III-A) is here, stated once: each field type's
+//! `Wire` impl is its wire form and bound, and two tables lay out the rest.
 
 use crate::config::MAX_ITEM_CHUNKS;
 use crate::descriptor::DataDescriptor;
 use crate::ids::{ChunkId, ItemName, QueryId, ResponseId};
 use crate::predicate::QueryFilter;
 use crate::{NodeId, SimTime};
-use bytes::{Buf, BufMut, Bytes};
+use bytes::{BufMut, Bytes};
 use pds_obs::Phase;
 use std::fmt;
-
-/// What a query asks for.
-#[derive(Debug, Clone, PartialEq)]
-pub enum QueryKind {
-    /// All (filter-matching) metadata entries — PDD (§III).
-    Metadata,
-    /// Small data items matching the filter, payloads included (§IV: "the
-    /// latter follows almost the same process as metadata discovery").
-    SmallData,
-    /// Chunk Distribution Information for one item — PDR phase 1 (§IV-A).
-    /// Carries the item's full descriptor, as the paper specifies
-    /// ("'descriptor' whose value is the requested data item's metadata").
-    Cdi {
-        /// Descriptor of the large item whose chunk distribution is
-        /// requested; its `name` attribute identifies the item.
-        descriptor: DataDescriptor,
-    },
-    /// Specific chunks of one item — PDR phase 2 (§IV-B).
-    Chunks {
-        /// The large item.
-        item: ItemName,
-        /// The chunks requested from this neighbor.
-        chunks: Vec<ChunkId>,
-    },
-    /// All not-yet-received chunks of one item — the MDR baseline
-    /// (§VI-B-3); "not yet received" is carried by the query's Bloom filter.
-    MdrChunks {
-        /// The large item.
-        item: ItemName,
-        /// Total number of chunks (so providers know the id space).
-        total_chunks: u32,
-    },
-}
 
 /// A PDS query (§III-A): unique id, expiration (the *lingering* horizon),
 /// current-hop sender, optional attribute filter, optional Bloom filter of
@@ -76,38 +44,6 @@ pub struct QueryMessage {
     pub ttl_hops: u8,
 }
 
-/// The payload of a response.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ResponseKind {
-    /// Metadata entries (PDD).
-    Metadata {
-        /// The entries, pruned en-route by mixedcast rewriting.
-        entries: Vec<DataDescriptor>,
-    },
-    /// Small data items with payloads.
-    SmallData {
-        /// (descriptor, payload) pairs.
-        items: Vec<(DataDescriptor, Bytes)>,
-    },
-    /// CDI: which chunks are reachable at what distance (PDR phase 1).
-    Cdi {
-        /// The large item.
-        item: ItemName,
-        /// `(chunk, hop count)` pairs as seen from the transmitting node.
-        pairs: Vec<(ChunkId, u32)>,
-    },
-    /// One chunk of a large item (PDR phase 2 / MDR). Self-describing so
-    /// any overhearing node can cache it (content-centric caching).
-    Chunk {
-        /// Descriptor of the item the chunk belongs to.
-        descriptor: DataDescriptor,
-        /// Which chunk this is.
-        chunk: ChunkId,
-        /// The chunk bytes.
-        data: Bytes,
-    },
-}
-
 /// A PDS response (§III-A).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResponseMessage {
@@ -133,12 +69,14 @@ pub enum PdsMessage {
 pub enum DecodeError {
     /// Buffer ended before the message did.
     Truncated,
-    /// An unknown enum tag was encountered.
+    /// An unknown message or kind tag, or a Bloom-presence byte other than
+    /// 0 or 1, was encountered.
     BadTag(u8),
     /// An embedded string was not valid UTF-8.
     BadString,
-    /// An embedded descriptor or filter failed to decode, or a chunk
-    /// query or CDI response named a chunk id of `MAX_ITEM_CHUNKS` or more.
+    /// An embedded descriptor or filter failed to decode, or a field was
+    /// past its bound: a chunk id of `MAX_ITEM_CHUNKS` or more, or a chunk
+    /// count above `MAX_ITEM_CHUNKS`.
     BadBody,
     /// Bytes were left over after a complete message. Rejected because a
     /// chunk is kept as a view of its whole message: a tiny chunk with
@@ -150,9 +88,9 @@ impl fmt::Display for DecodeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::Truncated => write!(f, "message truncated"),
-            Self::BadTag(t) => write!(f, "unknown message tag {t}"),
+            Self::BadTag(t) => write!(f, "unknown tag {t}"),
             Self::BadString => write!(f, "invalid UTF-8 in message"),
-            Self::BadBody => write!(f, "malformed descriptor, filter or chunk id"),
+            Self::BadBody => write!(f, "malformed body or field past its bound"),
             Self::TrailingBytes => write!(f, "trailing bytes after message"),
         }
     }
@@ -160,248 +98,446 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-fn put_item(out: &mut Vec<u8>, item: &ItemName) {
-    let b = item.as_str().as_bytes();
-    out.put_u16_le(b.len() as u16);
-    out.put_slice(b);
+/// The unread rest of a received message, and the whole of it (so a field
+/// can come back as a view).
+struct Reader<'a> {
+    whole: &'a Bytes,
+    rest: &'a [u8],
 }
 
-/// Splits `len` bytes off the front of `buf`.
-fn take<'a>(buf: &mut &'a [u8], len: usize) -> Result<&'a [u8], DecodeError> {
-    let (head, rest) = buf.split_at_checked(len).ok_or(DecodeError::Truncated)?;
-    *buf = rest;
-    Ok(head)
-}
-
-fn get_item(buf: &mut &[u8]) -> Result<ItemName, DecodeError> {
-    if buf.remaining() < 2 {
-        return Err(DecodeError::Truncated);
+impl<'a> Reader<'a> {
+    fn take(&mut self, len: usize) -> Result<&'a [u8], DecodeError> {
+        let head = self.rest.get(..len).ok_or(DecodeError::Truncated)?;
+        self.rest = &self.rest[len..];
+        Ok(head)
     }
-    let len = buf.get_u16_le() as usize;
-    std::str::from_utf8(take(buf, len)?)
-        .map(ItemName::new)
-        .map_err(|_| DecodeError::BadString)
-}
 
-fn put_bytes(out: &mut Vec<u8>, data: &[u8]) {
-    out.put_u32_le(data.len() as u32);
-    out.put_slice(data);
-}
-
-fn get_bytes<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8], DecodeError> {
-    if buf.remaining() < 4 {
-        return Err(DecodeError::Truncated);
+    /// A `u32` length, then that many bytes.
+    fn prefixed(&mut self) -> Result<&'a [u8], DecodeError> {
+        let len = u32::get(self)?;
+        self.take(len as usize)
     }
-    let len = buf.get_u32_le() as usize;
-    take(buf, len)
 }
 
-/// Like [`get_bytes`], but the field comes back as a view of `whole`, the
-/// message `buf` is the unread tail of, instead of a copy.
-fn get_shared(whole: &Bytes, buf: &mut &[u8]) -> Result<Bytes, DecodeError> {
-    let len = get_bytes(buf)?.len();
-    let end = whole.len() - buf.len();
-    Ok(whole.slice(end - len..end))
+/// Counts the bytes `Wire::put` would write.
+struct Len(usize);
+
+impl BufMut for Len {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.0 += src.len();
+    }
 }
 
-/// Wire size of a length-prefixed item name.
-fn item_len(item: &ItemName) -> usize {
-    2 + item.as_str().len()
+/// A field's wire form, little-endian: `get` reads what `put` writes and
+/// enforces the field's bound. `T` is `Self` but for a marker form, which
+/// puts an existing type on the wire its own way.
+trait Wire<T = Self> {
+    fn put(value: &T, out: &mut impl BufMut);
+    fn get(r: &mut Reader<'_>) -> Result<T, DecodeError>;
+
+    /// The bytes `put` writes.
+    fn wire_len(value: &T) -> usize {
+        let mut len = Len(0);
+        Self::put(value, &mut len);
+        len.0
+    }
 }
 
-/// Bytes before a query's kind body: tag, id, sender, expiry, round, hop
-/// budget, kind tag.
-const QUERY_HEAD: usize = 1 + 8 + 4 + 8 + 4 + 1 + 1;
-/// Bytes before a response's kind body: tag, id, sender, kind tag.
-const RESPONSE_HEAD: usize = 1 + 8 + 4 + 1;
-
-/// What the fixed-offset head of an encoded message says, read without
-/// decoding the body: enough to tell a redundant copy (Algorithms 1 and 2
-/// discard those at the LQT / recent-response lookup) and to attribute the
-/// message to a protocol phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum MessageHeader {
-    /// A query.
-    Query {
-        /// [`QueryMessage::id`].
-        id: QueryId,
-        /// [`QueryMessage::expires_at`].
-        expires_at: SimTime,
-        /// The protocol phase of the query's kind.
-        phase: Phase,
-    },
-    /// A response.
-    Response {
-        /// [`ResponseMessage::id`].
-        id: ResponseId,
-        /// The protocol phase of the response's kind.
-        phase: Phase,
-    },
+impl<const N: usize> Wire for [u8; N] {
+    fn put(value: &Self, out: &mut impl BufMut) {
+        out.put_slice(value);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        r.take(N)?.try_into().map_err(|_| DecodeError::Truncated)
+    }
 }
 
-impl MessageHeader {
-    /// Reads the header of an encoded [`PdsMessage`]. `None` when `wire` is
-    /// shorter than the fixed head or carries an unknown message or kind
-    /// tag — all of which [`PdsMessage::decode`] rejects too. A header does
-    /// not vouch for the body behind it.
-    #[must_use]
-    pub(crate) fn peek(wire: &[u8]) -> Option<Self> {
-        let u64_at = |at: usize| Some(u64::from_le_bytes(wire.get(at..at + 8)?.try_into().ok()?));
-        match *wire.first()? {
-            0 => Some(Self::Query {
-                id: QueryId(u64_at(1)?),
-                expires_at: SimTime::from_micros(u64_at(13)?),
-                phase: match *wire.get(QUERY_HEAD - 1)? {
-                    0 | 1 => Phase::Pdd,
-                    2 | 3 => Phase::Pdr,
-                    4 => Phase::Mdr,
-                    _ => return None,
-                },
-            }),
-            1 => Some(Self::Response {
-                id: ResponseId(u64_at(1)?),
-                phase: match *wire.get(RESPONSE_HEAD - 1)? {
-                    0 | 1 => Phase::Pdd,
-                    2 | 3 => Phase::Pdr,
-                    _ => return None,
-                },
-            }),
-            _ => None,
+/// A field's wire form: its type, or the marker form named after it.
+macro_rules! form {
+    ($ty:ty) => {
+        $ty
+    };
+    ($ty:ty, $form:ty) => {
+        $form
+    };
+}
+
+/// Fields that travel as a fixed-size carrier: `type [as form]: carrier =
+/// |value| carrier, |carrier| value`, then for a bounded field the largest
+/// carrier it admits; anything larger is `BadBody`.
+macro_rules! wire_scalars {
+    ($(
+        $ty:ty $(as $form:ty)?: $carrier:ty = |$v:ident| $to:expr, |$c:ident| $from:expr
+        $(, ..= $max:expr)?;
+    )+) => {$(
+        impl Wire<$ty> for form!($ty $(, $form)?) {
+            fn put($v: &$ty, out: &mut impl BufMut) {
+                <$carrier>::put(&$to, out);
+            }
+            fn get(r: &mut Reader<'_>) -> Result<$ty, DecodeError> {
+                let $c = <$carrier>::get(r)?;
+                $(if $c > $max {
+                    return Err(DecodeError::BadBody);
+                })?
+                Ok($from)
+            }
+        }
+    )+};
+}
+
+wire_scalars! {
+    u8: [u8; 1] = |v| v.to_le_bytes(), |c| u8::from_le_bytes(c);
+    u16: [u8; 2] = |v| v.to_le_bytes(), |c| u16::from_le_bytes(c);
+    u32: [u8; 4] = |v| v.to_le_bytes(), |c| u32::from_le_bytes(c);
+    u64: [u8; 8] = |v| v.to_le_bytes(), |c| u64::from_le_bytes(c);
+    QueryId: u64 = |id| id.0, |c| QueryId(c);
+    ResponseId: u64 = |id| id.0, |c| ResponseId(c);
+    NodeId: u32 = |id| id.0, |c| NodeId(c);
+    SimTime: u64 = |t| t.as_micros(), |c| SimTime::from_micros(c);
+    // A lingering chunk set or a CDI table is sized from the largest id.
+    ChunkId: u32 = |id| id.0, |c| ChunkId(c), ..= MAX_ITEM_CHUNKS - 1;
+    u32 as ChunkCount: u32 = |n| *n, |c| c, ..= MAX_ITEM_CHUNKS;
+}
+
+/// A chunk count: the size of an item's chunk-id space.
+enum ChunkCount {}
+
+/// A `u16` length, then UTF-8.
+impl Wire for ItemName {
+    fn put(value: &Self, out: &mut impl BufMut) {
+        let name = value.as_str().as_bytes();
+        u16::put(&(name.len() as u16), out);
+        out.put_slice(name);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let len = u16::get(r)?;
+        std::str::from_utf8(r.take(len.into())?)
+            .map(ItemName::new)
+            .map_err(|_| DecodeError::BadString)
+    }
+}
+
+impl Wire for DataDescriptor {
+    fn put(value: &Self, out: &mut impl BufMut) {
+        out.put_slice(value.encode());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        DataDescriptor::decode(&mut r.rest).ok_or(DecodeError::BadBody)
+    }
+}
+
+impl Wire for QueryFilter {
+    fn put(value: &Self, out: &mut impl BufMut) {
+        value.encode(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        QueryFilter::decode(&mut r.rest).ok_or(DecodeError::BadBody)
+    }
+}
+
+/// A `u32` count, then the elements. Each takes a byte or more, so a count
+/// above the bytes left is a truncation, and no count reserves more memory
+/// than the bytes left take.
+impl<T: Wire> Wire for Vec<T> {
+    fn put(value: &Self, out: &mut impl BufMut) {
+        u32::put(&(value.len() as u32), out);
+        for v in value {
+            T::put(v, out);
         }
     }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let n = u32::get(r)? as usize;
+        if n > r.rest.len() {
+            return Err(DecodeError::Truncated);
+        }
+        let mut all = Vec::with_capacity(n.min(r.rest.len() / size_of::<T>().max(1)));
+        for _ in 0..n {
+            all.push(T::get(r)?);
+        }
+        Ok(all)
+    }
+}
 
-    /// The protocol phase the message's overhead is attributed to.
-    #[must_use]
-    pub(crate) fn phase(&self) -> Phase {
-        match *self {
-            Self::Query { phase, .. } | Self::Response { phase, .. } => phase,
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put((a, b): &Self, out: &mut impl BufMut) {
+        A::put(a, out);
+        B::put(b, out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+/// A `u32` length, then the bytes, copied out: a response batches many
+/// small items, and one kept as a view would pin the whole batch.
+impl Wire for Bytes {
+    fn put(value: &Self, out: &mut impl BufMut) {
+        u32::put(&(value.len() as u32), out);
+        out.put_slice(value);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        r.prefixed().map(Bytes::from)
+    }
+}
+
+/// A payload as [`Bytes`] puts it, read back as a view of the message: a
+/// chunk is > 99.9 % of its message, so the view pins next to nothing.
+enum Shared {}
+
+impl Wire<Bytes> for Shared {
+    fn put(value: &Bytes, out: &mut impl BufMut) {
+        Bytes::put(value, out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Bytes, DecodeError> {
+        let len = r.prefixed()?.len();
+        let end = r.whole.len() - r.rest.len();
+        Ok(r.whole.slice(end - len..end))
+    }
+}
+
+/// The optional Bloom filter: a presence byte, 0 or 1, then for 1 the
+/// `u32` length and the bytes.
+enum Bloom {}
+
+impl Wire<Option<Vec<u8>>> for Bloom {
+    fn put(value: &Option<Vec<u8>>, out: &mut impl BufMut) {
+        out.put_u8(value.is_some().into());
+        if let Some(bloom) = value {
+            u32::put(&(bloom.len() as u32), out);
+            out.put_slice(bloom);
         }
     }
+    fn get(r: &mut Reader<'_>) -> Result<Option<Vec<u8>>, DecodeError> {
+        match u8::get(r)? {
+            0 => Ok(None),
+            1 => Ok(Some(r.prefixed()?.to_vec())),
+            t => Err(DecodeError::BadTag(t)),
+        }
+    }
+}
+
+/// Declares the kinds: each row is a variant with its docs, wire tag,
+/// [`Phase`] and fields in wire order (`as` names a marker form). A kind
+/// travels as its tag, then its fields. Generates the enums, their
+/// [`Wire`] impls, the tag → phase map and the test-only `edges`.
+macro_rules! wire_kinds {
+    ($(
+        $(#[$doc:meta])*
+        pub enum $kind:ident {$(
+            $(#[$vdoc:meta])*
+            $variant:ident = $tag:literal @ $phase:ident $({$(
+                $(#[$fdoc:meta])* $field:ident: $ty:ty $(as $form:ty)?
+            ),+ $(,)?})?
+        ),+ $(,)?}
+    )+) => {$(
+        $(#[$doc])*
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum $kind {$(
+            $(#[$vdoc])*
+            $variant $({$( $(#[$fdoc])* $field: $ty ),+})?,
+        )+}
+
+        impl $kind {
+            /// The phase of the kind with wire tag `tag`, if any.
+            fn phase_of_tag(tag: u8) -> Option<Phase> {
+                match tag {
+                    $( $tag => Some(Phase::$phase), )+
+                    _ => None,
+                }
+            }
+            /// The protocol phase this kind's overhead is charged to.
+            pub(crate) fn phase(&self) -> Phase {
+                match self {
+                    $( Self::$variant { .. } => Phase::$phase, )+
+                }
+            }
+        }
+
+        #[cfg(test)]
+        tests::kind_edges! { $kind {$( $variant $({$( $field: $ty $(as $form)? ),+})? ),+} }
+
+        impl Wire for $kind {
+            fn put(value: &Self, out: &mut impl BufMut) {
+                match value {$(
+                    Self::$variant $({ $($field),+ })? => {
+                        out.put_u8($tag);
+                        $($( <form!($ty $(, $form)?) as Wire<$ty>>::put($field, out); )+)?
+                    }
+                )+}
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                Ok(match u8::get(r)? {
+                    $( $tag => Self::$variant $({$(
+                        $field: <form!($ty $(, $form)?) as Wire<$ty>>::get(r)?
+                    ),+})?, )+
+                    t => return Err(DecodeError::BadTag(t)),
+                })
+            }
+        }
+    )+};
+}
+
+wire_kinds! {
+    /// What a query asks for.
+    pub enum QueryKind {
+        /// All (filter-matching) metadata entries — PDD (§III).
+        Metadata = 0 @ Pdd,
+        /// Small data items matching the filter, payloads included (§IV: "the
+        /// latter follows almost the same process as metadata discovery").
+        SmallData = 1 @ Pdd,
+        /// Chunk Distribution Information for one item — PDR phase 1 (§IV-A).
+        /// Carries the item's full descriptor, as the paper specifies
+        /// ("'descriptor' whose value is the requested data item's metadata").
+        Cdi = 2 @ Pdr {
+            /// Descriptor of the large item whose chunk distribution is
+            /// requested; its `name` attribute identifies the item.
+            descriptor: DataDescriptor,
+        },
+        /// Specific chunks of one item — PDR phase 2 (§IV-B).
+        Chunks = 3 @ Pdr {
+            /// The large item.
+            item: ItemName,
+            /// The chunks requested from this neighbor.
+            chunks: Vec<ChunkId>,
+        },
+        /// All not-yet-received chunks of one item — the MDR baseline
+        /// (§VI-B-3); "not yet received" is carried by the query's Bloom filter.
+        MdrChunks = 4 @ Mdr {
+            /// The large item.
+            item: ItemName,
+            /// Total number of chunks (so providers know the id space).
+            total_chunks: u32 as ChunkCount,
+        },
+    }
+
+    /// The payload of a response.
+    pub enum ResponseKind {
+        /// Metadata entries (PDD).
+        Metadata = 0 @ Pdd {
+            /// The entries, pruned en-route by mixedcast rewriting.
+            entries: Vec<DataDescriptor>,
+        },
+        /// Small data items with payloads.
+        SmallData = 1 @ Pdd {
+            /// (descriptor, payload) pairs.
+            items: Vec<(DataDescriptor, Bytes)>,
+        },
+        /// CDI: which chunks are reachable at what distance (PDR phase 1).
+        Cdi = 2 @ Pdr {
+            /// The large item.
+            item: ItemName,
+            /// `(chunk, hop count)` pairs as seen from the transmitting node.
+            pairs: Vec<(ChunkId, u32)>,
+        },
+        /// One chunk of a large item (PDR phase 2 / MDR). Self-describing so
+        /// any overhearing node can cache it (content-centric caching).
+        Chunk = 3 @ Pdr {
+            /// Descriptor of the item the chunk belongs to.
+            descriptor: DataDescriptor,
+            /// Which chunk this is.
+            chunk: ChunkId,
+            /// The chunk bytes.
+            data: Bytes as Shared,
+        },
+    }
+}
+
+/// Declares each message's tag, the head a [`MessageHeader`] holds, then
+/// the kind and what follows it. Generates [`MessageHeader`] and its
+/// reader, which decoding and the peek share, and [`PdsMessage`]'s [`Wire`].
+macro_rules! wire_messages {
+    ($(
+        $variant:ident($message:ident) = $tag:literal {
+            $($head:ident: $hty:ty),+; $kind:ident: $kty:ident
+            $(, $tail:ident: $tty:ty $(as $tform:ty)?)* $(,)?
+        }
+    ),+ $(,)?) => {
+        /// An encoded message's fixed head, read without the body: enough to
+        /// tell a redundant copy (Algorithms 1 and 2 discard those at the
+        /// LQT / recent-response lookup) and to attribute it to a phase.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub(crate) enum MessageHeader {$(
+            #[doc = concat!("The head fields of a [`", stringify!($message), "`], and its kind's phase.")]
+            $variant { $($head: $hty,)+ phase: Phase },
+        )+}
+
+        impl MessageHeader {
+            /// Reads the header of an encoded [`PdsMessage`]. `None` when
+            /// `whole` is shorter than the fixed head or carries an unknown
+            /// message or kind tag — all of which [`PdsMessage::decode`]
+            /// rejects too. A header does not vouch for the body behind it.
+            #[must_use]
+            pub(crate) fn peek(whole: &Bytes) -> Option<Self> {
+                Self::get(&mut Reader { whole, rest: whole }).ok()
+            }
+            /// Reads the head, and the phase of the kind tag it leaves.
+            fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                Ok(match u8::get(r)? {
+                    $($tag => Self::$variant {
+                        $($head: <$hty>::get(r)?,)+
+                        phase: {
+                            let tag = *r.rest.first().ok_or(DecodeError::Truncated)?;
+                            $kty::phase_of_tag(tag).ok_or(DecodeError::BadTag(tag))?
+                        },
+                    },)+
+                    t => return Err(DecodeError::BadTag(t)),
+                })
+            }
+            /// The protocol phase the message's overhead is attributed to.
+            #[must_use]
+            pub(crate) fn phase(&self) -> Phase {
+                match *self {
+                    $(Self::$variant { phase, .. })|+ => phase,
+                }
+            }
+        }
+
+        impl Wire for PdsMessage {
+            fn put(value: &Self, out: &mut impl BufMut) {
+                match value {$(
+                    Self::$variant(m) => {
+                        out.put_u8($tag);
+                        $(<$hty>::put(&m.$head, out);)+
+                        $kty::put(&m.$kind, out);
+                        $(<form!($tty $(, $tform)?) as Wire<$tty>>::put(&m.$tail, out);)*
+                    }
+                )+}
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                Ok(match MessageHeader::get(r)? {$(
+                    MessageHeader::$variant { $($head,)+ .. } => Self::$variant($message {
+                        $($head,)+
+                        $kind: $kty::get(r)?,
+                        $($tail: <form!($tty $(, $tform)?) as Wire<$tty>>::get(r)?,)*
+                    }),
+                )+})
+            }
+        }
+    };
+}
+
+wire_messages! {
+    Query(QueryMessage) = 0 {
+        id: QueryId, sender: NodeId, expires_at: SimTime, round: u32, ttl_hops: u8;
+        kind: QueryKind, filter: QueryFilter, bloom: Option<Vec<u8>> as Bloom,
+    },
+    Response(ResponseMessage) = 1 { id: ResponseId, sender: NodeId; kind: ResponseKind },
 }
 
 impl PdsMessage {
     /// Serializes the message for transmission.
     #[must_use]
     pub fn encode(&self) -> Bytes {
-        let mut out = Vec::with_capacity(self.encoded_len());
-        match self {
-            PdsMessage::Query(q) => {
-                out.put_u8(0);
-                out.put_u64_le(q.id.0);
-                out.put_u32_le(q.sender.0);
-                out.put_u64_le(q.expires_at.as_micros());
-                out.put_u32_le(q.round);
-                out.put_u8(q.ttl_hops);
-                match &q.kind {
-                    QueryKind::Metadata => out.put_u8(0),
-                    QueryKind::SmallData => out.put_u8(1),
-                    QueryKind::Cdi { descriptor } => {
-                        out.put_u8(2);
-                        out.extend_from_slice(descriptor.encode());
-                    }
-                    QueryKind::Chunks { item, chunks } => {
-                        out.put_u8(3);
-                        put_item(&mut out, item);
-                        out.put_u32_le(chunks.len() as u32);
-                        for c in chunks {
-                            out.put_u32_le(c.0);
-                        }
-                    }
-                    QueryKind::MdrChunks { item, total_chunks } => {
-                        out.put_u8(4);
-                        put_item(&mut out, item);
-                        out.put_u32_le(*total_chunks);
-                    }
-                }
-                q.filter.encode(&mut out);
-                match &q.bloom {
-                    Some(b) => {
-                        out.put_u8(1);
-                        put_bytes(&mut out, b);
-                    }
-                    None => out.put_u8(0),
-                }
-            }
-            PdsMessage::Response(r) => {
-                out.put_u8(1);
-                out.put_u64_le(r.id.0);
-                out.put_u32_le(r.sender.0);
-                match &r.kind {
-                    ResponseKind::Metadata { entries } => {
-                        out.put_u8(0);
-                        out.put_u32_le(entries.len() as u32);
-                        for e in entries {
-                            out.extend_from_slice(e.encode());
-                        }
-                    }
-                    ResponseKind::SmallData { items } => {
-                        out.put_u8(1);
-                        out.put_u32_le(items.len() as u32);
-                        for (d, payload) in items {
-                            out.extend_from_slice(d.encode());
-                            put_bytes(&mut out, payload);
-                        }
-                    }
-                    ResponseKind::Cdi { item, pairs } => {
-                        out.put_u8(2);
-                        put_item(&mut out, item);
-                        out.put_u32_le(pairs.len() as u32);
-                        for (c, h) in pairs {
-                            out.put_u32_le(c.0);
-                            out.put_u32_le(*h);
-                        }
-                    }
-                    ResponseKind::Chunk {
-                        descriptor,
-                        chunk,
-                        data,
-                    } => {
-                        out.put_u8(3);
-                        out.extend_from_slice(descriptor.encode());
-                        out.put_u32_le(chunk.0);
-                        put_bytes(&mut out, data);
-                    }
-                }
-            }
-        }
+        let mut out = Vec::with_capacity(Self::wire_len(self));
+        Self::put(self, &mut out);
         Bytes::from(out)
     }
 
-    /// Wire size of the encoded form.
-    #[must_use]
-    pub(crate) fn encoded_len(&self) -> usize {
+    /// The protocol phase of the message's kind.
+    pub(crate) fn phase(&self) -> Phase {
         match self {
-            PdsMessage::Query(q) => {
-                let kind = match &q.kind {
-                    QueryKind::Metadata | QueryKind::SmallData => 0,
-                    QueryKind::Cdi { descriptor } => descriptor.encoded_len(),
-                    QueryKind::Chunks { item, chunks } => item_len(item) + 4 + 4 * chunks.len(),
-                    QueryKind::MdrChunks { item, .. } => item_len(item) + 4,
-                };
-                let bloom = q.bloom.as_ref().map_or(0, |b| 4 + b.len());
-                QUERY_HEAD + kind + q.filter.encoded_len() + 1 + bloom
-            }
-            PdsMessage::Response(r) => {
-                let kind = match &r.kind {
-                    ResponseKind::Metadata { entries } => {
-                        4 + entries
-                            .iter()
-                            .map(DataDescriptor::encoded_len)
-                            .sum::<usize>()
-                    }
-                    ResponseKind::SmallData { items } => {
-                        4 + items
-                            .iter()
-                            .map(|(d, payload)| d.encoded_len() + 4 + payload.len())
-                            .sum::<usize>()
-                    }
-                    ResponseKind::Cdi { item, pairs } => item_len(item) + 4 + 8 * pairs.len(),
-                    ResponseKind::Chunk {
-                        descriptor, data, ..
-                    } => descriptor.encoded_len() + 4 + 4 + data.len(),
-                };
-                RESPONSE_HEAD + kind
-            }
+            Self::Query(q) => q.kind.phase(),
+            Self::Response(r) => r.kind.phase(),
         }
     }
 
@@ -418,150 +554,12 @@ impl PdsMessage {
     /// Returns a [`DecodeError`] when the buffer is truncated, malformed,
     /// or longer than the message it holds.
     pub fn decode(whole: &Bytes) -> Result<Self, DecodeError> {
-        let buf = &mut &whole[..];
-        if buf.remaining() < 1 {
-            return Err(DecodeError::Truncated);
+        let r = &mut Reader { whole, rest: whole };
+        let message = Self::get(r)?;
+        match r.rest {
+            [] => Ok(message),
+            _ => Err(DecodeError::TrailingBytes),
         }
-        let message = match buf.get_u8() {
-            0 => {
-                if buf.remaining() < QUERY_HEAD - 1 {
-                    return Err(DecodeError::Truncated);
-                }
-                let id = QueryId(buf.get_u64_le());
-                let sender = NodeId(buf.get_u32_le());
-                let expires_at = SimTime::from_micros(buf.get_u64_le());
-                let round = buf.get_u32_le();
-                let ttl_hops = buf.get_u8();
-                let kind = match buf.get_u8() {
-                    0 => QueryKind::Metadata,
-                    1 => QueryKind::SmallData,
-                    2 => QueryKind::Cdi {
-                        descriptor: DataDescriptor::decode(buf).ok_or(DecodeError::BadBody)?,
-                    },
-                    3 => {
-                        let item = get_item(buf)?;
-                        if buf.remaining() < 4 {
-                            return Err(DecodeError::Truncated);
-                        }
-                        let n = buf.get_u32_le() as usize;
-                        if buf.remaining() < n * 4 {
-                            return Err(DecodeError::Truncated);
-                        }
-                        let chunks: Vec<ChunkId> =
-                            (0..n).map(|_| ChunkId(buf.get_u32_le())).collect();
-                        if chunks.iter().any(|c| c.0 >= MAX_ITEM_CHUNKS) {
-                            return Err(DecodeError::BadBody);
-                        }
-                        QueryKind::Chunks { item, chunks }
-                    }
-                    4 => {
-                        let item = get_item(buf)?;
-                        if buf.remaining() < 4 {
-                            return Err(DecodeError::Truncated);
-                        }
-                        QueryKind::MdrChunks {
-                            item,
-                            total_chunks: buf.get_u32_le(),
-                        }
-                    }
-                    t => return Err(DecodeError::BadTag(t)),
-                };
-                let filter = QueryFilter::decode(buf).ok_or(DecodeError::BadBody)?;
-                if buf.remaining() < 1 {
-                    return Err(DecodeError::Truncated);
-                }
-                let bloom = if buf.get_u8() == 1 {
-                    Some(get_bytes(buf)?.to_vec())
-                } else {
-                    None
-                };
-                PdsMessage::Query(QueryMessage {
-                    id,
-                    kind,
-                    sender,
-                    expires_at,
-                    filter,
-                    bloom,
-                    round,
-                    ttl_hops,
-                })
-            }
-            1 => {
-                if buf.remaining() < RESPONSE_HEAD - 1 {
-                    return Err(DecodeError::Truncated);
-                }
-                let id = ResponseId(buf.get_u64_le());
-                let sender = NodeId(buf.get_u32_le());
-                let kind = match buf.get_u8() {
-                    0 => {
-                        if buf.remaining() < 4 {
-                            return Err(DecodeError::Truncated);
-                        }
-                        let n = buf.get_u32_le() as usize;
-                        let mut entries = Vec::with_capacity(n.min(65_536));
-                        for _ in 0..n {
-                            entries.push(DataDescriptor::decode(buf).ok_or(DecodeError::BadBody)?);
-                        }
-                        ResponseKind::Metadata { entries }
-                    }
-                    1 => {
-                        if buf.remaining() < 4 {
-                            return Err(DecodeError::Truncated);
-                        }
-                        let n = buf.get_u32_le() as usize;
-                        let mut items = Vec::with_capacity(n.min(65_536));
-                        for _ in 0..n {
-                            let d = DataDescriptor::decode(buf).ok_or(DecodeError::BadBody)?;
-                            // Copied, not sliced: a response batches many
-                            // small items, and one payload kept as a view
-                            // would pin the whole batch in memory.
-                            let payload = Bytes::from(get_bytes(buf)?);
-                            items.push((d, payload));
-                        }
-                        ResponseKind::SmallData { items }
-                    }
-                    2 => {
-                        let item = get_item(buf)?;
-                        if buf.remaining() < 4 {
-                            return Err(DecodeError::Truncated);
-                        }
-                        let n = buf.get_u32_le() as usize;
-                        if buf.remaining() < n * 8 {
-                            return Err(DecodeError::Truncated);
-                        }
-                        let pairs: Vec<(ChunkId, u32)> = (0..n)
-                            .map(|_| (ChunkId(buf.get_u32_le()), buf.get_u32_le()))
-                            .collect();
-                        if pairs.iter().any(|(c, _)| c.0 >= MAX_ITEM_CHUNKS) {
-                            return Err(DecodeError::BadBody);
-                        }
-                        ResponseKind::Cdi { item, pairs }
-                    }
-                    3 => {
-                        let descriptor = DataDescriptor::decode(buf).ok_or(DecodeError::BadBody)?;
-                        if buf.remaining() < 4 {
-                            return Err(DecodeError::Truncated);
-                        }
-                        let chunk = ChunkId(buf.get_u32_le());
-                        // Sliced, not copied: the chunk is > 99.9 % of its
-                        // message, so the view pins next to nothing extra.
-                        let data = get_shared(whole, buf)?;
-                        ResponseKind::Chunk {
-                            descriptor,
-                            chunk,
-                            data,
-                        }
-                    }
-                    t => return Err(DecodeError::BadTag(t)),
-                };
-                PdsMessage::Response(ResponseMessage { id, sender, kind })
-            }
-            t => return Err(DecodeError::BadTag(t)),
-        };
-        if buf.has_remaining() {
-            return Err(DecodeError::TrailingBytes);
-        }
-        Ok(message)
     }
 }
 
@@ -636,6 +634,146 @@ pub(crate) mod tests {
         ]
     }
 
+    /// The bound edges of a form: values at its bound and one past it. A
+    /// form without a bound has none.
+    pub(crate) trait Edges<T = Self> {
+        fn edges(_value: &T) -> Vec<(T, T)> {
+            Vec::new()
+        }
+    }
+
+    impl Edges for u32 {}
+    impl Edges for ItemName {}
+    impl Edges for DataDescriptor {}
+    impl Edges for Bytes {}
+    impl Edges<Bytes> for Shared {}
+
+    impl Edges for ChunkId {
+        fn edges(_: &Self) -> Vec<(Self, Self)> {
+            vec![(ChunkId(MAX_ITEM_CHUNKS - 1), ChunkId(MAX_ITEM_CHUNKS))]
+        }
+    }
+
+    impl Edges<u32> for ChunkCount {
+        fn edges(_: &u32) -> Vec<(u32, u32)> {
+            vec![(MAX_ITEM_CHUNKS, MAX_ITEM_CHUNKS + 1)]
+        }
+    }
+
+    /// The edges of the first element, the rest kept.
+    impl<T: Edges + Clone> Edges for Vec<T> {
+        fn edges(value: &Self) -> Vec<(Self, Self)> {
+            let Some((first, rest)) = value.split_first() else {
+                return Vec::new();
+            };
+            let with = |v: T| [vec![v], rest.to_vec()].concat();
+            let edges = T::edges(first).into_iter();
+            edges.map(|(at, past)| (with(at), with(past))).collect()
+        }
+    }
+
+    impl<A: Edges + Clone, B: Edges + Clone> Edges for (A, B) {
+        fn edges((a, b): &Self) -> Vec<(Self, Self)> {
+            let left = A::edges(a).into_iter();
+            let left = left.map(|(at, past)| ((at, b.clone()), (past, b.clone())));
+            let right = B::edges(b).into_iter();
+            let right = right.map(|(at, past)| ((a.clone(), at), (a.clone(), past)));
+            left.chain(right).collect()
+        }
+    }
+
+    /// Generates a kind enum's `edges` from its `wire_kinds!` rows: for
+    /// each bounded field, the kind with the field at its bound and one
+    /// past it.
+    macro_rules! kind_edges {
+        ($kind:ident {$(
+            $variant:ident $({$( $field:ident: $ty:ty $(as $form:ty)? ),+})?
+        ),+}) => {
+            impl $kind {
+                pub(crate) fn edges(&self) -> Vec<(Self, Self)> {
+                    use $crate::message::tests::Edges;
+                    let mut out = Vec::new();
+                    match self {$(
+                        Self::$variant $({ $($field),+ })? => {$($(
+                            for (at, past) in <form!($ty $(, $form)?) as Edges<$ty>>::edges($field) {
+                                let with = |v: $ty| {
+                                    let mut kind = self.clone();
+                                    if let Self::$variant { $field: slot, .. } = &mut kind {
+                                        *slot = v;
+                                    }
+                                    kind
+                                };
+                                out.push((with(at), with(past)));
+                            }
+                        )+)?}
+                    )+}
+                    out
+                }
+            }
+        };
+    }
+    pub(crate) use kind_edges;
+
+    /// For each bounded field of `m`'s kind: `m` with the field at its
+    /// bound, and one past it. Honest encoders never go past a bound, so
+    /// each second message is what only a hostile sender puts on the air.
+    pub(crate) fn bound_edges(m: &PdsMessage) -> Vec<(PdsMessage, PdsMessage)> {
+        match m {
+            PdsMessage::Query(q) => q
+                .kind
+                .edges()
+                .into_iter()
+                .map(|(at, past)| {
+                    let with = |kind| PdsMessage::Query(QueryMessage { kind, ..q.clone() });
+                    (with(at), with(past))
+                })
+                .collect(),
+            PdsMessage::Response(r) => r
+                .kind
+                .edges()
+                .into_iter()
+                .map(|(at, past)| {
+                    let with = |kind| PdsMessage::Response(ResponseMessage { kind, ..r.clone() });
+                    (with(at), with(past))
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn every_bounded_field_decodes_at_its_bound_and_not_past_it() {
+        let mut bounded = Vec::new();
+        for m in one_of_each_kind() {
+            for (at, past) in bound_edges(&m) {
+                assert_eq!(PdsMessage::decode(&at.encode()).as_ref(), Ok(&at));
+                assert_eq!(
+                    PdsMessage::decode(&past.encode()),
+                    Err(DecodeError::BadBody),
+                    "{past:?}"
+                );
+                bounded.push(past);
+            }
+        }
+        // `Chunks.chunks`, `MdrChunks.total_chunks`, `Cdi.pairs` and
+        // `Chunk.chunk`.
+        assert_eq!(bounded.len(), 4, "{bounded:#?}");
+    }
+
+    #[test]
+    fn a_bloom_presence_byte_other_than_0_or_1_is_a_bad_tag() {
+        let m = one_of_each_kind().swap_remove(0);
+        let mut wire = m.encode().to_vec();
+        // The presence byte, then the 4-byte length and the 4 filter
+        // bytes, end the query.
+        let at = wire.len() - 9;
+        assert_eq!(wire[at], 1);
+        wire[at] = 2;
+        assert_eq!(
+            PdsMessage::decode(&Bytes::from(wire)),
+            Err(DecodeError::BadTag(2))
+        );
+    }
+
     /// [`one_of_each_kind`], then each of its queries again without a Bloom
     /// filter.
     fn every_wire_shape() -> Vec<PdsMessage> {
@@ -686,6 +824,7 @@ pub(crate) mod tests {
         assert_eq!(shapes.len(), PINNED.len());
         for (m, hex) in shapes.iter().zip(PINNED) {
             assert_eq!(to_hex(&m.encode()), hex, "{m:?}");
+            assert_eq!(PdsMessage::wire_len(m), hex.len() / 2);
             assert_eq!(PdsMessage::decode(&from_hex(hex)).as_ref(), Ok(m));
         }
     }

@@ -146,7 +146,7 @@ impl Predicate {
         }
     }
 
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, out: &mut impl BufMut) {
         out.put_u8(self.attr.len() as u8);
         out.put_slice(self.attr.as_bytes());
         out.put_u8(self.relation.code());
@@ -175,10 +175,10 @@ impl Predicate {
         if buf.remaining() < 1 {
             return None;
         }
-        let value2 = if buf.get_u8() == 1 {
-            Some(AttrRef::read(buf)?.to_owned())
-        } else {
-            None
+        let value2 = match buf.get_u8() {
+            0 => None,
+            1 => Some(AttrRef::read(buf)?.to_owned()),
+            _ => return None,
         };
         if relation == Relation::InRange && value2.is_none() {
             return None;
@@ -249,7 +249,7 @@ impl QueryFilter {
     }
 
     /// Serializes the filter.
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    pub fn encode(&self, out: &mut impl BufMut) {
         out.put_u8(self.predicates.len() as u8);
         for p in &self.predicates {
             p.encode(out);
@@ -375,6 +375,17 @@ mod tests {
             let mut slice = &buf[..cut];
             assert_eq!(QueryFilter::decode(&mut slice), None, "cut {cut}");
         }
+    }
+
+    #[test]
+    fn decode_rejects_a_presence_byte_other_than_0_or_1() {
+        let f = QueryFilter::new(vec![Predicate::new("x", Relation::Eq, 1i64)]);
+        let mut buf = Vec::new();
+        f.encode(&mut buf);
+        // The last byte says whether a second value follows.
+        assert_eq!(buf.pop(), Some(0));
+        buf.push(2);
+        assert_eq!(QueryFilter::decode(&mut &buf[..]), None);
     }
 
     #[test]

@@ -369,8 +369,9 @@ impl DataStore {
         }
     }
 
-    /// The full scan behind [`DataStore::gc`]: removes every expired entry
-    /// and rebuilds the expiry bound from the survivors.
+    /// The full scan behind [`DataStore::gc`]: removes every expired entry,
+    /// and the name index's entries for them, and rebuilds the expiry
+    /// bound from the survivors.
     fn sweep(&mut self, now: SimTime) {
         let before = self.metadata.len();
         let mut next = ExpiryBound::default();
@@ -378,6 +379,9 @@ impl DataStore {
             .retain(|_, &mut at| at == NEVER || next.keep(at, now));
         self.expiring -= before - self.metadata.len();
         self.next_expiry = next;
+        let metadata = &self.metadata;
+        self.items_by_name
+            .retain(|_, key| metadata.contains_key(key));
     }
 }
 
@@ -679,6 +683,19 @@ mod tests {
         assert_eq!(s.expiring_len(), 0);
         assert_eq!(s.expiring_len(), recount(&s));
         assert_eq!(s.metadata_len(), 4, "own, b, c and the item stay");
+    }
+
+    #[test]
+    fn item_index_is_empty_after_its_entries_expire() {
+        let mut s = DataStore::new();
+        for i in 0..100 {
+            assert!(s.cache_metadata(item_desc(&format!("vid{i}"), 8), t(10.0)));
+        }
+        assert_eq!(s.items_by_name.len(), 100);
+        s.gc(t(11.0));
+        assert_eq!(s.metadata_len(), 0);
+        assert!(s.items_by_name.is_empty());
+        assert!(s.item_descriptor_by_name(&ItemName::new("vid0")).is_none());
     }
 
     #[test]

@@ -14,6 +14,7 @@
     clippy::indexing_slicing
 )]
 
+use bytes::BufMut;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -70,7 +71,7 @@ impl AttrValue {
     }
 
     /// Serializes the value (tag byte + body).
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    pub fn encode(&self, out: &mut impl BufMut) {
         self.view().encode(out);
     }
 
@@ -108,24 +109,24 @@ impl<'a> AttrRef<'a> {
     }
 
     /// Serializes the value (tag byte + body).
-    pub(crate) fn encode(self, out: &mut Vec<u8>) {
+    pub(crate) fn encode(self, out: &mut impl BufMut) {
         match self {
             AttrRef::Str(s) => {
-                out.push(0);
-                out.extend_from_slice(&(s.len() as u16).to_le_bytes());
-                out.extend_from_slice(s.as_bytes());
+                out.put_u8(0);
+                out.put_slice(&(s.len() as u16).to_le_bytes());
+                out.put_slice(s.as_bytes());
             }
             AttrRef::Int(i) => {
-                out.push(1);
-                out.extend_from_slice(&i.to_le_bytes());
+                out.put_u8(1);
+                out.put_slice(&i.to_le_bytes());
             }
             AttrRef::Float(f) => {
-                out.push(2);
-                out.extend_from_slice(&f.to_le_bytes());
+                out.put_u8(2);
+                out.put_slice(&f.to_le_bytes());
             }
             AttrRef::Time(t) => {
-                out.push(3);
-                out.extend_from_slice(&t.to_le_bytes());
+                out.put_u8(3);
+                out.put_slice(&t.to_le_bytes());
             }
         }
     }

@@ -393,6 +393,41 @@ fn a_chunk_query_past_the_item_limit_is_a_decode_error() {
 }
 
 #[test]
+fn an_mdr_query_past_the_item_limit_is_a_decode_error() {
+    let naming = |total_chunks: u32| {
+        PdsMessage::Query(QueryMessage {
+            id: QueryId(6),
+            kind: QueryKind::MdrChunks {
+                item: ItemName::new("clip"),
+                total_chunks,
+            },
+            sender: NodeId(1),
+            expires_at: secs(20.0),
+            filter: QueryFilter::match_all(),
+            bloom: None,
+            round: 0,
+            ttl_hops: 0,
+        })
+        .encode()
+    };
+    assert!(PdsMessage::decode(&naming(MAX_ITEM_CHUNKS)).is_ok());
+    // A chunk count no item can have, which would size the query's Bloom
+    // filter from it.
+    let hostile = naming(u32::MAX);
+    assert_eq!(PdsMessage::decode(&hostile), Err(DecodeError::BadBody));
+    let mut world = World::new(SimConfig::default(), 8);
+    let victim = world.add_node(
+        Position::new(60.0, 0.0),
+        Box::new(PdsNode::new(PdsConfig::default(), 2)),
+    );
+    world.add_node(Position::new(0.0, 0.0), Box::new(Injector(hostile)));
+    world.run_until(secs(5.0));
+    let node = world.app::<PdsNode>(victim).expect("alive");
+    assert_eq!(node.decode_errors(), 1);
+    assert!(node.engine().expect("started").lqt().is_empty());
+}
+
+#[test]
 fn a_cdi_response_past_the_item_limit_is_a_decode_error() {
     let naming = |chunk: u32| {
         PdsMessage::Response(ResponseMessage {

@@ -165,3 +165,62 @@ fn public_surface_matches_the_pinned_file() {
         ),
     }
 }
+
+/// Every `.rs` file under `dir`, as (path relative to the workspace root,
+/// text).
+fn rust_sources(dir: &std::path::Path, out: &mut Vec<(String, String)>) {
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+        let path = entry.unwrap().path();
+        if path.is_dir() && !path.ends_with("target") {
+            rust_sources(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            let rel = path.strip_prefix(workspace_root()).unwrap_or(&path);
+            let text = std::fs::read_to_string(&path).unwrap();
+            out.push((rel.display().to_string(), text));
+        }
+    }
+}
+
+#[test]
+fn design_cites_only_existing_tests() {
+    let mut sources = Vec::new();
+    for dir in ["crates", "tests", "examples"] {
+        rust_sources(&workspace_root().join(dir), &mut sources);
+    }
+    // Backticked `module::tests::name` and `file.rs::name` citations; a
+    // trailing `…` cites every test whose name starts with what precedes it.
+    let design = read("DESIGN.md");
+    let citations: Vec<&str> = design
+        .split('`')
+        .skip(1)
+        .step_by(2)
+        .filter(|span| span.contains("::tests::") || span.contains(".rs::"))
+        .collect();
+    assert!(citations.len() >= 9, "found only {citations:?}");
+    let unresolved: Vec<&str> = citations
+        .iter()
+        .copied()
+        .filter(|citation| {
+            let (owner, name) = citation.rsplit_once("::").unwrap();
+            let owner = owner.trim_end_matches("::tests");
+            let in_owner = |rel: &str| {
+                if owner.ends_with(".rs") {
+                    rel.ends_with(&format!("/{owner}")) || rel == owner
+                } else {
+                    rel.ends_with(&format!("/{owner}.rs")) || rel.contains(&format!("/{owner}/"))
+                }
+            };
+            let wanted = match name.strip_suffix('…') {
+                Some(prefix) => format!("fn {prefix}"),
+                None => format!("fn {name}("),
+            };
+            !sources
+                .iter()
+                .any(|(rel, text)| in_owner(rel) && text.contains(&wanted))
+        })
+        .collect();
+    assert!(
+        unresolved.is_empty(),
+        "DESIGN.md cites tests no source file defines: {unresolved:?}"
+    );
+}
