@@ -243,3 +243,118 @@ fn summary_prints_every_distribution_with_samples() {
         assert!(!summary.contains(&format!("{block}0)")), "{title} is empty");
     }
 }
+
+/// Session correlation across concurrent consumer sessions: a discovery,
+/// a PDR retrieval started while the discovery is still live, and then an
+/// MDR retrieval of a second item. Ids count up per node from 1 in start
+/// order, each with its start's phase; every query a session sends names
+/// that session while it is live; and each id finishes exactly once.
+#[test]
+fn concurrent_sessions_correlate_their_queries_and_finish_once() {
+    let reel = |total: u32| {
+        DataDescriptor::builder()
+            .attr("type", "video")
+            .attr("name", "reel")
+            .attr("total_chunks", i64::from(total))
+            .build()
+    };
+    let mut world = World::new(SimConfig::default(), 42);
+    world.set_trace_sink(Box::new(RingSink::new(0)));
+    let chunk = |c: u32| Bytes::from(vec![c as u8; 4 * 1024]);
+    let mut provider = PdsNode::new(PdsConfig::default(), 1);
+    for c in 0..3u32 {
+        provider = provider
+            .with_chunk(video(3), pds_core::ChunkId(c), chunk(c))
+            .with_chunk(reel(3), pds_core::ChunkId(c), chunk(c));
+    }
+    for k in 0..4u32 {
+        provider = provider.with_metadata(entry(k), None);
+    }
+    world.add_node(Position::new(0.0, 0.0), Box::new(provider));
+    world.add_node(
+        Position::new(60.0, 0.0),
+        Box::new(PdsNode::new(PdsConfig::default(), 2)),
+    );
+    let consumer = world.add_node(
+        Position::new(120.0, 0.0),
+        Box::new(PdsNode::new(PdsConfig::default(), 3)),
+    );
+    world.run_until(SimTime::from_secs_f64(0.5));
+    world.with_app::<PdsNode, _>(consumer, |node, ctx| {
+        node.start_discovery(ctx, QueryFilter::match_all());
+    });
+    world.run_until(SimTime::from_secs_f64(0.6));
+    world.with_app::<PdsNode, _>(consumer, |node, ctx| {
+        assert!(
+            node.discovery_report()
+                .is_some_and(|r| r.finished_at.is_none()),
+            "the discovery must still be live when the retrieval starts"
+        );
+        node.start_retrieval(ctx, video(3));
+    });
+    world.run_until(SimTime::from_secs_f64(30.0));
+    world.with_app::<PdsNode, _>(consumer, |node, ctx| {
+        assert!(
+            node.retrieval_report()
+                .is_some_and(|r| r.finished_at.is_some()),
+            "the PDR retrieval must finish before the MDR one starts"
+        );
+        node.start_mdr_retrieval(ctx, reel(3));
+    });
+    world.run_until(SimTime::from_secs_f64(120.0));
+    let sink = world.take_trace_sink().expect("sink installed");
+    let events = sink
+        .as_any()
+        .downcast_ref::<RingSink>()
+        .expect("ring sink")
+        .events();
+
+    let me = consumer.0;
+    let mut started: Vec<(u64, Phase)> = Vec::new();
+    let mut live: Vec<(u64, Phase)> = Vec::new();
+    let mut finished: Vec<(u64, Phase)> = Vec::new();
+    for e in &events {
+        match e.kind {
+            TraceKind::SessionStarted { session } => {
+                assert_eq!(e.node, me, "only the consumer runs sessions");
+                started.push((session, e.phase));
+                live.push((session, e.phase));
+            }
+            TraceKind::SessionFinished { session, .. } => {
+                assert_eq!(e.node, me, "only the consumer runs sessions");
+                finished.push((session, e.phase));
+                live.retain(|&(s, _)| s != session);
+            }
+            TraceKind::QuerySent { session, .. } if session != 0 => {
+                assert_eq!(
+                    e.node, me,
+                    "only the consumer's own queries carry a session"
+                );
+                assert!(
+                    live.contains(&(session, e.phase)),
+                    "{e} names no live {:?} session (live: {live:?})",
+                    e.phase
+                );
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(
+        started,
+        [(1, Phase::Pdd), (2, Phase::Pdr), (3, Phase::Mdr)],
+        "session ids count up from 1 in start order"
+    );
+    let mut by_id = finished.clone();
+    by_id.sort_unstable_by_key(|&(s, _)| s);
+    assert_eq!(
+        by_id, started,
+        "each session finishes once, in its phase: {finished:?}"
+    );
+    for phase in [Phase::Pdd, Phase::Pdr, Phase::Mdr] {
+        assert!(
+            events.iter().any(|e| e.phase == phase
+                && matches!(e.kind, TraceKind::QuerySent { session, .. } if session != 0)),
+            "the {phase:?} session must send a correlated query"
+        );
+    }
+}
