@@ -8,7 +8,7 @@
 //! causes with multiple cached copies is exactly what Figs. 13/14 measure.
 
 use super::{Outgoing, PdsEngine};
-use crate::config::{BLOOM_FPP, QUERY_LIFETIME};
+use crate::config::BLOOM_FPP;
 use crate::descriptor::DataDescriptor;
 use crate::ids::{ChunkId, ItemName};
 use crate::lqt::chunk_key;
@@ -59,22 +59,12 @@ impl PdsEngine {
             }
             b.encode()
         });
-        let id = self.new_query_id();
-        let query = QueryMessage {
-            id,
-            kind: QueryKind::MdrChunks {
-                item: item.clone(),
-                total_chunks: total,
-            },
-            sender: self.id,
-            expires_at: now + QUERY_LIFETIME,
-            filter: QueryFilter::match_all(),
-            bloom,
-            round,
-            ttl_hops: self.config.query_hop_limit.unwrap_or(0),
+        let kind = QueryKind::MdrChunks {
+            item: item.clone(),
+            total_chunks: total,
         };
-        self.register_own_query(&query);
-        Outgoing::query(query, Vec::new()).for_session()
+        let session = self.retrieval_trace();
+        self.own_query(session, now, kind, QueryFilter::match_all(), bloom, round)
     }
 
     /// Round control for MDR (mirrors PDD's multi-round discovery).
@@ -124,15 +114,7 @@ impl PdsEngine {
         self.lqt.insert(&q, q.sender);
         let mut out = Vec::new();
         let held = self.store.chunk_ids(item);
-        let item_descriptor = self
-            .store
-            .item_descriptor_by_name(item)
-            .cloned()
-            .unwrap_or_else(|| {
-                DataDescriptor::builder()
-                    .attr(crate::descriptor::attrs::NAME, item.as_str())
-                    .build()
-            });
+        let item_descriptor = self.store.chunk_descriptor(item);
         let mut to_send = Vec::new();
         if let Some(lingering) = self.lqt.get_mut(q.id) {
             for c in held {

@@ -26,19 +26,20 @@ mod pdr;
 mod tests;
 
 use crate::cdi::CdiTable;
-use crate::config::PdsConfig;
+use crate::config::{PdsConfig, QUERY_LIFETIME, RESPONSE_JITTER};
 use crate::ids::{ChunkId, ItemName, QueryId, ResponseId};
 use crate::lqt::{LingeringQueryTable, NODE_BYTE_BUDGET};
 use crate::message::{
     MessageHeader, PdsMessage, QueryKind, QueryMessage, ResponseKind, ResponseMessage,
 };
+use crate::predicate::QueryFilter;
 use crate::sessions::{DiscoverySession, RetrievalSession};
 use crate::store::DataStore;
 use crate::time::ExpiryBound;
 use crate::{NodeId, SimDuration, SimRng, SimTime};
 use pds_bloom::BloomFilter;
 use pds_det::DetMap;
-use pds_obs::Phase;
+use pds_obs::{Phase, TraceKind};
 
 /// Maximum recursion depth of chunk-query division (guards against
 /// transient CDI routing loops; carried in the query's `round` field).
@@ -97,11 +98,23 @@ pub enum Jitter {
     /// Short jitter (the configured response jitter): spreads simultaneous
     /// small responders after a flood.
     Fast,
-    /// Long jitter (~100× response jitter): spreads simultaneous *chunk*
+    /// Long jitter (100× response jitter): spreads simultaneous *chunk*
     /// responders — when a flooded MDR query makes every holder serve
     /// 256 KB messages at once, staggering lets en-route Bloom rewriting
     /// suppress later duplicates instead of jamming the medium.
     Slow,
+}
+
+impl Jitter {
+    /// The longest delay of this class; the send delay is drawn uniformly
+    /// from `[0, max_delay)`.
+    pub(crate) fn max_delay(self) -> SimDuration {
+        match self {
+            Self::None => SimDuration::ZERO,
+            Self::Fast => RESPONSE_JITTER,
+            Self::Slow => RESPONSE_JITTER.saturating_mul(100),
+        }
+    }
 }
 
 /// A message the engine wants transmitted.
@@ -123,11 +136,11 @@ pub struct Outgoing {
     /// frame traffic class for per-phase overhead accounting and trace
     /// attribution.
     pub phase: Phase,
-    /// True when the message originates from this node's *own* consumer
-    /// session (discovery or retrieval) rather than a relay / flood
-    /// forward. Drives the session correlation id in `QuerySent` traces;
-    /// no protocol behavior depends on it.
-    pub own_session: bool,
+    /// The trace id of this node's *own* consumer session (discovery or
+    /// retrieval) that sends the message, or 0 for a relay / flood
+    /// forward. It is the session correlation id of `QuerySent` traces; no
+    /// protocol behavior depends on it.
+    pub session: u32,
     /// Raw id of the query this response answers (0 = not a direct answer,
     /// e.g. a batched relay serving several lingering queries). Drives
     /// `ResponseSent` trace correlation; no protocol behavior depends on
@@ -135,43 +148,28 @@ pub struct Outgoing {
     pub answers: u64,
 }
 
-/// The protocol phase a message's overhead is attributed to, derived from
-/// its wire kind. MDR chunk *responses* travel as ordinary `Chunk`
-/// responses and are classified where they originate (see
-/// [`Outgoing::response_slow`]); relay hops re-derive from the wire kind,
-/// so relayed MDR chunk data counts as PDR — a documented approximation
-/// (DESIGN.md §9).
-pub(crate) fn phase_of(message: &PdsMessage) -> Phase {
-    message.phase()
-}
-
 impl Outgoing {
-    pub(crate) fn query(q: QueryMessage, intended: Vec<NodeId>) -> Self {
-        let message = PdsMessage::Query(q);
-        let phase = phase_of(&message);
+    /// `message` as a relay or responder sends it: charged to its kind's
+    /// phase, retried twice, answering no query, in no session of ours.
+    fn new(message: PdsMessage, intended: Vec<NodeId>, jitter: Jitter) -> Self {
         Self {
+            phase: message.phase(),
             message,
             intended,
-            jitter: Jitter::None,
+            jitter,
             retries_left: 2,
-            phase,
-            own_session: false,
+            session: 0,
             answers: 0,
         }
     }
 
+    pub(crate) fn query(q: QueryMessage, intended: Vec<NodeId>) -> Self {
+        Self::new(PdsMessage::Query(q), intended, Jitter::None)
+    }
+
     pub(crate) fn response(r: ResponseMessage, intended: Vec<NodeId>, jitter: bool) -> Self {
-        let message = PdsMessage::Response(r);
-        let phase = phase_of(&message);
-        Self {
-            message,
-            intended,
-            jitter: if jitter { Jitter::Fast } else { Jitter::None },
-            retries_left: 2,
-            phase,
-            own_session: false,
-            answers: 0,
-        }
+        let jitter = if jitter { Jitter::Fast } else { Jitter::None };
+        Self::new(PdsMessage::Response(r), intended, jitter)
     }
 
     /// Slow-jittered chunk response — only the MDR baseline uses this
@@ -179,21 +177,9 @@ impl Outgoing {
     /// though the wire kind is a plain `Chunk` response.
     pub(crate) fn response_slow(r: ResponseMessage, intended: Vec<NodeId>) -> Self {
         Self {
-            message: PdsMessage::Response(r),
-            intended,
-            jitter: Jitter::Slow,
-            retries_left: 2,
             phase: Phase::Mdr,
-            own_session: false,
-            answers: 0,
+            ..Self::new(PdsMessage::Response(r), intended, Jitter::Slow)
         }
-    }
-
-    /// Marks the message as originated by this node's own consumer session
-    /// (see [`Outgoing::own_session`]).
-    pub(crate) fn for_session(mut self) -> Self {
-        self.own_session = true;
-        self
     }
 
     /// Records the query this response directly answers (see
@@ -235,6 +221,8 @@ pub struct PdsEngine {
     // carry the room for one.
     pub(crate) discovery: Option<Box<DiscoverySession>>,
     pub(crate) retrieval: Option<Box<RetrievalSession>>,
+    /// The trace id of the last session opened (0 = none yet).
+    last_session: u32,
 }
 
 impl PdsEngine {
@@ -254,6 +242,7 @@ impl PdsEngine {
             rng: SimRng::new(seed ^ 0x7064_735f_656e_6769),
             discovery: None,
             retrieval: None,
+            last_session: 0,
         }
     }
 
@@ -347,6 +336,34 @@ impl PdsEngine {
             || self.retrieval.as_ref().is_some_and(|r| !r.is_finished())
     }
 
+    /// The `SessionStarted` event of each session opened since the last
+    /// call. Call after every `start_*`, traced or not: each start is
+    /// handed out once.
+    pub(crate) fn untraced_starts(&mut self) -> impl Iterator<Item = (Phase, TraceKind)> {
+        let discovery = self.discovery.as_mut().and_then(|s| s.trace.take_start());
+        let retrieval = self.retrieval.as_mut().and_then(|s| s.trace.take_start());
+        discovery.into_iter().chain(retrieval)
+    }
+
+    /// The `SessionFinished` event of each session that has finished
+    /// since the last call, discovery first. Call only while a trace sink
+    /// listens: each finish is handed out once.
+    pub(crate) fn untraced_finishes(&mut self) -> impl Iterator<Item = (Phase, TraceKind)> {
+        let discovery = self.discovery.as_mut().and_then(|s| {
+            let r = s.report();
+            let items = r.entries as u64;
+            s.trace
+                .take_finish(r.finished_at, r.latency, r.rounds, items)
+        });
+        let retrieval = self.retrieval.as_mut().and_then(|s| {
+            let r = s.report();
+            let items = u64::from(r.received_chunks);
+            s.trace
+                .take_finish(r.finished_at, r.latency, r.rounds, items)
+        });
+        discovery.into_iter().chain(retrieval)
+    }
+
     /// Whether [`PdsEngine::gc`] could remove anything, now or once it
     /// expires: lingering queries, CDI routes, recent response ids,
     /// pending-chunk marks or expiring cached metadata. O(1).
@@ -429,23 +446,54 @@ impl PdsEngine {
         ResponseId(self.rng.next_u64())
     }
 
-    /// Clears the outstanding-sub-query marks for `chunks` (the transport
-    /// reported the sub-query undeliverable, so nothing is in flight and
-    /// re-division must not be suppressed).
-    pub(crate) fn clear_pending_chunks(&mut self, item: &ItemName, chunks: &[ChunkId]) {
-        for c in chunks {
-            self.pending_chunk.remove(&(item.clone(), *c));
+    /// Takes a message the transport finally failed to deliver, every
+    /// resend spent. A chunk sub-query's chunks are then in flight no
+    /// more, so their outstanding-sub-query marks are cleared and
+    /// re-division is no longer suppressed.
+    pub(crate) fn on_send_failed(&mut self, message: &PdsMessage) {
+        if let PdsMessage::Query(QueryMessage {
+            kind: QueryKind::Chunks { item, chunks },
+            ..
+        }) = message
+        {
+            for c in chunks {
+                self.pending_chunk.remove(&(item.clone(), *c));
+            }
         }
     }
 
-    /// Registers the consumer's own flooded query in its LQT (upstream =
-    /// self) so echoed copies relayed back by neighbors are recognized and
-    /// discarded. Without this, the originator would treat its own query as
-    /// foreign, create a lingering entry pointing outward, and advertise
-    /// routes *back toward itself* — poisoning CDI distance vectors.
-    pub(crate) fn register_own_query(&mut self, q: &QueryMessage) {
-        let me = self.id;
-        self.lqt.insert(q, me);
+    /// One of the consumer's own flooded queries — a discovery round, a
+    /// CDI query or an MDR round — under a fresh id, sent by `session`.
+    ///
+    /// The query is registered in the LQT with upstream = self, so echoed
+    /// copies relayed back by neighbors are recognized and discarded.
+    /// Without this, the originator would treat its own query as foreign,
+    /// create a lingering entry pointing outward, and advertise routes
+    /// *back toward itself* — poisoning CDI distance vectors.
+    pub(crate) fn own_query(
+        &mut self,
+        session: u32,
+        now: SimTime,
+        kind: QueryKind,
+        filter: QueryFilter,
+        bloom: Option<Vec<u8>>,
+        round: u32,
+    ) -> Outgoing {
+        let query = QueryMessage {
+            id: self.new_query_id(),
+            kind,
+            sender: self.id,
+            expires_at: now + QUERY_LIFETIME,
+            filter,
+            bloom,
+            round,
+            ttl_hops: self.config.query_hop_limit.unwrap_or(0),
+        };
+        self.lqt.insert(&query, self.id);
+        Outgoing {
+            session,
+            ..Outgoing::query(query, Vec::new())
+        }
     }
 
     /// Forwards a flooded query: sender rewritten to this node, Bloom filter

@@ -4,18 +4,19 @@
 //! run through the same code, generic over [`DiscoveryEntry`].
 
 use super::{Outgoing, PdsEngine};
-use crate::config::{BLOOM_FPP, METADATA_TTL, QUERY_LIFETIME};
+use crate::config::{BLOOM_FPP, METADATA_TTL};
 use crate::descriptor::DataDescriptor;
 use crate::ids::ResponseId;
 use crate::lqt::Lingering;
 use crate::message::{QueryKind, QueryMessage, ResponseKind, ResponseMessage};
 use crate::predicate::QueryFilter;
 use crate::rounds::{RoundController, RoundDecision};
-use crate::sessions::DiscoverySession;
+use crate::sessions::{DiscoverySession, SessionTrace};
 use crate::store::DataStore;
 use crate::{NodeId, SimTime};
 use bytes::Bytes;
 use pds_bloom::{BloomFilter, BloomParams};
+use pds_obs::Phase;
 use std::collections::BTreeSet;
 
 /// One kind of PDD entry: a bare descriptor for metadata discovery, a
@@ -127,6 +128,7 @@ impl PdsEngine {
             last_new_at: now,
             finished_at: None,
             round_log: vec![(now, 1)],
+            trace: SessionTrace::open(&mut self.last_session, Phase::Pdd),
         }));
         self.flood_discovery_round(now)
     }
@@ -171,22 +173,13 @@ impl PdsEngine {
             }
             bloom.encode()
         });
-        let query = QueryMessage {
-            kind: if session.small_data {
-                QueryKind::SmallData
-            } else {
-                QueryKind::Metadata
-            },
-            filter: session.filter.clone(),
-            id: self.new_query_id(),
-            sender: self.id,
-            expires_at: now + QUERY_LIFETIME,
-            bloom,
-            round,
-            ttl_hops: self.config.query_hop_limit.unwrap_or(0),
+        let kind = if session.small_data {
+            QueryKind::SmallData
+        } else {
+            QueryKind::Metadata
         };
-        self.register_own_query(&query);
-        vec![Outgoing::query(query, Vec::new()).for_session()]
+        let (filter, trace) = (session.filter.clone(), session.trace.id);
+        vec![self.own_query(trace, now, kind, filter, bloom, round)]
     }
 
     // ---- Algorithm 1: query processing -------------------------------------

@@ -10,17 +10,17 @@
 use super::{Outgoing, PdsEngine, MAX_CHUNK_QUERY_DEPTH};
 use crate::assign::min_max_assign;
 use crate::config::{
-    CDI_TTL, MAX_RECOVERY, METADATA_TTL, PHASE1_MIN, PHASE1_TIMEOUT, QUERY_LIFETIME, WATCHDOG,
-    WATCHDOG_PER_CHUNK,
+    CDI_TTL, METADATA_TTL, PHASE1_MIN, PHASE1_TIMEOUT, QUERY_LIFETIME, WATCHDOG, WATCHDOG_PER_CHUNK,
 };
 use crate::descriptor::DataDescriptor;
 use crate::ids::{ChunkId, ItemName, ResponseId};
 use crate::message::{QueryKind, QueryMessage, ResponseKind, ResponseMessage};
 use crate::predicate::QueryFilter;
-use crate::sessions::{RetrievalMode, RetrievalPhase, RetrievalSession};
+use crate::sessions::{RetrievalMode, RetrievalPhase, RetrievalSession, SessionTrace};
 use crate::{NodeId, SimTime};
 use bytes::Bytes;
 use pds_det::{BitSet, DetMap};
+use pds_obs::Phase;
 use std::collections::BTreeSet;
 
 impl PdsEngine {
@@ -69,6 +69,7 @@ impl PdsEngine {
             (false, false) => RetrievalPhase::CdiCollection,
             (false, true) => RetrievalPhase::ChunkRetrieval,
         };
+        let trace_phase = if mdr { Phase::Mdr } else { Phase::Pdr };
         self.retrieval = Some(Box::new(RetrievalSession {
             item: item.clone(),
             descriptor,
@@ -85,24 +86,20 @@ impl PdsEngine {
             rounds_sent: u32::from(mdr),
             mode,
             transitions: vec![(now, phase)],
+            trace: SessionTrace::open(&mut self.last_session, trace_phase),
         }));
         (!done).then_some((item, total))
     }
 
     fn cdi_query(&mut self, now: SimTime, descriptor: DataDescriptor) -> Outgoing {
-        let id = self.new_query_id();
-        let query = QueryMessage {
-            id,
-            kind: QueryKind::Cdi { descriptor },
-            sender: self.id,
-            expires_at: now + QUERY_LIFETIME,
-            filter: QueryFilter::match_all(),
-            bloom: None,
-            round: 0,
-            ttl_hops: self.config.query_hop_limit.unwrap_or(0),
-        };
-        self.register_own_query(&query);
-        Outgoing::query(query, Vec::new()).for_session()
+        let kind = QueryKind::Cdi { descriptor };
+        let session = self.retrieval_trace();
+        self.own_query(session, now, kind, QueryFilter::match_all(), None, 0)
+    }
+
+    /// The trace id of the consumer's retrieval session (0 = none).
+    pub(super) fn retrieval_trace(&self) -> u32 {
+        self.retrieval.as_ref().map_or(0, |s| s.trace.id)
     }
 
     /// Phase transitions, chunk-query waves and recovery (consumer side).
@@ -144,17 +141,11 @@ impl PdsEngine {
                 return self.chunk_query_wave(now, &item, true);
             }
             // No routes at all: re-flood the CDI query (recovery) or give up.
-            let give_up = match self.retrieval.as_mut() {
-                Some(s) => {
-                    s.phase_started_at = now;
-                    // Only an attempt that re-queries is counted.
-                    let give_up = s.recovery_attempts >= MAX_RECOVERY;
-                    s.recovery_attempts += u32::from(!give_up);
-                    give_up
-                }
-                None => return Vec::new(),
+            let Some(s) = self.retrieval.as_mut() else {
+                return Vec::new();
             };
-            if give_up {
+            s.phase_started_at = now;
+            if !s.try_recover() {
                 self.finish_retrieval(now);
                 return Vec::new();
             }
@@ -168,10 +159,7 @@ impl PdsEngine {
             let Some(s) = self.retrieval.as_ref() else {
                 return Vec::new();
             };
-            let missing: Vec<ChunkId> = (0..s.total_chunks)
-                .map(ChunkId)
-                .filter(|c| !s.received.contains(c.0))
-                .collect();
+            let missing = s.missing();
             let threshold = WATCHDOG + WATCHDOG_PER_CHUNK.saturating_mul(missing.len() as u64);
             let stalled = now.since(s.last_progress_at.max(s.phase_started_at)) >= threshold;
             (missing, stalled, s.descriptor.clone(), s.item.clone())
@@ -185,17 +173,12 @@ impl PdsEngine {
         }
         // Recovery: re-request missing chunks; if some have no routes,
         // also re-flood the CDI query.
-        let give_up = match self.retrieval.as_mut() {
-            Some(s) => {
-                s.last_progress_at = now;
-                s.rounds_sent += 1;
-                let give_up = s.recovery_attempts >= MAX_RECOVERY;
-                s.recovery_attempts += u32::from(!give_up);
-                give_up
-            }
-            None => return Vec::new(),
+        let Some(s) = self.retrieval.as_mut() else {
+            return Vec::new();
         };
-        if give_up {
+        s.last_progress_at = now;
+        s.rounds_sent += 1;
+        if !s.try_recover() {
             self.finish_retrieval(now);
             return Vec::new();
         }
@@ -217,15 +200,17 @@ impl PdsEngine {
         let Some(session) = self.retrieval.as_ref() else {
             return Vec::new();
         };
-        let missing: Vec<ChunkId> = (0..session.total_chunks)
-            .map(ChunkId)
-            .filter(|c| !session.received.contains(c.0))
-            .collect();
+        let (missing, trace) = (session.missing(), session.trace.id);
         // Chunk queries must outlive the (serialized) transfer they route:
         // scale the lingering horizon with the amount requested.
         let expires =
             now + QUERY_LIFETIME + WATCHDOG_PER_CHUNK.saturating_mul(missing.len() as u64 * 2);
-        self.divide_chunks(now, item, &missing, None, expires, 0, force)
+        let mut out = self.divide_chunks(now, item, &missing, None, expires, 0, force);
+        // Unlike en-route re-division, the wave is the session's own.
+        for query in &mut out {
+            query.session = trace;
+        }
+        out
     }
 
     /// The recursive query division shared by the consumer and en-route
@@ -276,7 +261,7 @@ impl PdsEngine {
                     .insert((item.clone(), c), now + super::PENDING_CHUNK_HORIZON);
             }
             let id = self.new_query_id();
-            let query = Outgoing::query(
+            out.push(Outgoing::query(
                 QueryMessage {
                     id,
                     kind: QueryKind::Chunks {
@@ -291,14 +276,7 @@ impl PdsEngine {
                     ttl_hops: 0,
                 },
                 vec![neighbor],
-            );
-            // Depth-0 waves come from the consumer's own session; deeper
-            // waves are en-route re-division at relays.
-            out.push(if depth == 0 {
-                query.for_session()
-            } else {
-                query
-            });
+            ));
         }
         out
     }
@@ -491,15 +469,7 @@ impl PdsEngine {
         self.lqt.insert(&q, q.sender);
         let mut out = Vec::new();
         let mut remaining = Vec::new();
-        let item_descriptor = self
-            .store
-            .item_descriptor_by_name(item)
-            .cloned()
-            .unwrap_or_else(|| {
-                DataDescriptor::builder()
-                    .attr(crate::descriptor::attrs::NAME, item.as_str())
-                    .build()
-            });
+        let item_descriptor = self.store.chunk_descriptor(item);
         for &c in chunks {
             if let Some(data) = self.store.fetch_chunk(item, c) {
                 if let Some(l) = self.lqt.get_mut(q.id) {

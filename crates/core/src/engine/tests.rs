@@ -1200,7 +1200,7 @@ fn header_peek_agrees_with_decode_on_every_kind_and_truncation() {
     for message in one_of_each_kind() {
         let wire = message.encode();
         let header = MessageHeader::peek(&wire).expect("a whole message has a header");
-        assert_eq!(header.phase(), phase_of(&message), "{message:?}");
+        assert_eq!(header.phase(), message.phase(), "{message:?}");
         let head_len = match (&message, header) {
             (PdsMessage::Query(q), MessageHeader::Query { id, expires_at, .. }) => {
                 assert_eq!((id, expires_at), (q.id, q.expires_at));

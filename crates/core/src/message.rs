@@ -466,9 +466,9 @@ macro_rules! wire_messages {
             /// `whole` is shorter than the fixed head or carries an unknown
             /// message or kind tag — all of which [`PdsMessage::decode`]
             /// rejects too. A header does not vouch for the body behind it.
-            #[must_use]
+            #[cfg(test)]
             pub(crate) fn peek(whole: &Bytes) -> Option<Self> {
-                Self::get(&mut Reader { whole, rest: whole }).ok()
+                Peeked::new(whole).ok().map(|p| p.header)
             }
             /// Reads the head, and the phase of the kind tag it leaves.
             fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
@@ -504,7 +504,15 @@ macro_rules! wire_messages {
                 )+}
             }
             fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-                Ok(match MessageHeader::get(r)? {$(
+                let header = MessageHeader::get(r)?;
+                Self::get_body(header, r)
+            }
+        }
+
+        impl PdsMessage {
+            /// Reads the body that follows `header`'s head.
+            fn get_body(header: MessageHeader, r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                Ok(match header {$(
                     MessageHeader::$variant { $($head,)+ .. } => Self::$variant($message {
                         $($head,)+
                         $kind: $kty::get(r)?,
@@ -533,7 +541,12 @@ impl PdsMessage {
         Bytes::from(out)
     }
 
-    /// The protocol phase of the message's kind.
+    /// The protocol phase the message's overhead is attributed to, derived
+    /// from its wire kind. MDR chunk *responses* travel as ordinary `Chunk`
+    /// responses and are classified where they originate (an MDR holder
+    /// sends them slow-jittered and charged to MDR); relay hops re-derive
+    /// the phase from the wire kind, so relayed MDR chunk data counts as
+    /// PDR — a documented approximation (DESIGN.md §9).
     pub(crate) fn phase(&self) -> Phase {
         match self {
             Self::Query(q) => q.kind.phase(),
@@ -554,9 +567,31 @@ impl PdsMessage {
     /// Returns a [`DecodeError`] when the buffer is truncated, malformed,
     /// or longer than the message it holds.
     pub fn decode(whole: &Bytes) -> Result<Self, DecodeError> {
-        let r = &mut Reader { whole, rest: whole };
-        let message = Self::get(r)?;
-        match r.rest {
+        Peeked::new(whole)?.decode()
+    }
+}
+
+/// A received message whose fixed head is read: its header, and the
+/// reader where the head ends, so that the body of a fresh copy is decoded
+/// without reading the head again.
+pub(crate) struct Peeked<'a> {
+    pub(crate) header: MessageHeader,
+    body: Reader<'a>,
+}
+
+impl<'a> Peeked<'a> {
+    /// Reads the head of `whole`, failing as [`PdsMessage::decode`] does
+    /// on a truncated head or an unknown message or kind tag.
+    pub(crate) fn new(whole: &'a Bytes) -> Result<Self, DecodeError> {
+        let mut body = Reader { whole, rest: whole };
+        let header = MessageHeader::get(&mut body)?;
+        Ok(Self { header, body })
+    }
+
+    /// Decodes the body: what [`PdsMessage::decode`] returns for the whole.
+    pub(crate) fn decode(mut self) -> Result<PdsMessage, DecodeError> {
+        let message = PdsMessage::get_body(self.header, &mut self.body)?;
+        match self.body.rest {
             [] => Ok(message),
             _ => Err(DecodeError::TrailingBytes),
         }

@@ -1,6 +1,6 @@
-//! [`PdsNode`]: the PDS protocol bound to the simulator's application
-//! interface — timers, send jitter, codec, and the consumer-facing API the
-//! evaluation harness drives through
+//! [`PdsNode`]: the PDS protocol engine bound to the simulator's
+//! application interface — timers, send jitter, codec, trace records, and
+//! the consumer-facing API the evaluation harness drives through
 //! [`World::with_app`](pds_sim::World::with_app).
 
 #![deny(
@@ -13,16 +13,16 @@
     clippy::indexing_slicing
 )]
 
-use crate::config::{PdsConfig, RESPONSE_JITTER, ROUND_POLL};
+use crate::config::{PdsConfig, ROUND_POLL};
 use crate::descriptor::DataDescriptor;
 use crate::engine::{Outgoing, PdsEngine};
 use crate::ids::ChunkId;
-use crate::message::{MessageHeader, PdsMessage};
+use crate::message::{MessageHeader, PdsMessage, Peeked};
 use crate::predicate::QueryFilter;
-use crate::sessions::{DiscoveryReport, RetrievalMode, RetrievalReport};
+use crate::sessions::{DiscoveryReport, RetrievalReport};
 use crate::{Application, Context, MessageMeta, SimDuration, SimTime};
 use bytes::Bytes;
-use pds_obs::{Phase, TraceKind};
+use pds_obs::TraceKind;
 
 const TAG_POLL: u64 = 1;
 const TAG_GC: u64 = 2;
@@ -36,6 +36,12 @@ const IN_FLIGHT_HORIZON: SimDuration = SimDuration::from_secs(120);
 
 /// A PDS node: every device runs one, whether it currently acts as
 /// producer, consumer, relay, or all three.
+///
+/// The node is only the binding of a [`PdsEngine`] to the simulator: it
+/// turns callbacks into engine calls, and the engine's output into sends
+/// (after the jitter each [`Outgoing`] asks for), timers, resends of
+/// failed hops, and trace records. The protocol facts — which session a
+/// message belongs to, what a failed send undoes — are the engine's.
 ///
 /// Only a node with work schedules timers: the poll timer is armed while a
 /// discovery or retrieval session of its own is unfinished, the GC timer
@@ -88,18 +94,6 @@ pub struct PdsNode {
     in_flight: Vec<(crate::MessageHandle, SimTime, Outgoing)>,
     decode_errors: u64,
     resends: u64,
-    // Tracing only: whether a SessionFinished event has already been
-    // emitted for the current discovery / retrieval session.
-    discovery_finished: bool,
-    retrieval_finished: bool,
-    // Session correlation ids for causal tracing: a per-node counter
-    // (`(node, session)` is globally unique, 0 = none) plus the ids of the
-    // currently running discovery and retrieval sessions. Maintained
-    // unconditionally — they are plain node-local counters, so they cannot
-    // perturb replay digests — but only ever read at trace emission sites.
-    next_session: u64,
-    discovery_session: u64,
-    retrieval_session: u64,
     // Timer lattice origin (the instant the engine was created, which is
     // the `on_start` instant) and whether each periodic timer is pending.
     started_at: SimTime,
@@ -123,11 +117,6 @@ impl PdsNode {
             in_flight: Vec::new(),
             decode_errors: 0,
             resends: 0,
-            discovery_finished: false,
-            retrieval_finished: false,
-            next_session: 0,
-            discovery_session: 0,
-            retrieval_session: 0,
             started_at: SimTime::ZERO,
             poll_armed: false,
             gc_armed: false,
@@ -218,18 +207,14 @@ impl PdsNode {
 
     /// Starts a PDD metadata discovery (consumer role).
     pub fn start_discovery(&mut self, ctx: &mut Context, filter: QueryFilter) {
-        let now = ctx.now();
-        let out = self.ensure_engine(ctx).start_discovery(now, filter);
-        self.open_session(ctx, Phase::Pdd, out);
+        self.open_session(ctx, |engine, now| engine.start_discovery(now, filter));
     }
 
     /// Starts a small-data retrieval (consumer role).
     pub fn start_small_data_retrieval(&mut self, ctx: &mut Context, filter: QueryFilter) {
-        let now = ctx.now();
-        let out = self
-            .ensure_engine(ctx)
-            .start_small_data_retrieval(now, filter);
-        self.open_session(ctx, Phase::Pdd, out);
+        self.open_session(ctx, |engine, now| {
+            engine.start_small_data_retrieval(now, filter)
+        });
     }
 
     /// Starts a two-phase PDR retrieval of a large item (consumer role).
@@ -238,9 +223,7 @@ impl PdsNode {
     ///
     /// Panics if `descriptor` lacks `name` or `total_chunks`.
     pub fn start_retrieval(&mut self, ctx: &mut Context, descriptor: DataDescriptor) {
-        let now = ctx.now();
-        let out = self.ensure_engine(ctx).start_retrieval(now, descriptor);
-        self.open_session(ctx, Phase::Pdr, out);
+        self.open_session(ctx, |engine, now| engine.start_retrieval(now, descriptor));
     }
 
     /// Starts an MDR baseline retrieval of a large item (consumer role).
@@ -249,29 +232,25 @@ impl PdsNode {
     ///
     /// Panics if `descriptor` lacks `name` or `total_chunks`.
     pub fn start_mdr_retrieval(&mut self, ctx: &mut Context, descriptor: DataDescriptor) {
-        let now = ctx.now();
-        let out = self.ensure_engine(ctx).start_mdr_retrieval(now, descriptor);
-        self.open_session(ctx, Phase::Mdr, out);
+        self.open_session(ctx, |engine, now| {
+            engine.start_mdr_retrieval(now, descriptor)
+        });
     }
 
-    /// What every `start_*` shares once the engine has opened the session:
-    /// a fresh trace correlation id (discovery for PDD, retrieval
-    /// otherwise), the session's first messages, and its timers.
-    fn open_session(&mut self, ctx: &mut Context, phase: Phase, out: Vec<Outgoing>) {
-        self.next_session += 1;
-        if phase == Phase::Pdd {
-            self.discovery_finished = false;
-            self.discovery_session = self.next_session;
-        } else {
-            self.retrieval_finished = false;
-            self.retrieval_session = self.next_session;
+    /// What every `start_*` shares: the engine opens the session, then the
+    /// session's start is traced, its first messages sent and its timers
+    /// armed.
+    fn open_session(
+        &mut self,
+        ctx: &mut Context,
+        start: impl FnOnce(&mut PdsEngine, SimTime) -> Vec<Outgoing>,
+    ) {
+        let now = ctx.now();
+        let engine = self.ensure_engine(ctx);
+        let out = start(engine, now);
+        for (phase, kind) in engine.untraced_starts() {
+            ctx.trace(phase, kind);
         }
-        ctx.trace(
-            phase,
-            TraceKind::SessionStarted {
-                session: self.next_session,
-            },
-        );
         self.dispatch(ctx, out);
         self.arm_timers(ctx);
     }
@@ -297,15 +276,10 @@ impl PdsNode {
     /// Sends (or schedules, for jittered responses) the engine's outgoing
     /// messages.
     fn dispatch(&mut self, ctx: &mut Context, outs: Vec<Outgoing>) {
-        let jitter_max = RESPONSE_JITTER.as_micros();
         for out in outs {
-            let max = match out.jitter {
-                crate::engine::Jitter::None => 0,
-                crate::engine::Jitter::Fast => jitter_max,
-                crate::engine::Jitter::Slow => jitter_max * 100,
-            };
+            let max = out.jitter.max_delay().as_micros();
             if max > 0 {
-                let delay = SimDuration::from_micros(ctx.rng().range_u64(0, max.max(1)));
+                let delay = SimDuration::from_micros(ctx.rng().range_u64(0, max));
                 let due = ctx.now() + delay;
                 self.pending.push((due, out));
                 ctx.set_timer(delay, TAG_SEND);
@@ -321,19 +295,10 @@ impl PdsNode {
             // The transport handle doubles as the message's per-origin
             // sequence number, linking this protocol event to every
             // transport/radio event of the carrying message.
-            let session = if out.own_session {
-                match out.phase {
-                    Phase::Pdd => self.discovery_session,
-                    Phase::Pdr | Phase::Mdr => self.retrieval_session,
-                    _ => 0,
-                }
-            } else {
-                0
-            };
             let kind = match &out.message {
                 PdsMessage::Query(q) => TraceKind::QuerySent {
                     query: q.id.0,
-                    session,
+                    session: u64::from(out.session),
                     seq: handle.0,
                 },
                 PdsMessage::Response(r) => TraceKind::ResponseSent {
@@ -360,51 +325,16 @@ impl PdsNode {
         }
     }
 
-    /// Emits `SessionFinished` trace events the first time a consumer
-    /// session's controller reports termination. Tracing-only: a no-op
-    /// (beyond one branch) when no sink is installed.
+    /// Traces `SessionFinished` for each consumer session that has
+    /// finished since the last call. Tracing-only: a no-op (beyond one
+    /// branch) when no sink is installed.
     fn note_finishes(&mut self, ctx: &mut Context) {
         if !ctx.trace_enabled() {
             return;
         }
-        let Some(engine) = self.engine.as_ref() else {
-            return;
-        };
-        if !self.discovery_finished {
-            if let Some(report) = engine.discovery().map(|d| d.report()) {
-                if report.finished_at.is_some() {
-                    self.discovery_finished = true;
-                    ctx.trace(
-                        Phase::Pdd,
-                        TraceKind::SessionFinished {
-                            session: self.discovery_session,
-                            delay_us: report.latency.as_micros(),
-                            rounds: u64::from(report.rounds),
-                            items: report.entries as u64,
-                        },
-                    );
-                }
-            }
-        }
-        if !self.retrieval_finished {
-            if let Some(session) = engine.retrieval() {
-                let report = session.report();
-                if report.finished_at.is_some() {
-                    let phase = match session.mode {
-                        RetrievalMode::Mdr(_) => Phase::Mdr,
-                        RetrievalMode::Pdr => Phase::Pdr,
-                    };
-                    self.retrieval_finished = true;
-                    ctx.trace(
-                        phase,
-                        TraceKind::SessionFinished {
-                            session: self.retrieval_session,
-                            delay_us: report.latency.as_micros(),
-                            rounds: u64::from(report.rounds),
-                            items: u64::from(report.received_chunks),
-                        },
-                    );
-                }
+        if let Some(engine) = self.engine.as_mut() {
+            for (phase, kind) in engine.untraced_finishes() {
+                ctx.trace(phase, kind);
             }
         }
     }
@@ -423,14 +353,15 @@ impl Application for PdsNode {
         // Most copies a node hears are redundant (every neighbor relays a
         // flood, every overhearer sees a relay): the fixed header says so,
         // and such a copy is dropped without decoding its body.
-        let Some(header) = MessageHeader::peek(&payload) else {
+        let Ok(peeked) = Peeked::new(&payload) else {
             self.decode_errors += 1;
             return;
         };
+        let header = peeked.header;
         let message = if self.ensure_engine(ctx).is_redundant(now, &header) {
             None
         } else {
-            match PdsMessage::decode(&payload) {
+            match peeked.decode() {
                 Ok(m) => Some(m),
                 Err(_) => {
                     self.decode_errors += 1;
@@ -480,16 +411,8 @@ impl Application for PdsNode {
             self.resends += 1;
             self.transmit(ctx, out);
             self.arm_timers(ctx);
-            return;
-        }
-        // Final failure of a chunk sub-query: nothing is in flight for its
-        // chunks any more, so stop suppressing re-division.
-        if let PdsMessage::Query(q) = &out.message {
-            if let crate::message::QueryKind::Chunks { item, chunks } = &q.kind {
-                if let Some(e) = self.engine.as_mut() {
-                    e.clear_pending_chunks(item, chunks);
-                }
-            }
+        } else if let Some(engine) = self.engine.as_mut() {
+            engine.on_send_failed(&out.message);
         }
     }
 

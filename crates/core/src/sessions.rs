@@ -1,12 +1,70 @@
 //! Consumer-side operation state: what a discovery or retrieval has
 //! collected so far, and the reports the evaluation harness reads.
 
+use crate::config::MAX_RECOVERY;
 use crate::descriptor::{DataDescriptor, EntryKey};
-use crate::ids::ItemName;
+use crate::ids::{ChunkId, ItemName};
 use crate::predicate::QueryFilter;
 use crate::rounds::RoundController;
 use crate::{SimDuration, SimTime};
 use pds_det::{BitSet, DetSet};
+use pds_obs::{Phase, TraceKind};
+
+/// A consumer session's identity in the causal trace: its per-node id
+/// (counting from 1 in start order, so `(node, id)` is globally unique)
+/// and the phase it is traced under, plus whether its `SessionStarted`
+/// and `SessionFinished` events have been handed out. Read only to trace;
+/// no protocol behavior depends on it.
+#[derive(Debug)]
+pub(crate) struct SessionTrace {
+    pub(crate) id: u32,
+    phase: Phase,
+    start_traced: bool,
+    finish_traced: bool,
+}
+
+impl SessionTrace {
+    /// The identity of a session opening in `phase`: the id after `last`,
+    /// which becomes the last.
+    pub(crate) fn open(last: &mut u32, phase: Phase) -> Self {
+        *last += 1;
+        Self {
+            id: *last,
+            phase,
+            start_traced: false,
+            finish_traced: false,
+        }
+    }
+
+    /// The session's `SessionStarted` event, the first time only.
+    pub(crate) fn take_start(&mut self) -> Option<(Phase, TraceKind)> {
+        let session = u64::from(self.id);
+        (!std::mem::replace(&mut self.start_traced, true))
+            .then_some((self.phase, TraceKind::SessionStarted { session }))
+    }
+
+    /// The session's `SessionFinished` event, from its final `(latency,
+    /// rounds, items)`, once it has finished; the first time only.
+    pub(crate) fn take_finish(
+        &mut self,
+        finished_at: Option<SimTime>,
+        latency: SimDuration,
+        rounds: u32,
+        items: u64,
+    ) -> Option<(Phase, TraceKind)> {
+        if finished_at.is_none() || self.finish_traced {
+            return None;
+        }
+        self.finish_traced = true;
+        let kind = TraceKind::SessionFinished {
+            session: u64::from(self.id),
+            delay_us: latency.as_micros(),
+            rounds: u64::from(rounds),
+            items,
+        };
+        Some((self.phase, kind))
+    }
+}
 
 /// A running (or finished) metadata / small-data discovery at a consumer.
 #[derive(Debug)]
@@ -23,6 +81,7 @@ pub struct DiscoverySession {
     pub(crate) finished_at: Option<SimTime>,
     /// Every round start, numbered from 1: its length is the rounds sent.
     pub(crate) round_log: Vec<(SimTime, u32)>,
+    pub(crate) trace: SessionTrace,
 }
 
 impl DiscoverySession {
@@ -115,6 +174,7 @@ pub struct RetrievalSession {
     pub(crate) mode: RetrievalMode,
     pub(crate) rounds_sent: u32,
     pub(crate) transitions: Vec<(SimTime, RetrievalPhase)>,
+    pub(crate) trace: SessionTrace,
 }
 
 impl RetrievalSession {
@@ -133,6 +193,22 @@ impl RetrievalSession {
     #[must_use]
     pub fn transitions(&self) -> &[(SimTime, RetrievalPhase)] {
         &self.transitions
+    }
+
+    /// Counts one more recovery attempt; false, counting none, once all
+    /// `MAX_RECOVERY` are spent and the retrieval should give up.
+    pub(crate) fn try_recover(&mut self) -> bool {
+        let left = self.recovery_attempts < MAX_RECOVERY;
+        self.recovery_attempts += u32::from(left);
+        left
+    }
+
+    /// The chunk ids not received yet, ascending.
+    pub(crate) fn missing(&self) -> Vec<ChunkId> {
+        (0..self.total_chunks)
+            .map(ChunkId)
+            .filter(|c| !self.received.contains(c.0))
+            .collect()
     }
 
     /// Immutable snapshot of progress.
@@ -202,6 +278,7 @@ mod tests {
             last_new_at: t(4.5),
             finished_at: None,
             round_log: vec![(t(1.0), 1), (t(3.0), 2)],
+            trace: SessionTrace::open(&mut 0, Phase::Pdd),
         };
         let r = s.report();
         assert_eq!(r.latency, SimDuration::from_secs_f64(3.5));
@@ -234,6 +311,7 @@ mod tests {
                 (t(0.0), RetrievalPhase::CdiCollection),
                 (t(1.0), RetrievalPhase::ChunkRetrieval),
             ],
+            trace: SessionTrace::open(&mut 0, Phase::Pdr),
         };
         let r = s.report();
         assert!((r.recall - 0.25).abs() < 1e-12);
@@ -260,6 +338,7 @@ mod tests {
             mode: RetrievalMode::Mdr(RoundController::new(RoundParams::default(), t(0.0))),
             rounds_sent: 0,
             transitions: vec![(t(0.0), RetrievalPhase::Done)],
+            trace: SessionTrace::open(&mut 0, Phase::Mdr),
         };
         assert!((s.report().recall - 1.0).abs() < 1e-12);
         assert!(s.is_finished());

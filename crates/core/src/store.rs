@@ -146,6 +146,19 @@ impl DataStore {
             .map(|(k, _)| k.descriptor())
     }
 
+    /// The descriptor a holder's chunk responses for `name` carry: the
+    /// whole-item descriptor if one is known, else one naming the item only.
+    #[must_use]
+    pub(crate) fn chunk_descriptor(&self, name: &ItemName) -> DataDescriptor {
+        self.item_descriptor_by_name(name)
+            .cloned()
+            .unwrap_or_else(|| {
+                DataDescriptor::builder()
+                    .attr(crate::descriptor::attrs::NAME, name.as_str())
+                    .build()
+            })
+    }
+
     /// Caches a metadata entry learned from the network. If the entry is
     /// already present, a later expiration extends it; entries backed by a
     /// payload stay non-expiring, and so does one cached to expire at

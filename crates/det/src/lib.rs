@@ -17,23 +17,11 @@
 //! hasher ([`DetHasher`]) makes iteration order a pure function of the
 //! insert/remove history — the same in every process, every run. Where
 //! code additionally needs an order that is independent of *insertion
-//! history* (e.g. wire-visible lists), [`SortedIterExt::iter_sorted`]
-//! provides key-ascending iteration, or use `BTreeMap` directly.
+//! history* (e.g. wire-visible lists), it sorts what it collects, or uses
+//! `BTreeMap` directly.
 //!
 //! `clippy.toml` rejects std `HashMap`/`HashSet` in every workspace
 //! crate; this crate is the single audited place that touches them.
-//!
-//! # Examples
-//!
-//! ```
-//! use pds_det::{DetMap, SortedIterExt};
-//!
-//! let mut m: DetMap<u32, &str> = DetMap::default();
-//! m.insert(2, "b");
-//! m.insert(1, "a");
-//! let sorted: Vec<_> = m.iter_sorted().map(|(k, v)| (*k, *v)).collect();
-//! assert_eq!(sorted, vec![(1, "a"), (2, "b")]);
-//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -91,10 +79,24 @@ pub type DetState = BuildHasherDefault<DetHasher>;
 /// Iteration order is a pure function of the sequence of inserts and
 /// removes — identical across processes and machines for the same history.
 /// It is *not* sorted and *not* insertion-order; callers that need an
-/// order independent of history use [`SortedIterExt::iter_sorted`].
+/// order independent of history sort what they collect, or use a
+/// `BTreeMap`.
 ///
 /// Construct with `DetMap::default()` (std's `new()` is only defined for
 /// `RandomState`) or collect from an iterator.
+///
+/// # Examples
+///
+/// ```
+/// use pds_det::DetMap;
+///
+/// let mut m: DetMap<u32, &str> = DetMap::default();
+/// m.insert(2, "b");
+/// m.insert(1, "a");
+/// let mut sorted: Vec<_> = m.iter().map(|(k, v)| (*k, *v)).collect();
+/// sorted.sort_unstable();
+/// assert_eq!(sorted, vec![(1, "a"), (2, "b")]);
+/// ```
 pub type DetMap<K, V> = HashMap<K, V, DetState>;
 
 /// A `HashSet` with deterministic, replay-stable iteration order.
@@ -110,34 +112,6 @@ pub use std::collections::hash_map::Entry as MapEntry;
 #[must_use]
 pub fn set_with_capacity<T>(n: usize) -> DetSet<T> {
     DetSet::with_capacity_and_hasher(n, DetState::default())
-}
-
-/// Key-ascending iteration over the deterministic collections, for the
-/// places where order must not depend on insertion history at all (wire
-/// formats, user-visible listings, f64 accumulation).
-pub trait SortedIterExt {
-    /// The `(key, value)` — or plain item — type yielded.
-    type Item;
-    /// Iterates entries ascending by key, independent of insertion order.
-    fn iter_sorted(self) -> std::vec::IntoIter<Self::Item>;
-}
-
-impl<'a, K: Ord, V> SortedIterExt for &'a DetMap<K, V> {
-    type Item = (&'a K, &'a V);
-    fn iter_sorted(self) -> std::vec::IntoIter<Self::Item> {
-        let mut v: Vec<_> = self.iter().collect();
-        v.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        v.into_iter()
-    }
-}
-
-impl<'a, T: Ord> SortedIterExt for &'a DetSet<T> {
-    type Item = &'a T;
-    fn iter_sorted(self) -> std::vec::IntoIter<Self::Item> {
-        let mut v: Vec<_> = self.iter().collect();
-        v.sort_unstable();
-        v.into_iter()
-    }
 }
 
 #[cfg(test)]
@@ -165,20 +139,6 @@ mod tests {
         assert_eq!(m.get(&3), Some(&9));
         let s: DetSet<u32> = (0..10).collect();
         assert!(s.contains(&7));
-    }
-
-    #[test]
-    fn iter_sorted_is_key_ascending() {
-        let mut m: DetMap<i32, &str> = DetMap::default();
-        for k in [5, -1, 3, 0] {
-            m.insert(k, "x");
-        }
-        let keys: Vec<i32> = m.iter_sorted().map(|(k, _)| *k).collect();
-        assert_eq!(keys, vec![-1, 0, 3, 5]);
-        let mut s: DetSet<&str> = DetSet::default();
-        s.extend(["pear", "apple", "fig"]);
-        let items: Vec<&str> = s.iter_sorted().copied().collect();
-        assert_eq!(items, vec!["apple", "fig", "pear"]);
     }
 
     #[test]

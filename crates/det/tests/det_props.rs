@@ -1,7 +1,7 @@
 //! Property and cross-process tests of the deterministic collections'
 //! replay-stability contract (DESIGN.md §8).
 
-use pds_det::{DetMap, DetSet, SortedIterExt};
+use pds_det::{DetMap, DetSet};
 use proptest::prelude::*;
 
 /// FNV-1a over an iteration order: two equal digests mean the sequences
@@ -43,28 +43,6 @@ proptest! {
         let oa: Vec<(u64, u64)> = a.iter().map(|(&k, &v)| (k, v)).collect();
         let ob: Vec<(u64, u64)> = b.iter().map(|(&k, &v)| (k, v)).collect();
         prop_assert_eq!(oa, ob);
-    }
-
-    /// `iter_sorted` yields the same sequence regardless of insertion
-    /// order — the claim wire-visible listings rely on.
-    #[test]
-    fn sorted_iteration_is_insertion_independent(
-        keys in proptest::collection::vec(any::<u64>(), 0..128),
-    ) {
-        let mut fwd: DetMap<u64, u64> = DetMap::default();
-        for &k in &keys {
-            fwd.insert(k, k ^ 0xff);
-        }
-        let mut rev: DetMap<u64, u64> = DetMap::default();
-        for &k in keys.iter().rev() {
-            rev.insert(k, k ^ 0xff);
-        }
-        let a: Vec<_> = fwd.iter_sorted().map(|(&k, &v)| (k, v)).collect();
-        let b: Vec<_> = rev.iter_sorted().map(|(&k, &v)| (k, v)).collect();
-        prop_assert_eq!(a, b);
-        let mut sorted = a.clone();
-        sorted.sort_unstable();
-        prop_assert_eq!(a, sorted, "iter_sorted must ascend by key");
     }
 
     /// Set iteration is equally history-determined.
