@@ -37,6 +37,7 @@ use crate::sessions::{DiscoverySession, RetrievalSession};
 use crate::store::DataStore;
 use crate::time::ExpiryBound;
 use crate::{NodeId, SimDuration, SimRng, SimTime};
+use bytes::Bytes;
 use pds_bloom::BloomFilter;
 use pds_det::DetMap;
 use pds_obs::{Phase, TraceKind};
@@ -146,6 +147,10 @@ pub struct Outgoing {
     /// `ResponseSent` trace correlation; no protocol behavior depends on
     /// it.
     pub answers: u64,
+    /// The message's wire bytes, once known: the received bytes of a chunk
+    /// response relayed unchanged, else the encoding of its first
+    /// transmission, which a resend sends again.
+    pub(crate) wire: Option<Bytes>,
 }
 
 impl Outgoing {
@@ -160,6 +165,7 @@ impl Outgoing {
             retries_left: 2,
             session: 0,
             answers: 0,
+            wire: None,
         }
     }
 
@@ -312,9 +318,22 @@ impl PdsEngine {
         me_intended: bool,
         message: PdsMessage,
     ) -> Vec<Outgoing> {
+        self.handle_received(now, from, me_intended, message, None)
+    }
+
+    /// [`PdsEngine::handle_message`], given the `wire` bytes `message` was
+    /// decoded from: a chunk response relayed unchanged carries them.
+    pub(crate) fn handle_received(
+        &mut self,
+        now: SimTime,
+        from: NodeId,
+        me_intended: bool,
+        message: PdsMessage,
+        wire: Option<&Bytes>,
+    ) -> Vec<Outgoing> {
         match message {
             PdsMessage::Query(q) => self.handle_query(now, from, me_intended, q),
-            PdsMessage::Response(r) => self.handle_response(now, from, me_intended, r),
+            PdsMessage::Response(r) => self.handle_response(now, from, me_intended, r, wire),
         }
     }
 
@@ -415,6 +434,7 @@ impl PdsEngine {
         from: NodeId,
         me_intended: bool,
         r: ResponseMessage,
+        wire: Option<&Bytes>,
     ) -> Vec<Outgoing> {
         if self.response_is_redundant(r.id) {
             return Vec::new();
@@ -430,11 +450,9 @@ impl PdsEngine {
             ResponseKind::Cdi { item, pairs } => {
                 self.handle_cdi_response(now, from, me_intended, &item, &pairs)
             }
-            ResponseKind::Chunk {
-                descriptor,
-                chunk,
-                data,
-            } => self.handle_chunk_response(now, from, me_intended, r.id, descriptor, chunk, data),
+            ResponseKind::Chunk { .. } => {
+                self.handle_chunk_response(now, from, me_intended, r, wire)
+            }
         }
     }
 

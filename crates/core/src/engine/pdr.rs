@@ -13,7 +13,7 @@ use crate::config::{
     CDI_TTL, METADATA_TTL, PHASE1_MIN, PHASE1_TIMEOUT, QUERY_LIFETIME, WATCHDOG, WATCHDOG_PER_CHUNK,
 };
 use crate::descriptor::DataDescriptor;
-use crate::ids::{ChunkId, ItemName, ResponseId};
+use crate::ids::{ChunkId, ItemName};
 use crate::message::{QueryKind, QueryMessage, ResponseKind, ResponseMessage};
 use crate::predicate::QueryFilter;
 use crate::sessions::{RetrievalMode, RetrievalPhase, RetrievalSession, SessionTrace};
@@ -506,17 +506,27 @@ impl PdsEngine {
     /// Handles a chunk response: cache the chunk (every receiver, §III-A-2's
     /// opportunistic caching applied to data), update CDI, feed our own
     /// retrieval, and relay toward lingering queries that still want it.
-    #[allow(clippy::too_many_arguments)]
+    ///
+    /// The relay is `r` itself, unchanged: its id, its `sender` (the node
+    /// that served it) and its chunk. It carries `wire`, the bytes `r`
+    /// arrived as, so every hop sends the one buffer its server encoded.
     pub(crate) fn handle_chunk_response(
         &mut self,
         now: SimTime,
         from: NodeId,
         me_intended: bool,
-        id: ResponseId,
-        descriptor: DataDescriptor,
-        chunk: ChunkId,
-        data: Bytes,
+        r: ResponseMessage,
+        wire: Option<&Bytes>,
     ) -> Vec<Outgoing> {
+        let ResponseKind::Chunk {
+            descriptor,
+            chunk,
+            data,
+        } = &r.kind
+        else {
+            return Vec::new();
+        };
+        let chunk = *chunk;
         // A chunk outside the item, as its descriptor states it, is no
         // chunk at all: dropped before it is cached, routed or relayed.
         if descriptor.total_chunks().is_some_and(|n| chunk.0 >= n) {
@@ -568,19 +578,10 @@ impl PdsEngine {
         if receivers.is_empty() {
             return Vec::new();
         }
-        vec![Outgoing::response(
-            ResponseMessage {
-                id,
-                sender: me,
-                kind: ResponseKind::Chunk {
-                    descriptor,
-                    chunk,
-                    data,
-                },
-            },
-            receivers.into_iter().collect(),
-            false,
-        )]
+        vec![Outgoing {
+            wire: wire.cloned(),
+            ..Outgoing::response(r, receivers.into_iter().collect(), false)
+        }]
     }
 
     pub(crate) fn absorb_chunk(

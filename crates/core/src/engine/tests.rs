@@ -694,6 +694,47 @@ fn chunk_responses_outside_the_item_are_dropped() {
 }
 
 #[test]
+fn a_relayed_chunk_response_is_the_received_one() {
+    // Node 1 lingers a chunk query of node 0's, then hears the chunk from
+    // its server, node 2.
+    let desc = video("vid", 2);
+    let mut e = PdsEngine::new(NodeId(1), PdsConfig::default(), 1);
+    let query = crate::message::QueryMessage {
+        id: crate::ids::QueryId(500),
+        kind: QueryKind::Chunks {
+            item: ItemName::new("vid"),
+            chunks: vec![ChunkId(1)],
+        },
+        sender: NodeId(0),
+        expires_at: t(30.0),
+        filter: QueryFilter::match_all(),
+        bloom: None,
+        round: 0,
+        ttl_hops: 0,
+    };
+    let _ = e.handle_message(t(0.1), NodeId(0), true, PdsMessage::Query(query));
+    let received = PdsMessage::Response(ResponseMessage {
+        id: crate::ids::ResponseId(9),
+        sender: NodeId(2),
+        kind: ResponseKind::Chunk {
+            descriptor: desc,
+            chunk: ChunkId(1),
+            data: Bytes::from(vec![1u8; 512]),
+        },
+    });
+    let wire = received.encode();
+    let message = PdsMessage::decode(&wire).expect("decodes");
+    let out = e.handle_received(t(0.2), NodeId(2), true, message, Some(&wire));
+    let [relay] = &out[..] else {
+        panic!("one relay, got {out:?}");
+    };
+    assert_eq!(relay.message, received, "id, sender and chunk unchanged");
+    assert_eq!(relay.intended, vec![NodeId(0)]);
+    let sent = relay.wire.as_ref().expect("the received bytes");
+    assert_eq!(sent.as_ptr(), wire.as_ptr(), "the received buffer itself");
+}
+
+#[test]
 fn cdi_pairs_outside_the_item_are_not_routed() {
     let desc = video("vid", 2);
     let vid = ItemName::new("vid");
@@ -1426,10 +1467,11 @@ fn an_entry_is_one_allocation_in_store_session_and_relay() {
 }
 
 #[test]
-fn a_chunk_is_written_once_per_transmission_and_viewed_by_every_receiver() {
+fn a_chunk_is_written_once_per_serve_and_viewed_by_every_receiver() {
     // consumer 0 — relay 1 — holder 2, and node 3 hears only the relay.
-    // Over the wire this time: each transmission is encoded once and every
-    // neighbor decodes that one buffer, as the simulator delivers it.
+    // Over the wire this time, as `PdsNode` sends: a message is encoded
+    // unless it carries its wire bytes, every neighbor decodes the one
+    // buffer, as the simulator delivers it, and a relay passes it on.
     let config = PdsConfig::default();
     let mut es = engines(4, &config);
     let desc = video("vid", 3);
@@ -1446,7 +1488,7 @@ fn a_chunk_is_written_once_per_transmission_and_viewed_by_every_receiver() {
         .collect();
     for _ in 0..80 {
         while let Some((sender, out)) = queue.pop() {
-            let wire = out.message.encode();
+            let wire = out.wire.clone().unwrap_or_else(|| out.message.encode());
             if let PdsMessage::Response(r) = &out.message {
                 if matches!(r.kind, ResponseKind::Chunk { .. }) {
                     sent.push((sender, wire.clone()));
@@ -1456,8 +1498,9 @@ fn a_chunk_is_written_once_per_transmission_and_viewed_by_every_receiver() {
                 let me = NodeId(nbr as u32);
                 let me_intended = out.intended.is_empty() || out.intended.contains(&me);
                 let message = PdsMessage::decode(&wire).expect("decodes");
+                let from = NodeId(sender as u32);
                 let produced =
-                    es[nbr].handle_message(now, NodeId(sender as u32), me_intended, message);
+                    es[nbr].handle_received(now, from, me_intended, message, Some(&wire));
                 queue.extend(produced.into_iter().map(|p| (nbr, p)));
             }
         }
@@ -1484,26 +1527,30 @@ fn a_chunk_is_written_once_per_transmission_and_viewed_by_every_receiver() {
             .map(|(sender, _)| *sender)
     };
     for c in 0..3 {
-        assert_eq!(
-            viewed(&es[0], c),
-            Some(1),
-            "consumer views the relay's buffer"
-        );
-        assert_eq!(
-            viewed(&es[3], c),
-            Some(1),
-            "overhearer views the relay's buffer"
-        );
-        assert_eq!(
-            viewed(&es[1], c),
-            Some(2),
-            "relay views the holder's buffer"
-        );
+        for (node, who) in [(0, "consumer"), (1, "relay"), (3, "overhearer")] {
+            assert_eq!(
+                viewed(&es[node], c),
+                Some(2),
+                "{who} views the served buffer"
+            );
+        }
         assert_eq!(viewed(&es[2], c), None, "the holder's copy is its own");
     }
-    // One write per transmission, none per reception.
-    assert_eq!(sent.iter().filter(|(s, _)| *s == 2).count(), 3);
-    assert_eq!(sent.iter().filter(|(s, _)| *s == 1).count(), 3);
+    // One write per serve; a relay sends the buffer it received.
+    let served: Vec<&Bytes> = sent
+        .iter()
+        .filter(|(s, _)| *s == 2)
+        .map(|(_, w)| w)
+        .collect();
+    let relayed: Vec<&Bytes> = sent
+        .iter()
+        .filter(|(s, _)| *s == 1)
+        .map(|(_, w)| w)
+        .collect();
+    assert_eq!((served.len(), relayed.len()), (3, 3));
+    for wire in relayed {
+        assert!(served.iter().any(|w| w.as_ptr() == wire.as_ptr()));
+    }
 }
 
 #[test]

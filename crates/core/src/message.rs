@@ -49,7 +49,8 @@ pub struct QueryMessage {
 pub struct ResponseMessage {
     /// Random, globally unique response id (redundant-copy detection).
     pub id: ResponseId,
-    /// The node that transmitted this copy.
+    /// The node that built this response; a relayed chunk keeps it, and
+    /// the transmitter is [`MessageMeta::from`](crate::MessageMeta::from).
     pub sender: NodeId,
     /// The payload.
     pub kind: ResponseKind,

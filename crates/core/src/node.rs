@@ -289,8 +289,14 @@ impl PdsNode {
         }
     }
 
-    fn transmit(&mut self, ctx: &mut Context, out: Outgoing) {
-        let handle = ctx.broadcast_class(out.message.encode(), &out.intended, out.phase.class());
+    /// Sends `out` as its wire bytes, encoding them only if this is its
+    /// first transmission and it is no unchanged relay.
+    fn transmit(&mut self, ctx: &mut Context, mut out: Outgoing) {
+        if let Some(wire) = &out.wire {
+            debug_assert_eq!(*wire, out.message.encode(), "the message's own bytes");
+        }
+        let wire = out.wire.get_or_insert_with(|| out.message.encode()).clone();
+        let handle = ctx.broadcast_class(wire, &out.intended, out.phase.class());
         if ctx.trace_enabled() {
             // The transport handle doubles as the message's per-origin
             // sequence number, linking this protocol event to every
@@ -383,9 +389,13 @@ impl Application for PdsNode {
         if let Some(message) = message {
             let me = ctx.node_id();
             let me_intended = meta.intended.is_empty() || meta.intended.contains(&me);
-            let out = self
-                .ensure_engine(ctx)
-                .handle_message(now, meta.from, me_intended, message);
+            let out = self.ensure_engine(ctx).handle_received(
+                now,
+                meta.from,
+                me_intended,
+                message,
+                Some(&payload),
+            );
             self.dispatch(ctx, out);
             self.arm_timers(ctx);
         }

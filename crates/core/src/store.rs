@@ -6,10 +6,11 @@
 //! expiry; entries whose payload (or any chunk of the item) is present live
 //! as long as the payload does.
 //!
-//! Opportunistically cached chunks share one byte budget,
-//! [`CHUNK_CACHE_BYTES`]; above it the least recently used cached chunk is
-//! evicted (§VII: storage is finite, so cached chunks need a replacement
-//! strategy). Locally produced chunks are pinned and never evicted.
+//! Opportunistically cached chunks and small payloads share one byte
+//! budget, [`CHUNK_CACHE_BYTES`]; above it the least recently used of them
+//! is evicted (§VII: storage is finite, so cached data needs a replacement
+//! strategy), and a metadata entry it alone kept alive goes with it.
+//! Locally produced chunks and payloads are pinned and never evicted.
 
 use crate::config::CHUNK_CACHE_BYTES;
 use crate::descriptor::{DataDescriptor, EntryKey};
@@ -21,20 +22,45 @@ use bytes::Bytes;
 use pds_det::DetMap;
 use std::collections::{btree_map, BTreeMap};
 
-/// The expiry of a metadata entry that never expires: its payload (or any
-/// chunk of the item) is held, or the data was produced locally.
+/// The expiry of a metadata entry that never expires: the data was
+/// produced locally, or the entry was cached to expire never.
 const NEVER: SimTime = SimTime::MAX;
 
-/// One held chunk: its bytes and its place in the eviction order.
+/// The expiry of a metadata entry that lives as long as its payload (or
+/// any chunk of the item) is held: it never expires, and it is removed
+/// when the last of them is evicted.
+const HELD: SimTime = SimTime::from_micros(u64::MAX - 1);
+
+/// Whether an entry with this expiry ever expires.
+fn expires(at: SimTime) -> bool {
+    at < HELD
+}
+
+/// One held chunk or small payload: its bytes and its place in the
+/// eviction order.
 #[derive(Debug, Clone)]
-struct HeldChunk {
+struct Held {
     data: Bytes,
-    /// The store's `access_clock` at the chunk's last store or fetch. Each
-    /// is a fresh tick, so no two chunks share one and the LRU victim is
+    /// The store's `access_clock` at the last store or fetch. Each is a
+    /// fresh tick, so no two held values share one and the LRU victim is
     /// unique whatever order the maps iterate in.
     last_access: u64,
     /// Produced locally: never evicted, never on the cache budget.
     pinned: bool,
+}
+
+impl Held {
+    /// Stores `data` again: refreshes recency; pinning is sticky (own data
+    /// stays pinned even if later overheard). Returns the bytes that leave
+    /// the cache budget.
+    fn restore(&mut self, last_access: u64, pinned: bool) -> usize {
+        self.last_access = last_access;
+        if pinned && !self.pinned {
+            self.pinned = true;
+            return self.data.len();
+        }
+        0
+    }
 }
 
 /// A node's data store.
@@ -56,20 +82,20 @@ struct HeldChunk {
 #[derive(Debug)]
 pub struct DataStore {
     // Each entry's descriptor is its key; the value is when it expires,
-    // `NEVER` for a pinned entry.
+    // `NEVER` for an own entry, `HELD` for one its held data pins.
     metadata: DetMap<EntryKey, SimTime>,
     // How many `metadata` entries expire at all: what `gc` could ever
     // remove, kept so the owner can ask in O(1).
     expiring: usize,
     // No expiry in `metadata` is earlier than this.
     next_expiry: ExpiryBound,
-    small_payloads: DetMap<EntryKey, Bytes>,
-    // Every held chunk, with its eviction bookkeeping.
-    chunks: DetMap<ItemName, BTreeMap<ChunkId, HeldChunk>>,
+    // Every held small payload and chunk, with its eviction bookkeeping.
+    small_payloads: DetMap<EntryKey, Held>,
+    chunks: DetMap<ItemName, BTreeMap<ChunkId, Held>>,
     // Index: item name → entry key of the whole-item (chunk-less) descriptor.
     items_by_name: DetMap<ItemName, EntryKey>,
-    // Cache accounting for opportunistically stored chunks: the budget and
-    // the bytes of every unpinned chunk.
+    // Cache accounting for opportunistically stored data: the budget and
+    // the bytes of every unpinned chunk and payload.
     cache_capacity: usize,
     cached_bytes: usize,
     access_clock: u64,
@@ -99,7 +125,8 @@ impl DataStore {
     }
 
     /// Shrinks the cache budget so a test can reach eviction with a few
-    /// small chunks. Evicts immediately if the cache is over the new budget.
+    /// small chunks or payloads. Evicts immediately if the cache is over
+    /// the new budget.
     #[cfg(test)]
     pub(crate) fn set_chunk_cache_bytes(&mut self, capacity: usize) {
         self.cache_capacity = capacity;
@@ -110,11 +137,11 @@ impl DataStore {
     /// an optional small payload.
     pub fn insert_own(&mut self, descriptor: DataDescriptor, payload: Option<Bytes>) {
         if let Some(p) = payload {
-            self.small_payloads.insert(descriptor.entry_key(), p);
+            self.store_payload(&descriptor, p, true);
         }
         self.index_item(&descriptor);
         let replaced = self.metadata.insert(descriptor.entry_key(), NEVER);
-        if replaced.is_some_and(|at| at != NEVER) {
+        if replaced.is_some_and(expires) {
             self.expiring -= 1;
         }
     }
@@ -166,21 +193,25 @@ impl DataStore {
     pub fn cache_metadata(&mut self, descriptor: DataDescriptor, expires_at: SimTime) -> bool {
         let has_payload = self.small_payloads.contains_key(descriptor.encode())
             || self.has_any_chunk(&descriptor);
-        let expires_at = if has_payload { NEVER } else { expires_at };
+        let expires_at = if has_payload {
+            expires_at.max(HELD)
+        } else {
+            expires_at
+        };
         match self.metadata.entry(descriptor.entry_key()) {
             pds_det::MapEntry::Occupied(mut e) => {
                 let at = e.get_mut();
                 if *at < expires_at {
-                    *at = expires_at;
-                    if expires_at == NEVER {
+                    if expires(*at) && !expires(expires_at) {
                         self.expiring -= 1;
                     }
+                    *at = expires_at;
                 }
                 false
             }
             pds_det::MapEntry::Vacant(v) => {
                 v.insert(expires_at);
-                if expires_at != NEVER {
+                if expires(expires_at) {
                     self.expiring += 1;
                     self.next_expiry.note(expires_at);
                 }
@@ -190,21 +221,44 @@ impl DataStore {
         }
     }
 
-    /// Caches a small item's payload (entry becomes non-expiring).
+    /// Caches a small item's payload heard from the network (the entry
+    /// lives as long as the payload): evictable, like a cached chunk.
     pub(crate) fn cache_small_payload(&mut self, descriptor: &DataDescriptor, payload: Bytes) {
-        self.small_payloads.insert(descriptor.entry_key(), payload);
+        self.store_payload(descriptor, payload, false);
+        self.maybe_evict();
+    }
+
+    fn store_payload(&mut self, descriptor: &DataDescriptor, data: Bytes, pinned: bool) {
+        self.access_clock += 1;
+        let last_access = self.access_clock;
+        match self.small_payloads.entry(descriptor.entry_key()) {
+            pds_det::MapEntry::Occupied(mut e) => {
+                self.cached_bytes -= e.get_mut().restore(last_access, pinned);
+            }
+            pds_det::MapEntry::Vacant(v) => {
+                if !pinned {
+                    self.cached_bytes += data.len();
+                }
+                v.insert(Held {
+                    data,
+                    last_access,
+                    pinned,
+                });
+            }
+        }
         self.pin_metadata(descriptor);
     }
 
-    /// Makes the entry for `descriptor` non-expiring, adding it if absent:
-    /// its payload (or a chunk of the item) is now held.
+    /// Makes the entry for `descriptor` live as long as its data, adding it
+    /// if absent: its payload (or a chunk of the item) is now held.
     fn pin_metadata(&mut self, descriptor: &DataDescriptor) {
         if let Some(at) = self.metadata.get_mut(descriptor.encode()) {
-            if std::mem::replace(at, NEVER) != NEVER {
+            if expires(*at) {
+                *at = HELD;
                 self.expiring -= 1;
             }
         } else {
-            self.metadata.insert(descriptor.entry_key(), NEVER);
+            self.metadata.insert(descriptor.entry_key(), HELD);
         }
     }
 
@@ -242,21 +296,13 @@ impl DataStore {
         let last_access = self.access_clock;
         match self.chunks.entry(name).or_default().entry(chunk) {
             btree_map::Entry::Occupied(mut e) => {
-                // Re-storing an existing chunk: refresh recency; pinning is
-                // sticky (own data stays pinned even if later overheard).
-                let held = e.get_mut();
-                held.last_access = last_access;
-                if pinned && !held.pinned {
-                    // No longer evictable, so no longer on the cache budget.
-                    held.pinned = true;
-                    self.cached_bytes -= held.data.len();
-                }
+                self.cached_bytes -= e.get_mut().restore(last_access, pinned);
             }
             btree_map::Entry::Vacant(v) => {
                 if !pinned {
                     self.cached_bytes += data.len();
                 }
-                v.insert(HeldChunk {
+                v.insert(Held {
                     data,
                     last_access,
                     pinned,
@@ -267,30 +313,63 @@ impl DataStore {
         self.pin_metadata(item_descriptor);
     }
 
-    /// Evicts least recently used cached (unpinned) chunks until within
-    /// budget.
+    /// Evicts least recently used cached (unpinned) chunks and payloads
+    /// until within budget. An entry left without its payload or any chunk
+    /// of its item is removed with the last of them.
     fn maybe_evict(&mut self) {
         while self.cached_bytes > self.cache_capacity {
-            let victim = self
+            // A chunk is `Ok((item, chunk))`, a payload `Err(key)`.
+            let chunks = self
                 .chunks
                 .iter()
-                .flat_map(|(item, held)| held.iter().map(move |(&c, h)| (item, c, h)))
-                .filter(|(_, _, h)| !h.pinned)
-                .min_by_key(|(_, _, h)| h.last_access)
-                .map(|(item, c, _)| (item.clone(), c));
-            let Some((item, chunk)) = victim else {
-                return; // everything left is pinned
-            };
-            let per_item = self.chunks.get_mut(&item).expect("victim's item");
-            let held = per_item.remove(&chunk).expect("victim");
-            self.cached_bytes -= held.data.len();
-            if per_item.is_empty() {
-                self.chunks.remove(&item);
+                .flat_map(|(item, held)| held.iter().map(move |(&c, h)| (h, Ok((item, c)))));
+            let payloads = self.small_payloads.iter().map(|(key, h)| (h, Err(key)));
+            let victim = chunks
+                .chain(payloads)
+                .filter(|(h, _)| !h.pinned)
+                .min_by_key(|(h, _)| h.last_access);
+            match victim.map(|(_, v)| v) {
+                None => return, // everything left is pinned
+                Some(Ok((item, c))) => {
+                    let item = item.clone();
+                    let per_item = self.chunks.get_mut(&item).expect("victim's item");
+                    let held = per_item.remove(&c).expect("victim");
+                    self.cached_bytes -= held.data.len();
+                    if per_item.is_empty() {
+                        self.chunks.remove(&item);
+                        self.release(|k| k.descriptor().name() == Some(item.as_str()));
+                    }
+                }
+                Some(Err(key)) => {
+                    let key = key.clone();
+                    let held = self.small_payloads.remove(&key).expect("victim");
+                    self.cached_bytes -= held.data.len();
+                    self.release(|k| *k == key);
+                }
             }
         }
     }
 
-    /// Bytes currently used by evictable cached chunks.
+    /// Removes the held entries `affected` picks whose payload and item
+    /// chunks are all gone: the store kept them only for that data.
+    fn release(&mut self, affected: impl Fn(&EntryKey) -> bool) {
+        let Self {
+            metadata,
+            small_payloads,
+            chunks,
+            items_by_name,
+            ..
+        } = self;
+        metadata.retain(|key, &mut at| {
+            let name = key.descriptor().name();
+            let backed = small_payloads.contains_key(key)
+                || name.is_some_and(|n| chunks.get(n).is_some_and(|m| !m.is_empty()));
+            at != HELD || backed || !affected(key)
+        });
+        items_by_name.retain(|_, key| metadata.contains_key(key));
+    }
+
+    /// Bytes currently used by evictable cached chunks and payloads.
     #[cfg(test)]
     pub(crate) fn cached_chunk_bytes(&self) -> usize {
         self.cached_bytes
@@ -339,7 +418,9 @@ impl DataStore {
     /// Whether a small payload for this descriptor is held.
     #[must_use]
     pub fn small_payload(&self, descriptor: &DataDescriptor) -> Option<Bytes> {
-        self.small_payloads.get(descriptor.encode()).cloned()
+        self.small_payloads
+            .get(descriptor.encode())
+            .map(|h| h.data.clone())
     }
 
     /// All unexpired metadata entries matching `filter`, in unspecified
@@ -389,7 +470,7 @@ impl DataStore {
         let before = self.metadata.len();
         let mut next = ExpiryBound::default();
         self.metadata
-            .retain(|_, &mut at| at == NEVER || next.keep(at, now));
+            .retain(|_, &mut at| !expires(at) || next.keep(at, now));
         self.expiring -= before - self.metadata.len();
         self.next_expiry = next;
         let metadata = &self.metadata;
@@ -672,7 +753,7 @@ mod tests {
     #[test]
     fn expiring_len_counts_what_gc_can_remove() {
         let mut s = DataStore::new();
-        let recount = |s: &DataStore| s.metadata.values().filter(|&&at| at != NEVER).count();
+        let recount = |s: &DataStore| s.metadata.values().filter(|&&at| expires(at)).count();
         let item = item_desc("vid", 4);
         s.insert_own(desc("own"), None);
         assert!(s.cache_metadata(desc("a"), t(10.0)));
@@ -852,5 +933,100 @@ mod tests {
         s.insert_own(desc("b"), None);
         s.insert_own(desc("a"), None); // duplicate key
         assert_eq!(s.metadata_len(), 2);
+    }
+
+    #[test]
+    fn overheard_payloads_share_the_chunk_budget_lru() {
+        // Seeded ops on a shrunk budget: cache a payload, cache a chunk, or
+        // fetch a chunk. After each, the store holds exactly what a plain
+        // LRU model over both kinds holds.
+        let mut rng = crate::SimRng::new(0x5a11);
+        let vid = item_desc("vid", 64);
+        let name = ItemName::new("vid");
+        let at = |model: &[(bool, u32, usize)], chunk, id| {
+            model.iter().position(|&(k, i, _)| (k, i) == (chunk, id))
+        };
+        for _ in 0..20 {
+            let mut s = DataStore::new();
+            s.set_chunk_cache_bytes(2_000);
+            // (is a chunk, id, bytes), least recently used first.
+            let mut model: Vec<(bool, u32, usize)> = Vec::new();
+            for _ in 0..200 {
+                let (chunk, id) = (rng.chance(0.5), rng.range_u64(0, 12) as u32);
+                let len = 100 + rng.range_u64(0, 400) as usize;
+                let fetch = chunk && rng.chance(0.3);
+                let held = at(&model, chunk, id);
+                if fetch {
+                    let _ = s.fetch_chunk(&name, ChunkId(id));
+                } else if chunk {
+                    s.cache_chunk(&vid, ChunkId(id), Bytes::from(vec![0u8; len]));
+                } else {
+                    s.cache_small_payload(&desc(&id.to_string()), Bytes::from(vec![0u8; len]));
+                }
+                match held {
+                    Some(i) => {
+                        let used = model.remove(i);
+                        model.push(used);
+                    }
+                    None if !fetch => model.push((chunk, id, len)),
+                    None => {}
+                }
+                while model.iter().map(|&(_, _, n)| n).sum::<usize>() > 2_000 {
+                    model.remove(0);
+                }
+                for id in 0..12 {
+                    let has_payload = s.small_payload(&desc(&id.to_string())).is_some();
+                    assert_eq!(has_payload, at(&model, false, id).is_some(), "payload {id}");
+                    assert_eq!(
+                        s.has_chunk(&name, ChunkId(id)),
+                        at(&model, true, id).is_some()
+                    );
+                }
+                let bytes = model.iter().map(|&(_, _, n)| n).sum::<usize>();
+                assert_eq!(s.cached_chunk_bytes(), bytes);
+            }
+        }
+    }
+
+    #[test]
+    fn own_payloads_stay_pinned_off_the_budget() {
+        let mut s = DataStore::new();
+        s.set_chunk_cache_bytes(1_000);
+        s.insert_own(desc("own"), Some(Bytes::from(vec![0u8; 800])));
+        s.cache_small_payload(&desc("a"), Bytes::from(vec![0u8; 600]));
+        s.cache_small_payload(&desc("b"), Bytes::from(vec![0u8; 600]));
+        // Heard again: pinning is sticky.
+        s.cache_small_payload(&desc("own"), Bytes::from(vec![0u8; 800]));
+        assert!(s.small_payload(&desc("own")).is_some());
+        assert!(s.small_payload(&desc("a")).is_none(), "LRU victim");
+        assert!(s.small_payload(&desc("b")).is_some());
+        assert_eq!(s.cached_chunk_bytes(), 600);
+    }
+
+    #[test]
+    fn evicted_data_takes_its_metadata_entry_with_it() {
+        let mut s = DataStore::new();
+        s.set_chunk_cache_bytes(1_000);
+        let kb = || Bytes::from(vec![0u8; 600]);
+        // A payload's entry, one own entry with an overheard payload, and a
+        // cached item whose metadata is known.
+        s.cache_small_payload(&desc("a"), kb());
+        s.insert_own(desc("own"), None);
+        s.cache_small_payload(&desc("own"), kb());
+        assert!(s.small_payload(&desc("a")).is_none());
+        assert!(!s.contains_metadata(&desc("a")), "evicted payload's entry");
+        let vid = item_desc("vid", 4);
+        assert!(s.cache_metadata(vid.clone(), t(10.0)));
+        s.cache_chunk(&vid, ChunkId(0), kb());
+        assert!(s.small_payload(&desc("own")).is_none());
+        assert!(s.contains_metadata(&desc("own")), "own entries stay");
+        s.cache_chunk(&vid, ChunkId(1), kb());
+        assert!(s.contains_metadata(&vid), "one chunk left");
+        s.cache_small_payload(&desc("b"), kb());
+        assert!(s.chunk_ids(&ItemName::new("vid")).is_empty());
+        assert!(!s.contains_metadata(&vid), "the last chunk's entry");
+        assert!(s.item_descriptor_by_name(&ItemName::new("vid")).is_none());
+        assert_eq!(s.expiring_len(), 0);
+        assert_eq!(s.metadata_len(), 2); // own and b
     }
 }

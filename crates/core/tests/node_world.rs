@@ -104,6 +104,65 @@ fn retrieval_over_radio_fetches_all_chunks() {
 }
 
 #[test]
+fn a_relay_forwards_the_chunk_buffer_it_received() {
+    // holder — relay — consumer on a line; the overhearer is in range of
+    // the relay and the consumer, not of the holder. No random frame loss:
+    // an overhearer gets no retransmission of a frame it missed.
+    let mut config = SimConfig::default();
+    config.radio.baseline_loss = 0.0;
+    let mut world = World::new(config, 7);
+    let mut holder = PdsNode::new(PdsConfig::default(), 1);
+    for c in 0..4 {
+        holder = holder.with_chunk(video(4), ChunkId(c), Bytes::from(vec![c as u8; 8 * 1024]));
+    }
+    let at = |x, y| Position::new(x, y);
+    let holder = world.add_node(at(0.0, 0.0), Box::new(holder));
+    let mut plain =
+        |pos, seed| world.add_node(pos, Box::new(PdsNode::new(PdsConfig::default(), seed)));
+    let relay = plain(at(60.0, 0.0), 2);
+    let consumer = plain(at(120.0, 0.0), 3);
+    let overhearer = plain(at(100.0, 40.0), 4);
+    world.run_until(secs(0.5));
+    world.with_app::<PdsNode, _>(consumer, |node, ctx| {
+        node.start_retrieval(ctx, video(4));
+    });
+    world.run_until(secs(30.0));
+    let report = world
+        .app::<PdsNode>(consumer)
+        .and_then(PdsNode::retrieval_report)
+        .expect("session");
+    assert!(
+        (report.recall - 1.0).abs() < 1e-9,
+        "recall = {}",
+        report.recall
+    );
+
+    // Where each node's copy of chunk `c` lives.
+    let item = ItemName::new("clip");
+    let held_at = |node, c| {
+        let engine = world.app::<PdsNode>(node).and_then(PdsNode::engine);
+        let data = engine.and_then(|e| e.store().chunk(&item, ChunkId(c)));
+        let data = data.unwrap_or_else(|| panic!("{node:?} holds no chunk {c}"));
+        assert_eq!(data, vec![c as u8; 8 * 1024], "chunk {c} intact");
+        data.as_ptr()
+    };
+    for c in 0..4 {
+        let served = held_at(relay, c);
+        assert_eq!(
+            held_at(consumer, c),
+            served,
+            "consumer views the served buffer"
+        );
+        assert_eq!(
+            held_at(overhearer, c),
+            served,
+            "overhearer views the served buffer"
+        );
+        assert_ne!(held_at(holder, c), served, "the holder's copy is its own");
+    }
+}
+
+#[test]
 fn mdr_over_radio_fetches_all_chunks() {
     let mut world = World::new(SimConfig::default(), 9);
     let provider = PdsNode::new(PdsConfig::default(), 1)
@@ -199,7 +258,7 @@ fn a_late_session_polls_on_the_node_start_lattice() {
     // every `TimerFired` at the consumer is one of `PdsNode`'s.
     let mut config = SimConfig::default();
     config.ack.enabled = false;
-    let mut world = World::new(config, 9);
+    let mut world = World::new(config, 7);
     world.set_trace_sink(Box::new(RingSink::new(0)));
     let mut producer = PdsNode::new(PdsConfig::default(), 1);
     for k in 0..3u32 {

@@ -3,11 +3,12 @@
 #
 #   scripts/loc.sh
 #
-# Counts the lines of every crates/*/src/**/*.rs up to (not including) its
-# first column-0 `#[cfg(test)]`, or the whole file if it has none, leaving
-# out crates/core/src/engine/tests.rs (the engine's unit tests, a file of
-# their own). Prints one line per crate, named by its package, then the
-# total. Takes no arguments; needs awk.
+# Counts the lines of every crates/*/src/**/*.rs except each item behind a
+# column-0 `#[cfg(test)]`: the attribute, and the item after it up to the
+# first line that starts with `}`, or with code and ends in `;` (in
+# rustfmt's layout, the line that ends a top-level item). Leaves out crates/core/src/engine/tests.rs (the engine's
+# unit tests, a file of their own). Prints one line per crate, named by
+# its package, then the total. Takes no arguments; needs awk.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 [ $# -eq 0 ] || { echo "usage: $0" >&2; exit 2; }
@@ -18,9 +19,13 @@ for dir in crates/*; do
   lines=$(find "$dir/src" -name '*.rs' ! -path 'crates/core/src/engine/tests.rs' -print0 \
     | sort -z \
     | xargs -0 -r awk '
-        FNR == 1 { counting = 1 }
-        /^#\[cfg\(test\)\]/ { counting = 0 }
-        counting { n++ }
+        FNR == 1 { skipping = 0 }
+        /^#\[cfg\(test\)\]/ { skipping = 1; sub(/^#\[cfg\(test\)\][[:space:]]*/, "") }
+        skipping {
+          if (/^}/ || /^[[:alpha:]_)\]].*;[[:space:]]*$/) skipping = 0
+          next
+        }
+        { n++ }
         END { print n + 0 }')
   printf '%-14s %7d\n' "$crate" "$lines"
   total=$((total + lines))
