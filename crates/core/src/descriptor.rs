@@ -285,6 +285,12 @@ impl DataDescriptor {
     ///
     /// Returns `None` on truncation or malformed content.
     pub fn decode(buf: &mut &[u8]) -> Option<Self> {
+        Self::read(buf).map(|(d, _)| d)
+    }
+
+    /// [`decode`](Self::decode), and whether the bytes read were the
+    /// canonical encoding (`false` when they were re-encoded).
+    pub(crate) fn read(buf: &mut &[u8]) -> Option<(Self, bool)> {
         let wire = *buf;
         let (&n, mut rest) = wire.split_first()?;
         let mut ascending = true;
@@ -297,14 +303,14 @@ impl DataDescriptor {
         let read = wire.get(..wire.len() - rest.len())?;
         *buf = rest;
         if ascending {
-            return Some(Self(read.into()));
+            return Some((Self(read.into()), true));
         }
         let mut attrs = Vec::with_capacity(usize::from(n));
         let mut body = read.get(1..)?;
         while let Some((name, value)) = read_attr(&mut body) {
             insert_sorted(&mut attrs, name, value);
         }
-        Some(Self::canonical(attrs.into_iter()))
+        Some((Self::canonical(attrs.into_iter()), false))
     }
 }
 

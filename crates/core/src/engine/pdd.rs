@@ -39,6 +39,10 @@ pub(super) trait DiscoveryEntry: Clone {
     /// The entry this node can serve for one of its matching descriptors:
     /// any metadata entry, but a small item only if its payload is held.
     fn local(store: &DataStore, descriptor: &DataDescriptor) -> Option<Self>;
+
+    /// Counts the entry's payload, if it has one, as used for LRU
+    /// eviction: it was just served.
+    fn served(&self, _store: &mut DataStore) {}
 }
 
 impl DiscoveryEntry for DataDescriptor {
@@ -80,6 +84,10 @@ impl DiscoveryEntry for (DataDescriptor, Bytes) {
     fn local(store: &DataStore, descriptor: &DataDescriptor) -> Option<Self> {
         let payload = store.small_payload(descriptor)?;
         Some((descriptor.clone(), payload))
+    }
+
+    fn served(&self, store: &mut DataStore) {
+        store.touch_small_payload(&self.0);
     }
 }
 
@@ -236,6 +244,7 @@ impl PdsEngine {
         if sent.is_empty() {
             return None;
         }
+        sent.iter().for_each(|entry| entry.served(&mut self.store));
         let r = ResponseMessage {
             id: self.new_response_id(),
             sender: self.id,

@@ -104,6 +104,9 @@ impl std::error::Error for DecodeError {}
 struct Reader<'a> {
     whole: &'a Bytes,
     rest: &'a [u8],
+    /// Whether every field so far was read in the form `put` writes; only
+    /// a descriptor (unsorted or repeated attributes) can be read otherwise.
+    canonical: bool,
 }
 
 impl<'a> Reader<'a> {
@@ -223,7 +226,10 @@ impl Wire for DataDescriptor {
         out.put_slice(value.encode());
     }
     fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        DataDescriptor::decode(&mut r.rest).ok_or(DecodeError::BadBody)
+        let (descriptor, canonical) =
+            DataDescriptor::read(&mut r.rest).ok_or(DecodeError::BadBody)?;
+        r.canonical &= canonical;
+        Ok(descriptor)
     }
 }
 
@@ -568,7 +574,7 @@ impl PdsMessage {
     /// Returns a [`DecodeError`] when the buffer is truncated, malformed,
     /// or longer than the message it holds.
     pub fn decode(whole: &Bytes) -> Result<Self, DecodeError> {
-        Peeked::new(whole)?.decode()
+        Peeked::new(whole)?.decode().map(|(message, _)| message)
     }
 }
 
@@ -584,16 +590,21 @@ impl<'a> Peeked<'a> {
     /// Reads the head of `whole`, failing as [`PdsMessage::decode`] does
     /// on a truncated head or an unknown message or kind tag.
     pub(crate) fn new(whole: &'a Bytes) -> Result<Self, DecodeError> {
-        let mut body = Reader { whole, rest: whole };
+        let mut body = Reader {
+            whole,
+            rest: whole,
+            canonical: true,
+        };
         let header = MessageHeader::get(&mut body)?;
         Ok(Self { header, body })
     }
 
-    /// Decodes the body: what [`PdsMessage::decode`] returns for the whole.
-    pub(crate) fn decode(mut self) -> Result<PdsMessage, DecodeError> {
+    /// Decodes the body: what [`PdsMessage::decode`] returns for the whole,
+    /// and whether the whole is that message's [`encode`](PdsMessage::encode).
+    pub(crate) fn decode(mut self) -> Result<(PdsMessage, bool), DecodeError> {
         let message = PdsMessage::get_body(self.header, &mut self.body)?;
         match self.body.rest {
-            [] => Ok(message),
+            [] => Ok((message, self.body.canonical)),
             _ => Err(DecodeError::TrailingBytes),
         }
     }
@@ -867,8 +878,8 @@ pub(crate) mod tests {
 
     fn roundtrip(m: &PdsMessage) {
         let bytes = m.encode();
-        let back = PdsMessage::decode(&bytes).expect("decodes");
-        assert_eq!(&back, m);
+        let back = Peeked::new(&bytes).and_then(Peeked::decode);
+        assert_eq!(back, Ok((m.clone(), true)), "decodes, as its own encoding");
     }
 
     fn query(kind: QueryKind) -> QueryMessage {

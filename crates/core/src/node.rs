@@ -364,7 +364,7 @@ impl Application for PdsNode {
             return;
         };
         let header = peeked.header;
-        let message = if self.ensure_engine(ctx).is_redundant(now, &header) {
+        let received = if self.ensure_engine(ctx).is_redundant(now, &header) {
             None
         } else {
             match peeked.decode() {
@@ -386,7 +386,7 @@ impl Application for PdsNode {
             };
             ctx.trace(header.phase(), kind);
         }
-        if let Some(message) = message {
+        if let Some((message, canonical)) = received {
             let me = ctx.node_id();
             let me_intended = meta.intended.is_empty() || meta.intended.contains(&me);
             let out = self.ensure_engine(ctx).handle_received(
@@ -394,7 +394,8 @@ impl Application for PdsNode {
                 meta.from,
                 me_intended,
                 message,
-                Some(&payload),
+                // Only the message's own bytes are relayed as received.
+                canonical.then_some(&payload),
             );
             self.dispatch(ctx, out);
             self.arm_timers(ctx);

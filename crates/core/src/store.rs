@@ -9,7 +9,10 @@
 //! Opportunistically cached chunks and small payloads share one byte
 //! budget, [`CHUNK_CACHE_BYTES`]; above it the least recently used of them
 //! is evicted (§VII: storage is finite, so cached data needs a replacement
-//! strategy), and a metadata entry it alone kept alive goes with it.
+//! strategy), and a metadata entry it alone kept alive goes with it. Such
+//! an entry lived as long as its data: it kept no expiry while the data was
+//! held, so it goes even if it was heard again with a TTL not yet passed,
+//! and the next response carrying it caches it anew.
 //! Locally produced chunks and payloads are pinned and never evicted.
 
 use crate::config::CHUNK_CACHE_BYTES;
@@ -41,7 +44,7 @@ fn expires(at: SimTime) -> bool {
 #[derive(Debug, Clone)]
 struct Held {
     data: Bytes,
-    /// The store's `access_clock` at the last store or fetch. Each is a
+    /// The store's `access_clock` at the last store or serve. Each is a
     /// fresh tick, so no two held values share one and the LRU victim is
     /// unique whatever order the maps iterate in.
     last_access: u64,
@@ -337,36 +340,47 @@ impl DataStore {
                     self.cached_bytes -= held.data.len();
                     if per_item.is_empty() {
                         self.chunks.remove(&item);
-                        self.release(|k| k.descriptor().name() == Some(item.as_str()));
+                        self.release_item(&item);
                     }
                 }
                 Some(Err(key)) => {
                     let key = key.clone();
                     let held = self.small_payloads.remove(&key).expect("victim");
                     self.cached_bytes -= held.data.len();
-                    self.release(|k| *k == key);
+                    let descriptor = key.descriptor();
+                    if self.metadata.get(&key) == Some(&HELD) && !self.has_any_chunk(descriptor) {
+                        self.metadata.remove(&key);
+                        if let Some(name) = descriptor.name() {
+                            self.unindex(name);
+                        }
+                    }
                 }
             }
         }
     }
 
-    /// Removes the held entries `affected` picks whose payload and item
-    /// chunks are all gone: the store kept them only for that data.
-    fn release(&mut self, affected: impl Fn(&EntryKey) -> bool) {
+    /// Removes the held entries named `item`, whose last chunk is gone,
+    /// that no payload keeps: the store kept them only for those chunks.
+    fn release_item(&mut self, item: &ItemName) {
         let Self {
             metadata,
             small_payloads,
-            chunks,
-            items_by_name,
             ..
         } = self;
         metadata.retain(|key, &mut at| {
-            let name = key.descriptor().name();
-            let backed = small_payloads.contains_key(key)
-                || name.is_some_and(|n| chunks.get(n).is_some_and(|m| !m.is_empty()));
-            at != HELD || backed || !affected(key)
+            at != HELD
+                || key.descriptor().name() != Some(item.as_str())
+                || small_payloads.contains_key(key)
         });
-        items_by_name.retain(|_, key| metadata.contains_key(key));
+        self.unindex(item.as_str());
+    }
+
+    /// Drops the item index slot for `name` if its entry is gone.
+    fn unindex(&mut self, name: &str) {
+        let gone = |key| !self.metadata.contains_key(key);
+        if self.items_by_name.get(name).is_some_and(gone) {
+            self.items_by_name.remove(name);
+        }
     }
 
     /// Bytes currently used by evictable cached chunks and payloads.
@@ -415,12 +429,22 @@ impl DataStore {
             .is_some_and(|name| self.chunks.get(name).is_some_and(|m| !m.is_empty()))
     }
 
-    /// Whether a small payload for this descriptor is held.
+    /// The small payload for this descriptor, if held (a peek: does not
+    /// count as a use for LRU eviction).
     #[must_use]
     pub fn small_payload(&self, descriptor: &DataDescriptor) -> Option<Bytes> {
         self.small_payloads
             .get(descriptor.encode())
             .map(|h| h.data.clone())
+    }
+
+    /// Counts the payload for this descriptor, if held, as a use for LRU
+    /// eviction — the serving path calls this, as it fetches chunks.
+    pub(crate) fn touch_small_payload(&mut self, descriptor: &DataDescriptor) {
+        if let Some(held) = self.small_payloads.get_mut(descriptor.encode()) {
+            self.access_clock += 1;
+            held.last_access = self.access_clock;
+        }
     }
 
     /// All unexpired metadata entries matching `filter`, in unspecified
@@ -937,7 +961,7 @@ mod tests {
 
     #[test]
     fn overheard_payloads_share_the_chunk_budget_lru() {
-        // Seeded ops on a shrunk budget: cache a payload, cache a chunk, or
+        // Seeded ops on a shrunk budget: cache or serve a payload, cache or
         // fetch a chunk. After each, the store holds exactly what a plain
         // LRU model over both kinds holds.
         let mut rng = crate::SimRng::new(0x5a11);
@@ -954,10 +978,12 @@ mod tests {
             for _ in 0..200 {
                 let (chunk, id) = (rng.chance(0.5), rng.range_u64(0, 12) as u32);
                 let len = 100 + rng.range_u64(0, 400) as usize;
-                let fetch = chunk && rng.chance(0.3);
+                let fetch = rng.chance(0.3);
                 let held = at(&model, chunk, id);
-                if fetch {
+                if fetch && chunk {
                     let _ = s.fetch_chunk(&name, ChunkId(id));
+                } else if fetch {
+                    s.touch_small_payload(&desc(&id.to_string()));
                 } else if chunk {
                     s.cache_chunk(&vid, ChunkId(id), Bytes::from(vec![0u8; len]));
                 } else {
@@ -1027,6 +1053,14 @@ mod tests {
         assert!(!s.contains_metadata(&vid), "the last chunk's entry");
         assert!(s.item_descriptor_by_name(&ItemName::new("vid")).is_none());
         assert_eq!(s.expiring_len(), 0);
-        assert_eq!(s.metadata_len(), 2); // own and b
+        assert_eq!(s.metadata_len(), 2, "own and b");
+        // A whole item's payload: its name's index slot goes with it.
+        let clip = item_desc("clip", 1);
+        assert!(s.cache_metadata(clip.clone(), t(10.0)));
+        s.cache_small_payload(&clip, kb());
+        assert!(s.item_descriptor_by_name(&ItemName::new("clip")).is_some());
+        s.cache_small_payload(&desc("c"), kb());
+        assert!(!s.contains_metadata(&clip));
+        assert!(s.item_descriptor_by_name(&ItemName::new("clip")).is_none());
     }
 }

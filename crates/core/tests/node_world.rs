@@ -162,6 +162,96 @@ fn a_relay_forwards_the_chunk_buffer_it_received() {
     }
 }
 
+/// Keeps every payload it hears; a test sends through it with `with_app`.
+struct Peer(Vec<Bytes>);
+
+impl Application for Peer {
+    fn on_start(&mut self, _ctx: &mut Context) {}
+
+    fn on_message(&mut self, _ctx: &mut Context, _meta: MessageMeta, payload: Bytes) {
+        self.0.push(payload);
+    }
+}
+
+#[test]
+fn a_relay_re_encodes_a_chunk_response_received_in_another_form() {
+    // A chunk response whose descriptor lists its attributes unsorted
+    // decodes (canonically re-encoded), so its bytes are not the message's
+    // own: the relay must send the canonical encoding, not what it heard.
+    let single = |d: DataDescriptor| d.encode()[1..].to_vec();
+    let unsorted = [
+        vec![3u8],
+        single(DataDescriptor::builder().attr("type", "video").build()),
+        single(DataDescriptor::builder().attr("name", "clip").build()),
+        single(DataDescriptor::builder().attr("total_chunks", 1i64).build()),
+    ]
+    .concat();
+    let served = PdsMessage::Response(ResponseMessage {
+        id: ResponseId(42),
+        sender: NodeId(2),
+        kind: ResponseKind::Chunk {
+            descriptor: video(1),
+            chunk: ChunkId(0),
+            data: Bytes::from_static(b"chunk-0!"),
+        },
+    });
+    let canonical = served.encode();
+    let at = canonical
+        .windows(unsorted.len())
+        .position(|w| w == video(1).encode())
+        .expect("the descriptor's bytes");
+    let mut hostile = canonical.to_vec();
+    hostile[at..at + unsorted.len()].copy_from_slice(&unsorted);
+    let hostile = Bytes::from(hostile);
+    assert_ne!(hostile, canonical);
+    assert_eq!(PdsMessage::decode(&hostile), Ok(served.clone()));
+
+    // consumer — relay — server on a line; the ends are out of range.
+    let mut world = World::new(SimConfig::default(), 7);
+    let consumer = world.add_node(Position::new(0.0, 0.0), Box::new(Peer(Vec::new())));
+    let relay = world.add_node(
+        Position::new(60.0, 0.0),
+        Box::new(PdsNode::new(PdsConfig::default(), 1)),
+    );
+    let server = world.add_node(Position::new(120.0, 0.0), Box::new(Peer(Vec::new())));
+    let query = PdsMessage::Query(QueryMessage {
+        id: QueryId(5),
+        kind: QueryKind::Chunks {
+            item: ItemName::new("clip"),
+            chunks: vec![ChunkId(0)],
+        },
+        sender: consumer,
+        expires_at: secs(20.0),
+        filter: QueryFilter::match_all(),
+        bloom: None,
+        round: 0,
+        ttl_hops: 0,
+    })
+    .encode();
+    world.run_until(secs(0.5));
+    world.with_app::<Peer, _>(consumer, |_, ctx| ctx.broadcast(query, &[relay]));
+    world.run_until(secs(1.0));
+    world.with_app::<Peer, _>(server, |_, ctx| ctx.broadcast(hostile, &[relay]));
+    world.run_until(secs(5.0));
+
+    let node = world.app::<PdsNode>(relay).expect("alive");
+    assert_eq!(node.decode_errors(), 0);
+    let stored = node
+        .engine()
+        .and_then(|e| e.store().chunk(&ItemName::new("clip"), ChunkId(0)));
+    assert_eq!(stored.as_deref(), Some(&b"chunk-0!"[..]));
+    let heard = &world.app::<Peer>(consumer).expect("alive").0;
+    let responses: Vec<&Bytes> = heard
+        .iter()
+        .filter(|b| matches!(PdsMessage::decode(b), Ok(PdsMessage::Response(_))))
+        .collect();
+    assert_eq!(
+        responses,
+        vec![&canonical],
+        "the relay sent the canonical bytes"
+    );
+}
+
 #[test]
 fn mdr_over_radio_fetches_all_chunks() {
     let mut world = World::new(SimConfig::default(), 9);
@@ -258,7 +348,7 @@ fn a_late_session_polls_on_the_node_start_lattice() {
     // every `TimerFired` at the consumer is one of `PdsNode`'s.
     let mut config = SimConfig::default();
     config.ack.enabled = false;
-    let mut world = World::new(config, 7);
+    let mut world = World::new(config, 9);
     world.set_trace_sink(Box::new(RingSink::new(0)));
     let mut producer = PdsNode::new(PdsConfig::default(), 1);
     for k in 0..3u32 {
