@@ -276,41 +276,29 @@ impl DataDescriptor {
 
     /// Deserializes a descriptor from the front of `buf`, advancing it.
     ///
-    /// Senders write attributes in canonical order (names strictly
-    /// ascending), and then the bytes read *are* the descriptor: they are
-    /// validated in place and copied once. Any other order — unsorted, or
-    /// a repeated name, where the last value wins — is re-encoded
-    /// canonically, so a hostile wire form cannot mint a second identity
-    /// for one attribute set.
+    /// Only the canonical encoding is read: attribute names non-empty and
+    /// strictly ascending, as every descriptor is built. The bytes read
+    /// then *are* the descriptor — validated in place and copied once — so
+    /// a decoded descriptor encodes to exactly the bytes it was read from,
+    /// and one attribute set has one identity. Any other order (unsorted,
+    /// or a repeated name) is refused.
     ///
-    /// Returns `None` on truncation or malformed content.
+    /// Returns `None` on truncation, malformed content or another order.
     pub fn decode(buf: &mut &[u8]) -> Option<Self> {
-        Self::read(buf).map(|(d, _)| d)
-    }
-
-    /// [`decode`](Self::decode), and whether the bytes read were the
-    /// canonical encoding (`false` when they were re-encoded).
-    pub(crate) fn read(buf: &mut &[u8]) -> Option<(Self, bool)> {
         let wire = *buf;
         let (&n, mut rest) = wire.split_first()?;
-        let mut ascending = true;
-        let mut prev = None;
+        // Names ascend strictly from the empty name, which none may be.
+        let mut prev = "";
         for _ in 0..n {
             let (name, _) = read_attr(&mut rest)?;
-            ascending &= prev.is_none_or(|prev| prev < name);
-            prev = Some(name);
+            if name <= prev {
+                return None;
+            }
+            prev = name;
         }
         let read = wire.get(..wire.len() - rest.len())?;
         *buf = rest;
-        if ascending {
-            return Some((Self(read.into()), true));
-        }
-        let mut attrs = Vec::with_capacity(usize::from(n));
-        let mut body = read.get(1..)?;
-        while let Some((name, value)) = read_attr(&mut body) {
-            insert_sorted(&mut attrs, name, value);
-        }
-        Some((Self::canonical(attrs.into_iter()), false))
+        Some(Self(read.into()))
     }
 }
 
@@ -338,15 +326,19 @@ fn read_attr<'a>(buf: &mut &'a [u8]) -> Option<(&'a str, AttrRef<'a>)> {
     Some((name, value))
 }
 
-/// Inserts (or replaces) `name` in a name-sorted attribute vec.
-fn insert_sorted<K: AsRef<str>, V>(attrs: &mut Vec<(K, V)>, name: K, value: V) {
-    match attrs.binary_search_by(|(k, _)| k.as_ref().cmp(name.as_ref())) {
-        Ok(i) => {
-            if let Some(slot) = attrs.get_mut(i) {
-                slot.1 = value;
-            }
-        }
-        Err(i) => attrs.insert(i, (name, value)),
+/// Asserts that an attribute fits its wire form: a name of 1–255 bytes
+/// (one length byte) and, for a string, a value of at most 65 535 bytes
+/// (two length bytes). A longer length would wrap when encoded.
+pub(crate) fn assert_fits_wire(name: &str, value: &AttrValue) {
+    assert!(
+        !name.is_empty() && name.len() <= 255,
+        "attribute name must be 1–255 bytes"
+    );
+    if let AttrValue::Str(s) = value {
+        assert!(
+            s.len() <= MAX_STR_LEN,
+            "string attribute value must be at most 65535 bytes"
+        );
     }
 }
 
@@ -367,21 +359,19 @@ impl DescriptorBuilder {
     /// wrap in the canonical encoding).
     #[must_use]
     pub fn attr(mut self, name: impl Into<String>, value: impl Into<AttrValue>) -> Self {
-        let name = name.into();
-        assert!(
-            !name.is_empty() && name.len() <= 255,
-            "attribute name must be 1–255 bytes"
-        );
-        let value = value.into();
-        match &value {
-            AttrValue::Float(f) => assert!(!f.is_nan(), "attribute value must not be NaN"),
-            AttrValue::Str(s) => assert!(
-                s.len() <= MAX_STR_LEN,
-                "string attribute value must be at most 65535 bytes"
-            ),
-            AttrValue::Int(_) | AttrValue::Time(_) => {}
+        let (name, value) = (name.into(), value.into());
+        assert_fits_wire(&name, &value);
+        if let AttrValue::Float(f) = value {
+            assert!(!f.is_nan(), "attribute value must not be NaN");
         }
-        insert_sorted(&mut self.attrs, name, value);
+        match self.attrs.binary_search_by(|(k, _)| k.cmp(&name)) {
+            Ok(i) => {
+                if let Some(slot) = self.attrs.get_mut(i) {
+                    slot.1 = value;
+                }
+            }
+            Err(i) => self.attrs.insert(i, (name, value)),
+        }
         self
     }
 
@@ -548,7 +538,7 @@ mod tests {
     }
 
     #[test]
-    fn decode_keeps_canonical_bytes_and_re_encodes_any_other_order() {
+    fn decode_keeps_canonical_bytes_and_refuses_any_other_order() {
         let d = DataDescriptor::builder()
             .attr("a", 1i64)
             .attr("b", "two")
@@ -559,24 +549,28 @@ mod tests {
             ("b", AttrValue::from("two")),
             ("c", AttrValue::Float(3.5)),
         );
-        // Canonical order: the wire bytes are the key.
+        // Canonical order: the wire bytes are the descriptor and its key.
         let canonical = wire(&[a.clone(), b.clone(), c.clone()]);
         assert_eq!(canonical, d.encode());
-        // Unsorted, and a repeated name (the last value wins): the same
-        // descriptor, the same key — not whatever was on the wire.
+        let mut slice = &canonical[..];
+        let back = DataDescriptor::decode(&mut slice).expect("decodes");
+        assert!(slice.is_empty());
+        assert_eq!(back.entry_key(), d.entry_key());
+        // Unsorted, or a repeated name: the same attribute set spelled
+        // another way would be a second identity, so it is refused and
+        // the buffer is left where it was.
         let stale = ("b", AttrValue::Int(0));
         for hostile in [
             wire(&[c.clone(), a.clone(), b.clone()]),
             wire(&[a.clone(), stale.clone(), b.clone(), c.clone()]),
-            wire(&[stale, c, b, a]),
+            wire(&[a.clone(), b.clone(), b.clone(), c.clone()]),
+            wire(&[stale, c, b, a.clone()]),
+            // And a name no builder writes.
+            wire(&[("", AttrValue::Int(0)), a]),
         ] {
-            assert_ne!(hostile, d.encode());
             let mut slice = &hostile[..];
-            let back = DataDescriptor::decode(&mut slice).expect("decodes");
-            assert!(slice.is_empty());
-            assert_eq!(back, d);
-            assert_eq!(back.encode(), d.encode());
-            assert_eq!(back.entry_key(), d.entry_key());
+            assert_eq!(DataDescriptor::decode(&mut slice), None);
+            assert_eq!(slice, &hostile[..]);
         }
     }
 

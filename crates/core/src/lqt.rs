@@ -53,8 +53,6 @@ pub struct Lingering {
     /// For [`QueryKind::Cdi`]: best hop count already reported upstream per
     /// chunk; only improvements are forwarded.
     pub reported_cdi: DetMap<ChunkId, u32>,
-    /// One-shot ablation: set after the first forwarded response.
-    pub exhausted: bool,
 }
 
 impl Lingering {
@@ -262,7 +260,6 @@ impl LingeringQueryTable {
                 wire_bloom,
                 remaining_chunks,
                 reported_cdi: DetMap::default(),
-                exhausted: false,
             },
         );
         // A removed-then-reinserted id must not leave a stale front-of-queue
@@ -320,7 +317,7 @@ impl LingeringQueryTable {
         removed
     }
 
-    /// Unexpired, non-exhausted discovery queries: [`QueryKind::SmallData`]
+    /// Unexpired discovery queries: [`QueryKind::SmallData`]
     /// ones if `small_data`, else [`QueryKind::Metadata`] ones.
     pub(crate) fn match_discovery(
         &mut self,
@@ -335,7 +332,7 @@ impl LingeringQueryTable {
         }
     }
 
-    /// Unexpired, non-exhausted metadata queries.
+    /// Unexpired metadata queries.
     pub fn match_metadata(&mut self, now: SimTime) -> Vec<&mut Lingering> {
         self.match_discovery(false, now)
     }
@@ -360,7 +357,7 @@ impl LingeringQueryTable {
         let key = chunk_key(item, chunk);
         self.entries
             .values_mut()
-            .filter(|l| l.unexpired(now) && !l.exhausted)
+            .filter(|l| l.unexpired(now))
             .filter(|l| match &l.query.kind {
                 QueryKind::Chunks { item: i, .. } => {
                     i == item && l.remaining_chunks.contains(chunk.0)
@@ -378,7 +375,7 @@ impl LingeringQueryTable {
     ) -> Vec<&mut Lingering> {
         self.entries
             .values_mut()
-            .filter(|l| l.unexpired(now) && !l.exhausted && pred(&l.query.kind))
+            .filter(|l| l.unexpired(now) && pred(&l.query.kind))
             .collect()
     }
 
@@ -537,14 +534,6 @@ mod tests {
             "chunk 0 in bloom"
         );
         assert_eq!(lqt.match_chunk(&item, ChunkId(1), t(0.0)).len(), 1);
-    }
-
-    #[test]
-    fn exhausted_entries_do_not_match() {
-        let mut lqt = LingeringQueryTable::new();
-        lqt.insert(query(1, QueryKind::Metadata, 10.0), NodeId(2));
-        lqt.get_mut(QueryId(1)).expect("present").exhausted = true;
-        assert_eq!(lqt.match_metadata(t(0.0)).len(), 0);
     }
 
     #[test]

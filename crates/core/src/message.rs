@@ -6,11 +6,17 @@
 //! part of the UDP broadcast header; everything else the paper's message
 //! formats describe (§III-A) is here, stated once: each field type's
 //! `Wire` impl is its wire form and bound, and two tables lay out the rest.
+//!
+//! A message the decoder accepts is exactly its bytes: it encodes back to
+//! the bytes it was read from. A form no encoder writes is refused — a
+//! descriptor whose attributes are not in canonical order is `BadBody` —
+//! so a relay can forward what it received as the message it decoded.
 
 use crate::config::MAX_ITEM_CHUNKS;
 use crate::descriptor::DataDescriptor;
 use crate::ids::{ChunkId, ItemName, QueryId, ResponseId};
-use crate::predicate::QueryFilter;
+use crate::predicate::{Predicate, QueryFilter, Relation};
+use crate::value::{AttrRef, AttrValue};
 use crate::{NodeId, SimTime};
 use bytes::{BufMut, Bytes};
 use pds_obs::Phase;
@@ -70,14 +76,17 @@ pub enum PdsMessage {
 pub enum DecodeError {
     /// Buffer ended before the message did.
     Truncated,
-    /// An unknown message or kind tag, or a Bloom-presence byte other than
-    /// 0 or 1, was encountered.
+    /// An unknown message, kind or relation tag, or a presence byte other
+    /// than 0 or 1, was encountered.
     BadTag(u8),
     /// An embedded string was not valid UTF-8.
     BadString,
-    /// An embedded descriptor or filter failed to decode, or a field was
-    /// past its bound: a chunk id of `MAX_ITEM_CHUNKS` or more, or a chunk
-    /// count above `MAX_ITEM_CHUNKS`.
+    /// An embedded descriptor or attribute value failed to decode, an
+    /// attribute name was empty, a descriptor's attributes were not in
+    /// canonical order, a predicate's range bound was missing on `InRange`
+    /// or present on another relation, or a field was past its bound: a
+    /// chunk id of `MAX_ITEM_CHUNKS` or more, or a chunk count above
+    /// `MAX_ITEM_CHUNKS`.
     BadBody,
     /// Bytes were left over after a complete message. Rejected because a
     /// chunk is kept as a view of its whole message: a tiny chunk with
@@ -104,9 +113,6 @@ impl std::error::Error for DecodeError {}
 struct Reader<'a> {
     whole: &'a Bytes,
     rest: &'a [u8],
-    /// Whether every field so far was read in the form `put` writes; only
-    /// a descriptor (unsorted or repeated attributes) can be read otherwise.
-    canonical: bool,
 }
 
 impl<'a> Reader<'a> {
@@ -226,19 +232,113 @@ impl Wire for DataDescriptor {
         out.put_slice(value.encode());
     }
     fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let (descriptor, canonical) =
-            DataDescriptor::read(&mut r.rest).ok_or(DecodeError::BadBody)?;
-        r.canonical &= canonical;
-        Ok(descriptor)
+        DataDescriptor::decode(&mut r.rest).ok_or(DecodeError::BadBody)
     }
 }
 
+/// A `u8` count, then the predicates.
 impl Wire for QueryFilter {
+    fn put(value: &Self, out: &mut impl BufMut) {
+        u8::put(&(value.predicates.len() as u8), out);
+        for p in &value.predicates {
+            Predicate::put(p, out);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let n = u8::get(r)?;
+        let mut predicates = Vec::with_capacity(n.into());
+        for _ in 0..n {
+            predicates.push(Predicate::get(r)?);
+        }
+        Ok(QueryFilter { predicates })
+    }
+}
+
+/// The name, relation and value, then the range's upper bound: present
+/// for `InRange` and for no other relation.
+impl Wire for Predicate {
+    fn put(value: &Self, out: &mut impl BufMut) {
+        AttrName::put(&value.attr, out);
+        Relation::put(&value.relation, out);
+        AttrValue::put(&value.value, out);
+        Option::<AttrValue>::put(&value.value2, out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let (attr, relation, value) = (AttrName::get(r)?, Relation::get(r)?, AttrValue::get(r)?);
+        let value2 = Option::<AttrValue>::get(r)?;
+        if value2.is_some() != (relation == Relation::InRange) {
+            return Err(DecodeError::BadBody);
+        }
+        Ok(Predicate {
+            attr,
+            relation,
+            value,
+            value2,
+        })
+    }
+}
+
+/// One byte, the relation's discriminant.
+impl Wire for Relation {
+    fn put(value: &Self, out: &mut impl BufMut) {
+        u8::put(&(*value as u8), out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        use Relation::{Eq, Ge, Gt, InRange, Le, Lt, Ne};
+        let code = u8::get(r)?;
+        let all = [Eq, Ne, Lt, Le, Gt, Ge, InRange];
+        all.into_iter()
+            .find(|&relation| relation as u8 == code)
+            .ok_or(DecodeError::BadTag(code))
+    }
+}
+
+/// An attribute name: a `u8` length, then UTF-8; an empty name is
+/// `BadBody`, as no predicate has one.
+enum AttrName {}
+
+impl Wire<String> for AttrName {
+    fn put(value: &String, out: &mut impl BufMut) {
+        u8::put(&(value.len() as u8), out);
+        out.put_slice(value.as_bytes());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<String, DecodeError> {
+        let len = u8::get(r)?;
+        if len == 0 {
+            return Err(DecodeError::BadBody);
+        }
+        std::str::from_utf8(r.take(len.into())?)
+            .map(str::to_owned)
+            .map_err(|_| DecodeError::BadString)
+    }
+}
+
+/// An attribute value as a descriptor holds it, a tag byte and the value,
+/// read by the descriptor's reader: anything malformed is `BadBody`.
+impl Wire for AttrValue {
     fn put(value: &Self, out: &mut impl BufMut) {
         value.encode(out);
     }
     fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        QueryFilter::decode(&mut r.rest).ok_or(DecodeError::BadBody)
+        let value = AttrRef::read(&mut r.rest).ok_or(DecodeError::BadBody)?;
+        Ok(value.to_owned())
+    }
+}
+
+/// A presence byte, 0 or 1, then for 1 the value.
+impl<T, F: Wire<T>> Wire<Option<T>> for Option<F> {
+    fn put(value: &Option<T>, out: &mut impl BufMut) {
+        u8::put(&value.is_some().into(), out);
+        if let Some(v) = value {
+            F::put(v, out);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Option<T>, DecodeError> {
+        match u8::get(r)? {
+            0 => Ok(None),
+            1 => F::get(r).map(Some),
+            t => Err(DecodeError::BadTag(t)),
+        }
     }
 }
 
@@ -302,24 +402,16 @@ impl Wire<Bytes> for Shared {
     }
 }
 
-/// The optional Bloom filter: a presence byte, 0 or 1, then for 1 the
-/// `u32` length and the bytes.
-enum Bloom {}
+/// A `u32` length, then the bytes: a Bloom filter.
+enum Blob {}
 
-impl Wire<Option<Vec<u8>>> for Bloom {
-    fn put(value: &Option<Vec<u8>>, out: &mut impl BufMut) {
-        out.put_u8(value.is_some().into());
-        if let Some(bloom) = value {
-            u32::put(&(bloom.len() as u32), out);
-            out.put_slice(bloom);
-        }
+impl Wire<Vec<u8>> for Blob {
+    fn put(value: &Vec<u8>, out: &mut impl BufMut) {
+        u32::put(&(value.len() as u32), out);
+        out.put_slice(value);
     }
-    fn get(r: &mut Reader<'_>) -> Result<Option<Vec<u8>>, DecodeError> {
-        match u8::get(r)? {
-            0 => Ok(None),
-            1 => Ok(Some(r.prefixed()?.to_vec())),
-            t => Err(DecodeError::BadTag(t)),
-        }
+    fn get(r: &mut Reader<'_>) -> Result<Vec<u8>, DecodeError> {
+        r.prefixed().map(<[u8]>::to_vec)
     }
 }
 
@@ -534,7 +626,7 @@ macro_rules! wire_messages {
 wire_messages! {
     Query(QueryMessage) = 0 {
         id: QueryId, sender: NodeId, expires_at: SimTime, round: u32, ttl_hops: u8;
-        kind: QueryKind, filter: QueryFilter, bloom: Option<Vec<u8>> as Bloom,
+        kind: QueryKind, filter: QueryFilter, bloom: Option<Vec<u8>> as Option<Blob>,
     },
     Response(ResponseMessage) = 1 { id: ResponseId, sender: NodeId; kind: ResponseKind },
 }
@@ -569,12 +661,16 @@ impl PdsMessage {
     /// as the chunk is stored or relayed. Every other field is owned by the
     /// returned message and `whole` can be dropped without cost.
     ///
+    /// Only the bytes an encoder writes are read, so a returned message
+    /// [`encode`](Self::encode)s to exactly `whole`.
+    ///
     /// # Errors
     ///
     /// Returns a [`DecodeError`] when the buffer is truncated, malformed,
-    /// or longer than the message it holds.
+    /// in a form no encoder writes (such as a descriptor whose attributes
+    /// are out of order), or longer than the message it holds.
     pub fn decode(whole: &Bytes) -> Result<Self, DecodeError> {
-        Peeked::new(whole)?.decode().map(|(message, _)| message)
+        Peeked::new(whole)?.decode()
     }
 }
 
@@ -590,21 +686,16 @@ impl<'a> Peeked<'a> {
     /// Reads the head of `whole`, failing as [`PdsMessage::decode`] does
     /// on a truncated head or an unknown message or kind tag.
     pub(crate) fn new(whole: &'a Bytes) -> Result<Self, DecodeError> {
-        let mut body = Reader {
-            whole,
-            rest: whole,
-            canonical: true,
-        };
+        let mut body = Reader { whole, rest: whole };
         let header = MessageHeader::get(&mut body)?;
         Ok(Self { header, body })
     }
 
-    /// Decodes the body: what [`PdsMessage::decode`] returns for the whole,
-    /// and whether the whole is that message's [`encode`](PdsMessage::encode).
-    pub(crate) fn decode(mut self) -> Result<(PdsMessage, bool), DecodeError> {
+    /// Decodes the body: what [`PdsMessage::decode`] returns for the whole.
+    pub(crate) fn decode(mut self) -> Result<PdsMessage, DecodeError> {
         let message = PdsMessage::get_body(self.header, &mut self.body)?;
         match self.body.rest {
-            [] => Ok((message, self.body.canonical)),
+            [] => Ok(message),
             _ => Err(DecodeError::TrailingBytes),
         }
     }
@@ -613,7 +704,6 @@ impl<'a> Peeked<'a> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::predicate::{Predicate, Relation};
 
     /// One message of every query and response kind.
     pub(crate) fn one_of_each_kind() -> Vec<PdsMessage> {
@@ -877,9 +967,29 @@ pub(crate) mod tests {
     }
 
     fn roundtrip(m: &PdsMessage) {
-        let bytes = m.encode();
-        let back = Peeked::new(&bytes).and_then(Peeked::decode);
-        assert_eq!(back, Ok((m.clone(), true)), "decodes, as its own encoding");
+        assert_eq!(PdsMessage::decode(&m.encode()).as_ref(), Ok(m));
+    }
+
+    /// `filter`'s wire form.
+    pub(crate) fn filter_bytes(filter: &QueryFilter) -> Vec<u8> {
+        let mut out = Vec::new();
+        QueryFilter::put(filter, &mut out);
+        assert_eq!(out.len(), QueryFilter::wire_len(filter));
+        out
+    }
+
+    /// The filter that `wire` holds, and nothing after it.
+    pub(crate) fn filter_from(wire: &[u8]) -> Result<QueryFilter, DecodeError> {
+        let whole = Bytes::from(wire.to_vec());
+        let mut r = Reader {
+            whole: &whole,
+            rest: &whole,
+        };
+        let filter = QueryFilter::get(&mut r)?;
+        match r.rest {
+            [] => Ok(filter),
+            _ => Err(DecodeError::TrailingBytes),
+        }
     }
 
     fn query(kind: QueryKind) -> QueryMessage {

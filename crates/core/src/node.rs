@@ -386,7 +386,7 @@ impl Application for PdsNode {
             };
             ctx.trace(header.phase(), kind);
         }
-        if let Some((message, canonical)) = received {
+        if let Some(message) = received {
             let me = ctx.node_id();
             let me_intended = meta.intended.is_empty() || meta.intended.contains(&me);
             let out = self.ensure_engine(ctx).handle_received(
@@ -394,8 +394,7 @@ impl Application for PdsNode {
                 meta.from,
                 me_intended,
                 message,
-                // Only the message's own bytes are relayed as received.
-                canonical.then_some(&payload),
+                Some(&payload),
             );
             self.dispatch(ctx, out);
             self.arm_timers(ctx);

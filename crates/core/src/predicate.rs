@@ -6,56 +6,29 @@
 //! holds; a predicate on a missing attribute, or one whose value has a
 //! different type, does not hold.
 
-use crate::descriptor::DataDescriptor;
-use crate::value::{AttrRef, AttrValue};
-use bytes::{Buf, BufMut};
+use crate::descriptor::{assert_fits_wire, DataDescriptor};
+use crate::value::AttrValue;
 use std::cmp::Ordering;
 use std::fmt;
 
-/// The relation of a [`Predicate`].
+/// The relation of a [`Predicate`]. Its discriminant is its wire code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
 pub enum Relation {
     /// Attribute equals the value.
-    Eq,
+    Eq = 0,
     /// Attribute differs from the value (but exists with the same type).
-    Ne,
+    Ne = 1,
     /// Attribute is strictly less than the value.
-    Lt,
+    Lt = 2,
     /// Attribute is at most the value.
-    Le,
+    Le = 3,
     /// Attribute is strictly greater than the value.
-    Gt,
+    Gt = 4,
     /// Attribute is at least the value.
-    Ge,
+    Ge = 5,
     /// Attribute lies in the closed range `[value, value2]`.
-    InRange,
-}
-
-impl Relation {
-    fn code(self) -> u8 {
-        match self {
-            Relation::Eq => 0,
-            Relation::Ne => 1,
-            Relation::Lt => 2,
-            Relation::Le => 3,
-            Relation::Gt => 4,
-            Relation::Ge => 5,
-            Relation::InRange => 6,
-        }
-    }
-
-    fn from_code(c: u8) -> Option<Self> {
-        Some(match c {
-            0 => Relation::Eq,
-            1 => Relation::Ne,
-            2 => Relation::Lt,
-            3 => Relation::Le,
-            4 => Relation::Gt,
-            5 => Relation::Ge,
-            6 => Relation::InRange,
-            _ => return None,
-        })
-    }
+    InRange = 6,
 }
 
 impl fmt::Display for Relation {
@@ -75,10 +48,11 @@ impl fmt::Display for Relation {
 /// A single attribute constraint.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Predicate {
-    attr: String,
-    relation: Relation,
-    value: AttrValue,
-    value2: Option<AttrValue>,
+    pub(crate) attr: String,
+    pub(crate) relation: Relation,
+    pub(crate) value: AttrValue,
+    /// The range's upper bound: present for [`Relation::InRange`] only.
+    pub(crate) value2: Option<AttrValue>,
 }
 
 impl Predicate {
@@ -87,7 +61,9 @@ impl Predicate {
     /// # Panics
     ///
     /// Panics if `relation` is [`Relation::InRange`] (use
-    /// [`Predicate::range`]).
+    /// [`Predicate::range`]), if the name is empty or longer than 255
+    /// bytes, or if a string value is longer than 65 535 bytes (either
+    /// length would wrap on the wire).
     #[must_use]
     pub fn new(attr: impl Into<String>, relation: Relation, value: impl Into<AttrValue>) -> Self {
         assert!(
@@ -100,9 +76,15 @@ impl Predicate {
             value: value.into(),
             value2: None,
         }
+        .checked()
     }
 
     /// Builds a closed-range predicate `lo ≤ attr ≤ hi`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the name is empty or longer than 255 bytes, or if a
+    /// string bound is longer than 65 535 bytes.
     #[must_use]
     pub fn range(
         attr: impl Into<String>,
@@ -115,6 +97,15 @@ impl Predicate {
             value: lo.into(),
             value2: Some(hi.into()),
         }
+        .checked()
+    }
+
+    /// Asserts that the name and every value fit their wire lengths.
+    fn checked(self) -> Self {
+        for value in std::iter::once(&self.value).chain(&self.value2) {
+            assert_fits_wire(&self.attr, value);
+        }
+        self
     }
 
     /// Whether `descriptor` satisfies this predicate.
@@ -145,59 +136,6 @@ impl Predicate {
             }
         }
     }
-
-    fn encode(&self, out: &mut impl BufMut) {
-        out.put_u8(self.attr.len() as u8);
-        out.put_slice(self.attr.as_bytes());
-        out.put_u8(self.relation.code());
-        self.value.encode(out);
-        if let Some(v2) = &self.value2 {
-            out.put_u8(1);
-            v2.encode(out);
-        } else {
-            out.put_u8(0);
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Option<Self> {
-        if buf.remaining() < 1 {
-            return None;
-        }
-        let alen = buf.get_u8() as usize;
-        if buf.remaining() < alen + 1 {
-            return None;
-        }
-        let mut ab = vec![0u8; alen];
-        buf.copy_to_slice(&mut ab);
-        let attr = String::from_utf8(ab).ok()?;
-        let relation = Relation::from_code(buf.get_u8())?;
-        let value = AttrRef::read(buf)?.to_owned();
-        if buf.remaining() < 1 {
-            return None;
-        }
-        let value2 = match buf.get_u8() {
-            0 => None,
-            1 => Some(AttrRef::read(buf)?.to_owned()),
-            _ => return None,
-        };
-        if relation == Relation::InRange && value2.is_none() {
-            return None;
-        }
-        Some(Self {
-            attr,
-            relation,
-            value,
-            value2,
-        })
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + self.attr.len()
-            + 1
-            + self.value.encoded_len()
-            + 1
-            + self.value2.as_ref().map_or(0, AttrValue::encoded_len)
-    }
 }
 
 impl fmt::Display for Predicate {
@@ -226,13 +164,21 @@ impl fmt::Display for Predicate {
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct QueryFilter {
-    predicates: Vec<Predicate>,
+    pub(crate) predicates: Vec<Predicate>,
 }
 
 impl QueryFilter {
     /// A filter from the given predicates (conjunction).
+    ///
+    /// # Panics
+    ///
+    /// Panics on more than 255 predicates: the count travels as one byte.
     #[must_use]
     pub fn new(predicates: Vec<Predicate>) -> Self {
+        assert!(
+            predicates.len() <= 255,
+            "a filter holds at most 255 predicates"
+        );
         Self { predicates }
     }
 
@@ -247,42 +193,13 @@ impl QueryFilter {
     pub fn matches(&self, descriptor: &DataDescriptor) -> bool {
         self.predicates.iter().all(|p| p.matches(descriptor))
     }
-
-    /// Serializes the filter.
-    pub fn encode(&self, out: &mut impl BufMut) {
-        out.put_u8(self.predicates.len() as u8);
-        for p in &self.predicates {
-            p.encode(out);
-        }
-    }
-
-    /// Deserializes a filter; `None` on malformed input.
-    pub fn decode(buf: &mut &[u8]) -> Option<Self> {
-        if buf.remaining() < 1 {
-            return None;
-        }
-        let n = buf.get_u8() as usize;
-        let mut predicates = Vec::with_capacity(n);
-        for _ in 0..n {
-            predicates.push(Predicate::decode(buf)?);
-        }
-        Some(Self { predicates })
-    }
-
-    /// Wire size of the encoded form.
-    #[must_use]
-    pub fn encoded_len(&self) -> usize {
-        1 + self
-            .predicates
-            .iter()
-            .map(Predicate::encoded_len)
-            .sum::<usize>()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::tests::{filter_bytes, filter_from};
+    use crate::message::DecodeError;
     use crate::value::AttrValue;
 
     fn d(t: &str, x: f64, time: i64) -> DataDescriptor {
@@ -353,39 +270,93 @@ mod tests {
 
     #[test]
     fn filter_codec_round_trips() {
-        let f = QueryFilter::new(vec![
-            Predicate::new("type", Relation::Eq, "no2"),
-            Predicate::range("x", 0.0, 5.0),
-            Predicate::new("time", Relation::Ge, AttrValue::Time(10)),
-        ]);
-        let mut buf = Vec::new();
-        f.encode(&mut buf);
-        assert_eq!(buf.len(), f.encoded_len());
-        let mut slice = &buf[..];
-        let back = QueryFilter::decode(&mut slice).expect("decodes");
-        assert_eq!(back, f);
+        // Filters at every wire bound: a 255-byte name, 65 535-byte
+        // strings, 255 predicates.
+        let (name, long) = ("n".repeat(255), "s".repeat(65_535));
+        for f in [
+            QueryFilter::new(vec![
+                Predicate::new("type", Relation::Eq, "no2"),
+                Predicate::range("x", 0.0, 5.0),
+                Predicate::new("time", Relation::Ge, AttrValue::Time(10)),
+            ]),
+            QueryFilter::new(vec![
+                Predicate::new(name.as_str(), Relation::Eq, long.as_str()),
+                Predicate::range("a", long.as_str(), long.as_str()),
+            ]),
+            QueryFilter::new(vec![Predicate::new("a", Relation::Le, 1i64); 255]),
+        ] {
+            assert_eq!(filter_from(&filter_bytes(&f)), Ok(f));
+        }
     }
 
     #[test]
     fn decode_rejects_truncation() {
         let f = QueryFilter::new(vec![Predicate::range("x", 0.0, 5.0)]);
-        let mut buf = Vec::new();
-        f.encode(&mut buf);
-        for cut in 1..buf.len() {
-            let mut slice = &buf[..cut];
-            assert_eq!(QueryFilter::decode(&mut slice), None, "cut {cut}");
+        let buf = filter_bytes(&f);
+        for cut in 0..buf.len() {
+            assert!(filter_from(&buf[..cut]).is_err(), "cut {cut}");
         }
     }
 
     #[test]
     fn decode_rejects_a_presence_byte_other_than_0_or_1() {
         let f = QueryFilter::new(vec![Predicate::new("x", Relation::Eq, 1i64)]);
-        let mut buf = Vec::new();
-        f.encode(&mut buf);
+        let mut buf = filter_bytes(&f);
         // The last byte says whether a second value follows.
         assert_eq!(buf.pop(), Some(0));
         buf.push(2);
-        assert_eq!(QueryFilter::decode(&mut &buf[..]), None);
+        assert_eq!(filter_from(&buf), Err(DecodeError::BadTag(2)));
+    }
+
+    #[test]
+    fn forms_no_encoder_writes_are_bad_bodies() {
+        // A range bound travels with `InRange` and no other relation.
+        let one = |p| filter_bytes(&QueryFilter::new(vec![p]));
+        let eq = one(Predicate::new("x", Relation::Eq, 1i64));
+        let range = one(Predicate::range("x", 1i64, 2i64));
+        // `x` and its relation code sit after the count and name length.
+        let (code, bound) = (3, eq.len() - 1);
+        let mut unbounded_range = eq.clone();
+        unbounded_range[code] = Relation::InRange as u8;
+        let mut bounded_eq = range.clone();
+        bounded_eq[code] = Relation::Eq as u8;
+        assert_eq!(range[code], Relation::InRange as u8);
+        assert_eq!((eq[bound], range[bound]), (0, 1));
+        // And a name no predicate has.
+        let unnamed = [&[1, 0][..], &eq[3..]].concat();
+        for hostile in [unbounded_range, bounded_eq, unnamed] {
+            assert_eq!(filter_from(&hostile), Err(DecodeError::BadBody));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "1–255")]
+    fn an_empty_name_is_refused() {
+        let _ = Predicate::new("", Relation::Eq, 1i64);
+    }
+
+    #[test]
+    #[should_panic(expected = "1–255")]
+    fn a_name_past_255_bytes_is_refused() {
+        let _ = Predicate::range("n".repeat(256), 1i64, 2i64);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65535 bytes")]
+    fn a_string_value_past_65535_bytes_is_refused() {
+        let _ = Predicate::new("a", Relation::Eq, "s".repeat(65_536));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65535 bytes")]
+    fn a_string_range_bound_past_65535_bytes_is_refused() {
+        let _ = Predicate::range("a", "s", "s".repeat(65_536));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 255 predicates")]
+    fn a_256th_predicate_is_refused() {
+        let _ = QueryFilter::new(vec![Predicate::new("a", Relation::Le, 1i64); 256]);
     }
 
     #[test]

@@ -74,12 +74,6 @@ impl AttrValue {
     pub fn encode(&self, out: &mut impl BufMut) {
         self.view().encode(out);
     }
-
-    /// Wire size of the encoded form in bytes.
-    #[must_use]
-    pub(crate) fn encoded_len(&self) -> usize {
-        self.view().encoded_len()
-    }
 }
 
 impl<'a> AttrRef<'a> {
@@ -220,7 +214,7 @@ mod tests {
     fn roundtrip(v: &AttrValue) -> AttrValue {
         let mut buf = Vec::new();
         v.encode(&mut buf);
-        assert_eq!(buf.len(), v.encoded_len());
+        assert_eq!(buf.len(), v.view().encoded_len());
         let mut slice = &buf[..];
         let out = AttrRef::read(&mut slice).expect("decodes").to_owned();
         assert!(slice.is_empty());

@@ -174,10 +174,10 @@ impl Application for Peer {
 }
 
 #[test]
-fn a_relay_re_encodes_a_chunk_response_received_in_another_form() {
+fn a_chunk_response_in_another_form_is_a_decode_error_not_a_relayed_chunk() {
     // A chunk response whose descriptor lists its attributes unsorted
-    // decodes (canonically re-encoded), so its bytes are not the message's
-    // own: the relay must send the canonical encoding, not what it heard.
+    // spells the item's identity another way: it is refused, so the relay
+    // neither stores nor forwards it, though a query for it lingers there.
     let single = |d: DataDescriptor| d.encode()[1..].to_vec();
     let unsorted = [
         vec![3u8],
@@ -204,7 +204,8 @@ fn a_relay_re_encodes_a_chunk_response_received_in_another_form() {
     hostile[at..at + unsorted.len()].copy_from_slice(&unsorted);
     let hostile = Bytes::from(hostile);
     assert_ne!(hostile, canonical);
-    assert_eq!(PdsMessage::decode(&hostile), Ok(served.clone()));
+    assert_eq!(PdsMessage::decode(&hostile), Err(DecodeError::BadBody));
+    assert_eq!(PdsMessage::decode(&canonical), Ok(served));
 
     // consumer — relay — server on a line; the ends are out of range.
     let mut world = World::new(SimConfig::default(), 7);
@@ -235,20 +236,17 @@ fn a_relay_re_encodes_a_chunk_response_received_in_another_form() {
     world.run_until(secs(5.0));
 
     let node = world.app::<PdsNode>(relay).expect("alive");
-    assert_eq!(node.decode_errors(), 0);
+    assert_eq!(node.decode_errors(), 1);
     let stored = node
         .engine()
         .and_then(|e| e.store().chunk(&ItemName::new("clip"), ChunkId(0)));
-    assert_eq!(stored.as_deref(), Some(&b"chunk-0!"[..]));
+    assert_eq!(stored, None);
     let heard = &world.app::<Peer>(consumer).expect("alive").0;
-    let responses: Vec<&Bytes> = heard
-        .iter()
-        .filter(|b| matches!(PdsMessage::decode(b), Ok(PdsMessage::Response(_))))
-        .collect();
-    assert_eq!(
-        responses,
-        vec![&canonical],
-        "the relay sent the canonical bytes"
+    assert!(
+        heard
+            .iter()
+            .all(|b| !matches!(PdsMessage::decode(b), Ok(PdsMessage::Response(_)))),
+        "the relay forwarded no response"
     );
 }
 

@@ -31,9 +31,23 @@
 # end-to-end metric is met when the change wins at least nine in ten pairs
 # (ties count for neither side) and the medians differ, in the change's
 # favour, by more than the base's IQR.
+#
+# Whether the host was busy: each run's wall time and CPU time (user + sys
+# of `benchmark/run.sh` and its children, from bash's `time`) are recorded
+# and printed per pair, with /proc/loadavg at each workload's start and
+# end. A run is single-threaded, so on an idle host its wall time is its
+# CPU time; a pair is *contended* when either run's wall time exceeds its
+# CPU time by more than CONTENDED_MARGIN (10 %), i.e. it waited for a
+# core. The verdict table (and claim line) is printed for all pairs, then
+# again without the contended ones; only the all-pairs verdicts set the
+# exit status.
 # Exits 1 if any verdict fails or a claim is not met. Needs git, cargo, jq,
 # awk.
 set -euo pipefail
+
+# Wall time above CPU time, as a share of CPU time, past which a run
+# counts as contended.
+CONTENDED_MARGIN=0.10
 
 usage() {
   echo "usage: $0 <base-rev> [--workload W] [--pairs N] [--seed S] [--claim METRIC | --smoke]" >&2
@@ -83,17 +97,26 @@ for dir in "$tmp/base" "$root"; do
 done
 
 # run <side> <dir> <workload> <pair>: one end-to-end run; keeps its result
-# object (the last line of output) with the run's fingerprint added.
+# object (the last line of output) with the run's fingerprint and its host
+# wall and CPU seconds added.
 run() {
-  local out="$tmp/runs/$3.$1.$4.json" log="$tmp/runs/$3.$1.$4.log" fp
-  (cd "$2" && benchmark/run.sh --workload "$3" --seed "$seed" --trace 0 "${size[@]}") > "$log" \
+  local out="$tmp/runs/$3.$1.$4.json" log="$tmp/runs/$3.$1.$4.log" fp wall user sys
+  local TIMEFORMAT='%R %U %S'
+  { time (cd "$2" && benchmark/run.sh --workload "$3" --seed "$seed" --trace 0 "${size[@]}" \
+      > "$log" 2>&4); } 4>&2 2> "$log.time" \
     || echo "# $1 run $4 of $3 exited non-zero" >&2
+  read -r wall user sys < "$log.time"
   fp=$(sed -n 's/^# sessions .*, fingerprint \([0-9a-f]*\)$/\1/p' "$log")
-  tail -n 1 "$log" | jq -c --arg fp "$fp" '. + {fingerprint: $fp}' > "$out" \
+  tail -n 1 "$log" \
+    | jq -c --arg fp "$fp" --argjson wall "$wall" --argjson user "$user" --argjson sys "$sys" \
+      '. + {fingerprint: $fp, host: {wall_s: $wall, cpu_s: ($user + $sys)}}' > "$out" \
     && jq -e .metrics "$out" > /dev/null || { echo "no result object in $log" >&2; exit 1; }
 }
 
+loadavg() { cut -d ' ' -f 1-3 /proc/loadavg; }
+
 for w in $workloads; do
+  loadavg > "$tmp/runs/$w.load"
   for ((i = 1; i <= pairs; i++)); do
     echo "$w: pair $i/$pairs" >&2
     if ((i % 2)); then
@@ -104,6 +127,7 @@ for w in $workloads; do
       run base "$tmp/base" "$w" "$i"
     fi
   done
+  loadavg >> "$tmp/runs/$w.load"
 done
 
 # shellcheck disable=SC2016 # jq programs, not shell expansion
@@ -158,25 +182,48 @@ verdict=$defs'
 | (if $wins * 10 >= ($b | length) * 9 and $gap > $iqr then "met" else "not met" end) as $met
 | "claim \($claim): \($met) (\($wins)/\($b | length) pairs won; median \($bm | fmt) -> \($cm | fmt), gap \($gap | fmt) vs base IQR \($iqr | fmt))"'
 
-# runs_jq <workload> <jq args...>: a jq program over BENCHMARK.json and the
-# workload's base and change result objects.
+# runs_jq <workload> <pairs> <jq args...>: a jq program over BENCHMARK.json
+# and the workload's base and change result objects of the listed pairs.
 runs_jq() {
+  local w=$1 keep=$2 i
   jq -rn --slurpfile bench BENCHMARK.json \
-    --slurpfile base <(cat "$tmp/runs/$1.base."*.json) \
-    --slurpfile change <(cat "$tmp/runs/$1.change."*.json) "${@:2}"
+    --slurpfile base <(for i in $keep; do cat "$tmp/runs/$w.base.$i.json"; done) \
+    --slurpfile change <(for i in $keep; do cat "$tmp/runs/$w.change.$i.json"; done) "${@:3}"
+}
+
+# tables <workload> <pairs>: the verdict table and claim line over the
+# listed pairs; prints FAIL or "not met" where they fail.
+tables() {
+  awk -F '\t' '{ printf "%-18s %-17s %-17s %-10s %-6s %s\n", $1, $2, $3, $4, $5, $6 }' \
+    <<< "$(runs_jq "$1" "$2" --argjson smoke "$smoke" "$report")"
+  [ -z "$claim" ] || runs_jq "$1" "$2" --arg claim "$claim" "$verdict"
 }
 
 status=0
 for w in $workloads; do
   echo
   echo "== $w: $pairs pairs, seed $seed, base $base_sha vs checkout"
-  table=$(runs_jq "$w" --argjson smoke "$smoke" "$report")
-  awk -F '\t' '{ printf "%-18s %-17s %-17s %-10s %-6s %s\n", $1, $2, $3, $4, $5, $6 }' <<< "$table"
-  grep -q FAIL <<< "$table" && status=1
-  if [ -n "$claim" ]; then
-    line=$(runs_jq "$w" --arg claim "$claim" "$verdict")
-    echo "$line"
-    [[ $line == *": met "* ]] || status=1
+  { read -r start; read -r end; } < "$tmp/runs/$w.load"
+  echo "host: load average $start at start, $end at end"
+  printf '%-6s %-10s %-10s %-12s %-12s %s\n' pair base_wall base_cpu change_wall change_cpu contended
+  kept="" contended=""
+  for ((i = 1; i <= pairs; i++)); do
+    row=$(jq -rs --argjson m "$CONTENDED_MARGIN" \
+      '[.[].host | .wall_s, .cpu_s | . * 100 | round / 100] + [any(.[].host; .wall_s > .cpu_s * (1 + $m))] | @tsv' \
+      "$tmp/runs/$w.base.$i.json" "$tmp/runs/$w.change.$i.json")
+    awk -F '\t' -v i="$i" '{ printf "%-6s %-10s %-10s %-12s %-12s %s\n", i, $1, $2, $3, $4, ($5 == "true" ? "yes" : "no") }' <<< "$row"
+    if [[ $row == *true ]]; then contended+=" $i"; else kept+=" $i"; fi
+  done
+  all=$(tables "$w" "$(seq 1 "$pairs")")
+  echo "$all"
+  grep -q 'FAIL\|: not met ' <<< "$all" && status=1
+  if [ -z "$contended" ]; then
+    echo "-- no contended pairs"
+  elif [ -z "$kept" ]; then
+    echo "-- every pair contended (wall > CPU by more than ${CONTENDED_MARGIN}): none left to compare"
+  else
+    echo "-- without contended pairs$contended (wall > CPU by more than ${CONTENDED_MARGIN}):"
+    tables "$w" "$kept"
   fi
 done
 echo
