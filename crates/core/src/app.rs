@@ -14,6 +14,7 @@ use bytes::Bytes;
 use pds_obs::{Phase, TraceEvent, TraceKind};
 use std::any::Any;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of a node (a device in the edge environment).
 ///
@@ -50,8 +51,9 @@ pub struct MessageHandle(#[doc(hidden)] pub u64);
 pub struct MessageMeta {
     /// The one-hop neighbor that transmitted the message.
     pub from: NodeId,
-    /// The intended next-hop receivers; empty means "all neighbors".
-    pub intended: Vec<NodeId>,
+    /// The intended next-hop receivers; empty means "all neighbors". One
+    /// list per message, shared by every receiver.
+    pub intended: Arc<[NodeId]>,
     /// `true` if this node was *not* in the intended list — the message was
     /// overheard thanks to the broadcast medium and may be cached but should
     /// not be forwarded (§III of the paper).
@@ -59,6 +61,39 @@ pub struct MessageMeta {
     /// Total on-air bytes of the message (all fragments, headers included),
     /// for overhead accounting.
     pub wire_bytes: usize,
+    /// The message's decode memo, shared by every receiver of the message.
+    pub memo: MessageMemo,
+}
+
+/// A value computed from a message's payload once and shared by every
+/// node that receives the message.
+///
+/// The backend creates one memo per sent message, next to its payload, and
+/// hands a clone to every receiver in [`MessageMeta::memo`]. The first
+/// receiver that needs the message decoded stores the result here; every
+/// later receiver of the same message reads it instead of decoding again.
+/// The value must be a pure function of the payload bytes, so which
+/// receiver fills the memo changes nothing any receiver sees.
+#[derive(Clone, Default)]
+pub struct MessageMemo(Arc<OnceLock<Box<dyn Any + Send + Sync>>>);
+
+impl MessageMemo {
+    /// The memo's value, computed by `init` if the memo is still empty.
+    /// `None` if the memo already holds a value of another type (another
+    /// kind of application filled it); `init` is then not called, and the
+    /// caller computes its own value.
+    pub fn get_or_init<T: Any + Send + Sync>(&self, init: impl FnOnce() -> T) -> Option<&T> {
+        let value: &(dyn Any + Send + Sync) = &**self.0.get_or_init(|| Box::new(init()));
+        value.downcast_ref()
+    }
+}
+
+impl fmt::Debug for MessageMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("MessageMemo")
+            .field("filled", &self.0.get().is_some())
+            .finish()
+    }
 }
 
 /// A protocol or workload running on a node.
@@ -303,6 +338,21 @@ mod tests {
             }
             other => panic!("unexpected command {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_memo_filled_by_one_type_is_computed_afresh_by_another() {
+        let memo = MessageMemo::default();
+        let shared = memo.clone();
+        assert_eq!(memo.get_or_init(|| 7u32), Some(&7));
+        assert_eq!(shared.get_or_init(|| -> u32 { panic!("filled") }), Some(&7));
+        let mut called = false;
+        let other = shared.get_or_init(|| {
+            called = true;
+            "another type"
+        });
+        assert_eq!(other, None, "a value of another type is not handed out");
+        assert!(!called, "nor is it computed into the filled memo");
     }
 
     #[test]

@@ -1286,7 +1286,7 @@ fn header_peek_agrees_with_decode_on_every_kind_and_truncation() {
 
 #[test]
 fn node_dropping_on_the_header_matches_engine_fed_decoded_messages() {
-    use crate::app::{Application, Command, Context, MessageMeta};
+    use crate::app::{Application, Command, Context, MessageMemo, MessageMeta};
     use crate::{PdsNode, SimRng};
 
     // Record everything node 1 hears — fresh and redundant copies, intended
@@ -1372,8 +1372,9 @@ fn node_dropping_on_the_header_matches_engine_fed_decoded_messages() {
         let meta = MessageMeta {
             from,
             overheard: !me_intended,
-            intended,
+            intended: intended.into(),
             wire_bytes: 0,
+            memo: MessageMemo::default(),
         };
         node.on_message(&mut ctx, meta, message.encode());
         let mut sent = broadcasts(ctx);

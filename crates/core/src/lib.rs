@@ -67,7 +67,9 @@ mod store;
 mod time;
 mod value;
 
-pub use app::{Application, Command, Context, MessageHandle, MessageMeta, NodeId, TimerId};
+pub use app::{
+    Application, Command, Context, MessageHandle, MessageMemo, MessageMeta, NodeId, TimerId,
+};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
 

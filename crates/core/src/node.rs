@@ -367,7 +367,14 @@ impl Application for PdsNode {
         let received = if self.ensure_engine(ctx).is_redundant(now, &header) {
             None
         } else {
-            match peeked.decode() {
+            // The first receiver of the message decodes it into the
+            // message's memo; every later one clones that result, so the
+            // entries its receivers cache share their descriptors.
+            let decoded = match meta.memo.get_or_init(|| peeked.decode()) {
+                Some(shared) => shared.clone(),
+                None => PdsMessage::decode(&payload),
+            };
+            match decoded {
                 Ok(m) => Some(m),
                 Err(_) => {
                     self.decode_errors += 1;
@@ -484,6 +491,40 @@ mod tests {
     // tests/node_world.rs: pds-sim is only a dev-dependency (the layering
     // contract, DESIGN.md §13), and unit tests inside the lib would compile
     // a second copy of this crate whose traits the World cannot see.
+
+    #[test]
+    fn a_memo_another_application_filled_is_decoded_afresh() {
+        use crate::message::{ResponseKind, ResponseMessage};
+        use crate::{MessageMemo, NodeId, ResponseId, SimRng};
+        let mut rng = SimRng::new(1);
+        let mut ctx = Context::new(SimTime::ZERO, NodeId(1), 0, 0, &mut rng, Vec::new(), false);
+        let mut node = PdsNode::new(PdsConfig::default(), 1);
+        node.on_start(&mut ctx);
+        let memo = MessageMemo::default();
+        assert_eq!(memo.get_or_init(|| 7u32), Some(&7));
+        let response = PdsMessage::Response(ResponseMessage {
+            id: ResponseId(1),
+            sender: NodeId(2),
+            kind: ResponseKind::Metadata {
+                entries: vec![DataDescriptor::builder().attr("type", "no2").build()],
+            },
+        });
+        let meta = MessageMeta {
+            from: NodeId(2),
+            intended: [NodeId(1)].into(),
+            overheard: false,
+            wire_bytes: 0,
+            memo,
+        };
+        node.on_message(&mut ctx, meta, response.encode());
+        assert_eq!(node.decode_errors(), 0);
+        let engine = node.engine().expect("started");
+        assert_eq!(
+            engine.store().metadata_len(),
+            1,
+            "the entry was decoded and cached"
+        );
+    }
 
     #[test]
     fn pds_node_is_send() {

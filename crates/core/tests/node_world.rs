@@ -250,6 +250,87 @@ fn a_chunk_response_in_another_form_is_a_decode_error_not_a_relayed_chunk() {
     );
 }
 
+/// A server stub around which an intended relay and two overhearers sit,
+/// every node in range of the server; no random frame loss. Returns the
+/// world, the server and the three receivers, relay first.
+fn one_sender_three_receivers() -> (World, NodeId, [NodeId; 3]) {
+    let mut config = SimConfig::default();
+    config.radio.baseline_loss = 0.0;
+    let mut world = World::new(config, 7);
+    let server = world.add_node(Position::new(0.0, 0.0), Box::new(Peer(Vec::new())));
+    let mut plain = |x, y, seed| {
+        world.add_node(
+            Position::new(x, y),
+            Box::new(PdsNode::new(PdsConfig::default(), seed)),
+        )
+    };
+    let receivers = [
+        plain(60.0, 0.0, 1),
+        plain(0.0, 60.0, 2),
+        plain(-60.0, 0.0, 3),
+    ];
+    world.run_until(secs(0.5));
+    (world, server, receivers)
+}
+
+#[test]
+fn every_receiver_of_a_metadata_response_stores_the_same_descriptors() {
+    let (mut world, server, receivers) = one_sender_three_receivers();
+    let response = PdsMessage::Response(ResponseMessage {
+        id: ResponseId(11),
+        sender: server,
+        kind: ResponseKind::Metadata {
+            entries: (0..3).map(entry).collect(),
+        },
+    })
+    .encode();
+    let relay = receivers[0];
+    world.with_app::<Peer, _>(server, |_, ctx| ctx.broadcast(response, &[relay]));
+    world.run_until(secs(2.0));
+    let now = world.now();
+    // Each receiver's stored descriptors, by their bytes: where they live.
+    let stored = |node| {
+        let engine = world.app::<PdsNode>(node).and_then(PdsNode::engine);
+        let store = engine.expect("started").store();
+        let mut held: Vec<(Vec<u8>, *const u8)> = store
+            .match_metadata(&QueryFilter::match_all(), now)
+            .into_iter()
+            .map(|d| (d.encode().to_vec(), d.encode().as_ptr()))
+            .collect();
+        held.sort();
+        held
+    };
+    let at_relay = stored(relay);
+    assert_eq!(at_relay.len(), 3, "the relay cached every entry");
+    for overhearer in &receivers[1..] {
+        assert_eq!(stored(*overhearer), at_relay, "one descriptor per entry");
+    }
+}
+
+#[test]
+fn a_malformed_response_is_a_decode_error_at_every_receiver() {
+    let (mut world, server, receivers) = one_sender_three_receivers();
+    let honest = PdsMessage::Response(ResponseMessage {
+        id: ResponseId(12),
+        sender: server,
+        kind: ResponseKind::Metadata {
+            entries: vec![entry(0)],
+        },
+    })
+    .encode();
+    // The head (kinds, id, sender) is intact; the body is cut short.
+    let cut = honest.slice(..honest.len() - 1);
+    assert!(PdsMessage::decode(&cut).is_err());
+    let relay = receivers[0];
+    world.with_app::<Peer, _>(server, |_, ctx| ctx.broadcast(cut, &[relay]));
+    world.run_until(secs(2.0));
+    for node in receivers {
+        let node = world.app::<PdsNode>(node).expect("alive");
+        assert_eq!(node.decode_errors(), 1);
+        assert_eq!(node.engine().expect("started").store().metadata_len(), 0);
+    }
+}
+
 #[test]
 fn mdr_over_radio_fetches_all_chunks() {
     let mut world = World::new(SimConfig::default(), 9);

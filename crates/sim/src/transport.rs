@@ -28,8 +28,8 @@
 
 use crate::config::{AckConfig, SimConfig, ACK_DELAY, MAX_FRAME_BYTES, MAX_MESSAGE_FRAGMENTS};
 use bytes::Bytes;
-use pds_core::MessageHandle;
 use pds_core::NodeId;
+use pds_core::{MessageHandle, MessageMemo};
 use pds_core::{SimDuration, SimTime};
 use pds_det::{BitSet, DetMap};
 use std::fmt;
@@ -96,13 +96,13 @@ pub(crate) enum FrameKind {
         /// tracking state): cloning a frame is a refcount bump, not a list
         /// copy.
         intended: Arc<[NodeId]>,
-        /// The *whole* message payload, shared by every fragment (and the
-        /// sender's tracking state) — an ns-3-style shared packet buffer.
-        /// The fragment's own bytes are the `frag`-th `frag_payload`-sized
-        /// window of it; per-fragment wire length is computed
+        /// The *whole* message, shared by every fragment (and the sender's
+        /// tracking state) — an ns-3-style shared packet buffer. The
+        /// fragment's own bytes are the `frag`-th `frag_payload`-sized
+        /// window of its payload; per-fragment wire length is computed
         /// arithmetically, so fragment slices never materialize and
         /// reassembly is a refcount bump instead of a memcpy.
-        payload: Bytes,
+        body: Arc<Body>,
         /// Total wire bytes of the whole message (for overhead metadata).
         msg_wire_bytes: u32,
     },
@@ -110,12 +110,22 @@ pub(crate) enum FrameKind {
     Ack { msg: MessageId, received: BitSet },
 }
 
+/// What one message's frames, its sender's tracking state and its
+/// receivers' reassembly all share: the payload, and the memo in which the
+/// first receiver to decode the message leaves the result for the others
+/// (DESIGN.md §11).
+#[derive(Debug)]
+pub(crate) struct Body {
+    pub payload: Bytes,
+    pub memo: MessageMemo,
+}
+
 // ---- per-node state -------------------------------------------------------
 
 #[derive(Debug)]
 struct Outgoing {
     handle: MessageHandle,
-    payload: Bytes,
+    body: Arc<Body>,
     intended: Arc<[NodeId]>,
     frag_count: u32,
     frag_payload: usize,
@@ -164,14 +174,17 @@ impl Outgoing {
 /// Receive-side reassembly state for one message.
 ///
 /// Two-phase by design (the kernel memory diet): while fragments are
-/// still arriving the entry holds the full assembly state — shared
-/// payload, fragment bitmap, receiver list. The moment the message is
-/// delivered, all of that collapses into the small [`Incoming::Done`]
-/// tombstone. This is what bounds receive-side memory at city scale:
-/// delivered messages linger for `DELIVERED_HORIZON` (a minute) purely
-/// for duplicate suppression and re-acking, and without the collapse
-/// every one of them would pin its payload `Bytes` (keeping the sender's
-/// buffer alive through the refcount) plus a map entry of ~10 words.
+/// still arriving the entry holds the assembly state — fragment bitmap,
+/// receiver list. The moment the message is delivered, that collapses
+/// into the small [`Incoming::Done`] tombstone. This is what bounds
+/// receive-side memory at city scale: delivered messages linger for
+/// `DELIVERED_HORIZON` (a minute) purely for duplicate suppression and
+/// re-acking, and without the collapse every one of them would pin a map
+/// entry of ~10 words. Neither phase holds the message itself: every
+/// frame carries the whole [`Body`], so the frame that completes the
+/// message hands it over, and an assembly that never completes (an
+/// overhearer that missed a fragment) pins neither the sender's buffer
+/// nor the decoded message in its memo.
 #[derive(Debug)]
 enum Incoming {
     /// Fragments still arriving. Boxed: the common steady-state entry is
@@ -191,11 +204,9 @@ enum Incoming {
 
 #[derive(Debug)]
 struct Assembling {
-    /// The whole message payload, shared with every data frame of the
-    /// message (DESIGN.md §11): reassembly only tracks *which* fragments
-    /// arrived in `received`; their bytes are already here, so delivery is
-    /// a refcount bump, never a copy.
-    payload: Bytes,
+    /// Which fragments arrived. Only *which*: every data frame carries the
+    /// whole message (DESIGN.md §11), so delivery is a refcount bump on
+    /// the completing frame's [`Body`], never a copy.
     received: BitSet,
     frag_count: u32,
     from: NodeId,
@@ -241,10 +252,10 @@ pub(crate) enum Received {
 #[derive(Debug)]
 pub(crate) struct DeliverPlan {
     pub from: NodeId,
-    pub intended: Vec<NodeId>,
+    pub intended: Arc<[NodeId]>,
     pub overheard: bool,
     pub wire_bytes: usize,
-    pub payload: Bytes,
+    pub body: Arc<Body>,
 }
 
 /// What the kernel must do after a retransmission timer fires.
@@ -279,7 +290,8 @@ impl Transport {
     }
 
     /// Fragments `payload` into data frames of message `origin#handle`
-    /// and registers tracking state when reliable.
+    /// and registers tracking state when reliable. The message's decode
+    /// memo is created here, and every frame of it carries the memo.
     ///
     /// `frames` is a recycled buffer (cleared here) that the built frames
     /// are pushed into; it is handed back so the caller can drain and
@@ -312,12 +324,16 @@ impl Transport {
         );
         let header = DATA_HEADER_BASE + PER_RECEIVER_BYTES * intended.len();
         let msg_wire_bytes = (payload.len() + frag_count as usize * header) as u32;
+        let body = Arc::new(Body {
+            payload,
+            memo: MessageMemo::default(),
+        });
         frames.clear();
         build_frames_into(
             &mut frames,
             msg,
             origin,
-            &payload,
+            &body,
             frag_payload,
             frag_count,
             msg_wire_bytes,
@@ -333,7 +349,7 @@ impl Transport {
                 msg,
                 Outgoing {
                     handle,
-                    payload,
+                    body,
                     intended,
                     frag_count,
                     frag_payload,
@@ -359,15 +375,15 @@ impl Transport {
         ack: &AckConfig,
         now: SimTime,
     ) -> Received {
-        let (msg, frag, frag_count, intended, payload, msg_wire_bytes) = match &frame.kind {
+        let (msg, frag, frag_count, intended, body, msg_wire_bytes) = match &frame.kind {
             FrameKind::Data {
                 msg,
                 frag,
                 frag_count,
                 intended,
-                payload,
+                body,
                 msg_wire_bytes,
-            } => (*msg, *frag, *frag_count, intended, payload, *msg_wire_bytes),
+            } => (*msg, *frag, *frag_count, intended, body, *msg_wire_bytes),
             FrameKind::Ack { msg, received } => {
                 return self.on_ack(me, *msg, frame.sender, received)
             }
@@ -378,7 +394,6 @@ impl Transport {
         let from = frame.sender;
         let entry = self.incoming.entry(msg).or_insert_with(|| {
             Incoming::Assembling(Box::new(Assembling {
-                payload: payload.clone(),
                 received: BitSet::new(frag_count),
                 frag_count,
                 from,
@@ -408,12 +423,12 @@ impl Transport {
                 if asm.received.insert(frag) && asm.received.is_full() {
                     deliver = Some(DeliverPlan {
                         from,
-                        intended: asm.intended.to_vec(),
+                        intended: Arc::clone(&asm.intended),
                         overheard: !asm.intended_me,
                         wire_bytes: asm.msg_wire_bytes as usize,
-                        // Zero-copy: every fragment carried the same
-                        // shared message payload; delivery hands it over.
-                        payload: asm.payload.clone(),
+                        // Zero-copy: every fragment carries the same
+                        // shared message; delivery hands it over.
+                        body: Arc::clone(body),
                     });
                 }
                 let complete = asm.received.is_full();
@@ -454,8 +469,8 @@ impl Transport {
             }
         }
         if let Some((frag_count, intended_me, ack_timer_pending)) = done {
-            // Delivered: collapse the assembly state (payload refcount,
-            // bitmap, receiver list) into the tombstone.
+            // Delivered: collapse the assembly state (bitmap, receiver
+            // list) into the tombstone.
             *entry = Incoming::Done {
                 frag_count,
                 intended_me,
@@ -575,7 +590,7 @@ impl Transport {
             &mut frames,
             msg,
             me,
-            &out.payload,
+            &out.body,
             out.frag_payload,
             out.frag_count,
             out.msg_wire_bytes,
@@ -610,8 +625,8 @@ impl Transport {
 
 /// Builds data frames for the given (fragment, receivers) pairs into `out`.
 ///
-/// Every frame carries the same shared message [`Bytes`] (a refcount bump)
-/// and a shared receiver-list [`Arc`]; the fragment's wire length is
+/// Every frame carries the same shared message [`Body`] and a shared
+/// receiver list, each a refcount bump; the fragment's wire length is
 /// computed arithmetically — `min(frag_payload, len - start)`, zero past
 /// the end — so fragment slices never materialize and building a frame
 /// allocates nothing beyond `out`'s (amortized, recycled) storage.
@@ -620,7 +635,7 @@ fn build_frames_into(
     out: &mut Vec<Frame>,
     msg: MessageId,
     sender: NodeId,
-    payload: &Bytes,
+    body: &Arc<Body>,
     frag_payload: usize,
     frag_count: u32,
     msg_wire_bytes: u32,
@@ -629,7 +644,7 @@ fn build_frames_into(
 ) {
     out.extend(frags.map(|(frag, intended)| {
         let start = frag as usize * frag_payload;
-        let part_len = payload.len().saturating_sub(start).min(frag_payload);
+        let part_len = body.payload.len().saturating_sub(start).min(frag_payload);
         let wire = DATA_HEADER_BASE + PER_RECEIVER_BYTES * intended.len() + part_len;
         Frame {
             sender,
@@ -640,7 +655,7 @@ fn build_frames_into(
                 frag,
                 frag_count,
                 intended,
-                payload: payload.clone(),
+                body: Arc::clone(body),
                 msg_wire_bytes,
             },
         }
@@ -722,7 +737,7 @@ mod tests {
         let (_, frames) = send(&mut tx, NodeId(0), 0, 256 * 1024, vec![NodeId(1)]);
         assert!(frames.len() > 100, "256 KB should fragment heavily");
         let d = receive_all(&mut rx, NodeId(1), &frames).expect("complete");
-        assert_eq!(d.payload, payload(256 * 1024));
+        assert_eq!(d.body.payload, payload(256 * 1024));
         assert!(!d.overheard);
     }
 
@@ -849,6 +864,38 @@ mod tests {
                 assert_eq!(f.wire_bytes, sent[i].wire_bytes - PER_RECEIVER_BYTES);
             }
         }
+    }
+
+    #[test]
+    fn every_delivery_of_a_message_shares_its_body_and_memo() {
+        let mut tx = Transport::new();
+        let (msg, sent) = send(&mut tx, NodeId(0), 0, 5000, vec![NodeId(1), NodeId(2)]);
+        let last = sent.len() - 1;
+        // Node 1 and overhearer 9 hear every frame; node 2 misses the last.
+        let mut rx1 = Transport::new();
+        let mut rx2 = Transport::new();
+        let mut rx9 = Transport::new();
+        let first = receive_all(&mut rx1, NodeId(1), &sent).expect("complete at 1");
+        let overheard = receive_all(&mut rx9, NodeId(9), &sent).expect("complete at 9");
+        assert!(receive_all(&mut rx2, NodeId(2), &sent[..last]).is_none());
+        let ack = rx1.make_ack(NodeId(1), msg).expect("ack");
+        assert!(matches!(
+            tx.receive(NodeId(0), &ack, &AckConfig::default(), SimTime::ZERO),
+            Received::Nothing
+        ));
+        for f in &sent {
+            tx.on_frame_done(f);
+        }
+        let RetrPlan::Retransmit(again) = tx.on_retr_timer(NodeId(0), msg, 4) else {
+            panic!("expected retransmit")
+        };
+        let late = receive_all(&mut rx2, NodeId(2), &again).expect("completed by a retransmission");
+        for d in [&overheard, &late] {
+            assert!(Arc::ptr_eq(&first.body, &d.body));
+            assert!(Arc::ptr_eq(&first.intended, &d.intended));
+        }
+        assert_eq!(first.body.memo.get_or_init(|| 5u8), Some(&5));
+        assert_eq!(late.body.memo.get_or_init(|| 6u8), Some(&5), "one memo");
     }
 
     #[test]

@@ -810,8 +810,9 @@ impl World {
                     intended: d.intended,
                     overheard: d.overheard,
                     wire_bytes: d.wire_bytes,
+                    memo: d.body.memo.clone(),
                 };
-                let payload = d.payload;
+                let payload = d.body.payload.clone();
                 self.call_app(r, move |app, ctx| app.on_message(ctx, meta, payload));
             }
             Received::Acked(handle) => {

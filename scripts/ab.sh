@@ -32,22 +32,25 @@
 # (ties count for neither side) and the medians differ, in the change's
 # favour, by more than the base's IQR.
 #
-# Whether the host was busy: each run's wall time and CPU time (user + sys
-# of `benchmark/run.sh` and its children, from bash's `time`) are recorded
-# and printed per pair, with /proc/loadavg at each workload's start and
-# end. A run is single-threaded, so on an idle host its wall time is its
-# CPU time; a pair is *contended* when either run's wall time exceeds its
-# CPU time by more than CONTENDED_MARGIN (10 %), i.e. it waited for a
-# core. The verdict table (and claim line) is printed for all pairs, then
-# again without the contended ones; only the all-pairs verdicts set the
-# exit status.
+# Whether the host was busy: a fixed CPU loop (CALIBRATION_LOOPS awk
+# iterations, about 0.3 s on an idle host) is timed, in wall seconds, right
+# before each run, and each pair's two calibrations are printed with the
+# workload's median calibration and /proc/loadavg at the workload's start
+# and end. A busy host slows the loop as it slows the run, whether the run
+# waited for a core or its own CPU time stretched; so a pair *strays* when
+# either calibration is more than CALIBRATION_MARGIN (10 %) from the
+# median. The verdict table (and claim line) is printed for all pairs,
+# then again without the pairs that stray; only the all-pairs verdicts set
+# the exit status.
 # Exits 1 if any verdict fails or a claim is not met. Needs git, cargo, jq,
 # awk.
 set -euo pipefail
 
-# Wall time above CPU time, as a share of CPU time, past which a run
-# counts as contended.
-CONTENDED_MARGIN=0.10
+# The fixed work timed before each run, and how far (as a share of the
+# workload's median) a calibration may lie from the median before its pair
+# strays.
+CALIBRATION_LOOPS=5000000
+CALIBRATION_MARGIN=0.10
 
 usage() {
   echo "usage: $0 <base-rev> [--workload W] [--pairs N] [--seed S] [--claim METRIC | --smoke]" >&2
@@ -96,20 +99,24 @@ for dir in "$tmp/base" "$root"; do
   cargo build --release --offline --quiet --manifest-path "$dir/benchmark/Cargo.toml"
 done
 
-# run <side> <dir> <workload> <pair>: one end-to-end run; keeps its result
-# object (the last line of output) with the run's fingerprint and its host
-# wall and CPU seconds added.
+# calibrate: the wall seconds the fixed CPU loop takes now.
+calibrate() {
+  local TIMEFORMAT=%R
+  { time awk -v n="$CALIBRATION_LOOPS" 'BEGIN { for (i = 0; i < n; i++) s += i % 7 }'; } 2>&1
+}
+
+# run <side> <dir> <workload> <pair>: one end-to-end run, after a
+# calibration; keeps its result object (the last line of output) with the
+# run's fingerprint and the calibration's seconds added.
 run() {
-  local out="$tmp/runs/$3.$1.$4.json" log="$tmp/runs/$3.$1.$4.log" fp wall user sys
-  local TIMEFORMAT='%R %U %S'
-  { time (cd "$2" && benchmark/run.sh --workload "$3" --seed "$seed" --trace 0 "${size[@]}" \
-      > "$log" 2>&4); } 4>&2 2> "$log.time" \
+  local out="$tmp/runs/$3.$1.$4.json" log="$tmp/runs/$3.$1.$4.log" fp calib
+  calib=$(calibrate)
+  (cd "$2" && benchmark/run.sh --workload "$3" --seed "$seed" --trace 0 "${size[@]}" > "$log") \
     || echo "# $1 run $4 of $3 exited non-zero" >&2
-  read -r wall user sys < "$log.time"
   fp=$(sed -n 's/^# sessions .*, fingerprint \([0-9a-f]*\)$/\1/p' "$log")
   tail -n 1 "$log" \
-    | jq -c --arg fp "$fp" --argjson wall "$wall" --argjson user "$user" --argjson sys "$sys" \
-      '. + {fingerprint: $fp, host: {wall_s: $wall, cpu_s: ($user + $sys)}}' > "$out" \
+    | jq -c --arg fp "$fp" --argjson calib "$calib" '. + {fingerprint: $fp, calibration_s: $calib}' \
+      > "$out" \
     && jq -e .metrics "$out" > /dev/null || { echo "no result object in $log" >&2; exit 1; }
 }
 
@@ -205,24 +212,28 @@ for w in $workloads; do
   echo "== $w: $pairs pairs, seed $seed, base $base_sha vs checkout"
   { read -r start; read -r end; } < "$tmp/runs/$w.load"
   echo "host: load average $start at start, $end at end"
-  printf '%-6s %-10s %-10s %-12s %-12s %s\n' pair base_wall base_cpu change_wall change_cpu contended
-  kept="" contended=""
+  median=$(jq -s '[.[].calibration_s] | sort | .[length / 2 | floor] as $hi
+    | if length % 2 == 1 then $hi else (.[length / 2 - 1] + $hi) / 2 end | . * 10000 | round / 10000' \
+    "$tmp/runs/$w".{base,change}.*.json)
+  echo "host: calibration median ${median} s ($CALIBRATION_LOOPS awk loops before each run)"
+  printf '%-6s %-11s %-13s %s\n' pair base_calib change_calib strays
+  kept="" strays=""
   for ((i = 1; i <= pairs; i++)); do
-    row=$(jq -rs --argjson m "$CONTENDED_MARGIN" \
-      '[.[].host | .wall_s, .cpu_s | . * 100 | round / 100] + [any(.[].host; .wall_s > .cpu_s * (1 + $m))] | @tsv' \
+    row=$(jq -rs --argjson med "$median" --argjson m "$CALIBRATION_MARGIN" \
+      '[.[].calibration_s] | . + [any(.[]; (. - $med) / $med | . > $m or . < -$m)] | @tsv' \
       "$tmp/runs/$w.base.$i.json" "$tmp/runs/$w.change.$i.json")
-    awk -F '\t' -v i="$i" '{ printf "%-6s %-10s %-10s %-12s %-12s %s\n", i, $1, $2, $3, $4, ($5 == "true" ? "yes" : "no") }' <<< "$row"
-    if [[ $row == *true ]]; then contended+=" $i"; else kept+=" $i"; fi
+    awk -F '\t' -v i="$i" '{ printf "%-6s %-11s %-13s %s\n", i, $1, $2, ($3 == "true" ? "yes" : "no") }' <<< "$row"
+    if [[ $row == *true ]]; then strays+=" $i"; else kept+=" $i"; fi
   done
   all=$(tables "$w" "$(seq 1 "$pairs")")
   echo "$all"
   grep -q 'FAIL\|: not met ' <<< "$all" && status=1
-  if [ -z "$contended" ]; then
-    echo "-- no contended pairs"
+  if [ -z "$strays" ]; then
+    echo "-- no pair's calibration strays more than ${CALIBRATION_MARGIN} from the median"
   elif [ -z "$kept" ]; then
-    echo "-- every pair contended (wall > CPU by more than ${CONTENDED_MARGIN}): none left to compare"
+    echo "-- every pair's calibration strays more than ${CALIBRATION_MARGIN} from the median: none left to compare"
   else
-    echo "-- without contended pairs$contended (wall > CPU by more than ${CONTENDED_MARGIN}):"
+    echo "-- without pairs$strays (a calibration more than ${CALIBRATION_MARGIN} from the median):"
     tables "$w" "$kept"
   fi
 done
