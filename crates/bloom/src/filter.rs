@@ -3,6 +3,7 @@
 
 use crate::hash::{probes, Probes};
 use crate::params::BloomParams;
+use bytes::Bytes;
 use std::fmt;
 
 /// A seedable Bloom filter over byte-string elements.
@@ -10,6 +11,12 @@ use std::fmt;
 /// Guarantees **no false negatives**: after `insert(x)`, `contains(x)` is
 /// always `true` for the same hash family (same seed). False positives occur
 /// with probability `(1 - e^{-kn/m})^k` after `n` insertions.
+///
+/// A filter read by [`decode_shared`](Self::decode_shared) keeps its bit
+/// array as a view of the bytes it was read from, shared with every other
+/// holder of them; the first [`insert`](Self::insert) that sets a bit
+/// copies the array into the filter's own buffer. [`AsRef<[u8]>`] is the
+/// bit array, wherever it lives.
 ///
 /// # Examples
 ///
@@ -25,9 +32,47 @@ use std::fmt;
 pub struct BloomFilter {
     params: BloomParams,
     seed: u64,
-    bits: Vec<u8>,
+    bits: Bits,
     items: u64,
 }
+
+/// A filter's bit array: a view of received bytes until the first write,
+/// then the filter's own.
+#[derive(Clone)]
+enum Bits {
+    Shared(Bytes),
+    // Never resized, so no spare capacity: the variant fits beside the
+    // view's pointer, and a filter is no larger than with a `Vec`.
+    Owned(Box<[u8]>),
+}
+
+impl Bits {
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            Self::Shared(view) => view,
+            Self::Owned(own) => own,
+        }
+    }
+
+    /// The array, writable: a shared view is copied first.
+    fn make_mut(&mut self) -> &mut [u8] {
+        match self {
+            Self::Owned(own) => own,
+            Self::Shared(view) => {
+                *self = Self::Owned(view.to_vec().into_boxed_slice());
+                self.make_mut()
+            }
+        }
+    }
+}
+
+impl PartialEq for Bits {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Bits {}
 
 impl BloomFilter {
     /// Creates an empty filter with the round-0 hash family.
@@ -46,7 +91,7 @@ impl BloomFilter {
         Self {
             params,
             seed: 0x5eed_0000_0000_0000 ^ u64::from(round),
-            bits: vec![0; params.byte_len()],
+            bits: Bits::Owned(vec![0; params.byte_len()].into_boxed_slice()),
             items: 0,
         }
     }
@@ -59,13 +104,23 @@ impl BloomFilter {
 
     /// Inserts an element. Returns `true` if the element was *not* already
     /// reported present (i.e. at least one probed bit was newly set).
+    ///
+    /// A shared bit array is copied before the first bit is set, and only
+    /// then: an element already present leaves it shared.
     pub fn insert(&mut self, element: &[u8]) -> bool {
         let mut newly_set = false;
         for idx in self.probes(element) {
             let (byte, mask) = Self::locate(idx);
-            if let Some(b) = self.bits.get_mut(byte) {
-                newly_set |= *b & mask == 0;
-                *b |= mask;
+            if self
+                .bits
+                .as_slice()
+                .get(byte)
+                .is_some_and(|b| b & mask == 0)
+            {
+                if let Some(b) = self.bits.make_mut().get_mut(byte) {
+                    *b |= mask;
+                    newly_set = true;
+                }
             }
         }
         self.items += 1;
@@ -78,7 +133,10 @@ impl BloomFilter {
     pub fn contains(&self, element: &[u8]) -> bool {
         self.probes(element).all(|idx| {
             let (byte, mask) = Self::locate(idx);
-            self.bits.get(byte).is_some_and(|b| b & mask != 0)
+            self.bits
+                .as_slice()
+                .get(byte)
+                .is_some_and(|b| b & mask != 0)
         })
     }
 
@@ -90,7 +148,7 @@ impl BloomFilter {
     /// near 0.5 at design load.
     #[must_use]
     pub(crate) fn fill_ratio(&self) -> f64 {
-        let set: u32 = self.bits.iter().map(|b| b.count_ones()).sum();
+        let set: u32 = self.bits.as_slice().iter().map(|b| b.count_ones()).sum();
         f64::from(set) / self.params.bits() as f64
     }
 
@@ -104,7 +162,7 @@ impl BloomFilter {
         out.extend_from_slice(&self.params.hashes().to_le_bytes());
         out.extend_from_slice(&self.seed.to_le_bytes());
         out.extend_from_slice(&self.items.to_le_bytes());
-        out.extend_from_slice(&self.bits);
+        out.extend_from_slice(self.bits.as_slice());
         out
     }
 
@@ -115,6 +173,38 @@ impl BloomFilter {
     /// Returns [`DecodeBloomError`] if the buffer is truncated or the header
     /// is inconsistent with the payload length.
     pub fn decode(buf: &[u8]) -> Result<Self, DecodeBloomError> {
+        let (params, seed, items) = Self::header(buf)?;
+        let bits = Bits::Owned(buf[28..].into());
+        Ok(Self {
+            params,
+            seed,
+            bits,
+            items,
+        })
+    }
+
+    /// Deserializes a filter as [`decode`](Self::decode) does, without
+    /// copying its bit array: the filter holds a view of `buf` and shares
+    /// it with every other holder of `buf`'s bytes until an insert sets a
+    /// bit.
+    ///
+    /// # Errors
+    ///
+    /// As [`decode`](Self::decode).
+    pub fn decode_shared(buf: &Bytes) -> Result<Self, DecodeBloomError> {
+        let (params, seed, items) = Self::header(buf)?;
+        let bits = Bits::Shared(buf.slice(28..));
+        Ok(Self {
+            params,
+            seed,
+            bits,
+            items,
+        })
+    }
+
+    /// The header of an encoded filter, checked against the length of the
+    /// bit array behind it.
+    fn header(buf: &[u8]) -> Result<(BloomParams, u64, u64), DecodeBloomError> {
         if buf.len() < 28 {
             return Err(DecodeBloomError::Truncated);
         }
@@ -133,19 +223,14 @@ impl BloomFilter {
                 actual: body.len(),
             });
         }
-        Ok(Self {
-            params,
-            seed,
-            bits: body.to_vec(),
-            items,
-        })
+        Ok((params, seed, items))
     }
 
     /// Size of the encoded form in bytes: the 28-byte header plus the bit
     /// array.
     #[must_use]
     pub fn encoded_len(&self) -> usize {
-        28 + self.bits.len()
+        28 + self.bits.as_slice().len()
     }
 
     /// Byte offset and bit mask of bit `idx`. An index past the address
@@ -155,6 +240,13 @@ impl BloomFilter {
             usize::try_from(idx / 8).unwrap_or(usize::MAX),
             1u8 << (idx % 8),
         )
+    }
+}
+
+impl AsRef<[u8]> for BloomFilter {
+    /// The bit array.
+    fn as_ref(&self) -> &[u8] {
+        self.bits.as_slice()
     }
 }
 
@@ -262,7 +354,7 @@ mod tests {
                 expected[(idx / 8) as usize] |= 1 << (idx % 8);
             }
         }
-        assert_eq!(f.bits, expected);
+        assert_eq!(f.as_ref(), expected);
         for i in 0..2_000u32 {
             let element = i.to_le_bytes();
             let all_set = crate::double_hash_indices(&element, f.seed, 5, 1_021)
@@ -318,6 +410,30 @@ mod tests {
         for i in 0..50u32 {
             assert!(g.contains(&i.to_le_bytes()));
         }
+    }
+
+    #[test]
+    fn a_shared_filter_copies_its_bits_at_the_first_insert_that_sets_one() {
+        let mut f = BloomFilter::with_round(BloomParams::optimal(50, 0.02), 7);
+        f.insert(b"held");
+        let wire = Bytes::from(f.encode());
+        let mut shared = BloomFilter::decode_shared(&wire).expect("decodes");
+        assert_eq!(shared, BloomFilter::decode(&wire).expect("decodes"));
+        let inside = |g: &BloomFilter| wire.as_ptr_range().contains(&g.as_ref().as_ptr());
+        assert!(inside(&shared), "the bits are a view of the wire");
+        assert!(!shared.insert(b"held"), "already present");
+        assert!(inside(&shared), "an insert that sets no bit copies nothing");
+        let twin = shared.clone();
+        assert!(shared.insert(b"fresh"));
+        assert!(!inside(&shared), "the first bit set copies");
+        assert!(inside(&twin), "a clone keeps sharing");
+        assert_eq!(
+            BloomFilter::decode(&wire).as_ref(),
+            Ok(&f),
+            "the wire is unchanged"
+        );
+        assert!(shared.contains(b"held") && shared.contains(b"fresh"));
+        assert_eq!(shared.encoded_len(), wire.len());
     }
 
     #[test]

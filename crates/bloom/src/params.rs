@@ -1,5 +1,7 @@
 //! Bloom filter sizing.
 
+use std::num::NonZeroU32;
+
 /// Sizing parameters for a [`BloomFilter`](crate::BloomFilter).
 ///
 /// The PDS consumer computes these from the number of metadata entries it has
@@ -18,7 +20,9 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BloomParams {
     bits: u64,
-    hashes: u32,
+    // Non-zero, as `new` asserts: the spare value lets an
+    // `Option<BloomFilter>` take no more room than a filter.
+    hashes: NonZeroU32,
 }
 
 impl BloomParams {
@@ -30,7 +34,9 @@ impl BloomParams {
     #[must_use]
     pub(crate) fn new(bits: u64, hashes: u32) -> Self {
         assert!(bits > 0, "bloom filter must have at least one bit");
-        assert!(hashes > 0, "bloom filter must use at least one hash");
+        let Some(hashes) = NonZeroU32::new(hashes) else {
+            panic!("bloom filter must use at least one hash");
+        };
         Self { bits, hashes }
     }
 
@@ -70,7 +76,7 @@ impl BloomParams {
     /// Number of hash probes per element.
     #[must_use]
     pub fn hashes(&self) -> u32 {
-        self.hashes
+        self.hashes.get()
     }
 
     /// Number of bytes the bit array occupies.
@@ -83,7 +89,7 @@ impl BloomParams {
     /// `(1 - e^{-kn/m})^k`.
     #[cfg(test)]
     pub(crate) fn expected_fpp(&self, items: usize) -> f64 {
-        let k = f64::from(self.hashes);
+        let k = f64::from(self.hashes.get());
         let n = items as f64;
         let m = self.bits as f64;
         (1.0 - (-k * n / m).exp()).powf(k)

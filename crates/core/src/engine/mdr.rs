@@ -106,12 +106,11 @@ impl PdsEngine {
         _now: SimTime,
         _from: NodeId,
         me_intended: bool,
-        q: QueryMessage,
+        q: &QueryMessage,
     ) -> Vec<Outgoing> {
         let QueryKind::MdrChunks { item, .. } = &q.kind else {
             return Vec::new();
         };
-        self.lqt.insert(&q, q.sender);
         let mut out = Vec::new();
         let held = self.store.chunk_ids(item);
         let item_descriptor = self.store.chunk_descriptor(item);
@@ -142,7 +141,7 @@ impl PdsEngine {
             out.push(Outgoing::response_slow(r, vec![q.sender]).answering(q.id));
         }
         if me_intended {
-            out.extend(self.forward_flood(&q));
+            out.extend(self.forward_flood(q));
         }
         out
     }

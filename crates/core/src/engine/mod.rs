@@ -318,22 +318,28 @@ impl PdsEngine {
         me_intended: bool,
         message: PdsMessage,
     ) -> Vec<Outgoing> {
-        self.handle_received(now, from, me_intended, message, None)
+        match message {
+            PdsMessage::Query(q) => self.handle_query(now, from, me_intended, &q, None),
+            PdsMessage::Response(r) => self.handle_response(now, from, me_intended, r, None),
+        }
     }
 
     /// [`PdsEngine::handle_message`], given the `wire` bytes `message` was
-    /// decoded from: a chunk response relayed unchanged carries them.
+    /// decoded from: a chunk response relayed unchanged carries them, and a
+    /// lingering query's Bloom filter is a view of them.
     pub(crate) fn handle_received(
         &mut self,
         now: SimTime,
         from: NodeId,
         me_intended: bool,
-        message: PdsMessage,
-        wire: Option<&Bytes>,
+        message: &PdsMessage,
+        wire: &Bytes,
     ) -> Vec<Outgoing> {
         match message {
-            PdsMessage::Query(q) => self.handle_query(now, from, me_intended, q),
-            PdsMessage::Response(r) => self.handle_response(now, from, me_intended, r, wire),
+            PdsMessage::Query(q) => self.handle_query(now, from, me_intended, q, Some(wire)),
+            PdsMessage::Response(r) => {
+                self.handle_response(now, from, me_intended, r.clone(), Some(wire))
+            }
         }
     }
 
@@ -408,15 +414,26 @@ impl PdsEngine {
 
     // ---- shared plumbing --------------------------------------------------
 
+    /// Handles a query, given the `wire` bytes it was decoded from if it
+    /// came off the air (see [`PdsEngine::handle_received`]).
     fn handle_query(
         &mut self,
         now: SimTime,
         from: NodeId,
         me_intended: bool,
-        q: QueryMessage,
+        q: &QueryMessage,
+        wire: Option<&Bytes>,
     ) -> Vec<Outgoing> {
         if self.query_is_redundant(now, q.id, q.expires_at) {
             return Vec::new();
+        }
+        // A query lingers here, upstream its sender, before its handler
+        // runs (a chunk query only at an intended receiver, see
+        // `handle_chunk_query`). Its Bloom filter is a view of the bytes it
+        // arrived in, shared by every receiver of the message.
+        if me_intended || !matches!(q.kind, QueryKind::Chunks { .. }) {
+            self.lqt
+                .insert_received(q, q.sender, wire.and_then(|w| q.bloom_in(w)));
         }
         match &q.kind {
             QueryKind::Metadata | QueryKind::SmallData => {

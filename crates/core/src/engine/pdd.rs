@@ -192,26 +192,25 @@ impl PdsEngine {
 
     // ---- Algorithm 1: query processing -------------------------------------
 
-    /// Handles a metadata / small-data query: LQT insert, DS lookup,
+    /// Handles a metadata / small-data query, once it lingers: DS lookup,
     /// receiver check, forwarding (§III-A-1).
     pub(crate) fn handle_discovery_query(
         &mut self,
         now: SimTime,
         me_intended: bool,
-        q: QueryMessage,
+        q: &QueryMessage,
     ) -> Vec<Outgoing> {
-        self.lqt.insert(&q, q.sender);
         let mut out = Vec::new();
         out.extend(match q.kind {
-            QueryKind::SmallData => self.respond_discovery::<(DataDescriptor, Bytes)>(now, &q),
-            _ => self.respond_discovery::<DataDescriptor>(now, &q),
+            QueryKind::SmallData => self.respond_discovery::<(DataDescriptor, Bytes)>(now, q),
+            _ => self.respond_discovery::<DataDescriptor>(now, q),
         });
 
         // Receiver check + forwarding: flooded queries are relayed by every
         // intended receiver (empty list = everyone), with the rewritten
         // Bloom filter.
         if me_intended {
-            out.extend(self.forward_flood(&q));
+            out.extend(self.forward_flood(q));
         }
         out
     }

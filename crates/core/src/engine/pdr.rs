@@ -302,12 +302,11 @@ impl PdsEngine {
         now: SimTime,
         _from: NodeId,
         me_intended: bool,
-        q: QueryMessage,
+        q: &QueryMessage,
     ) -> Vec<Outgoing> {
         let QueryKind::Cdi { descriptor } = &q.kind else {
             return Vec::new();
         };
-        self.lqt.insert(&q, q.sender);
         let Some(item) = descriptor.item_name() else {
             return Vec::new();
         };
@@ -342,7 +341,7 @@ impl PdsEngine {
             }
         }
         if me_intended {
-            out.extend(self.forward_flood(&q));
+            out.extend(self.forward_flood(q));
         }
         out
     }
@@ -449,7 +448,8 @@ impl PdsEngine {
 
     /// Handles a directed chunk query: serve held chunks, recursively divide
     /// the rest among nearest neighbors (§IV-B). Only the intended receiver
-    /// creates the lingering routing entry — if overhearers did too, a chunk
+    /// holds the lingering routing entry ([`PdsEngine::handle_query`]
+    /// makes none elsewhere) — if overhearers did too, a chunk
     /// passing them on its real delivery path would be relayed to upstreams
     /// that already received it on their own path, multiplying every chunk
     /// transmission by the overheard-branch count.
@@ -458,7 +458,7 @@ impl PdsEngine {
         now: SimTime,
         _from: NodeId,
         me_intended: bool,
-        q: QueryMessage,
+        q: &QueryMessage,
     ) -> Vec<Outgoing> {
         if !me_intended {
             return Vec::new();
@@ -466,7 +466,6 @@ impl PdsEngine {
         let QueryKind::Chunks { item, chunks } = &q.kind else {
             return Vec::new();
         };
-        self.lqt.insert(&q, q.sender);
         let mut out = Vec::new();
         let mut remaining = Vec::new();
         let item_descriptor = self.store.chunk_descriptor(item);

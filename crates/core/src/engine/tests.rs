@@ -12,6 +12,7 @@ use crate::predicate::{Predicate, QueryFilter, Relation};
 use crate::sessions::RetrievalPhase;
 use crate::{NodeId, SimDuration, SimTime};
 use bytes::Bytes;
+use pds_bloom::{BloomFilter, BloomParams};
 
 fn t(s: f64) -> SimTime {
     SimTime::from_secs_f64(s)
@@ -443,6 +444,67 @@ fn rewriting_disabled_forwards_duplicates() {
 }
 
 #[test]
+fn the_receivers_of_a_query_share_its_filter_until_one_writes() {
+    // Node 0 floods to nodes 1 and 2. Its filter covers node 1's entry,
+    // not node 2's.
+    let config = PdsConfig::default();
+    let mut es = engines(3, &config);
+    es[1].store_mut().insert_own(entry(1), None);
+    es[2].store_mut().insert_own(entry(2), None);
+    let mut bloom = BloomFilter::with_round(BloomParams::optimal(100, 0.01), 1);
+    bloom.insert(entry(1).encode());
+    let now = t(0.0);
+    let own = es[0].own_query(
+        0,
+        now,
+        QueryKind::Metadata,
+        QueryFilter::match_all(),
+        Some(bloom.encode()),
+        1,
+    );
+    let PdsMessage::Query(q) = &own.message else {
+        panic!("a query")
+    };
+    let id = q.id;
+    let wire = own.message.encode();
+    // Where a node's lingering filter keeps its bits.
+    let bits = |e: &PdsEngine| {
+        let l = e.lqt().get(id).expect("lingering");
+        l.bloom.as_ref().expect("a filter").as_ref().as_ptr()
+    };
+    let within = |p: *const u8| wire.as_ptr_range().contains(&p);
+    let mut forwards = Vec::new();
+    for n in [1, 2] {
+        let message = PdsMessage::decode(&wire).expect("decodes");
+        let out = es[n].handle_received(now, NodeId(0), true, &message, &wire);
+        let forward = out
+            .into_iter()
+            .find(|o| matches!(o.message, PdsMessage::Query(_)))
+            .expect("a forward");
+        forwards.push(forward.message);
+    }
+    // Node 1 answers nothing and writes nothing: its filter is a view of
+    // the bytes it received. Node 2 wrote entry 2 into its own copy.
+    assert!(within(bits(&es[1])), "a view of the received bytes");
+    assert!(!within(bits(&es[2])), "the writer's copy is its own");
+    let forwarded = |m: &PdsMessage| match m {
+        PdsMessage::Query(fq) => BloomFilter::decode(fq.bloom.as_deref().expect("a filter")),
+        PdsMessage::Response(_) => panic!("a query"),
+    };
+    assert_eq!(
+        forwarded(&forwards[0]),
+        Ok(bloom.clone()),
+        "sent on as received"
+    );
+    let rewritten = forwarded(&forwards[1]).expect("decodes");
+    assert!(rewritten.contains(entry(2).encode()) && rewritten.contains(entry(1).encode()));
+    // Node 1's bits, and the bytes node 0 sent, are as they were.
+    let held = es[1].lqt().get(id).and_then(|l| l.bloom.as_ref());
+    assert_eq!(held, Some(&bloom));
+    assert_eq!(wire, own.message.encode());
+}
+
+#[test]
 fn query_bloom_rewritten_before_forwarding() {
     // Node 1 holds e1 and forwards the query; the forwarded bloom must
     // cover e1 so node 2 (also holding e1, plus e2) only returns e2.
@@ -724,7 +786,7 @@ fn a_relayed_chunk_response_is_the_received_one() {
     });
     let wire = received.encode();
     let message = PdsMessage::decode(&wire).expect("decodes");
-    let out = e.handle_received(t(0.2), NodeId(2), true, message, Some(&wire));
+    let out = e.handle_received(t(0.2), NodeId(2), true, &message, &wire);
     let [relay] = &out[..] else {
         panic!("one relay, got {out:?}");
     };
@@ -1500,8 +1562,7 @@ fn a_chunk_is_written_once_per_serve_and_viewed_by_every_receiver() {
                 let me_intended = out.intended.is_empty() || out.intended.contains(&me);
                 let message = PdsMessage::decode(&wire).expect("decodes");
                 let from = NodeId(sender as u32);
-                let produced =
-                    es[nbr].handle_received(now, from, me_intended, message, Some(&wire));
+                let produced = es[nbr].handle_received(now, from, me_intended, &message, &wire);
                 queue.extend(produced.into_iter().map(|p| (nbr, p)));
             }
         }

@@ -14,6 +14,7 @@ use crate::ids::{ChunkId, ItemName, QueryId};
 use crate::message::{QueryKind, QueryMessage};
 use crate::time::ExpiryBound;
 use crate::{NodeId, SimTime};
+use bytes::Bytes;
 use pds_bloom::BloomFilter;
 use pds_det::{BitSet, DetMap};
 use std::borrow::Borrow;
@@ -81,7 +82,8 @@ impl Lingering {
     /// map, and the query's own allocations). Drives the table's byte
     /// budget; an estimate, not an exact accounting. The query is charged
     /// as it was received, with its wire Bloom filter, whether or not that
-    /// is still held: the budget evicts the same entries either way.
+    /// is still held, and the filter in full, whether its bits are shared
+    /// or its own: the budget evicts the same entries either way.
     #[must_use]
     pub(crate) fn approx_bytes(&self) -> usize {
         let (bloom, wire) = self.bloom.as_ref().map_or((0, 0), |b| {
@@ -98,13 +100,18 @@ impl Lingering {
                 QueryKind::MdrChunks { item, .. } => item.as_str().len(),
                 QueryKind::Metadata | QueryKind::SmallData => 0,
             };
-        size_of::<Self>()
+        ENTRY_BYTES
             + bloom
             + query
             + self.remaining_chunks.heap_bytes()
             + self.reported_cdi.capacity() * (size_of::<ChunkId>() + size_of::<u32>() + 8)
     }
 }
+
+/// What [`Lingering::approx_bytes`] charges for an entry before the heap
+/// behind it: the size of the entry as it was when the budget was set, so
+/// that a change of layout moves no eviction.
+const ENTRY_BYTES: usize = 248;
 
 /// Per-node byte budget of every engine's lingering query table
 /// ([`LingeringQueryTable::approx_bytes`]): tens of simultaneous lingering
@@ -199,7 +206,19 @@ impl LingeringQueryTable {
     /// replies from different providers (§III-B-2). Returns `false` (and
     /// leaves the table unchanged) if the id is already present.
     pub fn insert(&mut self, query: impl Borrow<QueryMessage>, upstream: NodeId) -> bool {
-        let query = query.borrow();
+        self.insert_received(query.borrow(), upstream, None)
+    }
+
+    /// [`insert`](Self::insert), given `shared`, the query's Bloom filter
+    /// as a view of the bytes it arrived in: the held filter shares them
+    /// until it is written into. Without it the filter is copied out of
+    /// the query.
+    pub(crate) fn insert_received(
+        &mut self,
+        query: &QueryMessage,
+        upstream: NodeId,
+        shared: Option<Bytes>,
+    ) -> bool {
         if self.entries.contains_key(&query.id) {
             return false;
         }
@@ -212,7 +231,11 @@ impl LingeringQueryTable {
         } else {
             (self.byte_budget / 16).max(64)
         };
-        let (wire, malformed) = match query.bloom.as_deref().map(BloomFilter::decode) {
+        let decoded = match shared {
+            Some(view) => Some(BloomFilter::decode_shared(&view)),
+            None => query.bloom.as_deref().map(BloomFilter::decode),
+        };
+        let (wire, malformed) = match decoded {
             Some(Ok(b)) => (Some(b), None),
             Some(Err(_)) => (None, query.bloom.clone()),
             None => (None, None),
@@ -760,12 +783,46 @@ mod tests {
         // A seeded mix of kinds, filters, redundant copies, removes and gc
         // under a small budget evicts exactly the ids, and charges exactly
         // the bytes, that a table holding every received query whole did.
-        const EVICTED: [u64; 67] = [
-            36, 40, 42, 46, 47, 48, 49, 57, 50, 60, 71, 79, 83, 81, 85, 84, 86, 54, 108, 55, 111,
-            113, 116, 115, 119, 121, 122, 124, 125, 128, 64, 130, 69, 134, 68, 142, 141, 71, 145,
-            146, 147, 149, 74, 150, 153, 154, 155, 156, 158, 159, 160, 162, 163, 164, 168, 169,
-            170, 171, 172, 173, 87, 175, 88, 177, 178, 179, 180,
-        ];
+        assert_eq!(seeded_ops(false), (EVICTED.to_vec(), 2_622_463));
+    }
+
+    /// The ids [`seeded_ops`] evicts, in order.
+    const EVICTED: [u64; 67] = [
+        36, 40, 42, 46, 47, 48, 49, 57, 50, 60, 71, 79, 83, 81, 85, 84, 86, 54, 108, 55, 111, 113,
+        116, 115, 119, 121, 122, 124, 125, 128, 64, 130, 69, 134, 68, 142, 141, 71, 145, 146, 147,
+        149, 74, 150, 153, 154, 155, 156, 158, 159, 160, 162, 163, 164, 168, 169, 170, 171, 172,
+        173, 87, 175, 88, 177, 178, 179, 180,
+    ];
+
+    /// What an entry was charged before filters shared their bits: the
+    /// struct's 248 bytes, a full filter whether shared or not, the query
+    /// as received, and the heap of its bookkeeping.
+    fn charge_before_sharing(l: &Lingering) -> usize {
+        let bloom = l.bloom.as_ref().map_or(0, |b| {
+            let wire = if l.wire_bloom { b.encoded_len() } else { 0 };
+            b.params().byte_len() + 32 + wire
+        });
+        let kind = match &l.query.kind {
+            QueryKind::Cdi { descriptor } => descriptor.encoded_len() * 2,
+            QueryKind::Chunks { item, chunks } => {
+                item.as_str().len() + chunks.capacity() * size_of::<ChunkId>()
+            }
+            QueryKind::MdrChunks { item, .. } => item.as_str().len(),
+            QueryKind::Metadata | QueryKind::SmallData => 0,
+        };
+        248 + bloom
+            + l.query.bloom.as_ref().map_or(0, Vec::len)
+            + kind
+            + l.remaining_chunks.heap_bytes()
+            + l.reported_cdi.capacity() * (size_of::<ChunkId>() + size_of::<u32>() + 8)
+    }
+
+    /// Runs a seeded mix of kinds, filters, redundant copies, removes, gc
+    /// and inserts that write into filters on a table of a 16 KB budget,
+    /// the wire filters given as shared views if `shared`. Checks every
+    /// entry's charge after every step; returns the evicted ids and the
+    /// table's charge summed over the inserts.
+    fn seeded_ops(shared: bool) -> (Vec<u64>, usize) {
         let mut rng = crate::SimRng::new(0xb1_00f);
         let mut lqt = LingeringQueryTable::with_budget(16 * 1024);
         let (mut evicted, mut charged) = (Vec::new(), 0);
@@ -782,24 +839,63 @@ mod tests {
                     next_id += 1;
                     let q = seeded_query(&mut rng, id, now);
                     let before: Vec<QueryId> = lqt.entries.keys().copied().collect();
-                    lqt.insert(&q, NodeId(2));
+                    let wire = q.bloom.clone().filter(|_| shared).map(Bytes::from);
+                    lqt.insert_received(&q, NodeId(2), wire);
                     evicted.extend(before.into_iter().filter(|&q| !lqt.seen(q)).map(|q| q.0));
                     charged += lqt.approx_bytes();
+                    // Half the filters held are then written into.
+                    if let Some(l) = lqt.get_mut(q.id).filter(|_| id % 2 == 0) {
+                        l.bloom_insert(b"sent on");
+                    }
                 }
                 7 => {
                     lqt.remove(QueryId(rng.range_u64(0, next_id + 1)));
                 }
                 _ => lqt.gc(SimTime::from_micros(now)),
             }
+            for l in lqt.iter() {
+                assert_eq!(
+                    l.approx_bytes(),
+                    charge_before_sharing(l),
+                    "{:?}",
+                    l.query.id
+                );
+            }
         }
-        assert_eq!(evicted, EVICTED);
-        assert_eq!(charged, 2_622_463);
+        (evicted, charged)
+    }
+
+    #[test]
+    fn a_shared_filter_is_charged_as_a_copy_and_evicts_the_same_entries() {
+        assert_eq!(seeded_ops(true), seeded_ops(false));
+        assert_eq!(seeded_ops(true).0, EVICTED);
+        // The shared path did share: a view's bits lie in its wire bytes.
+        let mut b = BloomFilter::with_round(BloomParams::optimal(300, 0.01), 1);
+        b.insert(b"held");
+        let wire = Bytes::from(b.encode());
+        let mut q = query(1, QueryKind::Metadata, 10.0);
+        q.bloom = Some(wire.to_vec());
+        let mut lqt = LingeringQueryTable::new();
+        lqt.insert_received(&q, NodeId(2), Some(wire.clone()));
+        let l = lqt.get_mut(QueryId(1)).expect("present");
+        let bits = |l: &Lingering| l.bloom.as_ref().map(|b| b.as_ref().as_ptr());
+        assert!(wire.as_ptr_range().contains(&bits(l).expect("a filter")));
+        let charge = l.approx_bytes();
+        l.bloom_insert(b"fresh");
+        assert!(!wire.as_ptr_range().contains(&bits(l).expect("a filter")));
+        assert_eq!(
+            l.approx_bytes(),
+            charge,
+            "a copy is charged as the view was"
+        );
     }
 
     #[test]
     fn a_lingering_query_is_248_bytes() {
-        // `approx_bytes` charges this size per entry: it moves the budget.
+        // `approx_bytes` charges `ENTRY_BYTES` per entry, this size: a
+        // layout that differs keeps the charge and moves no eviction.
         assert_eq!(size_of::<Lingering>(), 248);
+        assert_eq!(ENTRY_BYTES, 248);
     }
 
     #[test]

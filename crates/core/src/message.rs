@@ -674,6 +674,18 @@ impl PdsMessage {
     }
 }
 
+impl QueryMessage {
+    /// The query's Bloom filter as a view of `wire`, the bytes the query
+    /// was decoded from: the filter is a query's last field, so it is the
+    /// tail of its wire bytes.
+    pub(crate) fn bloom_in(&self, wire: &Bytes) -> Option<Bytes> {
+        let len = self.bloom.as_ref()?.len();
+        let view = wire.slice(wire.len().checked_sub(len)?..);
+        debug_assert_eq!(self.bloom.as_deref(), Some(&view[..]), "the query's wire");
+        Some(view)
+    }
+}
+
 /// A received message whose fixed head is read: its header, and the
 /// reader where the head ends, so that the body of a fresh copy is decoded
 /// without reading the head again.
@@ -913,6 +925,22 @@ pub(crate) mod tests {
 
     /// [`one_of_each_kind`], then each of its queries again without a Bloom
     /// filter.
+    #[test]
+    fn a_query_s_bloom_is_the_tail_of_its_wire_bytes() {
+        let mut blooms = 0;
+        for m in every_wire_shape() {
+            let PdsMessage::Query(q) = &m else { continue };
+            let wire = m.encode();
+            let view = q.bloom_in(&wire);
+            assert_eq!(view.as_deref(), q.bloom.as_deref(), "{m:?}");
+            if let Some(view) = view {
+                assert!(wire.as_ptr_range().contains(&view.as_ptr()), "a view");
+                blooms += 1;
+            }
+        }
+        assert!(blooms > 0, "some shape carries a filter");
+    }
+
     fn every_wire_shape() -> Vec<PdsMessage> {
         let all = one_of_each_kind();
         let bloomless = all.iter().filter_map(|m| match m {

@@ -364,15 +364,19 @@ impl Application for PdsNode {
             return;
         };
         let header = peeked.header;
+        let own;
         let received = if self.ensure_engine(ctx).is_redundant(now, &header) {
             None
         } else {
             // The first receiver of the message decodes it into the
-            // message's memo; every later one clones that result, so the
+            // message's memo; every later one reads that result, so the
             // entries its receivers cache share their descriptors.
             let decoded = match meta.memo.get_or_init(|| peeked.decode()) {
-                Some(shared) => shared.clone(),
-                None => PdsMessage::decode(&payload),
+                Some(shared) => shared,
+                None => {
+                    own = PdsMessage::decode(&payload);
+                    &own
+                }
             };
             match decoded {
                 Ok(m) => Some(m),
@@ -401,7 +405,7 @@ impl Application for PdsNode {
                 meta.from,
                 me_intended,
                 message,
-                Some(&payload),
+                &payload,
             );
             self.dispatch(ctx, out);
             self.arm_timers(ctx);

@@ -7,6 +7,7 @@
 //! `PdsNode: Application` is the same trait the `World` drives.
 
 use bytes::Bytes;
+use pds_bloom::{BloomFilter, BloomParams};
 use pds_core::{
     Application, ChunkId, Context, DataDescriptor, DecodeError, ItemName, MessageMeta, PdsConfig,
     PdsEngine, PdsMessage, PdsNode, QueryFilter, QueryId, QueryKind, QueryMessage, ResponseId,
@@ -329,6 +330,162 @@ fn a_malformed_response_is_a_decode_error_at_every_receiver() {
         assert_eq!(node.decode_errors(), 1);
         assert_eq!(node.engine().expect("started").store().metadata_len(), 0);
     }
+}
+
+/// A flooded metadata query from `sender`, round 1, whose Bloom filter
+/// holds `held`: its id, the filter and the query's wire bytes.
+fn flooded_query(sender: NodeId, held: &[DataDescriptor]) -> (QueryId, BloomFilter, Bytes) {
+    let mut bloom = BloomFilter::with_round(BloomParams::optimal(1000, 0.01), 1);
+    for d in held {
+        bloom.insert(d.encode());
+    }
+    let id = QueryId(77);
+    let query = PdsMessage::Query(QueryMessage {
+        id,
+        kind: QueryKind::Metadata,
+        sender,
+        expires_at: secs(20.0),
+        filter: QueryFilter::match_all(),
+        bloom: Some(bloom.encode()),
+        round: 1,
+        ttl_hops: 0,
+    });
+    (id, bloom, query.encode())
+}
+
+/// Where `node`'s lingering filter of query `id` keeps its bits, and the
+/// filter.
+fn lingering_filter(world: &World, node: NodeId, id: QueryId) -> (*const u8, BloomFilter) {
+    let engine = world.app::<PdsNode>(node).and_then(PdsNode::engine);
+    let lingering = engine.and_then(|e| e.lqt().iter().find(|l| l.query.id == id));
+    let bloom = lingering.and_then(|l| l.bloom.clone());
+    let bloom = bloom.unwrap_or_else(|| panic!("{node:?} holds no filter of {id:?}"));
+    (bloom.as_ref().as_ptr(), bloom)
+}
+
+#[test]
+fn the_receivers_of_one_message_share_its_filter() {
+    // A source stub floods a query to three nodes in its range, and on to
+    // two beyond them; none holds anything, so none writes into its
+    // filter. Every filter is a view of the message its node first heard
+    // the query in: the source's buffer for its three receivers, one
+    // buffer per forward for the receivers of each.
+    let mut config = SimConfig::default();
+    config.radio.baseline_loss = 0.0;
+    let mut world = World::new(config, 7);
+    let source = world.add_node(Position::new(0.0, 0.0), Box::new(Peer(Vec::new())));
+    let mut nodes = Vec::new();
+    for (i, (x, y)) in [
+        (50.0, 0.0),
+        (0.0, 50.0),
+        (50.0, 50.0),
+        (100.0, 0.0),
+        (100.0, 50.0),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let node = PdsNode::new(PdsConfig::default(), 10 + i as u64);
+        nodes.push(world.add_node(Position::new(x, y), Box::new(node)));
+    }
+    let (id, bloom, query) = flooded_query(source, &[entry(9)]);
+    world.run_until(secs(0.5));
+    let sent = query.clone();
+    world.with_app::<Peer, _>(source, |_, ctx| ctx.broadcast(sent, &[]));
+    world.run_until(secs(3.0));
+    let mut viewed: Vec<(NodeId, *const u8)> = Vec::new();
+    for &node in &nodes {
+        let (at, held) = lingering_filter(&world, node, id);
+        assert_eq!(held, bloom, "{node:?} holds the filter sent");
+        let engine = world.app::<PdsNode>(node).and_then(PdsNode::engine);
+        let lingering = engine.and_then(|e| e.lqt().iter().find(|l| l.query.id == id));
+        let upstream = lingering.map(|l| l.upstream);
+        viewed.push((upstream.expect("lingering"), at));
+        assert_eq!(
+            world.app::<PdsNode>(node).map(PdsNode::decode_errors),
+            Some(0)
+        );
+    }
+    let bits = query.len() - bloom.as_ref().len();
+    let from_source = viewed.iter().filter(|(up, _)| *up == source);
+    assert!(
+        from_source
+            .clone()
+            .all(|&(_, at)| at == query[bits..].as_ptr()),
+        "{viewed:?}"
+    );
+    assert_eq!(from_source.count(), 3, "{viewed:?}");
+    for &(up, at) in &viewed {
+        for &(other_up, other_at) in &viewed {
+            assert_eq!(up == other_up, at == other_at, "{viewed:?}");
+        }
+    }
+}
+
+#[test]
+fn a_node_that_writes_into_its_filter_forwards_its_own_copy() {
+    // source — a — b — c — observer on a line, and d beside the source
+    // only. Node a holds an entry the filter lacks: it answers, writes the
+    // entry into its own copy of the filter and forwards that copy, which
+    // b and c then hold. Node d's filter, like the source's buffer, is
+    // untouched, and c's forward carries a's filter as a's encoding of it.
+    let mut config = SimConfig::default();
+    config.radio.baseline_loss = 0.0;
+    let mut world = World::new(config, 7);
+    let source = world.add_node(Position::new(0.0, 0.0), Box::new(Peer(Vec::new())));
+    let holder = PdsNode::new(PdsConfig::default(), 1).with_metadata(entry(1), None);
+    let a = world.add_node(Position::new(60.0, 0.0), Box::new(holder));
+    let mut plain = |x, y, seed| {
+        world.add_node(
+            Position::new(x, y),
+            Box::new(PdsNode::new(PdsConfig::default(), seed)),
+        )
+    };
+    let (b, c, d) = (
+        plain(120.0, 0.0, 2),
+        plain(180.0, 0.0, 3),
+        plain(0.0, 60.0, 4),
+    );
+    let observer = world.add_node(Position::new(240.0, 0.0), Box::new(Peer(Vec::new())));
+    let (id, bloom, query) = flooded_query(source, &[entry(9)]);
+    world.run_until(secs(0.5));
+    let sent = query.clone();
+    world.with_app::<Peer, _>(source, |_, ctx| ctx.broadcast(sent, &[]));
+    world.run_until(secs(3.0));
+
+    let in_sent = |at: *const u8| query.as_ptr_range().contains(&at);
+    let (at_a, written) = lingering_filter(&world, a, id);
+    assert!(!in_sent(at_a), "the writer's copy is its own");
+    assert!(written.contains(entry(1).encode()) && written.contains(entry(9).encode()));
+    let (at_b, at_b_filter) = lingering_filter(&world, b, id);
+    let (at_c, at_c_filter) = lingering_filter(&world, c, id);
+    assert!(!in_sent(at_b) && !in_sent(at_c));
+    assert_eq!((&at_b_filter, &at_c_filter), (&written, &written));
+    let (at_d, untouched) = lingering_filter(&world, d, id);
+    assert!(in_sent(at_d), "d views the sent buffer");
+    assert_eq!(untouched, bloom, "d's bits are the source's");
+    assert_eq!(
+        PdsMessage::decode(&query).map(|m| m.encode()),
+        Ok(query.clone())
+    );
+
+    let heard = &world.app::<Peer>(observer).expect("alive").0;
+    let forwards: Vec<QueryMessage> = heard
+        .iter()
+        .filter_map(|b| match PdsMessage::decode(b) {
+            Ok(PdsMessage::Query(q)) => Some(q),
+            _ => None,
+        })
+        .collect();
+    let [forward] = &forwards[..] else {
+        panic!("one forward from c, got {forwards:?}")
+    };
+    assert_eq!(forward.sender, c);
+    assert_eq!(
+        forward.bloom,
+        Some(written.encode()),
+        "a's filter, as a encodes it"
+    );
 }
 
 #[test]
