@@ -3,63 +3,28 @@
 //! §VII names energy as the dominant cost of overhearing but defers
 //! measurement to future work).
 
-use super::RunConfig;
+use super::pdd::discovery_run;
+use super::pdr::retrieval_run;
+use super::{deadline, row, RunConfig};
 use crate::metrics::{average_runs, run_seeds, RunMetrics};
-use crate::report::{f2, pct, Table};
-use crate::scenario::{GridScenario, Workload};
+use crate::report::{f2, Table};
+use crate::scenario::{GridScenario, Session, Workload};
 use crate::sweep::run_grid;
 use pds_core::{AssignStrategy, PdsConfig};
-use pds_mobility::grid;
-use pds_sim::{EnergyModel, SimTime};
 
 /// One discovery run with the given protocol config and three simultaneous
 /// consumers (mixedcast only has something to merge with several of them);
-/// returns mean-recall/mean-latency/total-overhead.
+/// returns their shared-window mean.
 fn discovery_with(pds: PdsConfig, entries: usize, redundancy: usize, seed: u64) -> RunMetrics {
-    let mut sc = GridScenario::paper_default(seed);
-    sc.pds = pds;
-    let wl = Workload::new(sc.node_count()).with_metadata(entries, redundancy, seed);
-    let mut built = sc.build(&wl);
-    let before = built.world.stats().clone();
+    let sc = GridScenario {
+        pds,
+        ..GridScenario::paper_default(seed)
+    };
+    let mut built =
+        sc.build(&Workload::new(sc.node_count()).with_metadata(entries, redundancy, seed));
     let consumers: Vec<_> = built.center_pool.iter().copied().take(3).collect();
-    for &c in &consumers {
-        built.start_discovery(c);
-    }
-    built.run_until_done(&consumers, SimTime::from_secs_f64(120.0));
-    let per: Vec<RunMetrics> = consumers
-        .iter()
-        .map(|&c| built.discovery_metrics(c, &before))
-        .collect();
-    let k = per.len() as f64;
-    RunMetrics {
-        recall: per.iter().map(|m| m.recall).sum::<f64>() / k,
-        latency_s: per.iter().map(|m| m.latency_s).sum::<f64>() / k,
-        overhead_mb: per[0].overhead_mb, // shared window: total traffic
-        overhead_by_phase_mb: per[0].overhead_by_phase_mb,
-        rounds: per.iter().map(|m| m.rounds).sum::<f64>() / k,
-        finished: per.iter().all(|m| m.finished),
-    }
-}
-
-/// One retrieval run with the given protocol config.
-fn retrieval_with(pds: PdsConfig, size: usize, redundancy: usize, seed: u64) -> RunMetrics {
-    let mut sc = GridScenario::paper_default(seed);
-    sc.pds = pds;
-    let center = grid::center_index(10, 10);
-    let wl = Workload::new(sc.node_count()).with_chunked_item(
-        "clip",
-        size,
-        256 * 1024,
-        redundancy,
-        center,
-        seed,
-    );
-    let mut built = sc.build(&wl);
-    let before = built.world.stats().clone();
-    let consumer = built.consumer;
-    built.start_retrieval(consumer);
-    built.run_until_done(&[consumer], SimTime::from_secs_f64(400.0));
-    built.retrieval_metrics(consumer, &before)
+    let per = built.run_together(Session::Discovery, &consumers, deadline(120.0));
+    RunMetrics::shared_window_mean(&per)
 }
 
 /// Design ablations (DESIGN.md §4): each row disables one of the paper's
@@ -103,13 +68,7 @@ pub(crate) fn ablations(cfg: &RunConfig) -> Vec<Table> {
         discovery_with(pds.clone(), entries, redundancy, seed)
     });
     for ((label, _), runs) in variants.iter().zip(&grid) {
-        let avg = average_runs(runs);
-        t.push_row(vec![
-            (*label).to_owned(),
-            pct(avg.recall),
-            f2(avg.latency_s),
-            f2(avg.overhead_mb),
-        ]);
+        t.push_row(row(vec![(*label).to_owned()], &average_runs(runs)));
     }
 
     let size = if cfg.quick { 2_000_000 } else { 10_000_000 };
@@ -129,16 +88,10 @@ pub(crate) fn ablations(cfg: &RunConfig) -> Vec<Table> {
             assign,
             ..PdsConfig::default()
         };
-        retrieval_with(pds, size, 3, seed)
+        retrieval_run(pds, Session::Pdr, size, 3, 400.0, seed)
     });
     for (&(label, _), runs) in assigns.iter().zip(&grid) {
-        let avg = average_runs(runs);
-        t2.push_row(vec![
-            label.to_owned(),
-            pct(avg.recall),
-            f2(avg.latency_s),
-            f2(avg.overhead_mb),
-        ]);
+        t2.push_row(row(vec![label.to_owned()], &average_runs(runs)));
     }
     vec![t, t2]
 }
@@ -146,10 +99,9 @@ pub(crate) fn ablations(cfg: &RunConfig) -> Vec<Table> {
 /// Energy study (extension of §VII): per-node energy of a normal-load
 /// discovery and a retrieval, split into radio-traffic and idle-listening
 /// cost under the default smartphone-Wi-Fi energy model.
-pub fn energy(cfg: &RunConfig) -> Vec<Table> {
+pub(crate) fn energy(cfg: &RunConfig) -> Vec<Table> {
     let entries = if cfg.quick { 1_000 } else { 5_000 };
     let size = if cfg.quick { 2_000_000 } else { 10_000_000 };
-    let model = EnergyModel::default();
     let mut t = Table::new(
         "Energy (extension) — total radio energy per operation, 100 nodes",
         &[
@@ -161,61 +113,27 @@ pub fn energy(cfg: &RunConfig) -> Vec<Table> {
             "J_per_node",
         ],
     );
-    let mut row = |label: &str, sums: (f64, f64, f64)| {
-        let (elapsed, total, idle) = sums;
+    let pdd = run_seeds(cfg, |seed| {
+        discovery_run(&GridScenario::paper_default(seed), entries, 1, 120.0)
+    });
+    let pdr = run_seeds(cfg, |seed| {
+        retrieval_run(PdsConfig::default(), Session::Pdr, size, 1, 400.0, seed)
+    });
+    let ops = [
+        (format!("PDD ({entries} entries)"), pdd),
+        (format!("PDR ({} MB)", size / 1_000_000), pdr),
+    ];
+    for (label, runs) in ops {
+        let avg = average_runs(&runs);
+        let [total, idle] = avg.energy_j;
         t.push_row(vec![
-            label.to_owned(),
-            f2(elapsed),
+            label,
+            f2(avg.sim_time_s),
             f2(total),
             f2(total - idle),
             f2(idle),
             f2(total / 100.0),
         ]);
-    };
-    // Summing in seed order over the ordered `run_seeds` results keeps the
-    // float accumulation identical to the old sequential loops.
-    let fold = |runs: Vec<(f64, f64, f64)>| {
-        let n = runs.len() as f64;
-        let acc = runs
-            .into_iter()
-            .fold((0.0, 0.0, 0.0), |a, r| (a.0 + r.0, a.1 + r.1, a.2 + r.2));
-        (acc.0 / n, acc.1 / n, acc.2 / n)
-    };
-    // Discovery.
-    let runs = run_seeds(cfg, |seed| {
-        let sc = GridScenario::paper_default(seed);
-        let wl = Workload::new(sc.node_count()).with_metadata(entries, 1, seed);
-        let mut built = sc.build(&wl);
-        let consumer = built.consumer;
-        built.start_discovery(consumer);
-        built.run_until_done(&[consumer], SimTime::from_secs_f64(120.0));
-        let elapsed = built.world.now().as_secs_f64();
-        let total = built.world.energy_j(&model);
-        let idle = model.idle_mw / 1e3 * elapsed * built.nodes.len() as f64;
-        (elapsed, total, idle)
-    });
-    row(&format!("PDD ({entries} entries)"), fold(runs));
-    // Retrieval.
-    let runs = run_seeds(cfg, |seed| {
-        let sc = GridScenario::paper_default(seed);
-        let center = grid::center_index(10, 10);
-        let wl = Workload::new(sc.node_count()).with_chunked_item(
-            "clip",
-            size,
-            256 * 1024,
-            1,
-            center,
-            seed,
-        );
-        let mut built = sc.build(&wl);
-        let consumer = built.consumer;
-        built.start_retrieval(consumer);
-        built.run_until_done(&[consumer], SimTime::from_secs_f64(400.0));
-        let elapsed = built.world.now().as_secs_f64();
-        let total = built.world.energy_j(&model);
-        let idle = model.idle_mw / 1e3 * elapsed * built.nodes.len() as f64;
-        (elapsed, total, idle)
-    });
-    row(&format!("PDR ({} MB)", size / 1_000_000), fold(runs));
+    }
     vec![t]
 }

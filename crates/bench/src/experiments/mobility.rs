@@ -1,14 +1,14 @@
 //! Mobility experiments (§VI-B-2/3): Figs. 9/10 (PDD under Student Center /
 //! Classroom mobility) and Fig. 12 (PDR under Student Center mobility).
 
-use super::RunConfig;
+use super::{deadline, row, RunConfig};
 use crate::metrics::{average_runs, RunMetrics};
-use crate::report::{f2, pct, Table};
-use crate::scenario::{MobilityScenario, Workload};
+use crate::report::{f2, Table};
+use crate::scenario::{MobilityScenario, Session, Workload};
 use crate::sweep::run_grid;
 use pds_core::PdsConfig;
 use pds_mobility::{presets, ObservationParams};
-use pds_sim::{SimConfig, SimDuration, SimTime};
+use pds_sim::{SimConfig, SimDuration};
 
 fn scenario(
     params: ObservationParams,
@@ -26,22 +26,17 @@ fn scenario(
     }
 }
 
-fn pdd_mobility_run(
-    params: ObservationParams,
-    multiplier: f64,
-    entries: usize,
-    seed: u64,
+/// One consumer in the world of `sc`: the trace churns for 5 s, then the
+/// consumer runs `session` until `horizon_s`.
+fn mobility_run(
+    sc: &MobilityScenario,
+    wl: &Workload,
+    session: Session,
+    horizon_s: f64,
 ) -> RunMetrics {
-    let sc = scenario(params, multiplier, 300, seed);
-    let wl = Workload::new(params.population).with_metadata(entries, 1, seed);
-    let mut built = sc.build(&wl);
-    // Let the trace churn a little before the consumer asks.
-    built.world.run_until(SimTime::from_secs_f64(5.0));
-    let before = built.world.stats().clone();
-    let consumer = built.consumer;
-    built.start_discovery(consumer);
-    built.run_until_done(&[consumer], SimTime::from_secs_f64(200.0));
-    built.discovery_metrics(consumer, &before)
+    let mut built = sc.build(wl);
+    built.world.run_until(deadline(5.0));
+    built.run_together(session, &[built.consumer], deadline(horizon_s))[0]
 }
 
 /// Figs. 9/10: PDD recall and latency under Student Center and Classroom
@@ -69,7 +64,13 @@ pub(crate) fn fig09_10_mobility_pdd(cfg: &RunConfig) -> Vec<Table> {
         .flat_map(|&(_, params)| multipliers.iter().map(move |&m| (params, m)))
         .collect();
     let grid = run_grid(cfg, &points, |&(params, m), seed| {
-        pdd_mobility_run(params, m, entries, seed)
+        let wl = Workload::new(params.population).with_metadata(entries, 1, seed);
+        mobility_run(
+            &scenario(params, m, 300, seed),
+            &wl,
+            Session::Discovery,
+            200.0,
+        )
     });
     let mut grid = grid.into_iter();
     let mut out = Vec::new();
@@ -80,13 +81,7 @@ pub(crate) fn fig09_10_mobility_pdd(cfg: &RunConfig) -> Vec<Table> {
         );
         for &m in multipliers {
             let runs = grid.next().expect("one result set per (venue, multiplier)");
-            let avg = average_runs(&runs);
-            t.push_row(vec![
-                f2(m),
-                pct(avg.recall),
-                f2(avg.latency_s),
-                f2(avg.overhead_mb),
-            ]);
+            t.push_row(row(vec![f2(m)], &average_runs(&runs)));
         }
         out.push(t);
     }
@@ -111,7 +106,6 @@ pub(crate) fn fig12_mobility_pdr(cfg: &RunConfig) -> Vec<Table> {
         &["multiplier", "recall", "latency_s", "overhead_mb"],
     );
     let grid = run_grid(cfg, multipliers, |&m, seed| {
-        let sc = scenario(params, m, 600, seed);
         // Chunks seeded on initial people, never on the consumer
         // (index 0).
         let wl = Workload::new(params.population).with_chunked_item(
@@ -122,22 +116,10 @@ pub(crate) fn fig12_mobility_pdr(cfg: &RunConfig) -> Vec<Table> {
             0,
             seed,
         );
-        let mut built = sc.build(&wl);
-        built.world.run_until(SimTime::from_secs_f64(5.0));
-        let before = built.world.stats().clone();
-        let consumer = built.consumer;
-        built.start_retrieval(consumer);
-        built.run_until_done(&[consumer], SimTime::from_secs_f64(500.0));
-        built.retrieval_metrics(consumer, &before)
+        mobility_run(&scenario(params, m, 600, seed), &wl, Session::Pdr, 500.0)
     });
     for (&m, runs) in multipliers.iter().zip(&grid) {
-        let avg = average_runs(runs);
-        t.push_row(vec![
-            f2(m),
-            pct(avg.recall),
-            f2(avg.latency_s),
-            f2(avg.overhead_mb),
-        ]);
+        t.push_row(row(vec![f2(m)], &average_runs(runs)));
     }
     vec![t]
 }

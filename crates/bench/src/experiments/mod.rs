@@ -11,16 +11,19 @@ mod pdd;
 mod pdr;
 mod phys;
 
-pub use extra::energy;
-pub use pdd::saturation;
-
-use extra::ablations;
+use extra::{ablations, energy};
 use mobility::{fig09_10_mobility_pdd, fig12_mobility_pdr};
-use pdd::{fig04_hops, fig05_rounds, fig06_amount, fig07_sequential, fig08_simultaneous};
+use pdd::{
+    fig04_hops, fig05_rounds, fig06_amount, fig07_sequential, fig08_simultaneous, saturation,
+};
 use pdr::{fig11_item_size, fig13_14_redundancy, fig15_sequential, fig16_simultaneous};
 use phys::{ack_sweep, fig03_single_hop, leaky_sweep};
 
-use crate::report::Table;
+use crate::metrics::{average_runs, run_seeds, RunMetrics};
+use crate::report::{f2, pct, Table};
+use crate::scenario::{GridScenario, Session, Workload};
+use crate::sweep::run_grid;
+use pds_sim::{SimDuration, SimTime};
 
 /// Shared experiment configuration.
 #[derive(Debug, Clone)]
@@ -60,6 +63,74 @@ impl RunConfig {
 /// One sweep worker per available core (1 if that cannot be determined).
 fn available_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// `secs` seconds after time 0.
+fn deadline(secs: f64) -> SimTime {
+    SimTime::from_secs_f64(secs)
+}
+
+/// A table row: the `lead` cells, then recall, latency and overhead.
+fn row(mut lead: Vec<String>, m: &RunMetrics) -> Vec<String> {
+    lead.extend([pct(m.recall), f2(m.latency_s), f2(m.overhead_mb)]);
+    lead
+}
+
+/// Figs. 7 and 15: `consumers` consumers of the center sub-grid run
+/// `session` one after another in a paper-default world, each with
+/// `horizon` from its start; one row per consumer, averaged over seeds.
+fn sequential(
+    cfg: &RunConfig,
+    title: &str,
+    session: Session,
+    workload: impl Fn(&GridScenario) -> Workload + Sync,
+    consumers: usize,
+    horizon: SimDuration,
+) -> Vec<Table> {
+    let mut t = Table::new(title, &["consumer", "recall", "latency_s", "overhead_mb"]);
+    // Seeds run in parallel; consumers within one world stay serial (the
+    // figures measure what earlier consumers left cached).
+    let per_seed = run_seeds(cfg, |seed| {
+        let sc = GridScenario::paper_default(seed);
+        let mut built = sc.build(&workload(&sc));
+        let pool: Vec<_> = built.center_pool.iter().copied().take(consumers).collect();
+        built.run_in_turn(session, &pool, horizon)
+    });
+    for i in 0..consumers {
+        let runs: Vec<RunMetrics> = per_seed.iter().map(|per| per[i]).collect();
+        t.push_row(row(vec![(i + 1).to_string()], &average_runs(&runs)));
+    }
+    vec![t]
+}
+
+/// Figs. 8 and 16: 1 to `max_consumers` consumers of the center sub-grid
+/// run `session` at once in a paper-default world until `horizon_s`; one
+/// row per consumer count, each world's shared-window mean averaged over
+/// seeds.
+fn simultaneous(
+    cfg: &RunConfig,
+    title: &str,
+    session: Session,
+    workload: impl Fn(&GridScenario) -> Workload + Sync,
+    max_consumers: usize,
+    horizon_s: f64,
+) -> Vec<Table> {
+    let mut t = Table::new(
+        title,
+        &["consumers", "recall", "mean_latency_s", "overhead_mb"],
+    );
+    let ks: Vec<usize> = (1..=max_consumers).collect();
+    let grid = run_grid(cfg, &ks, |&k, seed| {
+        let sc = GridScenario::paper_default(seed);
+        let mut built = sc.build(&workload(&sc));
+        let consumers: Vec<_> = built.center_pool.iter().copied().take(k).collect();
+        let per = built.run_together(session, &consumers, deadline(horizon_s));
+        RunMetrics::shared_window_mean(&per)
+    });
+    for (&k, runs) in ks.iter().zip(&grid) {
+        t.push_row(row(vec![k.to_string()], &average_runs(runs)));
+    }
+    vec![t]
 }
 
 /// An experiment: its CLI name and runner.

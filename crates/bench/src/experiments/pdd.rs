@@ -2,44 +2,25 @@
 //! Fig. 4 (hops), Fig. 5 (round parameters), Fig. 6 (metadata amount),
 //! Fig. 7 (sequential consumers), Fig. 8 (simultaneous consumers).
 
-use super::RunConfig;
+use super::{deadline, row, sequential, simultaneous, RunConfig};
 use crate::metrics::{average_runs, run_seeds, RunMetrics};
 use crate::report::{f2, pct, Table};
-use crate::scenario::{GridScenario, Workload};
+use crate::scenario::{GridScenario, Session, Workload};
 use crate::sweep::run_grid;
 use pds_core::{PdsConfig, RoundParams};
-use pds_sim::{AckConfig, SimConfig, SimDuration, SimTime};
+use pds_sim::{AckConfig, SimConfig, SimDuration};
 
-fn deadline(secs: f64) -> SimTime {
-    SimTime::from_secs_f64(secs)
-}
-
-/// One discovery run on a grid; returns the consumer's metrics.
-#[allow(clippy::too_many_arguments)] // one knob per experimental factor
-fn discovery_run(
-    rows: usize,
-    cols: usize,
-    sim: SimConfig,
-    pds: PdsConfig,
+/// One discovery of `entries` metadata entries (`redundancy` copies each)
+/// by the consumer at the center of `sc`, until `horizon_s`.
+pub(super) fn discovery_run(
+    sc: &GridScenario,
     entries: usize,
     redundancy: usize,
-    horizon: f64,
-    seed: u64,
+    horizon_s: f64,
 ) -> RunMetrics {
-    let sc = GridScenario {
-        rows,
-        cols,
-        sim,
-        pds,
-        seed,
-    };
-    let wl = Workload::new(sc.node_count()).with_metadata(entries, redundancy, seed);
+    let wl = Workload::new(sc.node_count()).with_metadata(entries, redundancy, sc.seed);
     let mut built = sc.build(&wl);
-    let before = built.world.stats().clone();
-    let consumer = built.consumer;
-    built.start_discovery(consumer);
-    built.run_until_done(&[consumer], deadline(horizon));
-    built.discovery_metrics(consumer, &before)
+    built.run_together(Session::Discovery, &[built.consumer], deadline(horizon_s))[0]
 }
 
 fn single_round() -> PdsConfig {
@@ -55,7 +36,7 @@ fn single_round() -> PdsConfig {
 /// §VI-B saturation study: single-round PDD **without** ack/retransmission,
 /// recall vs total metadata amount for redundancy 1 and 2. The paper
 /// observes a knee around 10 000 entries.
-pub fn saturation(cfg: &RunConfig) -> Vec<Table> {
+pub(crate) fn saturation(cfg: &RunConfig) -> Vec<Table> {
     let amounts: &[usize] = if cfg.quick {
         &[500, 2_000]
     } else {
@@ -72,16 +53,12 @@ pub fn saturation(cfg: &RunConfig) -> Vec<Table> {
         .flat_map(|&amount| [1usize, 2].into_iter().map(move |r| (amount, r)))
         .collect();
     let grid = run_grid(cfg, &points, |&(amount, redundancy), seed| {
-        discovery_run(
-            10,
-            10,
-            sim.clone(),
-            single_round(),
-            amount,
-            redundancy,
-            60.0,
-            seed,
-        )
+        let sc = GridScenario {
+            sim: sim.clone(),
+            pds: single_round(),
+            ..GridScenario::paper_default(seed)
+        };
+        discovery_run(&sc, amount, redundancy, 60.0)
     });
     let mut grid = grid.into_iter();
     for &amount in amounts {
@@ -102,24 +79,13 @@ pub fn saturation(cfg: &RunConfig) -> Vec<Table> {
     );
     let entries = if cfg.quick { 2_000 } else { 5_000 };
     let runs = run_seeds(cfg, |seed| {
-        discovery_run(
-            10,
-            10,
-            SimConfig::paper_multi_hop(),
-            single_round(),
-            entries,
-            1,
-            60.0,
-            seed,
-        )
+        let sc = GridScenario {
+            pds: single_round(),
+            ..GridScenario::paper_default(seed)
+        };
+        discovery_run(&sc, entries, 1, 60.0)
     });
-    let avg = average_runs(&runs);
-    t2.push_row(vec![
-        entries.to_string(),
-        pct(avg.recall),
-        f2(avg.latency_s),
-        f2(avg.overhead_mb),
-    ]);
+    t2.push_row(row(vec![entries.to_string()], &average_runs(&runs)));
     vec![t, t2]
 }
 
@@ -136,26 +102,17 @@ pub(crate) fn fig04_hops(cfg: &RunConfig) -> Vec<Table> {
         &["grid", "max_hops", "recall", "latency_s", "overhead_mb"],
     );
     let grid = run_grid(cfg, sizes, |&n, seed| {
-        discovery_run(
-            n,
-            n,
-            SimConfig::paper_multi_hop(),
-            single_round(),
-            50 * n * n,
-            1,
-            60.0,
-            seed,
-        )
+        let sc = GridScenario {
+            rows: n,
+            cols: n,
+            pds: single_round(),
+            ..GridScenario::paper_default(seed)
+        };
+        discovery_run(&sc, 50 * n * n, 1, 60.0)
     });
     for (&n, runs) in sizes.iter().zip(&grid) {
-        let avg = average_runs(runs);
-        t.push_row(vec![
-            format!("{n}x{n}"),
-            (n / 2).to_string(),
-            pct(avg.recall),
-            f2(avg.latency_s),
-            f2(avg.overhead_mb),
-        ]);
+        let lead = vec![format!("{n}x{n}"), (n / 2).to_string()];
+        t.push_row(row(lead, &average_runs(runs)));
     }
     vec![t]
 }
@@ -195,16 +152,11 @@ pub(crate) fn fig05_rounds(cfg: &RunConfig) -> Vec<Table> {
             },
             ..PdsConfig::default()
         };
-        discovery_run(
-            10,
-            10,
-            SimConfig::paper_multi_hop(),
+        let sc = GridScenario {
             pds,
-            entries,
-            1,
-            90.0,
-            seed,
-        )
+            ..GridScenario::paper_default(seed)
+        };
+        discovery_run(&sc, entries, 1, 90.0)
     });
     let mut grid = grid.into_iter();
     for &window in windows {
@@ -238,26 +190,13 @@ pub(crate) fn fig06_amount(cfg: &RunConfig) -> Vec<Table> {
         &["entries", "recall", "latency_s", "overhead_mb", "rounds"],
     );
     let grid = run_grid(cfg, amounts, |&amount, seed| {
-        discovery_run(
-            10,
-            10,
-            SimConfig::paper_multi_hop(),
-            PdsConfig::default(),
-            amount,
-            1,
-            120.0,
-            seed,
-        )
+        discovery_run(&GridScenario::paper_default(seed), amount, 1, 120.0)
     });
     for (&amount, runs) in amounts.iter().zip(&grid) {
         let avg = average_runs(runs);
-        t.push_row(vec![
-            amount.to_string(),
-            pct(avg.recall),
-            f2(avg.latency_s),
-            f2(avg.overhead_mb),
-            f2(avg.rounds),
-        ]);
+        let mut cells = row(vec![amount.to_string()], &avg);
+        cells.push(f2(avg.rounds));
+        t.push_row(cells);
     }
     vec![t]
 }
@@ -266,85 +205,26 @@ pub(crate) fn fig06_amount(cfg: &RunConfig) -> Vec<Table> {
 /// makes later consumers faster.
 pub(crate) fn fig07_sequential(cfg: &RunConfig) -> Vec<Table> {
     let entries = if cfg.quick { 1_000 } else { 5_000 };
-    let consumers = 5usize;
-    let mut t = Table::new(
+    sequential(
+        cfg,
         "Fig. 7 — PDD with sequential consumers",
-        &["consumer", "recall", "latency_s", "overhead_mb"],
-    );
-    // Sequential runs yield one metric per consumer per seed. The unit of
-    // parallelism is the seed: consumers within one world stay strictly
-    // serial (the whole point of Fig. 7 is caching from earlier consumers).
-    let per_seed: Vec<Vec<RunMetrics>> = run_seeds(cfg, |seed| {
-        let sc = GridScenario::paper_default(seed);
-        let wl = Workload::new(sc.node_count()).with_metadata(entries, 1, seed);
-        let mut built = sc.build(&wl);
-        let pool = built.center_pool.clone();
-        pool.iter()
-            .take(consumers)
-            .map(|&consumer| {
-                let before = built.world.stats().clone();
-                built.start_discovery(consumer);
-                built.run_until_done(&[consumer], built.world.now() + SimDuration::from_secs(120));
-                built.discovery_metrics(consumer, &before)
-            })
-            .collect()
-    });
-    let mut all: Vec<Vec<RunMetrics>> = vec![Vec::new(); consumers];
-    for seed_run in per_seed {
-        for (i, m) in seed_run.into_iter().enumerate() {
-            all[i].push(m);
-        }
-    }
-    for (i, runs) in all.iter().enumerate() {
-        let avg = average_runs(runs);
-        t.push_row(vec![
-            (i + 1).to_string(),
-            pct(avg.recall),
-            f2(avg.latency_s),
-            f2(avg.overhead_mb),
-        ]);
-    }
-    vec![t]
+        Session::Discovery,
+        |sc| Workload::new(sc.node_count()).with_metadata(entries, 1, sc.seed),
+        5,
+        SimDuration::from_secs(120),
+    )
 }
 
 /// Fig. 8: 1–5 consumers discover simultaneously; mixedcast keeps the
 /// per-consumer latency growth sub-linear.
 pub(crate) fn fig08_simultaneous(cfg: &RunConfig) -> Vec<Table> {
     let entries = if cfg.quick { 1_000 } else { 5_000 };
-    let mut t = Table::new(
+    simultaneous(
+        cfg,
         "Fig. 8 — PDD with simultaneous consumers",
-        &["consumers", "recall", "mean_latency_s", "overhead_mb"],
-    );
-    let ks: Vec<usize> = (1..=5).collect();
-    let grid = run_grid(cfg, &ks, |&k, seed| {
-        let sc = GridScenario::paper_default(seed);
-        let wl = Workload::new(sc.node_count()).with_metadata(entries, 1, seed);
-        let mut built = sc.build(&wl);
-        let consumers: Vec<_> = built.center_pool.iter().copied().take(k).collect();
-        let before = built.world.stats().clone();
-        for &c in &consumers {
-            built.start_discovery(c);
-        }
-        built.run_until_done(&consumers, deadline(120.0));
-        let metrics: Vec<RunMetrics> = consumers
-            .iter()
-            .map(|&c| built.discovery_metrics(c, &before))
-            .collect();
-        (
-            metrics.iter().map(|m| m.recall).sum::<f64>() / k as f64,
-            metrics.iter().map(|m| m.latency_s).sum::<f64>() / k as f64,
-            // Overhead window is shared; take it once per seed.
-            metrics[0].overhead_mb,
-        )
-    });
-    for (&k, runs) in ks.iter().zip(&grid) {
-        let n = cfg.seeds.len() as f64;
-        t.push_row(vec![
-            k.to_string(),
-            pct(runs.iter().map(|r| r.0).sum::<f64>() / n),
-            f2(runs.iter().map(|r| r.1).sum::<f64>() / n),
-            f2(runs.iter().map(|r| r.2).sum::<f64>() / n),
-        ]);
-    }
-    vec![t]
+        Session::Discovery,
+        |sc| Workload::new(sc.node_count()).with_metadata(entries, 1, sc.seed),
+        5,
+        120.0,
+    )
 }

@@ -2,36 +2,45 @@
 //! Figs. 13/14 (PDR vs MDR under redundancy), Fig. 15 (sequential
 //! consumers), Fig. 16 (simultaneous consumers).
 
-use super::RunConfig;
-use crate::metrics::{average_runs, run_seeds, RunMetrics};
+use super::{deadline, row, sequential, simultaneous, RunConfig};
+use crate::metrics::{average_runs, RunMetrics};
 use crate::report::{f2, pct, Table};
-use crate::scenario::{GridScenario, Workload};
+use crate::scenario::{GridScenario, Session, Workload};
 use crate::sweep::run_grid;
+use pds_core::PdsConfig;
 use pds_mobility::grid;
-use pds_sim::{SimDuration, SimTime};
+use pds_sim::SimDuration;
 
-const CHUNK: usize = 256 * 1024;
-
-fn deadline(secs: f64) -> SimTime {
-    SimTime::from_secs_f64(secs)
+/// A `size`-byte item in 256 KiB chunks, `redundancy` copies of each, on
+/// the nodes of `sc` other than its center.
+fn clip(sc: &GridScenario, size: usize, redundancy: usize) -> Workload {
+    let center = grid::center_index(sc.rows, sc.cols);
+    Workload::new(sc.node_count()).with_chunked_item(
+        "clip",
+        size,
+        256 * 1024,
+        redundancy,
+        center,
+        sc.seed,
+    )
 }
 
-/// One retrieval run; `mdr` picks the baseline.
-fn retrieval_run(size_bytes: usize, redundancy: usize, mdr: bool, seed: u64) -> RunMetrics {
-    let sc = GridScenario::paper_default(seed);
-    let center = grid::center_index(10, 10);
-    let wl = Workload::new(sc.node_count())
-        .with_chunked_item("clip", size_bytes, CHUNK, redundancy, center, seed);
-    let mut built = sc.build(&wl);
-    let before = built.world.stats().clone();
-    let consumer = built.consumer;
-    if mdr {
-        built.start_mdr(consumer);
-    } else {
-        built.start_retrieval(consumer);
-    }
-    built.run_until_done(&[consumer], deadline(600.0));
-    built.retrieval_metrics(consumer, &before)
+/// One `session` retrieval of a `clip` by the consumer at the center of
+/// a paper-default grid running `pds`, until `horizon_s`.
+pub(super) fn retrieval_run(
+    pds: PdsConfig,
+    session: Session,
+    size: usize,
+    redundancy: usize,
+    horizon_s: f64,
+    seed: u64,
+) -> RunMetrics {
+    let sc = GridScenario {
+        pds,
+        ..GridScenario::paper_default(seed)
+    };
+    let mut built = sc.build(&clip(&sc, size, redundancy));
+    built.run_together(session, &[built.consumer], deadline(horizon_s))[0]
 }
 
 /// Fig. 11: PDR latency and overhead grow near-linearly with item size;
@@ -51,20 +60,21 @@ pub(crate) fn fig11_item_size(cfg: &RunConfig) -> Vec<Table> {
         ],
     );
     let grid = run_grid(cfg, sizes_mb, |&mb, seed| {
-        retrieval_run(mb * 1_000_000, 1, false, seed)
+        retrieval_run(
+            PdsConfig::default(),
+            Session::Pdr,
+            mb * 1_000_000,
+            1,
+            600.0,
+            seed,
+        )
     });
     for (&mb, runs) in sizes_mb.iter().zip(&grid) {
         let avg = average_runs(runs);
         let [pdd, pdr, _mdr, other] = avg.overhead_by_phase_mb;
-        t.push_row(vec![
-            mb.to_string(),
-            pct(avg.recall),
-            f2(avg.latency_s),
-            f2(avg.overhead_mb),
-            f2(pdd),
-            f2(pdr),
-            f2(other),
-        ]);
+        let mut cells = row(vec![mb.to_string()], &avg);
+        cells.extend([f2(pdd), f2(pdr), f2(other)]);
+        t.push_row(cells);
     }
     vec![t]
 }
@@ -85,12 +95,12 @@ pub(crate) fn fig13_14_redundancy(cfg: &RunConfig) -> Vec<Table> {
     );
     // One flat (redundancy, mdr?) × seed grid so the slow MDR points
     // overlap the fast PDR ones instead of running after them.
-    let points: Vec<(usize, bool)> = redundancies
+    let points: Vec<(usize, Session)> = redundancies
         .iter()
-        .flat_map(|&r| [(r, false), (r, true)])
+        .flat_map(|&r| [(r, Session::Pdr), (r, Session::Mdr)])
         .collect();
-    let grid = run_grid(cfg, &points, |&(r, mdr), seed| {
-        retrieval_run(size, r, mdr, seed)
+    let grid = run_grid(cfg, &points, |&(r, session), seed| {
+        retrieval_run(PdsConfig::default(), session, size, r, 600.0, seed)
     });
     let mut grid = grid.into_iter();
     for &r in redundancies {
@@ -116,88 +126,26 @@ pub(crate) fn fig13_14_redundancy(cfg: &RunConfig) -> Vec<Table> {
 /// shorten paths for later ones.
 pub(crate) fn fig15_sequential(cfg: &RunConfig) -> Vec<Table> {
     let size = if cfg.quick { 4_000_000 } else { 20_000_000 };
-    let consumers = if cfg.quick { 3 } else { 5 };
-    let mut t = Table::new(
+    sequential(
+        cfg,
         "Fig. 15 — PDR with sequential consumers (20 MB)",
-        &["consumer", "recall", "latency_s", "overhead_mb"],
-    );
-    // Seeds run in parallel; consumers within one world stay serial (the
-    // figure measures caching left behind by earlier retrievals).
-    let per_seed: Vec<Vec<RunMetrics>> = run_seeds(cfg, |seed| {
-        let sc = GridScenario::paper_default(seed);
-        let center = grid::center_index(10, 10);
-        let wl =
-            Workload::new(sc.node_count()).with_chunked_item("clip", size, CHUNK, 1, center, seed);
-        let mut built = sc.build(&wl);
-        let pool = built.center_pool.clone();
-        pool.iter()
-            .take(consumers)
-            .map(|&consumer| {
-                let before = built.world.stats().clone();
-                built.start_retrieval(consumer);
-                built.run_until_done(&[consumer], built.world.now() + SimDuration::from_secs(600));
-                built.retrieval_metrics(consumer, &before)
-            })
-            .collect()
-    });
-    let mut all: Vec<Vec<RunMetrics>> = vec![Vec::new(); consumers];
-    for seed_run in per_seed {
-        for (i, m) in seed_run.into_iter().enumerate() {
-            all[i].push(m);
-        }
-    }
-    for (i, runs) in all.iter().enumerate() {
-        let avg = average_runs(runs);
-        t.push_row(vec![
-            (i + 1).to_string(),
-            pct(avg.recall),
-            f2(avg.latency_s),
-            f2(avg.overhead_mb),
-        ]);
-    }
-    vec![t]
+        Session::Pdr,
+        |sc| clip(sc, size, 1),
+        if cfg.quick { 3 } else { 5 },
+        SimDuration::from_secs(600),
+    )
 }
 
 /// Fig. 16: simultaneous PDR consumers — latency/overhead rise then
 /// stabilize as consumers share transmissions.
 pub(crate) fn fig16_simultaneous(cfg: &RunConfig) -> Vec<Table> {
     let size = if cfg.quick { 4_000_000 } else { 20_000_000 };
-    let max_consumers = if cfg.quick { 3 } else { 5 };
-    let mut t = Table::new(
+    simultaneous(
+        cfg,
         "Fig. 16 — PDR with simultaneous consumers (20 MB)",
-        &["consumers", "recall", "mean_latency_s", "overhead_mb"],
-    );
-    let ks: Vec<usize> = (1..=max_consumers).collect();
-    let grid = run_grid(cfg, &ks, |&k, seed| {
-        let sc = GridScenario::paper_default(seed);
-        let center = grid::center_index(10, 10);
-        let wl =
-            Workload::new(sc.node_count()).with_chunked_item("clip", size, CHUNK, 1, center, seed);
-        let mut built = sc.build(&wl);
-        let consumers: Vec<_> = built.center_pool.iter().copied().take(k).collect();
-        let before = built.world.stats().clone();
-        for &c in &consumers {
-            built.start_retrieval(c);
-        }
-        built.run_until_done(&consumers, deadline(900.0));
-        let metrics: Vec<RunMetrics> = consumers
-            .iter()
-            .map(|&c| built.retrieval_metrics(c, &before))
-            .collect();
-        (
-            metrics.iter().map(|m| m.recall).sum::<f64>() / k as f64,
-            metrics.iter().map(|m| m.latency_s).sum::<f64>() / k as f64,
-            metrics[0].overhead_mb,
-        )
-    });
-    for (&k, runs) in ks.iter().zip(&grid) {
-        let n = cfg.seeds.len() as f64;
-        t.push_row(vec![
-            k.to_string(),
-            pct(runs.iter().map(|r| r.0).sum::<f64>() / n),
-            f2(runs.iter().map(|r| r.1).sum::<f64>() / n),
-            f2(runs.iter().map(|r| r.2).sum::<f64>() / n),
-        ]);
-    }
-    vec![t]
+        Session::Pdr,
+        |sc| clip(sc, size, 1),
+        if cfg.quick { 3 } else { 5 },
+        900.0,
+    )
 }

@@ -23,5 +23,5 @@ pub mod sweep;
 
 pub use city::{CityScenario, CITY_BYTES_PER_NODE_BUDGET};
 pub use metrics::WallClock;
-pub use scenario::{GridScenario, Workload};
+pub use scenario::{GridScenario, Session, Workload};
 pub use sweep::SweepRunner;

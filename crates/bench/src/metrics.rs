@@ -37,7 +37,7 @@ mod wall {
 
 /// Metrics of one experiment run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct RunMetrics {
+pub struct RunMetrics {
     /// Fraction of distinct metadata entries or chunks received.
     pub recall: f64,
     /// Seconds from sending the query to the last returned entry/chunk.
@@ -53,6 +53,11 @@ pub(crate) struct RunMetrics {
     pub rounds: f64,
     /// Whether the operation terminated within the horizon.
     pub finished: bool,
+    /// The world clock when the run was measured, in seconds since time 0.
+    pub sim_time_s: f64,
+    /// Radio energy of every node from time 0 to `sim_time_s` under the
+    /// default [`pds_sim::EnergyModel`]: `[total, idle listening]` joules.
+    pub energy_j: [f64; 2],
 }
 
 impl RunMetrics {
@@ -66,6 +71,28 @@ impl RunMetrics {
             overhead_by_phase_mb: [0.0; 4],
             rounds: 0.0,
             finished: false,
+            sim_time_s: 0.0,
+            energy_j: [0.0; 2],
+        }
+    }
+
+    /// The mean over consumers measured over one shared window: recall,
+    /// latency and rounds are summed in consumer order and divided by
+    /// their count, `finished` is the conjunction, and the window-wide
+    /// figures (overhead, clock, energy) are the first consumer's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `per` is empty.
+    #[must_use]
+    pub(crate) fn shared_window_mean(per: &[RunMetrics]) -> RunMetrics {
+        let avg = average_runs(per);
+        RunMetrics {
+            recall: avg.recall,
+            latency_s: avg.latency_s,
+            rounds: avg.rounds,
+            finished: avg.finished,
+            ..per[0]
         }
     }
 
@@ -86,8 +113,10 @@ impl RunMetrics {
     }
 }
 
-/// Averages runs component-wise (the paper averages over 5 runs);
-/// `finished` becomes the conjunction.
+/// Averages runs component-wise (the paper averages over 5 runs): each
+/// component is summed in run order, then divided by the run count (the
+/// phase split divides each term first); `finished` becomes the
+/// conjunction. Every seed mean of every consumer experiment goes here.
 ///
 /// # Panics
 ///
@@ -109,6 +138,8 @@ pub(crate) fn average_runs(runs: &[RunMetrics]) -> RunMetrics {
         overhead_by_phase_mb,
         rounds: runs.iter().map(|r| r.rounds).sum::<f64>() / n,
         finished: runs.iter().all(|r| r.finished),
+        sim_time_s: runs.iter().map(|r| r.sim_time_s).sum::<f64>() / n,
+        energy_j: [0, 1].map(|i| runs.iter().map(|r| r.energy_j[i]).sum::<f64>() / n),
     }
 }
 
@@ -142,6 +173,8 @@ mod tests {
             overhead_by_phase_mb: [1.0, 2.0, 0.0, 1.0],
             rounds: 2.0,
             finished: true,
+            sim_time_s: 10.0,
+            energy_j: [30.0, 20.0],
         };
         let b = RunMetrics {
             recall: 0.5,
@@ -150,6 +183,8 @@ mod tests {
             overhead_by_phase_mb: [2.0, 4.0, 0.0, 2.0],
             rounds: 4.0,
             finished: true,
+            sim_time_s: 20.0,
+            energy_j: [50.0, 40.0],
         };
         let avg = average_runs(&[a, b]);
         assert!((avg.recall - 0.75).abs() < 1e-12);
@@ -157,6 +192,34 @@ mod tests {
         assert!((avg.overhead_mb - 6.0).abs() < 1e-12);
         assert_eq!(avg.overhead_by_phase_mb, [1.5, 3.0, 0.0, 1.5]);
         assert!(avg.finished);
+        assert_eq!(avg.sim_time_s, 15.0);
+        assert_eq!(avg.energy_j, [40.0, 30.0]);
+    }
+
+    #[test]
+    fn shared_window_mean_keeps_the_window_once() {
+        let a = RunMetrics {
+            recall: 1.0,
+            latency_s: 2.0,
+            overhead_mb: 6.0,
+            rounds: 1.0,
+            finished: true,
+            energy_j: [9.0, 3.0],
+            ..RunMetrics::empty()
+        };
+        let b = RunMetrics {
+            recall: 0.5,
+            latency_s: 4.0,
+            rounds: 3.0,
+            ..a
+        };
+        let mean = RunMetrics::shared_window_mean(&[a, b]);
+        assert_eq!(mean.recall, 0.75);
+        assert_eq!(mean.latency_s, 3.0);
+        assert_eq!(mean.rounds, 2.0);
+        assert_eq!(mean.overhead_mb, 6.0, "the window is not summed");
+        assert_eq!(mean.energy_j, [9.0, 3.0]);
+        assert!(mean.finished);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use crate::metrics::RunMetrics;
 use pds_core::{AttrValue, ChunkId, DataDescriptor, PdsConfig, PdsNode, QueryFilter};
 use pds_mobility::{grid, MobilityTrace, ObservationParams, PersonId, TraceAction, TraceInstaller};
-use pds_sim::{NodeId, SimConfig, SimDuration, SimRng, SimTime, Stats, World};
+use pds_sim::{EnergyModel, NodeId, SimConfig, SimDuration, SimRng, SimTime, Stats, World};
 use std::collections::BTreeMap;
 
 /// The paper's metadata entry size regime: short attributes giving ~40-byte
@@ -199,116 +199,128 @@ pub struct Built {
     pub item: Option<DataDescriptor>,
 }
 
+/// What a consumer runs (§III–§IV): a PDD discovery of all metadata, or a
+/// PDR or MDR (baseline) retrieval of the workload's chunked item.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Session {
+    /// Peer Data Discovery.
+    Discovery,
+    /// Peer Data Retrieval.
+    Pdr,
+    /// The paper's MDR baseline retrieval.
+    Mdr,
+}
+
 /// How long the driver steps the world between completion checks.
 const STEP: SimDuration = SimDuration::from_millis(250);
 
 impl Built {
-    /// Starts a PDD discovery at `node` for all metadata.
-    pub fn start_discovery(&mut self, node: NodeId) {
-        self.world.with_app::<PdsNode, _>(node, |n, ctx| {
-            n.start_discovery(ctx, QueryFilter::match_all());
-        });
-    }
-
-    /// Starts a PDR retrieval of the workload's chunked item at `node`.
+    /// Starts `session` at every one of `consumers` at once, steps the
+    /// world until all of them finish (or `deadline` passes), and measures
+    /// each over the one shared window: overhead counts every byte sent
+    /// since the start. A single consumer is the one-element case.
     ///
     /// # Panics
     ///
-    /// Panics if the workload has no chunked item.
-    pub(crate) fn start_retrieval(&mut self, node: NodeId) {
-        let item = self.item.clone().expect("workload has a chunked item");
-        self.world.with_app::<PdsNode, _>(node, |n, ctx| {
-            n.start_retrieval(ctx, item);
-        });
-    }
-
-    /// Starts an MDR retrieval of the workload's chunked item at `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workload has no chunked item.
-    pub(crate) fn start_mdr(&mut self, node: NodeId) {
-        let item = self.item.clone().expect("workload has a chunked item");
-        self.world.with_app::<PdsNode, _>(node, |n, ctx| {
-            n.start_mdr_retrieval(ctx, item);
-        });
-    }
-
-    /// Steps the world until `nodes`' current sessions all finish (or the
-    /// deadline passes). Returns whether all finished.
-    pub fn run_until_done(&mut self, nodes: &[NodeId], deadline: SimTime) -> bool {
-        loop {
-            let all_done = nodes.iter().all(|&id| {
-                self.world
-                    .app::<PdsNode>(id)
-                    .map(|n| {
-                        let d = n.discovery_report().map(|r| r.finished_at.is_some());
-                        let r = n.retrieval_report().map(|r| r.finished_at.is_some());
-                        match (d, r) {
-                            (Some(d), Some(r)) => d && r,
-                            (Some(d), None) => d,
-                            (None, Some(r)) => r,
-                            (None, None) => false,
-                        }
-                    })
-                    .unwrap_or(true) // departed nodes do not block
-            });
-            if all_done {
-                return true;
-            }
-            if self.world.now() >= deadline {
-                return false;
-            }
+    /// Panics if a retrieval is asked of a workload with no chunked item.
+    pub fn run_together(
+        &mut self,
+        session: Session,
+        consumers: &[NodeId],
+        deadline: SimTime,
+    ) -> Vec<RunMetrics> {
+        let before = self.world.stats().clone();
+        for &node in consumers {
+            let item = self.item.clone();
+            let item = || item.expect("workload has a chunked item");
+            self.world
+                .with_app::<PdsNode, _>(node, |n, ctx| match session {
+                    Session::Discovery => n.start_discovery(ctx, QueryFilter::match_all()),
+                    Session::Pdr => n.start_retrieval(ctx, item()),
+                    Session::Mdr => n.start_mdr_retrieval(ctx, item()),
+                });
+        }
+        while !self.all_done(consumers) && self.world.now() < deadline {
             let next = self.world.now() + STEP;
             self.world.run_until(next.min(deadline));
         }
+        consumers
+            .iter()
+            .map(|&node| self.metrics(session, node, &before))
+            .collect()
     }
 
-    /// Discovery metrics for `node`, with overhead measured against the
-    /// `before` stats snapshot.
+    /// Runs `session` at each of `consumers` in turn, each started once the
+    /// previous one finished (or ran out of its `horizon`) and measured
+    /// over its own window.
+    pub(crate) fn run_in_turn(
+        &mut self,
+        session: Session,
+        consumers: &[NodeId],
+        horizon: SimDuration,
+    ) -> Vec<RunMetrics> {
+        consumers
+            .iter()
+            .map(|&node| {
+                let deadline = self.world.now() + horizon;
+                self.run_together(session, &[node], deadline)[0]
+            })
+            .collect()
+    }
+
+    /// Whether every one of `nodes` finished its sessions (a departed node
+    /// does not block).
+    fn all_done(&self, nodes: &[NodeId]) -> bool {
+        nodes.iter().all(|&id| {
+            self.world.app::<PdsNode>(id).is_none_or(|n| {
+                let d = n.discovery_report().map(|r| r.finished_at.is_some());
+                let r = n.retrieval_report().map(|r| r.finished_at.is_some());
+                match (d, r) {
+                    (Some(d), Some(r)) => d && r,
+                    (Some(done), None) | (None, Some(done)) => done,
+                    (None, None) => false,
+                }
+            })
+        })
+    }
+
+    /// `session`'s metrics at `node`, with overhead measured against the
+    /// `before` stats snapshot and energy since time 0; empty if `node`
+    /// never started one.
     #[must_use]
-    pub(crate) fn discovery_metrics(&self, node: NodeId, before: &Stats) -> RunMetrics {
-        let Some(report) = self
-            .world
-            .app::<PdsNode>(node)
-            .and_then(PdsNode::discovery_report)
-        else {
+    pub(crate) fn metrics(&self, session: Session, node: NodeId, before: &Stats) -> RunMetrics {
+        let app = self.world.app::<PdsNode>(node);
+        let report = match session {
+            Session::Discovery => app.and_then(PdsNode::discovery_report).map(|r| {
+                let recall = if self.total_entries == 0 {
+                    1.0
+                } else {
+                    r.entries as f64 / self.total_entries as f64
+                };
+                (recall, r.latency, r.rounds, r.finished_at)
+            }),
+            Session::Pdr | Session::Mdr => app
+                .and_then(PdsNode::retrieval_report)
+                .map(|r| (r.recall, r.latency, r.rounds, r.finished_at)),
+        };
+        let Some((recall, latency, rounds, finished_at)) = report else {
             return RunMetrics::empty();
         };
         let d = self.world.stats().since(before);
+        let model = EnergyModel::default();
+        let now_s = self.world.now().as_secs_f64();
         RunMetrics {
-            recall: if self.total_entries == 0 {
-                1.0
-            } else {
-                report.entries as f64 / self.total_entries as f64
-            },
-            latency_s: report.latency.as_secs_f64(),
+            recall,
+            latency_s: latency.as_secs_f64(),
             overhead_mb: d.bytes_sent as f64 / 1e6,
             overhead_by_phase_mb: RunMetrics::phase_split_mb(&d),
-            rounds: f64::from(report.rounds),
-            finished: report.finished_at.is_some(),
-        }
-    }
-
-    /// Retrieval metrics for `node`, with overhead measured against the
-    /// `before` stats snapshot.
-    #[must_use]
-    pub(crate) fn retrieval_metrics(&self, node: NodeId, before: &Stats) -> RunMetrics {
-        let Some(report) = self
-            .world
-            .app::<PdsNode>(node)
-            .and_then(PdsNode::retrieval_report)
-        else {
-            return RunMetrics::empty();
-        };
-        let d = self.world.stats().since(before);
-        RunMetrics {
-            recall: report.recall,
-            latency_s: report.latency.as_secs_f64(),
-            overhead_mb: d.bytes_sent as f64 / 1e6,
-            overhead_by_phase_mb: RunMetrics::phase_split_mb(&d),
-            rounds: f64::from(report.rounds),
-            finished: report.finished_at.is_some(),
+            rounds: f64::from(rounds),
+            finished: finished_at.is_some(),
+            sim_time_s: now_s,
+            energy_j: [
+                self.world.energy_j(&model),
+                model.idle_mw / 1e3 * now_s * self.nodes.len() as f64,
+            ],
         }
     }
 }
@@ -417,23 +429,72 @@ mod tests {
         assert_eq!(last, 1_000_000 - 3 * 256 * 1024);
     }
 
-    #[test]
-    fn grid_scenario_builds_and_runs_discovery() {
-        let mut sc = GridScenario::paper_default(1);
+    /// A 3×3 grid with `entries` metadata entries, one copy each.
+    fn small_grid(seed: u64, entries: usize) -> Built {
+        let mut sc = GridScenario::paper_default(seed);
         sc.rows = 3;
         sc.cols = 3;
-        let wl = Workload::new(9).with_metadata(18, 1, 1);
-        let mut built = sc.build(&wl);
+        sc.build(&Workload::new(9).with_metadata(entries, 1, seed))
+    }
+
+    #[test]
+    fn grid_scenario_builds_and_runs_discovery() {
+        let mut built = small_grid(1, 18);
         assert_eq!(built.nodes.len(), 9);
-        let before = built.world.stats().clone();
         let consumer = built.consumer;
-        built.start_discovery(consumer);
-        let done = built.run_until_done(&[consumer], SimTime::from_secs_f64(20.0));
-        assert!(done, "discovery should finish in 20 s");
-        let m = built.discovery_metrics(consumer, &before);
-        assert!(m.finished);
+        let m = built.run_together(
+            Session::Discovery,
+            &[consumer],
+            SimTime::from_secs_f64(20.0),
+        )[0];
+        assert!(m.finished, "discovery should finish in 20 s");
         assert!(m.recall > 0.95, "recall = {}", m.recall);
         assert!(m.overhead_mb > 0.0);
+    }
+
+    #[test]
+    fn simultaneous_consumers_share_one_window() {
+        let mut built = small_grid(2, 18);
+        let before = built.world.stats().clone();
+        let consumers: Vec<NodeId> = built.center_pool.iter().copied().take(3).collect();
+        let per = built.run_together(Session::Discovery, &consumers, SimTime::from_secs_f64(30.0));
+        let window_mb = built.world.stats().since(&before).bytes_sent as f64 / 1e6;
+        assert_eq!(per.len(), 3);
+        for m in &per {
+            assert!(m.finished);
+            assert_eq!(
+                m.overhead_mb, window_mb,
+                "every consumer reads the one window"
+            );
+        }
+    }
+
+    #[test]
+    fn sequential_consumers_get_disjoint_windows() {
+        let mut built = small_grid(4, 18);
+        let before = built.world.stats().clone();
+        let consumers: Vec<NodeId> = built.center_pool.iter().copied().take(3).collect();
+        let per = built.run_in_turn(Session::Discovery, &consumers, SimDuration::from_secs(20));
+        let report = |id| {
+            built
+                .world
+                .app::<PdsNode>(id)
+                .and_then(PdsNode::discovery_report)
+                .expect("consumer started")
+        };
+        for pair in consumers.windows(2) {
+            let done = report(pair[0])
+                .finished_at
+                .expect("finished in its horizon");
+            assert!(report(pair[1]).started_at >= done, "windows overlap");
+        }
+        let total_mb = built.world.stats().since(&before).bytes_sent as f64 / 1e6;
+        let sum_mb: f64 = per.iter().map(|m| m.overhead_mb).sum();
+        assert!(per.iter().all(|m| m.overhead_mb > 0.0));
+        assert!(
+            (sum_mb - total_mb).abs() < 1e-9,
+            "windows {sum_mb} MB, sequence {total_mb} MB"
+        );
     }
 
     #[test]
@@ -449,23 +510,16 @@ mod tests {
         let wl = Workload::new(30).with_chunked_item("vid", 512 * 1024, 64 * 1024, 2, 0, 9);
         let mut built = sc.build(&wl);
         let consumer = built.consumer;
-        let before = built.world.stats().clone();
-        built.start_retrieval(consumer);
-        let done = built.run_until_done(&[consumer], SimTime::from_secs_f64(90.0));
-        assert!(done, "retrieval under mild churn finishes");
-        let m = built.retrieval_metrics(consumer, &before);
+        let m = built.run_together(Session::Pdr, &[consumer], SimTime::from_secs_f64(90.0))[0];
+        assert!(m.finished, "retrieval under mild churn finishes");
         assert!(m.recall > 0.99, "recall = {}", m.recall);
     }
 
     #[test]
     fn retrieval_metrics_report_unstarted_as_empty() {
-        let mut sc = GridScenario::paper_default(3);
-        sc.rows = 3;
-        sc.cols = 3;
-        let wl = Workload::new(9).with_metadata(9, 1, 3);
-        let built = sc.build(&wl);
+        let built = small_grid(3, 9);
         let before = built.world.stats().clone();
-        let m = built.retrieval_metrics(built.consumer, &before);
+        let m = built.metrics(Session::Pdr, built.consumer, &before);
         assert!(!m.finished);
         assert_eq!(m.recall, 0.0);
     }

@@ -3,7 +3,7 @@
 //! same per-job replay digests and traffic stats, in the same (input)
 //! order.
 
-use pds_bench::{GridScenario, SweepRunner, Workload};
+use pds_bench::{GridScenario, Session, SweepRunner, Workload};
 use pds_sim::SimTime;
 
 /// One small discovery run; returns the kernel's replay digest plus the
@@ -15,8 +15,11 @@ fn run_job(seed: u64) -> (u64, pds_sim::Stats) {
     let wl = Workload::new(sc.node_count()).with_metadata(50, 1, seed);
     let mut built = sc.build(&wl);
     let consumer = built.consumer;
-    built.start_discovery(consumer);
-    built.run_until_done(&[consumer], SimTime::from_secs_f64(30.0));
+    built.run_together(
+        Session::Discovery,
+        &[consumer],
+        SimTime::from_secs_f64(30.0),
+    );
     (built.world.replay_digest(), built.world.stats().clone())
 }
 

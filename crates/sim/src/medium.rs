@@ -59,8 +59,6 @@ pub(crate) struct Medium {
     /// sweeps. Same wheel primitive as the event queue (DESIGN.md §11);
     /// tx ids are pushed in ascending order, so equal ends pop in id order.
     tx_prune: TimerWheel<u64>,
-    /// Reusable carrier-sense candidate buffer.
-    cs_scratch: Vec<TxEntry>,
     /// Reusable buffers of the physical verdict.
     phys: PhysScratch,
     /// Reusable neighbor-query result and candidate buffers.
@@ -110,7 +108,6 @@ impl Medium {
             tx_grid: TxGrid::new(cell_m * tx_reach.max(1.0)),
             tx_by_sender: Vec::new(),
             tx_prune: TimerWheel::new(),
-            cs_scratch: Vec::new(),
             phys: PhysScratch {
                 memo: PathLossMemo::new(),
                 ..PhysScratch::default()
@@ -182,28 +179,23 @@ impl Medium {
     /// Carrier sense at `pos`: the latest end among other senders'
     /// transmissions within the (extended) sense range that have been on
     /// the air long enough to detect, or `None` if the channel is idle.
-    pub(crate) fn busy_until(
-        &mut self,
-        id: NodeId,
-        pos: Position,
-        now: SimTime,
-    ) -> Option<SimTime> {
+    pub(crate) fn busy_until(&self, id: NodeId, pos: Position, now: SimTime) -> Option<SimTime> {
         let cs_range = RANGE_M * self.radio.cs_range_factor;
-        // The grid carries the sense-relevant fields inline, so the scan
-        // never touches the transmission slab; `max` is order-independent,
-        // so the unspecified query order is fine.
-        self.cs_scratch.clear();
-        self.tx_grid.query_into(pos, cs_range, &mut self.cs_scratch);
-        self.cs_scratch
-            .iter()
-            .filter(|t| {
+        // The grid carries the sense-relevant fields inline and is read in
+        // place, so the scan neither copies candidates nor touches the
+        // transmission slab; `max` is order-independent, so the
+        // unspecified visiting order is fine.
+        let mut busy = None;
+        self.tx_grid.visit(pos, cs_range, |cell| {
+            let sensed = cell.iter().filter(|t| {
                 t.end > now
                     && t.sender != id
                     && t.start + SENSE_DELAY <= now
                     && t.pos.distance(&pos) <= cs_range
-            })
-            .map(|t| t.end)
-            .max()
+            });
+            busy = busy.max(sensed.map(|t| t.end).max());
+        });
+        busy
     }
 
     /// Puts `frame` on the air from `pos` over `[start, end)` and returns

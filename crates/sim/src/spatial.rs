@@ -134,6 +134,13 @@ impl<E: Keyed> CellGrid<E> {
     /// of `center` — a superset for exact filtering. Order is unspecified;
     /// callers needing a deterministic order sort by key.
     pub(crate) fn query_into(&self, center: Position, radius: f64, out: &mut Vec<E>) {
+        self.visit(center, radius, |es| out.extend_from_slice(es));
+    }
+
+    /// Hands `f` the entries of every cell that lies within `radius` meters
+    /// of `center`, one cell at a time and in place: the same superset, in
+    /// the same unspecified order, as [`CellGrid::query_into`] collects.
+    pub(crate) fn visit(&self, center: Position, radius: f64, mut f: impl FnMut(&[E])) {
         // Exact bounding box of the query disk in cell coordinates: any
         // entry within `radius` of `center` lies in one of these cells.
         let (x_lo, y_lo) = cell_of(
@@ -151,14 +158,14 @@ impl<E: Keyed> CellGrid<E> {
         let probes = (x_hi - x_lo + 1) as f64 * (y_hi - y_lo + 1) as f64;
         if probes > 1024.0 && probes > self.entries.len() as f64 {
             for es in self.cells.values() {
-                out.extend_from_slice(es);
+                f(es);
             }
             return;
         }
         for cx in x_lo..=x_hi {
             for cy in y_lo..=y_hi {
                 if let Some(es) = self.cells.get(&(cx, cy)) {
-                    out.extend_from_slice(es);
+                    f(es);
                 }
             }
         }
